@@ -140,9 +140,10 @@ def _cmd_classify(args) -> int:
         print(f"classification: {kind.value}")
         eps2 = filippov.sliding_sufficient(coeffs)
         if eps2 is None:
-            print("sliding for all small eps: no (leading coefficient not negative)")
+            print("sliding guaranteed for large eps: no "
+                  "(leading coefficient A is not negative)")
         else:
-            print(f"sliding guaranteed for eps < {eps2:.12g}")
+            print(f"sliding guaranteed for eps > {eps2:.12g}")
         crossing_all = filippov.crossing_sufficient(coeffs)
         print(f"crossing for all eps > 0: {'yes' if crossing_all else 'no'}")
         problem = problems.spp_flatten(spec)

@@ -1,13 +1,16 @@
 """Small dense linear algebra and finite-difference kernels.
 
-Everything here is sized for the systems this package integrates (a handful
-of states, not thousands): plain partial-pivoting LU, derivative stencils
-that know about one-sided domains, and a cheap spectral-radius upper bound.
-All operations are pure and deterministic.
+Everything here is sized for the systems this package integrates: a handful
+of states, not thousands. At that size a numpy call costs its dispatch, not
+its arithmetic, so the input checks, the partial-pivoting LU and the solves
+run on Python floats. Also here: derivative stencils that know about
+one-sided domains, and a cheap spectral-radius upper bound. All operations
+are pure and deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,7 +34,7 @@ def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not all(map(math.isfinite, v.tolist())):
         raise ValueError("vector entries must be finite")
     return v
 
@@ -41,50 +44,58 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not all(map(math.isfinite, a.ravel().tolist())):
         raise ValueError("matrix entries must be finite")
     return a
 
 
 @dataclass(frozen=True)
 class LuFactors:
-    """Packed LU factors of a row-permuted matrix.
+    """Packed LU factors of a row-permuted matrix, as Python floats.
 
-    `combined` stores the unit lower triangle strictly below the diagonal and
-    U on and above it. `pivots` is a permutation of 0..n-1: row i of the
-    factored matrix came from row pivots[i] of the input.
+    `combined` is a list of rows holding the unit lower triangle strictly
+    below the diagonal and U on and above it. `pivots` is a permutation of
+    0..n-1: row i of the factored matrix came from row pivots[i] of the
+    input. Neither is modified after lu_factor returns.
     """
 
-    combined: np.ndarray
-    pivots: np.ndarray
+    combined: list
+    pivots: list
 
     @property
     def n(self) -> int:
-        return self.combined.shape[0]
+        return len(self.combined)
 
 
 def lu_factor(m) -> LuFactors:
     """Factor M (with partial row pivoting) so that M[pivots] = L @ U.
 
-    Raises SingularMatrix when the best available pivot in some column does
-    not exceed SINGULARITY_RTOL * max|M|.
+    The pivot of each column is the first entry of largest magnitude on or
+    below the diagonal. Raises SingularMatrix when that pivot does not
+    exceed SINGULARITY_RTOL * max|M|.
     """
-    a = as_matrix(m).copy()
-    n = a.shape[0]
-    perm = np.arange(n)
-    tol = SINGULARITY_RTOL * (float(np.max(np.abs(a))) if n else 0.0)
+    a = as_matrix(m).tolist()
+    n = len(a)
+    perm = list(range(n))
+    tol = SINGULARITY_RTOL * max((abs(v) for row in a for v in row), default=0.0)
     for col in range(n):
-        p = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[p, col]) <= tol:
+        p = col
+        big = abs(a[col][col])
+        for r in range(col + 1, n):
+            if abs(a[r][col]) > big:
+                p, big = r, abs(a[r][col])
+        if big <= tol:
             raise SingularMatrix(
-                f"pivot {a[p, col]:.3e} in column {col} below tolerance {tol:.3e}"
+                f"pivot {a[p][col]:.3e} in column {col} below tolerance {tol:.3e}"
             )
         if p != col:
-            a[[col, p]] = a[[p, col]]
-            perm[[col, p]] = perm[[p, col]]
-        rows = slice(col + 1, n)
-        a[rows, col] /= a[col, col]
-        a[rows, col + 1:] -= np.outer(a[rows, col], a[col, col + 1:])
+            a[col], a[p] = a[p], a[col]
+            perm[col], perm[p] = perm[p], perm[col]
+        upper = a[col]
+        for row in a[col + 1:]:
+            row[col] /= upper[col]
+            for j in range(col + 1, n):
+                row[j] -= row[col] * upper[j]
     return LuFactors(combined=a, pivots=perm)
 
 
@@ -95,12 +106,19 @@ def lu_solve(factors: LuFactors, b) -> np.ndarray:
     if v.shape[0] != n:
         raise ValueError(f"matrix is {n}x{n} but b has length {v.shape[0]}")
     a = factors.combined
-    x = v[factors.pivots].astype(float)
+    vals = v.tolist()
+    x = [vals[p] for p in factors.pivots]
     for i in range(1, n):  # forward substitution, unit diagonal
-        x[i] -= a[i, :i] @ x[:i]
+        dot = 0.0
+        for j in range(i):
+            dot += a[i][j] * x[j]
+        x[i] -= dot
     for i in range(n - 1, -1, -1):  # back substitution
-        x[i] = (x[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    return x
+        dot = 0.0
+        for j in range(i + 1, n):
+            dot += a[i][j] * x[j]
+        x[i] = (x[i] - dot) / a[i][i]
+    return np.array(x)
 
 
 def _probe_points(x: np.ndarray, j: int, step: float):
@@ -225,24 +243,12 @@ def fd_hessian(h: Callable, x, domain: Callable | None = None) -> np.ndarray:
 
 
 def spectral_radius_bound(m) -> float:
-    """Cheap upper bound on the spectral radius.
+    """Upper bound on the spectral radius: min(||M||_1, ||M||_inf).
 
-    Minimum of the Gershgorin row bound and a 50-iteration power-method
-    estimate (deterministic all-ones start) inflated by 5%.
+    Every induced norm bounds the spectral radius from above; these two
+    are the largest absolute column sum and the largest absolute row sum.
     """
-    a = as_matrix(m)
-    n = a.shape[0]
-    if n == 0:
+    a = np.abs(as_matrix(m))
+    if a.size == 0:
         return 0.0
-    gersh = float(np.max(np.sum(np.abs(a), axis=1)))
-    v = np.ones(n)
-    est = gersh
-    for _ in range(50):
-        w = a @ v
-        norm = float(np.max(np.abs(w)))
-        if norm == 0.0:
-            est = 0.0
-            break
-        est = norm / float(np.max(np.abs(v)))
-        v = w / norm
-    return min(gersh, 1.05 * est)
+    return float(min(a.sum(axis=0).max(), a.sum(axis=1).max()))

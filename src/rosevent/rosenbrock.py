@@ -81,28 +81,15 @@ class RosenbrockStep:
         return 1.0 / (2.0 * (1.0 - 2.0 * self.gamma))
 
 
-@dataclass(frozen=True)
-class DensePolynomials:
-    """Interpolation weights of the two-stage dense output."""
-
-    gamma: float
-
-    def b1(self, theta: float) -> float:
-        return theta * (theta + (2.0 - 6.0 * self.gamma))
-
-    def b2(self, theta: float) -> float:
-        return theta * (theta - 2.0 * self.gamma)
-
-    def db1(self, theta: float) -> float:
-        return 2.0 * theta + (2.0 - 6.0 * self.gamma)
-
-    def db2(self, theta: float) -> float:
-        return 2.0 * theta - 2.0 * self.gamma
-
-
 def step_matrix(J, tau: float, gamma: float) -> np.ndarray:
+    """The step matrix I - gamma*tau*J."""
     J = linalg.as_matrix(J)
-    return np.eye(J.shape[0]) - (gamma * tau) * J
+    # 0 - g*J then 1 on the diagonal: the same bits as eye(n) - g*J,
+    # signed zeros included
+    M = 0.0 - (gamma * tau) * J
+    for i in range(J.shape[0]):
+        M[i, i] += 1.0
+    return M
 
 
 def ros1_step(field, x0, tau: float, J, field_id: int = 1) -> RosenbrockStep:
@@ -162,9 +149,10 @@ def dense_eval(step: RosenbrockStep, theta: float) -> np.ndarray:
         return step.x0
     if step.stages == 1:
         return step.x0 + theta * step.k1
-    poly = DensePolynomials(step.gamma)
     c = step.c
-    return step.x0 + (c * poly.b1(theta)) * step.k1 + (c * poly.b2(theta)) * step.k2
+    b1 = theta * (theta + (2.0 - 6.0 * step.gamma))
+    b2 = theta * (theta - 2.0 * step.gamma)
+    return step.x0 + (c * b1) * step.k1 + (c * b2) * step.k2
 
 
 def dense_derivative(step: RosenbrockStep, theta: float) -> np.ndarray:
@@ -173,9 +161,10 @@ def dense_derivative(step: RosenbrockStep, theta: float) -> np.ndarray:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     if step.stages == 1:
         return step.k1.copy()
-    poly = DensePolynomials(step.gamma)
     c = step.c
-    return (c * poly.db1(theta)) * step.k1 + (c * poly.db2(theta)) * step.k2
+    db1 = 2.0 * theta + (2.0 - 6.0 * step.gamma)
+    db2 = 2.0 * theta - 2.0 * step.gamma
+    return (c * db1) * step.k1 + (c * db2) * step.k2
 
 
 def restep(field, step: RosenbrockStep, sigma: float) -> RosenbrockStep:

@@ -176,7 +176,17 @@ def test_cli_classify_slow_fast(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "classification: sliding" in out
+    # q(eps) = -eps^2 + 2.5e-5 here, negative for eps > 0.005
+    assert "sliding guaranteed for eps > 0.005\n" in out
     assert "pointwise: sliding-repulsive" in out
+
+
+def test_cli_classify_without_a_sliding_threshold(capsys):
+    # ostermann_modified on y1 = 0: A = z^2 >= 0, no large-eps guarantee
+    assert cli_main(["classify", "--problem", "ostermann_modified",
+                     "--state", "0,0.5,0.2"]) == 0
+    out = capsys.readouterr().out
+    assert "sliding guaranteed for large eps: no (leading coefficient A is not negative)" in out
 
 
 def test_cli_classify_reports_off_surface_pointwise(capsys):

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from rosevent.errors import DomainViolation, SingularMatrix
 from rosevent.linalg import (
+    SINGULARITY_RTOL,
     fd_gradient,
     fd_hessian,
     fd_jacobian,
@@ -21,6 +22,74 @@ from rosevent.linalg import (
 
 
 # --- LU ------------------------------------------------------------------
+
+EPS = float(np.finfo(float).eps)
+
+
+def reference_lu_factor(m):
+    """Partial-pivot LU as numpy array operations: (combined, pivots)."""
+    a = np.array(m, dtype=float)
+    n = a.shape[0]
+    perm = np.arange(n)
+    tol = SINGULARITY_RTOL * (float(np.max(np.abs(a))) if n else 0.0)
+    for col in range(n):
+        p = col + int(np.argmax(np.abs(a[col:, col])))
+        if abs(a[p, col]) <= tol:
+            raise SingularMatrix(f"pivot {a[p, col]:.3e} in column {col}")
+        if p != col:
+            a[[col, p]] = a[[p, col]]
+            perm[[col, p]] = perm[[p, col]]
+        rows = slice(col + 1, n)
+        a[rows, col] /= a[col, col]
+        a[rows, col + 1:] -= np.outer(a[rows, col], a[col, col + 1:])
+    return a, perm
+
+
+def reference_lu_solve(combined, pivots, b):
+    a = combined
+    n = a.shape[0]
+    x = np.asarray(b, dtype=float)[pivots]
+    for i in range(1, n):  # forward substitution, unit diagonal
+        x[i] -= a[i, :i] @ x[:i]
+    for i in range(n - 1, -1, -1):  # back substitution
+        x[i] = (x[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
+    return x
+
+
+# small integers make singular and tied-pivot matrices common
+_lu_entries = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(float),
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4), data=st.data())
+def test_lu_matches_the_array_reference(n, data):
+    a = data.draw(hnp.arrays(np.float64, (n, n), elements=_lu_entries))
+    b = data.draw(hnp.arrays(np.float64, (n,), elements=_lu_entries))
+    try:
+        ref_combined, ref_pivots = reference_lu_factor(a)
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix):
+            lu_factor(a)
+        return
+    factors = lu_factor(a)
+    assert list(factors.pivots) == ref_pivots.tolist()
+    # the elimination does the same elementwise operations as the reference
+    npt.assert_array_equal(np.array(factors.combined), ref_combined)
+    x = lu_solve(factors, b)
+    x_ref = reference_lu_solve(ref_combined, ref_pivots, b)
+    if n <= 2:
+        # substitution sums of at most one product: same arithmetic
+        npt.assert_array_equal(x, x_ref)
+    else:
+        # the reference sums its dot products in BLAS order, possibly fused
+        cond = float(np.linalg.cond(a, p=np.inf))
+        scale = float(np.max(np.abs(x_ref)))
+        tol = 16.0 * n * EPS * cond * scale if scale else 0.0
+        npt.assert_allclose(x, x_ref, rtol=0, atol=tol)
+
 
 def test_lu_solve_2x2_cramer():
     # Cramer on [[2,1],[1,3]] x = [3,4]: det = 5, x = (5/5, 5/5) = (1, 1)
@@ -52,7 +121,16 @@ def test_lu_factor_rejects_nonfinite_and_nonsquare():
     with pytest.raises(ValueError):
         lu_factor(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(ValueError):
+        lu_factor(np.array([[1.0, 0.0], [-np.inf, 1.0]]))
+    with pytest.raises(ValueError):
         lu_factor(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        lu_factor(np.ones(2))
+    factors = lu_factor(np.eye(2))
+    with pytest.raises(ValueError):
+        lu_solve(factors, np.array([1.0, np.inf]))
+    with pytest.raises(ValueError):
+        lu_solve(factors, np.ones((2, 1)))
 
 
 def test_lu_solve_length_mismatch():
@@ -83,6 +161,8 @@ def test_lu_solve_residual_property(n, data):
         return
     if not np.isfinite(cond) or cond > 1e8:
         return
+    if not np.all(np.isfinite(np.linalg.solve(a, b))):
+        return  # the solution overflows float64, e.g. a = [[2.2e-311]], b = [1]
     x = lu_solve(lu_factor(a), b)
     npt.assert_allclose(a @ x, b, rtol=0,
                         atol=1e-8 * max(1.0, float(np.linalg.norm(b))))
@@ -173,17 +253,34 @@ def test_spectral_bound_rotation():
 
 
 def test_spectral_bound_nilpotent():
-    # rho = 0; the power iterate dies after two applications
+    # rho = 0; both norms are 1
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     b = spectral_radius_bound(m)
     assert 0.0 <= b <= 1.0
 
 
+def test_spectral_bound_is_not_a_power_estimate():
+    # a power iteration from the all-ones start sees 0 for the first matrix
+    # (rho = 4) and under-reads the rotation-scaling (rho = 0.9*sqrt(2))
+    npt.assert_allclose(
+        spectral_radius_bound(np.array([[2.0, -2.0], [-2.0, 2.0]])), 4.0, rtol=1e-15
+    )
+    m = 0.9 * np.array([[1.0, -1.0], [1.0, 1.0]])
+    b = spectral_radius_bound(m)
+    assert b >= 0.9 * math.sqrt(2.0)
+    npt.assert_allclose(b, 1.8, rtol=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4), data=st.data())
+def test_spectral_bound_dominates_the_eigenvalues(n, data):
+    m = data.draw(hnp.arrays(np.float64, (n, n), elements=_lu_entries))
+    rho = float(np.max(np.abs(np.linalg.eigvals(m))))
+    assert rho <= spectral_radius_bound(m) * (1.0 + 1e-9)
+
+
 def test_spectral_bound_dominates_on_known_spectra():
-    # families whose spectra are known a priori and where the min of the
-    # Gershgorin bound and the inflated power estimate provably dominates:
-    # diagonal matrices (the estimate equals max|d| from iteration one) and
-    # triangular matrices with well-separated diagonals
+    # diagonal, nilpotent and triangular matrices, whose spectra are known
     rng = np.random.default_rng(7)
     cases = [
         np.zeros((2, 2)),

@@ -16,6 +16,9 @@ from rosevent.rosenbrock import (
     method_by_name,
     restep,
     ros1_step,
+    ros2_factor,
+    ros2_finish,
+    ros2_stage1,
     ros2_step,
 )
 
@@ -187,6 +190,50 @@ def test_restep_sigma_validated():
         restep(linear_field(-1.0), step, 0.0)
     with pytest.raises(ValueError):
         restep(linear_field(-1.0), step, 0.6)
+
+
+# --- input checks ----------------------------------------------------------
+
+X0 = np.array([1.0, -0.5])
+J0 = np.array([[-1.0, 0.5], [0.0, -2.0]])
+
+
+def field_bad_at(bad, where):
+    """J0 @ x, except that the value is `bad` at x0 ("x0") or everywhere
+    else, which includes the inner stage x0 + k1 ("inner")."""
+    def f(x):
+        at_x0 = np.array_equal(x, X0)
+        if at_x0 == (where == "x0"):
+            return np.array([bad, 0.0])
+        return J0 @ x
+    return f
+
+
+@pytest.mark.parametrize("step_fn", [ros1_step, ros2_step])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_steps_reject_nonfinite_inputs(step_fn, bad):
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        step_fn(lambda x: J0 @ x, np.array([1.0, bad]), 0.1, J0)
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        step_fn(field_bad_at(bad, "x0"), X0, 0.1, J0)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        step_fn(lambda x: J0 @ x, X0, 0.1, np.array([[-1.0, bad], [0.0, -2.0]]))
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        step_fn(lambda x: J0 @ x, X0, 0.1, np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ros2_rejects_nonfinite_inner_stage(bad):
+    # the field is finite at x0, so only the check on the second stage
+    # right-hand side can catch this
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        ros2_step(field_bad_at(bad, "inner"), X0, 0.1, J0)
+    factors = ros2_factor(J0, 0.1)
+    k1 = ros2_stage1(factors, J0 @ X0, 0.1)
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        ros2_finish(field_bad_at(bad, "inner"), X0, 0.1, J0, factors, k1)
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        ros2_finish(lambda x: J0 @ x, np.array([bad, 0.0]), 0.1, J0, factors, k1)
 
 
 # --- cost ------------------------------------------------------------------
