@@ -161,11 +161,27 @@ def test_lu_solve_residual_property(n, data):
         return
     if not np.isfinite(cond) or cond > 1e8:
         return
-    if not np.all(np.isfinite(np.linalg.solve(a, b))):
-        return  # the solution overflows float64, e.g. a = [[2.2e-311]], b = [1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_np = np.linalg.solve(a, b)
     x = lu_solve(lu_factor(a), b)
+    if not np.all(np.isfinite(x_np)):
+        # the solution overflows float64 (a = [[2.2e-311]], b = [1]): no
+        # finite x meets the residual check, so lu_solve must not return one
+        assert not np.all(np.isfinite(x))
+        return
     npt.assert_allclose(a @ x, b, rtol=0,
                         atol=1e-8 * max(1.0, float(np.linalg.norm(b))))
+
+
+def test_lu_solve_overflowing_solution_is_not_finite():
+    # x = 1 / 2.2e-311 exceeds float64; a finite answer would be wrong
+    for a, b in (
+        ([[2.2e-311]], [1.0]),
+        ([[5e-324]], [1.0]),
+        ([[1e-310, 3e-311], [2e-311, 2e-310]], [1.0, -3.0]),
+    ):
+        x = lu_solve(lu_factor(np.array(a)), np.array(b))
+        assert not np.all(np.isfinite(x))
 
 
 # --- finite differences ---------------------------------------------------
