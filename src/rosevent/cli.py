@@ -168,19 +168,10 @@ def _cmd_guard_check(args) -> int:
     elif mode is onesided.GuardMode.ROS1_ORTHOGONAL:
         rep = onesided.guard_ros1_orthogonal(problem, x0, args.tau, rosenbrock.GAMMA_ROS1)
     elif mode is onesided.GuardMode.ROS2_DENSE:
-        # mirror the guarded construction: inspect the internal stage and
-        # shorten the step before the second field evaluation if needed
         J = problems.field_jacobian(problem, 1, x0)
-        fx0 = problems.eval_field(problem, 1, x0)
-        factors = rosenbrock.ros2_factor(J, args.tau)
-        k1 = rosenbrock.ros2_stage1(factors, fx0, args.tau)
-        if float(problem.h(x0 + k1)) > 0.0:
-            sigma, step = onesided.resolve_case_1b(problem, x0, args.tau)
-            print(f"internal stage trespassed; step shortened to sigma = {sigma:.12g}")
-        else:
-            step = rosenbrock.ros2_finish(
-                problems.field_fn(problem, 1), x0, args.tau, J, factors, k1, field_id=1
-            )
+        step, _ = onesided.guarded_ros2_step(problem, x0, args.tau, J)
+        if step.tau < args.tau:
+            print(f"internal stage trespassed; step shortened to sigma = {step.tau:.12g}")
         rep = onesided.guard_ros2_dense(problem, step)
     else:
         raise ValueError("guard-check needs a concrete mode, not 'off'")

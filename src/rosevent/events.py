@@ -1,22 +1,22 @@
 """Event-driven fixed-step integration with dense-output event location.
 
-The driver advances one branch field with a fixed step. After each step the
-sign of h at the endpoint is compared with the sign at the start: a change
-brackets a surface hit, which is then located by root finding **on the
-dense output** of the already-computed step, costing h evaluations only
-(no field evaluations, no linear solves). The step is truncated at the hit,
-the hit is classified (crossing / sliding / tangential), and on a crossing
-the integration restarts from the located state with the other field and a
-fresh full step.
+The driver advances one branch field with a fixed step (take_step). After
+each step the sign of h at the endpoint is compared with the sign at the
+start: a change brackets a surface hit, which is then located by bisection
+**on the dense output** of the already-computed step, costing h evaluations
+only (no field evaluations, no linear solves). The step is truncated at the
+hit, the hit is classified (crossing / sliding / tangential), and on a
+crossing the integration restarts from the located state with the other
+field and a fresh full step. Root finding keeps the located state on the
+departing side of the surface, so fields that cannot be evaluated past the
+surface never are.
 
-An endpoint that lands inside the surface band |h| <= sigma_tol is taken as
-an event at theta = 1 without root finding. Root finding keeps the located
-state on the departing side of the surface, so fields that cannot be
-evaluated past the surface never are.
-
-The naive variant skips location entirely: the crossing step is accepted
-as-is and the field switches at the next mesh point. It exists to measure
-the order reduction this causes.
+Every hit that is not located is recorded at theta = 1, the step endpoint:
+an endpoint inside the surface band |h| <= problems.SIGMA_TOL, and every
+hit in the naive mode (locate_events=False). The naive mode runs no guard
+and no classification: each hit is a crossing, accepted as-is, and the
+field switches at the mesh point. It exists to measure the order reduction
+this causes.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ import numpy as np
 
 from . import filippov, onesided, problems, rosenbrock
 from .errors import DomainViolation, MaxIterations, NoBracket, SingularMatrix
-
-
-class RootFinder(enum.Enum):
-    BISECTION = "bisection"
-    SECANT = "secant"
 
 
 class Direction(enum.Enum):
@@ -57,13 +52,9 @@ class IntegratorConfig:
     theta_tol: float = 1e-12
     h_tol: float = 1e-12
     max_bisect: int = 200
-    root_finder: RootFinder = RootFinder.BISECTION
     locate_events: bool = True
     guard_mode: onesided.GuardMode | None = None
-    guard_grid: int = onesided.DEFAULT_GUARD_GRID
     max_events: int | None = None
-    sigma_tol: float = problems.SIGMA_TOL
-    classify_tol: float = filippov.TANGENT_TOL
 
 
 @dataclass(frozen=True)
@@ -112,11 +103,11 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
                  h0: float | None = None, h1: float | None = None) -> EventRecord:
     """Find the surface hit inside a step on its dense output.
 
-    Bisection (default) or secant with bisection fallback on
-    g(theta) = h(X1(theta)) over [0, 1]. Terminates when |g| <= h_tol with
-    the iterate on the departing side, or when the bracket width drops to
-    theta_tol (the departing-side endpoint is returned then, so the located
-    state never trespasses the surface). Costs h evaluations only.
+    Bisection on g(theta) = h(X1(theta)) over [0, 1]. Terminates when
+    |g| <= h_tol with the iterate on the departing side, or when the bracket
+    width drops to theta_tol (the departing-side endpoint is returned then,
+    so the located state never trespasses the surface). Costs h evaluations
+    only.
     """
     if h0 is None:
         h0 = float(h(rosenbrock.dense_eval(step, 0.0)))
@@ -127,21 +118,12 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
     neg_at_lo = h0 < 0.0
 
     lo, hi = 0.0, 1.0
-    g_lo, g_hi = h0, h1
+    g_lo = h0
     iterations = 0
     theta = residual = None
     converged = True
-    want_secant = cfg.root_finder is RootFinder.SECANT
     while iterations < cfg.max_bisect:
-        mid = None
-        # secant candidates alternate with plain bisection so the bracket
-        # keeps provably shrinking
-        if want_secant and iterations % 2 == 0 and g_hi != g_lo:
-            cand = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-            if lo < cand < hi:
-                mid = cand
-        if mid is None:
-            mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
         iterations += 1
         g_mid = float(h(rosenbrock.dense_eval(step, mid)))
         if g_mid == 0.0 or (abs(g_mid) <= cfg.h_tol and (g_mid < 0.0) == neg_at_lo):
@@ -150,7 +132,7 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
         if (g_mid < 0.0) == neg_at_lo:
             lo, g_lo = mid, g_mid
         else:
-            hi, g_hi = mid, g_mid
+            hi = mid
         if hi - lo <= cfg.theta_tol:
             theta, residual = lo, abs(g_lo)
             break
@@ -183,23 +165,33 @@ def _validate_config(cfg: IntegratorConfig) -> None:
         raise ValueError("series guards apply to the one-stage method only")
 
 
-def _classify_event(problem: problems.PiecewiseProblem, record: EventRecord,
-                    cfg: IntegratorConfig) -> filippov.Kind:
+def _classify_event(problem: problems.PiecewiseProblem,
+                    record: EventRecord) -> filippov.Kind:
     # the located state is on the surface by construction; widen the band
     # check to its recorded residual
-    sigma_tol = max(cfg.sigma_tol, 2.0 * record.residual)
+    sigma_tol = max(problems.SIGMA_TOL, 2.0 * record.residual)
     spp = problem.source_spp
     if spp is not None:
         coeffs = filippov.filippov_coeffs(spp, record.x_star)
-        kind = filippov.classify_spp(coeffs, spp.eps, cfg.classify_tol)
-        if kind is filippov.Kind.SLIDING:
-            kind = filippov.classify_general(
-                problem, record.x_star, cfg.classify_tol, sigma_tol
-            ).kind
-        return kind
-    return filippov.classify_general(
-        problem, record.x_star, cfg.classify_tol, sigma_tol
-    ).kind
+        kind = filippov.classify_spp(coeffs, spp.eps)
+        if kind is not filippov.Kind.SLIDING:
+            return kind
+    return filippov.classify_general(problem, record.x_star, sigma_tol=sigma_tol).kind
+
+
+def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
+              cfg: IntegratorConfig):
+    """One step of the active field from x: the guarded two-stage step from
+    region 1 under the dense guard, else a plain step of cfg.method.
+
+    Returns (step, factorizations). step.tau is the size actually taken,
+    below tau only when case 1b shortened the step.
+    """
+    J = problems.field_jacobian(problem, active, x)
+    if cfg.guard_mode is onesided.GuardMode.ROS2_DENSE and active == 1:
+        return onesided.guarded_ros2_step(problem, x, tau, J, cfg.h_tol, cfg.max_bisect)
+    stepper = rosenbrock.ros2_step if cfg.method.stages == 2 else rosenbrock.ros1_step
+    return stepper(problems.field_fn(problem, active), x, tau, J, field_id=active), 1
 
 
 def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> TrajectoryResult:
@@ -216,7 +208,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 must have shape ({problem.dim},), got {x.shape}")
     h_at_x = float(problem.h(x))
-    if abs(h_at_x) <= cfg.sigma_tol:
+    if abs(h_at_x) <= problems.SIGMA_TOL:
         raise ValueError("initial state lies on the switching surface")
     active = 1 if h_at_x < 0.0 else 2
     h_sign_neg = h_at_x < 0.0
@@ -228,7 +220,6 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     mesh = [(0.0, x.copy())]
     events: list = []
     guard_reports: list = []
-    termination = None
     step_index = 0
     guard = cfg.guard_mode
 
@@ -237,36 +228,9 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
         if remaining <= 4.0 * np.spacing(max(1.0, abs(cfg.t_end))):
             termination = Termination.REACHED_T_END
             break
-        tau_eff = min(cfg.tau, remaining)
-
         try:
-            J = problems.field_jacobian(problem, active, x)
-            if guard is onesided.GuardMode.ROS2_DENSE and active == 1:
-                # guarded construction: inspect the internal stage before
-                # the second field evaluation can trespass the surface
-                fx0 = problems.eval_field(problem, 1, x)
-                factors = rosenbrock.ros2_factor(J, tau_eff)
-                lu_count += 1
-                k1 = rosenbrock.ros2_stage1(factors, fx0, tau_eff)
-                if float(problem.h(x + k1)) > 0.0:
-                    tally: list = []
-                    tau_eff, step = onesided.resolve_case_1b(
-                        problem, x, tau_eff,
-                        h_tol=cfg.h_tol, max_iter=cfg.max_bisect, lu_tally=tally,
-                    )
-                    lu_count += len(tally)
-                else:
-                    step = rosenbrock.ros2_finish(
-                        problems.field_fn(problem, 1), x, tau_eff, J, factors, k1,
-                        field_id=1,
-                    )
-            else:
-                fld = problems.field_fn(problem, active)
-                if cfg.method.stages == 2:
-                    step = rosenbrock.ros2_step(fld, x, tau_eff, J, field_id=active)
-                else:
-                    step = rosenbrock.ros1_step(fld, x, tau_eff, J, field_id=active)
-                lu_count += 1
+            step, factorizations = take_step(
+                problem, x, min(cfg.tau, remaining), active, cfg)
         except SingularMatrix:
             termination = Termination.SOLVER_FAILURE
             break
@@ -279,13 +243,14 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
                 f"{exc} (step {step_index}, t = {t:.12g}, field {active})"
             ) from exc
 
+        lu_count += factorizations
         steps_taken += 1
         h_new = float(problem.h(step.x1))
-        on_band = abs(h_new) <= cfg.sigma_tol
+        on_band = abs(h_new) <= problems.SIGMA_TOL
         crossed = detect_sign_change(-1.0 if h_sign_neg else 1.0, h_new)
 
         if not (on_band or crossed):
-            t += tau_eff
+            t += step.tau
             x = step.x1
             mesh.append((t, x))
             h_at_x = h_new
@@ -293,39 +258,21 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
             step_index += 1
             continue
 
-        if not cfg.locate_events:
-            # naive handling: accept the crossing step, switch at the mesh point
-            direction = Direction.R1_TO_R2 if h_sign_neg else Direction.R2_TO_R1
-            record = EventRecord(step_index, 1.0, t + tau_eff, step.x1,
-                                 abs(h_new), direction, 0, True)
-            events.append(record)
-            t += tau_eff
-            x = step.x1
-            mesh.append((t, x))
-            h_at_x = h_new
-            h_sign_neg = h_new < 0.0
-            active = 2 if direction is Direction.R1_TO_R2 else 1
-            step_index += 1
-            if cfg.max_events is not None and len(events) >= cfg.max_events:
-                termination = Termination.MAX_EVENTS
-                break
-            continue
-
-        if guard is not None and active == 1:
+        if cfg.locate_events and guard is not None and active == 1:
             if guard is onesided.GuardMode.ROS2_DENSE:
-                rep = onesided.guard_ros2_dense(problem, step, cfg.guard_grid)
+                rep = onesided.guard_ros2_dense(problem, step)
             elif guard is onesided.GuardMode.ROS1_GENERAL:
-                rep = onesided.guard_ros1_general(problem, x, tau_eff, cfg.method.gamma)
+                rep = onesided.guard_ros1_general(problem, x, step.tau, cfg.method.gamma)
             else:
-                rep = onesided.guard_ros1_orthogonal(problem, x, tau_eff, cfg.method.gamma)
+                rep = onesided.guard_ros1_orthogonal(problem, x, step.tau, cfg.method.gamma)
             guard_reports.append((step_index, rep))
             if not rep.passed:
                 termination = Termination.GUARD_FAILURE
                 break
 
-        if on_band:
+        if on_band or not cfg.locate_events:
             direction = Direction.R1_TO_R2 if h_sign_neg else Direction.R2_TO_R1
-            record = EventRecord(step_index, 1.0, t + tau_eff, step.x1,
+            record = EventRecord(step_index, 1.0, t + step.tau, step.x1,
                                  abs(h_new), direction, 0, True)
         else:
             # the stored h at x can sit inside the band with an unreliable
@@ -334,7 +281,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
             if h_at_x != 0.0 and (h_at_x < 0.0) == h_sign_neg:
                 h0_eff = h_at_x
             else:
-                h0_eff = (-1.0 if h_sign_neg else 1.0) * cfg.sigma_tol
+                h0_eff = (-1.0 if h_sign_neg else 1.0) * problems.SIGMA_TOL
             record = locate_event(step, problem.h, cfg, step_index, t,
                                   h0=h0_eff, h1=h_new)
 
@@ -345,7 +292,10 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
             termination = Termination.MAX_EVENTS
             break
 
-        kind = _classify_event(problem, record, cfg)
+        if cfg.locate_events:
+            kind = _classify_event(problem, record)
+        else:
+            kind = filippov.Kind.CROSSING
         if kind is filippov.Kind.CROSSING:
             active = 2 if record.direction is Direction.R1_TO_R2 else 1
             x = record.x_star

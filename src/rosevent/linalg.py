@@ -167,30 +167,9 @@ def fd_jacobian(f: Callable, x, domain: Callable | None = None) -> np.ndarray:
 
 
 def fd_gradient(h: Callable, x, domain: Callable | None = None) -> np.ndarray:
-    """Finite-difference gradient of a scalar function; stencils as in
-    fd_jacobian."""
-    x = as_vector(x)
-    steps = _SQRT_EPS * np.maximum(1.0, np.abs(x))
-    h0 = None
-    grad = np.empty_like(x)
-    for j in range(x.shape[0]):
-        xp, xm = _probe_points(x, j, steps[j])
-        ok_p = domain is None or bool(domain(xp))
-        ok_m = domain is None or bool(domain(xm))
-        if ok_p and ok_m:
-            grad[j] = (float(h(xp)) - float(h(xm))) / (xp[j] - xm[j])
-        elif ok_p or ok_m:
-            if h0 is None:
-                h0 = float(h(x))
-            if ok_p:
-                grad[j] = (float(h(xp)) - h0) / (xp[j] - x[j])
-            else:
-                grad[j] = (h0 - float(h(xm))) / (x[j] - xm[j])
-        else:
-            raise DomainViolation(
-                f"both perturbations of coordinate {j} leave the domain"
-            )
-    return grad
+    """Finite-difference gradient of a scalar function: fd_jacobian of h
+    as a one-output field, with the same stencils."""
+    return fd_jacobian(lambda v: [h(v)], x, domain)[0]
 
 
 def fd_hessian(h: Callable, x, domain: Callable | None = None) -> np.ndarray:

@@ -23,10 +23,13 @@ m1 = min grad h(X1(theta)) . c*((2-6*gamma)*k1 - 2*gamma*k2) and
 m2 = min grad h(X1(theta)) . 2*c*(k1 + k2), the theta-independent and
 theta-linear parts of d, as diagnostics.
 
-A two-stage step whose internal stage x0 + k1 would already trespass the
-surface (case 1.b) is shortened before the second field evaluation ever
-happens: bisection on g(sigma) = h(x0 + k1(sigma)) finds the largest safe
-size, using one factorization per trial and no field evaluations.
+Case 1b is decided in one place, guarded_ros2_step, the only code that
+builds a guarded two-stage step (the integrator and the guard-check command
+both call it): when the internal stage x0 + k1 would already trespass the
+surface, the step is shortened before the second field evaluation ever
+happens. resolve_case_1b bisects on g(sigma) = h(x0 + k1(sigma)) for the
+largest safe size, reusing the caller's f(x0) and J, with one factorization
+per trial and no field evaluations.
 """
 
 from __future__ import annotations
@@ -178,53 +181,62 @@ def classify_stage(problem: problems.PiecewiseProblem, step: rosenbrock.Rosenbro
     return StageCase.NO_EVENT
 
 
-def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float,
-                    h_tol: float = 1e-12, max_iter: int = 200,
-                    lu_tally: list | None = None):
-    """Shrink a two-stage step whose internal stage trespasses the surface.
+def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,
+                      h_tol: float = 1e-12, max_iter: int = 200):
+    """Two-stage step of field 1 that never evaluates it past the surface.
 
-    Bisection on g(sigma) = h(x0 + k1(sigma)) over (0, tau]: each trial
-    refactors (I - gamma*sigma*J) and recomputes k1 from the already-known
-    f(x0); the field is never evaluated at a new point during the search.
-    Returns (sigma_bar, step) where the completed two-stage step of size
-    sigma_bar has its internal stage on the safe side (g(sigma_bar) <= 0,
-    |g| <= h_tol at termination).
-
-    Raises NoBracket when the full-size internal stage does not actually
-    trespass, and MaxIterations when the bisection budget runs out.
+    The internal stage x0 + k1 is checked before the second field
+    evaluation; when it trespasses (case 1b) the step is shortened by
+    resolve_case_1b first. Returns (step, factorizations); step.tau < tau
+    marks a shortened step.
     """
     x0 = np.asarray(x0, dtype=float)
-    gamma = rosenbrock.GAMMA_ROS2
     fx0 = problems.eval_field(problem, 1, x0)
-    J = problems.field_jacobian(problem, 1, x0)
+    factors = rosenbrock.ros2_factor(J, tau)
+    k1 = rosenbrock.ros2_stage1(factors, fx0, tau)
+    if float(problem.h(x0 + k1)) > 0.0:
+        step, trials = resolve_case_1b(problem, x0, tau, fx0, J, h_tol, max_iter)
+        return step, 1 + trials
+    field = problems.field_fn(problem, 1)
+    return rosenbrock.ros2_finish(field, x0, tau, J, factors, k1, field_id=1), 1
 
-    def k1_of(sigma: float) -> np.ndarray:
-        factors = linalg.lu_factor(rosenbrock.step_matrix(J, sigma, gamma))
-        if lu_tally is not None:
-            lu_tally.append(1)
-        return linalg.lu_solve(factors, sigma * fx0)
 
+def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
+                    h_tol: float = 1e-12, max_iter: int = 200):
+    """Shrink a two-stage step whose internal stage trespasses the surface.
+
+    The caller has seen x0 + k1(tau) trespass, with fx0 = f1(x0) and J its
+    Jacobian. Bisection on g(sigma) = h(x0 + k1(sigma)) over (0, tau): each
+    trial factors (I - gamma*sigma*J) and recomputes k1 from fx0; the field
+    is never evaluated at a new point during the search. The accepted
+    trial's factors complete the step, so its internal stage sits on the
+    safe side with g <= 0 and |g| <= h_tol. Returns (step, factorizations).
+
+    Raises NoBracket when x0 is not below the surface, and MaxIterations
+    when the bisection budget runs out.
+    """
     g_lo = float(problem.h(x0))
     if g_lo >= 0.0:
         raise NoBracket(f"x0 must start below the surface, h(x0) = {g_lo}")
-    if float(problem.h(x0 + k1_of(tau))) <= 0.0:
-        raise NoBracket("internal stage at full size does not trespass")
 
     lo, hi = 0.0, tau
     sigma_bar = None
-    k1_bar = None
+    kept = None  # (factors, k1) of the last trial on the safe side
+    trials = 0
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        k1_mid = k1_of(mid)
+        factors = rosenbrock.ros2_factor(J, mid)
+        trials += 1
+        k1_mid = rosenbrock.ros2_stage1(factors, fx0, mid)
         g_mid = float(problem.h(x0 + k1_mid))
         if g_mid == 0.0 or (abs(g_mid) <= h_tol and g_mid < 0.0):
-            sigma_bar, k1_bar = mid, k1_mid
+            sigma_bar, kept = mid, (factors, k1_mid)
             break
         if g_mid > 0.0:
             hi = mid
         else:
-            lo, g_lo, k1_bar = mid, g_mid, k1_mid
-        if hi - lo <= 4.0 * np.finfo(float).eps * tau and k1_bar is not None \
+            lo, g_lo, kept = mid, g_mid, (factors, k1_mid)
+        if hi - lo <= 4.0 * np.finfo(float).eps * tau and kept is not None \
                 and abs(g_lo) <= h_tol:
             sigma_bar = lo
             break
@@ -233,13 +245,10 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float,
             f"could not place the internal stage within {h_tol} of the surface"
         )
 
+    factors, k1 = kept
     field = problems.field_fn(problem, 1)
-    factors = linalg.lu_factor(rosenbrock.step_matrix(J, sigma_bar, gamma))
-    if lu_tally is not None:
-        lu_tally.append(1)
-    k1 = linalg.lu_solve(factors, sigma_bar * fx0)
     step = rosenbrock.ros2_finish(field, x0, sigma_bar, J, factors, k1, field_id=1)
-    return sigma_bar, step
+    return step, trials
 
 
 def guard_ros2_dense(problem: problems.PiecewiseProblem, step: rosenbrock.RosenbrockStep,

@@ -204,6 +204,26 @@ def test_cli_guard_check(capsys):
     assert "certified sigma: 0.25" in out
 
 
+def test_cli_guard_check_dense_shortens_a_trespassing_step(capsys):
+    # the README walkthrough: the internal stage of the full step passes
+    # t = 1, so the step is shortened before the second field evaluation
+    code = cli_main(["guard-check", "--problem", "najafi", "--state", "1,0.9",
+                     "--tau", "0.125", "--mode", "ros2-dense"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "internal stage trespassed; step shortened to sigma = 0.0999999999995\n" in out
+    assert "passed: True" in out
+
+
+def test_cli_guard_check_dense_keeps_a_safe_step(capsys):
+    code = cli_main(["guard-check", "--problem", "najafi", "--state", "1,0.5",
+                     "--tau", "0.03125", "--mode", "ros2-dense"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "shortened" not in out
+    assert "certified sigma: 0.03125\n" in out
+
+
 def test_cli_usage_errors_exit_2(capsys):
     assert cli_main(["no-such-command"]) == 2
     assert cli_main(["integrate", "--problem", "tent"]) == 2  # missing --tau

@@ -12,13 +12,13 @@ from rosevent.events import (
     Direction,
     EventRecord,
     IntegratorConfig,
-    RootFinder,
     Termination,
     detect_sign_change,
     integrate,
     integrate_naive,
     locate_event,
 )
+from rosevent.onesided import GuardMode
 from rosevent.problems import (
     builtin,
     eval_field,
@@ -93,15 +93,6 @@ def test_locate_iteration_cap_flags_nonconvergence():
     assert abs(record.theta_star - 1.0 / 3.0) <= 2.0**-5
 
 
-def test_locate_secant_mode():
-    step = unit_speed_step()
-    cfg = default_cfg(root_finder=RootFinder.SECANT)
-    record = locate_event(step, lambda x: x[0] - 1.0 / 3.0, cfg)
-    assert record.converged
-    assert abs(record.theta_star - 1.0 / 3.0) <= 1e-9
-    assert record.root_iterations <= 120
-
-
 def test_locate_never_leaves_departing_side_on_width_exit():
     # force width termination: tolerance too tight for the h noise floor
     step = unit_speed_step()
@@ -174,8 +165,6 @@ def test_integrate_validates_inputs():
 
 
 def test_integrate_validates_guard_method_pairing():
-    from rosevent.onesided import GuardMode
-
     tent = builtin("tent")
     ros1 = method_by_name("ros1")
     with pytest.raises(ValueError, match="two-stage"):
@@ -236,6 +225,37 @@ def test_naive_switch_happens_at_mesh_point():
     # the recorded event time is the end of the crossing step
     assert abs(ev.t_star / 0.03 - round(ev.t_star / 0.03)) < 1e-9
     assert ev.t_star > 0.5
+
+
+def test_naive_mode_skips_guard_reports_but_keeps_guarded_steps():
+    # without location the crossing step is recorded at theta = 1 and no
+    # guard report is made; the guarded construction still shortens the
+    # step, so field 1 is never evaluated past t = 1
+    problem = builtin("najafi")
+    cfg = IntegratorConfig(tau=0.125, t_end=1.0, locate_events=False,
+                           guard_mode=GuardMode.ROS2_DENSE, max_events=1)
+    result = integrate(problem, [1.0, 0.9], cfg)
+    assert result.termination is Termination.MAX_EVENTS
+    assert result.guard_reports == []
+    assert result.stats.domain_violations == {1: 0, 2: 0}
+    assert len(result.events) == 1
+    ev = result.events[0]
+    assert ev.theta_star == 1.0
+    assert ev.direction is Direction.R1_TO_R2
+
+
+def test_naive_band_hit_does_not_repeat_as_a_second_crossing():
+    # the shortened step ends inside the band just below the surface; the
+    # switch to field 2 must not read the next step as another R1 -> R2 hit
+    problem = builtin("najafi")
+    cfg = IntegratorConfig(tau=0.125, t_end=1.0, locate_events=False,
+                           guard_mode=GuardMode.ROS2_DENSE)
+    result = integrate(problem, [1.0, 0.9], cfg)
+    assert result.termination is Termination.REACHED_T_END
+    assert result.guard_reports == []
+    assert result.stats.domain_violations == {1: 0, 2: 0}
+    assert [(ev.theta_star, ev.direction) for ev in result.events] == [
+        (1.0, Direction.R1_TO_R2)]
 
 
 def test_domain_violation_carries_step_context():

@@ -1,6 +1,8 @@
 """Dense LU, finite-difference derivative kernels, spectral-radius bound."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -139,6 +141,25 @@ def test_lu_solve_length_mismatch():
         lu_solve(factors, np.ones(3))
 
 
+def exact_solve(a, b):
+    """Solution of a x = b in exact rational arithmetic, None if a is
+    singular. numpy.linalg.solve is no oracle on subnormal entries: it
+    raises or returns NaN on systems that have a finite solution."""
+    n = len(b)
+    m = [[Fraction(v) for v in row] + [Fraction(bv)]
+         for row, bv in zip(a.tolist(), b.tolist())]
+    for col in range(n):
+        p = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if p is None:
+            return None
+        m[col], m[p] = m[p], m[col]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                k = m[r][col] / m[col][col]
+                m[r] = [u - k * w for u, w in zip(m[r], m[col])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=6),
@@ -161,10 +182,11 @@ def test_lu_solve_residual_property(n, data):
         return
     if not np.isfinite(cond) or cond > 1e8:
         return
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_np = np.linalg.solve(a, b)
+    x_exact = exact_solve(a, b)
+    if x_exact is None:
+        return
     x = lu_solve(lu_factor(a), b)
-    if not np.all(np.isfinite(x_np)):
+    if max(abs(v) for v in x_exact) > sys.float_info.max:
         # the solution overflows float64 (a = [[2.2e-311]], b = [1]): no
         # finite x meets the residual check, so lu_solve must not return one
         assert not np.all(np.isfinite(x))
@@ -183,6 +205,15 @@ def test_lu_solve_overflowing_solution_is_not_finite():
         x = lu_solve(lu_factor(np.array(a)), np.array(b))
         assert not np.all(np.isfinite(x))
 
+
+
+def test_lu_solve_subnormal_systems_numpy_gets_wrong():
+    # numpy.linalg.solve raises on the first and returns NaN on the second;
+    # both have the exact solution 0
+    tiny = 5.35742861e-310
+    for a in ([[tiny, tiny], [tiny, 0.0]], [[0.0, tiny], [tiny, tiny]]):
+        x = lu_solve(lu_factor(np.array(a)), np.zeros(2))
+        npt.assert_array_equal(x, [0.0, 0.0])
 
 # --- finite differences ---------------------------------------------------
 
@@ -233,6 +264,74 @@ def test_fd_gradient_one_sided():
     g = fd_gradient(h, np.array([1.0]), domain=lambda x: x[0] <= 1.0)
     npt.assert_allclose(g, [0.0], rtol=0, atol=1e-6)
 
+
+
+def reference_fd_gradient(h, x, domain=None):
+    """The stand-alone gradient stencil fd_gradient used to carry: central
+    differences, one-sided where one probe leaves the domain."""
+    x = np.asarray(x, dtype=float)
+    steps = np.sqrt(EPS) * np.maximum(1.0, np.abs(x))
+    h0 = None
+    grad = np.empty_like(x)
+    for j in range(x.shape[0]):
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] = x[j] + steps[j]
+        xm[j] = x[j] - steps[j]
+        ok_p = domain is None or bool(domain(xp))
+        ok_m = domain is None or bool(domain(xm))
+        if ok_p and ok_m:
+            grad[j] = (float(h(xp)) - float(h(xm))) / (xp[j] - xm[j])
+        elif ok_p or ok_m:
+            if h0 is None:
+                h0 = float(h(x))
+            if ok_p:
+                grad[j] = (float(h(xp)) - h0) / (xp[j] - x[j])
+            else:
+                grad[j] = (h0 - float(h(xm))) / (x[j] - xm[j])
+        else:
+            raise DomainViolation(
+                f"both perturbations of coordinate {j} leave the domain"
+            )
+    return grad
+
+
+_fd_floats = st.floats(min_value=-10.0, max_value=10.0,
+                       allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4), data=st.data())
+def test_fd_gradient_matches_the_reference(n, data):
+    x = data.draw(hnp.arrays(np.float64, (n,), elements=_fd_floats))
+    c = data.draw(hnp.arrays(np.float64, (n,), elements=_fd_floats))
+    q = data.draw(hnp.arrays(np.float64, (n, n), elements=_fd_floats))
+
+    def h(v):
+        return float(c @ v + v @ q @ v + math.sin(v[0]))
+
+    # per coordinate: no wall, a wall at x_j above (forward probe leaves),
+    # below (backward probe leaves), or on both sides (boxed in)
+    walls = data.draw(st.lists(st.sampled_from(("none", "above", "below", "both")),
+                               min_size=n, max_size=n))
+    lower = np.array([x[j] if w in ("below", "both") else -np.inf
+                      for j, w in enumerate(walls)])
+    upper = np.array([x[j] if w in ("above", "both") else np.inf
+                      for j, w in enumerate(walls)])
+
+    def domain(v):
+        return bool(np.all(v >= lower) and np.all(v <= upper))
+
+    for dom in (None, domain):
+        try:
+            expected = reference_fd_gradient(h, x, dom)
+        except DomainViolation:
+            with pytest.raises(DomainViolation):
+                fd_gradient(h, x, dom)
+            continue
+        got = fd_gradient(h, x, dom)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 def test_fd_hessian_bilinear():
     # h = x0 * x1 has constant Hessian [[0,1],[1,0]]

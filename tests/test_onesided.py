@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import rosevent.linalg
 from rosevent.errors import MaxIterations, NoBracket, NotOrthogonal
 from rosevent.onesided import (
     GuardMode,
@@ -14,10 +15,10 @@ from rosevent.onesided import (
     guard_ros1_general,
     guard_ros1_orthogonal,
     guard_ros2_dense,
-    resolve_case_1b,
+    guarded_ros2_step,
     transversality,
 )
-from rosevent.problems import PiecewiseProblem, builtin
+from rosevent.problems import PiecewiseProblem, builtin, field_jacobian
 from rosevent.rosenbrock import GAMMA_ROS2, ros1_step, ros2_step
 
 
@@ -158,32 +159,47 @@ def test_classify_stage_cases():
 
 # --- case-1b shortening ------------------------------------------------------
 
-def test_resolve_case_1b_places_internal_stage_on_surface():
+def guarded(problem, x0, tau, **kw):
+    """The guarded two-stage step from x0 with the problem's own Jacobian."""
+    x0 = np.array(x0, dtype=float)
+    return guarded_ros2_step(problem, x0, tau, field_jacobian(problem, 1, x0), **kw)
+
+
+def test_resolve_case_1b_places_internal_stage_on_surface(monkeypatch):
     problem = unit_speed(lambda x: x[0] - 0.4)
-    tally: list = []
+    factored = []
+    lu_factor = rosevent.linalg.lu_factor
+
+    def counted(m):
+        factored.append(1)
+        return lu_factor(m)
+
+    monkeypatch.setattr(rosevent.linalg, "lu_factor", counted)
     before = problem.counters.snapshot()[0]
-    sigma, step = resolve_case_1b(problem, [0.0], 1.0, lu_tally=tally)
+    step, factorizations = guarded(problem, [0.0], 1.0)
     after = problem.counters.snapshot()[0]
 
-    assert abs(sigma - 0.4) <= 1e-9
-    assert step.tau == sigma
+    assert abs(step.tau - 0.4) <= 1e-9
     h_inner = float(problem.h(step.x0 + step.k1))
     assert -2e-12 <= h_inner <= 0.0
     # the completed short step ends at the surface for this field
     assert abs(step.x1[0] - 0.4) <= 1e-9
-    # exactly two field evaluations: f(x0) once, then the second stage
+    # exactly two field evaluations for the whole guarded step: f(x0) once,
+    # then the second stage of the shortened step
     assert after[1] - before[1] == 2
     assert after[2] - before[2] == 0
-    assert len(tally) >= 2
+    # the full-size trial plus one per bisection trial, and every one counted
+    assert factorizations >= 2
+    assert factorizations == len(factored)
 
 
 def test_resolve_case_1b_accounts_for_jacobian():
     problem = scalar_problem(lambda x: x.copy(), lambda x: x[0] - 1.1,
                              jac=lambda x: np.eye(1))
-    sigma, step = resolve_case_1b(problem, [1.0], 1.0)
+    step, _ = guarded(problem, [1.0], 1.0)
     # internal stage 1 + sigma/(1 - gamma*sigma) = 1.1
     expected = 0.1 / (1.0 + 0.1 * GAMMA_ROS2)
-    assert abs(sigma - expected) <= 1e-9
+    assert abs(step.tau - expected) <= 1e-9
     assert float(problem.h(step.x0 + step.k1)) <= 0.0
 
 
@@ -193,8 +209,8 @@ def test_resolve_case_1b_completed_step_can_fall_back_inside():
         lambda x: x[0] - 0.35,
         jac=lambda x: np.array([[-8.0 * x[0]]]),
     )
-    sigma, step = resolve_case_1b(problem, [0.0], 0.5)
-    assert abs(sigma - 0.35) <= 1e-6
+    step, _ = guarded(problem, [0.0], 0.5)
+    assert abs(step.tau - 0.35) <= 1e-6
     # second stage sees the slower field past the surface and pulls the
     # endpoint back to the safe side
     npt.assert_allclose(step.x1, [0.26425], rtol=0, atol=1e-5)
@@ -202,18 +218,27 @@ def test_resolve_case_1b_completed_step_can_fall_back_inside():
 
 
 def test_resolve_case_1b_requires_actual_trespass():
+    # right after an R2 -> R1 crossing the step can start on the surface's
+    # far side; the trespassing internal stage then has no bracket
     problem = unit_speed(lambda x: x[0] - 0.4)
     with pytest.raises(NoBracket, match="below the surface"):
-        resolve_case_1b(problem, [0.5], 1.0)
+        guarded(problem, [0.5], 1.0)
+    # an internal stage on the safe side leaves the step unshortened and
+    # bit-identical to the plain two-stage step
     far = unit_speed(lambda x: x[0] - 5.0)
-    with pytest.raises(NoBracket, match="does not trespass"):
-        resolve_case_1b(far, [0.0], 1.0)
+    step, factorizations = guarded(far, [0.0], 1.0)
+    assert factorizations == 1
+    plain = ros2_step(far.f1, np.array([0.0]), 1.0, np.zeros((1, 1)))
+    assert step.tau == 1.0
+    npt.assert_array_equal(step.k1, plain.k1)
+    npt.assert_array_equal(step.k2, plain.k2)
+    npt.assert_array_equal(step.x1, plain.x1)
 
 
 def test_resolve_case_1b_iteration_budget():
     problem = unit_speed(lambda x: x[0] - 1.0 / 3.0)
     with pytest.raises(MaxIterations):
-        resolve_case_1b(problem, [0.0], 1.0, max_iter=3)
+        guarded(problem, [0.0], 1.0, max_iter=3)
 
 
 # --- two-stage dense-output guard --------------------------------------------
