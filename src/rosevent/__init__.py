@@ -4,89 +4,51 @@ One- and two-stage linearly implicit steps with a second-order continuous
 extension, dense-output event location that never evaluates a field past
 the surface, one-sided step guards for fields with a singularity beyond it,
 and a crossing/sliding classifier for slow/fast switched systems.
+
+The package exports the entry points the README lists; everything else
+lives in its module (rosevent.errors, rosevent.linalg, ...).
 """
 
+from . import bench, errors, events, filippov, linalg, onesided, problems, rosenbrock
 from .bench import (
-    OrderStudyRow,
-    ReferenceConfig,
     mean_observed_order,
     order_study_csv,
     parse_order_study_csv,
     reference_event_state,
     run_order_study,
 )
-from .errors import (
-    DomainViolation,
-    MaxIterations,
-    MissingDerivative,
-    NoBracket,
-    NoEventBeforeHorizon,
-    NotOrthogonal,
-    NumericalError,
-    ResidualTooLarge,
-    SingularMatrix,
-)
 from .events import (
-    Direction,
     EventRecord,
-    IntegrationStats,
     IntegratorConfig,
     Termination,
     TrajectoryResult,
-    detect_sign_change,
     integrate,
-    integrate_naive,
     locate_event,
+    take_step,
 )
 from .filippov import (
-    FilippovCoeffs,
-    Kind,
-    SurfaceClassification,
     classify_general,
     classify_spp,
     crossing_sufficient,
     filippov_coeffs,
     sliding_sufficient,
 )
-from .linalg import (
-    fd_gradient,
-    fd_hessian,
-    fd_jacobian,
-    lu_factor,
-    lu_solve,
-    spectral_radius_bound,
-)
 from .onesided import (
-    GuardMode,
-    GuardReport,
-    StageCase,
-    classify_stage,
     guard_ros1_general,
     guard_ros1_orthogonal,
     guard_ros2_dense,
     guarded_ros2_step,
-    transversality,
 )
 from .problems import (
-    EvalCounters,
     PiecewiseProblem,
-    RegionTag,
     SppProblem,
     builtin,
-    problem_names,
     reduced_order_model,
-    region_of,
     spp_flatten,
 )
 from .rosenbrock import (
-    GAMMA_ROS2,
-    ROS1,
-    ROS2,
-    RosenbrockStep,
-    RosMethod,
     dense_derivative,
     dense_eval,
-    method_by_name,
     restep,
     ros1_step,
     ros2_step,
@@ -95,73 +57,35 @@ from .rosenbrock import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GAMMA_ROS2",
-    "ROS1",
-    "ROS2",
-    "Direction",
-    "DomainViolation",
-    "EvalCounters",
     "EventRecord",
-    "FilippovCoeffs",
-    "GuardMode",
-    "GuardReport",
-    "IntegrationStats",
     "IntegratorConfig",
-    "Kind",
-    "MaxIterations",
-    "MissingDerivative",
-    "NoBracket",
-    "NoEventBeforeHorizon",
-    "NotOrthogonal",
-    "NumericalError",
-    "OrderStudyRow",
     "PiecewiseProblem",
-    "ReferenceConfig",
-    "RegionTag",
-    "ResidualTooLarge",
-    "RosMethod",
-    "RosenbrockStep",
-    "SingularMatrix",
     "SppProblem",
-    "StageCase",
-    "SurfaceClassification",
     "Termination",
     "TrajectoryResult",
     "builtin",
     "classify_general",
     "classify_spp",
-    "classify_stage",
     "crossing_sufficient",
     "dense_derivative",
     "dense_eval",
-    "detect_sign_change",
-    "fd_gradient",
-    "fd_hessian",
-    "fd_jacobian",
     "filippov_coeffs",
     "guard_ros1_general",
     "guard_ros1_orthogonal",
     "guard_ros2_dense",
     "guarded_ros2_step",
     "integrate",
-    "integrate_naive",
     "locate_event",
-    "lu_factor",
-    "lu_solve",
     "mean_observed_order",
-    "method_by_name",
     "order_study_csv",
     "parse_order_study_csv",
-    "problem_names",
     "reduced_order_model",
     "reference_event_state",
-    "region_of",
     "restep",
     "ros1_step",
     "ros2_step",
     "run_order_study",
     "sliding_sufficient",
-    "spectral_radius_bound",
     "spp_flatten",
-    "transversality",
+    "take_step",
 ]

@@ -32,6 +32,12 @@ TABLE1_TAU0 = {1e-2: 1e-3, 1e-3: 1e-5, 1e-4: 1e-6}
 
 ORDER_STUDY_HEADER = "tau,epsilon,global_error,reduction_factor"
 
+#: the reference runs at the finest study step divided by this
+REFERENCE_REFINEMENT = 64
+
+#: surface-residual tolerance of the reference run's event location
+REFERENCE_H_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class OrderStudyRow:
@@ -41,31 +47,15 @@ class OrderStudyRow:
     reduction_factor: float | None
 
 
-@dataclass(frozen=True)
-class ReferenceConfig:
-    """How much finer than the finest study step the reference runs."""
-
-    refinement: int = 64
-    h_tol_ref: float = 1e-13
-
-    def __post_init__(self):
-        if self.refinement < 2:
-            raise ValueError(f"refinement must be at least 2, got {self.refinement}")
-        if not self.h_tol_ref > 0.0:
-            raise ValueError(f"h_tol_ref must be positive, got {self.h_tol_ref}")
-
-
 def reference_event_state(problem: problems.PiecewiseProblem, x0, tau_min: float,
-                          ref_cfg: ReferenceConfig | None = None,
                           t_end: float = 1.0):
-    """(t, x) of the first surface hit, two-stage method at tau_min/refinement."""
-    if ref_cfg is None:
-        ref_cfg = ReferenceConfig()
+    """(t, x) of the first surface hit, two-stage method at
+    tau_min/REFERENCE_REFINEMENT."""
     cfg = IntegratorConfig(
-        tau=tau_min / ref_cfg.refinement,
+        tau=tau_min / REFERENCE_REFINEMENT,
         t_end=t_end,
         method=rosenbrock.ROS2,
-        h_tol=ref_cfg.h_tol_ref,
+        h_tol=REFERENCE_H_TOL,
         max_events=1,
     )
     result = integrate(problem, x0, cfg)
@@ -79,14 +69,15 @@ def reference_event_state(problem: problems.PiecewiseProblem, x0, tau_min: float
 
 def run_order_study(problem, method: rosenbrock.RosMethod = rosenbrock.ROS2,
                     tau0: float = 1e-3, halvings: int = 4, *,
-                    locate: bool = True, t_end: float = 1.0, x0=None,
-                    ref_cfg: ReferenceConfig | None = None) -> list:
+                    locate: bool = True, t_end: float = 1.0, x0=None) -> list:
     """Error at the first surface hit for tau0, tau0/2, ..., tau0/2^halvings.
 
     Accepts a plain piecewise problem or a slow/fast system (flattened
     here). Each row carries the error against the shared reference state
     and the ratio to the previous row's error.
     """
+    if halvings < 0:
+        raise ValueError(f"halvings must be non-negative, got {halvings}")
     if isinstance(problem, problems.SppProblem):
         problem = problems.spp_flatten(problem)
     if x0 is None:
@@ -97,7 +88,7 @@ def run_order_study(problem, method: rosenbrock.RosMethod = rosenbrock.ROS2,
     eps = spp.eps if spp is not None else None
 
     taus = [tau0 * 0.5**k for k in range(halvings + 1)]
-    _, x_ref = reference_event_state(problem, x0, taus[-1], ref_cfg, t_end)
+    _, x_ref = reference_event_state(problem, x0, taus[-1], t_end)
 
     rows = []
     prev_err = None

@@ -48,6 +48,16 @@ def _as_piecewise(spec):
     return spec
 
 
+def _state(args, problem) -> np.ndarray:
+    """--state, checked against the problem's dimension."""
+    if len(args.state) != problem.dim:
+        raise ValueError(
+            f"--state must have {problem.dim} entries for problem "
+            f"{args.problem!r}, got {len(args.state)}"
+        )
+    return args.state
+
+
 def _print_stats(result) -> None:
     stats = result.stats
     print(f"termination: {result.termination.value}")
@@ -129,7 +139,8 @@ def _cmd_order_study(args) -> int:
 
 def _cmd_classify(args) -> int:
     spec = _build(args)
-    state = args.state
+    problem = _as_piecewise(spec)
+    state = _state(args, problem)
     if isinstance(spec, problems.SppProblem):
         coeffs = filippov.filippov_coeffs(spec, state)
         print(f"A = {coeffs.A:.12g}")
@@ -146,9 +157,6 @@ def _cmd_classify(args) -> int:
             print(f"sliding guaranteed for eps > {eps2:.12g}")
         crossing_all = filippov.crossing_sufficient(coeffs)
         print(f"crossing for all eps > 0: {'yes' if crossing_all else 'no'}")
-        problem = problems.spp_flatten(spec)
-    else:
-        problem = spec
     try:
         pointwise = filippov.classify_general(problem, state)
         p1, p2 = pointwise.normal_products
@@ -161,7 +169,7 @@ def _cmd_classify(args) -> int:
 def _cmd_guard_check(args) -> int:
     spec = _build(args)
     problem = _as_piecewise(spec)
-    x0 = np.asarray(args.state, dtype=float)
+    x0 = _state(args, problem)
     mode = _GUARD_BY_NAME[args.mode]
     if mode is onesided.GuardMode.ROS1_GENERAL:
         rep = onesided.guard_ros1_general(problem, x0, args.tau, rosenbrock.GAMMA_ROS1)

@@ -22,12 +22,16 @@ this causes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import filippov, onesided, problems, rosenbrock
 from .errors import DomainViolation, MaxIterations, NoBracket, SingularMatrix
+
+# Bracket width in theta at which event location stops. Bisection halves
+# [0, 1] exactly, so it reaches this width after at most 40 iterations.
+THETA_TOL = 1e-12
 
 
 class Direction(enum.Enum):
@@ -49,9 +53,7 @@ class IntegratorConfig:
     tau: float
     t_end: float
     method: rosenbrock.RosMethod = rosenbrock.ROS2
-    theta_tol: float = 1e-12
     h_tol: float = 1e-12
-    max_bisect: int = 200
     locate_events: bool = True
     guard_mode: onesided.GuardMode | None = None
     max_events: int | None = None
@@ -61,8 +63,8 @@ class IntegratorConfig:
 class EventRecord:
     """One surface hit: where inside the step, when, and how well resolved.
 
-    converged is False only when root finding hit its iteration cap; the
-    record then carries the best bracket midpoint.
+    converged is always True: location ends by residual or by bracket
+    width, never by an iteration cap.
     """
 
     step_index: int
@@ -104,10 +106,11 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
     """Find the surface hit inside a step on its dense output.
 
     Bisection on g(theta) = h(X1(theta)) over [0, 1]. Terminates when
-    |g| <= h_tol with the iterate on the departing side, or when the bracket
-    width drops to theta_tol (the departing-side endpoint is returned then,
-    so the located state never trespasses the surface). Costs h evaluations
-    only.
+    |g| <= cfg.h_tol with the iterate on the departing side, or when the
+    bracket width drops to THETA_TOL (the departing-side endpoint is
+    returned then, so the located state never trespasses the surface). The
+    bracket halves exactly, so the width exit comes after at most 40
+    iterations whatever h returns. Costs h evaluations only.
     """
     if h0 is None:
         h0 = float(h(rosenbrock.dense_eval(step, 0.0)))
@@ -120,9 +123,7 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
     lo, hi = 0.0, 1.0
     g_lo = h0
     iterations = 0
-    theta = residual = None
-    converged = True
-    while iterations < cfg.max_bisect:
+    while True:
         mid = 0.5 * (lo + hi)
         iterations += 1
         g_mid = float(h(rosenbrock.dense_eval(step, mid)))
@@ -133,22 +134,17 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
             lo, g_lo = mid, g_mid
         else:
             hi = mid
-        if hi - lo <= cfg.theta_tol:
+        if hi - lo <= THETA_TOL:
             theta, residual = lo, abs(g_lo)
             break
-    if theta is None:
-        theta = 0.5 * (lo + hi)
-        residual = abs(float(h(rosenbrock.dense_eval(step, theta))))
-        converged = False
     return EventRecord(
         step_index=step_index,
-        theta_star=float(theta),
-        t_star=t_offset + float(theta) * step.tau,
-        x_star=rosenbrock.dense_eval(step, float(theta)),
-        residual=float(residual),
+        theta_star=theta,
+        t_star=t_offset + theta * step.tau,
+        x_star=rosenbrock.dense_eval(step, theta),
+        residual=residual,
         direction=Direction.R1_TO_R2 if neg_at_lo else Direction.R2_TO_R1,
         root_iterations=iterations,
-        converged=converged,
     )
 
 
@@ -157,6 +153,8 @@ def _validate_config(cfg: IntegratorConfig) -> None:
         raise ValueError(f"tau must be positive, got {cfg.tau}")
     if not cfg.t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {cfg.t_end}")
+    if cfg.max_events is not None and cfg.max_events < 1:
+        raise ValueError(f"max_events must be at least 1, got {cfg.max_events}")
     gm = cfg.guard_mode
     if gm is onesided.GuardMode.ROS2_DENSE and cfg.method.stages != 2:
         raise ValueError("the dense-output guard requires the two-stage method")
@@ -189,7 +187,7 @@ def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
     """
     J = problems.field_jacobian(problem, active, x)
     if cfg.guard_mode is onesided.GuardMode.ROS2_DENSE and active == 1:
-        return onesided.guarded_ros2_step(problem, x, tau, J, cfg.h_tol, cfg.max_bisect)
+        return onesided.guarded_ros2_step(problem, x, tau, J, cfg.h_tol)
     stepper = rosenbrock.ros2_step if cfg.method.stages == 2 else rosenbrock.ros1_step
     return stepper(problems.field_fn(problem, active), x, tau, J, field_id=active), 1
 
@@ -322,11 +320,3 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
         mesh=mesh, events=events, stats=stats,
         termination=termination, guard_reports=guard_reports,
     )
-
-
-def integrate_naive(problem: problems.PiecewiseProblem, x0,
-                    cfg: IntegratorConfig) -> TrajectoryResult:
-    """Same loop as integrate but without event location or guards: the
-    crossing step is accepted unchanged and the field switches only at the
-    next mesh point. Bit-identical to integrate on event-free problems."""
-    return integrate(problem, x0, replace(cfg, locate_events=False, guard_mode=None))

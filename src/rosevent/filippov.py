@@ -55,13 +55,14 @@ class FilippovCoeffs:
         return self.A * eps * eps + self.B * eps + self.Csq
 
 
-def classify_general(problem: problems.PiecewiseProblem, x, tol: float = TANGENT_TOL,
+def classify_general(problem: problems.PiecewiseProblem, x,
                      sigma_tol: float = problems.SIGMA_TOL) -> SurfaceClassification:
     """Classify a surface state by the normal components of both fields.
 
     Sliding is attractive when field 1 pushes h up while field 2 pushes it
     down (both point at the surface); repulsive when both point away.
-    States with either normal component within tol of zero are tangential.
+    States with either normal component within TANGENT_TOL of zero are
+    tangential.
     """
     x = np.asarray(x, dtype=float)
     hx = float(problem.h(x))
@@ -70,7 +71,7 @@ def classify_general(problem: problems.PiecewiseProblem, x, tol: float = TANGENT
     n = problems.h_gradient(problem, x)
     p1 = float(n @ problems.eval_field(problem, 1, x))
     p2 = float(n @ problems.eval_field(problem, 2, x))
-    if min(abs(p1), abs(p2)) <= tol:
+    if min(abs(p1), abs(p2)) <= TANGENT_TOL:
         kind = Kind.TANGENTIAL
     elif p1 * p2 > 0.0:
         kind = Kind.CROSSING
@@ -91,15 +92,15 @@ def filippov_coeffs(problem: problems.SppProblem, u) -> FilippovCoeffs:
     return FilippovCoeffs(A=p1 * p2, B=p1 * q + p2 * q, Csq=q * q)
 
 
-def classify_spp(coeffs: FilippovCoeffs, eps: float, tol: float = TANGENT_TOL) -> Kind:
+def classify_spp(coeffs: FilippovCoeffs, eps: float) -> Kind:
     """Sign of the quadratic at the given eps; attractive/repulsive
     discrimination is left to classify_general on the stacked problem."""
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     q = coeffs.quadratic(eps)
-    if q < -tol:
+    if q < -TANGENT_TOL:
         return Kind.SLIDING
-    if q > tol:
+    if q > TANGENT_TOL:
         return Kind.CROSSING
     return Kind.TANGENTIAL
 

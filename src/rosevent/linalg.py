@@ -3,9 +3,9 @@
 Everything here is sized for the systems this package integrates: a handful
 of states, not thousands. At that size a numpy call costs its dispatch, not
 its arithmetic, so the input checks, the partial-pivoting LU and the solves
-run on Python floats. Also here: derivative stencils that know about
-one-sided domains, and a cheap spectral-radius upper bound. All operations
-are pure and deterministic.
+run on Python floats. Also here: finite-difference stencils (the Jacobian
+one switches to one-sided differences at a domain edge) and a cheap
+spectral-radius upper bound. All operations are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -166,58 +166,35 @@ def fd_jacobian(f: Callable, x, domain: Callable | None = None) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def fd_gradient(h: Callable, x, domain: Callable | None = None) -> np.ndarray:
+def fd_gradient(h: Callable, x) -> np.ndarray:
     """Finite-difference gradient of a scalar function: fd_jacobian of h
-    as a one-output field, with the same stencils."""
-    return fd_jacobian(lambda v: [h(v)], x, domain)[0]
+    as a one-output field, with the same central stencil."""
+    return fd_jacobian(lambda v: [h(v)], x)[0]
 
 
-def fd_hessian(h: Callable, x, domain: Callable | None = None) -> np.ndarray:
+def fd_hessian(h: Callable, x) -> np.ndarray:
     """Finite-difference Hessian of a scalar function, exactly symmetric.
 
-    On an unrestricted domain this uses direct second differences with step
-    eps**0.25 * max(1, |x_j|). With a domain predicate it differences
-    domain-aware gradients instead (one-sided where necessary), which is
-    less accurate but never evaluates h outside the domain.
+    Direct second differences with step eps**0.25 * max(1, |x_j|).
     """
     x = as_vector(x)
     n = x.shape[0]
     steps = _QUARTIC_EPS * np.maximum(1.0, np.abs(x))
     hess = np.empty((n, n))
-    if domain is None:
-        h0 = float(h(x))
-        for j in range(n):
-            xp, xm = _probe_points(x, j, steps[j])
-            dj = xp[j] - x[j]
-            hess[j, j] = (float(h(xp)) - 2.0 * h0 + float(h(xm))) / (dj * dj)
-            for l in range(j + 1, n):
-                dl = steps[l]
-                xpp, xpm = _probe_points(xp, l, dl)
-                xmp, xmm = _probe_points(xm, l, dl)
-                val = (
-                    float(h(xpp)) - float(h(xpm)) - float(h(xmp)) + float(h(xmm))
-                ) / ((xp[j] - xm[j]) * (xpp[l] - xpm[l]))
-                hess[j, l] = val
-                hess[l, j] = val
-    else:
-        for j in range(n):
-            xp, xm = _probe_points(x, j, steps[j])
-            ok_p = bool(domain(xp))
-            ok_m = bool(domain(xm))
-            if ok_p and ok_m:
-                gp = fd_gradient(h, xp, domain)
-                gm = fd_gradient(h, xm, domain)
-                hess[:, j] = (gp - gm) / (xp[j] - xm[j])
-            elif ok_p or ok_m:
-                g0 = fd_gradient(h, x, domain)
-                if ok_p:
-                    hess[:, j] = (fd_gradient(h, xp, domain) - g0) / (xp[j] - x[j])
-                else:
-                    hess[:, j] = (g0 - fd_gradient(h, xm, domain)) / (x[j] - xm[j])
-            else:
-                raise DomainViolation(
-                    f"both perturbations of coordinate {j} leave the domain"
-                )
+    h0 = float(h(x))
+    for j in range(n):
+        xp, xm = _probe_points(x, j, steps[j])
+        dj = xp[j] - x[j]
+        hess[j, j] = (float(h(xp)) - 2.0 * h0 + float(h(xm))) / (dj * dj)
+        for l in range(j + 1, n):
+            dl = steps[l]
+            xpp, xpm = _probe_points(xp, l, dl)
+            xmp, xmm = _probe_points(xm, l, dl)
+            val = (
+                float(h(xpp)) - float(h(xpm)) - float(h(xmp)) + float(h(xmm))
+            ) / ((xp[j] - xm[j]) * (xpp[l] - xpm[l]))
+            hess[j, l] = val
+            hess[l, j] = val
     return 0.5 * (hess + hess.T)
 
 

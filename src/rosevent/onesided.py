@@ -43,19 +43,18 @@ from . import linalg, problems, rosenbrock
 from .errors import MaxIterations, NoBracket, NotOrthogonal
 
 ORTHOGONALITY_TOL = 1e-8
-DEFAULT_GUARD_GRID = 64
+
+# theta grid points of the dense-output guard
+GUARD_GRID = 64
+
+# bisection trials resolve_case_1b may spend on one shortening
+CASE_1B_MAX_ITER = 200
 
 
 class GuardMode(enum.Enum):
     ROS1_GENERAL = "ros1"
     ROS1_ORTHOGONAL = "ros1-orth"
     ROS2_DENSE = "ros2-dense"
-
-
-class StageCase(enum.Enum):
-    NO_EVENT = "no-event"
-    CASE_1A = "1a"      # internal stage on the safe side, endpoint at or past the surface
-    CASE_1B = "1b"      # internal stage already past the surface
 
 
 @dataclass(frozen=True)
@@ -65,13 +64,6 @@ class GuardReport:
     passed: bool
     certified_sigma: float
     neumann_ok: bool
-
-
-def transversality(problem: problems.PiecewiseProblem, x) -> float:
-    """grad h . f1 at x: the speed at which the flow of field 1 approaches
-    the surface. Positive means approach."""
-    x = np.asarray(x, dtype=float)
-    return float(problems.h_gradient(problem, x) @ problems.eval_field(problem, 1, x))
 
 
 def _certified_sigma(a0: float, r1: float, r2: float, tau: float) -> float:
@@ -170,19 +162,8 @@ def guard_ros1_orthogonal(problem: problems.PiecewiseProblem, x0, tau: float,
     )
 
 
-def classify_stage(problem: problems.PiecewiseProblem, step: rosenbrock.RosenbrockStep) -> StageCase:
-    """Sort a completed two-stage step taken from region 1 into the stage
-    cases that drive one-sided handling."""
-    h_inner = float(problem.h(step.x0 + step.k1))
-    if h_inner > 0.0:
-        return StageCase.CASE_1B
-    if float(problem.h(step.x1)) >= 0.0:
-        return StageCase.CASE_1A
-    return StageCase.NO_EVENT
-
-
 def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,
-                      h_tol: float = 1e-12, max_iter: int = 200):
+                      h_tol: float = 1e-12):
     """Two-stage step of field 1 that never evaluates it past the surface.
 
     The internal stage x0 + k1 is checked before the second field
@@ -195,14 +176,14 @@ def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,
     factors = rosenbrock.ros2_factor(J, tau)
     k1 = rosenbrock.ros2_stage1(factors, fx0, tau)
     if float(problem.h(x0 + k1)) > 0.0:
-        step, trials = resolve_case_1b(problem, x0, tau, fx0, J, h_tol, max_iter)
+        step, trials = resolve_case_1b(problem, x0, tau, fx0, J, h_tol)
         return step, 1 + trials
     field = problems.field_fn(problem, 1)
     return rosenbrock.ros2_finish(field, x0, tau, J, factors, k1, field_id=1), 1
 
 
 def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
-                    h_tol: float = 1e-12, max_iter: int = 200):
+                    h_tol: float = 1e-12):
     """Shrink a two-stage step whose internal stage trespasses the surface.
 
     The caller has seen x0 + k1(tau) trespass, with fx0 = f1(x0) and J its
@@ -213,7 +194,7 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
     safe side with g <= 0 and |g| <= h_tol. Returns (step, factorizations).
 
     Raises NoBracket when x0 is not below the surface, and MaxIterations
-    when the bisection budget runs out.
+    when CASE_1B_MAX_ITER trials leave no internal stage within h_tol.
     """
     g_lo = float(problem.h(x0))
     if g_lo >= 0.0:
@@ -223,7 +204,7 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
     sigma_bar = None
     kept = None  # (factors, k1) of the last trial on the safe side
     trials = 0
-    for _ in range(max_iter):
+    for _ in range(CASE_1B_MAX_ITER):
         mid = 0.5 * (lo + hi)
         factors = rosenbrock.ros2_factor(J, mid)
         trials += 1
@@ -251,25 +232,24 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
     return step, trials
 
 
-def guard_ros2_dense(problem: problems.PiecewiseProblem, step: rosenbrock.RosenbrockStep,
-                     n_grid: int = DEFAULT_GUARD_GRID) -> GuardReport:
+def guard_ros2_dense(problem: problems.PiecewiseProblem,
+                     step: rosenbrock.RosenbrockStep) -> GuardReport:
     """Grid positivity check of d(theta) = grad h(X1(theta)) . dX1/dtheta.
 
-    Passing certifies (at grid resolution) that h is strictly increasing
-    along the dense output, so the located surface hit is the unique one
-    inside the step and the approach is one-sided. certified_sigma reports
-    tau scaled by the last grid point before d turns non-positive.
+    Passing certifies (at the resolution of a GUARD_GRID-point grid) that h
+    is strictly increasing along the dense output, so the located surface
+    hit is the unique one inside the step and the approach is one-sided.
+    certified_sigma reports tau scaled by the last grid point before d
+    turns non-positive.
     """
     if step.stages != 2:
         raise ValueError("dense-output guard applies to two-stage steps")
-    if n_grid < 2:
-        raise ValueError(f"n_grid must be at least 2, got {n_grid}")
     c = step.c
     gamma = step.gamma
     term_const = c * ((2.0 - 6.0 * gamma) * step.k1 - 2.0 * gamma * step.k2)
     term_linear = 2.0 * c * (step.k1 + step.k2)
 
-    thetas = np.linspace(0.0, 1.0, n_grid)
+    thetas = np.linspace(0.0, 1.0, GUARD_GRID)
     d_min = np.inf
     m1 = np.inf
     m2 = np.inf
@@ -291,7 +271,7 @@ def guard_ros2_dense(problem: problems.PiecewiseProblem, step: rosenbrock.Rosenb
         certified = step.tau * float(thetas[first_bad - 1])
     return GuardReport(
         mode=GuardMode.ROS2_DENSE,
-        coefficients={"d_min": d_min, "m1": m1, "m2": m2, "n_grid": float(n_grid)},
+        coefficients={"d_min": d_min, "m1": m1, "m2": m2, "n_grid": float(GUARD_GRID)},
         passed=passed,
         certified_sigma=certified,
         neumann_ok=True,

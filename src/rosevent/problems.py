@@ -10,7 +10,6 @@ so integrations can report exact evaluation and violation counts.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -27,12 +26,6 @@ SIGMA_TOL = 1e-12
 
 # Residual tolerance for user-supplied quasi-steady-state solutions.
 RESIDUAL_TOL = 1e-8
-
-
-class RegionTag(enum.Enum):
-    IN_R1 = "R1"
-    IN_R2 = "R2"
-    ON_SIGMA = "Sigma"
 
 
 @dataclass
@@ -71,14 +64,6 @@ class PiecewiseProblem:
     x0: np.ndarray | None = None
     source_spp: "SppProblem | None" = None
     counters: EvalCounters = field(default_factory=EvalCounters)
-
-
-def region_of(problem: PiecewiseProblem, x, sigma_tol: float = SIGMA_TOL) -> RegionTag:
-    """Classify a state against the switching surface."""
-    hx = float(problem.h(np.asarray(x, dtype=float)))
-    if abs(hx) <= sigma_tol:
-        return RegionTag.ON_SIGMA
-    return RegionTag.IN_R1 if hx < 0.0 else RegionTag.IN_R2
 
 
 def eval_field(problem: PiecewiseProblem, which: int, x) -> np.ndarray:

@@ -4,9 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import rosevent.bench
 from rosevent.bench import (
     OrderStudyRow,
-    ReferenceConfig,
     events_csv,
     mean_observed_order,
     order_study_csv,
@@ -32,8 +32,8 @@ def test_reference_event_state_hits_known_crossing():
 def test_reference_state_stable_under_extra_refinement():
     problem = spp_flatten(builtin("kowalczyk", eps=1e-2))
     t1, x1 = reference_event_state(problem, problem.x0, 1e-3)
-    t2, x2 = reference_event_state(problem, problem.x0, 1e-3,
-                                   ReferenceConfig(refinement=128))
+    # twice the refinement: the reference step 5e-4/64 is exactly 1e-3/128
+    t2, x2 = reference_event_state(problem, problem.x0, 5e-4)
     assert abs(t1 - t2) <= 1e-9
     assert float(np.linalg.norm(x1 - x2)) <= 1e-8
 
@@ -41,13 +41,6 @@ def test_reference_state_stable_under_extra_refinement():
 def test_reference_requires_an_event():
     with pytest.raises(NoEventBeforeHorizon):
         reference_event_state(builtin("linear_test"), [1.0], 0.1)
-
-
-def test_reference_config_validation():
-    with pytest.raises(ValueError, match="refinement"):
-        ReferenceConfig(refinement=1)
-    with pytest.raises(ValueError, match="h_tol_ref"):
-        ReferenceConfig(h_tol_ref=0.0)
 
 
 # --- order studies -----------------------------------------------------------
@@ -75,6 +68,15 @@ def test_order_study_requires_initial_state():
     )
     with pytest.raises(ValueError, match="initial state"):
         run_order_study(bare, tau0=0.1, halvings=1)
+
+
+def test_order_study_rejects_negative_halvings(monkeypatch):
+    def banned(*a, **k):  # pragma: no cover - should never run
+        raise AssertionError("integration ran before the check")
+
+    monkeypatch.setattr(rosevent.bench, "integrate", banned)
+    with pytest.raises(ValueError, match="halvings"):
+        run_order_study(builtin("kowalczyk", eps=1e-2), tau0=1e-3, halvings=-1)
 
 
 def test_order_study_requires_events():
@@ -233,6 +235,32 @@ def test_cli_usage_errors_exit_2(capsys):
     assert cli_main(["integrate", "--problem", "tent", "--eps", "1e-3",
                      "--tau", "0.1", "--t-end", "1.0"]) == 2
     capsys.readouterr()
+
+
+def test_cli_rejects_out_of_range_counts(capsys):
+    for max_events in ("0", "-1"):
+        assert cli_main(["integrate", "--problem", "tent", "--tau", "0.03",
+                         "--t-end", "1.0", "--max-events", max_events]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_events must be at least 1" in captured.err
+    assert cli_main(["order-study", "--problem", "tent", "--tau0", "0.07",
+                     "--halvings", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "halvings must be non-negative" in captured.err
+
+
+def test_cli_rejects_a_state_of_the_wrong_dimension(capsys):
+    assert cli_main(["classify", "--problem", "kowalczyk", "--state", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --state must have 2 entries for problem 'kowalczyk', got 1\n"
+    assert cli_main(["guard-check", "--problem", "najafi", "--state", "1,0.9,0",
+                     "--tau", "0.125", "--mode", "ros2-dense"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --state must have 2 entries for problem 'najafi', got 3\n"
 
 
 def test_cli_numerical_failures_exit_1(capsys):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rosevent.linalg
 from rosevent.errors import DomainViolation, NoBracket
@@ -15,15 +17,16 @@ from rosevent.events import (
     Termination,
     detect_sign_change,
     integrate,
-    integrate_naive,
     locate_event,
 )
 from rosevent.onesided import GuardMode
 from rosevent.problems import (
+    SppProblem,
     builtin,
     eval_field,
     field_fn,
     field_jacobian,
+    problem_names,
     spp_flatten,
 )
 from rosevent.rosenbrock import dense_eval, method_by_name, restep, ros2_step
@@ -84,24 +87,65 @@ def test_locate_requires_bracket():
         locate_event(step, lambda x: x[0] - 5.0, default_cfg())
 
 
-def test_locate_iteration_cap_flags_nonconvergence():
-    step = unit_speed_step()
-    cfg = default_cfg(theta_tol=0.0, h_tol=0.0, max_bisect=5)
-    record = locate_event(step, lambda x: x[0] - 1.0 / 3.0, cfg)
-    assert not record.converged
-    assert record.root_iterations == 5
-    assert abs(record.theta_star - 1.0 / 3.0) <= 2.0**-5
-
-
 def test_locate_never_leaves_departing_side_on_width_exit():
-    # force width termination: tolerance too tight for the h noise floor
+    # force width termination: no residual passes h_tol = 0
     step = unit_speed_step()
-    cfg = default_cfg(theta_tol=1e-6, h_tol=0.0, max_bisect=200)
-    record = locate_event(step, lambda x: x[0] - 1.0 / 3.0, cfg)
+    record = locate_event(step, lambda x: x[0] - 1.0 / 3.0, default_cfg(h_tol=0.0))
     assert record.converged
+    assert record.root_iterations == 40
     # the returned point sits on the departing (negative) side
     assert float(record.x_star[0]) - 1.0 / 3.0 <= 0.0
-    assert abs(record.theta_star - 1.0 / 3.0) <= 1e-6
+    assert abs(record.theta_star - 1.0 / 3.0) <= 1e-12
+
+
+def _builtin_step(name, which, tau, shift):
+    """A two-stage step of one field of a builtin from its default state
+    moved by shift in every coordinate."""
+    spec = builtin(name)
+    problem = spp_flatten(spec) if isinstance(spec, SppProblem) else spec
+    x0 = problem.x0 + shift
+    return ros2_step(field_fn(problem, which), x0, tau,
+                     field_jacobian(problem, which, x0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(problem_names()),
+    which=st.sampled_from((1, 2)),
+    tau=st.floats(min_value=1e-6, max_value=0.5),
+    shift=st.floats(min_value=-0.2, max_value=0.2),
+    s=st.floats(min_value=0.0, max_value=1.0),
+    curvature=st.just(0.0) | st.floats(min_value=-1.0, max_value=1.0),
+    tilt=st.floats(min_value=-1.0, max_value=1.0),
+    flip=st.booleans(),
+)
+def test_locate_ends_converged_within_40_halvings_on_the_departing_side(
+        name, which, tau, shift, s, curvature, tilt, flip):
+    # Bisection halves [0, 1] exactly, so the width exit at THETA_TOL comes
+    # after at most 40 iterations for any bracketing h: no iteration cap is
+    # needed and every record is converged.
+    step = _builtin_step(name, which, tau, shift)
+    d = step.x1 - step.x0
+    scale = float(np.linalg.norm(d))
+    assume(scale > 0.0)
+    normal = d + tilt * np.roll(d, 1)
+    p = dense_eval(step, s)
+    sign = -1.0 if flip else 1.0
+
+    def h(x):
+        r = x - p
+        return sign * (float(normal @ r) + curvature / scale * float(r @ r)
+                       * float(np.linalg.norm(normal)))
+
+    h0 = h(dense_eval(step, 0.0))
+    h1 = h(dense_eval(step, 1.0))
+    assume(detect_sign_change(h0, h1))
+    record = locate_event(step, h, default_cfg())
+    assert record.converged
+    assert 1 <= record.root_iterations <= 40
+    assert 0.0 <= record.theta_star <= 1.0
+    g = h(record.x_star)
+    assert (g <= 0.0) if h0 < 0.0 else (g >= 0.0)
 
 
 def test_locate_costs_no_field_evals_or_solves(monkeypatch):
@@ -162,6 +206,9 @@ def test_integrate_validates_inputs():
         integrate(tent, [0.0], default_cfg(tau=-1.0))
     with pytest.raises(ValueError, match="t_end"):
         integrate(tent, [0.0], default_cfg(tau=0.1, t_end=0.0))
+    for max_events in (0, -1):
+        with pytest.raises(ValueError, match="max_events"):
+            integrate(tent, [0.0], default_cfg(tau=0.1, max_events=max_events))
 
 
 def test_integrate_validates_guard_method_pairing():
@@ -194,7 +241,8 @@ def test_naive_equals_located_when_event_free():
     problem = builtin("linear_test")
     cfg = IntegratorConfig(tau=0.01, t_end=1.0)
     a = integrate(problem, [1.0], cfg)
-    b = integrate_naive(problem, [1.0], cfg)
+    b = integrate(problem, [1.0], IntegratorConfig(tau=0.01, t_end=1.0,
+                                                   locate_events=False))
     assert a.termination is b.termination
     assert len(a.mesh) == len(b.mesh)
     for (ta, xa), (tb, xb) in zip(a.mesh, b.mesh):
@@ -217,8 +265,8 @@ def test_tent_slides_at_apex():
 
 def test_naive_switch_happens_at_mesh_point():
     problem = builtin("tent")
-    cfg = IntegratorConfig(tau=0.03, t_end=0.6)
-    result = integrate_naive(problem, [0.0], cfg)
+    cfg = IntegratorConfig(tau=0.03, t_end=0.6, locate_events=False)
+    result = integrate(problem, [0.0], cfg)
     assert len(result.events) >= 1
     ev = result.events[0]
     assert ev.theta_star == 1.0

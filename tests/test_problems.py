@@ -6,7 +6,6 @@ import pytest
 
 from rosevent.errors import DomainViolation, ResidualTooLarge
 from rosevent.problems import (
-    RegionTag,
     builtin,
     eval_field,
     field_jacobian,
@@ -14,19 +13,8 @@ from rosevent.problems import (
     h_hessian,
     problem_names,
     reduced_order_model,
-    region_of,
     spp_flatten,
 )
-
-
-def test_region_of_tent():
-    p = builtin("tent")
-    assert region_of(p, np.array([0.0])) is RegionTag.IN_R1
-    assert region_of(p, np.array([1.0])) is RegionTag.IN_R2
-    assert region_of(p, np.array([0.5])) is RegionTag.ON_SIGMA
-    # band edges are inclusive
-    assert region_of(p, np.array([0.5 + 1e-12])) is RegionTag.ON_SIGMA
-    assert region_of(p, np.array([0.5 + 1e-11])) is RegionTag.IN_R2
 
 
 def test_eval_field_counts_and_validates():
