@@ -78,6 +78,8 @@ def run_order_study(problem, method: rosenbrock.RosMethod = rosenbrock.ROS2,
     """
     if halvings < 0:
         raise ValueError(f"halvings must be non-negative, got {halvings}")
+    if not 0.0 < tau0 < math.inf:
+        raise ValueError(f"tau0 must be positive and finite, got {tau0}")
     if isinstance(problem, problems.SppProblem):
         problem = problems.spp_flatten(problem)
     if x0 is None:

@@ -116,6 +116,11 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_order_study(args) -> int:
+    # run_order_study rejects negative halvings before any run; zero is a
+    # valid study, but the table ends with an observed order, which needs
+    # two rows
+    if args.halvings == 0:
+        raise ValueError("--halvings must be at least 1 to estimate an order, got 0")
     spec = _build(args)
     rows = bench.run_order_study(
         spec,

@@ -11,6 +11,14 @@ field and a fresh full step. Root finding keeps the located state on the
 departing side of the surface, so fields that cannot be evaluated past the
 surface never are.
 
+At a fixed step the step matrix I - gamma*tau*J changes only when J or
+tau does, and on fields that are linear in each region J is constant. Each
+integrate call therefore keeps the LU factors of its last plain step and
+reuses them while J (bit for bit), tau and gamma are unchanged; the kept
+factors live in the call and die with it. The result is the same, bit for
+bit, as factoring on every step. IntegrationStats.lu_factorizations counts
+the factorizations that actually ran.
+
 Every hit that is not located is recorded at theta = 1, the step endpoint:
 an endpoint inside the surface band |h| <= problems.SIGMA_TOL, and every
 hit in the naive mode (locate_events=False). The naive mode runs no guard
@@ -26,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import filippov, onesided, problems, rosenbrock
+from . import filippov, linalg, onesided, problems, rosenbrock
 from .errors import DomainViolation, MaxIterations, NoBracket, SingularMatrix
 
 # Bracket width in theta at which event location stops. Bisection halves
@@ -79,6 +87,9 @@ class EventRecord:
 
 @dataclass
 class IntegrationStats:
+    """Per-run counts. lu_factorizations counts the LU factorizations that
+    ran: a plain step that reuses the run's kept factors adds none."""
+
     f_evals: dict
     domain_violations: dict
     lu_factorizations: int = 0
@@ -178,18 +189,38 @@ def _classify_event(problem: problems.PiecewiseProblem,
 
 
 def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
-              cfg: IntegratorConfig):
+              cfg: IntegratorConfig, kept=None):
     """One step of the active field from x: the guarded two-stage step from
     region 1 under the dense guard, else a plain step of cfg.method.
 
-    Returns (step, factorizations). step.tau is the size actually taken,
-    below tau only when case 1b shortened the step.
+    kept is None or the (key, factors) pair this function returned for the
+    previous step of the same run. A plain step whose key (the bytes and
+    shape of J, tau, gamma) equals the kept one solves with the kept LU
+    factors of I - gamma*tau*J; any other plain step factors that matrix
+    and keeps the new pair. The key compares bits, so both give the same
+    step bit for bit. The guarded step factors on its own and leaves the
+    pair as it was.
+
+    Returns (step, factorizations, kept); factorizations counts the LU
+    factorizations this call ran, 0 when it used the kept factors. step.tau
+    is the size actually taken, below tau only when case 1b shortened the
+    step.
     """
     J = problems.field_jacobian(problem, active, x)
     if cfg.guard_mode is onesided.GuardMode.ROS2_DENSE and active == 1:
-        return onesided.guarded_ros2_step(problem, x, tau, J, cfg.h_tol)
+        step, factorizations = onesided.guarded_ros2_step(problem, x, tau, J, cfg.h_tol)
+        return step, factorizations, kept
+    gamma = cfg.method.gamma
+    key = (J.tobytes(), J.shape, tau, gamma)
+    if kept is not None and kept[0] == key:
+        factorizations = 0
+    else:
+        kept = key, linalg.lu_factor(rosenbrock.step_matrix(J, tau, gamma))
+        factorizations = 1
     stepper = rosenbrock.ros2_step if cfg.method.stages == 2 else rosenbrock.ros1_step
-    return stepper(problems.field_fn(problem, active), x, tau, J, field_id=active), 1
+    step = stepper(problems.field_fn(problem, active), x, tau, J,
+                   field_id=active, factors=kept[1])
+    return step, factorizations, kept
 
 
 def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> TrajectoryResult:
@@ -213,6 +244,8 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
 
     f_before, v_before = problem.counters.snapshot()
     lu_count = 0
+    # factors of the last plain step, see take_step; local to this call
+    kept = None
     steps_taken = 0
     t = 0.0
     mesh = [(0.0, x.copy())]
@@ -227,8 +260,8 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
             termination = Termination.REACHED_T_END
             break
         try:
-            step, factorizations = take_step(
-                problem, x, min(cfg.tau, remaining), active, cfg)
+            step, factorizations, kept = take_step(
+                problem, x, min(cfg.tau, remaining), active, cfg, kept)
         except SingularMatrix:
             termination = Termination.SOLVER_FAILURE
             break

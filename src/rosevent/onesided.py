@@ -66,6 +66,12 @@ class GuardReport:
     neumann_ok: bool
 
 
+def _check_step_size(tau: float) -> None:
+    # a certificate for a step that does not exist certifies nothing
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+
+
 def _certified_sigma(a0: float, r1: float, r2: float, tau: float) -> float:
     # Largest sigma <= tau with a0 - sigma*r1 - sigma^2*r2 > 0.
     if a0 <= 0.0:
@@ -89,8 +95,9 @@ def guard_ros1_general(problem: problems.PiecewiseProblem, x0, tau: float,
     a0 - tau*max(0, -a1) - tau^2*max(0, -a2) stays positive. Requires the
     Neumann series to converge; when the spectral-radius bound of
     gamma*tau*J reaches one the guard abstains (neumann_ok False, not
-    passed).
+    passed). Raises ValueError unless tau is positive and finite.
     """
+    _check_step_size(tau)
     x0 = np.asarray(x0, dtype=float)
     f = problems.eval_field(problem, 1, x0)
     hx = problems.h_gradient(problem, x0)
@@ -127,8 +134,10 @@ def guard_ros1_orthogonal(problem: problems.PiecewiseProblem, x0, tau: float,
     Replaces the Neumann series by the transpose identity, so no spectral
     condition enters. Raises NotOrthogonal unless
     (I - gamma*tau*J)^T (I - gamma*tau*J) = I within ORTHOGONALITY_TOL in
-    the induced infinity norm.
+    the induced infinity norm, and ValueError unless tau is positive and
+    finite.
     """
+    _check_step_size(tau)
     x0 = np.asarray(x0, dtype=float)
     J = problems.field_jacobian(problem, 1, x0)
     M = rosenbrock.step_matrix(J, tau, gamma)
@@ -169,8 +178,10 @@ def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,
     The internal stage x0 + k1 is checked before the second field
     evaluation; when it trespasses (case 1b) the step is shortened by
     resolve_case_1b first. Returns (step, factorizations); step.tau < tau
-    marks a shortened step.
+    marks a shortened step. Raises ValueError unless tau is positive and
+    finite.
     """
+    _check_step_size(tau)
     x0 = np.asarray(x0, dtype=float)
     fx0 = problems.eval_field(problem, 1, x0)
     factors = rosenbrock.ros2_factor(J, tau)

@@ -12,8 +12,11 @@ R(z) = (1 + (1-2*gamma)*z) / (1 - gamma*z)^2 = 1 + z + z^2/2 + O(z^3).
 The one-stage scheme is the linearly implicit Euler step
 (I - tau*J) k1 = tau * f(x0), x1 = x0 + k1.
 
-Both factorizations happen once per step; the two-stage solve reuses its
-factors for the second stage. The dense output
+Each step solves with the LU factors of its step matrix I - gamma*tau*J,
+the two-stage step for both of its stages. A caller that already holds
+those factors passes them in (factors=...). events.integrate does: within
+one run it factors again only when (J, tau) differs from the previous
+step's, not once per step. Without them the step factors the matrix itself. The dense output
 
     X1(theta) = x0 + c*b1(theta)*k1 + c*b2(theta)*k2,   c = 1/(2*(1-2*gamma))
     b1(theta) = theta^2 + (2 - 6*gamma)*theta
@@ -92,10 +95,16 @@ def step_matrix(J, tau: float, gamma: float) -> np.ndarray:
     return M
 
 
-def ros1_step(field, x0, tau: float, J, field_id: int = 1) -> RosenbrockStep:
-    """Linearly implicit Euler step of size tau with Jacobian J."""
+def ros1_step(field, x0, tau: float, J, field_id: int = 1,
+              factors: linalg.LuFactors | None = None) -> RosenbrockStep:
+    """Linearly implicit Euler step of size tau with Jacobian J.
+
+    factors, when given, must be the LU factors of I - tau*J; they are used
+    as they are, so the step is the one a fresh factorization would give.
+    """
     x0 = linalg.as_vector(x0)
-    factors = linalg.lu_factor(step_matrix(J, tau, GAMMA_ROS1))
+    if factors is None:
+        factors = linalg.lu_factor(step_matrix(J, tau, GAMMA_ROS1))
     k1 = linalg.lu_solve(factors, tau * np.asarray(field(x0), dtype=float))
     return RosenbrockStep(
         x0=x0, tau=tau, J=np.asarray(J, dtype=float), gamma=GAMMA_ROS1,
@@ -128,12 +137,19 @@ def ros2_finish(field, x0, tau: float, J, factors, k1, field_id: int = 1) -> Ros
     )
 
 
-def ros2_step(field, x0, tau: float, J, field_id: int = 1) -> RosenbrockStep:
+def ros2_step(field, x0, tau: float, J, field_id: int = 1,
+              factors: linalg.LuFactors | None = None) -> RosenbrockStep:
     """Two-stage step of size tau: one factorization, two solves, two field
-    evaluations."""
+    evaluations.
+
+    factors, when given, must be the LU factors of I - gamma*tau*J (see
+    ros2_factor); the step then skips its factorization and is the same
+    step bit for bit.
+    """
     x0 = linalg.as_vector(x0)
     fx0 = np.asarray(field(x0), dtype=float)
-    factors = ros2_factor(J, tau)
+    if factors is None:
+        factors = ros2_factor(J, tau)
     k1 = ros2_stage1(factors, fx0, tau)
     return ros2_finish(field, x0, tau, J, factors, k1, field_id=field_id)
 

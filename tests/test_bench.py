@@ -1,5 +1,7 @@
 """Reference solutions, convergence studies, CSV output, and the CLI."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -77,6 +79,24 @@ def test_order_study_rejects_negative_halvings(monkeypatch):
     monkeypatch.setattr(rosevent.bench, "integrate", banned)
     with pytest.raises(ValueError, match="halvings"):
         run_order_study(builtin("kowalczyk", eps=1e-2), tau0=1e-3, halvings=-1)
+
+
+def no_integration(*a, **k):  # pragma: no cover - must not run
+    raise AssertionError("integration ran before the check")
+
+
+@pytest.mark.parametrize("tau0", [-0.07, 0.0, math.nan, math.inf])
+def test_order_study_checks_tau0_before_any_run(monkeypatch, tau0):
+    monkeypatch.setattr(rosevent.bench, "integrate", no_integration)
+    with pytest.raises(ValueError, match=f"tau0 must be positive and finite, got {tau0}"):
+        run_order_study(builtin("tent"), tau0=tau0, halvings=1)
+
+
+def test_order_study_with_zero_halvings_is_one_row():
+    rows = run_order_study(builtin("tent"), tau0=0.07, halvings=0)
+    assert len(rows) == 1
+    assert rows[0].tau == 0.07
+    assert rows[0].reduction_factor is None
 
 
 def test_order_study_requires_events():
@@ -249,6 +269,31 @@ def test_cli_rejects_out_of_range_counts(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "halvings must be non-negative" in captured.err
+
+
+def test_cli_order_study_rejects_what_cannot_give_an_order(capsys, monkeypatch):
+    monkeypatch.setattr(rosevent.bench, "integrate", no_integration)
+    assert cli_main(["order-study", "--problem", "tent", "--tau0", "0.07",
+                     "--halvings", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --halvings must be at least 1 to estimate an order, got 0\n"
+    assert cli_main(["order-study", "--problem", "tent", "--tau0", "-0.07",
+                     "--halvings", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tau0 must be positive and finite, got -0.07\n"
+
+
+@pytest.mark.parametrize("mode, tau", [("ros1", "-0.25"), ("ros1", "inf"),
+                                       ("ros1-orth", "0"), ("ros2-dense", "-0.125")])
+def test_cli_guard_check_rejects_a_step_that_is_not_positive(capsys, mode, tau):
+    code = cli_main(["guard-check", "--problem", "tent", "--state", "0.3",
+                     "--tau", tau, "--mode", mode])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tau must be positive and finite, got {float(tau)}\n"
 
 
 def test_cli_rejects_a_state_of_the_wrong_dimension(capsys):

@@ -1,6 +1,7 @@
 """Event detection, safe-side location, and the integration driver."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -29,7 +30,7 @@ from rosevent.problems import (
     problem_names,
     spp_flatten,
 )
-from rosevent.rosenbrock import dense_eval, method_by_name, restep, ros2_step
+from rosevent.rosenbrock import dense_eval, method_by_name, restep, ros1_step, ros2_step
 
 
 def unit_speed_step(x0=0.0, tau=1.0):
@@ -231,7 +232,10 @@ def test_event_free_trajectory_reaches_t_end():
     assert result.stats.steps == 100
     assert len(result.mesh) == result.stats.steps + 1
     assert result.stats.f_evals == {1: 200, 2: 0}
-    assert result.stats.lu_factorizations == 100
+    # J and tau stay the same for the 99 steps at tau = 0.01, which share
+    # one factorization; round-off in t makes the last step a little
+    # shorter than 0.01, so it factors once more
+    assert result.stats.lu_factorizations == 2
     t_final, x_final = result.mesh[-1]
     assert abs(t_final - 1.0) <= 1e-12
     assert abs(x_final[0] - math.exp(-1.0)) <= 1e-4
@@ -341,3 +345,101 @@ def test_event_record_is_frozen():
                          Direction.R1_TO_R2, 1, True)
     with pytest.raises(AttributeError):
         record.theta_star = 0.7
+
+
+# --- reuse of the step matrix's factors --------------------------------------
+
+def builtin_piecewise(name):
+    spec = builtin(name)
+    return spp_flatten(spec) if isinstance(spec, SppProblem) else spec
+
+
+def integrate_counting_lu(problem, x0, cfg):
+    """integrate, plus the number of linalg.lu_factor calls it made."""
+    calls = []
+    real = rosevent.linalg.lu_factor
+
+    def counted(m):
+        calls.append(1)
+        return real(m)
+
+    with mock.patch.object(rosevent.linalg, "lu_factor", counted):
+        result = integrate(problem, x0, cfg)
+    return result, len(calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(problem_names()), method=st.sampled_from(["ros1", "ros2"]),
+       tau=st.floats(5e-3, 0.2))
+def test_reused_factors_give_the_steps_of_fresh_factorizations(name, method, tau):
+    problem = builtin_piecewise(name)
+    # an unguarded step would evaluate najafi's field 1 past t = 1
+    t_end = 0.9 if name == "najafi" else 1.5
+    cfg = IntegratorConfig(tau=tau, t_end=t_end, method=method_by_name(method),
+                           max_events=6)
+    result, lu_calls = integrate_counting_lu(problem, problem.x0, cfg)
+    assert lu_calls == result.stats.lu_factorizations <= result.stats.steps
+
+    # replay every mesh interval that no hit truncates with a step that
+    # factors its own step matrix
+    stepper = ros2_step if method == "ros2" else ros1_step
+    events_at = {ev.t_star: ev for ev in result.events}
+    replayed = 0
+    for (t0, x0), (t1, x1) in zip(result.mesh, result.mesh[1:]):
+        end = events_at.get(t1)
+        if end is not None and end.x_star is x1:
+            continue
+        start = events_at.get(t0)
+        if start is not None and start.x_star is x0:
+            active = 2 if start.direction is Direction.R1_TO_R2 else 1
+        else:
+            active = 1 if problem.h(x0) < 0.0 else 2
+        fresh = stepper(field_fn(problem, active), x0, min(cfg.tau, cfg.t_end - t0),
+                        field_jacobian(problem, active, x0), field_id=active)
+        assert fresh.x1.tobytes() == x1.tobytes(), (t0, active)
+        replayed += 1
+    assert replayed >= 1
+
+
+def test_constant_jacobians_factor_once_per_step_size():
+    # the flattened relay has the same constant J in both regions
+    problem = builtin_piecewise("kowalczyk")
+    cfg = IntegratorConfig(tau=1e-3, t_end=1.5, max_events=4)
+    result, lu_calls = integrate_counting_lu(problem, problem.x0, cfg)
+    assert len(result.events) == 4
+    assert result.stats.steps > 500
+    assert result.stats.lu_factorizations == lu_calls == 1
+
+
+def test_a_state_dependent_jacobian_factors_on_every_step():
+    # J of najafi's field 1 depends on t, so no two steps share a matrix
+    problem = builtin("najafi")
+    cfg = IntegratorConfig(tau=0.05, t_end=0.9)
+    result, lu_calls = integrate_counting_lu(problem, problem.x0, cfg)
+    assert result.events == []
+    assert result.stats.steps == 18
+    assert result.stats.lu_factorizations == lu_calls == 18
+
+
+def test_guarded_and_finite_difference_runs_count_every_factorization():
+    # najafi under the dense guard: region 1 factors every step, plus the
+    # case-1b trials; region 2 (J = 0) reuses its factors
+    najafi = builtin("najafi")
+    cfg = IntegratorConfig(tau=2.0**-5, t_end=1.25, guard_mode=GuardMode.ROS2_DENSE)
+    result, lu_calls = integrate_counting_lu(najafi, najafi.x0, cfg)
+    assert result.termination is Termination.REACHED_T_END
+    assert len(result.events) == 1
+    assert result.stats.lu_factorizations == lu_calls
+    t_event = result.events[0].t_star
+    region_1_steps = sum(1 for t, _ in result.mesh[1:] if t < t_event) + 1
+    assert lu_calls > region_1_steps
+    assert lu_calls < result.stats.steps
+
+    # the relay without analytic Jacobians: finite differences give J
+    # bit patterns that can change from step to step
+    relay = builtin_piecewise("kowalczyk")
+    relay.jac_f1 = relay.jac_f2 = None
+    cfg = IntegratorConfig(tau=4e-3, t_end=1.0)
+    result, lu_calls = integrate_counting_lu(relay, relay.x0, cfg)
+    assert result.events
+    assert result.stats.lu_factorizations == lu_calls <= result.stats.steps

@@ -81,6 +81,21 @@ def test_series_guard_abstains_without_neumann_convergence():
     assert report.coefficients["a0"] == pytest.approx(100.0)
 
 
+@pytest.mark.parametrize("tau", [-0.25, 0.0, math.nan, math.inf])
+def test_guards_reject_a_step_that_is_not_positive_and_finite(tau):
+    problem = builtin("tent")
+    x0 = np.array([0.3])
+    J = field_jacobian(problem, 1, x0)
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        guard_ros1_general(problem, x0, tau, 1.0)
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        guard_ros1_orthogonal(problem, x0, tau, 1.0)
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        guarded_ros2_step(problem, x0, tau, J)
+    # rejected before any field evaluation
+    assert problem.counters.f_evals == {1: 0, 2: 0}
+
+
 # --- one-stage orthogonal guard ----------------------------------------------
 
 def test_orthogonal_guard_accepts_rotation_step_matrix():
