@@ -40,8 +40,11 @@ from .onesided import (
     guarded_ros2_step,
 )
 from .problems import (
+    Affine,
     PiecewiseProblem,
     SppProblem,
+    affine_problem,
+    affine_spp,
     builtin,
     reduced_order_model,
     spp_flatten,
@@ -57,12 +60,15 @@ from .rosenbrock import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Affine",
     "EventRecord",
     "IntegratorConfig",
     "PiecewiseProblem",
     "SppProblem",
     "Termination",
     "TrajectoryResult",
+    "affine_problem",
+    "affine_spp",
     "builtin",
     "classify_general",
     "classify_spp",

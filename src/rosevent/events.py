@@ -11,6 +11,12 @@ field and a fresh full step. Root finding keeps the located state on the
 departing side of the surface, so fields that cannot be evaluated past the
 surface never are.
 
+A first step after a crossing whose hit is located within THETA_TOL of its
+start turns straight back (numerical chattering, e.g. a one-stage step at
+tau/eps >> 1 relaxing the fast state): switching again would repeat the hit
+without advancing t, so the run ends with Termination.CHATTERING. That hit
+is not recorded, the field does not switch, the events so far are kept.
+
 At a fixed step the step matrix I - gamma*tau*J changes only when J or
 tau does, and on fields that are linear in each region J is constant. Each
 integrate call therefore keeps the LU factors of its last plain step and
@@ -54,6 +60,7 @@ class Termination(enum.Enum):
     SOLVER_FAILURE = "solver-failure"
     TANGENTIAL = "tangential"
     MAX_EVENTS = "max-events"
+    CHATTERING = "chattering"
 
 
 @dataclass(frozen=True)
@@ -162,8 +169,8 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
 def _validate_config(cfg: IntegratorConfig) -> None:
     if not cfg.tau > 0.0:
         raise ValueError(f"tau must be positive, got {cfg.tau}")
-    if not cfg.t_end > 0.0:
-        raise ValueError(f"t_end must be positive, got {cfg.t_end}")
+    if not 0.0 < cfg.t_end < np.inf:
+        raise ValueError(f"t_end must be positive and finite, got {cfg.t_end}")
     if cfg.max_events is not None and cfg.max_events < 1:
         raise ValueError(f"max_events must be at least 1, got {cfg.max_events}")
     gm = cfg.guard_mode
@@ -226,17 +233,20 @@ def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
 def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> TrajectoryResult:
     """Integrate from t = 0 with event handling per the module docstring.
 
-    The initial state must lie strictly off the surface band. Crossings
-    switch the active field and continue; sliding and tangential hits stop
-    the integration, as do solver and guard failures (reported in
-    `termination`, not raised). DomainViolation from a field evaluated
-    outside its domain propagates to the caller with step context.
+    The initial state must lie strictly off the surface band, with a finite
+    h, and t_end must be finite. Crossings switch the active field and
+    continue; sliding and tangential hits stop the integration, as do
+    chattering and solver and guard failures (reported in `termination`, not
+    raised). DomainViolation from a field evaluated outside its domain
+    propagates to the caller with step context.
     """
     _validate_config(cfg)
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 must have shape ({problem.dim},), got {x.shape}")
     h_at_x = float(problem.h(x))
+    if not np.isfinite(h_at_x):
+        raise ValueError(f"h is not finite at the initial state: h(x0) = {h_at_x}")
     if abs(h_at_x) <= problems.SIGMA_TOL:
         raise ValueError("initial state lies on the switching surface")
     active = 1 if h_at_x < 0.0 else 2
@@ -315,6 +325,10 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
                 h0_eff = (-1.0 if h_sign_neg else 1.0) * problems.SIGMA_TOL
             record = locate_event(step, problem.h, cfg, step_index, t,
                                   h0=h0_eff, h1=h_new)
+            if events and events[-1].t_star == t and record.theta_star <= THETA_TOL:
+                # chattering: the first step after a crossing turned back
+                termination = Termination.CHATTERING
+                break
 
         events.append(record)
         if record.t_star > mesh[-1][0]:

@@ -6,6 +6,10 @@ of width `sigma_tol` in practice). Each region owns one branch of the
 vector field; branches may carry domain predicates marking where they can
 be evaluated at all. Evaluation bookkeeping lives on the problem instance
 so integrations can report exact evaluation and violation counts.
+
+A piecewise-affine problem (x' = A_i x + b_i, h = n.x + c) is declared once
+as `Affine` data, and `affine_problem` or `affine_spp` derive every field,
+Jacobian and surface callable from it; other problems give callables.
 """
 
 from __future__ import annotations
@@ -127,6 +131,48 @@ def h_hessian(problem: PiecewiseProblem, x) -> np.ndarray:
     return linalg.fd_hessian(problem.h, x)
 
 
+@dataclass(frozen=True, eq=False)
+class Affine:
+    """x' = A1 x + b1 in region 1 (h < 0), x' = A2 x + b2 in region 2, and
+    h = n.x + c, stored as read-only float copies. ValueError when an entry
+    is not finite or a shape does not match a non-empty n. Instances
+    compare by identity: arrays have no single truth value for ==."""
+
+    A1: np.ndarray
+    b1: np.ndarray
+    A2: np.ndarray
+    b2: np.ndarray
+    n: np.ndarray
+    c: float
+
+    def __post_init__(self):
+        d = np.size(self.n)
+        for name, shape in (("A1", (d, d)), ("b1", (d,)), ("A2", (d, d)), ("b2", (d,)),
+                            ("n", (d,)), ("c", ())):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.shape != shape or d == 0 or not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite with shape {shape}, got {arr}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr if shape else float(arr))
+
+    @property
+    def dim(self) -> int:
+        return self.n.size
+
+
+def affine_problem(aff: Affine, label: str = "", x0=None) -> PiecewiseProblem:
+    """The PiecewiseProblem of a declaration: every field, Jacobian and
+    surface callable comes from `aff`. Jacobians and the gradient of h are
+    `aff`'s read-only arrays."""
+    A1, b1, A2, b2, n, c = aff.A1, aff.b1, aff.A2, aff.b2, aff.n, aff.c
+    zero = np.broadcast_to(0.0, (aff.dim, aff.dim))  # read-only
+    return PiecewiseProblem(
+        dim=aff.dim, f1=lambda x: A1 @ x + b1, f2=lambda x: A2 @ x + b2,
+        h=lambda x: float(n @ x) + c, grad_h=lambda x: n, hess_h=lambda x: zero,
+        jac_f1=lambda x: A1, jac_f2=lambda x: A2, label=label, x0=x0,
+    )
+
+
 @dataclass
 class SppProblem:
     """Slow/fast system with an eps-scaled fast block and a switched slow
@@ -134,7 +180,8 @@ class SppProblem:
 
     Slow states y (dimension slow_dim) follow f1/f2 across the surface
     h(y, z) = 0; fast states z follow z' = g(y, z)/eps. Jacobian slots, when
-    given, are taken with respect to the stacked state (y, z).
+    given, are taken with respect to the stacked state (y, z). `affine` is
+    the declaration of an affine_spp problem (its fast rows are g).
     """
 
     slow_dim: int
@@ -153,10 +200,11 @@ class SppProblem:
     label: str = ""
     y0: np.ndarray | None = None
     z0: np.ndarray | None = None
+    affine: Affine | None = None
 
     def __post_init__(self):
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
     def split(self, u):
         u = np.asarray(u, dtype=float)
@@ -187,63 +235,73 @@ def spp_flatten(problem: SppProblem) -> PiecewiseProblem:
     The flattened branch fields are [f_i(y, z); g(y, z)/eps]; the slow
     components reproduce f_i bit for bit. The returned problem keeps a link
     to its source so surface hits can be classified with the slow/fast
-    structure intact.
+    structure intact. An affine declaration flattens once, its fast rows
+    divided by eps; other problems get callables that stack per call.
     """
-    s = problem.slow_dim
     eps = problem.eps
+    label = (problem.label + "/flattened") if problem.label else "flattened"
+    aff = problem.affine
+    if aff is not None:
+        d = np.full(aff.dim, eps)
+        d[: problem.slow_dim] = 1.0
+        flat = affine_problem(Affine(aff.A1 / d[:, None], aff.b1 / d, aff.A2 / d[:, None],
+                                     aff.b2 / d, aff.n, aff.c), label, problem.x0)
+        flat.source_spp = problem
+        return flat
 
-    def make_field(f):
+    def stack(top, bottom, join, scale=1.0):
+        # [top(y, z); bottom(y, z)/scale], None when a block is missing
+        if top is None or bottom is None:
+            return None
+
         def F(u):
             y, z = problem.split(u)
-            return np.concatenate([
-                np.asarray(f(y, z), dtype=float),
-                np.asarray(problem.g(y, z), dtype=float) / eps,
-            ])
+            return join([np.asarray(top(y, z), dtype=float),
+                         np.asarray(bottom(y, z), dtype=float) / scale])
 
         return F
 
-    def h_flat(u):
-        y, z = problem.split(u)
-        return problem.h(y, z)
-
-    grad_h = None
-    if problem.h_y is not None and problem.h_z is not None:
-        def grad_h(u):
-            y, z = problem.split(u)
-            return np.concatenate([
-                np.asarray(problem.h_y(y, z), dtype=float),
-                np.asarray(problem.h_z(y, z), dtype=float),
-            ])
-
-    def make_jac(jac_f):
-        def J(u):
-            y, z = problem.split(u)
-            return np.vstack([
-                np.asarray(jac_f(y, z), dtype=float),
-                np.asarray(problem.jac_g(y, z), dtype=float) / eps,
-            ])
-
-        return J
-
-    jac_f1 = jac_f2 = None
-    if problem.jac_g is not None:
-        if problem.jac_f1 is not None:
-            jac_f1 = make_jac(problem.jac_f1)
-        if problem.jac_f2 is not None:
-            jac_f2 = make_jac(problem.jac_f2)
-
     return PiecewiseProblem(
         dim=problem.slow_dim + problem.fast_dim,
-        f1=make_field(problem.f1),
-        f2=make_field(problem.f2),
-        h=h_flat,
-        grad_h=grad_h,
+        f1=stack(problem.f1, problem.g, np.concatenate, eps),
+        f2=stack(problem.f2, problem.g, np.concatenate, eps),
+        h=lambda u: problem.h(*problem.split(u)),
+        grad_h=stack(problem.h_y, problem.h_z, np.concatenate),
         hess_h=problem.hess_h,
-        jac_f1=jac_f1,
-        jac_f2=jac_f2,
-        label=(problem.label + "/flattened") if problem.label else "flattened",
+        jac_f1=stack(problem.jac_f1, problem.jac_g, np.vstack, eps),
+        jac_f2=stack(problem.jac_f2, problem.jac_g, np.vstack, eps),
+        label=label,
         x0=problem.x0,
         source_spp=problem,
+    )
+
+
+def affine_spp(aff: Affine, slow_dim: int, eps: float, label: str = "",
+               y0=None, z0=None) -> SppProblem:
+    """The SppProblem of a declaration on the stacked state (y, z).
+
+    The first slow_dim rows of region i give f_i; the other rows give g,
+    which both regions must share (ValueError otherwise). f_i, g, h, h_y,
+    h_z and every Jacobian come from `aff`, kept as the `affine` field.
+    """
+    slow, fast = slice(None, slow_dim), slice(slow_dim, None)
+    A1, b1, A2, b2, n, c = aff.A1, aff.b1, aff.A2, aff.b2, aff.n, aff.c
+    if not 0 < slow_dim < aff.dim or not (
+            np.array_equal(A1[fast], A2[fast]) and np.array_equal(b1[fast], b2[fast])):
+        raise ValueError("need 0 < slow_dim < dim and the same fast rows in both regions")
+
+    # slow rows are sliced from the full product, as the flattened field
+    # computes them, so the two agree bit for bit
+    def rows(A, b, part):
+        return lambda y, z: (A @ np.concatenate((y, z)) + b)[part]
+
+    return SppProblem(
+        slow_dim=slow_dim, fast_dim=aff.dim - slow_dim, eps=float(eps),
+        f1=rows(A1, b1, slow), f2=rows(A2, b2, slow), g=rows(A1, b1, fast),
+        h=lambda y, z: float(n @ np.concatenate((y, z))) + c,
+        h_y=lambda y, z: n[slow], h_z=lambda y, z: n[fast],
+        jac_f1=lambda y, z: A1[slow], jac_f2=lambda y, z: A2[slow],
+        jac_g=lambda y, z: A1[fast], label=label, y0=y0, z0=z0, affine=aff,
     )
 
 
@@ -338,41 +396,15 @@ def _najafi() -> PiecewiseProblem:
 
 def _tent(level: float = 0.5) -> PiecewiseProblem:
     """x' = +1 below the threshold, -1 above it; h = x - level."""
-    level = float(level)
-    return PiecewiseProblem(
-        dim=1,
-        f1=lambda u: np.array([1.0]),
-        f2=lambda u: np.array([-1.0]),
-        h=lambda u: u[0] - level,
-        grad_h=lambda u: np.array([1.0]),
-        hess_h=lambda u: np.zeros((1, 1)),
-        jac_f1=lambda u: np.zeros((1, 1)),
-        jac_f2=lambda u: np.zeros((1, 1)),
-        label="tent",
-        x0=np.array([0.0]),
-    )
+    return affine_problem(Affine(A1=[[0.0]], b1=[1.0], A2=[[0.0]], b2=[-1.0], n=[1.0],
+                                 c=-level), "tent", np.array([0.0]))
 
 
 def _linear_test(lam: float = -1.0) -> PiecewiseProblem:
     """Smooth linear field x' = lam*x with a surface that never fires
     (h = -1 everywhere); used for order and stability checks."""
-    lam = float(lam)
-
-    def f(u):
-        return lam * np.asarray(u, dtype=float)
-
-    return PiecewiseProblem(
-        dim=1,
-        f1=f,
-        f2=f,
-        h=lambda u: -1.0,
-        grad_h=lambda u: np.zeros(1),
-        hess_h=lambda u: np.zeros((1, 1)),
-        jac_f1=lambda u: np.array([[lam]]),
-        jac_f2=lambda u: np.array([[lam]]),
-        label="linear_test",
-        x0=np.array([1.0]),
-    )
+    return affine_problem(Affine(A1=[[lam]], b1=[0.0], A2=[[lam]], b2=[0.0], n=[0.0],
+                                 c=-1.0), "linear_test", np.array([1.0]))
 
 
 def _kowalczyk(theta: float = -0.9, eps: float = 1e-2) -> SppProblem:
@@ -383,81 +415,26 @@ def _kowalczyk(theta: float = -0.9, eps: float = 1e-2) -> SppProblem:
     periodic orbit of amplitude O(eps) that the quasi-steady-state model
     (y = x) cannot reproduce.
     """
-    th = float(theta)
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-
-    return SppProblem(
-        slow_dim=1,
-        fast_dim=1,
-        f1=lambda y, z: np.array([1.0]),
-        f2=lambda y, z: np.array([-1.0]),
-        g=lambda y, z: np.array([y[0] - z[0]]),
-        eps=float(eps),
-        h=lambda y, z: th * y[0] + (1.0 - th) * z[0],
-        h_y=lambda y, z: np.array([th]),
-        h_z=lambda y, z: np.array([1.0 - th]),
-        hess_h=lambda u: np.zeros((2, 2)),
-        jac_f1=lambda y, z: np.zeros((1, 2)),
-        jac_f2=lambda y, z: np.zeros((1, 2)),
-        jac_g=lambda y, z: np.array([[1.0, -1.0]]),
-        label="kowalczyk",
-        y0=np.array([1.0]),
-        z0=np.array([0.0]),
-    )
+    aff = Affine(A1=[[0.0, 0.0], [1.0, -1.0]], b1=[1.0, 0.0],
+                 A2=[[0.0, 0.0], [1.0, -1.0]], b2=[-1.0, 0.0], n=[theta, 1.0 - theta], c=0.0)
+    return affine_spp(aff, 1, eps, "kowalczyk", np.array([1.0]), np.array([0.0]))
 
 
 def _teixeira(eps: float = 1e-2) -> SppProblem:
     """Planar relay whose switching function reads the fast filter state:
     y1' = -sign(2z - y1), y2' = -y1 - y2, eps*z' = y1 - z."""
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-
-    return SppProblem(
-        slow_dim=2,
-        fast_dim=1,
-        f1=lambda y, z: np.array([1.0, -y[0] - y[1]]),
-        f2=lambda y, z: np.array([-1.0, -y[0] - y[1]]),
-        g=lambda y, z: np.array([y[0] - z[0]]),
-        eps=float(eps),
-        h=lambda y, z: 2.0 * z[0] - y[0],
-        h_y=lambda y, z: np.array([-1.0, 0.0]),
-        h_z=lambda y, z: np.array([2.0]),
-        hess_h=lambda u: np.zeros((3, 3)),
-        jac_f1=lambda y, z: np.array([[0.0, 0.0, 0.0], [-1.0, -1.0, 0.0]]),
-        jac_f2=lambda y, z: np.array([[0.0, 0.0, 0.0], [-1.0, -1.0, 0.0]]),
-        jac_g=lambda y, z: np.array([[1.0, 0.0, -1.0]]),
-        label="teixeira",
-        y0=np.array([1.0, 0.0]),
-        z0=np.array([0.0]),
-    )
+    A = [[0.0, 0.0, 0.0], [-1.0, -1.0, 0.0], [1.0, 0.0, -1.0]]
+    aff = Affine(A1=A, b1=[1.0, 0.0, 0.0], A2=A, b2=[-1.0, 0.0, 0.0], n=[-1.0, 0.0, 2.0], c=0.0)
+    return affine_spp(aff, 2, eps, "teixeira", np.array([1.0, 0.0]), np.array([0.0]))
 
 
 def _ostermann_modified(eps: float = 1e-3) -> SppProblem:
     """Oscillator with |y1|-type switching and a fast algebraic state:
     y1' = z, y2' = -sign(y1)*y1, eps*z' = y2 - z - eps*y1."""
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    e = float(eps)
-
-    return SppProblem(
-        slow_dim=2,
-        fast_dim=1,
-        f1=lambda y, z: np.array([z[0], y[0]]),
-        f2=lambda y, z: np.array([z[0], -y[0]]),
-        g=lambda y, z: np.array([y[1] - z[0] - e * y[0]]),
-        eps=e,
-        h=lambda y, z: y[0],
-        h_y=lambda y, z: np.array([1.0, 0.0]),
-        h_z=lambda y, z: np.array([0.0]),
-        hess_h=lambda u: np.zeros((3, 3)),
-        jac_f1=lambda y, z: np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
-        jac_f2=lambda y, z: np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
-        jac_g=lambda y, z: np.array([[-e, 1.0, -1.0]]),
-        label="ostermann_modified",
-        y0=np.array([1.0, -1.0]),
-        z0=np.array([0.0]),
-    )
+    aff = Affine(A1=[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-eps, 1.0, -1.0]], b1=[0.0, 0.0, 0.0],
+                 A2=[[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [-eps, 1.0, -1.0]], b2=[0.0, 0.0, 0.0],
+                 n=[1.0, 0.0, 0.0], c=0.0)
+    return affine_spp(aff, 2, eps, "ostermann_modified", np.array([1.0, -1.0]), np.array([0.0]))
 
 
 _REGISTRY = {
@@ -483,7 +460,7 @@ def builtin(name: str, **params):
         raise ValueError(f"unknown problem {name!r} (known: {known})") from None
     try:
         return factory(**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"bad parameters for {name!r}: {exc}") from None
 
 

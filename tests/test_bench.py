@@ -308,6 +308,35 @@ def test_cli_rejects_a_state_of_the_wrong_dimension(capsys):
     assert captured.err == "error: --state must have 2 entries for problem 'najafi', got 3\n"
 
 
+def test_cli_integrate_reports_chattering(capsys):
+    # the README walkthrough command
+    code = cli_main(["integrate", "--problem", "kowalczyk", "--method", "ros1",
+                     "--tau", "0.05", "--t-end", "1.5"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "termination: chattering\n" in out
+    assert "events: 2\n" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["integrate", "--problem", "tent", "--tau", "0.1", "--t-end", "inf"],
+     "error: t_end must be positive and finite, got inf\n"),
+    (["order-study", "--problem", "tent", "--tau0", "0.07", "--halvings", "1",
+      "--t-end", "inf"],
+     "error: t_end must be positive and finite, got inf\n"),
+    (["integrate", "--problem", "kowalczyk", "--theta", "nan", "--tau", "0.1",
+      "--t-end", "1"],
+     "error: bad parameters for 'kowalczyk': n must be finite with shape (2,), got [nan nan]\n"),
+    (["integrate", "--problem", "tent", "--level", "nan", "--tau", "0.1", "--t-end", "1"],
+     "error: bad parameters for 'tent': c must be finite with shape (), got nan\n"),
+])
+def test_cli_rejects_values_that_are_not_finite(capsys, argv, message):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_cli_numerical_failures_exit_1(capsys):
     code = cli_main(["integrate", "--problem", "najafi", "--x0", "1,0.3",
                      "--tau", "0.125", "--t-end", "2.0"])

@@ -22,6 +22,7 @@ from rosevent.events import (
 )
 from rosevent.onesided import GuardMode
 from rosevent.problems import (
+    PiecewiseProblem,
     SppProblem,
     builtin,
     eval_field,
@@ -212,6 +213,23 @@ def test_integrate_validates_inputs():
             integrate(tent, [0.0], default_cfg(tau=0.1, max_events=max_events))
 
 
+@pytest.mark.parametrize("t_end", [math.inf, math.nan])
+def test_integrate_rejects_a_horizon_that_is_not_finite(t_end):
+    # an infinite horizon never ends a run that does not slide
+    with pytest.raises(ValueError, match="t_end must be positive and finite"):
+        integrate(builtin("tent"), [0.0], default_cfg(tau=0.1, t_end=t_end))
+
+
+def test_integrate_rejects_an_event_function_that_is_not_finite_at_x0():
+    # h = NaN never changes sign, so the run would report no events
+    tent = builtin("tent")
+    nan_h = PiecewiseProblem(dim=1, f1=tent.f1, f2=tent.f2, h=lambda x: math.nan)
+    with pytest.raises(ValueError, match="h is not finite at the initial state"):
+        integrate(nan_h, [0.0], default_cfg(tau=0.1))
+    with pytest.raises(ValueError, match="h is not finite"):
+        integrate(tent, [math.nan], default_cfg(tau=0.1))
+
+
 def test_integrate_validates_guard_method_pairing():
     tent = builtin("tent")
     ros1 = method_by_name("ros1")
@@ -336,6 +354,43 @@ def test_relay_crossings_alternate():
         assert cur is not prev
     times = [t for t, _ in result.mesh]
     assert all(b > a for a, b in zip(times, times[1:]))
+    event_times = [ev.t_star for ev in result.events]
+    assert all(b > a for a, b in zip(event_times, event_times[1:]))
+
+
+def test_chattering_after_a_crossing_stops_the_run():
+    # at tau/eps = 5 the one-stage step of the new field relaxes the fast
+    # state straight back across the surface; switching again would repeat
+    # the hit at the step start forever
+    problem = spp_flatten(builtin("kowalczyk"))
+    cfg = IntegratorConfig(tau=0.05, t_end=1.5, method=method_by_name("ros1"))
+    result = integrate(problem, problem.x0, cfg)
+    assert result.termination is Termination.CHATTERING
+    assert 1 <= len(result.events) <= 3
+    last = result.events[-1]
+    assert last.direction is Direction.R2_TO_R1
+    assert abs(last.t_star - 1.0746414219471) <= 1e-9
+    # the turned-back hit is not recorded and the run ends at the crossing
+    assert result.mesh[-1][0] == last.t_star
+    assert result.mesh[-1][1] is last.x_star
+
+
+AFFINE_BUILTINS = ["tent", "linear_test", "kowalczyk", "teixeira", "ostermann_modified"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(AFFINE_BUILTINS), method=st.sampled_from(["ros1", "ros2"]),
+       tau=st.floats(1e-4, 0.2), log_eps=st.floats(-4.0, -1.0))
+def test_every_run_ends_with_increasing_event_times(name, method, tau, log_eps):
+    params = {"eps": 10.0**log_eps} if name in ("kowalczyk", "teixeira",
+                                                 "ostermann_modified") else {}
+    spec = builtin(name, **params)
+    problem = spp_flatten(spec) if isinstance(spec, SppProblem) else spec
+    # at most ~1000 steps; max_events bounds a run that stops advancing
+    cfg = IntegratorConfig(tau=tau, t_end=min(1.5, 1000 * tau),
+                           method=method_by_name(method), max_events=10_000)
+    result = integrate(problem, problem.x0, cfg)
+    assert result.termination is not Termination.MAX_EVENTS
     event_times = [ev.t_star for ev in result.events]
     assert all(b > a for a, b in zip(event_times, event_times[1:]))
 

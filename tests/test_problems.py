@@ -1,11 +1,20 @@
 """Problem containers, counters, slow/fast flattening, builtin registry."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rosevent.errors import DomainViolation, ResidualTooLarge
 from rosevent.problems import (
+    Affine,
+    PiecewiseProblem,
+    SppProblem,
+    affine_problem,
+    affine_spp,
     builtin,
     eval_field,
     field_jacobian,
@@ -123,3 +132,266 @@ def test_builtin_parameters_forwarded():
     spp = builtin("kowalczyk", theta=-0.5, eps=1e-3)
     assert spp.eps == 1e-3
     npt.assert_array_equal(spp.h_y(np.array([1.0]), np.array([0.0])), [-0.5])
+
+
+# --- affine declarations against the hand-written builtins --------------------
+#
+# The five affine builtins used to write every field and derivative by hand.
+# Those lambdas are kept here as the reference the declarations must match.
+
+def reference_tent(level):
+    return PiecewiseProblem(
+        dim=1,
+        f1=lambda u: np.array([1.0]),
+        f2=lambda u: np.array([-1.0]),
+        h=lambda u: u[0] - level,
+        grad_h=lambda u: np.array([1.0]),
+        hess_h=lambda u: np.zeros((1, 1)),
+        jac_f1=lambda u: np.zeros((1, 1)),
+        jac_f2=lambda u: np.zeros((1, 1)),
+    )
+
+
+def reference_linear_test(lam):
+    return PiecewiseProblem(
+        dim=1,
+        f1=lambda u: lam * np.asarray(u, dtype=float),
+        f2=lambda u: lam * np.asarray(u, dtype=float),
+        h=lambda u: -1.0,
+        grad_h=lambda u: np.zeros(1),
+        hess_h=lambda u: np.zeros((1, 1)),
+        jac_f1=lambda u: np.array([[lam]]),
+        jac_f2=lambda u: np.array([[lam]]),
+    )
+
+
+def reference_kowalczyk(theta, eps):
+    th = theta
+    return SppProblem(
+        slow_dim=1, fast_dim=1,
+        f1=lambda y, z: np.array([1.0]),
+        f2=lambda y, z: np.array([-1.0]),
+        g=lambda y, z: np.array([y[0] - z[0]]),
+        eps=eps,
+        h=lambda y, z: th * y[0] + (1.0 - th) * z[0],
+        h_y=lambda y, z: np.array([th]),
+        h_z=lambda y, z: np.array([1.0 - th]),
+        hess_h=lambda u: np.zeros((2, 2)),
+        jac_f1=lambda y, z: np.zeros((1, 2)),
+        jac_f2=lambda y, z: np.zeros((1, 2)),
+        jac_g=lambda y, z: np.array([[1.0, -1.0]]),
+    )
+
+
+def reference_teixeira(eps):
+    return SppProblem(
+        slow_dim=2, fast_dim=1,
+        f1=lambda y, z: np.array([1.0, -y[0] - y[1]]),
+        f2=lambda y, z: np.array([-1.0, -y[0] - y[1]]),
+        g=lambda y, z: np.array([y[0] - z[0]]),
+        eps=eps,
+        h=lambda y, z: 2.0 * z[0] - y[0],
+        h_y=lambda y, z: np.array([-1.0, 0.0]),
+        h_z=lambda y, z: np.array([2.0]),
+        hess_h=lambda u: np.zeros((3, 3)),
+        jac_f1=lambda y, z: np.array([[0.0, 0.0, 0.0], [-1.0, -1.0, 0.0]]),
+        jac_f2=lambda y, z: np.array([[0.0, 0.0, 0.0], [-1.0, -1.0, 0.0]]),
+        jac_g=lambda y, z: np.array([[1.0, 0.0, -1.0]]),
+    )
+
+
+def reference_ostermann_modified(eps):
+    e = eps
+    return SppProblem(
+        slow_dim=2, fast_dim=1,
+        f1=lambda y, z: np.array([z[0], y[0]]),
+        f2=lambda y, z: np.array([z[0], -y[0]]),
+        g=lambda y, z: np.array([y[1] - z[0] - e * y[0]]),
+        eps=e,
+        h=lambda y, z: y[0],
+        h_y=lambda y, z: np.array([1.0, 0.0]),
+        h_z=lambda y, z: np.array([0.0]),
+        hess_h=lambda u: np.zeros((3, 3)),
+        jac_f1=lambda y, z: np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+        jac_f2=lambda y, z: np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
+        jac_g=lambda y, z: np.array([[-e, 1.0, -1.0]]),
+    )
+
+
+def assert_within_ulps(got, want, scale, ulps=8):
+    """|got - want| <= ulps spacings of `scale`, the sum of the magnitudes
+    of the terms each entry is made of (a dot product can cancel, so its
+    rounding is bounded relative to its terms, not to its value)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    tol = ulps * np.spacing(np.asarray(scale, dtype=float))
+    assert np.all(np.abs(got - want) <= tol), (got, want, tol)
+
+
+def term_scale(A, b, x):
+    return np.abs(A) @ np.abs(x) + np.abs(b)
+
+
+def assert_piecewise_matches(derived, reference, aff, x):
+    """Fields, Jacobians, h and its gradient of `derived` (built from the
+    declaration aff) against the hand-written `reference`, at x."""
+    for which, (A, b) in ((1, (aff.A1, aff.b1)), (2, (aff.A2, aff.b2))):
+        assert_within_ulps(eval_field(derived, which, x), eval_field(reference, which, x),
+                           term_scale(A, b, x))
+        J = field_jacobian(derived, which, x)
+        assert_within_ulps(J, field_jacobian(reference, which, x), np.abs(J))
+    assert_within_ulps(derived.h(x), reference.h(x), np.abs(aff.n) @ np.abs(x) + abs(aff.c))
+    assert_within_ulps(h_gradient(derived, x), h_gradient(reference, x), np.abs(aff.n))
+    npt.assert_array_equal(h_hessian(derived, x), h_hessian(reference, x))
+
+
+# Zero or at least 1e-100 in magnitude: products of a few of these stay
+# normal, where rounding is relative. (In the subnormal range it is absolute,
+# and the two orders of operations can differ by more than a few ulp.)
+finite = st.floats(-1e3, 1e3).filter(lambda v: v == 0.0 or abs(v) >= 1e-100)
+positive_eps = st.floats(1e-6, 1.0)
+
+
+@st.composite
+def builtin_draws(draw):
+    """(name, params, reference) for one of the five affine builtins."""
+    name = draw(st.sampled_from(["tent", "linear_test", "kowalczyk", "teixeira",
+                                 "ostermann_modified"]))
+    if name == "tent":
+        level = draw(finite)
+        return name, {"level": level}, reference_tent(level)
+    if name == "linear_test":
+        lam = draw(finite)
+        return name, {"lam": lam}, reference_linear_test(lam)
+    eps = draw(positive_eps)
+    if name == "kowalczyk":
+        theta = draw(st.floats(-2.0, 2.0))
+        return name, {"theta": theta, "eps": eps}, reference_kowalczyk(theta, eps)
+    if name == "teixeira":
+        return name, {"eps": eps}, reference_teixeira(eps)
+    return name, {"eps": eps}, reference_ostermann_modified(eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw=builtin_draws(), data=st.data())
+def test_declared_builtins_match_the_hand_written_lambdas(draw, data):
+    name, params, reference = draw
+    spec = builtin(name, **params)
+    aff = spec.affine if isinstance(spec, SppProblem) else None
+    dim = reference.slow_dim + reference.fast_dim if aff is not None else reference.dim
+    x = np.array(data.draw(st.lists(finite, min_size=dim, max_size=dim)))
+    if aff is None:
+        # the hand-written problem's own coefficients, for the term scales
+        zero = np.zeros(dim)
+        aff = Affine(reference.jac_f1(x), reference.f1(zero), reference.jac_f2(x),
+                     reference.f2(zero), reference.grad_h(x), reference.h(zero))
+        assert_piecewise_matches(spec, reference, aff, x)
+        return
+
+    # unflattened: every slot of the slow/fast problem
+    s = spec.slow_dim
+    y, z = x[:s], x[s:]
+    slow, fast = slice(None, s), slice(s, None)
+    for f, ref_f, A, b in ((spec.f1, reference.f1, aff.A1, aff.b1),
+                           (spec.f2, reference.f2, aff.A2, aff.b2)):
+        assert_within_ulps(f(y, z), ref_f(y, z), term_scale(A[slow], b[slow], x))
+    assert_within_ulps(spec.g(y, z), reference.g(y, z), term_scale(aff.A1[fast], aff.b1[fast], x))
+    assert_within_ulps(spec.h(y, z), reference.h(y, z), np.abs(aff.n) @ np.abs(x) + abs(aff.c))
+    for slot in ("h_y", "h_z", "jac_f1", "jac_f2", "jac_g"):
+        got = getattr(spec, slot)(y, z)
+        assert_within_ulps(got, getattr(reference, slot)(y, z), np.abs(got))
+
+    # flattened: the declaration with its fast rows over eps, against the
+    # callables that stack the hand-written blocks
+    flat = spp_flatten(spec)
+    assert flat.source_spp is spec
+    rows = np.r_[np.ones(s), np.full(spec.fast_dim, 1.0 / spec.eps)]
+    flat_aff = Affine(aff.A1 * rows[:, None], aff.b1 * rows, aff.A2 * rows[:, None],
+                      aff.b2 * rows, aff.n, aff.c)
+    assert_piecewise_matches(flat, spp_flatten(reference), flat_aff, x)
+
+
+def test_returned_jacobians_and_gradients_are_read_only():
+    x = np.array([0.3, -0.2, 0.1])
+    for name in ("tent", "linear_test", "kowalczyk", "teixeira", "ostermann_modified"):
+        spec = builtin(name)
+        problem = spp_flatten(spec) if isinstance(spec, SppProblem) else spec
+        u = x[: problem.dim]
+        for J in (field_jacobian(problem, 1, u), field_jacobian(problem, 2, u),
+                  h_gradient(problem, u), h_hessian(problem, u)):
+            with pytest.raises(ValueError, match="read-only"):
+                J[0] = 1.0
+        if isinstance(spec, SppProblem):
+            y, z = spec.split(u)
+            for slot in ("jac_f1", "jac_g", "h_y", "h_z"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(spec, slot)(y, z)[0] = 1.0
+
+
+def test_affine_stores_read_only_copies():
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    n = [1.0, 0.0]
+    aff = Affine(A1=A, b1=[0.0, 0.0], A2=A, b2=[1.0, 0.0], n=n, c=-0.5)
+    A[0, 1] = 7.0
+    n[0] = 7.0
+    npt.assert_array_equal(aff.A1, [[0.0, 1.0], [-1.0, 0.0]])
+    npt.assert_array_equal(aff.n, [1.0, 0.0])
+    assert aff.dim == 2 and aff.c == -0.5
+    for arr in (aff.A1, aff.b1, aff.A2, aff.b2, aff.n):
+        assert not arr.flags.writeable
+    with pytest.raises(AttributeError):
+        aff.c = 0.0
+    problem = affine_problem(aff, label="rotor", x0=np.array([0.0, 1.0]))
+    npt.assert_array_equal(eval_field(problem, 2, np.array([2.0, 3.0])), [4.0, -2.0])
+    assert problem.h(np.array([2.0, 3.0])) == 1.5
+    assert problem.label == "rotor"
+
+
+@pytest.mark.parametrize("change", [
+    {"A1": [[1.0, 0.0]]},                  # not square
+    {"b2": [1.0, 2.0, 3.0]},               # wrong length
+    {"n": [[1.0, 0.0]]},                   # not a vector
+    {"n": []},                             # empty
+    {"A2": [[0.0, math.nan], [0.0, 0.0]]},
+    {"b1": [math.inf, 0.0]},
+    {"n": [1.0, -math.inf]},
+    {"c": math.nan},
+])
+def test_affine_rejects_bad_shapes_and_non_finite_entries(change):
+    fields = dict(A1=np.zeros((2, 2)), b1=np.zeros(2), A2=np.zeros((2, 2)),
+                  b2=np.zeros(2), n=[1.0, 0.0], c=0.0)
+    fields.update(change)
+    with pytest.raises(ValueError):
+        Affine(**fields)
+
+
+def test_affine_spp_checks_the_split_and_the_shared_fast_rows():
+    aff = Affine(A1=[[0.0, 0.0], [1.0, -1.0]], b1=[1.0, 0.0],
+                 A2=[[0.0, 0.0], [1.0, -1.0]], b2=[-1.0, 0.0], n=[0.0, 1.0], c=0.0)
+    for slow_dim in (0, 2):
+        with pytest.raises(ValueError, match="slow_dim"):
+            affine_spp(aff, slow_dim, 1e-2)
+    split = Affine(A1=aff.A1, b1=aff.b1, A2=[[0.0, 0.0], [2.0, -1.0]], b2=aff.b2,
+                   n=aff.n, c=aff.c)
+    with pytest.raises(ValueError, match="fast rows"):
+        affine_spp(split, 1, 1e-2)
+    with pytest.raises(ValueError, match="eps"):
+        affine_spp(aff, 1, 0.0)
+    spp = affine_spp(aff, 1, 1e-2)
+    assert spp.affine is aff and spp.fast_dim == 1
+
+
+@pytest.mark.parametrize("name, params", [
+    ("kowalczyk", {"theta": math.nan}),
+    ("kowalczyk", {"theta": math.inf}),
+    ("tent", {"level": math.nan}),
+    ("linear_test", {"lam": math.inf}),
+    ("ostermann_modified", {"eps": math.nan}),
+    ("kowalczyk", {"eps": math.inf}),
+])
+def test_non_finite_builtin_parameters_are_rejected(name, params):
+    # h = theta*y + (1 - theta)*z or x - level would be NaN everywhere, and
+    # a run would report no events instead of failing; eps = inf would
+    # flatten the fast rows to zero and classify with q(inf) = NaN
+    with pytest.raises(ValueError, match=f"bad parameters for '{name}'"):
+        builtin(name, **params)
