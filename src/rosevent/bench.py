@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import problems, rosenbrock
+from . import onesided, problems, rosenbrock
 from .errors import NoEventBeforeHorizon
-from .events import IntegratorConfig, integrate
+from .events import IntegratorConfig, Termination, integrate
 
 #: per-eps starting steps for the relay-filter study with the two-stage method
 TABLE2_TAU0 = {1e-2: 1e-3, 1e-3: 4e-5, 1e-4: 1e-5}
@@ -47,6 +47,23 @@ class OrderStudyRow:
     reduction_factor: float | None
 
 
+def _dense_guard(problem: problems.PiecewiseProblem, method: rosenbrock.RosMethod):
+    # a two-stage step must not cross the surface into field 1's domain edge
+    if method.stages == 2 and problem.domain_f1 is not None:
+        return onesided.GuardMode.ROS2_DENSE
+    return None
+
+
+def _first_event(result, t_end: float, run: str):
+    # NoEventBeforeHorizon names how a run without a hit ended
+    if result.events:
+        return result.events[0]
+    if result.termination is Termination.REACHED_T_END:
+        raise NoEventBeforeHorizon(f"no surface hit before t = {t_end:g} in {run}")
+    raise NoEventBeforeHorizon(
+        f"{run} ended by {result.termination.value} before a surface hit")
+
+
 def reference_event_state(problem: problems.PiecewiseProblem, x0, tau_min: float,
                           t_end: float = 1.0):
     """(t, x) of the first surface hit, two-stage method at
@@ -56,14 +73,10 @@ def reference_event_state(problem: problems.PiecewiseProblem, x0, tau_min: float
         t_end=t_end,
         method=rosenbrock.ROS2,
         h_tol=REFERENCE_H_TOL,
+        guard_mode=_dense_guard(problem, rosenbrock.ROS2),
         max_events=1,
     )
-    result = integrate(problem, x0, cfg)
-    if not result.events:
-        raise NoEventBeforeHorizon(
-            f"no surface hit before t = {t_end:g} in the reference run"
-        )
-    event = result.events[0]
+    event = _first_event(integrate(problem, x0, cfg), t_end, "the reference run")
     return event.t_star, event.x_star
 
 
@@ -74,7 +87,9 @@ def run_order_study(problem, method: rosenbrock.RosMethod = rosenbrock.ROS2,
 
     Accepts a plain piecewise problem or a slow/fast system (flattened
     here). Each row carries the error against the shared reference state
-    and the ratio to the previous row's error.
+    and the ratio to the previous row's error. Two-stage runs, the
+    reference included, use the dense-output guard when field 1 has a
+    domain.
     """
     if halvings < 0:
         raise ValueError(f"halvings must be non-negative, got {halvings}")
@@ -96,15 +111,11 @@ def run_order_study(problem, method: rosenbrock.RosMethod = rosenbrock.ROS2,
     prev_err = None
     for tau in taus:
         cfg = IntegratorConfig(
-            tau=tau, t_end=t_end, method=method,
-            locate_events=locate, max_events=1,
+            tau=tau, t_end=t_end, method=method, locate_events=locate,
+            guard_mode=_dense_guard(problem, method), max_events=1,
         )
-        result = integrate(problem, x0, cfg)
-        if not result.events:
-            raise NoEventBeforeHorizon(
-                f"no surface hit before t = {t_end:g} at tau = {tau:g}"
-            )
-        err = float(np.linalg.norm(result.events[0].x_star - x_ref))
+        event = _first_event(integrate(problem, x0, cfg), t_end, f"the run at tau = {tau:g}")
+        err = float(np.linalg.norm(event.x_star - x_ref))
         if prev_err is None:
             factor = None
         else:

@@ -12,7 +12,8 @@ decision is made on the polynomial
 
 which equals eps^2 times the product of the stacked normal components:
 q < 0 means sliding, q > 0 crossing. Closed-form sufficient conditions in
-eps come from the sign pattern of (A, B, discriminant).
+eps come from the sign pattern of (A, B, discriminant). f_i, g, h_y and
+h_z are the stacked problem's F_i and grad h split at slow_dim.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import problems
+from . import linalg, problems
 
 # Absolute tolerance below which normal components / quadratic values are
 # treated as degenerate (tangential).
@@ -83,12 +84,21 @@ def classify_general(problem: problems.PiecewiseProblem, x,
 
 
 def filippov_coeffs(problem: problems.SppProblem, u) -> FilippovCoeffs:
-    """Quadratic coefficients at a stacked surface state (y, z)."""
-    y, z = problem.split(u)
-    hy, hz = problems.spp_h_gradients(problem, u)
-    p1 = float(hy @ np.asarray(problem.f1(y, z), dtype=float))
-    p2 = float(hy @ np.asarray(problem.f2(y, z), dtype=float))
-    q = float(hz @ np.asarray(problem.g(y, z), dtype=float))
+    """Quadratic coefficients at a stacked surface state u = (y, z).
+    ValueError when F1 and F2 differ in a fast row (g must be shared)."""
+    st, s = problem.stacked, problem.slow_dim
+    u = np.asarray(u, dtype=float)
+    # raw callables, analytic gradient when given: classifying a hit is not
+    # field work, so it adds nothing to the counters or the counted layers
+    F1 = np.asarray(st.f1(u), dtype=float)
+    F2 = np.asarray(st.f2(u), dtype=float)
+    if not np.array_equal(F1[s:], F2[s:], equal_nan=True):
+        raise ValueError(f"the fast rows of F1 and F2 differ at u = {u}: {F1[s:]} != {F2[s:]}")
+    grad = (np.asarray(st.grad_h(u), dtype=float) if st.grad_h is not None
+            else linalg.fd_gradient(st.h, u))
+    p1 = float(grad[:s] @ F1[:s])
+    p2 = float(grad[:s] @ F2[:s])
+    q = float(grad[s:] @ F1[s:])
     return FilippovCoeffs(A=p1 * p2, B=p1 * q + p2 * q, Csq=q * q)
 
 

@@ -8,8 +8,14 @@ be evaluated at all. Evaluation bookkeeping lives on the problem instance
 so integrations can report exact evaluation and violation counts.
 
 A piecewise-affine problem (x' = A_i x + b_i, h = n.x + c) is declared once
-as `Affine` data, and `affine_problem` or `affine_spp` derive every field,
-Jacobian and surface callable from it; other problems give callables.
+as `Affine` data, and `affine_problem` derives every field, Jacobian and
+surface callable from it and keeps it as `PiecewiseProblem.affine`; other
+problems give callables.
+
+A slow/fast system is one PiecewiseProblem on the stacked state u = (y, z)
+seen through `SppProblem(stacked, slow_dim, eps)`: the rows slow_dim: of
+its fields are the shared fast field g, and `spp_flatten` divides them by
+eps to give the problem the integrator runs.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ class PiecewiseProblem:
     label: str = ""
     x0: np.ndarray | None = None
     source_spp: "SppProblem | None" = None
+    affine: "Affine | None" = None
     counters: EvalCounters = field(default_factory=EvalCounters)
 
 
@@ -169,140 +176,96 @@ def affine_problem(aff: Affine, label: str = "", x0=None) -> PiecewiseProblem:
     return PiecewiseProblem(
         dim=aff.dim, f1=lambda x: A1 @ x + b1, f2=lambda x: A2 @ x + b2,
         h=lambda x: float(n @ x) + c, grad_h=lambda x: n, hess_h=lambda x: zero,
-        jac_f1=lambda x: A1, jac_f2=lambda x: A2, label=label, x0=x0,
+        jac_f1=lambda x: A1, jac_f2=lambda x: A2, label=label, x0=x0, affine=aff,
     )
 
 
 @dataclass
 class SppProblem:
-    """Slow/fast system with an eps-scaled fast block and a switched slow
-    derivative.
+    """Slow/fast system y' = f_i(y, z), eps z' = g(y, z) on the stacked
+    state u = (y, z), y the first slow_dim entries.
 
-    Slow states y (dimension slow_dim) follow f1/f2 across the surface
-    h(y, z) = 0; fast states z follow z' = g(y, z)/eps. Jacobian slots, when
-    given, are taken with respect to the stacked state (y, z). `affine` is
-    the declaration of an affine_spp problem (its fast rows are g).
+    `stacked` holds the unscaled stacked fields F_i(u) = [f_i(u); g(u)]:
+    its rows slow_dim: are g, which both regions share. Its h, gradient,
+    Hessian, Jacobians, domains and x0 are those of u.
     """
 
+    stacked: PiecewiseProblem
     slow_dim: int
-    fast_dim: int
-    f1: Callable
-    f2: Callable
-    g: Callable
     eps: float
-    h: Callable
-    h_y: Callable | None = None
-    h_z: Callable | None = None
-    hess_h: Callable | None = None
-    jac_f1: Callable | None = None
-    jac_f2: Callable | None = None
-    jac_g: Callable | None = None
-    label: str = ""
-    y0: np.ndarray | None = None
-    z0: np.ndarray | None = None
-    affine: Affine | None = None
 
     def __post_init__(self):
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        if not 0 < self.slow_dim < self.stacked.dim:
+            raise ValueError(
+                f"need 0 < slow_dim < {self.stacked.dim}, got slow_dim = {self.slow_dim}")
 
-    def split(self, u):
-        u = np.asarray(u, dtype=float)
-        return u[: self.slow_dim], u[self.slow_dim:]
+    @property
+    def label(self) -> str:
+        return self.stacked.label
 
     @property
     def x0(self) -> np.ndarray | None:
-        if self.y0 is None or self.z0 is None:
-            return None
-        return np.concatenate([np.asarray(self.y0, float), np.asarray(self.z0, float)])
-
-
-def spp_h_gradients(problem: SppProblem, u):
-    """(dh/dy, dh/dz) at a stacked state, analytic or finite-difference."""
-    y, z = problem.split(u)
-    if problem.h_y is not None and problem.h_z is not None:
-        return (
-            np.asarray(problem.h_y(y, z), dtype=float),
-            np.asarray(problem.h_z(y, z), dtype=float),
-        )
-    grad = linalg.fd_gradient(lambda v: problem.h(*problem.split(v)), u)
-    return grad[: problem.slow_dim], grad[problem.slow_dim:]
+        return self.stacked.x0
 
 
 def spp_flatten(problem: SppProblem) -> PiecewiseProblem:
-    """Stack a slow/fast system into a plain piecewise problem on (y, z).
+    """The stacked problem with its fast rows divided by eps: branch fields
+    [f_i(u); g(u)/eps], the slow rows bit for bit those of `stacked`.
 
-    The flattened branch fields are [f_i(y, z); g(y, z)/eps]; the slow
-    components reproduce f_i bit for bit. The returned problem keeps a link
-    to its source so surface hits can be classified with the slow/fast
-    structure intact. An affine declaration flattens once, its fast rows
-    divided by eps; other problems get callables that stack per call.
+    A declared problem flattens once, its declaration's fast rows over eps
+    (ValueError when one is not finite); otherwise the fields and Jacobians
+    are wrapped. h, its derivatives and the domains pass through. The
+    result has its own counters and keeps a link to its source, so surface
+    hits can be classified with the slow/fast structure intact.
     """
-    eps = problem.eps
-    label = (problem.label + "/flattened") if problem.label else "flattened"
-    aff = problem.affine
+    st, eps = problem.stacked, problem.eps
+    label = (st.label + "/flattened") if st.label else "flattened"
+    rows = np.full(st.dim, eps)
+    rows[: problem.slow_dim] = 1.0
+    aff = st.affine
     if aff is not None:
-        d = np.full(aff.dim, eps)
-        d[: problem.slow_dim] = 1.0
-        flat = affine_problem(Affine(aff.A1 / d[:, None], aff.b1 / d, aff.A2 / d[:, None],
-                                     aff.b2 / d, aff.n, aff.c), label, problem.x0)
+        with np.errstate(over="ignore"):
+            scaled = aff.A1 / rows[:, None], aff.b1 / rows, aff.A2 / rows[:, None], aff.b2 / rows
+        if not all(np.isfinite(a).all() for a in scaled):
+            raise ValueError(f"cannot flatten {st.label or 'the problem'} at eps = {eps}: "
+                             "a fast row divided by eps is not finite")
+        flat = affine_problem(Affine(*scaled, aff.n, aff.c), label, st.x0)
         flat.source_spp = problem
         return flat
 
-    def stack(top, bottom, join, scale=1.0):
-        # [top(y, z); bottom(y, z)/scale], None when a block is missing
-        if top is None or bottom is None:
-            return None
-
-        def F(u):
-            y, z = problem.split(u)
-            return join([np.asarray(top(y, z), dtype=float),
-                         np.asarray(bottom(y, z), dtype=float) / scale])
-
-        return F
+    def over_eps(F, d):
+        return None if F is None else lambda u: np.asarray(F(u), dtype=float) / d
 
     return PiecewiseProblem(
-        dim=problem.slow_dim + problem.fast_dim,
-        f1=stack(problem.f1, problem.g, np.concatenate, eps),
-        f2=stack(problem.f2, problem.g, np.concatenate, eps),
-        h=lambda u: problem.h(*problem.split(u)),
-        grad_h=stack(problem.h_y, problem.h_z, np.concatenate),
-        hess_h=problem.hess_h,
-        jac_f1=stack(problem.jac_f1, problem.jac_g, np.vstack, eps),
-        jac_f2=stack(problem.jac_f2, problem.jac_g, np.vstack, eps),
+        dim=st.dim,
+        f1=over_eps(st.f1, rows),
+        f2=over_eps(st.f2, rows),
+        h=st.h,
+        grad_h=st.grad_h,
+        hess_h=st.hess_h,
+        jac_f1=over_eps(st.jac_f1, rows[:, None]),
+        jac_f2=over_eps(st.jac_f2, rows[:, None]),
+        domain_f1=st.domain_f1,
+        domain_f2=st.domain_f2,
         label=label,
-        x0=problem.x0,
+        x0=st.x0,
         source_spp=problem,
     )
 
 
 def affine_spp(aff: Affine, slow_dim: int, eps: float, label: str = "",
-               y0=None, z0=None) -> SppProblem:
-    """The SppProblem of a declaration on the stacked state (y, z).
-
-    The first slow_dim rows of region i give f_i; the other rows give g,
-    which both regions must share (ValueError otherwise). f_i, g, h, h_y,
-    h_z and every Jacobian come from `aff`, kept as the `affine` field.
-    """
-    slow, fast = slice(None, slow_dim), slice(slow_dim, None)
-    A1, b1, A2, b2, n, c = aff.A1, aff.b1, aff.A2, aff.b2, aff.n, aff.c
-    if not 0 < slow_dim < aff.dim or not (
-            np.array_equal(A1[fast], A2[fast]) and np.array_equal(b1[fast], b2[fast])):
-        raise ValueError("need 0 < slow_dim < dim and the same fast rows in both regions")
-
-    # slow rows are sliced from the full product, as the flattened field
-    # computes them, so the two agree bit for bit
-    def rows(A, b, part):
-        return lambda y, z: (A @ np.concatenate((y, z)) + b)[part]
-
-    return SppProblem(
-        slow_dim=slow_dim, fast_dim=aff.dim - slow_dim, eps=float(eps),
-        f1=rows(A1, b1, slow), f2=rows(A2, b2, slow), g=rows(A1, b1, fast),
-        h=lambda y, z: float(n @ np.concatenate((y, z))) + c,
-        h_y=lambda y, z: n[slow], h_z=lambda y, z: n[fast],
-        jac_f1=lambda y, z: A1[slow], jac_f2=lambda y, z: A2[slow],
-        jac_g=lambda y, z: A1[fast], label=label, y0=y0, z0=z0, affine=aff,
-    )
+               x0=None) -> SppProblem:
+    """The SppProblem whose stacked problem is `affine_problem(aff, ...)`:
+    the first slow_dim rows of region i give f_i, the other rows give g,
+    which both regions must share (ValueError otherwise)."""
+    spp = SppProblem(affine_problem(aff, label, x0), slow_dim, float(eps))
+    fast = slice(slow_dim, None)
+    if not (np.array_equal(aff.A1[fast], aff.A2[fast])
+            and np.array_equal(aff.b1[fast], aff.b2[fast])):
+        raise ValueError("both regions must share the fast rows")
+    return spp
 
 
 def reduced_order_model(problem: SppProblem, g0: Callable) -> PiecewiseProblem:
@@ -312,34 +275,31 @@ def reduced_order_model(problem: SppProblem, g0: Callable) -> PiecewiseProblem:
     RESIDUAL_TOL) at every state where a branch field is requested, and
     ResidualTooLarge is raised on failure.
     """
+    st, s = problem.stacked, problem.slow_dim
 
-    def manifold(y):
-        z = np.atleast_1d(np.asarray(g0(y), dtype=float))
-        res = float(np.max(np.abs(np.asarray(problem.g(y, z), dtype=float))))
-        if res > RESIDUAL_TOL:
-            raise ResidualTooLarge(
-                f"g(y, g0(y)) has residual {res:.3e} > {RESIDUAL_TOL:.1e} at y={y}"
-            )
-        return z
+    def on_manifold(y):
+        y = np.asarray(y, dtype=float)
+        return np.concatenate((y, np.atleast_1d(np.asarray(g0(y), dtype=float))))
 
-    def make_field(f):
+    def make_field(F):
         def fr(y):
-            y = np.asarray(y, dtype=float)
-            return np.asarray(f(y, manifold(y)), dtype=float)
+            Fu = np.asarray(F(on_manifold(y)), dtype=float)
+            res = float(np.max(np.abs(Fu[s:])))
+            if res > RESIDUAL_TOL:
+                raise ResidualTooLarge(
+                    f"g(y, g0(y)) has residual {res:.3e} > {RESIDUAL_TOL:.1e} at y={y}"
+                )
+            return Fu[:s]
 
         return fr
 
-    def h_reduced(y):
-        y = np.asarray(y, dtype=float)
-        return problem.h(y, np.atleast_1d(np.asarray(g0(y), dtype=float)))
-
     return PiecewiseProblem(
-        dim=problem.slow_dim,
-        f1=make_field(problem.f1),
-        f2=make_field(problem.f2),
-        h=h_reduced,
-        label=(problem.label + "/reduced") if problem.label else "reduced",
-        x0=None if problem.y0 is None else np.asarray(problem.y0, dtype=float),
+        dim=s,
+        f1=make_field(st.f1),
+        f2=make_field(st.f2),
+        h=lambda y: st.h(on_manifold(y)),
+        label=(st.label + "/reduced") if st.label else "reduced",
+        x0=None if st.x0 is None else np.asarray(st.x0, dtype=float)[:s],
     )
 
 
@@ -417,7 +377,7 @@ def _kowalczyk(theta: float = -0.9, eps: float = 1e-2) -> SppProblem:
     """
     aff = Affine(A1=[[0.0, 0.0], [1.0, -1.0]], b1=[1.0, 0.0],
                  A2=[[0.0, 0.0], [1.0, -1.0]], b2=[-1.0, 0.0], n=[theta, 1.0 - theta], c=0.0)
-    return affine_spp(aff, 1, eps, "kowalczyk", np.array([1.0]), np.array([0.0]))
+    return affine_spp(aff, 1, eps, "kowalczyk", np.array([1.0, 0.0]))
 
 
 def _teixeira(eps: float = 1e-2) -> SppProblem:
@@ -425,7 +385,7 @@ def _teixeira(eps: float = 1e-2) -> SppProblem:
     y1' = -sign(2z - y1), y2' = -y1 - y2, eps*z' = y1 - z."""
     A = [[0.0, 0.0, 0.0], [-1.0, -1.0, 0.0], [1.0, 0.0, -1.0]]
     aff = Affine(A1=A, b1=[1.0, 0.0, 0.0], A2=A, b2=[-1.0, 0.0, 0.0], n=[-1.0, 0.0, 2.0], c=0.0)
-    return affine_spp(aff, 2, eps, "teixeira", np.array([1.0, 0.0]), np.array([0.0]))
+    return affine_spp(aff, 2, eps, "teixeira", np.array([1.0, 0.0, 0.0]))
 
 
 def _ostermann_modified(eps: float = 1e-3) -> SppProblem:
@@ -434,7 +394,7 @@ def _ostermann_modified(eps: float = 1e-3) -> SppProblem:
     aff = Affine(A1=[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-eps, 1.0, -1.0]], b1=[0.0, 0.0, 0.0],
                  A2=[[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [-eps, 1.0, -1.0]], b2=[0.0, 0.0, 0.0],
                  n=[1.0, 0.0, 0.0], c=0.0)
-    return affine_spp(aff, 2, eps, "ostermann_modified", np.array([1.0, -1.0]), np.array([0.0]))
+    return affine_spp(aff, 2, eps, "ostermann_modified", np.array([1.0, -1.0, 0.0]))
 
 
 _REGISTRY = {

@@ -25,6 +25,7 @@ from rosevent.events import Direction, IntegratorConfig, Termination, integrate,
 from rosevent.filippov import Kind, classify_general, classify_spp, filippov_coeffs
 from rosevent.onesided import GuardMode
 from rosevent.problems import (
+    PiecewiseProblem,
     SppProblem,
     builtin,
     eval_field,
@@ -228,16 +229,14 @@ def test_criterion_07_location_is_free_and_consistent(monkeypatch):
 
 
 def fast_only_problem(eps, offset):
-    return SppProblem(
-        slow_dim=1, fast_dim=1,
-        f1=lambda y, z: np.array([1.0]),
-        f2=lambda y, z: np.array([-2.0]),
-        g=lambda y, z: y - z,
-        eps=eps,
-        h=lambda y, z: z[0] - offset,
-        h_y=lambda y, z: np.array([0.0]),
-        h_z=lambda y, z: np.array([1.0]),
-    )
+    # stacked state u = (y, z): F_i = [f_i; g], g = y - z shared
+    return SppProblem(PiecewiseProblem(
+        dim=2,
+        f1=lambda u: np.array([1.0, u[0] - u[1]]),
+        f2=lambda u: np.array([-2.0, u[0] - u[1]]),
+        h=lambda u: u[1] - offset,
+        grad_h=lambda u: np.array([0.0, 1.0]),
+    ), slow_dim=1, eps=eps)
 
 
 def test_criterion_08a_fast_only_surfaces_always_cross():

@@ -1,6 +1,7 @@
 """Reference solutions, convergence studies, CSV output, and the CLI."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -19,7 +20,15 @@ from rosevent.bench import (
 )
 from rosevent.cli import cli_main
 from rosevent.errors import NoEventBeforeHorizon
-from rosevent.events import IntegratorConfig, integrate
+from rosevent import rosenbrock
+from rosevent.events import (
+    IntegrationStats,
+    IntegratorConfig,
+    Termination,
+    TrajectoryResult,
+    integrate,
+)
+from rosevent.onesided import GuardMode
 from rosevent.problems import PiecewiseProblem, builtin, spp_flatten
 
 
@@ -100,8 +109,62 @@ def test_order_study_with_zero_halvings_is_one_row():
 
 
 def test_order_study_requires_events():
-    with pytest.raises(NoEventBeforeHorizon):
+    with pytest.raises(NoEventBeforeHorizon,
+                       match="^no surface hit before t = 1 in the reference run$"):
         run_order_study(builtin("linear_test"), tau0=0.1, halvings=1)
+
+
+def guard_failure(problem, x0, cfg):
+    return TrajectoryResult(mesh=[], events=[], termination=Termination.GUARD_FAILURE,
+                            stats=IntegrationStats({1: 0, 2: 0}, {1: 0, 2: 0}))
+
+
+def test_a_run_without_an_event_is_named_by_its_termination(monkeypatch):
+    monkeypatch.setattr(rosevent.bench, "integrate", guard_failure)
+    with pytest.raises(NoEventBeforeHorizon,
+                       match="^the reference run ended by guard-failure before a surface hit$"):
+        reference_event_state(builtin("tent"), [0.0], 0.1)
+
+    # the reference run succeeds, the first study run stops early
+    calls = []
+
+    def reference_only(problem, x0, cfg):
+        calls.append(cfg.tau)
+        return (integrate if len(calls) == 1 else guard_failure)(problem, x0, cfg)
+
+    monkeypatch.setattr(rosevent.bench, "integrate", reference_only)
+    with pytest.raises(NoEventBeforeHorizon,
+                       match="^the run at tau = 0.1 ended by guard-failure before a surface hit$"):
+        run_order_study(builtin("tent"), tau0=0.1, halvings=1)
+
+
+@pytest.mark.parametrize("name, method, guarded", [
+    ("najafi", rosenbrock.ROS2, [True] * 5),
+    ("najafi", rosenbrock.ROS1, [True] + [False] * 4),  # the reference is two-stage
+    ("kowalczyk", rosenbrock.ROS2, [False] * 5),        # no domain
+])
+def test_order_study_guards_two_stage_runs_of_a_domain_problem(monkeypatch, name, method, guarded):
+    modes = []
+
+    def spy(problem, x0, cfg):
+        modes.append(cfg.guard_mode)
+        return integrate(problem, x0, cfg)
+
+    monkeypatch.setattr(rosevent.bench, "integrate", spy)
+    tau0 = 0.1 if name == "najafi" else 1e-3
+    rows = run_order_study(builtin(name), method, tau0=tau0, halvings=3)
+    assert modes == [GuardMode.ROS2_DENSE if g else None for g in guarded]
+    if name == "najafi" and method is rosenbrock.ROS2:
+        # unguarded, the reference steps past t = 1 and fails with a
+        # DomainViolation; guarded, the order is below 2 (sqrt(1 - t))
+        assert [round(r.reduction_factor, 3) for r in rows[1:]] == [2.907, 2.878, 2.864]
+
+
+def test_cli_order_study_on_the_square_root_model(capsys):
+    code = cli_main(["order-study", "--problem", "najafi", "--tau0", "0.1", "--halvings", "3"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "mean observed order: 1.528\n" in out
 
 
 def test_mean_observed_order_needs_factors():
@@ -215,6 +278,61 @@ def test_cli_classify_reports_off_surface_pointwise(capsys):
     code = cli_main(["classify", "--problem", "tent", "--state", "0.3"])
     assert code == 0
     assert "pointwise classification skipped" in capsys.readouterr().out
+
+
+# `classify` output of the slow/fast builtins, as printed when each still
+# had its own (y, z) slots; reading them off the stacked problem must not
+# change a character (note "B = -0")
+CLASSIFY_PINS = [
+    (["kowalczyk", "--state", "1.9,0.9"],
+     "A = -0.81\nB = 0\nCsq = 3.61\nquadratic value at eps = 0.01: 3.609919\n"
+     "classification: crossing\nsliding guaranteed for eps > 2.11111111111\n"
+     "crossing for all eps > 0: no\npointwise: crossing (n.f1 = 189.1, n.f2 = 190.9)\n"),
+    (["kowalczyk", "--state=0.0019,0.0009"],
+     "A = -0.81\nB = 0\nCsq = 3.61e-06\nquadratic value at eps = 0.01: -7.739e-05\n"
+     "classification: sliding\nsliding guaranteed for eps > 0.00211111111111\n"
+     "crossing for all eps > 0: no\npointwise: sliding-repulsive (n.f1 = -0.71, n.f2 = 1.09)\n"),
+    (["teixeira", "--state", "1,0.5,0.5"],
+     "A = -1\nB = 0\nCsq = 1\nquadratic value at eps = 0.01: 0.9999\n"
+     "classification: crossing\nsliding guaranteed for eps > 1\n"
+     "crossing for all eps > 0: no\npointwise: crossing (n.f1 = 99, n.f2 = 101)\n"),
+    (["teixeira", "--eps", "1e-3", "--state=-0.4,2,-0.2"],
+     "A = -1\nB = 0\nCsq = 0.16\nquadratic value at eps = 0.001: 0.159999\n"
+     "classification: crossing\nsliding guaranteed for eps > 0.4\n"
+     "crossing for all eps > 0: no\npointwise: crossing (n.f1 = -401, n.f2 = -399)\n"),
+    (["ostermann_modified", "--eps", "1e-3", "--state", "0,-1,2"],
+     "A = 4\nB = 0\nCsq = 0\nquadratic value at eps = 0.001: 4e-06\n"
+     "classification: crossing\n"
+     "sliding guaranteed for large eps: no (leading coefficient A is not negative)\n"
+     "crossing for all eps > 0: no\npointwise: crossing (n.f1 = 2, n.f2 = 2)\n"),
+    (["ostermann_modified", "--state", "0,0.5,-0.25"],
+     "A = 0.0625\nB = -0\nCsq = 0\nquadratic value at eps = 0.001: 6.25e-08\n"
+     "classification: crossing\n"
+     "sliding guaranteed for large eps: no (leading coefficient A is not negative)\n"
+     "crossing for all eps > 0: no\npointwise: crossing (n.f1 = -0.25, n.f2 = -0.25)\n"),
+]
+
+
+@pytest.mark.parametrize("args, expected", CLASSIFY_PINS)
+def test_cli_classify_output_is_pinned(capsys, args, expected):
+    assert cli_main(["classify", "--problem", *args]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+
+
+def test_cli_names_eps_when_it_is_too_small_to_flatten(capsys):
+    # 1/eps overflows: a usage error naming eps, and no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_main(["integrate", "--problem", "kowalczyk", "--eps", "1e-320",
+                         "--tau", "0.01", "--t-end", "1"])
+    assert code == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot flatten kowalczyk at eps = 1e-320: "
+                            "a fast row divided by eps is not finite\n")
 
 
 def test_cli_guard_check(capsys):

@@ -156,17 +156,15 @@ def test_crossing_sufficient_sign_patterns():
 
 def fast_only_surface(eps):
     """Surface depending on the fast variable alone: h = z - 0.3."""
-    return SppProblem(
-        slow_dim=1, fast_dim=1,
-        f1=lambda y, z: np.array([1.0]),
-        f2=lambda y, z: np.array([-2.0]),
-        g=lambda y, z: y - z,
-        eps=eps,
-        h=lambda y, z: z[0] - 0.3,
-        h_y=lambda y, z: np.array([0.0]),
-        h_z=lambda y, z: np.array([1.0]),
-        y0=np.array([1.0]), z0=np.array([0.0]),
-    )
+    # stacked state u = (y, z): F_i = [f_i; g], g = y - z shared
+    return SppProblem(PiecewiseProblem(
+        dim=2,
+        f1=lambda u: np.array([1.0, u[0] - u[1]]),
+        f2=lambda u: np.array([-2.0, u[0] - u[1]]),
+        h=lambda u: u[1] - 0.3,
+        grad_h=lambda u: np.array([0.0, 1.0]),
+        x0=np.array([1.0, 0.0]),
+    ), slow_dim=1, eps=eps)
 
 
 def test_fast_only_surface_always_crosses():

@@ -1,6 +1,8 @@
 """Problem containers, counters, slow/fast flattening, builtin registry."""
 
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rosevent.errors import DomainViolation, ResidualTooLarge
+from rosevent.filippov import filippov_coeffs
 from rosevent.problems import (
     Affine,
     PiecewiseProblem,
@@ -79,9 +82,8 @@ def test_spp_flatten_slow_block_bit_equal():
     spp = builtin("teixeira", eps=1e-3)
     flat = spp_flatten(spp)
     u = np.array([0.37, -1.12, 0.185])
-    y, z = spp.split(u)
-    npt.assert_array_equal(eval_field(flat, 1, u)[:2], spp.f1(y, z))
-    npt.assert_array_equal(eval_field(flat, 2, u)[:2], spp.f2(y, z))
+    npt.assert_array_equal(eval_field(flat, 1, u)[:2], spp.stacked.f1(u)[:2])
+    npt.assert_array_equal(eval_field(flat, 2, u)[:2], spp.stacked.f2(u)[:2])
 
 
 def test_spp_flatten_jacobian_stacks_fast_rows():
@@ -96,6 +98,64 @@ def test_spp_eps_must_be_positive():
         builtin("kowalczyk", eps=0.0)
     with pytest.raises(ValueError):
         builtin("teixeira", eps=-1.0)
+
+
+def test_spp_needs_a_slow_and_a_fast_part():
+    stacked = builtin("teixeira").stacked
+    for slow_dim in (0, 3):
+        with pytest.raises(ValueError, match=f"need 0 < slow_dim < 3, got slow_dim = {slow_dim}"):
+            SppProblem(stacked, slow_dim, 1e-2)
+    spp = SppProblem(stacked, 2, 1e-2)
+    assert spp.label == "teixeira"
+    assert spp.x0 is stacked.x0
+
+
+def test_spp_flatten_gives_the_flat_problem_its_own_counters():
+    for spp in (builtin("kowalczyk"), stacked(reference_kowalczyk(-0.9, 1e-2))):
+        flat = spp_flatten(spp)
+        eval_field(flat, 1, np.array([0.5, 0.25]))
+        assert flat.counters is not spp.stacked.counters
+        assert flat.counters.f_evals == {1: 1, 2: 0}
+        assert spp.stacked.counters.f_evals == {1: 0, 2: 0}
+
+
+def test_spp_flatten_wraps_a_callable_stacked_problem():
+    # no declaration: the fast rows of f_i and J_i are divided per call,
+    # h, its derivatives and the domains pass through unchanged
+    def in_domain(u):
+        return u[0] <= 2.0
+
+    spp = SppProblem(PiecewiseProblem(
+        dim=2,
+        f1=lambda u: np.array([u[1], u[0] - u[1]]),
+        f2=lambda u: np.array([1.0, u[0] - u[1]]),
+        h=lambda u: u[0] - 1.0,
+        grad_h=lambda u: np.array([1.0, 0.0]),
+        jac_f1=lambda u: np.array([[0.0, 1.0], [1.0, -1.0]]),
+        domain_f1=in_domain,
+        label="callable",
+        x0=np.array([0.0, 0.5]),
+    ), slow_dim=1, eps=0.25)
+    flat = spp_flatten(spp)
+    u = np.array([1.5, 0.5])
+    npt.assert_array_equal(eval_field(flat, 1, u), [0.5, 4.0])
+    npt.assert_array_equal(eval_field(flat, 2, u), [1.0, 4.0])
+    npt.assert_array_equal(field_jacobian(flat, 1, u), [[0.0, 1.0], [4.0, -4.0]])
+    assert flat.jac_f2 is None
+    assert flat.h is spp.stacked.h and flat.grad_h is spp.stacked.grad_h
+    assert flat.domain_f1 is in_domain and flat.domain_f2 is None
+    assert flat.affine is None and flat.source_spp is spp
+    assert flat.label == "callable/flattened"
+    with pytest.raises(DomainViolation):
+        eval_field(flat, 1, np.array([2.5, 0.0]))
+
+
+@pytest.mark.parametrize("eps", [1e-320, 5e-324])
+def test_spp_flatten_names_eps_when_a_fast_row_overflows(eps):
+    message = re.escape(f"cannot flatten kowalczyk at eps = {eps}:")
+    with np.errstate(all="raise"):  # numpy warnings become errors here
+        with pytest.raises(ValueError, match=message):
+            spp_flatten(builtin("kowalczyk", eps=eps))
 
 
 def test_reduced_model_on_consistent_manifold():
@@ -131,13 +191,14 @@ def test_builtin_parameters_forwarded():
     assert p.h(np.array([0.25])) == 0.0
     spp = builtin("kowalczyk", theta=-0.5, eps=1e-3)
     assert spp.eps == 1e-3
-    npt.assert_array_equal(spp.h_y(np.array([1.0]), np.array([0.0])), [-0.5])
+    npt.assert_array_equal(h_gradient(spp.stacked, np.array([1.0, 0.0])), [-0.5, 1.5])
 
 
 # --- affine declarations against the hand-written builtins --------------------
 #
-# The five affine builtins used to write every field and derivative by hand.
-# Those lambdas are kept here as the reference the declarations must match.
+# The five affine builtins used to write every field and derivative by hand,
+# the slow/fast ones on the two parts (y, z) of the state. Those lambdas are
+# kept here as the reference the declarations must match.
 
 def reference_tent(level):
     return PiecewiseProblem(
@@ -167,7 +228,7 @@ def reference_linear_test(lam):
 
 def reference_kowalczyk(theta, eps):
     th = theta
-    return SppProblem(
+    return SimpleNamespace(
         slow_dim=1, fast_dim=1,
         f1=lambda y, z: np.array([1.0]),
         f2=lambda y, z: np.array([-1.0]),
@@ -184,7 +245,7 @@ def reference_kowalczyk(theta, eps):
 
 
 def reference_teixeira(eps):
-    return SppProblem(
+    return SimpleNamespace(
         slow_dim=2, fast_dim=1,
         f1=lambda y, z: np.array([1.0, -y[0] - y[1]]),
         f2=lambda y, z: np.array([-1.0, -y[0] - y[1]]),
@@ -202,7 +263,7 @@ def reference_teixeira(eps):
 
 def reference_ostermann_modified(eps):
     e = eps
-    return SppProblem(
+    return SimpleNamespace(
         slow_dim=2, fast_dim=1,
         f1=lambda y, z: np.array([z[0], y[0]]),
         f2=lambda y, z: np.array([z[0], -y[0]]),
@@ -216,6 +277,28 @@ def reference_ostermann_modified(eps):
         jac_f2=lambda y, z: np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
         jac_g=lambda y, z: np.array([[-e, 1.0, -1.0]]),
     )
+
+
+def stacked(ref) -> SppProblem:
+    """The SppProblem of a reference written on (y, z): F_i = [f_i; g],
+    grad h = [h_y; h_z] and J_i = [jac_f_i; jac_g], every block called on
+    the two parts of the stacked state."""
+    s = ref.slow_dim
+
+    def on_u(top, bottom, join):
+        return lambda u: join([np.asarray(top(u[:s], u[s:]), dtype=float),
+                               np.asarray(bottom(u[:s], u[s:]), dtype=float)])
+
+    return SppProblem(PiecewiseProblem(
+        dim=s + ref.fast_dim,
+        f1=on_u(ref.f1, ref.g, np.concatenate),
+        f2=on_u(ref.f2, ref.g, np.concatenate),
+        h=lambda u: ref.h(u[:s], u[s:]),
+        grad_h=on_u(ref.h_y, ref.h_z, np.concatenate),
+        hess_h=ref.hess_h,
+        jac_f1=on_u(ref.jac_f1, ref.jac_g, np.vstack),
+        jac_f2=on_u(ref.jac_f2, ref.jac_g, np.vstack),
+    ), s, ref.eps)
 
 
 def assert_within_ulps(got, want, scale, ulps=8):
@@ -277,38 +360,77 @@ def builtin_draws(draw):
 def test_declared_builtins_match_the_hand_written_lambdas(draw, data):
     name, params, reference = draw
     spec = builtin(name, **params)
-    aff = spec.affine if isinstance(spec, SppProblem) else None
-    dim = reference.slow_dim + reference.fast_dim if aff is not None else reference.dim
-    x = np.array(data.draw(st.lists(finite, min_size=dim, max_size=dim)))
-    if aff is None:
+    if not isinstance(spec, SppProblem):
+        x = np.array(data.draw(st.lists(finite, min_size=reference.dim, max_size=reference.dim)))
         # the hand-written problem's own coefficients, for the term scales
-        zero = np.zeros(dim)
+        zero = np.zeros(reference.dim)
         aff = Affine(reference.jac_f1(x), reference.f1(zero), reference.jac_f2(x),
                      reference.f2(zero), reference.grad_h(x), reference.h(zero))
         assert_piecewise_matches(spec, reference, aff, x)
         return
 
-    # unflattened: every slot of the slow/fast problem
-    s = spec.slow_dim
-    y, z = x[:s], x[s:]
-    slow, fast = slice(None, s), slice(s, None)
-    for f, ref_f, A, b in ((spec.f1, reference.f1, aff.A1, aff.b1),
-                           (spec.f2, reference.f2, aff.A2, aff.b2)):
-        assert_within_ulps(f(y, z), ref_f(y, z), term_scale(A[slow], b[slow], x))
-    assert_within_ulps(spec.g(y, z), reference.g(y, z), term_scale(aff.A1[fast], aff.b1[fast], x))
-    assert_within_ulps(spec.h(y, z), reference.h(y, z), np.abs(aff.n) @ np.abs(x) + abs(aff.c))
-    for slot in ("h_y", "h_z", "jac_f1", "jac_f2", "jac_g"):
-        got = getattr(spec, slot)(y, z)
-        assert_within_ulps(got, getattr(reference, slot)(y, z), np.abs(got))
+    dim = reference.slow_dim + reference.fast_dim
+    x = np.array(data.draw(st.lists(finite, min_size=dim, max_size=dim)))
+    # unflattened: the stacked declaration against the stacked (y, z) blocks
+    aff = spec.stacked.affine
+    ref = stacked(reference)
+    assert spec.slow_dim == ref.slow_dim and spec.eps == ref.eps
+    assert_piecewise_matches(spec.stacked, ref.stacked, aff, x)
 
     # flattened: the declaration with its fast rows over eps, against the
-    # callables that stack the hand-written blocks
+    # hand-written blocks with their fast rows divided per call
     flat = spp_flatten(spec)
     assert flat.source_spp is spec
-    rows = np.r_[np.ones(s), np.full(spec.fast_dim, 1.0 / spec.eps)]
+    rows = np.r_[np.ones(spec.slow_dim), np.full(reference.fast_dim, 1.0 / spec.eps)]
     flat_aff = Affine(aff.A1 * rows[:, None], aff.b1 * rows, aff.A2 * rows[:, None],
                       aff.b2 * rows, aff.n, aff.c)
-    assert_piecewise_matches(flat, spp_flatten(reference), flat_aff, x)
+    assert_piecewise_matches(flat, spp_flatten(ref), flat_aff, x)
+
+
+REFERENCES = {"kowalczyk": reference_kowalczyk, "teixeira": reference_teixeira,
+              "ostermann_modified": reference_ostermann_modified}
+
+# g0 solving g(y, g0(y)) = 0 for each slow/fast builtin
+MANIFOLDS = {"kowalczyk": lambda eps: lambda y: y,
+             "teixeira": lambda eps: lambda y: y[:1],
+             "ostermann_modified": lambda eps: lambda y: np.array([y[1] - eps * y[0]])}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(REFERENCES)), eps=positive_eps,
+       theta=st.floats(-2.0, 2.0), data=st.data())
+def test_classification_and_reduced_fields_equal_the_yz_forms(name, eps, theta, data):
+    # the slow/fast quantities read off the stacked declaration equal the
+    # (y, z) formulas on the hand-written blocks exactly (as floats: a zero
+    # may differ in sign)
+    params = {"eps": eps, "theta": theta} if name == "kowalczyk" else {"eps": eps}
+    spec, ref = builtin(name, **params), REFERENCES[name](**params)
+    s = ref.slow_dim
+    x = np.array(data.draw(st.lists(finite, min_size=s + ref.fast_dim,
+                                    max_size=s + ref.fast_dim)))
+    y, z = x[:s], x[s:]
+    hy, hz = ref.h_y(y, z), ref.h_z(y, z)
+    p1, p2 = float(hy @ ref.f1(y, z)), float(hy @ ref.f2(y, z))
+    q = float(hz @ ref.g(y, z))
+    coeffs = filippov_coeffs(spec, x)
+    assert (coeffs.A, coeffs.B, coeffs.Csq) == (p1 * p2, p1 * q + p2 * q, q * q)
+
+    g0 = MANIFOLDS[name](eps)
+    red = reduced_order_model(spec, g0)
+    for which, f in ((1, ref.f1), (2, ref.f2)):
+        npt.assert_array_equal(eval_field(red, which, y), f(y, g0(y)))
+
+
+def test_filippov_coeffs_rejects_fast_rows_that_differ():
+    spp = SppProblem(PiecewiseProblem(
+        dim=2, f1=lambda u: np.array([1.0, u[0] - u[1]]),
+        f2=lambda u: np.array([-1.0, u[0] - 2.0 * u[1]]),
+        h=lambda u: u[0]), slow_dim=1, eps=1e-2)
+    with pytest.raises(ValueError, match="fast rows of F1 and F2 differ"):
+        filippov_coeffs(spp, [0.0, 1.0])
+    # where the rows agree the coefficients follow
+    coeffs = filippov_coeffs(spp, [0.0, 0.0])
+    assert coeffs.Csq == 0.0 and coeffs.A == -1.0
 
 
 def test_returned_jacobians_and_gradients_are_read_only():
@@ -322,10 +444,9 @@ def test_returned_jacobians_and_gradients_are_read_only():
             with pytest.raises(ValueError, match="read-only"):
                 J[0] = 1.0
         if isinstance(spec, SppProblem):
-            y, z = spec.split(u)
-            for slot in ("jac_f1", "jac_g", "h_y", "h_z"):
+            for J in (field_jacobian(spec.stacked, 1, u), h_gradient(spec.stacked, u)):
                 with pytest.raises(ValueError, match="read-only"):
-                    getattr(spec, slot)(y, z)[0] = 1.0
+                    J[0] = 1.0
 
 
 def test_affine_stores_read_only_copies():
@@ -345,6 +466,7 @@ def test_affine_stores_read_only_copies():
     npt.assert_array_equal(eval_field(problem, 2, np.array([2.0, 3.0])), [4.0, -2.0])
     assert problem.h(np.array([2.0, 3.0])) == 1.5
     assert problem.label == "rotor"
+    assert problem.affine is aff
 
 
 @pytest.mark.parametrize("change", [
@@ -377,8 +499,10 @@ def test_affine_spp_checks_the_split_and_the_shared_fast_rows():
         affine_spp(split, 1, 1e-2)
     with pytest.raises(ValueError, match="eps"):
         affine_spp(aff, 1, 0.0)
-    spp = affine_spp(aff, 1, 1e-2)
-    assert spp.affine is aff and spp.fast_dim == 1
+    spp = affine_spp(aff, 1, 1e-2, "relay", np.array([1.0, 0.0]))
+    assert spp.stacked.affine is aff and spp.slow_dim == 1
+    assert spp.label == "relay"
+    npt.assert_array_equal(spp.x0, [1.0, 0.0])
 
 
 @pytest.mark.parametrize("name, params", [
