@@ -13,20 +13,12 @@ class DomainViolation(NumericalError):
     """A vector field was evaluated outside its domain of definition."""
 
 
-class MissingDerivative(NumericalError):
-    """A required gradient, Hessian, or Jacobian could not be produced."""
-
-
 class NotOrthogonal(NumericalError):
     """The step matrix fails the orthogonality pre-check of the orthogonal guard."""
 
 
 class NoBracket(NumericalError):
     """Root finding was requested on an interval without a sign change."""
-
-
-class MaxIterations(NumericalError):
-    """An iteration cap was exhausted before reaching the requested tolerance."""
 
 
 class ResidualTooLarge(NumericalError):

@@ -3,6 +3,7 @@
 The driver advances one branch field with a fixed step (take_step). After
 each step the sign of h at the endpoint is compared with the sign at the
 start: a change brackets a surface hit, which is then located by bisection
+(linalg.safe_side_root, the root search the case-1b shortening also uses)
 **on the dense output** of the already-computed step, costing h evaluations
 only (no field evaluations, no linear solves). The step is truncated at the
 hit, the hit is classified (crossing / sliding / tangential), and on a
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import filippov, linalg, onesided, problems, rosenbrock
-from .errors import DomainViolation, MaxIterations, NoBracket, SingularMatrix
+from .errors import DomainViolation, NoBracket, SingularMatrix
 
 # Bracket width in theta at which event location stops. Bisection halves
 # [0, 1] exactly, so it reaches this width after at most 40 iterations.
@@ -123,12 +124,10 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
                  h0: float | None = None, h1: float | None = None) -> EventRecord:
     """Find the surface hit inside a step on its dense output.
 
-    Bisection on g(theta) = h(X1(theta)) over [0, 1]. Terminates when
-    |g| <= cfg.h_tol with the iterate on the departing side, or when the
-    bracket width drops to THETA_TOL (the departing-side endpoint is
-    returned then, so the located state never trespasses the surface). The
-    bracket halves exactly, so the width exit comes after at most 40
-    iterations whatever h returns. Costs h evaluations only.
+    linalg.safe_side_root on g(theta) = h(X1(theta)) over [0, 1] with
+    cfg.h_tol and width THETA_TOL: the located state is on the departing
+    side, so it never trespasses the surface, after at most 40 iterations
+    whatever h returns. Costs h evaluations only.
     """
     if h0 is None:
         h0 = float(h(rosenbrock.dense_eval(step, 0.0)))
@@ -136,32 +135,16 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
         h1 = float(h(rosenbrock.dense_eval(step, 1.0)))
     if not detect_sign_change(h0, h1):
         raise NoBracket(f"no sign change across the step: h0={h0:g}, h1={h1:g}")
-    neg_at_lo = h0 < 0.0
-
-    lo, hi = 0.0, 1.0
-    g_lo = h0
-    iterations = 0
-    while True:
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        g_mid = float(h(rosenbrock.dense_eval(step, mid)))
-        if g_mid == 0.0 or (abs(g_mid) <= cfg.h_tol and (g_mid < 0.0) == neg_at_lo):
-            theta, residual = mid, abs(g_mid)
-            break
-        if (g_mid < 0.0) == neg_at_lo:
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-        if hi - lo <= THETA_TOL:
-            theta, residual = lo, abs(g_lo)
-            break
+    theta, g_theta, iterations = linalg.safe_side_root(
+        lambda th: float(h(rosenbrock.dense_eval(step, th))),
+        0.0, 1.0, h0, cfg.h_tol, THETA_TOL)
     return EventRecord(
         step_index=step_index,
         theta_star=theta,
         t_star=t_offset + theta * step.tau,
         x_star=rosenbrock.dense_eval(step, theta),
-        residual=residual,
-        direction=Direction.R1_TO_R2 if neg_at_lo else Direction.R2_TO_R1,
+        residual=abs(g_theta),
+        direction=Direction.R1_TO_R2 if h0 < 0.0 else Direction.R2_TO_R1,
         root_iterations=iterations,
     )
 
@@ -171,6 +154,8 @@ def _validate_config(cfg: IntegratorConfig) -> None:
         raise ValueError(f"tau must be positive, got {cfg.tau}")
     if not 0.0 < cfg.t_end < np.inf:
         raise ValueError(f"t_end must be positive and finite, got {cfg.t_end}")
+    if not 0.0 <= cfg.h_tol < np.inf:
+        raise ValueError(f"h_tol must be non-negative and finite, got {cfg.h_tol}")
     if cfg.max_events is not None and cfg.max_events < 1:
         raise ValueError(f"max_events must be at least 1, got {cfg.max_events}")
     gm = cfg.guard_mode
@@ -275,7 +260,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
         except SingularMatrix:
             termination = Termination.SOLVER_FAILURE
             break
-        except (NoBracket, MaxIterations):
+        except NoBracket:
             # the one-sided step-shortening machinery failed
             termination = Termination.GUARD_FAILURE
             break

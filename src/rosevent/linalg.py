@@ -3,9 +3,10 @@
 Everything here is sized for the systems this package integrates: a handful
 of states, not thousands. At that size a numpy call costs its dispatch, not
 its arithmetic, so the input checks, the partial-pivoting LU and the solves
-run on Python floats. Also here: finite-difference stencils (the Jacobian
-one switches to one-sided differences at a domain edge) and a cheap
-spectral-radius upper bound. All operations are pure and deterministic.
+run on Python floats. Also here: the safe-side root search of event
+location and the case-1b shortening, finite-difference stencils (the
+Jacobian one switches to one-sided differences at a domain edge) and a
+cheap spectral-radius bound. All operations are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from .errors import DomainViolation, SingularMatrix
 
-# Pivots below SINGULARITY_RTOL * max|M| mean the matrix is treated as
-# singular at working precision.
+# A pivot at or below SINGULARITY_RTOL times its row's scale (see lu_factor)
+# means the matrix is treated as singular at working precision.
 SINGULARITY_RTOL = 1e-13
 
 _EPS = float(np.finfo(float).eps)
@@ -72,30 +73,38 @@ def lu_factor(m) -> LuFactors:
 
     The pivot of each column is the first entry of largest magnitude on or
     below the diagonal. Raises SingularMatrix when that pivot does not
-    exceed SINGULARITY_RTOL * max|M|.
+    exceed SINGULARITY_RTOL times its row's scale: the largest |entry| the
+    row has held during the elimination (fill-in that cancels leaves noise
+    of its size), capped at max|M|, so a stiff row spares the others.
     """
     a = as_matrix(m).tolist()
     n = len(a)
     perm = list(range(n))
-    tol = SINGULARITY_RTOL * max((abs(v) for row in a for v in row), default=0.0)
+    scales = [max(map(abs, row)) for row in a]  # by row of M, like perm's values
+    cap_tol = SINGULARITY_RTOL * max(scales, default=0.0)
     for col in range(n):
         p = col
         big = abs(a[col][col])
         for r in range(col + 1, n):
             if abs(a[r][col]) > big:
                 p, big = r, abs(a[r][col])
-        if big <= tol:
+        tol = SINGULARITY_RTOL * scales[perm[p]]
+        if big <= cap_tol and big <= tol:
             raise SingularMatrix(
-                f"pivot {a[p][col]:.3e} in column {col} below tolerance {tol:.3e}"
+                f"pivot {a[p][col]:.3e} in column {col} below tolerance {min(tol, cap_tol):.3e}"
             )
         if p != col:
             a[col], a[p] = a[p], a[col]
             perm[col], perm[p] = perm[p], perm[col]
         upper = a[col]
-        for row in a[col + 1:]:
-            row[col] /= upper[col]
+        for r, row in enumerate(a[col + 1:], col + 1):
+            mult = row[col] = row[col] / upper[col]
+            scale = scales[perm[r]]
             for j in range(col + 1, n):
-                row[j] -= row[col] * upper[j]
+                row[j] = v = row[j] - mult * upper[j]
+                if abs(v) > scale:
+                    scale = abs(v)
+            scales[perm[r]] = scale
     return LuFactors(combined=a, pivots=perm)
 
 
@@ -119,6 +128,36 @@ def lu_solve(factors: LuFactors, b) -> np.ndarray:
             dot += a[i][j] * x[j]
         x[i] = (x[i] - dot) / a[i][i]
     return np.array(x)
+
+
+def safe_side_root(g: Callable, lo: float, hi: float, g_lo: float, tol: float, width: float):
+    """Bisect for a zero of g in (lo, hi) from the side of lo, g_lo = g(lo) != 0.
+
+    Returns (mid, g(mid), calls) at the first midpoint with g(mid) == 0, or
+    with |g(mid)| <= tol and lo's sign; else lo moves to mid when g(mid) has
+    lo's sign and hi moves when not (a NaN counts as the far side), and once
+    hi - lo <= width it returns (lo, g_lo, calls). No iteration cap: the
+    bracket halves on every call and a width >= 4*eps*max(|lo|, |hi|) keeps
+    midpoints strictly inside, so it ends within ceil(log2((hi - lo)/width))
+    + 1 calls. Raises ValueError on a bracket that breaks these conditions.
+    """
+    if not (lo < hi and abs(g_lo) > 0.0 and width >= 4.0 * _EPS * max(abs(lo), abs(hi))):
+        raise ValueError(f"bad bracket [{lo!r}, {hi!r}]: g_lo={g_lo!r}, width={width!r}")
+    neg_at_lo = g_lo < 0.0
+    calls = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        calls += 1
+        same_side = g_mid < 0.0 if neg_at_lo else g_mid > 0.0
+        if g_mid == 0.0 or (same_side and abs(g_mid) <= tol):
+            return mid, g_mid, calls
+        if same_side:
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+        if hi - lo <= width:
+            return lo, g_lo, calls
 
 
 def _probe_points(x: np.ndarray, j: int, step: float):

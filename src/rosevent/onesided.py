@@ -27,9 +27,10 @@ Case 1b is decided in one place, guarded_ros2_step, the only code that
 builds a guarded two-stage step (the integrator and the guard-check command
 both call it): when the internal stage x0 + k1 would already trespass the
 surface, the step is shortened before the second field evaluation ever
-happens. resolve_case_1b bisects on g(sigma) = h(x0 + k1(sigma)) for the
-largest safe size, reusing the caller's f(x0) and J, with one factorization
-per trial and no field evaluations.
+happens. resolve_case_1b searches g(sigma) = h(x0 + k1(sigma)) for a safe
+size with linalg.safe_side_root, the bisection event location also uses,
+reusing the caller's f(x0) and J, with one factorization per trial and no
+field evaluations.
 """
 
 from __future__ import annotations
@@ -40,15 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, problems, rosenbrock
-from .errors import MaxIterations, NoBracket, NotOrthogonal
+from .errors import NoBracket, NotOrthogonal
 
 ORTHOGONALITY_TOL = 1e-8
 
 # theta grid points of the dense-output guard
 GUARD_GRID = 64
-
-# bisection trials resolve_case_1b may spend on one shortening
-CASE_1B_MAX_ITER = 200
 
 
 class GuardMode(enum.Enum):
@@ -198,46 +196,31 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
     """Shrink a two-stage step whose internal stage trespasses the surface.
 
     The caller has seen x0 + k1(tau) trespass, with fx0 = f1(x0) and J its
-    Jacobian. Bisection on g(sigma) = h(x0 + k1(sigma)) over (0, tau): each
-    trial factors (I - gamma*sigma*J) and recomputes k1 from fx0; the field
-    is never evaluated at a new point during the search. The accepted
-    trial's factors complete the step, so its internal stage sits on the
-    safe side with g <= 0 and |g| <= h_tol. Returns (step, factorizations).
-
-    Raises NoBracket when x0 is not below the surface, and MaxIterations
-    when CASE_1B_MAX_ITER trials leave no internal stage within h_tol.
+    Jacobian. linalg.safe_side_root searches g(sigma) = h(x0 + k1(sigma))
+    over (0, tau) from the safe side, down to a 4*eps*tau bracket: each
+    trial factors (I - gamma*sigma*J) and recomputes k1 from fx0, with no
+    field evaluation. The factors of the trial it ends at complete the
+    step, so the internal stage has g <= 0. Returns (step, factorizations);
+    raises NoBracket when x0 is not below the surface or no trial is safe.
     """
     g_lo = float(problem.h(x0))
-    if g_lo >= 0.0:
+    if not g_lo < 0.0:
         raise NoBracket(f"x0 must start below the surface, h(x0) = {g_lo}")
 
-    lo, hi = 0.0, tau
-    sigma_bar = None
-    kept = None  # (factors, k1) of the last trial on the safe side
-    trials = 0
-    for _ in range(CASE_1B_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        factors = rosenbrock.ros2_factor(J, mid)
-        trials += 1
-        k1_mid = rosenbrock.ros2_stage1(factors, fx0, mid)
-        g_mid = float(problem.h(x0 + k1_mid))
-        if g_mid == 0.0 or (abs(g_mid) <= h_tol and g_mid < 0.0):
-            sigma_bar, kept = mid, (factors, k1_mid)
-            break
-        if g_mid > 0.0:
-            hi = mid
-        else:
-            lo, g_lo, kept = mid, g_mid, (factors, k1_mid)
-        if hi - lo <= 4.0 * np.finfo(float).eps * tau and kept is not None \
-                and abs(g_lo) <= h_tol:
-            sigma_bar = lo
-            break
-    if sigma_bar is None or sigma_bar <= 0.0:
-        raise MaxIterations(
-            f"could not place the internal stage within {h_tol} of the surface"
-        )
+    tried = {}  # sigma -> (factors, k1) of that trial
 
-    factors, k1 = kept
+    def g(sigma):
+        factors = rosenbrock.ros2_factor(J, sigma)
+        k1 = rosenbrock.ros2_stage1(factors, fx0, sigma)
+        tried[sigma] = factors, k1
+        return float(problem.h(x0 + k1))
+
+    sigma_bar, _, trials = linalg.safe_side_root(
+        g, 0.0, tau, g_lo, h_tol, 4.0 * np.finfo(float).eps * tau)
+    if sigma_bar == 0.0:
+        raise NoBracket(f"the internal stage trespasses at all {trials} trial sizes")
+
+    factors, k1 = tried[sigma_bar]
     field = problems.field_fn(problem, 1)
     step = rosenbrock.ros2_finish(field, x0, sigma_bar, J, factors, k1, field_id=1)
     return step, trials

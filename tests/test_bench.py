@@ -230,6 +230,17 @@ def test_cli_integrate_reports_termination(capsys):
     assert "event 0: t = 0.5" in out
 
 
+def test_cli_integrate_takes_a_stiff_step_matrix(capsys):
+    # at tau/eps = 1e14 the step matrix's rows differ in scale by 1e13; its
+    # pivots are judged per row, so this is no solver failure
+    code = cli_main(["integrate", "--problem", "kowalczyk", "--eps", "1e-16",
+                     "--tau", "0.01", "--t-end", "1"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "termination: t_end" in out
+    assert "event 0: t = 0.000739845250755," in out
+
+
 def test_cli_integrate_writes_files(tmp_path, capsys):
     mesh_file = tmp_path / "mesh.csv"
     events_file = tmp_path / "events.csv"

@@ -220,6 +220,22 @@ def test_integrate_rejects_a_horizon_that_is_not_finite(t_end):
         integrate(builtin("tent"), [0.0], default_cfg(tau=0.1, t_end=t_end))
 
 
+@pytest.mark.parametrize("h_tol", [math.inf, math.nan, -1.0])
+def test_integrate_rejects_an_event_tolerance_that_is_not_a_finite_size(h_tol):
+    # at h_tol = inf the first departing-side midpoint is accepted however
+    # far from the surface, and the field switches at a state off it
+    relay = spp_flatten(builtin("kowalczyk", eps=1e-2))
+    with pytest.raises(ValueError, match="h_tol must be non-negative and finite"):
+        integrate(relay, relay.x0, default_cfg(tau=1e-3, t_end=0.3, h_tol=h_tol))
+
+
+def test_integrate_accepts_a_zero_event_tolerance():
+    relay = spp_flatten(builtin("kowalczyk", eps=1e-2))
+    result = integrate(relay, relay.x0, default_cfg(tau=1e-3, t_end=0.3, h_tol=0.0))
+    assert result.termination is Termination.REACHED_T_END
+    assert result.events
+
+
 def test_integrate_rejects_an_event_function_that_is_not_finite_at_x0():
     # h = NaN never changes sign, so the run would report no events
     tent = builtin("tent")

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,6 +19,7 @@ from rosevent.linalg import (
     fd_jacobian,
     lu_factor,
     lu_solve,
+    safe_side_root,
     spectral_radius_bound,
 )
 
@@ -33,17 +34,23 @@ def reference_lu_factor(m):
     a = np.array(m, dtype=float)
     n = a.shape[0]
     perm = np.arange(n)
-    tol = SINGULARITY_RTOL * (float(np.max(np.abs(a))) if n else 0.0)
+    # each pivot is judged against the largest entry its row has held at
+    # any stage of the elimination, capped at max|M|
+    scales = np.max(np.abs(a), axis=1)
+    cap = float(np.max(scales))
     for col in range(n):
         p = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[p, col]) <= tol:
+        if abs(a[p, col]) <= SINGULARITY_RTOL * min(scales[p], cap):
             raise SingularMatrix(f"pivot {a[p, col]:.3e} in column {col}")
         if p != col:
             a[[col, p]] = a[[p, col]]
             perm[[col, p]] = perm[[p, col]]
+            scales[[col, p]] = scales[[p, col]]
         rows = slice(col + 1, n)
         a[rows, col] /= a[col, col]
         a[rows, col + 1:] -= np.outer(a[rows, col], a[col, col + 1:])
+        if col + 1 < n:
+            scales[rows] = np.maximum(scales[rows], np.max(np.abs(a[rows, col + 1:]), axis=1))
     return a, perm
 
 
@@ -53,8 +60,11 @@ def reference_lu_solve(combined, pivots, b):
     x = np.asarray(b, dtype=float)[pivots]
     for i in range(1, n):  # forward substitution, unit diagonal
         x[i] -= a[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):  # back substitution
-        x[i] = (x[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
+    # a row of subnormal entries factors, and its solution can overflow
+    # (inf, then inf - inf), as lu_solve's does
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1, -1, -1):  # back substitution
+            x[i] = (x[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
     return x
 
 
@@ -90,7 +100,11 @@ def test_lu_matches_the_array_reference(n, data):
         cond = float(np.linalg.cond(a, p=np.inf))
         scale = float(np.max(np.abs(x_ref)))
         tol = 16.0 * n * EPS * cond * scale if scale else 0.0
-        npt.assert_allclose(x, x_ref, rtol=0, atol=tol)
+        # an overflowing solution or an infinite condition number bounds no
+        # finite entry, but the inf and NaN positions must still match
+        with np.errstate(invalid="ignore"):
+            npt.assert_allclose(x, x_ref, rtol=0,
+                                atol=tol if math.isfinite(tol) else math.inf)
 
 
 def test_lu_solve_2x2_cramer():
@@ -119,6 +133,26 @@ def test_lu_factor_rejects_singular():
         lu_factor(np.zeros((3, 3)))
 
 
+def test_lu_factor_judges_each_pivot_by_its_own_row():
+    # I - gamma*tau*J of a stiff relay: the second pivot, 1.0, is far below
+    # 1e-13 * max|M| = 2.93 but not below its own row's scale
+    a = np.array([[1.0, 0.0], [-2.93e13, 2.93e13]])
+    b = np.array([1.0, -3.0])
+    x = lu_solve(lu_factor(a), b)
+    npt.assert_allclose(a @ x, b, rtol=0, atol=4 * EPS * 2.93e13 * np.max(np.abs(x)))
+    # a zero row and two equal rows are still singular beside a stiff row
+    with pytest.raises(SingularMatrix):
+        lu_factor(np.array([[3e13, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
+    with pytest.raises(SingularMatrix):
+        lu_factor(np.array([[1.0, 0.0, 0.0], [-3e13, 3e13, 1.0], [-3e13, 3e13, 1.0]]))
+    # columns 2 and 3 are equal. Elimination fills row 1 with -2^40 entries,
+    # and fl(1/49)*49 = 1 - 2^-53 leaves a last pivot of -2^-13 in their
+    # cancellation; row 1 began at scale 1 but is judged by the 2^40 it held
+    big = 2.0 ** 40
+    with pytest.raises(SingularMatrix):
+        lu_factor(np.array([[1.0, big, big], [1.0, 0.0, 0.0], [0.0, 49 * big, 49 * big]]))
+
+
 def test_lu_factor_rejects_nonfinite_and_nonsquare():
     with pytest.raises(ValueError):
         lu_factor(np.array([[1.0, np.nan], [0.0, 1.0]]))
@@ -139,6 +173,77 @@ def test_lu_solve_length_mismatch():
     factors = lu_factor(np.eye(2))
     with pytest.raises(ValueError):
         lu_solve(factors, np.ones(3))
+
+
+# --- safe-side root search ------------------------------------------------------
+
+_inside = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.floats(min_value=-4.0, max_value=4.0),
+    span=st.floats(min_value=1e-3, max_value=8.0),
+    unit_roots=st.lists(_inside, min_size=3, max_size=3),
+    three_inside=st.booleans(),
+    offset=st.floats(min_value=0.0, max_value=4.0),
+    scale=st.sampled_from([-3.0, -1e-6, 1e-6, 3.0]),
+    tol=st.one_of(st.just(0.0), st.floats(min_value=1e-15, max_value=1.0)),
+    halvings=st.integers(min_value=1, max_value=60),
+)
+def test_safe_side_root_ends_on_lo_side_of_a_cubic(lo, span, unit_roots, three_inside,
+                                                   offset, scale, tol, halvings):
+    hi = lo + span
+    r0, r1, r2 = (lo + u * span for u in unit_roots)
+
+    # three roots inside the bracket, or one and a quadratic factor that
+    # keeps its sign: either way g(lo) and g(hi) differ in sign
+    def cubic(x):
+        if three_inside:
+            return scale * (x - r0) * (x - r1) * (x - r2)
+        return scale * (x - r0) * ((x - 2.0 * r1 + lo) ** 2 + offset)
+
+    g_lo, g_hi = cubic(lo), cubic(hi)
+    # only rounding (a root rounded onto lo) can undo the sign change
+    assume(g_lo * g_hi < 0.0)
+    width = max(span * 2.0 ** -halvings, 4.0 * EPS * max(abs(lo), abs(hi)))
+    called = []
+
+    def g(x):
+        called.append(x)
+        return cubic(x)
+
+    point, g_point, calls = safe_side_root(g, lo, hi, g_lo, tol, width)
+    assert calls == len(called)
+    assert all(lo < x < hi for x in called)
+    assert calls <= math.ceil(math.log2((hi - lo) / width)) + 2
+    # the point and its reported value belong together, on lo's side
+    assert g_point == cubic(point)
+    assert g_point == 0.0 or (g_point < 0.0) == (g_lo < 0.0)
+    if abs(g_point) > tol:
+        # a width exit: the nearest far-side call bounds the last bracket
+        far = [x for x in called if x > point and not (cubic(x) < 0.0) == (g_lo < 0.0)]
+        assert min(far, default=hi) - point <= width
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_safe_side_root_takes_nan_for_the_far_side(side):
+    # g undefined past its zero at 0.3, as a field past a model singularity
+    def g(x):
+        return side * (x - 0.3) if x < 0.3 else math.nan
+
+    point, g_point, calls = safe_side_root(g, 0.0, 1.0, -0.3 * side, 1e-9, 1e-12)
+    assert 0.3 - 1e-9 <= point < 0.3
+    assert g_point == g(point)
+    assert calls <= 41
+
+
+def test_safe_side_root_rejects_a_bracket_it_cannot_narrow():
+    g = lambda x: x - 0.5  # noqa: E731
+    for lo, hi, g_lo, width in [(1.0, 0.0, -0.5, 1e-12), (0.0, 1.0, 0.0, 1e-12),
+                                (0.0, 1.0, math.nan, 1e-12), (0.0, 1.0, -0.5, EPS)]:
+        with pytest.raises(ValueError, match="bad bracket"):
+            safe_side_root(g, lo, hi, g_lo, 0.0, width)
 
 
 def exact_solve(a, b):

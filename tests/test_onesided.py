@@ -7,7 +7,8 @@ import numpy.testing as npt
 import pytest
 
 import rosevent.linalg
-from rosevent.errors import MaxIterations, NoBracket, NotOrthogonal
+from rosevent.errors import NoBracket, NotOrthogonal
+from rosevent.events import IntegratorConfig, Termination, integrate
 from rosevent.onesided import (
     GuardMode,
     guard_ros1_general,
@@ -220,10 +221,30 @@ def test_resolve_case_1b_requires_actual_trespass():
 
 def test_resolve_case_1b_iteration_budget():
     # the internal stage is exactly sigma here and no float squares to 0.5,
-    # so with h_tol = 0 no trial is ever accepted
+    # so with h_tol = 0 the search narrows its bracket to 4*eps*tau and
+    # completes the step at its last safe trial
     problem = unit_speed(lambda x: x[0] * x[0] - 0.5)
-    with pytest.raises(MaxIterations):
-        guarded(problem, [0.0], 1.0, h_tol=0.0)
+    step, factorizations = guarded(problem, [0.0], 1.0, h_tol=0.0)
+    assert float(problem.h(step.x0 + step.k1)) <= 0.0
+    assert 0.0 < math.sqrt(0.5) - step.tau <= 4 * np.finfo(float).eps
+    assert factorizations - 1 <= 52
+    # an h that jumps across zero has no trial within h_tol either
+    jump = unit_speed(lambda x: -1.0 if x[0] < 0.3 else 1.0)
+    step, factorizations = guarded(jump, [0.0], 1.0)
+    assert float(jump.h(step.x0 + step.k1)) == -1.0
+    assert 0.0 < 0.3 - step.tau <= 4 * np.finfo(float).eps
+    assert factorizations - 1 <= 52
+
+
+def test_resolve_case_1b_without_a_safe_trial_is_a_guard_failure():
+    # every internal stage off x0 trespasses, so the search ends at sigma = 0
+    cliff = unit_speed(lambda x: -1.0 if x[0] <= 0.0 else 1.0)
+    with pytest.raises(NoBracket, match="trespasses at all"):
+        guarded(cliff, [0.0], 1.0)
+    result = integrate(cliff, [0.0], IntegratorConfig(
+        tau=1.0, t_end=2.0, guard_mode=GuardMode.ROS2_DENSE))
+    assert result.termination is Termination.GUARD_FAILURE
+    assert result.stats.steps == 0
 
 
 # --- two-stage dense-output guard --------------------------------------------
