@@ -49,12 +49,15 @@ def _as_piecewise(spec):
 
 
 def _state(args, problem) -> np.ndarray:
-    """--state, checked against the problem's dimension."""
+    """--state, checked against the problem's dimension and for finite
+    entries."""
     if len(args.state) != problem.dim:
         raise ValueError(
             f"--state must have {problem.dim} entries for problem "
             f"{args.problem!r}, got {len(args.state)}"
         )
+    if not np.isfinite(args.state).all():
+        raise ValueError(f"--state entries must be finite, got {args.state.tolist()}")
     return args.state
 
 

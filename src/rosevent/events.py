@@ -129,20 +129,20 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
     side, so it never trespasses the surface, after at most 40 iterations
     whatever h returns. Costs h evaluations only.
     """
+    X1 = rosenbrock._DenseOutput(step).value
     if h0 is None:
-        h0 = float(h(rosenbrock.dense_eval(step, 0.0)))
+        h0 = float(h(X1(0.0)))
     if h1 is None:
-        h1 = float(h(rosenbrock.dense_eval(step, 1.0)))
+        h1 = float(h(X1(1.0)))
     if not detect_sign_change(h0, h1):
         raise NoBracket(f"no sign change across the step: h0={h0:g}, h1={h1:g}")
     theta, g_theta, iterations = linalg.safe_side_root(
-        lambda th: float(h(rosenbrock.dense_eval(step, th))),
-        0.0, 1.0, h0, cfg.h_tol, THETA_TOL)
+        lambda th: float(h(X1(th))), 0.0, 1.0, h0, cfg.h_tol, THETA_TOL)
     return EventRecord(
         step_index=step_index,
         theta_star=theta,
         t_star=t_offset + theta * step.tau,
-        x_star=rosenbrock.dense_eval(step, theta),
+        x_star=X1(theta),
         residual=abs(g_theta),
         direction=Direction.R1_TO_R2 if h0 < 0.0 else Direction.R2_TO_R1,
         root_iterations=iterations,
@@ -248,10 +248,12 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     guard_reports: list = []
     step_index = 0
     guard = cfg.guard_mode
+    # a remainder this small is round-off in t, not a step
+    end_tol = 4.0 * np.spacing(max(1.0, abs(cfg.t_end)))
 
     while True:
         remaining = cfg.t_end - t
-        if remaining <= 4.0 * np.spacing(max(1.0, abs(cfg.t_end))):
+        if remaining <= end_tol:
             termination = Termination.REACHED_T_END
             break
         try:

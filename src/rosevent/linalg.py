@@ -3,10 +3,12 @@
 Everything here is sized for the systems this package integrates: a handful
 of states, not thousands. At that size a numpy call costs its dispatch, not
 its arithmetic, so the input checks, the partial-pivoting LU and the solves
-run on Python floats. Also here: the safe-side root search of event
-location and the case-1b shortening, finite-difference stencils (the
-Jacobian one switches to one-sided differences at a domain edge) and a
-cheap spectral-radius bound. All operations are pure and deterministic.
+run on Python floats; lu_solve takes a list of floats as it is, which is
+how the step kernels in rosenbrock pass their right-hand sides. Also here:
+the safe-side root search of event location and the case-1b shortening,
+finite-difference stencils (the Jacobian one switches to one-sided
+differences at a domain edge) and a cheap spectral-radius bound. All
+operations are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -109,13 +111,22 @@ def lu_factor(m) -> LuFactors:
 
 
 def lu_solve(factors: LuFactors, b) -> np.ndarray:
-    """Solve M x = b given factors from lu_factor(M)."""
-    v = as_vector(b)
-    n = factors.n
-    if v.shape[0] != n:
-        raise ValueError(f"matrix is {n}x{n} but b has length {v.shape[0]}")
+    """Solve M x = b given factors from lu_factor(M).
+
+    b must be a finite vector of M's size. A list is taken as Python
+    floats, as the step kernels in rosenbrock build their right-hand sides;
+    anything else goes through as_vector.
+    """
+    if type(b) is not list:
+        vals = as_vector(b).tolist()
+    elif all(map(math.isfinite, b)):
+        vals = b
+    else:
+        raise ValueError("vector entries must be finite")
     a = factors.combined
-    vals = v.tolist()
+    n = len(a)
+    if len(vals) != n:
+        raise ValueError(f"matrix is {n}x{n} but b has length {len(vals)}")
     x = [vals[p] for p in factors.pivots]
     for i in range(1, n):  # forward substitution, unit diagonal
         dot = 0.0

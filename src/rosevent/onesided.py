@@ -36,6 +36,7 @@ field evaluations.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +71,16 @@ def _check_step_size(tau: float) -> None:
         raise ValueError(f"tau must be positive and finite, got {tau}")
 
 
+def _harm(v: float) -> float:
+    # the harmful part of a coefficient, max(0, v), except that a NaN
+    # (sign unknown) stays NaN and so fails every certificate
+    return v if not v <= 0.0 else 0.0
+
+
 def _certified_sigma(a0: float, r1: float, r2: float, tau: float) -> float:
-    # Largest sigma <= tau with a0 - sigma*r1 - sigma^2*r2 > 0.
-    if a0 <= 0.0:
+    # Largest sigma <= tau with a0 - sigma*r1 - sigma^2*r2 > 0; none when a
+    # coefficient is NaN.
+    if not a0 > 0.0 or math.isnan(r1) or math.isnan(r2):
         return 0.0
     if r2 > 0.0:
         root = (-r1 + np.sqrt(r1 * r1 + 4.0 * r2 * a0)) / (2.0 * r2)
@@ -113,8 +121,8 @@ def guard_ros1_general(problem: problems.PiecewiseProblem, x0, tau: float,
         + 2.0 * gamma * float(f @ (hxx @ Jf))
         + gamma * float(Jf @ hxxf)
     )
-    r1 = max(0.0, -a1)
-    r2 = max(0.0, -a2)
+    r1 = _harm(-a1)
+    r2 = _harm(-a2)
     passed = bool(neumann_ok and a0 > 0.0 and a0 - tau * r1 - tau * tau * r2 > 0.0)
     return GuardReport(
         mode=GuardMode.ROS1_GENERAL,
@@ -157,8 +165,8 @@ def guard_ros1_orthogonal(problem: problems.PiecewiseProblem, x0, tau: float,
     b2 = 2.0 * gamma * float(f @ (hxx @ Jtf)) + gamma * float(hxxf @ Jtf)
     # dH/dsigma truncates to b0 + sigma*b1 - sigma^2*b2 here, so a positive
     # b2 is the harmful sign.
-    r1 = max(0.0, -b1)
-    r2 = max(0.0, b2)
+    r1 = _harm(-b1)
+    r2 = _harm(b2)
     passed = bool(b0 > 0.0 and b0 - tau * r1 - tau * tau * r2 > 0.0)
     return GuardReport(
         mode=GuardMode.ROS1_ORTHOGONAL,
@@ -180,15 +188,16 @@ def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,
     finite.
     """
     _check_step_size(tau)
-    x0 = np.asarray(x0, dtype=float)
-    fx0 = problems.eval_field(problem, 1, x0)
+    x0 = linalg.as_vector(x0)
+    x0f = x0.tolist()
+    field = problems.field_fn(problem, 1)
+    fx0 = rosenbrock._floats(field(x0), len(x0f))
     factors = rosenbrock.ros2_factor(J, tau)
-    k1 = rosenbrock.ros2_stage1(factors, fx0, tau)
+    k1 = rosenbrock._stage1(factors, fx0, tau)
     if float(problem.h(x0 + k1)) > 0.0:
         step, trials = resolve_case_1b(problem, x0, tau, fx0, J, h_tol)
         return step, 1 + trials
-    field = problems.field_fn(problem, 1)
-    return rosenbrock.ros2_finish(field, x0, tau, J, factors, k1, field_id=1), 1
+    return rosenbrock._ros2_finish(field, x0, x0f, tau, J, factors, k1, 1), 1
 
 
 def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
@@ -203,6 +212,8 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
     step, so the internal stage has g <= 0. Returns (step, factorizations);
     raises NoBracket when x0 is not below the surface or no trial is safe.
     """
+    x0 = linalg.as_vector(x0)
+    fx0 = rosenbrock._floats(fx0, len(x0))
     g_lo = float(problem.h(x0))
     if not g_lo < 0.0:
         raise NoBracket(f"x0 must start below the surface, h(x0) = {g_lo}")
@@ -211,7 +222,7 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
 
     def g(sigma):
         factors = rosenbrock.ros2_factor(J, sigma)
-        k1 = rosenbrock.ros2_stage1(factors, fx0, sigma)
+        k1 = rosenbrock._stage1(factors, fx0, sigma)
         tried[sigma] = factors, k1
         return float(problem.h(x0 + k1))
 
@@ -222,7 +233,7 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
 
     factors, k1 = tried[sigma_bar]
     field = problems.field_fn(problem, 1)
-    step = rosenbrock.ros2_finish(field, x0, sigma_bar, J, factors, k1, field_id=1)
+    step = rosenbrock._ros2_finish(field, x0, x0.tolist(), sigma_bar, J, factors, k1, 1)
     return step, trials
 
 
@@ -243,14 +254,15 @@ def guard_ros2_dense(problem: problems.PiecewiseProblem,
     term_const = c * ((2.0 - 6.0 * gamma) * step.k1 - 2.0 * gamma * step.k2)
     term_linear = 2.0 * c * (step.k1 + step.k2)
 
+    dense = rosenbrock._DenseOutput(step)
     thetas = np.linspace(0.0, 1.0, GUARD_GRID)
     d_min = np.inf
     m1 = np.inf
     m2 = np.inf
     first_bad = None
-    for i, theta in enumerate(thetas):
-        hx = problems.h_gradient(problem, rosenbrock.dense_eval(step, float(theta)))
-        d = float(hx @ rosenbrock.dense_derivative(step, float(theta)))
+    for i, theta in enumerate(thetas.tolist()):
+        hx = problems.h_gradient(problem, dense.value(theta))
+        d = float(hx @ dense.derivative(theta))
         d_min = min(d_min, d)
         m1 = min(m1, float(hx @ term_const))
         m2 = min(m2, float(hx @ term_linear))

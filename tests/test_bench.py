@@ -458,6 +458,13 @@ def test_cli_integrate_reports_chattering(capsys):
      "error: bad parameters for 'kowalczyk': n must be finite with shape (2,), got [nan nan]\n"),
     (["integrate", "--problem", "tent", "--level", "nan", "--tau", "0.1", "--t-end", "1"],
      "error: bad parameters for 'tent': c must be finite with shape (), got nan\n"),
+    (["classify", "--problem", "kowalczyk", "--state", "nan,0"],
+     "error: --state entries must be finite, got [nan, 0.0]\n"),
+    (["guard-check", "--problem", "tent", "--state", "nan", "--tau", "0.1", "--mode", "ros1"],
+     "error: --state entries must be finite, got [nan]\n"),
+    (["guard-check", "--problem", "najafi", "--state", "1,inf", "--tau", "0.125",
+      "--mode", "ros2-dense"],
+     "error: --state entries must be finite, got [1.0, inf]\n"),
 ])
 def test_cli_rejects_values_that_are_not_finite(capsys, argv, message):
     assert cli_main(argv) == 2

@@ -91,6 +91,8 @@ def test_lu_matches_the_array_reference(n, data):
     # the elimination does the same elementwise operations as the reference
     npt.assert_array_equal(np.array(factors.combined), ref_combined)
     x = lu_solve(factors, b)
+    # a list of floats, as the step kernels pass, solves to the same bits
+    assert lu_solve(factors, b.tolist()).tobytes() == x.tobytes()
     x_ref = reference_lu_solve(ref_combined, ref_pivots, b)
     if n <= 2:
         # substitution sums of at most one product: same arithmetic
@@ -167,12 +169,16 @@ def test_lu_factor_rejects_nonfinite_and_nonsquare():
         lu_solve(factors, np.array([1.0, np.inf]))
     with pytest.raises(ValueError):
         lu_solve(factors, np.ones((2, 1)))
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        lu_solve(factors, [1.0, math.nan])
 
 
 def test_lu_solve_length_mismatch():
     factors = lu_factor(np.eye(2))
     with pytest.raises(ValueError):
         lu_solve(factors, np.ones(3))
+    with pytest.raises(ValueError, match="matrix is 2x2 but b has length 3"):
+        lu_solve(factors, [1.0, 1.0, 1.0])
 
 
 # --- safe-side root search ------------------------------------------------------

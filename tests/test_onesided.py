@@ -11,6 +11,7 @@ from rosevent.errors import NoBracket, NotOrthogonal
 from rosevent.events import IntegratorConfig, Termination, integrate
 from rosevent.onesided import (
     GuardMode,
+    _certified_sigma,
     guard_ros1_general,
     guard_ros1_orthogonal,
     guard_ros2_dense,
@@ -80,6 +81,34 @@ def test_series_guard_abstains_without_neumann_convergence():
     assert report.certified_sigma == 0.0
     # the coefficients are still reported for diagnostics
     assert report.coefficients["a0"] == pytest.approx(100.0)
+
+
+# Unit drift with a NaN Hessian of h: the leading coefficient is 1, every
+# coefficient that reads the Hessian is NaN, so its sign is unknown.
+NAN_HESSIAN = unit_speed(lambda x: x[0], grad=lambda x: np.array([1.0]),
+                         hess=lambda x: np.array([[math.nan]]))
+
+
+@pytest.mark.parametrize("guard, higher", [(guard_ros1_general, ("a1", "a2")),
+                                           (guard_ros1_orthogonal, ("b1", "b2"))])
+def test_series_guards_fail_on_a_nan_coefficient(guard, higher):
+    report = guard(NAN_HESSIAN, [-1.0], 0.1, 1.0)
+    assert list(report.coefficients.values())[0] == 1.0
+    assert all(math.isnan(report.coefficients[name]) for name in higher)
+    assert not report.passed
+    assert report.certified_sigma == 0.0
+
+
+@pytest.mark.parametrize("coeffs", [(math.nan, 0.0, 0.0), (1.0, math.nan, 0.0),
+                                    (1.0, 0.0, math.nan), (-1.0, 0.0, 0.0)])
+def test_certified_sigma_is_zero_without_a_certificate(coeffs):
+    assert _certified_sigma(*coeffs, 0.5) == 0.0
+
+
+def test_certified_sigma_of_a_certificate():
+    assert _certified_sigma(1.0, 0.0, 0.0, 0.5) == 0.5
+    assert _certified_sigma(1.0, 4.0, 0.0, 0.5) == 0.25
+    assert _certified_sigma(2.0, 0.0, 8.0, 0.75) == 0.5
 
 
 @pytest.mark.parametrize("tau", [-0.25, 0.0, math.nan, math.inf])
