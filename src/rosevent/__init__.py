@@ -43,6 +43,7 @@ from .problems import (
     Affine,
     PiecewiseProblem,
     SppProblem,
+    Surface,
     affine_problem,
     affine_spp,
     builtin,
@@ -65,6 +66,7 @@ __all__ = [
     "IntegratorConfig",
     "PiecewiseProblem",
     "SppProblem",
+    "Surface",
     "Termination",
     "TrajectoryResult",
     "affine_problem",

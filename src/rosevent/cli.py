@@ -193,6 +193,10 @@ def _cmd_guard_check(args) -> int:
         raise ValueError("guard-check needs a concrete mode, not 'off'")
     print(f"mode: {rep.mode.value}")
     print(f"passed: {rep.passed}")
+    if mode is onesided.GuardMode.ROS2_DENSE:
+        n_grid = rep.coefficients.get("n_grid")
+        print("certificate: exact (affine surface)" if n_grid is None
+              else f"certificate: {n_grid:.0f}-point sample (not exhaustive)")
     for key, value in rep.coefficients.items():
         print(f"{key} = {value:.12g}")
     print(f"certified sigma: {rep.certified_sigma:.12g}")

@@ -1,16 +1,22 @@
 """Event-driven fixed-step integration with dense-output event location.
 
 The driver advances one branch field with a fixed step (take_step). After
-each step the sign of h at the endpoint is compared with the sign at the
-start: a change brackets a surface hit, which is then located by bisection
-(linalg.safe_side_root, the root search the case-1b shortening also uses)
-**on the dense output** of the already-computed step, costing h evaluations
-only (no field evaluations, no linear solves). The step is truncated at the
-hit, the hit is classified (crossing / sliding / tangential), and on a
-crossing the integration restarts from the located state with the other
-field and a fresh full step. Root finding keeps the located state on the
-departing side of the surface, so fields that cannot be evaluated past the
-surface never are.
+each step it looks for a surface hit inside the step and locates it **on
+the dense output** X1(theta) of the already-computed step, costing h
+evaluations only (no field evaluations, no linear solves). The step is
+truncated at the hit, the hit is classified (crossing / sliding /
+tangential), and on a crossing the integration restarts from the located
+state with the other field and a fresh full step. Location keeps the
+located state on the departing side of the surface, so fields that cannot
+be evaluated past the surface never are.
+
+On a declared affine surface (problems.Surface) h(X1(theta)) is exactly
+a quadratic in theta (rosenbrock._surface_slopes): a step is hit when h
+changes sign across it or when the quadratic dips past the band and back,
+and the hit is the quadratic's first root, checked on the real h
+(Shampine, Gladwell & Brankin, ACM TOMS 17, 1991). Any other h is judged
+by its signs at the step's ends and bisected (linalg.safe_side_root, as in
+the case-1b shortening), so it can miss an even number of crossings.
 
 A first step after a crossing whose hit is located within THETA_TOL of its
 start turns straight back (numerical chattering, e.g. a one-stage step at
@@ -37,6 +43,7 @@ this causes.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +54,10 @@ from .errors import DomainViolation, NoBracket, SingularMatrix
 # Bracket width in theta at which event location stops. Bisection halves
 # [0, 1] exactly, so it reaches this width after at most 40 iterations.
 THETA_TOL = 1e-12
+
+# h evaluations the closed-form location spends at and around the root of
+# the surface polynomial before it falls back to bisection
+SNAP_TRIES = 4
 
 
 class Direction(enum.Enum):
@@ -119,33 +130,109 @@ def detect_sign_change(h0: float, h1: float) -> bool:
     return (h0 < 0.0 < h1) or (h1 < 0.0 < h0)
 
 
+def _first_root(g0: float, m1: float, m2: float):
+    """The first root in (0, 1) of g0 + m1*theta + (m2/2)*theta^2, g0 != 0,
+    or None, without cancellation (Higham, Accuracy and Stability of
+    Numerical Algorithms, 1.8) and, scaled by a power of two, without
+    overflow or underflow."""
+    big = max(abs(g0), abs(m1), abs(m2))
+    if 0.0 < big < math.inf:
+        e = -math.frexp(big)[1]
+        g0, m1, m2 = math.ldexp(g0, e), math.ldexp(m1, e), math.ldexp(m2, e)
+    a = 0.5 * m2
+    if a == 0.0:
+        roots = (-g0 / m1,) if m1 != 0.0 else ()
+    else:
+        disc = m1 * m1 - 4.0 * a * g0
+        if not disc >= 0.0:
+            return None
+        q = -0.5 * (m1 + math.copysign(math.sqrt(disc), m1))
+        if q == 0.0:  # g0 underflowed in the scaling: both roots are 0
+            return None
+        roots = (q / a, g0 / q)
+    inside = [r for r in roots if 0.0 < r < 1.0]
+    return min(inside) if inside else None
+
+
+def _dips_across(g0: float, m1: float, m2: float) -> bool:
+    """Whether g0 + m1*theta + (m2/2)*theta^2 turns inside (0, 1) at a
+    vertex beyond the band on the side away from g0."""
+    d1 = m1 + m2
+    if not ((m1 > 0.0 and d1 < 0.0) or (m1 < 0.0 and d1 > 0.0)):
+        return False
+    g_vertex = g0 - 0.5 * m1 * (m1 / m2)  # |m1/m2| = theta_v < 1
+    return g_vertex > problems.SIGMA_TOL if g0 < 0.0 else g_vertex < -problems.SIGMA_TOL
+
+
 def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
                  step_index: int = 0, t_offset: float = 0.0,
-                 h0: float | None = None, h1: float | None = None) -> EventRecord:
-    """Find the surface hit inside a step on its dense output.
+                 h0: float | None = None, h1: float | None = None,
+                 surface: problems.Surface | None = None) -> EventRecord:
+    """Find the first surface hit inside a step on its dense output.
 
-    linalg.safe_side_root on g(theta) = h(X1(theta)) over [0, 1] with
-    cfg.h_tol and width THETA_TOL: the located state is on the departing
-    side, so it never trespasses the surface, after at most 40 iterations
-    whatever h returns. Costs h evaluations only.
+    With a declared affine surface, g(theta) = h(X1(theta)) is a quadratic
+    whose first root in (0, 1) is taken in closed form and checked on the
+    real h: it is accepted on the departing side (h0's sign) within
+    cfg.h_tol, or on the surface; else up to SNAP_TRIES probes step across
+    it and accept the departing end of a bracket narrower than THETA_TOL.
+    The ends of the step may share a sign (an even number of crossings).
+    Otherwise, or when the probes do not settle it, linalg.safe_side_root
+    bisects the bracket known so far ([0, 1] when h0 and h1 differ in sign)
+    with cfg.h_tol and width THETA_TOL. Either way the located state never
+    trespasses, and location costs h evaluations only (root_iterations
+    counts them). Raises NoBracket when no bracket is found.
     """
     X1 = rosenbrock._DenseOutput(step).value
+
+    def g(theta):
+        return float(h(X1(theta)))
+
     if h0 is None:
-        h0 = float(h(X1(0.0)))
-    if h1 is None:
-        h1 = float(h(X1(1.0)))
-    if not detect_sign_change(h0, h1):
-        raise NoBracket(f"no sign change across the step: h0={h0:g}, h1={h1:g}")
-    theta, g_theta, iterations = linalg.safe_side_root(
-        lambda th: float(h(X1(th))), 0.0, 1.0, h0, cfg.h_tol, THETA_TOL)
+        h0 = g(0.0)
+    neg = h0 < 0.0
+    lo, g_lo, hi, calls = 0.0, h0, None, 0
+    settled = False
+    theta = None
+    if surface is not None and h0 != 0.0:
+        m1, m2 = rosenbrock._surface_slopes(step, surface.n.tolist())
+        theta = _first_root(h0, m1, m2)
+    for k in range(SNAP_TRIES if theta is not None else 0):
+        g_theta = g(theta)
+        calls += 1
+        departing = g_theta < 0.0 if neg else g_theta > 0.0
+        if departing or g_theta == 0.0:
+            lo, g_lo = theta, g_theta
+        else:  # the far side, or NaN
+            hi = theta
+        settled = (g_theta == 0.0 or (departing and abs(g_theta) <= cfg.h_tol)
+                   or (hi is not None and hi - lo <= THETA_TOL))
+        if settled or (hi is not None and lo > 0.0):
+            break
+        # step across the root, at least an ulp, twice as far each time
+        slope = abs(m1 + theta * m2)
+        shift = 2.0 ** (k + 1) * max(math.ulp(theta),
+                                     abs(g_theta) / slope if slope else math.inf)
+        theta = theta + shift if departing else theta - shift
+        if not 0.0 < theta < 1.0:
+            break
+    if not settled:
+        # no closed form, or a bracket the probes did not narrow enough
+        if hi is None:
+            if h1 is None:
+                h1 = g(1.0)
+            if not detect_sign_change(h0, h1):
+                raise NoBracket(f"no sign change across the step: h0={h0:g}, h1={h1:g}")
+            hi = 1.0
+        lo, g_lo, more = linalg.safe_side_root(g, lo, hi, g_lo, cfg.h_tol, THETA_TOL)
+        calls += more
     return EventRecord(
         step_index=step_index,
-        theta_star=theta,
-        t_star=t_offset + theta * step.tau,
-        x_star=X1(theta),
-        residual=abs(g_theta),
-        direction=Direction.R1_TO_R2 if h0 < 0.0 else Direction.R2_TO_R1,
-        root_iterations=iterations,
+        theta_star=lo,
+        t_star=t_offset + lo * step.tau,
+        x_star=X1(lo),
+        residual=abs(g_lo),
+        direction=Direction.R1_TO_R2 if neg else Direction.R2_TO_R1,
+        root_iterations=calls,
     )
 
 
@@ -248,6 +335,12 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     guard_reports: list = []
     step_index = 0
     guard = cfg.guard_mode
+    # a declared surface's normal, for the even-count test on every step;
+    # the one-stage chord is a line in theta and cannot cross twice
+    if problem.surface is None or cfg.method.stages == 1:
+        normal = None
+    else:
+        normal = problem.surface.n.tolist()
     # a remainder this small is round-off in t, not a step
     end_tol = 4.0 * np.spacing(max(1.0, abs(cfg.t_end)))
 
@@ -276,6 +369,26 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
         h_new = float(problem.h(step.x1))
         on_band = abs(h_new) <= problems.SIGMA_TOL
         crossed = detect_sign_change(-1.0 if h_sign_neg else 1.0, h_new)
+        record = None
+        if not on_band and (crossed or normal is not None) and cfg.locate_events:
+            # the stored h at x can sit inside the band with an unreliable
+            # sign right after an event; hand the locator a sign-consistent
+            # start value
+            if h_at_x != 0.0 and (h_at_x < 0.0) == h_sign_neg:
+                h0_eff = h_at_x
+            else:
+                h0_eff = (-1.0 if h_sign_neg else 1.0) * problems.SIGMA_TOL
+            # with both ends on one side, h(X1(theta)) may still cross and return
+            if crossed or _dips_across(h0_eff, *rosenbrock._surface_slopes(step, normal)):
+                try:
+                    record = locate_event(step, problem.h, cfg, step_index, t,
+                                          h0=h0_eff, h1=h_new, surface=problem.surface)
+                except NoBracket:
+                    if crossed:
+                        raise
+                    # a dip of the polynomial that h itself does not confirm
+                else:
+                    crossed = True
 
         if not (on_band or crossed):
             t += step.tau
@@ -298,24 +411,14 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
                 termination = Termination.GUARD_FAILURE
                 break
 
-        if on_band or not cfg.locate_events:
+        if record is None:
             direction = Direction.R1_TO_R2 if h_sign_neg else Direction.R2_TO_R1
             record = EventRecord(step_index, 1.0, t + step.tau, step.x1,
                                  abs(h_new), direction, 0, True)
-        else:
-            # the stored h at x can sit inside the band with an unreliable
-            # sign right after an event; hand the locator a sign-consistent
-            # start value
-            if h_at_x != 0.0 and (h_at_x < 0.0) == h_sign_neg:
-                h0_eff = h_at_x
-            else:
-                h0_eff = (-1.0 if h_sign_neg else 1.0) * problems.SIGMA_TOL
-            record = locate_event(step, problem.h, cfg, step_index, t,
-                                  h0=h0_eff, h1=h_new)
-            if events and events[-1].t_star == t and record.theta_star <= THETA_TOL:
-                # chattering: the first step after a crossing turned back
-                termination = Termination.CHATTERING
-                break
+        elif events and events[-1].t_star == t and record.theta_star <= THETA_TOL:
+            # chattering: the first step after a crossing turned back
+            termination = Termination.CHATTERING
+            break
 
         events.append(record)
         if record.t_star > mesh[-1][0]:

@@ -18,10 +18,12 @@ For the two-stage method the guard checks positivity of
 
     d(theta) = grad h(X1(theta)) . dX1/dtheta(theta)
 
-on a uniform theta grid of the dense output, and reports the two minima
-m1 = min grad h(X1(theta)) . c*((2-6*gamma)*k1 - 2*gamma*k2) and
-m2 = min grad h(X1(theta)) . 2*c*(k1 + k2), the theta-independent and
-theta-linear parts of d, as diagnostics.
+on the dense output. On a declared affine surface (problems.Surface) the
+gradient is the constant n, so d is the line m1 + theta*m2 with
+m1 = n . c*((2-6*gamma)*k1 - 2*gamma*k2) and m2 = n . 2*c*(k1 + k2), and
+d(0) > 0, d(1) > 0 certify it exactly. Otherwise the guard samples d on a
+uniform theta grid, which is not exhaustive, and reports the minima of the
+two parts over the grid as m1 and m2.
 
 Case 1b is decided in one place, guarded_ros2_step, the only code that
 builds a guarded two-stage step (the integrator and the guard-check command
@@ -239,16 +241,49 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
 
 def guard_ros2_dense(problem: problems.PiecewiseProblem,
                      step: rosenbrock.RosenbrockStep) -> GuardReport:
-    """Grid positivity check of d(theta) = grad h(X1(theta)) . dX1/dtheta.
+    """Positivity of d(theta) = grad h(X1(theta)) . dX1/dtheta on [0, 1].
 
-    Passing certifies (at the resolution of a GUARD_GRID-point grid) that h
-    is strictly increasing along the dense output, so the located surface
-    hit is the unique one inside the step and the approach is one-sided.
-    certified_sigma reports tau scaled by the last grid point before d
-    turns non-positive.
+    Passing means h is strictly increasing along the dense output, so the
+    located surface hit is the unique one inside the step and the approach
+    is one-sided. certified_sigma is tau scaled by the theta up to which d
+    stays positive.
+
+    On a declared affine surface d is the line m1 + theta*m2
+    (rosenbrock._surface_slopes), so d(0) > 0 and d(1) > 0 is an exact
+    certificate; certified_sigma comes from the line's root. Otherwise d is
+    sampled on a GUARD_GRID-point grid, which is not exhaustive: a dip
+    between grid points goes unseen. certified_sigma then stops at the last
+    grid point before d turns non-positive, and the coefficients carry
+    n_grid.
     """
     if step.stages != 2:
         raise ValueError("dense-output guard applies to two-stage steps")
+    if problem.surface is not None:
+        m1, m2 = rosenbrock._surface_slopes(step, problem.surface.n.tolist())
+        d1 = m1 + m2
+        passed = m1 > 0.0 and d1 > 0.0
+        if passed:
+            certified = step.tau
+        elif m1 > 0.0 and m2 < 0.0:
+            certified = step.tau * (m1 / -m2)  # d's root, in (0, 1]
+        else:
+            certified = 0.0
+        coefficients = {"d_min": min(m1, d1), "m1": m1, "m2": m2}
+    else:
+        passed, certified, coefficients = _sampled_dense_guard(problem, step)
+    return GuardReport(
+        mode=GuardMode.ROS2_DENSE,
+        coefficients=coefficients,
+        passed=passed,
+        certified_sigma=certified,
+        neumann_ok=True,
+    )
+
+
+def _sampled_dense_guard(problem: problems.PiecewiseProblem,
+                         step: rosenbrock.RosenbrockStep):
+    # d on the grid, with m1 and m2 as the minima over it of the
+    # theta-independent and theta-linear parts of d
     c = step.c
     gamma = step.gamma
     term_const = c * ((2.0 - 6.0 * gamma) * step.k1 - 2.0 * gamma * step.k2)
@@ -275,10 +310,5 @@ def guard_ros2_dense(problem: problems.PiecewiseProblem,
         certified = 0.0
     else:
         certified = step.tau * float(thetas[first_bad - 1])
-    return GuardReport(
-        mode=GuardMode.ROS2_DENSE,
-        coefficients={"d_min": d_min, "m1": m1, "m2": m2, "n_grid": float(GUARD_GRID)},
-        passed=passed,
-        certified_sigma=certified,
-        neumann_ok=True,
-    )
+    return passed, certified, {"d_min": d_min, "m1": m1, "m2": m2,
+                               "n_grid": float(GUARD_GRID)}

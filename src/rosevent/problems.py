@@ -10,7 +10,9 @@ so integrations can report exact evaluation and violation counts.
 A piecewise-affine problem (x' = A_i x + b_i, h = n.x + c) is declared once
 as `Affine` data, and `affine_problem` derives every field, Jacobian and
 surface callable from it and keeps it as `PiecewiseProblem.affine`; other
-problems give callables.
+problems give callables. A problem with callable fields can still declare
+an affine surface h = n.x + c as `Surface` data (`najafi` does), which
+event location and the dense guard read as `PiecewiseProblem.surface`.
 
 A slow/fast system is one PiecewiseProblem on the stacked state u = (y, z)
 seen through `SppProblem(stacked, slow_dim, eps)`: the rows slow_dim: of
@@ -20,6 +22,7 @@ eps to give the problem the integrator runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -49,6 +52,39 @@ class EvalCounters:
         return dict(self.f_evals), dict(self.domain_violations)
 
 
+@dataclass(frozen=True, eq=False)
+class Surface:
+    """The affine surface h(x) = n.x + c, n a read-only float copy.
+    ValueError unless n is a non-empty vector and all entries are finite."""
+
+    n: np.ndarray
+    c: float
+
+    def __post_init__(self):
+        n = np.array(self.n, dtype=float)
+        c = float(self.c)
+        if n.ndim != 1 or n.size == 0 or not np.isfinite(n).all() or not math.isfinite(c):
+            raise ValueError(f"a surface needs a finite vector n and a finite c, got {n}, {c}")
+        n.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
+
+    @functools.cached_property
+    def callables(self):
+        """(h, grad_h, hess_h), made once. h is x[i] + c for a unit normal
+        e_i, else float(n.dot(x)) + c (the bits of n @ x, dispatched in half
+        the time); the gradient and Hessian are read-only arrays."""
+        n, c = self.n, self.c
+        nonzero = np.flatnonzero(n)
+        if nonzero.size == 1 and n[nonzero[0]] == 1.0:
+            i = int(nonzero[0])
+            h = lambda x: x[i] + c  # noqa: E731
+        else:
+            h = lambda x: float(n.dot(x)) + c  # noqa: E731
+        zero = np.broadcast_to(0.0, (n.size, n.size))
+        return h, (lambda x: n), (lambda x: zero)
+
+
 @dataclass
 class PiecewiseProblem:
     """A vector field with one switching surface.
@@ -58,12 +94,15 @@ class PiecewiseProblem:
     slot is None. Domain predicates, when present, must cover at least the
     closure of the owning region (the field must be evaluable up to and on
     the surface).
+
+    Give either h (with optional grad_h, hess_h) or a declared `surface`,
+    which sets all three; giving both is a ValueError.
     """
 
     dim: int
     f1: Callable
     f2: Callable
-    h: Callable
+    h: Callable | None = None
     grad_h: Callable | None = None
     hess_h: Callable | None = None
     jac_f1: Callable | None = None
@@ -74,7 +113,20 @@ class PiecewiseProblem:
     x0: np.ndarray | None = None
     source_spp: "SppProblem | None" = None
     affine: "Affine | None" = None
+    surface: Surface | None = None
     counters: EvalCounters = field(default_factory=EvalCounters)
+
+    def __post_init__(self):
+        if self.surface is None:
+            if self.h is None:
+                raise ValueError("a problem needs an event function h or a declared surface")
+            return
+        if not (self.h is None and self.grad_h is None and self.hess_h is None):
+            raise ValueError("a declared surface sets h, grad_h and hess_h; give one or the other")
+        if self.surface.n.size != self.dim:
+            raise ValueError(f"the surface normal has {self.surface.n.size} entries, "
+                             f"the state {self.dim}")
+        self.h, self.grad_h, self.hess_h = self.surface.callables
 
 
 def eval_field(problem: PiecewiseProblem, which: int, x) -> np.ndarray:
@@ -169,14 +221,14 @@ class Affine:
 
 def affine_problem(aff: Affine, label: str = "", x0=None) -> PiecewiseProblem:
     """The PiecewiseProblem of a declaration: every field, Jacobian and
-    surface callable comes from `aff`. Jacobians and the gradient of h are
-    `aff`'s read-only arrays."""
-    A1, b1, A2, b2, n, c = aff.A1, aff.b1, aff.A2, aff.b2, aff.n, aff.c
-    zero = np.broadcast_to(0.0, (aff.dim, aff.dim))  # read-only
+    surface callable comes from `aff`, and its surface is declared
+    (`Surface(aff.n, aff.c)`). Jacobians and the gradient of h are
+    read-only arrays."""
+    A1, b1, A2, b2 = aff.A1, aff.b1, aff.A2, aff.b2
     return PiecewiseProblem(
         dim=aff.dim, f1=lambda x: A1 @ x + b1, f2=lambda x: A2 @ x + b2,
-        h=lambda x: float(n @ x) + c, grad_h=lambda x: n, hess_h=lambda x: zero,
         jac_f1=lambda x: A1, jac_f2=lambda x: A2, label=label, x0=x0, affine=aff,
+        surface=Surface(aff.n, aff.c),
     )
 
 
@@ -216,9 +268,10 @@ def spp_flatten(problem: SppProblem) -> PiecewiseProblem:
 
     A declared problem flattens once, its declaration's fast rows over eps
     (ValueError when one is not finite); otherwise the fields and Jacobians
-    are wrapped. h, its derivatives and the domains pass through. The
-    result has its own counters and keeps a link to its source, so surface
-    hits can be classified with the slow/fast structure intact.
+    are wrapped. The surface (declared, or h and its derivatives) and the
+    domains pass through. The result has its own counters and keeps a link
+    to its source, so surface hits can be classified with the slow/fast
+    structure intact.
     """
     st, eps = problem.stacked, problem.eps
     label = (st.label + "/flattened") if st.label else "flattened"
@@ -238,13 +291,15 @@ def spp_flatten(problem: SppProblem) -> PiecewiseProblem:
     def over_eps(F, d):
         return None if F is None else lambda u: np.asarray(F(u), dtype=float) / d
 
+    if st.surface is not None:
+        surface = {"surface": st.surface}
+    else:
+        surface = {"h": st.h, "grad_h": st.grad_h, "hess_h": st.hess_h}
     return PiecewiseProblem(
         dim=st.dim,
         f1=over_eps(st.f1, rows),
         f2=over_eps(st.f2, rows),
-        h=st.h,
-        grad_h=st.grad_h,
-        hess_h=st.hess_h,
+        **surface,
         jac_f1=over_eps(st.jac_f1, rows[:, None]),
         jac_f2=over_eps(st.jac_f2, rows[:, None]),
         domain_f1=st.domain_f1,
@@ -308,13 +363,16 @@ def reduced_order_model(problem: SppProblem, g0: Callable) -> PiecewiseProblem:
 # ---------------------------------------------------------------------------
 
 
+_NAJAFI_SURFACE = Surface([0.0, 1.0], -1.0)
+
+
 def _najafi() -> PiecewiseProblem:
     """Scalar model with a square-root factor that exists only up to the
     switching time.
 
     State is (x, t) with t carried as an extra coordinate (t' = 1). Before
     the switch x' = x*sqrt(1 - t), defined only for t <= 1; after it x' = 0.
-    The surface is h = t - 1.
+    The surface is declared: h = (0, 1).u - 1 = t - 1.
     """
 
     def f1(u):
@@ -323,9 +381,6 @@ def _najafi() -> PiecewiseProblem:
 
     def f2(u):
         return np.array([0.0, 1.0])
-
-    def h(u):
-        return u[1] - 1.0
 
     def jac_f1(u):
         x, t = u
@@ -343,9 +398,7 @@ def _najafi() -> PiecewiseProblem:
         dim=2,
         f1=f1,
         f2=f2,
-        h=h,
-        grad_h=lambda u: np.array([0.0, 1.0]),
-        hess_h=lambda u: np.zeros((2, 2)),
+        surface=_NAJAFI_SURFACE,
         jac_f1=jac_f1,
         jac_f2=jac_f2,
         domain_f1=lambda u: u[1] <= 1.0,

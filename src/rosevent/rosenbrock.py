@@ -26,7 +26,10 @@ itself. The dense output
 interpolates x0 at theta = 0 and x1 at theta = 1 and carries the order of
 the method, so events can be located inside a step without extra field
 evaluations or linear solves. The one-stage dense output is the chord
-X1(theta) = x0 + theta*k1.
+X1(theta) = x0 + theta*k1. Both are polynomials in theta, so an affine
+h = n.x + c along them is a polynomial too: _surface_slopes forms its
+coefficients from n.k1 and n.k2, for event location, even-count detection
+and the exact dense guard.
 
 The stage and dense-output arithmetic runs on Python floats, in one place:
 every step path (ros1_step, ros2_step, ros2_stage1 and ros2_finish here,
@@ -45,6 +48,7 @@ still goes through. Fields and h still get float arrays.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,6 +236,24 @@ class _DenseOutput:
         w1 = self.c * (2.0 * theta + self.p1)
         w2 = self.c * (2.0 * theta - self.p2)
         return np.array([w1 * a + w2 * b for a, b in zip(self.k1f, self.k2f)])
+
+
+def _surface_slopes(step: RosenbrockStep, n) -> tuple:
+    """(m1, m2) with n . dX1/dtheta = m1 + theta*m2, from a1 = n.k1 and
+    a2 = n.k2 (n a sequence of floats). For an affine h = n.x + c the value
+    along the dense output is then the quadratic
+
+        h(X1(theta)) = h(x0) + m1*theta + (m2/2)*theta^2
+
+    exactly: the b1/b2 weights above are quadratics in theta. The one-stage
+    chord gives a line, m2 = 0."""
+    a1 = math.fsum(map(operator.mul, n, step.k1.tolist()))
+    if step.stages == 1:
+        return a1, 0.0
+    a2 = math.fsum(map(operator.mul, n, step.k2.tolist()))
+    c = step.c
+    return (c * ((2.0 - 6.0 * step.gamma) * a1 - 2.0 * step.gamma * a2),
+            2.0 * c * (a1 + a2))
 
 
 def _check_theta(theta: float) -> None:

@@ -208,7 +208,8 @@ def test_criterion_07_location_is_free_and_consistent(monkeypatch):
     monkeypatch.setattr(_linalg, "lu_factor", banned)
     monkeypatch.setattr(_linalg, "lu_solve", banned)
     before = problem.counters.snapshot()[0]
-    record = locate_event(step, problem.h, cfg)
+    # integrate locates on the declared surface's polynomial, so does this
+    record = locate_event(step, problem.h, cfg, surface=problem.surface)
     assert problem.counters.snapshot()[0] == before
     monkeypatch.undo()
 

@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 import rosevent.bench
+import rosevent.problems
 from rosevent.bench import (
     OrderStudyRow,
     events_csv,
@@ -238,7 +239,9 @@ def test_cli_integrate_takes_a_stiff_step_matrix(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "termination: t_end" in out
-    assert "event 0: t = 0.000739845250755," in out
+    # located on the declared surface's polynomial (residual ~2e-16); the
+    # bisection before it stopped at ...250755 with residual 2.7e-12
+    assert "event 0: t = 0.000739845250757," in out
 
 
 def test_cli_integrate_writes_files(tmp_path, capsys):
@@ -373,6 +376,41 @@ def test_cli_guard_check_dense_keeps_a_safe_step(capsys):
     out = capsys.readouterr().out
     assert "shortened" not in out
     assert "certified sigma: 0.03125\n" in out
+
+
+def test_cli_guard_check_dense_names_an_exact_certificate(capsys):
+    # najafi declares its surface t - 1 = 0, so d(theta) is a line
+    code = cli_main(["guard-check", "--problem", "najafi", "--state", "1,0.9",
+                     "--tau", "0.125", "--mode", "ros2-dense"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "certificate: exact (affine surface)" in lines
+    assert not any(line.startswith("n_grid") for line in lines)
+
+
+def test_cli_guard_check_dense_names_a_sampled_certificate(capsys, monkeypatch):
+    # the same model with h given as a callable: the guard can only sample d
+    def undeclared_najafi():
+        declared = rosevent.problems._najafi()
+        return PiecewiseProblem(
+            dim=2, f1=declared.f1, f2=declared.f2, h=lambda u: u[1] - 1.0,
+            grad_h=lambda u: np.array([0.0, 1.0]), jac_f1=declared.jac_f1,
+            jac_f2=declared.jac_f2, domain_f1=declared.domain_f1, label="najafi")
+
+    monkeypatch.setitem(rosevent.problems._REGISTRY, "najafi", undeclared_najafi)
+    code = cli_main(["guard-check", "--problem", "najafi", "--state", "1,0.9",
+                     "--tau", "0.125", "--mode", "ros2-dense"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "certificate: 64-point sample (not exhaustive)" in lines
+    assert "n_grid = 64" in lines
+    assert "passed: True" in lines
+
+
+def test_cli_guard_check_series_modes_name_no_dense_certificate(capsys):
+    assert cli_main(["guard-check", "--problem", "tent", "--state", "0.3",
+                     "--tau", "0.25", "--mode", "ros1"]) == 0
+    assert "certificate:" not in capsys.readouterr().out
 
 
 def test_cli_usage_errors_exit_2(capsys):

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rosevent.events
 import rosevent.linalg
-from rosevent.errors import DomainViolation, NoBracket
+from rosevent.errors import DomainViolation, NoBracket, SingularMatrix
 from rosevent.events import (
+    SNAP_TRIES,
+    THETA_TOL,
     Direction,
     EventRecord,
     IntegratorConfig,
@@ -22,8 +25,11 @@ from rosevent.events import (
 )
 from rosevent.onesided import GuardMode
 from rosevent.problems import (
+    SIGMA_TOL,
+    Affine,
     PiecewiseProblem,
     SppProblem,
+    affine_problem,
     builtin,
     eval_field,
     field_fn,
@@ -31,7 +37,14 @@ from rosevent.problems import (
     problem_names,
     spp_flatten,
 )
-from rosevent.rosenbrock import dense_eval, method_by_name, restep, ros1_step, ros2_step
+from rosevent.rosenbrock import (
+    dense_derivative,
+    dense_eval,
+    method_by_name,
+    restep,
+    ros1_step,
+    ros2_step,
+)
 
 
 def unit_speed_step(x0=0.0, tau=1.0):
@@ -514,3 +527,214 @@ def test_guarded_and_finite_difference_runs_count_every_factorization():
     result, lu_calls = integrate_counting_lu(relay, relay.x0, cfg)
     assert result.events
     assert result.stats.lu_factorizations == lu_calls <= result.stats.steps
+
+
+# --- declared affine surfaces: closed-form location and even-count hits -------
+
+def parabola(declared=True):
+    """State (y, t) with y' = 1 - 2t, t' = 1 in both regions and the surface
+    y = 0.2: from (0, 0) h = t - t^2 - 0.2 rises across zero at
+    t = (1 - sqrt(0.2))/2 and falls back at t = (1 + sqrt(0.2))/2."""
+    A = [[0.0, -2.0], [0.0, 0.0]]
+    problem = affine_problem(Affine(A1=A, b1=[1.0, 1.0], A2=A, b2=[1.0, 1.0],
+                                    n=[1.0, 0.0], c=-0.2), "parabola")
+    if declared:
+        return problem
+    return PiecewiseProblem(dim=2, f1=problem.f1, f2=problem.f2,
+                            h=lambda x: x[0] - 0.2, label="parabola/undeclared")
+
+
+@pytest.mark.parametrize("method", ["ros1", "ros2"])
+def test_a_step_with_two_crossings_reports_both(method):
+    # one step of tau = 0.9: h(x0) = -0.2 and h(x1) = -0.11 share a sign
+    cfg = IntegratorConfig(tau=0.9, t_end=0.9, method=method_by_name(method))
+    result = integrate(parabola(), [0.0, 0.0], cfg)
+    if method == "ros1":
+        # the one-stage chord is a line in theta: it has one root at most,
+        # and here its end is below the surface too
+        assert result.events == []
+        return
+    assert result.termination is Termination.REACHED_T_END
+    assert [ev.direction for ev in result.events] == [Direction.R1_TO_R2,
+                                                      Direction.R2_TO_R1]
+    npt.assert_allclose([ev.t_star for ev in result.events],
+                        [(1.0 - math.sqrt(0.2)) / 2.0, (1.0 + math.sqrt(0.2)) / 2.0],
+                        rtol=0, atol=1e-12)
+    assert result.events[0].step_index == 0
+    # an undeclared surface still sees only the endpoint signs
+    assert integrate(parabola(declared=False), [0.0, 0.0], cfg).events == []
+
+
+def accepted_steps(problem, x0, cfg):
+    """integrate, plus (step, theta_end) for every accepted step: the part
+    [0, theta_end] of each step the run kept, found by following the state
+    each step hands to the next."""
+    taken = []
+    real = rosevent.events.take_step
+
+    def recording(problem, x, *args):
+        out = real(problem, x, *args)
+        taken.append((x, out[0]))
+        return out
+
+    with mock.patch.object(rosevent.events, "take_step", recording):
+        result = integrate(problem, x0, cfg)
+    if result.termination is Termination.CHATTERING:
+        taken.pop()  # the turned-back step is not kept
+    events = iter(result.events)
+    pending = next(events, None)
+    kept = []
+    for i, (_, step) in enumerate(taken):
+        following = taken[i + 1][0] if i + 1 < len(taken) else None
+        if pending is not None and (following is None or pending.x_star is following):
+            kept.append((step, pending.theta_star))
+            pending = next(events, None)
+        else:
+            assert following is None or following is step.x1
+            kept.append((step, 1.0))
+    assert pending is None
+    return result, kept
+
+
+@st.composite
+def declared_runs(draw):
+    """A run on a declared surface: either a parabola-like (y, t) problem,
+    y' = a - b*t, or a random planar affine problem, from a start off the
+    band, at a step size over three decades."""
+    fin = st.floats(-3.0, 3.0)
+    if draw(st.booleans()):
+        a, b2 = draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0))
+        A = [[0.0, -b2], [0.0, 0.0]]
+        aff = Affine(A1=A, b1=[a, 1.0], A2=A, b2=[a, 1.0], n=[1.0, 0.0],
+                     c=-draw(st.floats(0.01, 0.9)) * a * a / (2.0 * b2))
+        x0 = [0.0, 0.0]
+    else:
+        A1 = [[draw(fin) for _ in range(2)] for _ in range(2)]
+        A2 = [[draw(fin) for _ in range(2)] for _ in range(2)]
+        aff = Affine(A1=A1, b1=[draw(fin), draw(fin)], A2=A2, b2=[draw(fin), draw(fin)],
+                     n=[draw(fin), draw(fin)], c=draw(fin))
+        x0 = [draw(fin), draw(fin)]
+    problem = affine_problem(aff, "random")
+    assume(abs(problem.h(np.array(x0))) > 1e-3)
+    tau = 10.0 ** draw(st.floats(-3.0, 0.0))
+    cfg = IntegratorConfig(tau=tau, t_end=min(2.0, 60 * tau),
+                           method=method_by_name(draw(st.sampled_from(["ros1", "ros2"]))),
+                           max_events=40)
+    return problem, np.array(x0), cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=declared_runs())
+def test_no_sign_change_inside_an_accepted_step_goes_unreported(run):
+    # sample h along the kept part of every accepted step: it must stay on
+    # the side of the active field's region, up to the surface band (and,
+    # right after a hit, up to where that hit's state sits)
+    problem, x0, cfg = run
+    result, kept = accepted_steps(problem, x0, cfg)
+    assert result.termination is not Termination.MAX_EVENTS or len(result.events) == 40
+    for step, theta_end in kept:
+        side = -1.0 if step.field_id == 1 else 1.0
+        tol = max(SIGMA_TOL, 2.0 * abs(float(problem.h(step.x0))))
+        tol = SIGMA_TOL if side * float(problem.h(step.x0)) > 0.0 else tol
+        g = [side * float(problem.h(dense_eval(step, th)))
+             for th in np.linspace(0.0, theta_end, 1000).tolist()]
+        assert min(g) >= -tol, (step.x0, step.tau, theta_end, min(g))
+
+
+@pytest.mark.parametrize("g0, m1, m2, root", [
+    # a root near 0 next to one near 2e5: the textbook formula cancels
+    (-1e-10, 1e5, -1.0, 1e-15),
+    # coefficients whose squares underflow or overflow
+    (-1e-200, 1e-190, -2e-190, 1e-10),
+    (-1e200, 1e210, -1e210, 1e-10),
+    # a line; the first of two roots; a root past 1; no real root
+    (-1.0, 2.0, 0.0, 0.5), (0.12, -0.8, 2.0, 0.2), (-1.0, 0.5, 0.0, None),
+    (-1.0, 0.5, 0.1, None),
+])
+def test_first_root_of_the_surface_quadratic(g0, m1, m2, root):
+    got = rosevent.events._first_root(g0, m1, m2)
+    if root is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(root, rel=1e-9)
+
+
+@st.composite
+def affine_steps(draw):
+    """A step of a random affine field (dimension 1 to 3, ROS1 or ROS2,
+    tau over four decades) and a declared surface through the dense output
+    at a random theta."""
+    dim = draw(st.integers(1, 3))
+    fin = st.floats(-3.0, 3.0)
+    A = np.array([[draw(fin) for _ in range(dim)] for _ in range(dim)])
+    b = np.array([draw(fin) for _ in range(dim)])
+    x0 = np.array([draw(fin) for _ in range(dim)])
+    n = np.array([draw(fin) for _ in range(dim)])
+    assume(np.any(n != 0.0))
+    tau = 10.0 ** draw(st.floats(-4.0, 0.0))
+    stepper = draw(st.sampled_from([ros1_step, ros2_step]))
+    try:
+        step = stepper(lambda x: A @ x + b, x0, tau, A)
+    except SingularMatrix:
+        assume(False)
+    s = draw(st.floats(0.02, 0.98))
+    problem = affine_problem(Affine(A1=A, b1=b, A2=A, b2=b, n=n,
+                                    c=-float(n @ dense_eval(step, s))))
+    return problem, step
+
+
+def rounding_scale(problem, step):
+    # what one evaluation of h on the dense output can be off by, relative
+    # rounding plus the absolute step of subnormal numbers
+    xs = np.abs(np.array([dense_eval(step, th) for th in (0.0, 0.5, 1.0)])).max(axis=0)
+    return 64 * (np.finfo(float).eps * (float(np.abs(problem.surface.n) @ xs)
+                                        + abs(problem.surface.c)) + math.ulp(0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=affine_steps())
+def test_closed_form_location_agrees_with_bisection(case):
+    problem, step = case
+    h = problem.h
+
+    def g(th):
+        return float(h(dense_eval(step, th)))
+
+    h0, h1 = g(0.0), g(1.0)
+    assume(h0 != 0.0)
+    if detect_sign_change(h0, h1):
+        hi = 1.0
+    else:
+        # the surface is crossed twice: bracket the first hit by the vertex
+        d0 = float(problem.surface.n @ dense_derivative(step, 0.0))
+        d1 = float(problem.surface.n @ dense_derivative(step, 1.0))
+        assume(d0 * d1 < 0.0)
+        hi = d0 / (d0 - d1)
+        assume(detect_sign_change(h0, g(hi)))
+
+    def banned(*a, **k):  # pragma: no cover - should never run
+        raise AssertionError("linear algebra called during event location")
+
+    with mock.patch.object(rosevent.linalg, "lu_factor", banned), \
+            mock.patch.object(rosevent.linalg, "lu_solve", banned):
+        before = problem.counters.snapshot()
+        record = locate_event(step, h, default_cfg(), surface=problem.surface)
+        assert problem.counters.snapshot() == before
+
+    # the located state is on the departing side or on the surface
+    g_star = g(record.theta_star)
+    assert (g_star <= 0.0) if h0 < 0.0 else (g_star >= 0.0)
+    npt.assert_array_equal(record.x_star, dense_eval(step, record.theta_star))
+
+    theta_bis, _, _ = rosevent.linalg.safe_side_root(g, 0.0, hi, h0, 0.0, THETA_TOL)
+    slope = abs(float(problem.surface.n @ dense_derivative(step, record.theta_star)))
+    fuzz = rounding_scale(problem, step) / slope if slope else math.inf
+    assert abs(record.theta_star - theta_bis) <= THETA_TOL + fuzz
+
+
+def test_closed_form_location_takes_few_h_calls_on_the_relay():
+    problem = spp_flatten(builtin("kowalczyk", eps=1e-2))
+    result = integrate(problem, problem.x0, IntegratorConfig(tau=4e-3, t_end=2.0))
+    assert len(result.events) >= 10
+    assert all(1 <= ev.root_iterations <= SNAP_TRIES for ev in result.events)
+    assert all(ev.residual <= 1e-12 for ev in result.events)

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rosevent.linalg
-from rosevent.errors import NoBracket, NotOrthogonal
+from rosevent.errors import NoBracket, NotOrthogonal, SingularMatrix
 from rosevent.events import IntegratorConfig, Termination, integrate
 from rosevent.onesided import (
     GuardMode,
@@ -17,8 +19,8 @@ from rosevent.onesided import (
     guard_ros2_dense,
     guarded_ros2_step,
 )
-from rosevent.problems import PiecewiseProblem, builtin, field_jacobian
-from rosevent.rosenbrock import GAMMA_ROS2, ros1_step, ros2_step
+from rosevent.problems import Affine, PiecewiseProblem, affine_problem, builtin, field_jacobian
+from rosevent.rosenbrock import GAMMA_ROS2, dense_derivative, ros1_step, ros2_step
 
 
 def scalar_problem(f1, h, *, jac=None, grad=None, hess=None):
@@ -328,3 +330,78 @@ def test_dense_guard_validates_inputs():
     one_stage = ros1_step(problem.f1, np.array([0.0]), 0.5, np.zeros((1, 1)))
     with pytest.raises(ValueError, match="two-stage"):
         guard_ros2_dense(problem, one_stage)
+
+
+# --- the exact dense guard on a declared affine surface ------------------------
+
+def declared(A, b, n, c):
+    return affine_problem(Affine(A1=A, b1=b, A2=A, b2=b, n=n, c=c))
+
+
+def test_exact_dense_guard_passes_on_monotone_approach():
+    problem = declared([[0.0]], [1.0], [1.0], -2.0)
+    step = ros2_step(problem.f1, np.array([0.0]), 0.8, np.zeros((1, 1)))
+    report = guard_ros2_dense(problem, step)
+    assert report.passed
+    assert report.certified_sigma == step.tau
+    assert "n_grid" not in report.coefficients
+    assert report.coefficients["d_min"] == pytest.approx(0.8, rel=1e-12)
+    assert abs(report.coefficients["m2"]) <= 1e-15
+
+
+def test_exact_dense_guard_certifies_up_to_the_root_of_d():
+    # y' = 1 - 2t, t' = 1 toward y = 0.2: d(theta) = tau*(1 - 2*tau*theta)
+    # turns at theta = 1/(2*tau) = 5/9, between the 64-point grid's nodes
+    problem = declared([[0.0, -2.0], [0.0, 0.0]], [1.0, 1.0], [1.0, 0.0], -0.2)
+    step = ros2_step(problem.f1, np.array([0.0, 0.0]), 0.9, problem.jac_f1(None))
+    report = guard_ros2_dense(problem, step)
+    assert not report.passed
+    assert report.certified_sigma == pytest.approx(0.5, rel=1e-14)
+    assert report.coefficients["m1"] == pytest.approx(0.9, rel=1e-14)
+    assert report.coefficients["m2"] == pytest.approx(-1.62, rel=1e-14)
+    assert report.coefficients["d_min"] == pytest.approx(0.9 - 1.62, rel=1e-14)
+
+
+def test_exact_dense_guard_fails_at_once_when_d_starts_non_positive():
+    problem = declared([[0.0]], [0.0], [1.0], -0.5)
+    step = ros2_step(problem.f1, np.array([0.0]), 1.0, np.zeros((1, 1)))
+    report = guard_ros2_dense(problem, step)
+    assert not report.passed
+    assert report.certified_sigma == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), log_tau=st.floats(-4.0, 0.0))
+def test_exact_dense_guard_is_an_oracle_certificate(data, dim, log_tau):
+    fin = st.floats(-3.0, 3.0)
+    A = np.array([[data.draw(fin) for _ in range(dim)] for _ in range(dim)])
+    b = np.array([data.draw(fin) for _ in range(dim)])
+    n = np.array([data.draw(fin) for _ in range(dim)])
+    x0 = np.array([data.draw(fin) for _ in range(dim)])
+    problem = declared(A, b, n, data.draw(fin))
+    tau = 10.0 ** log_tau
+    try:
+        step = ros2_step(problem.f1, x0, tau, A)
+    except SingularMatrix:
+        assume(False)
+    report = guard_ros2_dense(problem, step)
+    assert "n_grid" not in report.coefficients
+
+    def d(theta):
+        return float(n @ dense_derivative(step, theta))
+
+    # d in floats is off by the rounding of one derivative and one dot product
+    size = float(np.abs(n) @ (np.abs(step.k1) + np.abs(step.k2)))
+    slack = 64 * np.finfo(float).eps * step.c * 4.0 * size
+    if report.passed:
+        assert report.certified_sigma == tau
+        assert min(d(th) for th in np.linspace(0.0, 1.0, 10_000).tolist()) > -slack
+    else:
+        # d is not positive at the line's root: at theta = 0 when d starts
+        # there, else at the root in (0, 1], and then at theta = 1 too
+        root = report.certified_sigma / tau
+        assert 0.0 <= root <= 1.0
+        assert d(root) <= slack
+        if root > 0.0:
+            assert d(root) >= -slack
+            assert d(1.0) <= slack

@@ -16,6 +16,7 @@ from rosevent.problems import (
     Affine,
     PiecewiseProblem,
     SppProblem,
+    Surface,
     affine_problem,
     affine_spp,
     builtin,
@@ -519,3 +520,83 @@ def test_non_finite_builtin_parameters_are_rejected(name, params):
     # flatten the fast rows to zero and classify with q(inf) = NaN
     with pytest.raises(ValueError, match=f"bad parameters for '{name}'"):
         builtin(name, **params)
+
+
+# --- declared affine surfaces --------------------------------------------------
+
+def test_surface_stores_a_read_only_copy():
+    n = [2.0, -1.0]
+    surface = Surface(n, 0.5)
+    n[0] = 7.0
+    npt.assert_array_equal(surface.n, [2.0, -1.0])
+    assert not surface.n.flags.writeable and surface.c == 0.5
+    with pytest.raises(AttributeError):
+        surface.c = 0.0
+
+
+@pytest.mark.parametrize("n, c", [
+    ([], 0.0), ([[1.0, 0.0]], 0.0), ([1.0, math.nan], 0.0), ([1.0], math.inf),
+])
+def test_surface_rejects_bad_shapes_and_non_finite_entries(n, c):
+    with pytest.raises(ValueError, match="surface"):
+        Surface(n, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 4))
+def test_a_declared_surface_gives_h_and_its_derivatives(data, dim):
+    fin = st.floats(-1e3, 1e3)
+    n = np.array([data.draw(fin) for _ in range(dim)])
+    c = data.draw(fin)
+    x = np.array([data.draw(fin) for _ in range(dim)])
+    problem = PiecewiseProblem(dim=dim, f1=lambda u: u, f2=lambda u: -u,
+                               surface=Surface(n, c))
+    if np.count_nonzero(n) == 1 and n[np.flatnonzero(n)[0]] == 1.0:
+        # a unit normal e_i: h = x[i] + c, one operation
+        assert problem.h(x) == x[np.flatnonzero(n)[0]] + c
+    else:
+        assert problem.h(x) == float(n @ x) + c
+    npt.assert_array_equal(h_gradient(problem, x), n)
+    npt.assert_array_equal(h_hessian(problem, x), np.zeros((dim, dim)))
+
+
+def test_h_and_a_declared_surface_exclude_each_other():
+    f = lambda u: u  # noqa: E731
+    with pytest.raises(ValueError, match="give one or the other"):
+        PiecewiseProblem(dim=1, f1=f, f2=f, h=lambda u: u[0], surface=Surface([1.0], 0.0))
+    with pytest.raises(ValueError, match="give one or the other"):
+        PiecewiseProblem(dim=1, f1=f, f2=f, grad_h=lambda u: u, surface=Surface([1.0], 0.0))
+    with pytest.raises(ValueError, match="needs an event function h or a declared surface"):
+        PiecewiseProblem(dim=1, f1=f, f2=f)
+    with pytest.raises(ValueError, match="normal has 2 entries, the state 1"):
+        PiecewiseProblem(dim=1, f1=f, f2=f, surface=Surface([1.0, 0.0], 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(-1e6, 1e6), t=st.floats(-1e6, 1e6))
+def test_najafi_declares_t_minus_one(x, t):
+    problem = builtin("najafi")
+    npt.assert_array_equal(problem.surface.n, [0.0, 1.0])
+    assert problem.surface.c == -1.0
+    u = np.array([x, t])
+    # bit for bit the hand-written u[1] - 1.0 it replaces
+    assert problem.h(u) == u[1] - 1.0
+    npt.assert_array_equal(h_gradient(problem, u), [0.0, 1.0])
+
+
+def test_declarations_and_flattening_keep_the_surface():
+    aff = Affine(A1=[[0.0]], b1=[1.0], A2=[[0.0]], b2=[-1.0], n=[2.0], c=-1.0)
+    problem = affine_problem(aff)
+    npt.assert_array_equal(problem.surface.n, aff.n)
+    assert problem.surface.c == aff.c
+    for name in ("kowalczyk", "teixeira", "ostermann_modified"):
+        spec = builtin(name)
+        flat = spp_flatten(spec)
+        npt.assert_array_equal(flat.surface.n, spec.stacked.affine.n)
+        assert flat.surface.c == spec.stacked.affine.c
+    # the callable branch passes a declared surface through as it is
+    st_problem = PiecewiseProblem(dim=2, f1=lambda u: u, f2=lambda u: -u,
+                                  surface=Surface([0.0, 1.0], -0.5))
+    flat = spp_flatten(SppProblem(st_problem, slow_dim=1, eps=0.5))
+    assert flat.surface is st_problem.surface
+    assert flat.h(np.array([3.0, 2.0])) == 1.5
