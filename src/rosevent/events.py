@@ -15,8 +15,8 @@ a quadratic in theta (rosenbrock._surface_slopes): a step is hit when h
 changes sign across it or when the quadratic dips past the band and back,
 and the hit is the quadratic's first root, checked on the real h
 (Shampine, Gladwell & Brankin, ACM TOMS 17, 1991). Any other h is judged
-by its signs at the step's ends and bisected (linalg.safe_side_root, as in
-the case-1b shortening), so it can miss an even number of crossings.
+by its signs at the step's ends and searched with ITP (linalg.safe_side_root,
+as in the case-1b shortening), so it can miss an even number of crossings.
 
 A first step after a crossing whose hit is located within THETA_TOL of its
 start turns straight back (numerical chattering, e.g. a one-stage step at
@@ -33,11 +33,12 @@ bit, as factoring on every step. IntegrationStats.lu_factorizations counts
 the factorizations that actually ran.
 
 Every hit that is not located is recorded at theta = 1, the step endpoint:
-an endpoint inside the surface band |h| <= problems.SIGMA_TOL, and every
-hit in the naive mode (locate_events=False). The naive mode runs no guard
-and no classification: each hit is a crossing, accepted as-is, and the
-field switches at the mesh point. It exists to measure the order reduction
-this causes.
+an endpoint inside the surface band |h| <= problems.SIGMA_TOL that is on
+the surface or on the departing side, and every hit in the naive mode
+(locate_events=False). An endpoint strictly past the surface is located,
+even inside the band. The naive mode runs no guard and no classification:
+each hit is a crossing, accepted as-is, and the field switches at the mesh
+point. It exists to measure the order reduction this causes.
 """
 
 from __future__ import annotations
@@ -51,12 +52,12 @@ import numpy as np
 from . import filippov, linalg, onesided, problems, rosenbrock
 from .errors import DomainViolation, NoBracket, SingularMatrix
 
-# Bracket width in theta at which event location stops. Bisection halves
-# [0, 1] exactly, so it reaches this width after at most 40 iterations.
+# Bracket width in theta at which event location stops. The ITP search of
+# [0, 1] reaches it after at most 41 iterations, one more than bisection.
 THETA_TOL = 1e-12
 
 # h evaluations the closed-form location spends at and around the root of
-# the surface polynomial before it falls back to bisection
+# the surface polynomial before it falls back to the ITP search
 SNAP_TRIES = 4
 
 
@@ -177,10 +178,11 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
     it and accept the departing end of a bracket narrower than THETA_TOL.
     The ends of the step may share a sign (an even number of crossings).
     Otherwise, or when the probes do not settle it, linalg.safe_side_root
-    bisects the bracket known so far ([0, 1] when h0 and h1 differ in sign)
-    with cfg.h_tol and width THETA_TOL. Either way the located state never
-    trespasses, and location costs h evaluations only (root_iterations
-    counts them). Raises NoBracket when no bracket is found.
+    searches the bracket known so far ([0, 1] when h0 and h1 differ in
+    sign), from g at its far end, with cfg.h_tol and width THETA_TOL.
+    Either way the located state never trespasses, and location costs h
+    evaluations only (root_iterations counts them). Raises NoBracket when
+    no bracket is found.
     """
     X1 = rosenbrock._DenseOutput(step).value
 
@@ -190,7 +192,7 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
     if h0 is None:
         h0 = g(0.0)
     neg = h0 < 0.0
-    lo, g_lo, hi, calls = 0.0, h0, None, 0
+    lo, g_lo, hi, g_hi, calls = 0.0, h0, None, None, 0
     settled = False
     theta = None
     if surface is not None and h0 != 0.0:
@@ -203,7 +205,7 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
         if departing or g_theta == 0.0:
             lo, g_lo = theta, g_theta
         else:  # the far side, or NaN
-            hi = theta
+            hi, g_hi = theta, g_theta
         settled = (g_theta == 0.0 or (departing and abs(g_theta) <= cfg.h_tol)
                    or (hi is not None and hi - lo <= THETA_TOL))
         if settled or (hi is not None and lo > 0.0):
@@ -222,8 +224,8 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
                 h1 = g(1.0)
             if not detect_sign_change(h0, h1):
                 raise NoBracket(f"no sign change across the step: h0={h0:g}, h1={h1:g}")
-            hi = 1.0
-        lo, g_lo, more = linalg.safe_side_root(g, lo, hi, g_lo, cfg.h_tol, THETA_TOL)
+            hi, g_hi = 1.0, h1
+        lo, g_lo, more = linalg.safe_side_root(g, lo, hi, g_lo, g_hi, cfg.h_tol, THETA_TOL)
         calls += more
     return EventRecord(
         step_index=step_index,
@@ -370,7 +372,9 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
         on_band = abs(h_new) <= problems.SIGMA_TOL
         crossed = detect_sign_change(-1.0 if h_sign_neg else 1.0, h_new)
         record = None
-        if not on_band and (crossed or normal is not None) and cfg.locate_events:
+        # an endpoint past the surface is located even inside the band: a
+        # state recorded there would be classified with the field it left
+        if (crossed or (not on_band and normal is not None)) and cfg.locate_events:
             # the stored h at x can sit inside the band with an unreliable
             # sign right after an event; hand the locator a sign-consistent
             # start value

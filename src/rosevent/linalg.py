@@ -5,7 +5,7 @@ of states, not thousands. At that size a numpy call costs its dispatch, not
 its arithmetic, so the input checks, the partial-pivoting LU and the solves
 run on Python floats; lu_solve takes a list of floats as it is, which is
 how the step kernels in rosenbrock pass their right-hand sides. Also here:
-the safe-side root search of event location and the case-1b shortening,
+the safe-side ITP root search of event location and the case-1b shortening,
 finite-difference stencils (the Jacobian one switches to one-sided
 differences at a domain edge) and a cheap spectral-radius bound. All
 operations are pure and deterministic.
@@ -116,6 +116,15 @@ def lu_solve(factors: LuFactors, b) -> np.ndarray:
     b must be a finite vector of M's size. A list is taken as Python
     floats, as the step kernels in rosenbrock build their right-hand sides;
     anything else goes through as_vector.
+
+    A substitution that ends with a non-finite entry (a product u_ij*x_j
+    can round to inf while x is finite) is redone with b scaled by 2**-k
+    and the result scaled back by 2**k, as LAPACK's robust triangular solve
+    xLATRS does (Anderson, LAPACK Working Note 36, 1991). k is n plus the
+    exponent of n*max|entry|: |l_ij| <= 1 grows b by at most 2**(n-1), and
+    every product and sum then stays in range, so only an entry that
+    overflows itself comes back infinite. A solve that does not overflow
+    never takes this path and keeps its bits.
     """
     if type(b) is not list:
         vals = as_vector(b).tolist()
@@ -128,45 +137,83 @@ def lu_solve(factors: LuFactors, b) -> np.ndarray:
     if len(vals) != n:
         raise ValueError(f"matrix is {n}x{n} but b has length {len(vals)}")
     x = [vals[p] for p in factors.pivots]
-    for i in range(1, n):  # forward substitution, unit diagonal
-        dot = 0.0
-        for j in range(i):
-            dot += a[i][j] * x[j]
-        x[i] -= dot
-    for i in range(n - 1, -1, -1):  # back substitution
-        dot = 0.0
-        for j in range(i + 1, n):
-            dot += a[i][j] * x[j]
-        x[i] = (x[i] - dot) / a[i][i]
+    k = 0
+    while True:  # twice at most: again, scaled, after an overflow
+        for i in range(1, n):  # forward substitution, unit diagonal
+            dot = 0.0
+            for j in range(i):
+                dot += a[i][j] * x[j]
+            x[i] -= dot
+        for i in range(n - 1, -1, -1):  # back substitution
+            dot = 0.0
+            for j in range(i + 1, n):
+                dot += a[i][j] * x[j]
+            x[i] = (x[i] - dot) / a[i][i]
+        # a non-finite entry reaches x[0], which sums a product with each
+        if k or n == 0 or math.isfinite(x[0]):
+            break
+        k = math.frexp(n * max(1.0, max(max(map(abs, row)) for row in a)))[1] + n
+        x = [math.ldexp(vals[p], -k) for p in factors.pivots]
+    if k:
+        # two factors, each a finite power of two, where 2.0**k may not be
+        up, up2 = 2.0 ** (k // 2), 2.0 ** (k - k // 2)
+        x = [v * up * up2 for v in x]
     return np.array(x)
 
 
-def safe_side_root(g: Callable, lo: float, hi: float, g_lo: float, tol: float, width: float):
-    """Bisect for a zero of g in (lo, hi) from the side of lo, g_lo = g(lo) != 0.
+def safe_side_root(g: Callable, lo: float, hi: float, g_lo: float, g_hi: float,
+                   tol: float, width: float):
+    """Search for a zero of g in (lo, hi) from the side of lo, where
+    g_lo = g(lo) != 0 and g_hi = g(hi) is on the far side (not lo's sign).
 
-    Returns (mid, g(mid), calls) at the first midpoint with g(mid) == 0, or
-    with |g(mid)| <= tol and lo's sign; else lo moves to mid when g(mid) has
-    lo's sign and hi moves when not (a NaN counts as the far side), and once
-    hi - lo <= width it returns (lo, g_lo, calls). No iteration cap: the
-    bracket halves on every call and a width >= 4*eps*max(|lo|, |hi|) keeps
-    midpoints strictly inside, so it ends within ceil(log2((hi - lo)/width))
-    + 1 calls. Raises ValueError on a bracket that breaks these conditions.
+    Each trial is an ITP point (Oliveira & Takahashi, ACM TOMS 47, 2021):
+    the regula-falsi point of the bracket, truncated towards the midpoint
+    by 0.2*(hi - lo)**2 over the initial width and projected into a
+    shrinking radius about the midpoint. A regula-falsi point outside
+    (lo, hi), as from a NaN or infinite g at the far end, takes the
+    midpoint for that trial.
+
+    Returns (x, g(x), calls) at the first trial with g(x) == 0, or with
+    |g(x)| <= tol and lo's sign; else lo moves to x when g(x) has lo's sign
+    and hi moves when not (a NaN counts as the far side), and once
+    hi - lo <= width it returns (lo, g_lo, calls). No iteration cap: a
+    width > 0 and >= 4*eps*max(|lo|, |hi|) keeps every trial strictly
+    inside, and the projection ends the search within one call more than
+    bisection needs to reach width less 4*eps*max(|lo|, |hi|) (a margin
+    for rounding; at least width/2): 41 calls for [0, 1] at width 1e-12,
+    never more than ceil(log2((hi - lo)/width)) + 2. Raises ValueError on a
+    bracket that breaks these conditions.
     """
-    if not (lo < hi and abs(g_lo) > 0.0 and width >= 4.0 * _EPS * max(abs(lo), abs(hi))):
-        raise ValueError(f"bad bracket [{lo!r}, {hi!r}]: g_lo={g_lo!r}, width={width!r}")
+    big = max(abs(lo), abs(hi))
     neg_at_lo = g_lo < 0.0
+    if not (lo < hi and abs(g_lo) > 0.0 and not (g_hi < 0.0 if neg_at_lo else g_hi > 0.0)
+            and width > 0.0 and width >= 4.0 * _EPS * big):
+        raise ValueError(f"bad bracket [{lo!r}, {hi!r}]: g_lo={g_lo!r}, g_hi={g_hi!r}, "
+                         f"width={width!r}")
+    kappa1 = 0.2 / (hi - lo)
+    aim = max(width - 4.0 * _EPS * big, 0.5 * width)
+    # bisection's call count to the aimed width, plus n0 = 1
+    n_max = math.ceil(math.log2((hi - lo) / aim)) + 1
     calls = 0
     while True:
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
+        span = hi - lo
+        mid = x = 0.5 * (lo + hi)
+        x_f = lo + span * (g_lo / (g_lo - g_hi))
+        if lo < x_f < hi:
+            to_mid = mid - x_f
+            delta = kappa1 * span * span
+            x_t = x_f + math.copysign(delta, to_mid) if delta <= abs(to_mid) else mid
+            radius = max(0.0, aim * 2.0 ** (n_max - calls - 1) - 0.5 * span)
+            x = x_t if abs(x_t - mid) <= radius else mid - math.copysign(radius, to_mid)
+        g_x = g(x)
         calls += 1
-        same_side = g_mid < 0.0 if neg_at_lo else g_mid > 0.0
-        if g_mid == 0.0 or (same_side and abs(g_mid) <= tol):
-            return mid, g_mid, calls
+        same_side = g_x < 0.0 if neg_at_lo else g_x > 0.0
+        if g_x == 0.0 or (same_side and abs(g_x) <= tol):
+            return x, g_x, calls
         if same_side:
-            lo, g_lo = mid, g_mid
+            lo, g_lo = x, g_x
         else:
-            hi = mid
+            hi, g_hi = x, g_x
         if hi - lo <= width:
             return lo, g_lo, calls
 

@@ -30,9 +30,9 @@ builds a guarded two-stage step (the integrator and the guard-check command
 both call it): when the internal stage x0 + k1 would already trespass the
 surface, the step is shortened before the second field evaluation ever
 happens. resolve_case_1b searches g(sigma) = h(x0 + k1(sigma)) for a safe
-size with linalg.safe_side_root, the bisection event location also uses,
-reusing the caller's f(x0) and J, with one factorization per trial and no
-field evaluations.
+size with linalg.safe_side_root, the ITP search event location also uses,
+reusing the caller's f(x0), J and g(tau), with one factorization per trial
+and no field evaluations.
 """
 
 from __future__ import annotations
@@ -196,23 +196,25 @@ def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,
     fx0 = rosenbrock._floats(field(x0), len(x0f))
     factors = rosenbrock.ros2_factor(J, tau)
     k1 = rosenbrock._stage1(factors, fx0, tau)
-    if float(problem.h(x0 + k1)) > 0.0:
-        step, trials = resolve_case_1b(problem, x0, tau, fx0, J, h_tol)
+    g_tau = float(problem.h(x0 + k1))
+    if g_tau > 0.0:
+        step, trials = resolve_case_1b(problem, x0, tau, fx0, J, g_tau, h_tol)
         return step, 1 + trials
     return rosenbrock._ros2_finish(field, x0, x0f, tau, J, factors, k1, 1), 1
 
 
 def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
-                    h_tol: float = 1e-12):
+                    g_tau: float, h_tol: float = 1e-12):
     """Shrink a two-stage step whose internal stage trespasses the surface.
 
-    The caller has seen x0 + k1(tau) trespass, with fx0 = f1(x0) and J its
-    Jacobian. linalg.safe_side_root searches g(sigma) = h(x0 + k1(sigma))
-    over (0, tau) from the safe side, down to a 4*eps*tau bracket: each
-    trial factors (I - gamma*sigma*J) and recomputes k1 from fx0, with no
-    field evaluation. The factors of the trial it ends at complete the
-    step, so the internal stage has g <= 0. Returns (step, factorizations);
-    raises NoBracket when x0 is not below the surface or no trial is safe.
+    The caller has seen x0 + k1(tau) trespass, with fx0 = f1(x0), J its
+    Jacobian and g_tau = h(x0 + k1(tau)) > 0. linalg.safe_side_root
+    searches g(sigma) = h(x0 + k1(sigma)) over (0, tau) from the safe side,
+    down to a 4*eps*tau bracket: each trial factors (I - gamma*sigma*J) and
+    recomputes k1 from fx0, with no field evaluation. The factors of the
+    trial it ends at complete the step, so the internal stage has g <= 0.
+    Returns (step, factorizations); raises NoBracket when x0 is not below
+    the surface or no trial is safe.
     """
     x0 = linalg.as_vector(x0)
     fx0 = rosenbrock._floats(fx0, len(x0))
@@ -229,7 +231,7 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
         return float(problem.h(x0 + k1))
 
     sigma_bar, _, trials = linalg.safe_side_root(
-        g, 0.0, tau, g_lo, h_tol, 4.0 * np.finfo(float).eps * tau)
+        g, 0.0, tau, g_lo, g_tau, h_tol, 4.0 * np.finfo(float).eps * tau)
     if sigma_bar == 0.0:
         raise NoBracket(f"the internal stage trespasses at all {trials} trial sizes")
 

@@ -103,14 +103,20 @@ def test_locate_requires_bracket():
 
 
 def test_locate_never_leaves_departing_side_on_width_exit():
-    # force width termination: no residual passes h_tol = 0
+    # force width termination: h jumps at its root, so no float is a zero
+    # and no residual passes h_tol = 0
+    third = 1.0 / 3.0
+
+    def h(x):
+        return x[0] - third if x[0] < third else x[0] - third + 0.5
+
     step = unit_speed_step()
-    record = locate_event(step, lambda x: x[0] - 1.0 / 3.0, default_cfg(h_tol=0.0))
+    record = locate_event(step, h, default_cfg(h_tol=0.0))
     assert record.converged
-    assert record.root_iterations == 40
+    assert record.root_iterations <= math.ceil(math.log2(1.0 / THETA_TOL)) + 1
     # the returned point sits on the departing (negative) side
-    assert float(record.x_star[0]) - 1.0 / 3.0 <= 0.0
-    assert abs(record.theta_star - 1.0 / 3.0) <= 1e-12
+    assert h(record.x_star) < 0.0
+    assert abs(record.theta_star - third) <= THETA_TOL
 
 
 def _builtin_step(name, which, tau, shift):
@@ -134,11 +140,11 @@ def _builtin_step(name, which, tau, shift):
     tilt=st.floats(min_value=-1.0, max_value=1.0),
     flip=st.booleans(),
 )
-def test_locate_ends_converged_within_40_halvings_on_the_departing_side(
+def test_locate_ends_converged_within_41_calls_on_the_departing_side(
         name, which, tau, shift, s, curvature, tilt, flip):
-    # Bisection halves [0, 1] exactly, so the width exit at THETA_TOL comes
-    # after at most 40 iterations for any bracketing h: no iteration cap is
-    # needed and every record is converged.
+    # The ITP search of [0, 1] reaches the width exit at THETA_TOL after at
+    # most 41 iterations, bisection's 40 plus one, for any bracketing h: no
+    # iteration cap is needed and every record is converged.
     step = _builtin_step(name, which, tau, shift)
     d = step.x1 - step.x0
     scale = float(np.linalg.norm(d))
@@ -157,7 +163,7 @@ def test_locate_ends_converged_within_40_halvings_on_the_departing_side(
     assume(detect_sign_change(h0, h1))
     record = locate_event(step, h, default_cfg())
     assert record.converged
-    assert 1 <= record.root_iterations <= 40
+    assert 1 <= record.root_iterations <= 41
     assert 0.0 <= record.theta_star <= 1.0
     g = h(record.x_star)
     assert (g <= 0.0) if h0 < 0.0 else (g >= 0.0)
@@ -355,6 +361,23 @@ def test_naive_band_hit_does_not_repeat_as_a_second_crossing():
     assert result.stats.domain_violations == {1: 0, 2: 0}
     assert [(ev.theta_star, ev.direction) for ev in result.events] == [
         (1.0, Direction.R1_TO_R2)]
+
+
+@pytest.mark.parametrize("method, guard", [("ros1", None), ("ros2", GuardMode.ROS2_DENSE)])
+def test_band_endpoint_past_the_surface_is_located(method, guard):
+    # the one-stage step ends ~5e-13 past t = 1, inside the band; recorded
+    # at theta = 1, that state was classified by evaluating field 1 past the
+    # surface (tests/test_onesided.py has the case-1b way to such an end)
+    problem = builtin("najafi")
+    tau = 2.0**-5
+    result = integrate(problem, [1.0, 1.0 - tau + 5e-13], IntegratorConfig(
+        tau=tau, t_end=2 * tau, method=method_by_name(method), guard_mode=guard))
+    assert result.termination is Termination.REACHED_T_END
+    assert result.stats.domain_violations == {1: 0, 2: 0}
+    assert len(result.events) == 1
+    ev = result.events[0]
+    assert ev.direction is Direction.R1_TO_R2
+    assert float(problem.h(ev.x_star)) <= 0.0
 
 
 def test_domain_violation_carries_step_context():
@@ -726,10 +749,21 @@ def test_closed_form_location_agrees_with_bisection(case):
     assert (g_star <= 0.0) if h0 < 0.0 else (g_star >= 0.0)
     npt.assert_array_equal(record.x_star, dense_eval(step, record.theta_star))
 
-    theta_bis, _, _ = rosevent.linalg.safe_side_root(g, 0.0, hi, h0, 0.0, THETA_TOL)
+    theta_bis, _, _ = rosevent.linalg.safe_side_root(g, 0.0, hi, h0, g(hi), 0.0, THETA_TOL)
     slope = abs(float(problem.surface.n @ dense_derivative(step, record.theta_star)))
     fuzz = rounding_scale(problem, step) / slope if slope else math.inf
     assert abs(record.theta_star - theta_bis) <= THETA_TOL + fuzz
+
+
+@pytest.mark.parametrize("name", ["kowalczyk", "teixeira"])
+def test_location_takes_few_h_calls_on_an_undeclared_relay(name):
+    # the relay with only f1, f2 and h: no declared surface, so every hit is
+    # found by the ITP search (~7 h calls where bisection took ~31)
+    flat = spp_flatten(builtin(name, eps=1e-2))
+    bare = PiecewiseProblem(dim=flat.dim, f1=flat.f1, f2=flat.f2, h=flat.h)
+    result = integrate(bare, flat.x0, IntegratorConfig(tau=4e-3, t_end=2.0))
+    assert len(result.events) >= 10
+    assert all(1 <= ev.root_iterations <= 10 for ev in result.events)
 
 
 def test_closed_form_location_takes_few_h_calls_on_the_relay():

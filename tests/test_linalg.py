@@ -57,15 +57,26 @@ def reference_lu_factor(m):
 def reference_lu_solve(combined, pivots, b):
     a = combined
     n = a.shape[0]
-    x = np.asarray(b, dtype=float)[pivots]
-    for i in range(1, n):  # forward substitution, unit diagonal
-        x[i] -= a[i, :i] @ x[:i]
-    # a row of subnormal entries factors, and its solution can overflow
-    # (inf, then inf - inf), as lu_solve's does
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - 1, -1, -1):  # back substitution
-            x[i] = (x[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    return x
+
+    def substitute(rhs):
+        x = np.asarray(rhs, dtype=float)[pivots]
+        # a row of subnormal entries factors, and its solution can overflow
+        # (inf, then inf - inf), as lu_solve's does
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, n):  # forward substitution, unit diagonal
+                x[i] -= a[i, :i] @ x[:i]
+            for i in range(n - 1, -1, -1):  # back substitution
+                x[i] = (x[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
+        return x
+
+    x = substitute(b)
+    if np.all(np.isfinite(x)):
+        return x
+    # an overflow: again with b scaled by 2**-k, then scaled back
+    k = math.frexp(n * max(1.0, float(np.max(np.abs(a)))))[1] + n
+    with np.errstate(over="ignore"):
+        return substitute(np.ldexp(np.asarray(b, dtype=float), -k)) * 2.0 ** (k // 2) \
+            * 2.0 ** (k - k // 2)
 
 
 # small integers make singular and tied-pivot matrices common
@@ -219,7 +230,7 @@ def test_safe_side_root_ends_on_lo_side_of_a_cubic(lo, span, unit_roots, three_i
         called.append(x)
         return cubic(x)
 
-    point, g_point, calls = safe_side_root(g, lo, hi, g_lo, tol, width)
+    point, g_point, calls = safe_side_root(g, lo, hi, g_lo, g_hi, tol, width)
     assert calls == len(called)
     assert all(lo < x < hi for x in called)
     assert calls <= math.ceil(math.log2((hi - lo) / width)) + 2
@@ -238,10 +249,30 @@ def test_safe_side_root_takes_nan_for_the_far_side(side):
     def g(x):
         return side * (x - 0.3) if x < 0.3 else math.nan
 
-    point, g_point, calls = safe_side_root(g, 0.0, 1.0, -0.3 * side, 1e-9, 1e-12)
+    point, g_point, calls = safe_side_root(g, 0.0, 1.0, -0.3 * side, math.nan, 1e-9, 1e-12)
     assert 0.3 - 1e-9 <= point < 0.3
     assert g_point == g(point)
     assert calls <= 41
+
+
+@pytest.mark.parametrize("g_hi", [math.nan, math.inf])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_safe_side_root_takes_the_midpoint_without_a_finite_far_value(side, g_hi):
+    # no regula-falsi point comes from a non-finite g(hi): the first trial
+    # is the midpoint, and the search still ends on lo's side
+    called = []
+
+    def g(x):
+        called.append(x)
+        return side * (x - 0.3)
+
+    point, g_point, calls = safe_side_root(g, 0.0, 1.0, -0.3 * side, side * g_hi, 0.0, 1e-12)
+    assert called[0] == 0.5
+    assert calls == len(called) <= 41
+    assert all(0.0 < x < 1.0 for x in called)
+    assert g_point == g(point)
+    assert g_point == 0.0 or (g_point < 0.0) == (side > 0.0)
+    assert 0.0 <= 0.3 - point <= 1e-12
 
 
 def test_safe_side_root_rejects_a_bracket_it_cannot_narrow():
@@ -249,7 +280,10 @@ def test_safe_side_root_rejects_a_bracket_it_cannot_narrow():
     for lo, hi, g_lo, width in [(1.0, 0.0, -0.5, 1e-12), (0.0, 1.0, 0.0, 1e-12),
                                 (0.0, 1.0, math.nan, 1e-12), (0.0, 1.0, -0.5, EPS)]:
         with pytest.raises(ValueError, match="bad bracket"):
-            safe_side_root(g, lo, hi, g_lo, 0.0, width)
+            safe_side_root(g, lo, hi, g_lo, g(hi), 0.0, width)
+    # g(hi) on lo's side is no bracket either
+    with pytest.raises(ValueError, match="bad bracket"):
+        safe_side_root(g, 0.0, 1.0, -0.5, -0.5, 0.0, 1e-12)
 
 
 def exact_solve(a, b):
@@ -316,6 +350,24 @@ def test_lu_solve_overflowing_solution_is_not_finite():
         x = lu_solve(lu_factor(np.array(a)), np.array(b))
         assert not np.all(np.isfinite(x))
 
+
+
+@pytest.mark.parametrize("ulps_below", [0, 1, 2])
+def test_lu_solve_keeps_a_finite_solution_whose_products_overflow(ulps_below):
+    # u33 = 2**-1023 makes x3 = 2**1023 and 2*x3 rounds to inf inside the
+    # back substitution of x1, though x1 = -x3 is a float; without the
+    # scaled redo x1 came back -inf (the inf positions then differed from
+    # the array reference's fused dot product)
+    u33 = math.ldexp(1.0, -1023)
+    for _ in range(ulps_below):
+        u33 = math.nextafter(u33, 0.0)
+    a = np.array([[0.0, 0.0, u33], [1.0, -1.0, 2.0], [0.0, 1.0, -1.0]])
+    b = np.array([1.0, 0.0, 0.0])
+    x = lu_solve(lu_factor(a), b)
+    # (-x3, x3, x3) with x3 = 1/u33 rounded
+    assert x.tolist() == [float(v) for v in exact_solve(a, b)]
+    # the same system with a float list, as the step kernels pass it
+    assert lu_solve(lu_factor(a), b.tolist()).tolist() == x.tolist()
 
 
 def test_lu_solve_subnormal_systems_numpy_gets_wrong():

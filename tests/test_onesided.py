@@ -19,7 +19,14 @@ from rosevent.onesided import (
     guard_ros2_dense,
     guarded_ros2_step,
 )
-from rosevent.problems import Affine, PiecewiseProblem, affine_problem, builtin, field_jacobian
+from rosevent.problems import (
+    SIGMA_TOL,
+    Affine,
+    PiecewiseProblem,
+    affine_problem,
+    builtin,
+    field_jacobian,
+)
 from rosevent.rosenbrock import GAMMA_ROS2, dense_derivative, ros1_step, ros2_step
 
 
@@ -265,6 +272,43 @@ def test_resolve_case_1b_iteration_budget():
     assert float(jump.h(step.x0 + step.k1)) == -1.0
     assert 0.0 < 0.3 - step.tau <= 4 * np.finfo(float).eps
     assert factorizations - 1 <= 52
+
+
+def test_resolve_case_1b_lands_a_linear_stage_on_the_surface():
+    # najafi's t row is t' = 1 with a zero Jacobian row, so the internal
+    # stage's h is t0 + sigma - 1, linear in sigma: the search lands it
+    # exactly on t = 1, and x1 of the short step then rounds one ulp past
+    # the surface into the band
+    najafi = builtin("najafi")
+    tau = 2.0**-5
+    x0 = np.array([1.0, 1.0 - 14 * 2.0**-10])
+    step, _ = guarded(najafi, x0, tau)
+    assert step.tau < tau
+    assert float(najafi.h(step.x0 + step.k1)) == 0.0
+    assert 0.0 < float(najafi.h(step.x1)) <= SIGMA_TOL
+    # integrate locates that endpoint instead of recording it, so field 1
+    # is never evaluated past t = 1
+    result = integrate(najafi, x0, IntegratorConfig(
+        tau=tau, t_end=2 * tau, guard_mode=GuardMode.ROS2_DENSE))
+    assert result.termination is Termination.REACHED_T_END
+    assert result.stats.domain_violations == {1: 0, 2: 0}
+    assert len(result.events) == 1
+    assert result.events[0].root_iterations >= 1
+    assert float(najafi.h(result.events[0].x_star)) <= 0.0
+
+
+def test_resolve_case_1b_takes_few_trials_on_najafi():
+    # ITP needs ~8 trials per shortening where bisection took ~34
+    najafi = builtin("najafi")
+    tau = 2.0**-5
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        # the full step's internal stage passes t = 1 from each of these
+        x0 = np.array([rng.uniform(0.5, 1.5), 1.0 - rng.uniform(0.0, tau)])
+        step, factorizations = guarded(najafi, x0, tau)
+        assert step.tau < tau
+        assert factorizations - 1 <= 12
+        assert float(najafi.h(step.x0 + step.k1)) <= 0.0
 
 
 def test_resolve_case_1b_without_a_safe_trial_is_a_guard_failure():
