@@ -11,7 +11,7 @@ located state on the departing side of the surface, so fields that cannot
 be evaluated past the surface never are.
 
 On a declared affine surface (problems.Surface) h(X1(theta)) is exactly
-a quadratic in theta (rosenbrock._surface_slopes): a step is hit when h
+a quadratic in theta (RosenbrockStep.slopes): a step is hit when h
 changes sign across it or when the quadratic dips past the band and back,
 and the hit is the quadratic's first root, checked on the real h
 (Shampine, Gladwell & Brankin, ACM TOMS 17, 1991). Any other h is judged
@@ -184,7 +184,7 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
     evaluations only (root_iterations counts them). Raises NoBracket when
     no bracket is found.
     """
-    X1 = rosenbrock._DenseOutput(step).value
+    X1 = step.value
 
     def g(theta):
         return float(h(X1(theta)))
@@ -196,7 +196,7 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
     settled = False
     theta = None
     if surface is not None and h0 != 0.0:
-        m1, m2 = rosenbrock._surface_slopes(step, surface.n.tolist())
+        m1, m2 = step.slopes(surface.n.tolist())
         theta = _first_root(h0, m1, m2)
     for k in range(SNAP_TRIES if theta is not None else 0):
         g_theta = g(theta)
@@ -299,8 +299,7 @@ def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
         kept = key, linalg.lu_factor(rosenbrock.step_matrix(J, tau, gamma))
         factorizations = 1
     stepper = rosenbrock.ros2_step if cfg.method.stages == 2 else rosenbrock.ros1_step
-    step = stepper(problems.field_fn(problem, active), x, tau, J,
-                   field_id=active, factors=kept[1])
+    step = stepper(problems.field_fn(problem, active), x, tau, J, factors=kept[1])
     return step, factorizations, kept
 
 
@@ -375,18 +374,11 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
         # an endpoint past the surface is located even inside the band: a
         # state recorded there would be classified with the field it left
         if (crossed or (not on_band and normal is not None)) and cfg.locate_events:
-            # the stored h at x can sit inside the band with an unreliable
-            # sign right after an event; hand the locator a sign-consistent
-            # start value
-            if h_at_x != 0.0 and (h_at_x < 0.0) == h_sign_neg:
-                h0_eff = h_at_x
-            else:
-                h0_eff = (-1.0 if h_sign_neg else 1.0) * problems.SIGMA_TOL
             # with both ends on one side, h(X1(theta)) may still cross and return
-            if crossed or _dips_across(h0_eff, *rosenbrock._surface_slopes(step, normal)):
+            if crossed or _dips_across(h_at_x, *step.slopes(normal)):
                 try:
                     record = locate_event(step, problem.h, cfg, step_index, t,
-                                          h0=h0_eff, h1=h_new, surface=problem.surface)
+                                          h0=h_at_x, h1=h_new, surface=problem.surface)
                 except NoBracket:
                     if crossed:
                         raise
@@ -439,8 +431,11 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
             active = 2 if record.direction is Direction.R1_TO_R2 else 1
             x = record.x_star
             t = record.t_star
-            h_at_x = float(problem.h(x))
+            # x sits on the side it left or on the surface, so its own h has
+            # no sign to start the next step from: take the band's edge on
+            # the new side
             h_sign_neg = active == 1
+            h_at_x = -problems.SIGMA_TOL if h_sign_neg else problems.SIGMA_TOL
             step_index += 1
             continue
         if kind in (filippov.Kind.SLIDING, filippov.Kind.SLIDING_ATTRACTIVE,

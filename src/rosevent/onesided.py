@@ -18,12 +18,14 @@ For the two-stage method the guard checks positivity of
 
     d(theta) = grad h(X1(theta)) . dX1/dtheta(theta)
 
-on the dense output. On a declared affine surface (problems.Surface) the
-gradient is the constant n, so d is the line m1 + theta*m2 with
-m1 = n . c*((2-6*gamma)*k1 - 2*gamma*k2) and m2 = n . 2*c*(k1 + k2), and
-d(0) > 0, d(1) > 0 certify it exactly. Otherwise the guard samples d on a
-uniform theta grid, which is not exhaustive, and reports the minima of the
-two parts over the grid as m1 and m2.
+on the dense output. Along a gradient n, the step's slopes (m1, m2) =
+RosenbrockStep.slopes(n) give n . dX1/dtheta = m1 + theta*m2, with
+m1 = n . c*((2-6*gamma)*k1 - 2*gamma*k2) and m2 = n . 2*c*(k1 + k2). On a
+declared affine surface (problems.Surface) the gradient is the constant n,
+so d is that line and d(0) > 0, d(1) > 0 certify it exactly. Otherwise
+the guard samples d on a uniform theta grid, with n the gradient at each
+point, which is not exhaustive, and reports the minima of m1 and m2 over
+the grid.
 
 Case 1b is decided in one place, guarded_ros2_step, the only code that
 builds a guarded two-stage step (the integrator and the guard-check command
@@ -200,7 +202,7 @@ def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,
     if g_tau > 0.0:
         step, trials = resolve_case_1b(problem, x0, tau, fx0, J, g_tau, h_tol)
         return step, 1 + trials
-    return rosenbrock._ros2_finish(field, x0, x0f, tau, J, factors, k1, 1), 1
+    return rosenbrock._ros2_finish(field, x0, x0f, tau, J, factors, k1), 1
 
 
 def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
@@ -237,7 +239,7 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
 
     factors, k1 = tried[sigma_bar]
     field = problems.field_fn(problem, 1)
-    step = rosenbrock._ros2_finish(field, x0, x0.tolist(), sigma_bar, J, factors, k1, 1)
+    step = rosenbrock._ros2_finish(field, x0, x0.tolist(), sigma_bar, J, factors, k1)
     return step, trials
 
 
@@ -251,7 +253,7 @@ def guard_ros2_dense(problem: problems.PiecewiseProblem,
     stays positive.
 
     On a declared affine surface d is the line m1 + theta*m2
-    (rosenbrock._surface_slopes), so d(0) > 0 and d(1) > 0 is an exact
+    (RosenbrockStep.slopes), so d(0) > 0 and d(1) > 0 is an exact
     certificate; certified_sigma comes from the line's root. Otherwise d is
     sampled on a GUARD_GRID-point grid, which is not exhaustive: a dip
     between grid points goes unseen. certified_sigma then stops at the last
@@ -261,7 +263,7 @@ def guard_ros2_dense(problem: problems.PiecewiseProblem,
     if step.stages != 2:
         raise ValueError("dense-output guard applies to two-stage steps")
     if problem.surface is not None:
-        m1, m2 = rosenbrock._surface_slopes(step, problem.surface.n.tolist())
+        m1, m2 = step.slopes(problem.surface.n.tolist())
         d1 = m1 + m2
         passed = m1 > 0.0 and d1 > 0.0
         if passed:
@@ -284,25 +286,19 @@ def guard_ros2_dense(problem: problems.PiecewiseProblem,
 
 def _sampled_dense_guard(problem: problems.PiecewiseProblem,
                          step: rosenbrock.RosenbrockStep):
-    # d on the grid, with m1 and m2 as the minima over it of the
-    # theta-independent and theta-linear parts of d
-    c = step.c
-    gamma = step.gamma
-    term_const = c * ((2.0 - 6.0 * gamma) * step.k1 - 2.0 * gamma * step.k2)
-    term_linear = 2.0 * c * (step.k1 + step.k2)
-
-    dense = rosenbrock._DenseOutput(step)
+    # d = m1 + theta*m2 on the grid, from the slopes of the step along the
+    # gradient there; m1 and m2 are reported as their minima over the grid
     thetas = np.linspace(0.0, 1.0, GUARD_GRID)
     d_min = np.inf
     m1 = np.inf
     m2 = np.inf
     first_bad = None
     for i, theta in enumerate(thetas.tolist()):
-        hx = problems.h_gradient(problem, dense.value(theta))
-        d = float(hx @ dense.derivative(theta))
+        s1, s2 = step.slopes(problems.h_gradient(problem, step.value(theta)).tolist())
+        d = s1 + theta * s2
         d_min = min(d_min, d)
-        m1 = min(m1, float(hx @ term_const))
-        m2 = min(m2, float(hx @ term_linear))
+        m1 = min(m1, s1)
+        m2 = min(m2, s2)
         if d <= 0.0 and first_bad is None:
             first_bad = i
     passed = first_bad is None

@@ -27,18 +27,19 @@ interpolates x0 at theta = 0 and x1 at theta = 1 and carries the order of
 the method, so events can be located inside a step without extra field
 evaluations or linear solves. The one-stage dense output is the chord
 X1(theta) = x0 + theta*k1. Both are polynomials in theta, so an affine
-h = n.x + c along them is a polynomial too: _surface_slopes forms its
+h = n.x + c along them is a polynomial too: RosenbrockStep.slopes forms its
 coefficients from n.k1 and n.k2, for event location, even-count detection
 and the exact dense guard.
 
 The stage and dense-output arithmetic runs on Python floats, in one place:
 every step path (ros1_step, ros2_step, ros2_stage1 and ros2_finish here,
 the guarded step and its case-1b trials in onesided) builds its stages with
-_floats, _stage1 and _ros2_finish, and every reader of the dense output
-(dense_eval, dense_derivative, event location, the dense guard) goes
-through one _DenseOutput per step. They do the IEEE operations of the
-array formulas above in the same order, and numpy's elementwise operations
-do not fuse, so the results equal the array expressions bit for bit.
+_floats, _stage1 and _ros2_finish, and the RosenbrockStep it returns keeps
+those floats and is its own dense output: dense_eval, dense_derivative,
+event location and the dense guard all read its value, derivative and
+slopes. They do the IEEE operations of the array formulas above in the
+same order, and numpy's elementwise operations do not fuse, so the results
+equal the array expressions bit for bit.
 Each input is checked once, where it enters: x0 by the public step
 functions (as_vector), each field value's shape and length by _floats, and
 each right-hand side's finiteness by linalg.lu_solve, which every solve
@@ -79,27 +80,68 @@ def method_by_name(name: str) -> RosMethod:
         raise ValueError(f"unknown method {name!r} (known: ros1, ros2)") from None
 
 
-@dataclass(frozen=True)
 class RosenbrockStep:
-    """One accepted step: inputs, stages, and endpoint.
+    """One accepted step: inputs, stages, endpoint, and its dense output.
 
-    Treated as immutable; dense evaluation and re-stepping read from it
-    without modifying it. k2 is None for one-stage steps.
+    Treated as immutable; dense evaluation, location, the guards and
+    re-stepping read from it without modifying it. k2 is None for one-stage
+    steps. x0f, k1f and k2f hold x0, k1 and k2 as the Python floats the
+    kernel computed with, which the dense output reads.
     """
 
-    x0: np.ndarray
-    tau: float
-    J: np.ndarray
-    gamma: float
-    k1: np.ndarray
-    k2: np.ndarray | None
-    x1: np.ndarray
-    stages: int
-    field_id: int = 1
+    __slots__ = ("x0", "x0f", "tau", "J", "gamma", "c", "k1", "k1f", "k2", "k2f",
+                 "x1", "stages")
 
-    @property
-    def c(self) -> float:
-        return 1.0 / (2.0 * (1.0 - 2.0 * self.gamma))
+    def __init__(self, x0: np.ndarray, x0f: list, tau: float, J, gamma: float,
+                 k1: np.ndarray, k1f: list, k2: np.ndarray | None, k2f: list | None,
+                 x1: np.ndarray):
+        self.x0 = x0
+        self.x0f = x0f
+        self.tau = tau
+        self.J = np.asarray(J, dtype=float)
+        self.gamma = gamma
+        self.c = 1.0 / (2.0 * (1.0 - 2.0 * gamma))
+        self.k1 = k1
+        self.k1f = k1f
+        self.k2 = k2
+        self.k2f = k2f
+        self.x1 = x1
+        self.stages = 1 if k2 is None else 2
+
+    def value(self, theta: float) -> np.ndarray:
+        """X1(theta), theta unchecked: the formula of the module docstring,
+        operation for operation."""
+        if theta == 0.0:
+            return self.x0
+        if self.stages == 1:
+            return np.array([x + theta * a for x, a in zip(self.x0f, self.k1f)])
+        w1 = self.c * (theta * (theta + (2.0 - 6.0 * self.gamma)))
+        w2 = self.c * (theta * (theta - 2.0 * self.gamma))
+        return np.array([x + w1 * a + w2 * b for x, a, b in zip(self.x0f, self.k1f, self.k2f)])
+
+    def derivative(self, theta: float) -> np.ndarray:
+        """dX1/dtheta at theta, unchecked."""
+        if self.stages == 1:
+            return np.array(self.k1f)
+        w1 = self.c * (2.0 * theta + (2.0 - 6.0 * self.gamma))
+        w2 = self.c * (2.0 * theta - 2.0 * self.gamma)
+        return np.array([w1 * a + w2 * b for a, b in zip(self.k1f, self.k2f)])
+
+    def slopes(self, n) -> tuple:
+        """(m1, m2) with n . dX1/dtheta = m1 + theta*m2, from a1 = n.k1 and
+        a2 = n.k2 (n a sequence of floats). For an affine h = n.x + c the
+        value along the dense output is then the quadratic
+
+            h(X1(theta)) = h(x0) + m1*theta + (m2/2)*theta^2
+
+        exactly: the b1/b2 weights are quadratics in theta. The one-stage
+        chord gives a line, m2 = 0."""
+        a1 = math.fsum(map(operator.mul, n, self.k1f))
+        if self.stages == 1:
+            return a1, 0.0
+        a2 = math.fsum(map(operator.mul, n, self.k2f))
+        return (self.c * ((2.0 - 6.0 * self.gamma) * a1 - 2.0 * self.gamma * a2),
+                2.0 * self.c * (a1 + a2))
 
 
 def step_matrix(J, tau: float, gamma: float) -> np.ndarray:
@@ -133,20 +175,18 @@ def _stage1(factors: linalg.LuFactors, fx0: list, tau: float) -> np.ndarray:
 
 
 def _ros2_finish(field, x0: np.ndarray, x0f: list, tau: float, J, factors,
-                 k1: np.ndarray, field_id: int) -> RosenbrockStep:
+                 k1: np.ndarray) -> RosenbrockStep:
     # the second stage and x1 from checked x0 (x0f its floats) and k1; the
     # field takes x0 + k1 as an array, so that sum stays one numpy add
     k1f = k1.tolist()
     f_inner = _floats(field(x0 + k1), len(x0f))
     k2 = linalg.lu_solve(factors, [tau * f - 2.0 * a for f, a in zip(f_inner, k1f)])
-    x1 = [x + 1.5 * a + 0.5 * b for x, a, b in zip(x0f, k1f, k2.tolist())]
-    return RosenbrockStep(
-        x0=x0, tau=tau, J=np.asarray(J, dtype=float), gamma=GAMMA_ROS2,
-        k1=k1, k2=k2, x1=np.array(x1), stages=2, field_id=field_id,
-    )
+    k2f = k2.tolist()
+    x1 = [x + 1.5 * a + 0.5 * b for x, a, b in zip(x0f, k1f, k2f)]
+    return RosenbrockStep(x0, x0f, tau, J, GAMMA_ROS2, k1, k1f, k2, k2f, np.array(x1))
 
 
-def ros1_step(field, x0, tau: float, J, field_id: int = 1,
+def ros1_step(field, x0, tau: float, J, *,
               factors: linalg.LuFactors | None = None) -> RosenbrockStep:
     """Linearly implicit Euler step of size tau with Jacobian J.
 
@@ -158,11 +198,9 @@ def ros1_step(field, x0, tau: float, J, field_id: int = 1,
     if factors is None:
         factors = linalg.lu_factor(step_matrix(J, tau, GAMMA_ROS1))
     k1 = _stage1(factors, _floats(field(x0), len(x0f)), tau)
-    return RosenbrockStep(
-        x0=x0, tau=tau, J=np.asarray(J, dtype=float), gamma=GAMMA_ROS1,
-        k1=k1, k2=None, x1=np.array([x + a for x, a in zip(x0f, k1.tolist())]),
-        stages=1, field_id=field_id,
-    )
+    k1f = k1.tolist()
+    return RosenbrockStep(x0, x0f, tau, J, GAMMA_ROS1, k1, k1f, None, None,
+                          np.array([x + a for x, a in zip(x0f, k1f)]))
 
 
 def ros2_factor(J, tau: float) -> linalg.LuFactors:
@@ -175,7 +213,7 @@ def ros2_stage1(factors: linalg.LuFactors, fx0, tau: float) -> np.ndarray:
     return _stage1(factors, _floats(fx0, factors.n), tau)
 
 
-def ros2_finish(field, x0, tau: float, J, factors, k1, field_id: int = 1) -> RosenbrockStep:
+def ros2_finish(field, x0, tau: float, J, factors, k1) -> RosenbrockStep:
     """Complete a two-stage step from its first stage.
 
     Split out so a driver can inspect x0 + k1 (the only point beyond x0
@@ -185,10 +223,10 @@ def ros2_finish(field, x0, tau: float, J, factors, k1, field_id: int = 1) -> Ros
     k1 = np.asarray(k1, dtype=float)
     if k1.shape != x0.shape:
         raise ValueError(f"k1 has shape {k1.shape} but x0 has shape {x0.shape}")
-    return _ros2_finish(field, x0, x0.tolist(), tau, J, factors, k1, field_id)
+    return _ros2_finish(field, x0, x0.tolist(), tau, J, factors, k1)
 
 
-def ros2_step(field, x0, tau: float, J, field_id: int = 1,
+def ros2_step(field, x0, tau: float, J, *,
               factors: linalg.LuFactors | None = None) -> RosenbrockStep:
     """Two-stage step of size tau: one factorization, two solves, two field
     evaluations.
@@ -202,58 +240,7 @@ def ros2_step(field, x0, tau: float, J, field_id: int = 1,
     fx0 = _floats(field(x0), len(x0f))
     if factors is None:
         factors = ros2_factor(J, tau)
-    return _ros2_finish(field, x0, x0f, tau, J, factors, _stage1(factors, fx0, tau), field_id)
-
-
-class _DenseOutput:
-    """X1(theta) and dX1/dtheta of one step on Python floats, theta
-    unchecked: the formulas of the module docstring, operation for
-    operation."""
-
-    def __init__(self, step: RosenbrockStep):
-        self.x0 = step.x0
-        self.x0f = step.x0.tolist()
-        self.k1f = step.k1.tolist()
-        self.stages = step.stages
-        if step.stages == 2:
-            self.k2f = step.k2.tolist()
-            self.c = step.c
-            self.p1 = 2.0 - 6.0 * step.gamma
-            self.p2 = 2.0 * step.gamma
-
-    def value(self, theta: float) -> np.ndarray:
-        if theta == 0.0:
-            return self.x0
-        if self.stages == 1:
-            return np.array([x + theta * a for x, a in zip(self.x0f, self.k1f)])
-        w1 = self.c * (theta * (theta + self.p1))
-        w2 = self.c * (theta * (theta - self.p2))
-        return np.array([x + w1 * a + w2 * b for x, a, b in zip(self.x0f, self.k1f, self.k2f)])
-
-    def derivative(self, theta: float) -> np.ndarray:
-        if self.stages == 1:
-            return np.array(self.k1f)
-        w1 = self.c * (2.0 * theta + self.p1)
-        w2 = self.c * (2.0 * theta - self.p2)
-        return np.array([w1 * a + w2 * b for a, b in zip(self.k1f, self.k2f)])
-
-
-def _surface_slopes(step: RosenbrockStep, n) -> tuple:
-    """(m1, m2) with n . dX1/dtheta = m1 + theta*m2, from a1 = n.k1 and
-    a2 = n.k2 (n a sequence of floats). For an affine h = n.x + c the value
-    along the dense output is then the quadratic
-
-        h(X1(theta)) = h(x0) + m1*theta + (m2/2)*theta^2
-
-    exactly: the b1/b2 weights above are quadratics in theta. The one-stage
-    chord gives a line, m2 = 0."""
-    a1 = math.fsum(map(operator.mul, n, step.k1.tolist()))
-    if step.stages == 1:
-        return a1, 0.0
-    a2 = math.fsum(map(operator.mul, n, step.k2.tolist()))
-    c = step.c
-    return (c * ((2.0 - 6.0 * step.gamma) * a1 - 2.0 * step.gamma * a2),
-            2.0 * c * (a1 + a2))
+    return _ros2_finish(field, x0, x0f, tau, J, factors, _stage1(factors, fx0, tau))
 
 
 def _check_theta(theta: float) -> None:
@@ -267,13 +254,13 @@ def dense_eval(step: RosenbrockStep, theta: float) -> np.ndarray:
     X1(0) is x0 bit for bit; X1(1) reproduces x1 to round-off.
     """
     _check_theta(theta)
-    return _DenseOutput(step).value(theta)
+    return step.value(theta)
 
 
 def dense_derivative(step: RosenbrockStep, theta: float) -> np.ndarray:
     """d X1 / d theta at theta in [0, 1]."""
     _check_theta(theta)
-    return _DenseOutput(step).derivative(theta)
+    return step.derivative(theta)
 
 
 def restep(field, step: RosenbrockStep, sigma: float) -> RosenbrockStep:
@@ -285,5 +272,5 @@ def restep(field, step: RosenbrockStep, sigma: float) -> RosenbrockStep:
     if not 0.0 < sigma <= step.tau:
         raise ValueError(f"sigma must lie in (0, tau], got {sigma}")
     if step.stages == 1:
-        return ros1_step(field, step.x0, sigma, step.J, field_id=step.field_id)
-    return ros2_step(field, step.x0, sigma, step.J, field_id=step.field_id)
+        return ros1_step(field, step.x0, sigma, step.J)
+    return ros2_step(field, step.x0, sigma, step.J)

@@ -133,7 +133,7 @@ def test_criterion_04_dense_output_matches_endpoints():
         x = sampler()
         tau = float(rng.uniform(0.1, 1.0)) * tau_cap
         step = ros2_step(field_fn(problem, which), x, tau,
-                         field_jacobian(problem, which, x), field_id=which)
+                         field_jacobian(problem, which, x))
         npt.assert_array_equal(dense_eval(step, 0.0), step.x0)  # bit-exact
         gap = float(np.max(np.abs(dense_eval(step, 1.0) - step.x1)))
         allowance = 4.0 * float(np.spacing(np.max(np.abs(step.x1))))

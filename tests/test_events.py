@@ -502,7 +502,7 @@ def test_reused_factors_give_the_steps_of_fresh_factorizations(name, method, tau
         else:
             active = 1 if problem.h(x0) < 0.0 else 2
         fresh = stepper(field_fn(problem, active), x0, min(cfg.tau, cfg.t_end - t0),
-                        field_jacobian(problem, active, x0), field_id=active)
+                        field_jacobian(problem, active, x0))
         assert fresh.x1.tobytes() == x1.tobytes(), (t0, active)
         replayed += 1
     assert replayed >= 1
@@ -589,15 +589,15 @@ def test_a_step_with_two_crossings_reports_both(method):
 
 
 def accepted_steps(problem, x0, cfg):
-    """integrate, plus (step, theta_end) for every accepted step: the part
-    [0, theta_end] of each step the run kept, found by following the state
-    each step hands to the next."""
+    """integrate, plus (step, active, theta_end) for every accepted step:
+    the part [0, theta_end] of each step the run kept, found by following
+    the state each step hands to the next, and the field that took it."""
     taken = []
     real = rosevent.events.take_step
 
-    def recording(problem, x, *args):
-        out = real(problem, x, *args)
-        taken.append((x, out[0]))
+    def recording(problem, x, tau, active, *args):
+        out = real(problem, x, tau, active, *args)
+        taken.append((x, active, out[0]))
         return out
 
     with mock.patch.object(rosevent.events, "take_step", recording):
@@ -607,14 +607,14 @@ def accepted_steps(problem, x0, cfg):
     events = iter(result.events)
     pending = next(events, None)
     kept = []
-    for i, (_, step) in enumerate(taken):
+    for i, (_, active, step) in enumerate(taken):
         following = taken[i + 1][0] if i + 1 < len(taken) else None
         if pending is not None and (following is None or pending.x_star is following):
-            kept.append((step, pending.theta_star))
+            kept.append((step, active, pending.theta_star))
             pending = next(events, None)
         else:
             assert following is None or following is step.x1
-            kept.append((step, 1.0))
+            kept.append((step, active, 1.0))
     assert pending is None
     return result, kept
 
@@ -655,8 +655,8 @@ def test_no_sign_change_inside_an_accepted_step_goes_unreported(run):
     problem, x0, cfg = run
     result, kept = accepted_steps(problem, x0, cfg)
     assert result.termination is not Termination.MAX_EVENTS or len(result.events) == 40
-    for step, theta_end in kept:
-        side = -1.0 if step.field_id == 1 else 1.0
+    for step, active, theta_end in kept:
+        side = -1.0 if active == 1 else 1.0
         tol = max(SIGMA_TOL, 2.0 * abs(float(problem.h(step.x0))))
         tol = SIGMA_TOL if side * float(problem.h(step.x0)) > 0.0 else tol
         g = [side * float(problem.h(dense_eval(step, th)))
@@ -772,3 +772,22 @@ def test_closed_form_location_takes_few_h_calls_on_the_relay():
     assert len(result.events) >= 10
     assert all(1 <= ev.root_iterations <= SNAP_TRIES for ev in result.events)
     assert all(ev.residual <= 1e-12 for ev in result.events)
+
+
+def test_integrate_spends_h_only_on_the_start_the_steps_and_location():
+    # one h call at x0, one at each step's endpoint and the ones location
+    # counts: a crossing's state is not evaluated again (28 crossings here)
+    problem = spp_flatten(builtin("kowalczyk", eps=1e-2))
+    calls = []
+    real = problem.h
+
+    def counted(x):
+        calls.append(1)
+        return real(x)
+
+    problem.h = counted
+    result = integrate(problem, problem.x0, IntegratorConfig(tau=4e-3, t_end=2.0))
+    assert result.termination is Termination.REACHED_T_END
+    assert len(result.events) == 28
+    location = sum(ev.root_iterations for ev in result.events)
+    assert len(calls) == 1 + result.stats.steps + location == 569

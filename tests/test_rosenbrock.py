@@ -262,20 +262,19 @@ def test_ros2_step_costs_one_factorization_two_solves(monkeypatch):
 def test_given_factors_give_the_same_step_without_factoring(monkeypatch, step_fn, gamma):
     J = np.array([[-3.0, 1.0], [0.5, -2.0]])
     x0 = np.array([1.0, -0.5])
-    fresh = step_fn(lambda x: J @ x, x0, 0.1, J, field_id=2)
+    fresh = step_fn(lambda x: J @ x, x0, 0.1, J)
     factors = rosevent.linalg.lu_factor(step_matrix(J, 0.1, gamma))
 
     def banned(*a, **k):  # pragma: no cover - must not run
         raise AssertionError("factored although factors were given")
 
     monkeypatch.setattr(rosevent.linalg, "lu_factor", banned)
-    kept = step_fn(lambda x: J @ x, x0, 0.1, J, field_id=2, factors=factors)
+    kept = step_fn(lambda x: J @ x, x0, 0.1, J, factors=factors)
     assert kept.x1.tobytes() == fresh.x1.tobytes()
     assert kept.k1.tobytes() == fresh.k1.tobytes()
     if fresh.k2 is not None:
         assert kept.k2.tobytes() == fresh.k2.tobytes()
-    assert (kept.tau, kept.gamma, kept.stages, kept.field_id) == \
-        (fresh.tau, fresh.gamma, fresh.stages, fresh.field_id)
+    assert (kept.tau, kept.gamma, kept.stages) == (fresh.tau, fresh.gamma, fresh.stages)
 
 
 def test_ros2_with_fd_jacobian_close_to_analytic():
