@@ -306,9 +306,9 @@ def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
 def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> TrajectoryResult:
     """Integrate from t = 0 with event handling per the module docstring.
 
-    The initial state must lie strictly off the surface band, with a finite
-    h, and t_end must be finite. Crossings switch the active field and
-    continue; sliding and tangential hits stop the integration, as do
+    The initial state must be finite and lie strictly off the surface band,
+    with a finite h, and t_end must be finite. Crossings switch the active
+    field and continue; sliding and tangential hits stop the integration, as do
     chattering and solver and guard failures (reported in `termination`, not
     raised). DomainViolation from a field evaluated outside its domain
     propagates to the caller with step context.
@@ -317,6 +317,8 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 must have shape ({problem.dim},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x0 must be finite, got {x.tolist()}")
     h_at_x = float(problem.h(x))
     if not np.isfinite(h_at_x):
         raise ValueError(f"h is not finite at the initial state: h(x0) = {h_at_x}")

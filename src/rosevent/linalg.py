@@ -2,13 +2,15 @@
 
 Everything here is sized for the systems this package integrates: a handful
 of states, not thousands. At that size a numpy call costs its dispatch, not
-its arithmetic, so the input checks, the partial-pivoting LU and the solves
-run on Python floats; lu_solve takes a list of floats as it is, which is
-how the step kernels in rosenbrock pass their right-hand sides. Also here:
-the safe-side ITP root search of event location and the case-1b shortening,
-finite-difference stencils (the Jacobian one switches to one-sided
-differences at a domain edge) and a cheap spectral-radius bound. All
-operations are pure and deterministic.
+its arithmetic, so the input checks, the partial-pivoting LU, the solves
+and the finite-difference Jacobian run on Python floats. lu_solve takes a
+list of floats as it is, which is how the step kernels in rosenbrock pass
+their right-hand sides, and substitutes with straight-line code generated
+once per system size. Also here: the safe-side ITP root search of event
+location and the case-1b shortening, finite-difference stencils (the
+Jacobian one switches to one-sided differences at a domain edge) and a
+cheap spectral-radius bound. All operations are deterministic; the only
+state is the cache of generated substitutions, one pure function per size.
 """
 
 from __future__ import annotations
@@ -110,12 +112,61 @@ def lu_factor(m) -> LuFactors:
     return LuFactors(combined=a, pivots=perm)
 
 
+def _substitution_source(n: int) -> str:
+    """Source of the forward and back substitution for size n, one
+    assignment per entry of x and sweep: the loops of a generic solve,
+    unrolled.
+
+    Each dot product starts at 0.0 and adds its products left to right,
+    and back substitution forms (x_i - dot) / u_ii even where the dot is
+    the empty 0.0, so the bits, signed zeros included, are the loops'.
+    """
+    a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
+    x = [f"x{i}" for i in range(n)]
+
+    def dot(i, cols):
+        return "".join(f" + {a[i][j]} * {x[j]}" for j in cols)
+
+    lines = ["def substitute(rows, pivots, b):",
+             f"    [{', '.join('[' + ', '.join(row) + ']' for row in a)}] = rows",
+             f"    [{', '.join(f'p{i}' for i in range(n))}] = pivots"]
+    lines += [f"    {x[i]} = b[p{i}]" for i in range(n)]
+    # forward substitution, unit diagonal
+    lines += [f"    {x[i]} = {x[i]} - (0.0{dot(i, range(i))})" for i in range(1, n)]
+    # back substitution
+    lines += [f"    {x[i]} = ({x[i]} - (0.0{dot(i, range(i + 1, n))})) / {a[i][i]}"
+              for i in range(n - 1, -1, -1)]
+    lines.append(f"    return [{', '.join(x)}]")
+    return "\n".join(lines) + "\n"
+
+
+# the substitution of each size, generated on its first solve
+_SUBSTITUTIONS: dict = {}
+
+
+def _substitution(n: int) -> Callable:
+    """substitute(rows, pivots, b) -> x for size n, generated once:
+    x solves L U x = b[pivots] for the packed factor rows of lu_factor."""
+    sub = _SUBSTITUTIONS.get(n)
+    if sub is None:
+        namespace: dict = {}
+        exec(compile(_substitution_source(n), f"<lu_solve substitution n={n}>", "exec"),
+             namespace)
+        sub = _SUBSTITUTIONS[n] = namespace["substitute"]
+    return sub
+
+
 def lu_solve(factors: LuFactors, b) -> np.ndarray:
     """Solve M x = b given factors from lu_factor(M).
 
     b must be a finite vector of M's size. A list is taken as Python
     floats, as the step kernels in rosenbrock build their right-hand sides;
     anything else goes through as_vector.
+
+    The forward and back substitution is straight-line code for M's size,
+    generated on the first solve of that size and kept for every later one
+    (_substitution_source): no loop, no indexing, the same operations in
+    the same order as the nested loops it unrolls, so the same bits.
 
     A substitution that ends with a non-finite entry (a product u_ij*x_j
     can round to inf while x is finite) is redone with b scaled by 2**-k
@@ -136,25 +187,12 @@ def lu_solve(factors: LuFactors, b) -> np.ndarray:
     n = len(a)
     if len(vals) != n:
         raise ValueError(f"matrix is {n}x{n} but b has length {len(vals)}")
-    x = [vals[p] for p in factors.pivots]
-    k = 0
-    while True:  # twice at most: again, scaled, after an overflow
-        for i in range(1, n):  # forward substitution, unit diagonal
-            dot = 0.0
-            for j in range(i):
-                dot += a[i][j] * x[j]
-            x[i] -= dot
-        for i in range(n - 1, -1, -1):  # back substitution
-            dot = 0.0
-            for j in range(i + 1, n):
-                dot += a[i][j] * x[j]
-            x[i] = (x[i] - dot) / a[i][i]
-        # a non-finite entry reaches x[0], which sums a product with each
-        if k or n == 0 or math.isfinite(x[0]):
-            break
+    substitute = _substitution(n)
+    x = substitute(a, factors.pivots, vals)
+    # a non-finite entry reaches x[0], which sums a product with each
+    if n and not math.isfinite(x[0]):
         k = math.frexp(n * max(1.0, max(max(map(abs, row)) for row in a)))[1] + n
-        x = [math.ldexp(vals[p], -k) for p in factors.pivots]
-    if k:
+        x = substitute(a, factors.pivots, [math.ldexp(v, -k) for v in vals])
         # two factors, each a finite power of two, where 2.0**k may not be
         up, up2 = 2.0 ** (k // 2), 2.0 ** (k - k // 2)
         x = [v * up * up2 for v in x]
@@ -235,32 +273,42 @@ def fd_jacobian(f: Callable, x, domain: Callable | None = None) -> np.ndarray:
     When `domain` is given and a perturbed point leaves it, the stencil
     switches to the one-sided difference that stays inside; if both sides
     are outside, DomainViolation is raised.
+
+    f and domain receive float arrays; the steps and differences run on
+    Python floats, the same operations as the array formula and so the same
+    bits. The result is a C-contiguous float array, one row per output.
     """
     x = as_vector(x)
-    steps = _SQRT_EPS * np.maximum(1.0, np.abs(x))
     fx = None
     cols = []
-    for j in range(x.shape[0]):
-        xp, xm = _probe_points(x, j, steps[j])
+    for j, xj in enumerate(x.tolist()):
+        step = _SQRT_EPS * max(1.0, abs(xj))
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] = hi = xj + step
+        xm[j] = lo = xj - step
         ok_p = domain is None or bool(domain(xp))
         ok_m = domain is None or bool(domain(xm))
         if ok_p and ok_m:
-            cols.append(
-                (np.asarray(f(xp), float) - np.asarray(f(xm), float))
-                / (xp[j] - xm[j])
-            )
+            up, down, width = _values(f(xp)), _values(f(xm)), hi - lo
         elif ok_p or ok_m:
             if fx is None:
-                fx = np.asarray(f(x), float)
+                fx = _values(f(x))
             if ok_p:
-                cols.append((np.asarray(f(xp), float) - fx) / (xp[j] - x[j]))
+                up, down, width = _values(f(xp)), fx, hi - xj
             else:
-                cols.append((fx - np.asarray(f(xm), float)) / (x[j] - xm[j]))
+                up, down, width = fx, _values(f(xm)), xj - lo
         else:
             raise DomainViolation(
                 f"both perturbations of coordinate {j} leave the domain"
             )
-    return np.column_stack(cols)
+        cols.append([(u - d) / width for u, d in zip(up, down, strict=True)])
+    return np.array(cols).T.copy()
+
+
+def _values(v) -> list:
+    """A field value as Python floats."""
+    return np.asarray(v, dtype=float).tolist()
 
 
 def fd_gradient(h: Callable, x) -> np.ndarray:

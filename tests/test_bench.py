@@ -505,6 +505,9 @@ def test_cli_integrate_reports_chattering(capsys):
     (["guard-check", "--problem", "najafi", "--state", "1,inf", "--tau", "0.125",
       "--mode", "ros2-dense"],
      "error: --state entries must be finite, got [1.0, inf]\n"),
+    # rejected at integrate's entry, not by the first step's Jacobian
+    (["integrate", "--problem", "najafi", "--x0", "inf,0", "--tau", "0.1", "--t-end", "1"],
+     "error: x0 must be finite, got [inf, 0.0]\n"),
 ])
 def test_cli_rejects_values_that_are_not_finite(capsys, argv, message):
     assert cli_main(argv) == 2

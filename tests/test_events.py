@@ -261,8 +261,17 @@ def test_integrate_rejects_an_event_function_that_is_not_finite_at_x0():
     nan_h = PiecewiseProblem(dim=1, f1=tent.f1, f2=tent.f2, h=lambda x: math.nan)
     with pytest.raises(ValueError, match="h is not finite at the initial state"):
         integrate(nan_h, [0.0], default_cfg(tau=0.1))
-    with pytest.raises(ValueError, match="h is not finite"):
-        integrate(tent, [math.nan], default_cfg(tau=0.1))
+
+
+@pytest.mark.parametrize("name, x0", [("najafi", [math.inf, 0.0]),
+                                      ("najafi", [1.0, -math.inf]),
+                                      ("najafi", [math.nan, 0.0]),
+                                      ("tent", [math.nan])])
+def test_integrate_rejects_an_initial_state_that_is_not_finite(name, x0):
+    # h(inf, 0) = -1 is finite at najafi: the first step's Jacobian used
+    # to reject this state as a matrix
+    with pytest.raises(ValueError, match=r"x0 must be finite, got \["):
+        integrate(builtin(name), x0, default_cfg(tau=0.1))
 
 
 def test_integrate_validates_guard_method_pairing():

@@ -7,10 +7,11 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rosevent import linalg
 from rosevent.errors import DomainViolation, SingularMatrix
 from rosevent.linalg import (
     SINGULARITY_RTOL,
@@ -370,6 +371,102 @@ def test_lu_solve_keeps_a_finite_solution_whose_products_overflow(ulps_below):
     assert lu_solve(lu_factor(a), b.tolist()).tolist() == x.tolist()
 
 
+def loop_lu_solve(factors, b):
+    """lu_solve as nested substitution loops over the factor rows, with the
+    same scaled redo after an overflow: the code the generated straight-line
+    substitution unrolls, operation for operation."""
+    a = factors.combined
+    n = len(a)
+    vals = [float(v) for v in b]
+    x = [vals[p] for p in factors.pivots]
+    k = 0
+    while True:
+        for i in range(1, n):  # forward substitution, unit diagonal
+            dot = 0.0
+            for j in range(i):
+                dot += a[i][j] * x[j]
+            x[i] -= dot
+        for i in range(n - 1, -1, -1):  # back substitution
+            dot = 0.0
+            for j in range(i + 1, n):
+                dot += a[i][j] * x[j]
+            x[i] = (x[i] - dot) / a[i][i]
+        if k or n == 0 or math.isfinite(x[0]):
+            break
+        k = math.frexp(n * max(1.0, max(max(map(abs, row)) for row in a)))[1] + n
+        x = [math.ldexp(vals[p], -k) for p in factors.pivots]
+    if k:
+        up, up2 = 2.0 ** (k // 2), 2.0 ** (k - k // 2)
+        x = [v * up * up2 for v in x]
+    return np.array(x)
+
+
+_TINY = 5e-324
+_ordinary = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False,
+                      allow_infinity=False)
+# signed zeros and subnormals beside ordinary values; a right-hand side
+# near 1e308 or a subnormal pivot often sends a substitution to inf and so
+# through the scaled redo
+_solve_specials = st.sampled_from([0.0, -0.0, _TINY, -_TINY, 1e-310, -2.2e-308])
+_matrix_entries = st.one_of(_ordinary, _solve_specials)
+_rhs_entries = st.one_of(_ordinary, _solve_specials, st.sampled_from([1e308, -1.5e308]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _linear_systems(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    a = draw(hnp.arrays(np.float64, (n, n), elements=_matrix_entries, fill=st.nothing()))
+    b = draw(hnp.arrays(np.float64, (n,), elements=_rhs_entries, fill=st.nothing()))
+    return a.tolist(), b.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(system=_linear_systems())
+# u33 = 2**-1023: 2*x3 overflows in x1's back substitution, so the scaled redo
+@example(system=([[0.0, 0.0, 2.0 ** -1023], [1.0, -1.0, 2.0], [0.0, 1.0, -1.0]],
+                 [1.0, 0.0, 0.0]))
+# a solution of signed zeros: -0.0 over a positive pivot, and 0.0 + (-0.0)
+@example(system=([[2.0, 1.0], [1.0, 3.0]], [-0.0, -0.0]))
+@example(system=([[1.0, -0.0], [-0.0, -1.0]], [-0.0, 0.0]))
+# subnormal pivots and right-hand side
+@example(system=([[_TINY, 0.0], [0.0, 3 * _TINY]], [_TINY, -_TINY]))
+def test_lu_solve_matches_the_loop_substitution_bit_for_bit(system):
+    a, b = system
+    try:
+        factors = lu_factor(np.array(a, dtype=float).reshape(len(b), len(b)))
+    except SingularMatrix:
+        return
+    expected = loop_lu_solve(factors, b)
+    for rhs in (b, np.array(b)):  # a float list, as the step kernels pass, or an array
+        x = lu_solve(factors, rhs)
+        assert type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (len(b),)
+        # same bits: signed zeros, subnormals, inf and NaN positions included
+        assert x.tobytes() == expected.tobytes()
+
+
+def test_lu_solve_generates_each_substitution_once(monkeypatch):
+    generated = []
+    source = linalg._substitution_source
+
+    def counting_source(n):
+        generated.append(n)
+        return source(n)
+
+    monkeypatch.setattr(linalg, "_substitution_source", counting_source)
+    monkeypatch.setattr(linalg, "_SUBSTITUTIONS", {})
+    for _ in range(3):
+        for n in (1, 2, 3):
+            x = lu_solve(lu_factor(2.0 * np.eye(n)), [1.0] * n)
+            assert x.tolist() == [0.5] * n
+    # the overflowing redo runs the same code on the scaled right-hand side
+    u33 = math.ldexp(1.0, -1023)
+    lu_solve(lu_factor([[0.0, 0.0, u33], [1.0, -1.0, 2.0], [0.0, 1.0, -1.0]]),
+             [1.0, 0.0, 0.0])
+    assert generated == [1, 2, 3]
+    assert linalg._substitution(2) is linalg._substitution(2)
+
+
 def test_lu_solve_subnormal_systems_numpy_gets_wrong():
     # numpy.linalg.solve raises on the first and returns NaN on the second;
     # both have the exact solution 0
@@ -491,6 +588,80 @@ def test_fd_gradient_matches_the_reference(n, data):
             continue
         got = gradient(dom)
         assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def reference_fd_jacobian(f, x, domain=None):
+    """fd_jacobian as array formulas, one numpy column per coordinate:
+    central differences, one-sided where one probe leaves the domain."""
+    x = np.asarray(x, dtype=float)
+    steps = np.sqrt(EPS) * np.maximum(1.0, np.abs(x))
+    fx = None
+    cols = []
+    for j in range(x.shape[0]):
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] = x[j] + steps[j]
+        xm[j] = x[j] - steps[j]
+        ok_p = domain is None or bool(domain(xp))
+        ok_m = domain is None or bool(domain(xm))
+        if ok_p and ok_m:
+            cols.append((np.asarray(f(xp), float) - np.asarray(f(xm), float))
+                        / (xp[j] - xm[j]))
+        elif ok_p or ok_m:
+            if fx is None:
+                fx = np.asarray(f(x), float)
+            if ok_p:
+                cols.append((np.asarray(f(xp), float) - fx) / (xp[j] - x[j]))
+            else:
+                cols.append((fx - np.asarray(f(xm), float)) / (x[j] - xm[j]))
+        else:
+            raise DomainViolation(
+                f"both perturbations of coordinate {j} leave the domain"
+            )
+    return np.column_stack(cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4), m=st.integers(min_value=1, max_value=3),
+       data=st.data())
+def test_fd_jacobian_matches_the_array_reference(n, m, data):
+    x = data.draw(hnp.arrays(np.float64, (n,), elements=_fd_floats))
+    c = data.draw(hnp.arrays(np.float64, (m,), elements=_fd_floats))
+    q = data.draw(hnp.arrays(np.float64, (m, n), elements=_fd_floats))
+    seen = []
+
+    def f(v):
+        seen.append(v)
+        return c + q @ v + np.sin(v[0] * v[-1])
+
+    # per coordinate: no wall, a wall at x_j above (forward probe leaves),
+    # below (backward probe leaves), or on both sides (boxed in)
+    walls = data.draw(st.lists(st.sampled_from(("none", "above", "below", "both")),
+                               min_size=n, max_size=n))
+    lower = np.array([x[j] if w in ("below", "both") else -np.inf
+                      for j, w in enumerate(walls)])
+    upper = np.array([x[j] if w in ("above", "both") else np.inf
+                      for j, w in enumerate(walls)])
+
+    def domain(v):
+        seen.append(v)
+        return bool(np.all(v >= lower) and np.all(v <= upper))
+
+    for dom in (None, domain):
+        try:
+            expected = reference_fd_jacobian(f, x, dom)
+        except DomainViolation as exc:
+            with pytest.raises(DomainViolation, match=str(exc)):
+                fd_jacobian(f, x, dom)
+            continue
+        seen.clear()
+        got = fd_jacobian(f, x, dom)
+        # f and domain see float arrays; take_step's reuse key reads
+        # J.tobytes(), so the layout is part of the result
+        assert all(type(v) is np.ndarray and v.dtype == np.float64 for v in seen)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == expected.shape == (m, n)
         assert got.tobytes() == expected.tobytes()
 
 
