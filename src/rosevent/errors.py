@@ -27,3 +27,8 @@ class ResidualTooLarge(NumericalError):
 
 class NoEventBeforeHorizon(NumericalError):
     """An integration expected to produce an event reached t_end without one."""
+
+
+class NonFiniteState(ValueError):
+    """A step ended at a state with an entry that is not finite (it
+    overflowed); a ValueError, like a non-finite x0."""

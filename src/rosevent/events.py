@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import filippov, linalg, onesided, problems, rosenbrock
-from .errors import DomainViolation, NoBracket, SingularMatrix
+from .errors import DomainViolation, NoBracket, NonFiniteState, SingularMatrix
 
 # Bracket width in theta at which event location stops. The ITP search of
 # [0, 1] reaches it after at most 41 iterations, one more than bisection.
@@ -176,7 +176,9 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
     real h: it is accepted on the departing side (h0's sign) within
     cfg.h_tol, or on the surface; else up to SNAP_TRIES probes step across
     it and accept the departing end of a bracket narrower than THETA_TOL.
-    The ends of the step may share a sign (an even number of crossings).
+    A probe whose state X1(theta) is bit for bit the previous probe's
+    takes that probe's h instead of calling h again. The ends of the step
+    may share a sign (an even number of crossings).
     Otherwise, or when the probes do not settle it, linalg.safe_side_root
     searches the bracket known so far ([0, 1] when h0 and h1 differ in
     sign), from g at its far end, with cfg.h_tol and width THETA_TOL.
@@ -198,9 +200,15 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
     if surface is not None and h0 != 0.0:
         m1, m2 = step.slopes(surface.n.tolist())
         theta = _first_root(h0, m1, m2)
+    seen = None  # the bytes of the last probe's state
     for k in range(SNAP_TRIES if theta is not None else 0):
-        g_theta = g(theta)
-        calls += 1
+        x_theta = X1(theta)
+        key = x_theta.tobytes()
+        if key != seen:
+            seen = key
+            g_theta = float(h(x_theta))
+            calls += 1
+        # else X1 is flat at this theta resolution: h reads as before
         departing = g_theta < 0.0 if neg else g_theta > 0.0
         if departing or g_theta == 0.0:
             lo, g_lo = theta, g_theta
@@ -270,9 +278,11 @@ def _classify_event(problem: problems.PiecewiseProblem,
 
 
 def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
-              cfg: IntegratorConfig, kept=None):
+              cfg: IntegratorConfig, kept=None, fields=None):
     """One step of the active field from x: the guarded two-stage step from
-    region 1 under the dense guard, else a plain step of cfg.method.
+    region 1 under the dense guard, else a plain step of cfg.method. Both
+    run on the step kernel (rosenbrock) and check nothing of x, a finite
+    float array of the problem's dimension, as integrate checks it once.
 
     kept is None or the (key, factors) pair this function returned for the
     previous step of the same run. A plain step whose key (the bytes and
@@ -280,26 +290,32 @@ def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
     factors of I - gamma*tau*J; any other plain step factors that matrix
     and keeps the new pair. The key compares bits, so both give the same
     step bit for bit. The guarded step factors on its own and leaves the
-    pair as it was.
+    pair as it was. fields is the pair of counted fields
+    (problems.field_floats) a run makes once; None makes them here.
 
     Returns (step, factorizations, kept); factorizations counts the LU
     factorizations this call ran, 0 when it used the kept factors. step.tau
     is the size actually taken, below tau only when case 1b shortened the
     step.
     """
+    field = (fields[active - 1] if fields is not None
+             else problems.field_floats(problem, active))
     J = problems.field_jacobian(problem, active, x)
     if cfg.guard_mode is onesided.GuardMode.ROS2_DENSE and active == 1:
-        step, factorizations = onesided.guarded_ros2_step(problem, x, tau, J, cfg.h_tol)
+        step, factorizations = onesided._guarded_step(problem, x, x.tolist(), tau, J,
+                                                      cfg.h_tol, field)
         return step, factorizations, kept
     gamma = cfg.method.gamma
     key = (J.tobytes(), J.shape, tau, gamma)
     if kept is not None and kept[0] == key:
         factorizations = 0
     else:
-        kept = key, linalg.lu_factor(rosenbrock.step_matrix(J, tau, gamma))
+        kept = key, rosenbrock._factor(J, tau, gamma)
         factorizations = 1
-    stepper = rosenbrock.ros2_step if cfg.method.stages == 2 else rosenbrock.ros1_step
-    step = stepper(problems.field_fn(problem, active), x, tau, J, factors=kept[1])
+    factors = kept[1]
+    k1 = rosenbrock._stage1(factors, field(x), tau)
+    step = rosenbrock._finish(field if cfg.method.stages == 2 else None, x, x.tolist(), tau,
+                              J, factors, k1)
     return step, factorizations, kept
 
 
@@ -311,7 +327,9 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     field and continue; sliding and tangential hits stop the integration, as do
     chattering and solver and guard failures (reported in `termination`, not
     raised). DomainViolation from a field evaluated outside its domain
-    propagates to the caller with step context.
+    propagates to the caller with step context, and so does
+    NonFiniteState, a ValueError, from a step whose end state overflowed:
+    a non-finite state never reaches the mesh, h or the next step.
     """
     _validate_config(cfg)
     x = np.asarray(x0, dtype=float).copy()
@@ -338,6 +356,12 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     guard_reports: list = []
     step_index = 0
     guard = cfg.guard_mode
+    # the run's pieces, bound once: the counted fields as the step kernel
+    # takes them, and what every step reads
+    fields = problems.field_floats(problem, 1), problems.field_floats(problem, 2)
+    h = problem.h
+    sigma_tol = problems.SIGMA_TOL
+    tau, t_end, locate = cfg.tau, cfg.t_end, cfg.locate_events
     # a declared surface's normal, for the even-count test on every step;
     # the one-stage chord is a line in theta and cannot cross twice
     if problem.surface is None or cfg.method.stages == 1:
@@ -345,16 +369,16 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     else:
         normal = problem.surface.n.tolist()
     # a remainder this small is round-off in t, not a step
-    end_tol = 4.0 * np.spacing(max(1.0, abs(cfg.t_end)))
+    end_tol = 4.0 * np.spacing(max(1.0, abs(t_end)))
 
     while True:
-        remaining = cfg.t_end - t
+        remaining = t_end - t
         if remaining <= end_tol:
             termination = Termination.REACHED_T_END
             break
         try:
             step, factorizations, kept = take_step(
-                problem, x, min(cfg.tau, remaining), active, cfg, kept)
+                problem, x, min(tau, remaining), active, cfg, kept, fields)
         except SingularMatrix:
             termination = Termination.SOLVER_FAILURE
             break
@@ -362,24 +386,24 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
             # the one-sided step-shortening machinery failed
             termination = Termination.GUARD_FAILURE
             break
-        except DomainViolation as exc:
-            raise DomainViolation(
+        except (DomainViolation, NonFiniteState) as exc:
+            raise type(exc)(
                 f"{exc} (step {step_index}, t = {t:.12g}, field {active})"
             ) from exc
 
         lu_count += factorizations
         steps_taken += 1
-        h_new = float(problem.h(step.x1))
-        on_band = abs(h_new) <= problems.SIGMA_TOL
+        h_new = float(h(step.x1))
+        on_band = abs(h_new) <= sigma_tol
         crossed = detect_sign_change(-1.0 if h_sign_neg else 1.0, h_new)
         record = None
         # an endpoint past the surface is located even inside the band: a
         # state recorded there would be classified with the field it left
-        if (crossed or (not on_band and normal is not None)) and cfg.locate_events:
+        if (crossed or (not on_band and normal is not None)) and locate:
             # with both ends on one side, h(X1(theta)) may still cross and return
             if crossed or _dips_across(h_at_x, *step.slopes(normal)):
                 try:
-                    record = locate_event(step, problem.h, cfg, step_index, t,
+                    record = locate_event(step, h, cfg, step_index, t,
                                           h0=h_at_x, h1=h_new, surface=problem.surface)
                 except NoBracket:
                     if crossed:
@@ -397,7 +421,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
             step_index += 1
             continue
 
-        if cfg.locate_events and guard is not None and active == 1:
+        if locate and guard is not None and active == 1:
             if guard is onesided.GuardMode.ROS2_DENSE:
                 rep = onesided.guard_ros2_dense(problem, step)
             elif guard is onesided.GuardMode.ROS1_GENERAL:
@@ -425,7 +449,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
             termination = Termination.MAX_EVENTS
             break
 
-        if cfg.locate_events:
+        if locate:
             kind = _classify_event(problem, record)
         else:
             kind = filippov.Kind.CROSSING
@@ -437,7 +461,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
             # no sign to start the next step from: take the band's edge on
             # the new side
             h_sign_neg = active == 1
-            h_at_x = -problems.SIGMA_TOL if h_sign_neg else problems.SIGMA_TOL
+            h_at_x = -sigma_tol if h_sign_neg else sigma_tol
             step_index += 1
             continue
         if kind in (filippov.Kind.SLIDING, filippov.Kind.SLIDING_ATTRACTIVE,

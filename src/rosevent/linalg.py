@@ -3,13 +3,14 @@
 Everything here is sized for the systems this package integrates: a handful
 of states, not thousands. At that size a numpy call costs its dispatch, not
 its arithmetic, so the input checks, the partial-pivoting LU, the solves
-and the finite-difference Jacobian run on Python floats. lu_solve takes a
-list of floats as it is, which is how the step kernels in rosenbrock pass
-their right-hand sides, and substitutes with straight-line code generated
-once per system size. Also here: the safe-side ITP root search of event
-location and the case-1b shortening, finite-difference stencils (the
-Jacobian one switches to one-sided differences at a domain edge) and a
-cheap spectral-radius bound. All operations are deterministic; the only
+and the finite-difference Jacobian run on Python floats. lu_factor takes a
+list of float rows and lu_solve a list of floats, which is how the step
+kernels in rosenbrock pass their step matrices and right-hand sides, and
+lu_solve substitutes with straight-line code generated once per system
+size. Also here: the safe-side ITP root search of event location and the
+case-1b shortening, finite-difference stencils (the Jacobian one switches
+to one-sided differences at a domain edge) and a cheap spectral-radius
+bound. All operations are deterministic; the only
 state is the cache of generated substitutions, one pure function per size.
 """
 
@@ -44,6 +45,20 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def as_floats(value, n: int) -> list:
+    """A vector of n entries, such as a field value, as Python floats.
+
+    Checks the shape with as_vector's message and the length with
+    lu_solve's; finiteness is checked where the value enters a solve.
+    """
+    v = np.asarray(value, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"expected a vector, got shape {v.shape}")
+    if v.shape[0] != n:
+        raise ValueError(f"matrix is {n}x{n} but b has length {v.shape[0]}")
+    return v.tolist()
+
+
 def as_matrix(m) -> np.ndarray:
     """Validate and return a square 2-d float array with finite entries."""
     a = np.asarray(m, dtype=float)
@@ -75,14 +90,26 @@ class LuFactors:
 def lu_factor(m) -> LuFactors:
     """Factor M (with partial row pivoting) so that M[pivots] = L @ U.
 
+    M is an array or a list of n rows, each a list of n floats, as the
+    step kernels in rosenbrock build it. List rows are copied before they
+    are factored, so the caller's lists are left as they were, and checked
+    for finiteness; anything else, a ragged or non-square list included,
+    goes through as_matrix, so both forms fail with the same messages.
+
     The pivot of each column is the first entry of largest magnitude on or
     below the diagonal. Raises SingularMatrix when that pivot does not
     exceed SINGULARITY_RTOL times its row's scale: the largest |entry| the
     row has held during the elimination (fill-in that cancels leaves noise
     of its size), capped at max|M|, so a stiff row spares the others.
     """
-    a = as_matrix(m).tolist()
-    n = len(a)
+    n = len(m) if type(m) is list else 0
+    if n and all(type(row) is list and len(row) == n for row in m):
+        a = [list(map(float, row)) for row in m]
+        if not all(all(map(math.isfinite, row)) for row in a):
+            raise ValueError("matrix entries must be finite")
+    else:
+        a = as_matrix(m).tolist()
+        n = len(a)
     perm = list(range(n))
     scales = [max(map(abs, row)) for row in a]  # by row of M, like perm's values
     cap_tol = SINGULARITY_RTOL * max(scales, default=0.0)

@@ -135,22 +135,38 @@ def eval_field(problem: PiecewiseProblem, which: int, x) -> np.ndarray:
     Raises DomainViolation (and counts it) when the branch has a domain
     predicate and x falls outside it.
     """
-    if which not in (1, 2):
+    if which == 1:
+        f, dom = problem.f1, problem.domain_f1
+    elif which == 2:
+        f, dom = problem.f2, problem.domain_f2
+    else:
         raise ValueError(f"field selector must be 1 or 2, got {which!r}")
     x = np.asarray(x, dtype=float)
-    dom = problem.domain_f1 if which == 1 else problem.domain_f2
     if dom is not None and not dom(x):
         problem.counters.domain_violations[which] += 1
         name = problem.label or "problem"
         raise DomainViolation(f"field {which} of {name} is undefined at {x}")
     problem.counters.f_evals[which] += 1
-    f = problem.f1 if which == 1 else problem.f2
     return np.asarray(f(x), dtype=float)
 
 
 def field_fn(problem: PiecewiseProblem, which: int) -> Callable:
     """Counted, domain-checked callable for one branch field."""
     return lambda x: eval_field(problem, which, x)
+
+
+def field_floats(problem: PiecewiseProblem, which: int) -> Callable:
+    """field_fn's field as the step kernel (rosenbrock) takes it: each
+    value as a list of problem.dim Python floats. A value of another shape
+    fails linalg.as_floats. Each call looks eval_field up in this module,
+    so a wrapper put there sees every evaluation."""
+    shape = (problem.dim,)
+
+    def call(x):
+        v = eval_field(problem, which, x)
+        return v.tolist() if v.shape == shape else linalg.as_floats(v, shape[0])
+
+    return call
 
 
 def _counted_raw(problem: PiecewiseProblem, which: int) -> Callable:

@@ -31,19 +31,28 @@ h = n.x + c along them is a polynomial too: RosenbrockStep.slopes forms its
 coefficients from n.k1 and n.k2, for event location, even-count detection
 and the exact dense guard.
 
-The stage and dense-output arithmetic runs on Python floats, in one place:
-every step path (ros1_step, ros2_step, ros2_stage1 and ros2_finish here,
-the guarded step and its case-1b trials in onesided) builds its stages with
-_floats, _stage1 and _ros2_finish, and the RosenbrockStep it returns keeps
-those floats and is its own dense output: dense_eval, dense_derivative,
-event location and the dense guard all read its value, derivative and
-slopes. They do the IEEE operations of the array formulas above in the
-same order, and numpy's elementwise operations do not fuse, so the results
-equal the array expressions bit for bit.
-Each input is checked once, where it enters: x0 by the public step
-functions (as_vector), each field value's shape and length by _floats, and
-each right-hand side's finiteness by linalg.lu_solve, which every solve
-still goes through. Fields and h still get float arrays.
+The stage and dense-output arithmetic runs on Python floats, in one
+kernel: _stage1 forms k1, and _finish forms k2 and x1 and the
+RosenbrockStep, which keeps those floats and is its own dense output:
+dense_eval, dense_derivative, event location and the dense guard all read
+its value, derivative and slopes. Every step path calls the kernel: the
+public steps here (ros1_step, ros2_step, ros2_stage1, ros2_finish and,
+through them, restep), the driver's plain step (events.take_step), and the
+guarded step and each of its case-1b trials (onesided). The kernel does the
+IEEE operations of the array formulas above in the same order, and numpy's
+elementwise operations do not fuse, so the results equal the array
+expressions bit for bit. The step matrix is built as float rows
+(_step_rows) and factored by linalg.lu_factor as they are; step_matrix is
+the same rows as an array.
+The kernel re-checks nothing; each input is checked once, where it enters.
+The state: x0 by integrate at its entry, or by the public step functions
+here (as_vector), and x1 where _finish makes it (NonFiniteState, a
+ValueError, when an entry overflowed). Each field value's shape and length:
+linalg.as_floats, which problems.field_floats (the driver's fields) and the
+public step functions apply. J's shape by _step_rows, the step matrix's
+finiteness by lu_factor, and each right-hand side's finiteness by
+linalg.lu_solve, which every solve still goes through. Fields and h still
+get float arrays.
 """
 
 from __future__ import annotations
@@ -55,6 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .errors import NonFiniteState
 
 GAMMA_ROS2 = 1.0 - math.sqrt(2.0) / 2.0
 GAMMA_ROS1 = 1.0
@@ -144,46 +154,62 @@ class RosenbrockStep:
                 2.0 * self.c * (a1 + a2))
 
 
+def _step_rows(J: np.ndarray, tau: float, gamma: float) -> list:
+    # I - gamma*tau*J as Python float rows, J a float array: 0 - g*J_ij, then
+    # 1 added on the diagonal, the bits of eye(n) - g*J, signed zeros
+    # included. A J that is not square fails as_matrix's shape check;
+    # lu_factor checks the rows' finiteness.
+    if J.ndim != 2 or J.shape[0] != J.shape[1]:
+        linalg.as_matrix(J)
+    g = gamma * tau
+    rows = [[0.0 - g * v for v in row] for row in J.tolist()]
+    for i, row in enumerate(rows):
+        row[i] += 1.0
+    return rows
+
+
 def step_matrix(J, tau: float, gamma: float) -> np.ndarray:
     """The step matrix I - gamma*tau*J."""
     J = linalg.as_matrix(J)
-    # 0 - g*J then 1 on the diagonal: the same bits as eye(n) - g*J,
-    # signed zeros included
-    M = 0.0 - (gamma * tau) * J
-    for i in range(J.shape[0]):
-        M[i, i] += 1.0
-    return M
+    return np.array(_step_rows(J, tau, gamma)).reshape(J.shape)
 
 
-def _floats(value, n: int) -> list:
-    """A field value (or f(x0) passed in) as n Python floats.
+def _factor(J: np.ndarray, tau: float, gamma: float) -> linalg.LuFactors:
+    # LU factors of the step matrix of a float array J
+    return linalg.lu_factor(_step_rows(J, tau, gamma))
 
-    Checks the shape with as_vector's message and the length with
-    lu_solve's; finiteness is checked where the value enters a solve.
-    """
-    v = np.asarray(value, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    if v.shape[0] != n:
-        raise ValueError(f"matrix is {n}x{n} but b has length {v.shape[0]}")
-    return v.tolist()
 
+def _checked(field, n: int):
+    # a caller's field as the kernel takes it: each value as n floats
+    return lambda x: linalg.as_floats(field(x), n)
+
+
+# --- the kernel: Python floats in and out, nothing re-checked ---------------
 
 def _stage1(factors: linalg.LuFactors, fx0: list, tau: float) -> np.ndarray:
     # k1 of (I - gamma*tau*J) k1 = tau*f(x0); lu_solve checks tau*f(x0)
     return linalg.lu_solve(factors, [tau * f for f in fx0])
 
 
-def _ros2_finish(field, x0: np.ndarray, x0f: list, tau: float, J, factors,
-                 k1: np.ndarray) -> RosenbrockStep:
-    # the second stage and x1 from checked x0 (x0f its floats) and k1; the
-    # field takes x0 + k1 as an array, so that sum stays one numpy add
+def _finish(field, x0: np.ndarray, x0f: list, tau: float, J, factors,
+            k1: np.ndarray) -> RosenbrockStep:
+    # The step from x0 (x0f its floats) and its first stage k1: the second
+    # stage and x1 when field is given (it returns n floats, see _checked),
+    # else the one-stage x1 = x0 + k1. The field takes x0 + k1 as an array,
+    # so that sum stays one numpy add. x1 is checked here, where it is made.
     k1f = k1.tolist()
-    f_inner = _floats(field(x0 + k1), len(x0f))
-    k2 = linalg.lu_solve(factors, [tau * f - 2.0 * a for f, a in zip(f_inner, k1f)])
-    k2f = k2.tolist()
-    x1 = [x + 1.5 * a + 0.5 * b for x, a, b in zip(x0f, k1f, k2f)]
-    return RosenbrockStep(x0, x0f, tau, J, GAMMA_ROS2, k1, k1f, k2, k2f, np.array(x1))
+    if field is None:
+        gamma, k2, k2f = GAMMA_ROS1, None, None
+        x1 = [x + a for x, a in zip(x0f, k1f)]
+    else:
+        gamma = GAMMA_ROS2
+        f_inner = field(x0 + k1)
+        k2 = linalg.lu_solve(factors, [tau * f - 2.0 * a for f, a in zip(f_inner, k1f)])
+        k2f = k2.tolist()
+        x1 = [x + 1.5 * a + 0.5 * b for x, a, b in zip(x0f, k1f, k2f)]
+    if not all(map(math.isfinite, x1)):
+        raise NonFiniteState(f"the step's end state is not finite: x1 = {x1}")
+    return RosenbrockStep(x0, x0f, tau, J, gamma, k1, k1f, k2, k2f, np.array(x1))
 
 
 def ros1_step(field, x0, tau: float, J, *,
@@ -196,21 +222,19 @@ def ros1_step(field, x0, tau: float, J, *,
     x0 = linalg.as_vector(x0)
     x0f = x0.tolist()
     if factors is None:
-        factors = linalg.lu_factor(step_matrix(J, tau, GAMMA_ROS1))
-    k1 = _stage1(factors, _floats(field(x0), len(x0f)), tau)
-    k1f = k1.tolist()
-    return RosenbrockStep(x0, x0f, tau, J, GAMMA_ROS1, k1, k1f, None, None,
-                          np.array([x + a for x, a in zip(x0f, k1f)]))
+        factors = _factor(linalg.as_matrix(J), tau, GAMMA_ROS1)
+    k1 = _stage1(factors, linalg.as_floats(field(x0), len(x0f)), tau)
+    return _finish(None, x0, x0f, tau, J, factors, k1)
 
 
 def ros2_factor(J, tau: float) -> linalg.LuFactors:
     """LU factors of (I - gamma*tau*J), shared by both stages."""
-    return linalg.lu_factor(step_matrix(J, tau, GAMMA_ROS2))
+    return _factor(linalg.as_matrix(J), tau, GAMMA_ROS2)
 
 
 def ros2_stage1(factors: linalg.LuFactors, fx0, tau: float) -> np.ndarray:
     """The first stage k1 from f(x0): (I - gamma*tau*J) k1 = tau*f(x0)."""
-    return _stage1(factors, _floats(fx0, factors.n), tau)
+    return _stage1(factors, linalg.as_floats(fx0, factors.n), tau)
 
 
 def ros2_finish(field, x0, tau: float, J, factors, k1) -> RosenbrockStep:
@@ -223,7 +247,7 @@ def ros2_finish(field, x0, tau: float, J, factors, k1) -> RosenbrockStep:
     k1 = np.asarray(k1, dtype=float)
     if k1.shape != x0.shape:
         raise ValueError(f"k1 has shape {k1.shape} but x0 has shape {x0.shape}")
-    return _ros2_finish(field, x0, x0.tolist(), tau, J, factors, k1)
+    return _finish(_checked(field, x0.shape[0]), x0, x0.tolist(), tau, J, factors, k1)
 
 
 def ros2_step(field, x0, tau: float, J, *,
@@ -237,10 +261,11 @@ def ros2_step(field, x0, tau: float, J, *,
     """
     x0 = linalg.as_vector(x0)
     x0f = x0.tolist()
-    fx0 = _floats(field(x0), len(x0f))
+    field = _checked(field, len(x0f))
+    fx0 = field(x0)
     if factors is None:
         factors = ros2_factor(J, tau)
-    return _ros2_finish(field, x0, x0f, tau, J, factors, _stage1(factors, fx0, tau))
+    return _finish(field, x0, x0f, tau, J, factors, _stage1(factors, fx0, tau))
 
 
 def _check_theta(theta: float) -> None:

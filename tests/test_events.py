@@ -1,6 +1,7 @@
 """Event detection, safe-side location, and the integration driver."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import rosevent.events
 import rosevent.linalg
-from rosevent.errors import DomainViolation, NoBracket, SingularMatrix
+from rosevent.errors import DomainViolation, NoBracket, NonFiniteState, SingularMatrix
 from rosevent.events import (
     SNAP_TRIES,
     THETA_TOL,
@@ -23,7 +24,7 @@ from rosevent.events import (
     integrate,
     locate_event,
 )
-from rosevent.onesided import GuardMode
+from rosevent.onesided import GuardMode, guarded_ros2_step
 from rosevent.problems import (
     SIGMA_TOL,
     Affine,
@@ -785,7 +786,8 @@ def test_closed_form_location_takes_few_h_calls_on_the_relay():
 
 def test_integrate_spends_h_only_on_the_start_the_steps_and_location():
     # one h call at x0, one at each step's endpoint and the ones location
-    # counts: a crossing's state is not evaluated again (28 crossings here)
+    # counts: a crossing's state is not evaluated again (28 crossings here),
+    # nor is a probe state that equals the previous probe's (one here)
     problem = spp_flatten(builtin("kowalczyk", eps=1e-2))
     calls = []
     real = problem.h
@@ -799,4 +801,138 @@ def test_integrate_spends_h_only_on_the_start_the_steps_and_location():
     assert result.termination is Termination.REACHED_T_END
     assert len(result.events) == 28
     location = sum(ev.root_iterations for ev in result.events)
-    assert len(calls) == 1 + result.stats.steps + location == 569
+    assert len(calls) == 1 + result.stats.steps + location == 568
+
+
+# --- the step kernel under the driver -----------------------------------------
+
+def same_bytes(a, b):
+    return a is None and b is None or a.tobytes() == b.tobytes()
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random affine field x' = A x + b with n = 1..3 and a declared
+    surface n.x + c, a state below it, a step size and a method."""
+    n = draw(st.integers(1, 3))
+    entry = st.floats(-5.0, 5.0)
+    A = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+    b = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    normal = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    x0 = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    # the surface sits a random distance above x0, so some steps trespass
+    c = -float(normal @ x0) - draw(st.floats(1e-3, 2.0))
+    problem = affine_problem(Affine(A, b, A, b, normal, c))
+    assume(float(problem.h(x0)) < 0.0)
+    tau = draw(st.floats(1e-3, 0.5))
+    method = draw(st.sampled_from(["ros1", "ros2"]))
+    return problem, x0, tau, method_by_name(method)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=kernel_cases())
+def test_driver_steps_are_the_public_steps_bit_for_bit(case):
+    problem, x0, tau, method = case
+    J = field_jacobian(problem, 1, x0)
+    cfg = IntegratorConfig(tau=tau, t_end=1.0, method=method)
+    public = ros2_step if method.stages == 2 else ros1_step
+    try:
+        alone = public(field_fn(problem, 1), x0, tau, J)
+    except (SingularMatrix, ValueError):
+        assume(False)
+    first, factorizations, kept = rosevent.events.take_step(problem, x0, tau, 1, cfg)
+    again, reused, _ = rosevent.events.take_step(problem, x0, tau, 1, cfg, kept)
+    assert (factorizations, reused) == (1, 0)
+    for step in (first, again):
+        assert (step.tau, step.gamma, step.stages) == (alone.tau, alone.gamma, alone.stages)
+        for name in ("x1", "k1", "k2"):
+            assert same_bytes(getattr(step, name), getattr(alone, name))
+
+    if method.stages == 2:
+        guarded_cfg = IntegratorConfig(tau=tau, t_end=1.0, guard_mode=GuardMode.ROS2_DENSE)
+        try:
+            public_guarded = guarded_ros2_step(problem, x0, tau, J)
+        except (NoBracket, SingularMatrix) as exc:
+            with pytest.raises(type(exc)):
+                rosevent.events.take_step(problem, x0, tau, 1, guarded_cfg)
+            return
+        inner = rosevent.events.take_step(problem, x0, tau, 1, guarded_cfg)
+        assert inner[1] == public_guarded[1]
+        step, ref = inner[0], public_guarded[0]
+        assert step.tau == ref.tau
+        for name in ("x1", "k1", "k2"):
+            assert same_bytes(getattr(step, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("method, guard", [("ros2", None), ("ros1", None),
+                                           ("ros2", GuardMode.ROS2_DENSE)])
+@pytest.mark.parametrize("banned_name", ["lu_factor", "lu_solve"])
+def test_banning_the_linear_algebra_stops_every_driver_step(method, guard, banned_name):
+    # the bans that show location solves nothing are only worth something
+    # if a step, which must factor and solve, runs into them
+    problem = builtin("tent")
+    x = np.array([0.1])
+    cfg = IntegratorConfig(tau=0.2, t_end=1.0, method=method_by_name(method),
+                           guard_mode=guard)
+    _, _, kept = rosevent.events.take_step(problem, x, 0.2, 1, cfg)
+
+    def banned(*a, **k):
+        raise AssertionError("linear algebra called during event location")
+
+    with mock.patch.object(rosevent.linalg, banned_name, banned):
+        with pytest.raises(AssertionError, match="linear algebra called"):
+            rosevent.events.take_step(problem, x, 0.2, 1, cfg)
+        if banned_name == "lu_solve":  # the kept factors still solve
+            with pytest.raises(AssertionError, match="linear algebra called"):
+                rosevent.events.take_step(problem, x, 0.2, 1, cfg, kept)
+
+
+def test_a_wrapper_on_eval_field_sees_every_counted_evaluation():
+    # the cross-check of the traced benchmark: the driver's fields look
+    # eval_field up in problems on every call
+    problem = spp_flatten(builtin("kowalczyk", eps=1e-2))
+    seen = []
+    real = rosevent.problems.eval_field
+
+    def counting(*args):
+        seen.append(args[1])
+        return real(*args)
+
+    with mock.patch.object(rosevent.problems, "eval_field", counting):
+        result = integrate(problem, problem.x0, IntegratorConfig(tau=1e-3, t_end=1.5))
+    assert len(result.events) > 2
+    assert {1: seen.count(1), 2: seen.count(2)} == result.stats.f_evals
+
+
+@pytest.mark.parametrize("t_end", [0.5, 2.0])
+def test_a_state_that_overflows_fails_the_run_at_its_step(t_end):
+    # x' = x from 1e308: the first step's x1 overflows (1e308 + 1.5*k1
+    # rounds to inf though x1 itself would be finite). It used to reach the
+    # mesh as a finished run (t_end = 0.5) or fail a step later with a bare
+    # "vector entries must be finite" (t_end = 2), with a RuntimeWarning
+    # from h either way.
+    problem = builtin("linear_test", lam=1.0)
+    cfg = IntegratorConfig(tau=0.5, t_end=t_end)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState, match=r"^the step's end state is not finite: "
+                           r"x1 = \[inf\] \(step 0, t = 0, field 1\)$"):
+            integrate(problem, [1e308], cfg)
+    assert issubclass(NonFiniteState, ValueError)
+
+
+def test_probes_that_do_not_move_the_state_call_no_h():
+    # a relay-orbit event (seed 1) whose closed-form root reads h = -6.06e-18,
+    # just past the surface, where X1 does not move at the probes' ulp-scale
+    # shifts: four probes called h for the same value before ITP took over
+    # (8 calls)
+    problem = spp_flatten(builtin("kowalczyk", theta=-0.9046502110519348, eps=1e-2))
+    x0 = np.array([-0.6340416972471647, 0.13810753914706458])
+    cfg = IntegratorConfig(tau=4e-3, t_end=0.02)
+    result = integrate(problem, x0, cfg)
+    event = result.events[0]
+    assert event.step_index == 2
+    assert event.direction is Direction.R2_TO_R1
+    assert event.root_iterations <= 5
+    g = float(problem.h(event.x_star))
+    assert 0.0 <= g <= cfg.h_tol

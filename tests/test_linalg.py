@@ -185,6 +185,58 @@ def test_lu_factor_rejects_nonfinite_and_nonsquare():
         lu_solve(factors, [1.0, math.nan])
 
 
+_entries = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_lu_factor_takes_list_rows_as_the_array_bit_for_bit(data):
+    n = data.draw(st.integers(1, 4))
+    rows = [data.draw(st.lists(_entries, min_size=n, max_size=n)) for _ in range(n)]
+    kept = [row[:] for row in rows]
+    try:
+        from_array = lu_factor(np.array(rows))
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix):
+            lu_factor(rows)
+        assert rows == kept
+        return
+    from_rows = lu_factor(rows)
+    assert from_rows.pivots == from_array.pivots
+    assert np.array(from_rows.combined).tobytes() == np.array(from_array.combined).tobytes()
+    # the caller's rows are copied, not factored in place
+    assert [np.array(r).tobytes() for r in rows] == [np.array(r).tobytes() for r in kept]
+    assert all(type(v) is float for row in from_rows.combined for v in row)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 2.0], [3.0]],                 # ragged
+    [[1.0], [2.0, 3.0]],                 # ragged
+    [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],  # not square
+    [[1.0], [2.0]],                      # not square
+    [[]],
+    [],
+    [1.0, 2.0],                          # not a list of rows
+    [[1.0, math.nan], [0.0, 1.0]],
+    [[1.0, 0.0], [-math.inf, 1.0]],
+    [[math.inf]],
+])
+def test_lu_factor_rejects_bad_list_rows_as_the_array_path_does(rows):
+    try:
+        array = np.array(rows, dtype=float)
+    except ValueError as exc:  # numpy's own message for ragged rows
+        expected = str(exc)
+    else:
+        with pytest.raises(ValueError) as from_array:
+            lu_factor(array)
+        expected = str(from_array.value)
+    kept = repr(rows)
+    with pytest.raises(ValueError) as from_rows:
+        lu_factor(rows)
+    assert str(from_rows.value) == expected
+    assert repr(rows) == kept
+
+
 def test_lu_solve_length_mismatch():
     factors = lu_factor(np.eye(2))
     with pytest.raises(ValueError):

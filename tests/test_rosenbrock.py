@@ -1,13 +1,17 @@
 """Rosenbrock steps: scalar closed forms, order, stability, dense output."""
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rosevent.linalg
 from rosevent.rosenbrock import (
+    GAMMA_ROS1,
     GAMMA_ROS2,
     ROS1,
     ROS2,
@@ -20,6 +24,7 @@ from rosevent.rosenbrock import (
     ros2_finish,
     ros2_stage1,
     ros2_step,
+    _step_rows,
     step_matrix,
 )
 
@@ -287,3 +292,43 @@ def test_ros2_with_fd_jacobian_close_to_analytic():
     exact = ros2_step(f, x0, 0.2, J_exact).x1
     approx = ros2_step(f, x0, 0.2, J_fd).x1
     npt.assert_allclose(approx, exact, rtol=1e-7, atol=1e-10)
+
+
+# --- the step matrix as float rows -----------------------------------------
+
+_j_entries = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), gamma=st.sampled_from([GAMMA_ROS1, GAMMA_ROS2]),
+       tau=st.one_of(st.floats(1e-6, 1.0), st.sampled_from([5e-324, 1e-310, 1e-300])))
+def test_step_rows_are_the_numpy_step_matrix_bit_for_bit(data, gamma, tau):
+    # the array formula step_matrix had, eye(n) - g*J written as 0 - g*J
+    # then 1 on the diagonal, signed zeros and subnormal g*J included
+    n = data.draw(st.integers(1, 4))
+    J = np.array(data.draw(st.lists(_j_entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    with np.errstate(over="ignore"):
+        expected = 0.0 - (gamma * tau) * J
+    for i in range(n):
+        expected[i, i] += 1.0
+    rows = _step_rows(J, tau, gamma)
+    assert all(type(v) is float for row in rows for v in row)
+    assert np.array(rows).tobytes() == expected.tobytes()
+    assert step_matrix(J, tau, gamma).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("J, tau, message", [
+    (np.ones((2, 3)), 0.1, "expected a square matrix, got shape (2, 3)"),
+    (np.ones((3, 2)), 0.1, "expected a square matrix, got shape (3, 2)"),
+    (np.ones(2), 0.1, "expected a square matrix, got shape (2,)"),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), 0.1, "matrix entries must be finite"),
+    # a finite J whose g*J overflows: lu_factor finds the rows not finite
+    (np.array([[1e308, 0.0], [0.0, 1.0]]), 1e10, "matrix entries must be finite"),
+])
+def test_the_factor_path_checks_j_with_the_array_messages(J, tau, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ros2_factor(J, tau)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ros1_step(lambda x: -x, np.ones(2), tau, J)
