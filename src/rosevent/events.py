@@ -302,20 +302,18 @@ def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
              else problems.field_floats(problem, active))
     J = problems.field_jacobian(problem, active, x)
     if cfg.guard_mode is onesided.GuardMode.ROS2_DENSE and active == 1:
-        step, factorizations = onesided._guarded_step(problem, x, x.tolist(), tau, J,
-                                                      cfg.h_tol, field)
+        step, factorizations = onesided._guarded_step(problem, x, tau, J, cfg.h_tol, field)
         return step, factorizations, kept
     gamma = cfg.method.gamma
     key = (J.tobytes(), J.shape, tau, gamma)
     if kept is not None and kept[0] == key:
         factorizations = 0
     else:
-        kept = key, rosenbrock._factor(J, tau, gamma)
+        kept = key, rosenbrock.factor(J, tau, gamma)
         factorizations = 1
     factors = kept[1]
-    k1 = rosenbrock._stage1(factors, field(x), tau)
-    step = rosenbrock._finish(field if cfg.method.stages == 2 else None, x, x.tolist(), tau,
-                              J, factors, k1)
+    k1 = rosenbrock.stage1(factors, field(x), tau)
+    step = rosenbrock.finish(field if cfg.method.stages == 2 else None, x, tau, J, factors, k1)
     return step, factorizations, kept
 
 
@@ -329,7 +327,8 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     raised). DomainViolation from a field evaluated outside its domain
     propagates to the caller with step context, and so does
     NonFiniteState, a ValueError, from a step whose end state overflowed:
-    a non-finite state never reaches the mesh, h or the next step.
+    a non-finite state never reaches the mesh, h or the next step. A NaN h
+    at a step's end, which has no side, raises ValueError with step context.
     """
     _validate_config(cfg)
     x = np.asarray(x0, dtype=float).copy()
@@ -343,7 +342,6 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     if abs(h_at_x) <= problems.SIGMA_TOL:
         raise ValueError("initial state lies on the switching surface")
     active = 1 if h_at_x < 0.0 else 2
-    h_sign_neg = h_at_x < 0.0
 
     f_before, v_before = problem.counters.snapshot()
     lu_count = 0
@@ -394,8 +392,12 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
         lu_count += factorizations
         steps_taken += 1
         h_new = float(h(step.x1))
+        if h_new != h_new:
+            # a NaN has no side: the step may have crossed the surface unseen
+            raise ValueError(f"h is NaN at the end of step {step_index}, "
+                             f"t = {t + step.tau:.12g}: h(x1) = {h_new}")
         on_band = abs(h_new) <= sigma_tol
-        crossed = detect_sign_change(-1.0 if h_sign_neg else 1.0, h_new)
+        crossed = h_new > 0.0 if active == 1 else h_new < 0.0
         record = None
         # an endpoint past the surface is located even inside the band: a
         # state recorded there would be classified with the field it left
@@ -417,7 +419,6 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
             x = step.x1
             mesh.append((t, x))
             h_at_x = h_new
-            h_sign_neg = h_new < 0.0
             step_index += 1
             continue
 
@@ -434,7 +435,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
                 break
 
         if record is None:
-            direction = Direction.R1_TO_R2 if h_sign_neg else Direction.R2_TO_R1
+            direction = Direction.R1_TO_R2 if active == 1 else Direction.R2_TO_R1
             record = EventRecord(step_index, 1.0, t + step.tau, step.x1,
                                  abs(h_new), direction, 0, True)
         elif events and events[-1].t_star == t and record.theta_star <= THETA_TOL:
@@ -460,8 +461,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
             # x sits on the side it left or on the surface, so its own h has
             # no sign to start the next step from: take the band's edge on
             # the new side
-            h_sign_neg = active == 1
-            h_at_x = -sigma_tol if h_sign_neg else sigma_tol
+            h_at_x = -sigma_tol if active == 1 else sigma_tol
             step_index += 1
             continue
         if kind in (filippov.Kind.SLIDING, filippov.Kind.SLIDING_ATTRACTIVE,

@@ -5,8 +5,9 @@ of states, not thousands. At that size a numpy call costs its dispatch, not
 its arithmetic, so the input checks, the partial-pivoting LU, the solves
 and the finite-difference Jacobian run on Python floats. lu_factor takes a
 list of float rows and lu_solve a list of floats, which is how the step
-kernels in rosenbrock pass their step matrices and right-hand sides, and
-lu_solve substitutes with straight-line code generated once per system
+kernel in rosenbrock passes its step matrices and right-hand sides; given a
+list, lu_solve returns a list of floats, so a step's stages never become
+arrays. It substitutes with straight-line code generated once per system
 size. Also here: the safe-side ITP root search of event location and the
 case-1b shortening, finite-difference stencils (the Jacobian one switches
 to one-sided differences at a domain edge) and a cheap spectral-radius
@@ -183,12 +184,14 @@ def _substitution(n: int) -> Callable:
     return sub
 
 
-def lu_solve(factors: LuFactors, b) -> np.ndarray:
+def lu_solve(factors: LuFactors, b) -> list | np.ndarray:
     """Solve M x = b given factors from lu_factor(M).
 
     b must be a finite vector of M's size. A list is taken as Python
-    floats, as the step kernels in rosenbrock build their right-hand sides;
-    anything else goes through as_vector.
+    floats, as the step kernel in rosenbrock builds its right-hand sides,
+    and x comes back as a list of Python floats; anything else goes
+    through as_vector, and x comes back as a float64 array of the same
+    bits.
 
     The forward and back substitution is straight-line code for M's size,
     generated on the first solve of that size and kept for every later one
@@ -204,7 +207,8 @@ def lu_solve(factors: LuFactors, b) -> np.ndarray:
     overflows itself comes back infinite. A solve that does not overflow
     never takes this path and keeps its bits.
     """
-    if type(b) is not list:
+    floats = type(b) is list
+    if not floats:
         vals = as_vector(b).tolist()
     elif all(map(math.isfinite, b)):
         vals = b
@@ -223,7 +227,7 @@ def lu_solve(factors: LuFactors, b) -> np.ndarray:
         # two factors, each a finite power of two, where 2.0**k may not be
         up, up2 = 2.0 ** (k // 2), 2.0 ** (k - k // 2)
         x = [v * up * up2 for v in x]
-    return np.array(x)
+    return x if floats else np.array(x)
 
 
 def safe_side_root(g: Callable, lo: float, hi: float, g_lo: float, g_hi: float,

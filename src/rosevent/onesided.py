@@ -186,29 +186,29 @@ def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,
     """Two-stage step of field 1 that never evaluates it past the surface.
 
     The internal stage x0 + k1 is checked before the second field
-    evaluation; when it trespasses (case 1b) the step is shortened by
-    resolve_case_1b first. Returns (step, factorizations); step.tau < tau
-    marks a shortened step. Raises ValueError unless tau is positive and
-    finite.
+    evaluation; when it trespasses (case 1b), or h is NaN there and so has
+    no side, the step is shortened by resolve_case_1b first. Returns
+    (step, factorizations); step.tau < tau marks a shortened step. Raises
+    ValueError unless tau is positive and finite.
     """
     _check_step_size(tau)
-    x0 = linalg.as_vector(x0)
-    return _guarded_step(problem, x0, x0.tolist(), tau, np.asarray(J, dtype=float), h_tol,
-                         problems.field_floats(problem, 1))
+    return _guarded_step(problem, linalg.as_vector(x0), tau, np.asarray(J, dtype=float),
+                         h_tol, problems.field_floats(problem, 1))
 
 
-def _guarded_step(problem, x0, x0f, tau, J, h_tol, field):
+def _guarded_step(problem, x0, tau, J, h_tol, field):
     # guarded_ros2_step on the kernel, unchecked: x0 a finite float array of
-    # the problem's dimension (x0f its floats), J a float array, field the
-    # counted field 1 as problems.field_floats makes it; integrate's step
+    # the problem's dimension, J a float array, field the counted field 1 as
+    # problems.field_floats makes it; integrate's step. A NaN h at the
+    # internal stage has no side, so it shortens the step as a trespass does.
     fx0 = field(x0)
-    factors = rosenbrock._factor(J, tau, rosenbrock.GAMMA_ROS2)
-    k1 = rosenbrock._stage1(factors, fx0, tau)
+    factors = rosenbrock.factor(J, tau, rosenbrock.GAMMA_ROS2)
+    k1 = rosenbrock.stage1(factors, fx0, tau)
     g_tau = float(problem.h(x0 + k1))
-    if g_tau > 0.0:
+    if not g_tau <= 0.0:
         step, trials = resolve_case_1b(problem, x0, tau, fx0, J, g_tau, h_tol)
         return step, 1 + trials
-    return rosenbrock._finish(field, x0, x0f, tau, J, factors, k1), 1
+    return rosenbrock.finish(field, x0, tau, J, factors, k1), 1
 
 
 def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
@@ -216,9 +216,9 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
     """Shrink a two-stage step whose internal stage trespasses the surface.
 
     The caller has seen x0 + k1(tau) trespass, with fx0 = f1(x0), J its
-    Jacobian and g_tau = h(x0 + k1(tau)) > 0; it passes them as the guarded
-    step has them, unchecked: x0 a finite float array, fx0 its Python
-    floats, J a float array. linalg.safe_side_root searches
+    Jacobian and g_tau = h(x0 + k1(tau)) > 0 or NaN; it passes them as the
+    guarded step has them, unchecked: x0 a finite float array, fx0 its
+    Python floats, J a float array. linalg.safe_side_root searches
     g(sigma) = h(x0 + k1(sigma)) over (0, tau) from the safe side, down to a
     4*eps*tau bracket: each trial factors (I - gamma*sigma*J) and recomputes
     k1 from fx0, with no field evaluation. The factors of the trial it ends
@@ -233,8 +233,8 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
     tried = {}  # sigma -> (factors, k1) of that trial
 
     def g(sigma):
-        factors = rosenbrock._factor(J, sigma, rosenbrock.GAMMA_ROS2)
-        k1 = rosenbrock._stage1(factors, fx0, sigma)
+        factors = rosenbrock.factor(J, sigma, rosenbrock.GAMMA_ROS2)
+        k1 = rosenbrock.stage1(factors, fx0, sigma)
         tried[sigma] = factors, k1
         return float(problem.h(x0 + k1))
 
@@ -244,8 +244,7 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
         raise NoBracket(f"the internal stage trespasses at all {trials} trial sizes")
 
     factors, k1 = tried[sigma_bar]
-    step = rosenbrock._finish(problems.field_floats(problem, 1), x0, x0.tolist(), sigma_bar,
-                              J, factors, k1)
+    step = rosenbrock.finish(problems.field_floats(problem, 1), x0, sigma_bar, J, factors, k1)
     return step, trials
 
 

@@ -5,7 +5,9 @@ region 2 = {h > 0}, and the switching surface = {h = 0} (an absolute band
 of width `sigma_tol` in practice). Each region owns one branch of the
 vector field; branches may carry domain predicates marking where they can
 be evaluated at all. Evaluation bookkeeping lives on the problem instance
-so integrations can report exact evaluation and violation counts.
+so integrations can report exact evaluation and violation counts, all
+through eval_field: the step kernel's fields and the FD Jacobian look it
+up here on every call, so each counted evaluation is one eval_field call.
 
 A piecewise-affine problem (x' = A_i x + b_i, h = n.x + c) is declared once
 as `Affine` data, and `affine_problem` derives every field, Jacobian and
@@ -150,16 +152,10 @@ def eval_field(problem: PiecewiseProblem, which: int, x) -> np.ndarray:
     return np.asarray(f(x), dtype=float)
 
 
-def field_fn(problem: PiecewiseProblem, which: int) -> Callable:
-    """Counted, domain-checked callable for one branch field."""
-    return lambda x: eval_field(problem, which, x)
-
-
 def field_floats(problem: PiecewiseProblem, which: int) -> Callable:
-    """field_fn's field as the step kernel (rosenbrock) takes it: each
-    value as a list of problem.dim Python floats. A value of another shape
-    fails linalg.as_floats. Each call looks eval_field up in this module,
-    so a wrapper put there sees every evaluation."""
+    """Branch field `which` through eval_field, as the step kernel
+    (rosenbrock) takes it: each value as a list of problem.dim Python
+    floats. A value of another shape fails linalg.as_floats."""
     shape = (problem.dim,)
 
     def call(x):
@@ -169,27 +165,15 @@ def field_floats(problem: PiecewiseProblem, which: int) -> Callable:
     return call
 
 
-def _counted_raw(problem: PiecewiseProblem, which: int) -> Callable:
-    # Counts evaluations but skips the predicate check; used by FD stencils
-    # that have already chosen in-domain probe points.
-    f = problem.f1 if which == 1 else problem.f2
-
-    def call(x):
-        problem.counters.f_evals[which] += 1
-        return np.asarray(f(x), dtype=float)
-
-    return call
-
-
 def field_jacobian(problem: PiecewiseProblem, which: int, x) -> np.ndarray:
     """Jacobian of a branch field: analytic when available, else central
-    differences that respect the branch's domain predicate."""
+    differences through eval_field that respect the branch's domain."""
     jac = problem.jac_f1 if which == 1 else problem.jac_f2
     x = np.asarray(x, dtype=float)
     if jac is not None:
         return np.asarray(jac(x), dtype=float)
     dom = problem.domain_f1 if which == 1 else problem.domain_f2
-    return linalg.fd_jacobian(_counted_raw(problem, which), x, domain=dom)
+    return linalg.fd_jacobian(lambda v: eval_field(problem, which, v), x, domain=dom)
 
 
 def h_gradient(problem: PiecewiseProblem, x) -> np.ndarray:

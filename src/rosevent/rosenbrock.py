@@ -31,22 +31,23 @@ h = n.x + c along them is a polynomial too: RosenbrockStep.slopes forms its
 coefficients from n.k1 and n.k2, for event location, even-count detection
 and the exact dense guard.
 
-The stage and dense-output arithmetic runs on Python floats, in one
-kernel: _stage1 forms k1, and _finish forms k2 and x1 and the
-RosenbrockStep, which keeps those floats and is its own dense output:
-dense_eval, dense_derivative, event location and the dense guard all read
-its value, derivative and slopes. Every step path calls the kernel: the
-public steps here (ros1_step, ros2_step, ros2_stage1, ros2_finish and,
-through them, restep), the driver's plain step (events.take_step), and the
-guarded step and each of its case-1b trials (onesided). The kernel does the
-IEEE operations of the array formulas above in the same order, and numpy's
+The step kernel is public, unchecked and runs on Python floats: factor
+(the step matrix's LU factors), stage1 (k1) and finish (k2, x1 and the
+RosenbrockStep). Every step path calls it: the public steps here
+(ros1_step, ros2_step, ros2_stage1, ros2_finish and, through them,
+restep), the driver's plain step (events.take_step), and the guarded step
+and each of its case-1b trials (onesided). The step holds each stage once,
+as those floats (k1 and k2 are arrays built when read), and is its own
+dense output: dense_eval, dense_derivative, event location and the dense
+guard all read its value, derivative and slopes. The kernel does the IEEE
+operations of the array formulas above in the same order, and numpy's
 elementwise operations do not fuse, so the results equal the array
 expressions bit for bit. The step matrix is built as float rows
 (_step_rows) and factored by linalg.lu_factor as they are; step_matrix is
-the same rows as an array.
+the same rows as an array. linalg.lu_solve returns each stage as floats.
 The kernel re-checks nothing; each input is checked once, where it enters.
 The state: x0 by integrate at its entry, or by the public step functions
-here (as_vector), and x1 where _finish makes it (NonFiniteState, a
+here (as_vector), and x1 where finish makes it (NonFiniteState, a
 ValueError, when an entry overflowed). Each field value's shape and length:
 linalg.as_floats, which problems.field_floats (the driver's fields) and the
 public step functions apply. J's shape by _step_rows, the step matrix's
@@ -94,29 +95,34 @@ class RosenbrockStep:
     """One accepted step: inputs, stages, endpoint, and its dense output.
 
     Treated as immutable; dense evaluation, location, the guards and
-    re-stepping read from it without modifying it. k2 is None for one-stage
-    steps. x0f, k1f and k2f hold x0, k1 and k2 as the Python floats the
-    kernel computed with, which the dense output reads.
+    re-stepping read from it without modifying it. x0f, k1f and k2f hold
+    x0, k1 and k2 as the Python floats the kernel computed with, which the
+    dense output reads; k2f is None for one-stage steps. The stages are
+    held only as those floats: k1 and k2 are arrays built when read.
     """
 
-    __slots__ = ("x0", "x0f", "tau", "J", "gamma", "c", "k1", "k1f", "k2", "k2f",
-                 "x1", "stages")
+    __slots__ = ("x0", "x0f", "tau", "J", "gamma", "c", "k1f", "k2f", "x1", "stages")
 
     def __init__(self, x0: np.ndarray, x0f: list, tau: float, J, gamma: float,
-                 k1: np.ndarray, k1f: list, k2: np.ndarray | None, k2f: list | None,
-                 x1: np.ndarray):
+                 k1f: list, k2f: list | None, x1: np.ndarray):
         self.x0 = x0
         self.x0f = x0f
         self.tau = tau
         self.J = np.asarray(J, dtype=float)
         self.gamma = gamma
         self.c = 1.0 / (2.0 * (1.0 - 2.0 * gamma))
-        self.k1 = k1
         self.k1f = k1f
-        self.k2 = k2
         self.k2f = k2f
         self.x1 = x1
-        self.stages = 1 if k2 is None else 2
+        self.stages = 1 if k2f is None else 2
+
+    @property
+    def k1(self) -> np.ndarray:
+        return np.array(self.k1f)
+
+    @property
+    def k2(self) -> np.ndarray | None:
+        return None if self.k2f is None else np.array(self.k2f)
 
     def value(self, theta: float) -> np.ndarray:
         """X1(theta), theta unchecked: the formula of the module docstring,
@@ -174,11 +180,6 @@ def step_matrix(J, tau: float, gamma: float) -> np.ndarray:
     return np.array(_step_rows(J, tau, gamma)).reshape(J.shape)
 
 
-def _factor(J: np.ndarray, tau: float, gamma: float) -> linalg.LuFactors:
-    # LU factors of the step matrix of a float array J
-    return linalg.lu_factor(_step_rows(J, tau, gamma))
-
-
 def _checked(field, n: int):
     # a caller's field as the kernel takes it: each value as n floats
     return lambda x: linalg.as_floats(field(x), n)
@@ -186,30 +187,32 @@ def _checked(field, n: int):
 
 # --- the kernel: Python floats in and out, nothing re-checked ---------------
 
-def _stage1(factors: linalg.LuFactors, fx0: list, tau: float) -> np.ndarray:
-    # k1 of (I - gamma*tau*J) k1 = tau*f(x0); lu_solve checks tau*f(x0)
+def factor(J: np.ndarray, tau: float, gamma: float) -> linalg.LuFactors:
+    """LU factors of the step matrix I - gamma*tau*J of a float array J."""
+    return linalg.lu_factor(_step_rows(J, tau, gamma))
+
+
+def stage1(factors: linalg.LuFactors, fx0: list, tau: float) -> list:
+    """k1 as floats from f(x0) as floats; lu_solve checks tau*f(x0)."""
     return linalg.lu_solve(factors, [tau * f for f in fx0])
 
 
-def _finish(field, x0: np.ndarray, x0f: list, tau: float, J, factors,
-            k1: np.ndarray) -> RosenbrockStep:
-    # The step from x0 (x0f its floats) and its first stage k1: the second
-    # stage and x1 when field is given (it returns n floats, see _checked),
-    # else the one-stage x1 = x0 + k1. The field takes x0 + k1 as an array,
-    # so that sum stays one numpy add. x1 is checked here, where it is made.
-    k1f = k1.tolist()
+def finish(field, x0: np.ndarray, tau: float, J, factors, k1: list) -> RosenbrockStep:
+    """The step from x0, a finite float array, and k1 from stage1: two-stage
+    when field is given (it returns floats, as problems.field_floats does),
+    else x1 = x0 + k1. Only x1 is checked, here where it is made."""
+    x0f = x0.tolist()
     if field is None:
-        gamma, k2, k2f = GAMMA_ROS1, None, None
-        x1 = [x + a for x, a in zip(x0f, k1f)]
+        gamma, k2 = GAMMA_ROS1, None
+        x1 = [x + a for x, a in zip(x0f, k1)]
     else:
         gamma = GAMMA_ROS2
         f_inner = field(x0 + k1)
-        k2 = linalg.lu_solve(factors, [tau * f - 2.0 * a for f, a in zip(f_inner, k1f)])
-        k2f = k2.tolist()
-        x1 = [x + 1.5 * a + 0.5 * b for x, a, b in zip(x0f, k1f, k2f)]
+        k2 = linalg.lu_solve(factors, [tau * f - 2.0 * a for f, a in zip(f_inner, k1)])
+        x1 = [x + 1.5 * a + 0.5 * b for x, a, b in zip(x0f, k1, k2)]
     if not all(map(math.isfinite, x1)):
         raise NonFiniteState(f"the step's end state is not finite: x1 = {x1}")
-    return RosenbrockStep(x0, x0f, tau, J, gamma, k1, k1f, k2, k2f, np.array(x1))
+    return RosenbrockStep(x0, x0f, tau, J, gamma, k1, k2, np.array(x1))
 
 
 def ros1_step(field, x0, tau: float, J, *,
@@ -220,21 +223,20 @@ def ros1_step(field, x0, tau: float, J, *,
     as they are, so the step is the one a fresh factorization would give.
     """
     x0 = linalg.as_vector(x0)
-    x0f = x0.tolist()
     if factors is None:
-        factors = _factor(linalg.as_matrix(J), tau, GAMMA_ROS1)
-    k1 = _stage1(factors, linalg.as_floats(field(x0), len(x0f)), tau)
-    return _finish(None, x0, x0f, tau, J, factors, k1)
+        factors = factor(linalg.as_matrix(J), tau, GAMMA_ROS1)
+    k1 = stage1(factors, linalg.as_floats(field(x0), x0.shape[0]), tau)
+    return finish(None, x0, tau, J, factors, k1)
 
 
 def ros2_factor(J, tau: float) -> linalg.LuFactors:
     """LU factors of (I - gamma*tau*J), shared by both stages."""
-    return _factor(linalg.as_matrix(J), tau, GAMMA_ROS2)
+    return factor(linalg.as_matrix(J), tau, GAMMA_ROS2)
 
 
 def ros2_stage1(factors: linalg.LuFactors, fx0, tau: float) -> np.ndarray:
     """The first stage k1 from f(x0): (I - gamma*tau*J) k1 = tau*f(x0)."""
-    return _stage1(factors, linalg.as_floats(fx0, factors.n), tau)
+    return np.array(stage1(factors, linalg.as_floats(fx0, factors.n), tau))
 
 
 def ros2_finish(field, x0, tau: float, J, factors, k1) -> RosenbrockStep:
@@ -247,7 +249,7 @@ def ros2_finish(field, x0, tau: float, J, factors, k1) -> RosenbrockStep:
     k1 = np.asarray(k1, dtype=float)
     if k1.shape != x0.shape:
         raise ValueError(f"k1 has shape {k1.shape} but x0 has shape {x0.shape}")
-    return _finish(_checked(field, x0.shape[0]), x0, x0.tolist(), tau, J, factors, k1)
+    return finish(_checked(field, x0.shape[0]), x0, tau, J, factors, k1.tolist())
 
 
 def ros2_step(field, x0, tau: float, J, *,
@@ -260,12 +262,11 @@ def ros2_step(field, x0, tau: float, J, *,
     step bit for bit.
     """
     x0 = linalg.as_vector(x0)
-    x0f = x0.tolist()
-    field = _checked(field, len(x0f))
+    field = _checked(field, x0.shape[0])
     fx0 = field(x0)
     if factors is None:
         factors = ros2_factor(J, tau)
-    return _finish(field, x0, x0f, tau, J, factors, _stage1(factors, fx0, tau))
+    return finish(field, x0, tau, J, factors, stage1(factors, fx0, tau))
 
 
 def _check_theta(theta: float) -> None:

@@ -29,7 +29,7 @@ from rosevent.problems import (
     SppProblem,
     builtin,
     eval_field,
-    field_fn,
+    field_floats,
     field_jacobian,
     reduced_order_model,
     spp_flatten,
@@ -132,7 +132,7 @@ def test_criterion_04_dense_output_matches_endpoints():
         problem, which, tau_cap, sampler = draws[i % len(draws)]
         x = sampler()
         tau = float(rng.uniform(0.1, 1.0)) * tau_cap
-        step = ros2_step(field_fn(problem, which), x, tau,
+        step = ros2_step(field_floats(problem, which), x, tau,
                          field_jacobian(problem, which, x))
         npt.assert_array_equal(dense_eval(step, 0.0), step.x0)  # bit-exact
         gap = float(np.max(np.abs(dense_eval(step, 1.0) - step.x1)))
@@ -148,7 +148,7 @@ def test_criterion_05_interpolant_carries_the_method_order():
     thetas = np.linspace(0.0, 1.0, 33)
 
     def sup_error(tau0):
-        field = field_fn(problem, 1)
+        field = field_floats(problem, 1)
         x = np.array([1.0])
         t = 0.0
         sup = 0.0
@@ -196,7 +196,7 @@ def test_criterion_07_location_is_free_and_consistent(monkeypatch):
     result = integrate(problem, problem.x0, cfg)
     ev = result.events[0]
     t0, x_before = result.mesh[ev.step_index]
-    fld = field_fn(problem, 1)
+    fld = field_floats(problem, 1)
     step = ros2_step(fld, x_before, tau, field_jacobian(problem, 1, x_before))
 
     # part 1: zero field evaluations and zero linear solves during location

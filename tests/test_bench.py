@@ -415,6 +415,23 @@ def test_cli_guard_check_series_modes_name_no_dense_certificate(capsys):
     assert "certificate:" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("problem, state, tau, mode, printed", [
+    ("tent", "0.3", "0.25", "ros1", True),
+    ("tent", "0.3", "0.25", "ros1-orth", False),
+    ("najafi", "1,0.9", "0.125", "ros2-dense", False),
+])
+def test_cli_guard_check_prints_the_contraction_bound_only_where_checked(
+        capsys, problem, state, tau, mode, printed):
+    # only the general one-stage guard checks the Neumann series; the other
+    # modes used to print "contraction bound holds: True" unchecked
+    assert cli_main(["guard-check", "--problem", problem, "--state", state,
+                     "--tau", tau, "--mode", mode]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"mode: {mode}" in lines
+    assert ("contraction bound holds: True" in lines) is printed
+    assert any(line.startswith("contraction bound") for line in lines) is printed
+
+
 def test_cli_usage_errors_exit_2(capsys):
     assert cli_main(["no-such-command"]) == 2
     assert cli_main(["integrate", "--problem", "tent"]) == 2  # missing --tau

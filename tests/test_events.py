@@ -33,7 +33,7 @@ from rosevent.problems import (
     affine_problem,
     builtin,
     eval_field,
-    field_fn,
+    field_floats,
     field_jacobian,
     problem_names,
     spp_flatten,
@@ -126,7 +126,7 @@ def _builtin_step(name, which, tau, shift):
     spec = builtin(name)
     problem = spp_flatten(spec) if isinstance(spec, SppProblem) else spec
     x0 = problem.x0 + shift
-    return ros2_step(field_fn(problem, which), x0, tau,
+    return ros2_step(field_floats(problem, which), x0, tau,
                      field_jacobian(problem, which, x0))
 
 
@@ -173,7 +173,7 @@ def test_locate_ends_converged_within_41_calls_on_the_departing_side(
 def test_locate_costs_no_field_evals_or_solves(monkeypatch):
     problem = builtin("tent")
     x = np.array([0.4])
-    step = ros2_step(field_fn(problem, 1), x, 0.2,
+    step = ros2_step(field_floats(problem, 1), x, 0.2,
                      field_jacobian(problem, 1, x))
 
     def banned(*a, **k):  # pragma: no cover - should never run
@@ -200,7 +200,7 @@ def test_located_theta_matches_shortened_step_root():
 
     t0, x_before = result.mesh[ev.step_index]
     assert abs(t0 - ev.step_index * tau) < 1e-12
-    fld = field_fn(problem, 1)
+    fld = field_floats(problem, 1)
     step = ros2_step(fld, x_before, tau, field_jacobian(problem, 1, x_before))
     assert float(problem.h(step.x1)) > 0.0
 
@@ -511,7 +511,7 @@ def test_reused_factors_give_the_steps_of_fresh_factorizations(name, method, tau
             active = 2 if start.direction is Direction.R1_TO_R2 else 1
         else:
             active = 1 if problem.h(x0) < 0.0 else 2
-        fresh = stepper(field_fn(problem, active), x0, min(cfg.tau, cfg.t_end - t0),
+        fresh = stepper(field_floats(problem, active), x0, min(cfg.tau, cfg.t_end - t0),
                         field_jacobian(problem, active, x0))
         assert fresh.x1.tobytes() == x1.tobytes(), (t0, active)
         replayed += 1
@@ -837,7 +837,7 @@ def test_driver_steps_are_the_public_steps_bit_for_bit(case):
     cfg = IntegratorConfig(tau=tau, t_end=1.0, method=method)
     public = ros2_step if method.stages == 2 else ros1_step
     try:
-        alone = public(field_fn(problem, 1), x0, tau, J)
+        alone = public(field_floats(problem, 1), x0, tau, J)
     except (SingularMatrix, ValueError):
         assume(False)
     first, factorizations, kept = rosevent.events.take_step(problem, x0, tau, 1, cfg)
@@ -887,10 +887,18 @@ def test_banning_the_linear_algebra_stops_every_driver_step(method, guard, banne
                 rosevent.events.take_step(problem, x, 0.2, 1, cfg, kept)
 
 
-def test_a_wrapper_on_eval_field_sees_every_counted_evaluation():
-    # the cross-check of the traced benchmark: the driver's fields look
-    # eval_field up in problems on every call
-    problem = spp_flatten(builtin("kowalczyk", eps=1e-2))
+def _derivative_free(flat):
+    # the flattened relay with its fields and h only, as the relay-fd
+    # benchmark builds it: every Jacobian is a finite-difference stencil
+    return PiecewiseProblem(flat.dim, flat.f1, flat.f2, flat.h, x0=flat.x0)
+
+
+@pytest.mark.parametrize("strip", [lambda flat: flat, _derivative_free],
+                         ids=["analytic", "derivative-free"])
+def test_a_wrapper_on_eval_field_sees_every_counted_evaluation(strip):
+    # the cross-check of the traced benchmark: the driver's fields and the
+    # finite-difference stencils look eval_field up in problems on every call
+    problem = strip(spp_flatten(builtin("kowalczyk", eps=1e-2)))
     seen = []
     real = rosevent.problems.eval_field
 
@@ -919,6 +927,23 @@ def test_a_state_that_overflows_fails_the_run_at_its_step(t_end):
                            r"x1 = \[inf\] \(step 0, t = 0, field 1\)$"):
             integrate(problem, [1e308], cfg)
     assert issubclass(NonFiniteState, ValueError)
+
+
+def test_a_nan_h_at_a_step_end_fails_the_run_at_its_step():
+    # h has no value on (0.44, 0.56): the run used to read the NaN as
+    # region 2's side, then ran field 1 through region 2 to t_end without
+    # an event
+    def h(x):
+        v = float(x[0])
+        return math.nan if 0.44 < v < 0.56 else v - 0.5
+
+    problem = PiecewiseProblem(1, lambda x: np.array([1.0]), lambda x: np.array([-1.0]), h,
+                               jac_f1=lambda x: np.zeros((1, 1)),
+                               jac_f2=lambda x: np.zeros((1, 1)))
+    with pytest.raises(ValueError, match=r"^h is NaN at the end of step 8, t = 0\.45: "
+                       r"h\(x1\) = nan$"):
+        integrate(problem, [0.0], IntegratorConfig(tau=0.05, t_end=1.0))
+    assert problem.counters.f_evals == {1: 18, 2: 0}
 
 
 def test_probes_that_do_not_move_the_state_call_no_h():

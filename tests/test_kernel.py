@@ -12,7 +12,7 @@ from rosevent import linalg
 from rosevent.errors import SingularMatrix
 from rosevent.events import IntegratorConfig, integrate
 from rosevent.onesided import GuardMode
-from rosevent.problems import Affine, PiecewiseProblem, affine_problem, field_fn
+from rosevent.problems import Affine, PiecewiseProblem, affine_problem, field_floats
 from rosevent.rosenbrock import (
     ROS1,
     ROS2,
@@ -120,7 +120,7 @@ def test_integrate_takes_the_standalone_step(case):
     problem = affine_problem(Affine(A, b, A, b, np.zeros(len(b)), -1.0))
     with np.errstate(all="ignore"):
         try:
-            alone = STEPPERS[method.stages](field_fn(problem, 1), x0, tau, A)
+            alone = STEPPERS[method.stages](field_floats(problem, 1), x0, tau, A)
         except ValueError:
             assume(False)
         result = integrate(problem, x0, IntegratorConfig(tau=tau, t_end=tau, method=method))

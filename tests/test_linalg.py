@@ -80,6 +80,13 @@ def reference_lu_solve(combined, pivots, b):
             * 2.0 ** (k - k // 2)
 
 
+def same_floats(x, expected) -> bool:
+    """x is a list of Python floats with the bits of the float array
+    expected: signed zeros, subnormals, inf and NaN positions included."""
+    return (type(x) is list and all(type(v) is float for v in x)
+            and np.array(x, dtype=float).tobytes() == np.asarray(expected).tobytes())
+
+
 # small integers make singular and tied-pivot matrices common
 _lu_entries = st.one_of(
     st.integers(min_value=-3, max_value=3).map(float),
@@ -103,8 +110,9 @@ def test_lu_matches_the_array_reference(n, data):
     # the elimination does the same elementwise operations as the reference
     npt.assert_array_equal(np.array(factors.combined), ref_combined)
     x = lu_solve(factors, b)
-    # a list of floats, as the step kernels pass, solves to the same bits
-    assert lu_solve(factors, b.tolist()).tobytes() == x.tobytes()
+    # a list of floats, as the step kernel passes, solves to Python floats
+    # of the same bits
+    assert same_floats(lu_solve(factors, b.tolist()), x)
     x_ref = reference_lu_solve(ref_combined, ref_pivots, b)
     if n <= 2:
         # substitution sums of at most one product: same arithmetic
@@ -419,8 +427,8 @@ def test_lu_solve_keeps_a_finite_solution_whose_products_overflow(ulps_below):
     x = lu_solve(lu_factor(a), b)
     # (-x3, x3, x3) with x3 = 1/u33 rounded
     assert x.tolist() == [float(v) for v in exact_solve(a, b)]
-    # the same system with a float list, as the step kernels pass it
-    assert lu_solve(lu_factor(a), b.tolist()).tolist() == x.tolist()
+    # the same system with a float list, as the step kernel passes it
+    assert same_floats(lu_solve(lu_factor(a), b.tolist()), x)
 
 
 def loop_lu_solve(factors, b):
@@ -490,11 +498,12 @@ def test_lu_solve_matches_the_loop_substitution_bit_for_bit(system):
     except SingularMatrix:
         return
     expected = loop_lu_solve(factors, b)
-    for rhs in (b, np.array(b)):  # a float list, as the step kernels pass, or an array
-        x = lu_solve(factors, rhs)
-        assert type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (len(b),)
-        # same bits: signed zeros, subnormals, inf and NaN positions included
-        assert x.tobytes() == expected.tobytes()
+    x = lu_solve(factors, np.array(b))
+    assert type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (len(b),)
+    # same bits: signed zeros, subnormals, inf and NaN positions included
+    assert x.tobytes() == expected.tobytes()
+    # a float list, as the step kernel passes, gives Python floats of those bits
+    assert same_floats(lu_solve(factors, b), expected)
 
 
 def test_lu_solve_generates_each_substitution_once(monkeypatch):
@@ -510,7 +519,7 @@ def test_lu_solve_generates_each_substitution_once(monkeypatch):
     for _ in range(3):
         for n in (1, 2, 3):
             x = lu_solve(lu_factor(2.0 * np.eye(n)), [1.0] * n)
-            assert x.tolist() == [0.5] * n
+            assert same_floats(x, np.full(n, 0.5))
     # the overflowing redo runs the same code on the scaled right-hand side
     u33 = math.ldexp(1.0, -1023)
     lu_solve(lu_factor([[0.0, 0.0, u33], [1.0, -1.0, 2.0], [0.0, 1.0, -1.0]]),

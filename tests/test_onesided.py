@@ -322,6 +322,29 @@ def test_resolve_case_1b_without_a_safe_trial_is_a_guard_failure():
     assert result.stats.steps == 0
 
 
+def test_a_nan_h_at_the_internal_stage_shortens_the_step():
+    # h = t - 1 has no value on (0.95, 1.05): the full step's internal
+    # stage lands at t = 1.025, where a NaN used to read as the safe side,
+    # so field 1 ran past the surface and the step was not shortened
+    times = []
+
+    def f1(u):
+        times.append(float(u[1]))
+        return np.array([0.0, 1.0])
+
+    def h(u):
+        t = float(u[1])
+        return math.nan if 0.95 < t < 1.05 else t - 1.0
+
+    problem = PiecewiseProblem(dim=2, f1=f1, f2=lambda u: np.array([0.0, 1.0]), h=h,
+                               jac_f1=lambda u: np.zeros((2, 2)),
+                               jac_f2=lambda u: np.zeros((2, 2)))
+    step, _ = guarded_ros2_step(problem, (1.0, 0.9), 0.125, np.zeros((2, 2)))
+    assert step.tau < 0.125
+    assert times and max(times) <= 1.0
+    assert float(problem.h(step.x0 + step.k1)) <= 0.0
+
+
 # --- two-stage dense-output guard --------------------------------------------
 
 def test_dense_guard_passes_on_monotone_approach():

@@ -160,6 +160,22 @@ def test_dense_one_stage_is_chord():
     npt.assert_array_equal(dense_eval(step, 1.0), step.x1)
 
 
+@pytest.mark.parametrize("step_fn", [ros1_step, ros2_step])
+def test_a_step_holds_each_stage_once_as_floats(step_fn):
+    A = np.array([[-1.0, 0.5], [0.0, -2.0]])
+    step = step_fn(lambda x: A @ x, np.array([1.0, -1.0]), 0.3, A)
+    assert not {"k1", "k2"} & set(type(step).__slots__)
+    stages = [("k1", step.k1f), ("k2", step.k2f)][:step.stages]
+    for name, floats in stages:
+        assert all(type(v) is float for v in floats)
+        array = getattr(step, name)
+        assert array.dtype == np.float64 and array.tobytes() == np.array(floats).tobytes()
+        with pytest.raises(AttributeError):
+            setattr(step, name, array)
+    if step.stages == 1:
+        assert step.k2 is None and step.k2f is None
+
+
 def test_dense_theta_validated():
     step = ros1_step(linear_field(-1.0), np.array([1.0]), 0.5, np.array([[-1.0]]))
     with pytest.raises(ValueError):
