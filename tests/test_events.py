@@ -893,12 +893,7 @@ def _derivative_free(flat):
     return PiecewiseProblem(flat.dim, flat.f1, flat.f2, flat.h, x0=flat.x0)
 
 
-@pytest.mark.parametrize("strip", [lambda flat: flat, _derivative_free],
-                         ids=["analytic", "derivative-free"])
-def test_a_wrapper_on_eval_field_sees_every_counted_evaluation(strip):
-    # the cross-check of the traced benchmark: the driver's fields and the
-    # finite-difference stencils look eval_field up in problems on every call
-    problem = strip(spp_flatten(builtin("kowalczyk", eps=1e-2)))
+def _assert_eval_field_sees_every_counted_evaluation(problem):
     seen = []
     real = rosevent.problems.eval_field
 
@@ -910,6 +905,20 @@ def test_a_wrapper_on_eval_field_sees_every_counted_evaluation(strip):
         result = integrate(problem, problem.x0, IntegratorConfig(tau=1e-3, t_end=1.5))
     assert len(result.events) > 2
     assert {1: seen.count(1), 2: seen.count(2)} == result.stats.f_evals
+
+
+def test_a_wrapper_on_eval_field_sees_every_counted_evaluation():
+    # the cross-check of the traced benchmark: the driver's fields look
+    # eval_field up in problems on every call
+    _assert_eval_field_sees_every_counted_evaluation(
+        spp_flatten(builtin("kowalczyk", eps=1e-2)))
+
+
+def test_a_wrapper_on_eval_field_sees_every_finite_difference_evaluation():
+    # the finite-difference stencils of a derivative-free problem count
+    # through the same eval_field as the driver's fields
+    _assert_eval_field_sees_every_counted_evaluation(
+        _derivative_free(spp_flatten(builtin("kowalczyk", eps=1e-2))))
 
 
 @pytest.mark.parametrize("t_end", [0.5, 2.0])
