@@ -73,6 +73,7 @@ def _print_stats(result) -> None:
         f"f2 {stats.domain_violations.get(2, 0)}"
     )
     print(f"lu factorizations: {stats.lu_factorizations}")
+    print(f"jacobian evaluations: {stats.jacobian_evaluations}")
 
 
 def _cmd_list_problems(args) -> int:

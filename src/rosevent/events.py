@@ -28,9 +28,26 @@ At a fixed step the step matrix I - gamma*tau*J changes only when J or
 tau does, and on fields that are linear in each region J is constant. Each
 integrate call therefore keeps the LU factors of its last plain step and
 reuses them while J (bit for bit), tau and gamma are unchanged; the kept
-factors live in the call and die with it. The result is the same, bit for
-bit, as factoring on every step. IntegrationStats.lu_factorizations counts
-the factorizations that actually ran.
+factors live in the call and die with it, and reusing them gives the same
+step bit for bit as factoring again. IntegrationStats.lu_factorizations
+counts the factorizations that actually ran.
+
+A finite-difference (FD) Jacobian differs in its last bits from state to
+state, so on its own it would miss that key on every step. But the
+two-stage scheme is the ROS2 of Verwer, Spee, Blom & Hundsdorfer (SIAM J.
+Sci. Comput. 20, 1999), which keeps order 2 at the step's end for any
+matrix W in place of J: a W-method (Steihaug & Wolfbrandt, Math. Comp. 33,
+1979). So a plain step of a field without an analytic Jacobian may keep the
+W of the previous step (take_step): while the field stays in one region, the
+previous step's secant fits W to FD-error level, and W has served fewer
+than REUSE_STEPS steps. A kept W has the same bytes, so the factor key above
+reuses its factors too. A run takes a fresh FD J at its start and on every
+region entry. Analytic Jacobians, and the guarded step, always take a fresh
+J. W does not cancel from the dense output: its interior carries the extra
+term c*gamma*2*theta*(1 - theta)*tau^2*(W - J)*f(x0), zero at theta = 0 and
+theta = 1, so event states keep their order but the interpolant's error
+constant grows with |W - J|, which the secant check keeps at FD-error level.
+IntegrationStats.jacobian_evaluations counts the Jacobians evaluated.
 
 Every hit that is not located is recorded at theta = 1, the step endpoint:
 an endpoint inside the surface band |h| <= problems.SIGMA_TOL that is on
@@ -45,7 +62,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +78,17 @@ THETA_TOL = 1e-12
 # h evaluations the closed-form location spends at and around the root of
 # the surface polynomial before it falls back to the ITP search
 SNAP_TRIES = 4
+
+# Most consecutive plain steps one FD Jacobian serves (take_step). A secant
+# sees W only along the step, so a field affine along the path but not across
+# it passes every check; this cap bounds how long its W can go stale.
+REUSE_STEPS = 16
+
+# A kept W fits the last step's secant when each component of the residual
+# f(x0) - f(x_prev) - W.(x0 - x_prev) is within SECANT_RTOL of
+# |f(x0)| + |f(x_prev)|: the FD Jacobian's own error on an affine field
+# leaves residuals well below it, a curved field's step well above it.
+SECANT_RTOL = 1e-6
 
 
 class Direction(enum.Enum):
@@ -108,12 +138,16 @@ class EventRecord:
 @dataclass
 class IntegrationStats:
     """Per-run counts. lu_factorizations counts the LU factorizations that
-    ran: a plain step that reuses the run's kept factors adds none."""
+    ran: a plain step that reuses the run's kept factors adds none.
+    jacobian_evaluations counts the field Jacobians evaluated, analytic or
+    FD: one per step that takes a fresh J and one per one-stage guard; a
+    plain step that keeps its W adds none."""
 
     f_evals: dict
     domain_violations: dict
     lu_factorizations: int = 0
     steps: int = 0
+    jacobian_evaluations: int = 0
 
 
 @dataclass(frozen=True)
@@ -277,6 +311,39 @@ def _classify_event(problem: problems.PiecewiseProblem,
     return filippov.classify_general(problem, record.x_star, sigma_tol=sigma_tol).kind
 
 
+class _Secant(NamedTuple):
+    # the last plain step of a field without an analytic Jacobian, its
+    # f(x0), and the steps its W (step.J) has served
+    active: int
+    step: rosenbrock.RosenbrockStep
+    fx0: list
+    uses: int
+
+
+class _Kept(NamedTuple):
+    # what a run's plain steps hand on (take_step): the key and LU factors
+    # of the last step matrix factored, and the last step's _Secant or None
+    key: tuple
+    factors: linalg.LuFactors
+    secant: _Secant | None
+
+
+def _keeps_w(last: _Secant | None, active: int, x, fx: list) -> bool:
+    """Whether the W of the last plain step may serve the step from x, with
+    fx = f(x): the step continues it (same field, x its x1), W has served
+    fewer than REUSE_STEPS steps, and the secant from the last step's x0 to
+    x fits W within SECANT_RTOL in every component (a NaN never fits)."""
+    if last is None or last.active != active or last.step.x1 is not x \
+            or last.uses >= REUSE_STEPS:
+        return False
+    dx = [a - b for a, b in zip(x.tolist(), last.step.x0f)]
+    for f1, f0, row in zip(fx, last.fx0, last.step.J.tolist()):
+        r = f1 - f0 - sum(map(operator.mul, row, dx))
+        if not abs(r) <= SECANT_RTOL * (abs(f1) + abs(f0)):
+            return False
+    return True
+
+
 def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
               cfg: IntegratorConfig, kept=None, fields=None):
     """One step of the active field from x: the guarded two-stage step from
@@ -284,37 +351,54 @@ def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
     run on the step kernel (rosenbrock) and check nothing of x, a finite
     float array of the problem's dimension, as integrate checks it once.
 
-    kept is None or the (key, factors) pair this function returned for the
-    previous step of the same run. A plain step whose key (the bytes and
-    shape of J, tau, gamma) equals the kept one solves with the kept LU
-    factors of I - gamma*tau*J; any other plain step factors that matrix
-    and keeps the new pair. The key compares bits, so both give the same
-    step bit for bit. The guarded step factors on its own and leaves the
-    pair as it was. fields is the pair of counted fields
-    (problems.field_floats) a run makes once; None makes them here.
+    kept is None or what this function returned for the previous step of
+    the same run. A plain step of a field without an analytic Jacobian
+    evaluates f(x) first, the value its first stage needs anyway, and keeps
+    the previous plain step's W instead of a fresh finite-difference J when
+    _keeps_w says so: same field, x that step's x1, fewer than REUSE_STEPS
+    uses, and a secant residual at FD-error level. The check costs no field
+    call. Every other step takes a fresh J: the first step of a run or of a
+    region visit, an analytic Jacobian and the guarded step. A plain step
+    whose factor key (the bytes and shape of its J or W, tau, gamma) equals
+    the kept one solves with the kept LU factors of I - gamma*tau*J; any
+    other plain step factors that matrix and keeps it. The key compares
+    bits, so both give the same step bit for bit. The guarded step factors
+    on its own and hands kept on as it was. fields is the pair of counted
+    fields (problems.field_floats) a run makes once; None makes them here.
 
-    Returns (step, factorizations, kept); factorizations counts the LU
-    factorizations this call ran, 0 when it used the kept factors. step.tau
-    is the size actually taken, below tau only when case 1b shortened the
-    step.
+    Returns (step, factorizations, jacobians, kept): the LU factorizations
+    this call ran (0 when it used the kept factors) and the Jacobians it
+    evaluated (0 when it kept W). step.J is the matrix the step used.
+    step.tau is the size actually taken, below tau only when case 1b
+    shortened the step.
     """
     field = (fields[active - 1] if fields is not None
              else problems.field_floats(problem, active))
-    J = problems.field_jacobian(problem, active, x)
     if cfg.guard_mode is onesided.GuardMode.ROS2_DENSE and active == 1:
+        J = problems.field_jacobian(problem, active, x)
         step, factorizations = onesided._guarded_step(problem, x, tau, J, cfg.h_tol, field)
-        return step, factorizations, kept
+        return step, factorizations, 1, kept
+    fx = field(x)
+    # uses: the steps the J of this step has served, 0 for an analytic J
+    if (problem.jac_f1 if active == 1 else problem.jac_f2) is not None:
+        J, jacobians, uses = problems.field_jacobian(problem, active, x), 1, 0
+    elif kept is not None and _keeps_w(kept.secant, active, x, fx):
+        J, jacobians, uses = kept.secant.step.J, 0, kept.secant.uses + 1
+    else:
+        J, jacobians, uses = problems.field_jacobian(problem, active, x), 1, 1
     gamma = cfg.method.gamma
     key = (J.tobytes(), J.shape, tau, gamma)
-    if kept is not None and kept[0] == key:
+    if kept is not None and kept.key == key:
         factorizations = 0
     else:
-        kept = key, rosenbrock.factor(J, tau, gamma)
+        kept = _Kept(key, rosenbrock.factor(J, tau, gamma), None)
         factorizations = 1
-    factors = kept[1]
-    k1 = rosenbrock.stage1(factors, field(x), tau)
+    factors = kept.factors
+    k1 = rosenbrock.stage1(factors, fx, tau)
     step = rosenbrock.finish(field if cfg.method.stages == 2 else None, x, tau, J, factors, k1)
-    return step, factorizations, kept
+    if uses:
+        kept = _Kept(kept.key, factors, _Secant(active, step, fx, uses))
+    return step, factorizations, jacobians, kept
 
 
 def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> TrajectoryResult:
@@ -344,8 +428,8 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     active = 1 if h_at_x < 0.0 else 2
 
     f_before, v_before = problem.counters.snapshot()
-    lu_count = 0
-    # factors of the last plain step, see take_step; local to this call
+    lu_count = jac_count = 0
+    # factors and W of the last plain step, see take_step; local to this call
     kept = None
     steps_taken = 0
     t = 0.0
@@ -375,7 +459,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
             termination = Termination.REACHED_T_END
             break
         try:
-            step, factorizations, kept = take_step(
+            step, factorizations, jacobians, kept = take_step(
                 problem, x, min(tau, remaining), active, cfg, kept, fields)
         except SingularMatrix:
             termination = Termination.SOLVER_FAILURE
@@ -390,6 +474,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
             ) from exc
 
         lu_count += factorizations
+        jac_count += jacobians
         steps_taken += 1
         h_new = float(h(step.x1))
         if h_new != h_new:
@@ -429,6 +514,8 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
                 rep = onesided.guard_ros1_general(problem, x, step.tau, cfg.method.gamma)
             else:
                 rep = onesided.guard_ros1_orthogonal(problem, x, step.tau, cfg.method.gamma)
+            if guard is not onesided.GuardMode.ROS2_DENSE:
+                jac_count += 1  # the one-stage guards evaluate J at x
             guard_reports.append((step_index, rep))
             if not rep.passed:
                 termination = Termination.GUARD_FAILURE
@@ -477,6 +564,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
         domain_violations={k: v_after[k] - v_before[k] for k in v_after},
         lu_factorizations=lu_count,
         steps=steps_taken,
+        jacobian_evaluations=jac_count,
     )
     return TrajectoryResult(
         mesh=mesh, events=events, stats=stats,

@@ -237,8 +237,12 @@ def safe_side_root(g: Callable, lo: float, hi: float, g_lo: float, g_hi: float,
 
     Each trial is an ITP point (Oliveira & Takahashi, ACM TOMS 47, 2021):
     the regula-falsi point of the bracket, truncated towards the midpoint
-    by 0.2*(hi - lo)**2 over the initial width and projected into a
-    shrinking radius about the midpoint. A regula-falsi point outside
+    by 0.2*(hi - lo)**2 over the initial width, but by at least 4 ulps of
+    the regula-falsi point, and projected into a shrinking radius about the
+    midpoint. The floor matters once the bracket is ~1e-12 wide, where the
+    squared width is far below an ulp: without it regula falsi creeps in
+    from one end an ulp per call, each call reading the same h where the
+    state does not move at that scale. A regula-falsi point outside
     (lo, hi), as from a NaN or infinite g at the far end, takes the
     midpoint for that trial.
 
@@ -270,7 +274,9 @@ def safe_side_root(g: Callable, lo: float, hi: float, g_lo: float, g_hi: float,
         x_f = lo + span * (g_lo / (g_lo - g_hi))
         if lo < x_f < hi:
             to_mid = mid - x_f
-            delta = kappa1 * span * span
+            # at least a few ulps: below that the truncation rounds away and
+            # regula falsi creeps in from one end an ulp per call
+            delta = max(kappa1 * span * span, 4.0 * math.ulp(x_f))
             x_t = x_f + math.copysign(delta, to_mid) if delta <= abs(to_mid) else mid
             radius = max(0.0, aim * 2.0 ** (n_max - calls - 1) - 0.5 * span)
             x = x_t if abs(x_t - mid) <= radius else mid - math.copysign(radius, to_mid)
@@ -303,7 +309,10 @@ def fd_jacobian(f: Callable, x, domain: Callable | None = None) -> np.ndarray:
     Central differences with step sqrt(eps)*max(1, |x_j|) per coordinate.
     When `domain` is given and a perturbed point leaves it, the stencil
     switches to the one-sided difference that stays inside; if both sides
-    are outside, DomainViolation is raised.
+    are outside, DomainViolation is raised. f is called only at points
+    found inside: domain is called once per perturbed point, and once for
+    x itself before a one-sided difference first needs f(x) (a DomainViolation
+    when x is outside).
 
     f and domain receive float arrays; the steps and differences run on
     Python floats, the same operations as the array formula and so the same
@@ -324,6 +333,8 @@ def fd_jacobian(f: Callable, x, domain: Callable | None = None) -> np.ndarray:
             up, down, width = _values(f(xp)), _values(f(xm)), hi - lo
         elif ok_p or ok_m:
             if fx is None:
+                if not domain(x):
+                    raise DomainViolation("the stencil's center lies outside the domain")
                 fx = _values(f(x))
             if ok_p:
                 up, down, width = _values(f(xp)), fx, hi - xj

@@ -62,11 +62,15 @@ class GuardMode(enum.Enum):
 
 @dataclass(frozen=True)
 class GuardReport:
+    """A guard's verdict. neumann_ok is whether the Neumann series'
+    contraction bound holds, which only guard_ros1_general checks; the
+    other guards have no such condition and report None (not checked)."""
+
     mode: GuardMode
     coefficients: dict
     passed: bool
     certified_sigma: float
-    neumann_ok: bool
+    neumann_ok: bool | None
 
 
 def _check_step_size(tau: float) -> None:
@@ -177,7 +181,7 @@ def guard_ros1_orthogonal(problem: problems.PiecewiseProblem, x0, tau: float,
         coefficients={"b0": b0, "b1": b1, "b2": b2, "gram_defect": defect},
         passed=passed,
         certified_sigma=_certified_sigma(b0, r1, r2, tau),
-        neumann_ok=True,
+        neumann_ok=None,
     )
 
 
@@ -285,7 +289,7 @@ def guard_ros2_dense(problem: problems.PiecewiseProblem,
         coefficients=coefficients,
         passed=passed,
         certified_sigma=certified,
-        neumann_ok=True,
+        neumann_ok=None,
     )
 
 

@@ -131,11 +131,13 @@ class PiecewiseProblem:
         self.h, self.grad_h, self.hess_h = self.surface.callables
 
 
-def eval_field(problem: PiecewiseProblem, which: int, x) -> np.ndarray:
+def eval_field(problem: PiecewiseProblem, which: int, x, checked: bool = False) -> np.ndarray:
     """Evaluate branch field `which` (1 or 2) at x, with bookkeeping.
 
     Raises DomainViolation (and counts it) when the branch has a domain
-    predicate and x falls outside it.
+    predicate and x falls outside it. checked=True takes the caller's
+    verdict that x lies inside, as the finite-difference stencil of
+    field_jacobian has found it, and skips the predicate.
     """
     if which == 1:
         f, dom = problem.f1, problem.domain_f1
@@ -144,7 +146,7 @@ def eval_field(problem: PiecewiseProblem, which: int, x) -> np.ndarray:
     else:
         raise ValueError(f"field selector must be 1 or 2, got {which!r}")
     x = np.asarray(x, dtype=float)
-    if dom is not None and not dom(x):
+    if dom is not None and not checked and not dom(x):
         problem.counters.domain_violations[which] += 1
         name = problem.label or "problem"
         raise DomainViolation(f"field {which} of {name} is undefined at {x}")
@@ -167,13 +169,16 @@ def field_floats(problem: PiecewiseProblem, which: int) -> Callable:
 
 def field_jacobian(problem: PiecewiseProblem, which: int, x) -> np.ndarray:
     """Jacobian of a branch field: analytic when available, else central
-    differences through eval_field that respect the branch's domain."""
+    differences that respect the branch's domain. The stencil checks each
+    point it evaluates against the domain once (linalg.fd_jacobian) and
+    counts the evaluation through eval_field, which takes that verdict."""
     jac = problem.jac_f1 if which == 1 else problem.jac_f2
     x = np.asarray(x, dtype=float)
     if jac is not None:
         return np.asarray(jac(x), dtype=float)
     dom = problem.domain_f1 if which == 1 else problem.domain_f2
-    return linalg.fd_jacobian(lambda v: eval_field(problem, which, v), x, domain=dom)
+    # checked passed by position, as a wrapper on eval_field may take *args
+    return linalg.fd_jacobian(lambda v: eval_field(problem, which, v, True), x, domain=dom)
 
 
 def h_gradient(problem: PiecewiseProblem, x) -> np.ndarray:

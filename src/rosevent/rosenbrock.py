@@ -17,7 +17,10 @@ the two-stage step for both of its stages. A caller that already holds
 those factors passes them in (factors=...). events.integrate does: within
 one run it factors again only when (J, tau) differs from the previous
 step's, not once per step. Without them the step factors the matrix
-itself. The dense output
+itself. J may be any matrix W in place of the Jacobian: x1 keeps order 2
+for every W (a W-method), which lets events.integrate keep a
+finite-difference J over several steps; the dense output's interior then
+carries an error term in W - J (see events). The dense output
 
     X1(theta) = x0 + c*b1(theta)*k1 + c*b2(theta)*k2,   c = 1/(2*(1-2*gamma))
     b1(theta) = theta^2 + (2 - 6*gamma)*theta

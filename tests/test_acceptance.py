@@ -65,6 +65,19 @@ def test_criterion_01_second_order_reduction_factors():
     assert time.monotonic() - start < 60.0
 
 
+def test_criterion_01_holds_with_finite_difference_jacobians():
+    # the relay with its fields and h only: its plain steps keep a
+    # finite-difference W across each region visit (a W-method), and the
+    # event states keep second order
+    flat = spp_flatten(builtin("kowalczyk", eps=1e-2))
+    bare = PiecewiseProblem(flat.dim, flat.f1, flat.f2, flat.h, x0=flat.x0)
+    rows = run_order_study(bare, tau0=TABLE2_TAU0[1e-2], halvings=4)
+    factors = study_factors(rows)
+    assert len(factors) == 4
+    for f in factors:
+        assert 3.4 <= f <= 4.3, factors
+
+
 def test_criterion_02_first_order_reduction_factors():
     start = time.monotonic()
     for eps, tau0 in sorted(TABLE1_TAU0.items(), reverse=True):

@@ -14,6 +14,7 @@ import rosevent.events
 import rosevent.linalg
 from rosevent.errors import DomainViolation, NoBracket, NonFiniteState, SingularMatrix
 from rosevent.events import (
+    REUSE_STEPS,
     SNAP_TRIES,
     THETA_TOL,
     Direction,
@@ -286,6 +287,18 @@ def test_integrate_validates_guard_method_pairing():
             tau=0.1, guard_mode=GuardMode.ROS1_GENERAL))
 
 
+@pytest.mark.parametrize("guard", [GuardMode.ROS1_GENERAL, GuardMode.ROS1_ORTHOGONAL])
+def test_a_one_stage_guard_counts_the_jacobian_it_evaluates(guard):
+    # each of the 5 steps to the tent's surface evaluates its analytic J,
+    # and the guard at the hit evaluates one more
+    cfg = default_cfg(tau=0.1, method=method_by_name("ros1"), guard_mode=guard)
+    result = integrate(builtin("tent"), [0.0], cfg)
+    assert result.termination is Termination.SLIDING
+    assert [rep.passed for _, rep in result.guard_reports] == [True]
+    assert result.stats.steps == 5
+    assert result.stats.jacobian_evaluations == 6
+
+
 def test_event_free_trajectory_reaches_t_end():
     problem = builtin("linear_test")
     cfg = IntegratorConfig(tau=0.01, t_end=1.0)
@@ -552,8 +565,9 @@ def test_guarded_and_finite_difference_runs_count_every_factorization():
     assert lu_calls > region_1_steps
     assert lu_calls < result.stats.steps
 
-    # the relay without analytic Jacobians: finite differences give J
-    # bit patterns that can change from step to step
+    # the relay without analytic Jacobians: a plain step keeps the W of the
+    # step before while its secant fits, and factors again when it takes a
+    # fresh finite-difference J, whose last bits differ from the kept one's
     relay = builtin_piecewise("kowalczyk")
     relay.jac_f1 = relay.jac_f2 = None
     cfg = IntegratorConfig(tau=4e-3, t_end=1.0)
@@ -598,26 +612,32 @@ def test_a_step_with_two_crossings_reports_both(method):
     assert integrate(parabola(declared=False), [0.0, 0.0], cfg).events == []
 
 
-def accepted_steps(problem, x0, cfg):
-    """integrate, plus (step, active, theta_end) for every accepted step:
-    the part [0, theta_end] of each step the run kept, found by following
-    the state each step hands to the next, and the field that took it."""
+def recorded_steps(problem, x0, cfg):
+    """integrate, plus (x, active, step, jacobians) for every take_step."""
     taken = []
     real = rosevent.events.take_step
 
     def recording(problem, x, tau, active, *args):
         out = real(problem, x, tau, active, *args)
-        taken.append((x, active, out[0]))
+        taken.append((x, active, out[0], out[2]))
         return out
 
     with mock.patch.object(rosevent.events, "take_step", recording):
         result = integrate(problem, x0, cfg)
+    return result, taken
+
+
+def accepted_steps(problem, x0, cfg):
+    """integrate, plus (step, active, theta_end) for every accepted step:
+    the part [0, theta_end] of each step the run kept, found by following
+    the state each step hands to the next, and the field that took it."""
+    result, taken = recorded_steps(problem, x0, cfg)
     if result.termination is Termination.CHATTERING:
         taken.pop()  # the turned-back step is not kept
     events = iter(result.events)
     pending = next(events, None)
     kept = []
-    for i, (_, active, step) in enumerate(taken):
+    for i, (_, active, step, _) in enumerate(taken):
         following = taken[i + 1][0] if i + 1 < len(taken) else None
         if pending is not None and (following is None or pending.x_star is following):
             kept.append((step, active, pending.theta_star))
@@ -840,8 +860,8 @@ def test_driver_steps_are_the_public_steps_bit_for_bit(case):
         alone = public(field_floats(problem, 1), x0, tau, J)
     except (SingularMatrix, ValueError):
         assume(False)
-    first, factorizations, kept = rosevent.events.take_step(problem, x0, tau, 1, cfg)
-    again, reused, _ = rosevent.events.take_step(problem, x0, tau, 1, cfg, kept)
+    first, factorizations, _, kept = rosevent.events.take_step(problem, x0, tau, 1, cfg)
+    again, reused, _, _ = rosevent.events.take_step(problem, x0, tau, 1, cfg, kept)
     assert (factorizations, reused) == (1, 0)
     for step in (first, again):
         assert (step.tau, step.gamma, step.stages) == (alone.tau, alone.gamma, alone.stages)
@@ -874,7 +894,7 @@ def test_banning_the_linear_algebra_stops_every_driver_step(method, guard, banne
     x = np.array([0.1])
     cfg = IntegratorConfig(tau=0.2, t_end=1.0, method=method_by_name(method),
                            guard_mode=guard)
-    _, _, kept = rosevent.events.take_step(problem, x, 0.2, 1, cfg)
+    _, _, _, kept = rosevent.events.take_step(problem, x, 0.2, 1, cfg)
 
     def banned(*a, **k):
         raise AssertionError("linear algebra called during event location")
@@ -919,6 +939,124 @@ def test_a_wrapper_on_eval_field_sees_every_finite_difference_evaluation():
     # through the same eval_field as the driver's fields
     _assert_eval_field_sees_every_counted_evaluation(
         _derivative_free(spp_flatten(builtin("kowalczyk", eps=1e-2))))
+
+
+# --- the W-method: a finite-difference J kept across a region visit ---------
+
+def van_der_pol(jac=None, mu=10.0):
+    """x' = y, y' = mu*(1 - x^2)*y - x in both regions, with a surface that
+    never fires and the Jacobian jac (None: finite differences)."""
+    def f(u):
+        x, y = u
+        return np.array([y, mu * (1.0 - x * x) * y - x])
+
+    return PiecewiseProblem(2, f, f, lambda u: -1.0, jac_f1=jac, jac_f2=jac)
+
+
+def test_a_curved_field_takes_a_fresh_finite_difference_jacobian_every_step():
+    # the secant of van der Pol's steps misses FD-error level every time, so
+    # the derivative-free run is bit for bit the run with a fresh J per step
+    bare = van_der_pol()
+    fresh = van_der_pol(jac=lambda u: rosevent.linalg.fd_jacobian(bare.f1, u))
+    cfg = IntegratorConfig(tau=0.1, t_end=30.0)
+    got, want = integrate(bare, [2.0, 0.0], cfg), integrate(fresh, [2.0, 0.0], cfg)
+    assert got.termination is want.termination is Termination.REACHED_T_END
+    assert got.stats.steps == want.stats.steps == 300
+    assert got.stats.jacobian_evaluations == want.stats.jacobian_evaluations == 300
+    assert got.stats.lu_factorizations == want.stats.lu_factorizations
+    assert [(t, x.tobytes()) for t, x in got.mesh] == [(t, x.tobytes()) for t, x in want.mesh]
+
+
+@pytest.mark.parametrize("name", ["kowalczyk", "teixeira"])
+def test_an_affine_relay_keeps_its_finite_difference_jacobian_across_a_visit(name):
+    flat = spp_flatten(builtin(name, eps=1e-2))
+    bare = _derivative_free(flat)
+    cfg = IntegratorConfig(tau=4e-3, t_end=2.0)
+    evaluated = []
+    real = rosevent.problems.field_jacobian
+
+    def counting(*args):
+        evaluated.append(args[1])
+        return real(*args)
+
+    with mock.patch.object(rosevent.problems, "field_jacobian", counting):
+        result, taken = recorded_steps(bare, flat.x0, cfg)
+    stats = result.stats
+    assert result.termination is Termination.REACHED_T_END
+    assert len(result.events) >= 10
+    # a fresh J on each region entry, then one at least every REUSE_STEPS
+    assert len(evaluated) == stats.jacobian_evaluations == sum(j for *_, j in taken)
+    assert stats.jacobian_evaluations <= len(result.events) + 1 + stats.steps / REUSE_STEPS
+    assert stats.lu_factorizations <= stats.jacobian_evaluations
+    # a region visit starts with a fresh J
+    entries = [i for i, (x, *_) in enumerate(taken) if i == 0 or x is not taken[i - 1][2].x1]
+    assert len(entries) == len(result.events) + 1
+    assert all(taken[i][3] == 1 for i in entries)
+    # each step holds the W it used: its dense output starts at x0 exactly
+    # and a restep at the same size is the step again, bit for bit
+    for x, active, step, _ in taken[:40]:
+        assert step.value(0.0) is x
+        again = restep(field_floats(bare, active), step, step.tau)
+        assert again.x1.tobytes() == step.x1.tobytes()
+    # with analytic Jacobians every step evaluates one
+    analytic = integrate(flat, flat.x0, cfg).stats
+    assert analytic.jacobian_evaluations == analytic.steps
+
+
+def test_a_field_affine_only_along_the_path_refreshes_its_jacobian_by_the_cap():
+    # x' = 1, y' = x*y from y = 0: y stays 0, so every secant fits the first
+    # W although dy'/dy = x has moved on; only REUSE_STEPS refreshes it
+    def f(u):
+        return np.array([1.0, u[0] * u[1]])
+
+    problem = PiecewiseProblem(2, f, f, lambda u: -1.0)
+    result, taken = recorded_steps(problem, [0.0, 0.0], IntegratorConfig(tau=0.01, t_end=1.0))
+    assert result.stats.steps == 100
+    assert all(x[1] == 0.0 for x, *_ in taken)
+    assert [j for *_, j in taken] == [1 if i % REUSE_STEPS == 0 else 0 for i in range(100)]
+    assert result.stats.jacobian_evaluations == math.ceil(100 / REUSE_STEPS)
+
+
+@st.composite
+def affine_switched_fields(draw):
+    """A declared affine problem with two different random fields, x0 below
+    its surface, and a step size. The fields may agree on the surface
+    (A2 = A1 + u n^T, b2 = b1 + u c), so that a crossing's secant fits the
+    departing field's W and only the refresh on entry replaces it."""
+    n = draw(st.integers(1, 3))
+    entry = st.floats(-2.0, 2.0)
+
+    def vector():
+        return draw(st.lists(entry, min_size=n, max_size=n))
+
+    A1, b1, normal, x0 = [vector() for _ in range(n)], vector(), vector(), vector()
+    c = -float(np.dot(normal, x0)) - draw(st.floats(1e-2, 1.0))
+    if draw(st.booleans()):
+        u = np.array(vector())
+        A2, b2 = np.array(A1) + np.outer(u, normal), np.array(b1) + u * c
+    else:
+        A2, b2 = [vector() for _ in range(n)], vector()
+    problem = affine_problem(Affine(A1, b1, A2, b2, normal, c))
+    return problem, np.array(x0), draw(st.floats(1e-2, 0.2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=affine_switched_fields())
+def test_a_kept_jacobian_stays_within_finite_difference_error_of_the_field(case):
+    declared, x0, tau = case
+    aff = declared.affine
+    cfg = IntegratorConfig(tau=tau, t_end=2.0, max_events=8)
+    _, taken = recorded_steps(_derivative_free(declared), x0, cfg)
+    # each f evaluation errs by at most (n + 1)*eps/2 of sum|A_ik*x_k| + |b_i|
+    # and the stencil divides a difference of two by at least 2*sqrt(eps);
+    # twice the largest |x| the steps start from covers the stencil points
+    n = x0.size
+    reach = 2.0 * max(1.0, max(float(np.abs(x).max()) for x, *_ in taken))
+    for x, active, step, _ in taken:
+        A, b = (aff.A1, aff.b1) if active == 1 else (aff.A2, aff.b2)
+        size = np.abs(A).sum(axis=1) * reach + np.abs(b)
+        tol = 2.0 * (n + 1) * math.sqrt(np.finfo(float).eps) * size
+        assert np.all(np.abs(step.J - A) <= tol[:, None]), (active, step.J, A)
 
 
 @pytest.mark.parametrize("t_end", [0.5, 2.0])

@@ -336,6 +336,34 @@ def test_safe_side_root_takes_the_midpoint_without_a_finite_far_value(side, g_hi
     assert 0.0 <= 0.3 - point <= 1e-12
 
 
+def test_safe_side_root_does_not_creep_an_ulp_per_call():
+    # a line read through a state that moves in steps of ~1 ulp, as h along
+    # a relay step's dense output does near the hit. The truncation
+    # 0.2*span**2 fell far below an ulp once the bracket was ~1e-12 wide,
+    # and regula falsi crept in from the far side an ulp per call, two calls
+    # reading the same value: 11 calls where the exact line takes 9
+    root, quantum = 0.6014742248464242, 1e-16
+
+    def line(x):
+        return 0.4 * (x - root)
+
+    def quantized(x):
+        return quantum * (math.floor(line(x) / quantum) + 0.5)
+
+    _, _, exact_calls = safe_side_root(line, 0.0, 1.0, line(0.0), line(1.0), 0.0, 1e-12)
+    called = []
+
+    def g(x):
+        called.append(x)
+        return quantized(x)
+
+    point, g_point, calls = safe_side_root(g, 0.0, 1.0, quantized(0.0), quantized(1.0),
+                                           0.0, 1e-12)
+    assert calls == len(called) <= exact_calls == 9
+    assert len({quantized(x) for x in called}) == calls
+    assert g_point < 0.0 and 0.0 < root - point <= 1e-12
+
+
 def test_safe_side_root_rejects_a_bracket_it_cannot_narrow():
     g = lambda x: x - 0.5  # noqa: E731
     for lo, hi, g_lo, width in [(1.0, 0.0, -0.5, 1e-12), (0.0, 1.0, 0.0, 1e-12),

@@ -179,6 +179,22 @@ def test_orthogonal_guard_rejects_generic_step_matrix():
         guard_ros1_orthogonal(builtin("linear_test"), [1.0], 0.5, 1.0)
 
 
+def test_guards_without_a_contraction_condition_do_not_certify_one():
+    # only the series guard checks the Neumann series' contraction bound;
+    # the others report None (not checked), not a True they never tested
+    assert guard_ros1_general(builtin("tent"), [0.3], 0.25, 1.0).neumann_ok is True
+    orthogonal = guard_ros1_orthogonal(QUADRATIC_H, [-2.0], 0.5, 1.0)
+    assert orthogonal.passed and orthogonal.neumann_ok is None
+    # the dense guard's exact (declared surface) and sampled certificates
+    declared = affine_problem(Affine(A1=[[0.0]], b1=[1.0], A2=[[0.0]], b2=[1.0],
+                                     n=[1.0], c=-2.0))
+    sampled = unit_speed(lambda x: x[0] - 2.0, grad=lambda x: np.array([1.0]))
+    for problem in (declared, sampled):
+        step = ros2_step(problem.f1, np.array([0.0]), 0.8, np.zeros((1, 1)))
+        dense = guard_ros2_dense(problem, step)
+        assert dense.passed and dense.neumann_ok is None
+
+
 # --- case-1b shortening ------------------------------------------------------
 
 def guarded(problem, x0, tau, **kw):

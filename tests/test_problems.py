@@ -59,6 +59,28 @@ def test_najafi_jacobian_refuses_past_switch():
         field_jacobian(p, 1, np.array([2.0, 1.0]))
 
 
+@pytest.mark.parametrize("x, rejected", [([1.0, 0.5], 0), ([1.0, 1.0], 1)])
+def test_a_finite_difference_jacobian_checks_each_point_once(x, rejected):
+    # najafi's field 1 without its Jacobian, under a counting domain
+    # predicate: the stencil checks each point once and eval_field takes its
+    # verdict. At t = 1 the forward t-probe leaves the domain, and the
+    # one-sided difference checks and evaluates the point itself instead.
+    najafi = builtin("najafi")
+    checked = []
+
+    def domain(u):
+        checked.append(u.copy())
+        return najafi.domain_f1(u)
+
+    p = PiecewiseProblem(2, najafi.f1, najafi.f2, surface=najafi.surface, domain_f1=domain)
+    J = field_jacobian(p, 1, np.array(x))
+    assert p.counters.f_evals[1] == len(checked) - rejected == 4
+    assert p.counters.domain_violations == {1: 0, 2: 0}
+    npt.assert_allclose(J[1], [0.0, 0.0], atol=0)
+    if not rejected:  # central differences: dx' / dx = sqrt(1 - t)
+        npt.assert_allclose(J[0], [math.sqrt(0.5), -1.0 / (2.0 * math.sqrt(0.5))], rtol=1e-7)
+
+
 def test_h_gradient_hessian_analytic_or_fd():
     p = builtin("tent")
     npt.assert_array_equal(h_gradient(p, np.array([0.3])), [1.0])
