@@ -8,11 +8,21 @@ be evaluated at all. Evaluation bookkeeping lives on the problem instance
 so integrations can report exact evaluation and violation counts, all
 through eval_field: the step kernel's fields and the FD Jacobian look it
 up here on every call, so each counted evaluation is one eval_field call.
+eval_field has two forms, as linalg.lu_solve does: a float array in gives
+a float array out, and a list of Python floats in gives a list of floats
+out, the form the step kernel (rosenbrock) passes its states in.
 
 A piecewise-affine problem (x' = A_i x + b_i, h = n.x + c) is declared once
 as `Affine` data, and `affine_problem` derives every field, Jacobian and
 surface callable from it and keeps it as `PiecewiseProblem.affine`; other
-problems give callables. A problem with callable fields can still declare
+problems give callables. Its fields are float-row fields (FloatRows): each
+value is the left-to-right sum (a_i0*x0 + a_i1*x1 + ...) + b_i on Python
+floats, straight-line code generated once per system size, so the bits do
+not depend on the platform's BLAS. On one of them without a domain, the
+float form of eval_field runs no numpy at all, and field_floats, the
+step kernel's view of a field, hands it floats; any other field gets a
+float array, the one the step holds or one built from the kernel's
+floats. A problem with callable fields can still declare
 an affine surface h = n.x + c as `Surface` data (`najafi` does), which
 event location and the dense guard read as `PiecewiseProblem.surface`.
 
@@ -131,8 +141,14 @@ class PiecewiseProblem:
         self.h, self.grad_h, self.hess_h = self.surface.callables
 
 
-def eval_field(problem: PiecewiseProblem, which: int, x, checked: bool = False) -> np.ndarray:
+def eval_field(problem: PiecewiseProblem, which: int, x, checked: bool = False):
     """Evaluate branch field `which` (1 or 2) at x, with bookkeeping.
+
+    A list of floats in gives a list of problem.dim floats out, the form
+    the step kernel (rosenbrock) takes; anything else gives a float array.
+    For a float-row field (FloatRows) with no domain the list form runs its
+    rows on the floats as they are; any other field gets x as one float
+    array, and its value becomes floats after linalg.as_floats's checks.
 
     Raises DomainViolation (and counts it) when the branch has a domain
     predicate and x falls outside it. checked=True takes the caller's
@@ -145,23 +161,39 @@ def eval_field(problem: PiecewiseProblem, which: int, x, checked: bool = False) 
         f, dom = problem.f2, problem.domain_f2
     else:
         raise ValueError(f"field selector must be 1 or 2, got {which!r}")
-    x = np.asarray(x, dtype=float)
+    floats = type(x) is list
+    if floats and dom is None and type(f) is FloatRows:
+        problem.counters.f_evals[which] += 1
+        return f.floats(x)
+    x = np.array(x) if floats else np.asarray(x, dtype=float)
     if dom is not None and not checked and not dom(x):
         problem.counters.domain_violations[which] += 1
         name = problem.label or "problem"
         raise DomainViolation(f"field {which} of {name} is undefined at {x}")
     problem.counters.f_evals[which] += 1
-    return np.asarray(f(x), dtype=float)
+    v = np.asarray(f(x), dtype=float)
+    if not floats:
+        return v
+    return v.tolist() if v.shape == (problem.dim,) else linalg.as_floats(v, problem.dim)
 
 
 def field_floats(problem: PiecewiseProblem, which: int) -> Callable:
-    """Branch field `which` through eval_field, as the step kernel
-    (rosenbrock) takes it: each value as a list of problem.dim Python
-    floats. A value of another shape fails linalg.as_floats."""
+    """Branch field `which` as the step kernel takes it, through eval_field
+    looked up on every call: the state as a float array or a list of
+    floats in, the value as a list of problem.dim floats out. A float-row
+    field without a domain gets the state's floats, which its rows run on
+    (eval_field's float form); any other field gets an array as it comes,
+    so the array a step starts from is not built again, and its value is
+    checked by linalg.as_floats."""
+    f, dom = (problem.f1, problem.domain_f1) if which == 1 else (problem.f2, problem.domain_f2)
+    if dom is None and type(f) is FloatRows:
+        return lambda x: eval_field(problem, which, x if type(x) is list else x.tolist())
     shape = (problem.dim,)
 
     def call(x):
         v = eval_field(problem, which, x)
+        if type(v) is list:
+            return v
         return v.tolist() if v.shape == shape else linalg.as_floats(v, shape[0])
 
     return call
@@ -193,6 +225,54 @@ def h_hessian(problem: PiecewiseProblem, x) -> np.ndarray:
     if problem.hess_h is not None:
         return np.asarray(problem.hess_h(x), dtype=float)
     return linalg.fd_hessian(problem.h, x)
+
+
+def _rows_source(n: int) -> str:
+    """Source of the float-row maker for size n: make(a0_0, ..., b0, ...)
+    returns rows(x), which maps a list of n floats to the n values
+    (a_i0 * x0 + a_i1 * x1 + ...) + b_i, each sum left to right, one
+    expression per row: a matrix-vector product plus b, unrolled."""
+    a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
+    x = [f"x{j}" for j in range(n)]
+    params = [v for row in a for v in row] + [f"b{i}" for i in range(n)]
+    values = [f"({' + '.join(f'{a[i][j]} * {x[j]}' for j in range(n))}) + b{i}"
+              for i in range(n)]
+    return "\n".join([f"def make({', '.join(params)}):",
+                      "    def rows(x):",
+                      f"        [{', '.join(x)}] = x",
+                      f"        return [{', '.join(values)}]",
+                      "    return rows"]) + "\n"
+
+
+# the float-row maker of each size, generated on its first field
+_ROW_MAKERS: dict = {}
+
+
+class FloatRows:
+    """The field x -> A x + b of fixed A and b, evaluated on Python floats.
+
+    `floats` is its float form: a list of n floats in, a list of n floats
+    out, the rows of _rows_source with A and b bound in (the maker of each
+    size is generated once). Called with a vector, the field returns a
+    float array of the same bits, as any field does; eval_field's float
+    form calls `floats` directly, so a step runs no numpy on it. The sums
+    are plain IEEE operations in a fixed order, so the bits do not depend
+    on the platform's BLAS.
+    """
+
+    __slots__ = ("floats",)
+
+    def __init__(self, A: np.ndarray, b: np.ndarray):
+        n = len(b)
+        make = _ROW_MAKERS.get(n)
+        if make is None:
+            namespace: dict = {}
+            exec(compile(_rows_source(n), f"<float rows n={n}>", "exec"), namespace)
+            make = _ROW_MAKERS[n] = namespace["make"]
+        self.floats = make(*np.ravel(A).tolist(), *np.ravel(b).tolist())
+
+    def __call__(self, x) -> np.ndarray:
+        return np.array(self.floats(np.asarray(x, dtype=float).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,11 +307,11 @@ class Affine:
 def affine_problem(aff: Affine, label: str = "", x0=None) -> PiecewiseProblem:
     """The PiecewiseProblem of a declaration: every field, Jacobian and
     surface callable comes from `aff`, and its surface is declared
-    (`Surface(aff.n, aff.c)`). Jacobians and the gradient of h are
-    read-only arrays."""
+    (`Surface(aff.n, aff.c)`). The fields are float-row fields (FloatRows);
+    Jacobians and the gradient of h are read-only arrays."""
     A1, b1, A2, b2 = aff.A1, aff.b1, aff.A2, aff.b2
     return PiecewiseProblem(
-        dim=aff.dim, f1=lambda x: A1 @ x + b1, f2=lambda x: A2 @ x + b2,
+        dim=aff.dim, f1=FloatRows(A1, b1), f2=FloatRows(A2, b2),
         jac_f1=lambda x: A1, jac_f2=lambda x: A2, label=label, x0=x0, affine=aff,
         surface=Surface(aff.n, aff.c),
     )

@@ -55,8 +55,16 @@ ValueError, when an entry overflowed). Each field value's shape and length:
 linalg.as_floats, which problems.field_floats (the driver's fields) and the
 public step functions apply. J's shape by _step_rows, the step matrix's
 finiteness by lu_factor, and each right-hand side's finiteness by
-linalg.lu_solve, which every solve still goes through. Fields and h still
-get float arrays.
+linalg.lu_solve, which every solve still goes through.
+
+The kernel's field returns floats. finish hands it the stage state x0 + k1
+as a list of floats; the driver and the guarded step hand it x0 as the
+array they hold. The driver's fields are problems.field_floats: a declared
+affine field (problems.FloatRows) runs its rows on floats, so a plain step
+of a piecewise-affine problem makes no numpy call for a field value, and
+any other field gets x0's array as it is and one array built from the
+stage's floats. h still gets float arrays, and the public steps here give
+a caller's field an array built from the stage's floats (_checked).
 """
 
 from __future__ import annotations
@@ -106,12 +114,12 @@ class RosenbrockStep:
 
     __slots__ = ("x0", "x0f", "tau", "J", "gamma", "c", "k1f", "k2f", "x1", "stages")
 
-    def __init__(self, x0: np.ndarray, x0f: list, tau: float, J, gamma: float,
+    def __init__(self, x0: np.ndarray, x0f: list, tau: float, J: np.ndarray, gamma: float,
                  k1f: list, k2f: list | None, x1: np.ndarray):
         self.x0 = x0
         self.x0f = x0f
         self.tau = tau
-        self.J = np.asarray(J, dtype=float)
+        self.J = J
         self.gamma = gamma
         self.c = 1.0 / (2.0 * (1.0 - 2.0 * gamma))
         self.k1f = k1f
@@ -184,8 +192,9 @@ def step_matrix(J, tau: float, gamma: float) -> np.ndarray:
 
 
 def _checked(field, n: int):
-    # a caller's field as the kernel takes it: each value as n floats
-    return lambda x: linalg.as_floats(field(x), n)
+    # a caller's field as finish takes it: the stage's floats in, as the
+    # float array a field is given, and each value out as n floats
+    return lambda x: linalg.as_floats(field(np.array(x)), n)
 
 
 # --- the kernel: Python floats in and out, nothing re-checked ---------------
@@ -200,17 +209,20 @@ def stage1(factors: linalg.LuFactors, fx0: list, tau: float) -> list:
     return linalg.lu_solve(factors, [tau * f for f in fx0])
 
 
-def finish(field, x0: np.ndarray, tau: float, J, factors, k1: list) -> RosenbrockStep:
-    """The step from x0, a finite float array, and k1 from stage1: two-stage
-    when field is given (it returns floats, as problems.field_floats does),
-    else x1 = x0 + k1. Only x1 is checked, here where it is made."""
+def finish(field, x0: np.ndarray, tau: float, J: np.ndarray, factors,
+           k1: list) -> RosenbrockStep:
+    """The step from x0, a finite float array, and k1 from stage1, with J
+    the float array the step was factored from: two-stage when field is
+    given, else x1 = x0 + k1. field takes the stage state x0 + k1 as a list
+    of floats and returns floats, as problems.field_floats does. Only x1 is
+    checked, here where it is made."""
     x0f = x0.tolist()
     if field is None:
         gamma, k2 = GAMMA_ROS1, None
         x1 = [x + a for x, a in zip(x0f, k1)]
     else:
         gamma = GAMMA_ROS2
-        f_inner = field(x0 + k1)
+        f_inner = field(list(map(operator.add, x0f, k1)))
         k2 = linalg.lu_solve(factors, [tau * f - 2.0 * a for f, a in zip(f_inner, k1)])
         x1 = [x + 1.5 * a + 0.5 * b for x, a, b in zip(x0f, k1, k2)]
     if not all(map(math.isfinite, x1)):
@@ -229,7 +241,7 @@ def ros1_step(field, x0, tau: float, J, *,
     if factors is None:
         factors = factor(linalg.as_matrix(J), tau, GAMMA_ROS1)
     k1 = stage1(factors, linalg.as_floats(field(x0), x0.shape[0]), tau)
-    return finish(None, x0, tau, J, factors, k1)
+    return finish(None, x0, tau, np.asarray(J, dtype=float), factors, k1)
 
 
 def ros2_factor(J, tau: float) -> linalg.LuFactors:
@@ -252,7 +264,8 @@ def ros2_finish(field, x0, tau: float, J, factors, k1) -> RosenbrockStep:
     k1 = np.asarray(k1, dtype=float)
     if k1.shape != x0.shape:
         raise ValueError(f"k1 has shape {k1.shape} but x0 has shape {x0.shape}")
-    return finish(_checked(field, x0.shape[0]), x0, tau, J, factors, k1.tolist())
+    return finish(_checked(field, x0.shape[0]), x0, tau, np.asarray(J, dtype=float), factors,
+                  k1.tolist())
 
 
 def ros2_step(field, x0, tau: float, J, *,
@@ -265,11 +278,12 @@ def ros2_step(field, x0, tau: float, J, *,
     step bit for bit.
     """
     x0 = linalg.as_vector(x0)
-    field = _checked(field, x0.shape[0])
-    fx0 = field(x0)
+    n = x0.shape[0]
+    fx0 = linalg.as_floats(field(x0), n)
     if factors is None:
         factors = ros2_factor(J, tau)
-    return finish(field, x0, tau, J, factors, stage1(factors, fx0, tau))
+    return finish(_checked(field, n), x0, tau, np.asarray(J, dtype=float), factors,
+                  stage1(factors, fx0, tau))
 
 
 def _check_theta(theta: float) -> None:

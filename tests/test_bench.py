@@ -161,6 +161,21 @@ def test_order_study_guards_two_stage_runs_of_a_domain_problem(monkeypatch, name
         assert [round(r.reduction_factor, 3) for r in rows[1:]] == [2.907, 2.878, 2.864]
 
 
+def test_a_derivative_free_square_root_order_study_keeps_the_analytic_factors():
+    # najafi without Jacobians: its guarded region-1 steps take a fresh
+    # finite-difference J each, one-sided where the stencil would leave
+    # t <= 1, and the constant region-2 field keeps its W. The factors are
+    # those of the analytic study (2.907, 2.878, 2.864) to within 0.05.
+    najafi = builtin("najafi")
+    bare = PiecewiseProblem(dim=2, f1=najafi.f1, f2=najafi.f2, surface=najafi.surface,
+                            domain_f1=najafi.domain_f1, label="najafi/fd", x0=najafi.x0)
+    rows = run_order_study(bare, rosenbrock.ROS2, tau0=0.1, halvings=3)
+    factors = [r.reduction_factor for r in rows[1:]]
+    assert len(factors) == 3
+    for got, want in zip(factors, [2.907, 2.878, 2.864]):
+        assert abs(got - want) <= 0.05, factors
+
+
 def test_cli_order_study_on_the_square_root_model(capsys):
     code = cli_main(["order-study", "--problem", "najafi", "--tau0", "0.1", "--halvings", "3"])
     assert code == 0

@@ -3,6 +3,7 @@
 import math
 import re
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -10,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rosevent.problems
 from rosevent.errors import DomainViolation, ResidualTooLarge
 from rosevent.filippov import filippov_coeffs
 from rosevent.problems import (
     Affine,
+    FloatRows,
     PiecewiseProblem,
     SppProblem,
     Surface,
@@ -622,3 +625,74 @@ def test_declarations_and_flattening_keep_the_surface():
     flat = spp_flatten(SppProblem(st_problem, slow_dim=1, eps=0.5))
     assert flat.surface is st_problem.surface
     assert flat.h(np.array([3.0, 2.0])) == 1.5
+
+
+# --- float-row fields: a declaration's fields on Python floats ---------------
+
+def left_to_right_rows(A, b, x):
+    """(A[i][0]*x[0] + A[i][1]*x[1] + ...) + b[i] per row, one IEEE
+    operation at a time, on Python floats."""
+    out = []
+    for row, b_i in zip(A, b):
+        s = row[0] * x[0]
+        for a, v in zip(row[1:], x[1:]):
+            s = s + a * v
+        out.append(s + b_i)
+    return out
+
+
+class NoNumpy:
+    """Stands in for numpy in a module: any use of it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 4))
+def test_float_rows_are_the_left_to_right_sums_in_both_forms(data, n):
+    def floats():
+        return data.draw(st.lists(finite, min_size=n, max_size=n))
+
+    A1, A2 = [floats() for _ in range(n)], [floats() for _ in range(n)]
+    b1, b2, x = floats(), floats(), floats()
+    problem = affine_problem(Affine(A1, b1, A2, b2, np.ones(n), 0.0))
+    for which, A, b in ((1, A1, b1), (2, A2, b2)):
+        want = np.array(left_to_right_rows(A, b, x)).tobytes()
+        f = problem.f1 if which == 1 else problem.f2
+        assert isinstance(f, FloatRows)
+        # the float form runs no numpy: a list of floats in, a list out
+        with mock.patch.object(rosevent.problems, "np", NoNumpy()):
+            as_list = eval_field(problem, which, list(x))
+        assert type(as_list) is list and all(type(v) is float for v in as_list)
+        as_array = eval_field(problem, which, np.array(x))
+        assert isinstance(as_array, np.ndarray) and as_array.dtype == float
+        assert np.array(as_list).tobytes() == as_array.tobytes() == want
+        assert f(np.array(x)).tobytes() == want
+    # each eval_field call counted once, whichever form
+    assert problem.counters.f_evals == {1: 2, 2: 2}
+
+
+def test_float_rows_are_generated_once_per_size():
+    A = [[1.0, 2.0], [3.0, 4.0]]
+    first = FloatRows(A, [0.5, -0.5])
+    other = FloatRows([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0])
+    # one generated maker per size: two fields of one size share its code
+    assert first.floats.__code__ is other.floats.__code__
+    assert first.floats.__code__ is not FloatRows([[1.0]], [0.0]).floats.__code__
+    assert first.floats([1.0, 1.0]) == [3.5, 6.5]
+    assert other.floats([1.0, 2.0]) == [-2.0, 1.0]
+
+
+def test_the_float_form_of_a_callable_field_checks_its_value():
+    # a callable field gets one float array and its value comes back as
+    # floats, or fails the checks the step kernel relies on
+    problem = PiecewiseProblem(dim=2, f1=lambda u: 2.0 * u, f2=lambda u: np.ones(3),
+                               h=lambda u: -1.0, domain_f1=lambda u: u[0] <= 1.0)
+    assert eval_field(problem, 1, [0.5, 0.25]) == [1.0, 0.5]
+    with pytest.raises(DomainViolation):
+        eval_field(problem, 1, [1.5, 0.0])
+    with pytest.raises(ValueError, match="^matrix is 2x2 but b has length 3$"):
+        eval_field(problem, 2, [0.0, 0.0])
+    assert problem.counters.f_evals == {1: 1, 2: 1}
+    assert problem.counters.domain_violations == {1: 1, 2: 0}
