@@ -141,6 +141,16 @@ class PiecewiseProblem:
         self.h, self.grad_h, self.hess_h = self.surface.callables
 
 
+def _on_floats(f, dom) -> bool:
+    # the field runs on Python floats: a float-row field with no domain
+    return dom is None and type(f) is FloatRows
+
+
+def _value_floats(v: np.ndarray, n: int) -> list:
+    # a field's value as n Python floats; another shape fails as_floats
+    return v.tolist() if v.shape == (n,) else linalg.as_floats(v, n)
+
+
 def eval_field(problem: PiecewiseProblem, which: int, x, checked: bool = False):
     """Evaluate branch field `which` (1 or 2) at x, with bookkeeping.
 
@@ -162,39 +172,33 @@ def eval_field(problem: PiecewiseProblem, which: int, x, checked: bool = False):
     else:
         raise ValueError(f"field selector must be 1 or 2, got {which!r}")
     floats = type(x) is list
-    if floats and dom is None and type(f) is FloatRows:
+    if floats and _on_floats(f, dom):
         problem.counters.f_evals[which] += 1
         return f.floats(x)
-    x = np.array(x) if floats else np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     if dom is not None and not checked and not dom(x):
         problem.counters.domain_violations[which] += 1
         name = problem.label or "problem"
         raise DomainViolation(f"field {which} of {name} is undefined at {x}")
     problem.counters.f_evals[which] += 1
     v = np.asarray(f(x), dtype=float)
-    if not floats:
-        return v
-    return v.tolist() if v.shape == (problem.dim,) else linalg.as_floats(v, problem.dim)
+    return _value_floats(v, problem.dim) if floats else v
 
 
 def field_floats(problem: PiecewiseProblem, which: int) -> Callable:
     """Branch field `which` as the step kernel takes it, through eval_field
     looked up on every call: the state as a float array or a list of
-    floats in, the value as a list of problem.dim floats out. A float-row
-    field without a domain gets the state's floats, which its rows run on
-    (eval_field's float form); any other field gets an array as it comes,
-    so the array a step starts from is not built again, and its value is
-    checked by linalg.as_floats."""
+    floats in, the value as a list of problem.dim floats out. A list goes
+    to eval_field's float form as it is. An array goes to a float-row field
+    without a domain as its floats, and to any other field as it is, so the
+    array a step starts from is not built again."""
     f, dom = (problem.f1, problem.domain_f1) if which == 1 else (problem.f2, problem.domain_f2)
-    if dom is None and type(f) is FloatRows:
+    if _on_floats(f, dom):
         return lambda x: eval_field(problem, which, x if type(x) is list else x.tolist())
-    shape = (problem.dim,)
 
     def call(x):
         v = eval_field(problem, which, x)
-        if type(v) is list:
-            return v
-        return v.tolist() if v.shape == shape else linalg.as_floats(v, shape[0])
+        return v if type(x) is list else _value_floats(v, problem.dim)
 
     return call
 

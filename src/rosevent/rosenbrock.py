@@ -114,12 +114,12 @@ class RosenbrockStep:
 
     __slots__ = ("x0", "x0f", "tau", "J", "gamma", "c", "k1f", "k2f", "x1", "stages")
 
-    def __init__(self, x0: np.ndarray, x0f: list, tau: float, J: np.ndarray, gamma: float,
+    def __init__(self, x0: np.ndarray, x0f: list, tau: float, J, gamma: float,
                  k1f: list, k2f: list | None, x1: np.ndarray):
         self.x0 = x0
         self.x0f = x0f
         self.tau = tau
-        self.J = J
+        self.J = np.asarray(J, dtype=float)
         self.gamma = gamma
         self.c = 1.0 / (2.0 * (1.0 - 2.0 * gamma))
         self.k1f = k1f
@@ -209,13 +209,11 @@ def stage1(factors: linalg.LuFactors, fx0: list, tau: float) -> list:
     return linalg.lu_solve(factors, [tau * f for f in fx0])
 
 
-def finish(field, x0: np.ndarray, tau: float, J: np.ndarray, factors,
-           k1: list) -> RosenbrockStep:
-    """The step from x0, a finite float array, and k1 from stage1, with J
-    the float array the step was factored from: two-stage when field is
-    given, else x1 = x0 + k1. field takes the stage state x0 + k1 as a list
-    of floats and returns floats, as problems.field_floats does. Only x1 is
-    checked, here where it is made."""
+def finish(field, x0: np.ndarray, tau: float, J, factors, k1: list) -> RosenbrockStep:
+    """The step from x0, a finite float array, and k1 from stage1: two-stage
+    when field is given, else x1 = x0 + k1. field takes the stage state
+    x0 + k1 as a list of floats and returns floats, as
+    problems.field_floats does. Only x1 is checked, here where it is made."""
     x0f = x0.tolist()
     if field is None:
         gamma, k2 = GAMMA_ROS1, None
@@ -241,7 +239,7 @@ def ros1_step(field, x0, tau: float, J, *,
     if factors is None:
         factors = factor(linalg.as_matrix(J), tau, GAMMA_ROS1)
     k1 = stage1(factors, linalg.as_floats(field(x0), x0.shape[0]), tau)
-    return finish(None, x0, tau, np.asarray(J, dtype=float), factors, k1)
+    return finish(None, x0, tau, J, factors, k1)
 
 
 def ros2_factor(J, tau: float) -> linalg.LuFactors:
@@ -264,8 +262,7 @@ def ros2_finish(field, x0, tau: float, J, factors, k1) -> RosenbrockStep:
     k1 = np.asarray(k1, dtype=float)
     if k1.shape != x0.shape:
         raise ValueError(f"k1 has shape {k1.shape} but x0 has shape {x0.shape}")
-    return finish(_checked(field, x0.shape[0]), x0, tau, np.asarray(J, dtype=float), factors,
-                  k1.tolist())
+    return finish(_checked(field, x0.shape[0]), x0, tau, J, factors, k1.tolist())
 
 
 def ros2_step(field, x0, tau: float, J, *,
@@ -282,8 +279,7 @@ def ros2_step(field, x0, tau: float, J, *,
     fx0 = linalg.as_floats(field(x0), n)
     if factors is None:
         factors = ros2_factor(J, tau)
-    return finish(_checked(field, n), x0, tau, np.asarray(J, dtype=float), factors,
-                  stage1(factors, fx0, tau))
+    return finish(_checked(field, n), x0, tau, J, factors, stage1(factors, fx0, tau))
 
 
 def _check_theta(theta: float) -> None:

@@ -809,10 +809,8 @@ def test_integrate_spends_h_only_on_the_start_the_steps_and_location():
     # one h call at x0, one at each step's endpoint and the ones location
     # counts: a crossing's state is not evaluated again (28 crossings here),
     # nor is a probe state that equals the previous probe's (one here). The
-    # total follows the last bits of the fields: location took 40 h calls
-    # when the declared fields were numpy matrix-vector products (568 in
-    # all), 44 on their left-to-right float sums, where four of the 28
-    # closed-form roots land a probe or two further from the departing side
+    # total follows the last bits of the float-row fields; the identity
+    # 1 + steps + location is what holds whatever they are
     problem = spp_flatten(builtin("kowalczyk", eps=1e-2))
     calls = []
     real = problem.h
@@ -1067,6 +1065,21 @@ def test_a_kept_w_moves_the_dense_output_by_the_stated_term():
     assert measured >= 10
 
 
+def fd_jacobian_error_bound(A, b, reach):
+    """Per row, how far a central-difference Jacobian of x -> A x + b may
+    be from A, with every stencil point within `reach` of the origin. Each
+    f evaluation errs by at most (n + 1)*eps/2 of sum|A_ik*x_k| + |b_i|,
+    plus half the smallest subnormal for each of its 2n operations whose
+    result underflows (where rounding is absolute: a subnormal A times a
+    stencil step can round to 0), and the stencil divides a difference of
+    two by at least 2*sqrt(eps)."""
+    n = len(b)
+    root_eps = math.sqrt(np.finfo(float).eps)
+    tiny = float(np.finfo(float).smallest_subnormal)
+    size = np.abs(A).sum(axis=1) * reach + np.abs(b)
+    return 2.0 * (n + 1) * (root_eps * size + tiny / root_eps)
+
+
 @st.composite
 def affine_switched_fields(draw):
     """A declared affine problem with two different random fields, x0 below
@@ -1097,21 +1110,27 @@ def test_a_kept_jacobian_stays_within_finite_difference_error_of_the_field(case)
     aff = declared.affine
     cfg = IntegratorConfig(tau=tau, t_end=2.0, max_events=8)
     _, taken = recorded_steps(_derivative_free(declared), x0, cfg)
-    # each f evaluation errs by at most (n + 1)*eps/2 of sum|A_ik*x_k| + |b_i|,
-    # plus half the smallest subnormal for each of its 2n operations whose
-    # result underflows (where rounding is absolute: a subnormal A times a
-    # stencil step can round to 0), and the stencil divides a difference of
-    # two by at least 2*sqrt(eps); twice the largest |x| the steps start
-    # from covers the stencil points
-    n = x0.size
+    # twice the largest |x| the steps start from covers the stencil points
     reach = 2.0 * max(1.0, max(float(np.abs(x).max()) for x, *_ in taken))
-    root_eps = math.sqrt(np.finfo(float).eps)
-    tiny = float(np.finfo(float).smallest_subnormal)
     for x, active, step, _ in taken:
         A, b = (aff.A1, aff.b1) if active == 1 else (aff.A2, aff.b2)
-        size = np.abs(A).sum(axis=1) * reach + np.abs(b)
-        tol = 2.0 * (n + 1) * (root_eps * size + tiny / root_eps)
+        tol = fd_jacobian_error_bound(A, b, reach)
         assert np.all(np.abs(step.J - A) <= tol[:, None]), (active, step.J, A)
+
+
+def test_a_subnormal_slope_is_within_the_finite_difference_bound():
+    # f(x) = 5e-324*x from x = 0: every stencil value underflows to 0, so
+    # the finite-difference J is exactly 0. Its error, 5e-324, is within
+    # the underflow term of the bound and not within its relative part,
+    # which is 0 here.
+    declared = affine_problem(Affine([[5e-324]], [0.0], [[0.0]], [0.0], [0.0], -1.0))
+    cfg = IntegratorConfig(tau=0.125, t_end=2.0, max_events=8)
+    _, taken = recorded_steps(_derivative_free(declared), np.array([0.0]), cfg)
+    step = taken[0][2]
+    assert step.J.tolist() == [[0.0]]
+    tol = fd_jacobian_error_bound(declared.affine.A1, declared.affine.b1, 2.0)
+    assert 0.0 < 5e-324 <= tol[0]
+    assert 2.0 * 2 * math.sqrt(np.finfo(float).eps) * (5e-324 * 2.0) == 0.0
 
 
 @pytest.mark.parametrize("t_end", [0.5, 2.0])
@@ -1152,9 +1171,8 @@ def test_probes_that_do_not_move_the_state_call_no_h():
     # a relay-orbit event (seed 1) whose closed-form root reads h = -6.06e-18,
     # just past the surface, where X1 does not move at the probes' ulp-scale
     # shifts: three probes share that state and the fourth lands on the
-    # departing side, so h is called twice, where it was called four times
-    # without the check (with the fields as numpy products: five calls
-    # against eight)
+    # departing side, so h is called twice, where it is called four times
+    # without the check
     problem = spp_flatten(builtin("kowalczyk", theta=-0.9046502110519348, eps=1e-2))
     x0 = np.array([-0.6340416972471647, 0.13810753914706458])
     cfg = IntegratorConfig(tau=4e-3, t_end=0.02)

@@ -696,3 +696,8 @@ def test_the_float_form_of_a_callable_field_checks_its_value():
         eval_field(problem, 2, [0.0, 0.0])
     assert problem.counters.f_evals == {1: 1, 2: 1}
     assert problem.counters.domain_violations == {1: 1, 2: 0}
+    # a list of ints reaches the field as a float array, as any x does
+    # (an int array would raise at a negative integer power)
+    reciprocal = PiecewiseProblem(dim=2, f1=lambda u: u ** -1, f2=lambda u: u,
+                                  h=lambda u: -1.0, domain_f1=lambda u: u[0] > 0.0)
+    assert eval_field(reciprocal, 1, [1, 2]) == [1.0, 0.5]
