@@ -160,8 +160,9 @@ def _cmd_classify(args) -> int:
         print(f"classification: {kind.value}")
         eps2 = filippov.sliding_sufficient(coeffs)
         if eps2 is None:
-            print("sliding guaranteed for large eps: no "
-                  "(leading coefficient A is not negative)")
+            why = ("leading coefficient A is not negative" if not coeffs.A < 0.0
+                   else "a coefficient is not finite, or the threshold is out of range")
+            print(f"sliding guaranteed for large eps: no ({why})")
         else:
             print(f"sliding guaranteed for eps > {eps2:.12g}")
         crossing_all = filippov.crossing_sufficient(coeffs)

@@ -13,8 +13,8 @@ be evaluated past the surface never are.
 On a declared affine surface (problems.Surface) h(X1(theta)) is exactly
 a quadratic in theta (RosenbrockStep.slopes): a step is hit when h
 changes sign across it or when the quadratic dips past the band and back,
-and the hit is the quadratic's first root, checked on the real h
-(Shampine, Gladwell & Brankin, ACM TOMS 17, 1991). Any other h is judged
+and the hit is its first root (linalg.quadratic_root), checked on the real
+h (Shampine, Gladwell & Brankin, ACM TOMS 17, 1991). Any other h is judged
 by its signs at the step's ends and searched with ITP (linalg.safe_side_root,
 as in the case-1b shortening), so it can miss an even number of crossings.
 
@@ -165,30 +165,6 @@ def detect_sign_change(h0: float, h1: float) -> bool:
     return (h0 < 0.0 < h1) or (h1 < 0.0 < h0)
 
 
-def _first_root(g0: float, m1: float, m2: float):
-    """The first root in (0, 1) of g0 + m1*theta + (m2/2)*theta^2, g0 != 0,
-    or None, without cancellation (Higham, Accuracy and Stability of
-    Numerical Algorithms, 1.8) and, scaled by a power of two, without
-    overflow or underflow."""
-    big = max(abs(g0), abs(m1), abs(m2))
-    if 0.0 < big < math.inf:
-        e = -math.frexp(big)[1]
-        g0, m1, m2 = math.ldexp(g0, e), math.ldexp(m1, e), math.ldexp(m2, e)
-    a = 0.5 * m2
-    if a == 0.0:
-        roots = (-g0 / m1,) if m1 != 0.0 else ()
-    else:
-        disc = m1 * m1 - 4.0 * a * g0
-        if not disc >= 0.0:
-            return None
-        q = -0.5 * (m1 + math.copysign(math.sqrt(disc), m1))
-        if q == 0.0:  # g0 underflowed in the scaling: both roots are 0
-            return None
-        roots = (q / a, g0 / q)
-    inside = [r for r in roots if 0.0 < r < 1.0]
-    return min(inside) if inside else None
-
-
 def _dips_across(g0: float, m1: float, m2: float) -> bool:
     """Whether g0 + m1*theta + (m2/2)*theta^2 turns inside (0, 1) at a
     vertex beyond the band on the side away from g0."""
@@ -233,7 +209,7 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
     theta = None
     if surface is not None and h0 != 0.0:
         m1, m2 = step.slopes(surface.n.tolist())
-        theta = _first_root(h0, m1, m2)
+        theta = linalg.quadratic_root(h0, m1, m2, 1.0)
     seen = None  # the bytes of the last probe's state
     for k in range(SNAP_TRIES if theta is not None else 0):
         x_theta = X1(theta)

@@ -116,16 +116,21 @@ def classify_spp(coeffs: FilippovCoeffs, eps: float) -> Kind:
 
 
 def sliding_sufficient(coeffs: FilippovCoeffs):
-    """Threshold eps_2 above which the quadratic is negative (sliding), or
-    None when A >= 0 gives no such guarantee.
-
-    For A < 0 the positive root of the quadratic is
-    (-B - sqrt(B^2 + 4|A|*Csq)) / (2A); q < 0 for all eps > eps_2.
+    """Threshold eps_2 >= 0 above which the quadratic is negative (sliding):
+    for A < 0 <= Csq, q's one root in (0, inf) (linalg.quadratic_root), or 0
+    when it has none. None, no guarantee, when A is not negative, Csq (a
+    square) is negative, a coefficient or 2A is not finite, or eps_2 is out
+    of range.
     """
-    if coeffs.A >= 0.0:
+    c = (coeffs.Csq, coeffs.B, 2.0 * coeffs.A)
+    if not (coeffs.A < 0.0 <= coeffs.Csq and all(map(math.isfinite, c))):
         return None
-    disc = coeffs.B * coeffs.B + 4.0 * abs(coeffs.A) * coeffs.Csq
-    return float((-coeffs.B - math.sqrt(disc)) / (2.0 * coeffs.A))
+    root = linalg.quadratic_root(*c, math.inf)
+    if root is not None:
+        return root
+    # q = eps*(A*eps + B) with B <= 0 has no positive root; any other q has
+    # one, and none means it fell out of range, which guarantees nothing
+    return 0.0 if coeffs.Csq == 0.0 and coeffs.B <= 0.0 else None
 
 
 def crossing_sufficient(coeffs: FilippovCoeffs) -> bool:

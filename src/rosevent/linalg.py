@@ -8,10 +8,10 @@ list of float rows and lu_solve a list of floats, which is how the step
 kernel in rosenbrock passes its step matrices and right-hand sides; given a
 list, lu_solve returns a list of floats, so a step's stages never become
 arrays. It substitutes with straight-line code generated once per system
-size. Also here: the safe-side ITP root search of event location and the
-case-1b shortening, finite-difference stencils (the Jacobian one switches
-to one-sided differences at a domain edge) and a cheap spectral-radius
-bound. All operations are deterministic; the only
+size. Also here: the package's two root finders (the safe-side ITP search
+and the closed-form quadratic root), finite-difference stencils (the
+Jacobian one switches to one-sided differences at a domain edge) and a
+cheap spectral-radius bound. All operations are deterministic; the only
 state is the cache of generated substitutions, one pure function per size.
 """
 
@@ -291,6 +291,32 @@ def safe_side_root(g: Callable, lo: float, hi: float, g_lo: float, g_hi: float,
             hi, g_hi = x, g_x
         if hi - lo <= width:
             return lo, g_lo, calls
+
+
+def quadratic_root(g0: float, d1: float, d2: float, hi: float):
+    """The first root in (0, hi) of g0 + d1*x + (d2/2)*x^2 (finite; hi may
+    be inf), or None: the package's one closed-form quadratic solver,
+    cancellation-free (Higham, Accuracy and Stability of Numerical
+    Algorithms, 1.8) and scaled by a power of two, so no square overflows.
+    A coefficient 2**-511 or more below the largest can lose accuracy (d1's
+    square underflows), and a g0 below 2**-1074 of it vanishes, its root too."""
+    big = max(abs(g0), abs(d1), abs(d2))
+    if 0.0 < big < math.inf:
+        e = -math.frexp(big)[1]
+        g0, d1, d2 = math.ldexp(g0, e), math.ldexp(d1, e), math.ldexp(d2, e)
+    a = 0.5 * d2
+    if a == 0.0:
+        roots = (-g0 / d1,) if d1 != 0.0 else ()
+    else:
+        disc = d1 * d1 - 4.0 * a * g0
+        if not disc >= 0.0:
+            return None
+        q = -0.5 * (d1 + math.copysign(math.sqrt(disc), d1))
+        if q == 0.0:  # g0 underflowed in the scaling: both roots are 0
+            return None
+        roots = (q / a, g0 / q)
+    inside = [r for r in roots if 0.0 < r < hi]
+    return min(inside) if inside else None
 
 
 def _probe_points(x: np.ndarray, j: int, step: float):

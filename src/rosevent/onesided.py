@@ -8,11 +8,13 @@ the surface is approached from one side and never evaluated across.
 
 For the one-stage method the certificate truncates the power series of
 dH/dsigma, H(sigma) = h(x1(sigma)), keeping the terms through sigma^2 and
-replacing the signs of the unknown coefficients by their worst case. The
-general variant needs the Neumann series of (I - gamma*sigma*J)^(-1) to
-converge (spectral radius of gamma*tau*J below one); the orthogonal variant
-replaces the series by the identity (I - gamma*tau*J)^(-1) =
-(I - gamma*tau*J)^T, valid when the step matrix is orthogonal.
+replacing the signs of the unknown coefficients by their worst case; its
+first root in (0, tau) (linalg.quadratic_root) is the certified sigma, and
+with none the guard passes. The general variant needs the Neumann series of
+(I - gamma*sigma*J)^(-1) to converge (spectral radius of gamma*tau*J below
+one); the orthogonal variant replaces the series by the identity
+(I - gamma*tau*J)^(-1) = (I - gamma*tau*J)^T, valid when the step matrix is
+orthogonal.
 
 For the two-stage method the guard checks positivity of
 
@@ -85,18 +87,20 @@ def _harm(v: float) -> float:
     return v if not v <= 0.0 else 0.0
 
 
-def _certified_sigma(a0: float, r1: float, r2: float, tau: float) -> float:
-    # Largest sigma <= tau with a0 - sigma*r1 - sigma^2*r2 > 0; none when a
-    # coefficient is NaN.
-    if not a0 > 0.0 or math.isnan(r1) or math.isnan(r2):
-        return 0.0
-    if r2 > 0.0:
-        root = (-r1 + np.sqrt(r1 * r1 + 4.0 * r2 * a0)) / (2.0 * r2)
-    elif r1 > 0.0:
-        root = a0 / r1
-    else:
-        return tau
-    return min(tau, float(root))
+def _series_certificate(c0: float, r1: float, r2: float, tau: float) -> tuple:
+    # (passed, certified sigma) of c0 - sigma*r1 - sigma^2*r2; a coefficient
+    # that is not finite (a NaN's sign is unknown), 2*r2 included, certifies
+    # nothing
+    coeffs = (c0, -r1, -2.0 * r2)
+    if not (c0 > 0.0 and all(map(math.isfinite, coeffs))):
+        return False, 0.0
+    root = linalg.quadratic_root(*coeffs, tau)
+    if root is not None:
+        return False, root
+    # no root below tau: the truncation at tau agrees, unless c0 vanished in
+    # the solver's scaling and its tiny root with it
+    passed = c0 - tau * r1 - tau * tau * r2 >= 0.0
+    return passed, tau if passed else 0.0
 
 
 def guard_ros1_general(problem: problems.PiecewiseProblem, x0, tau: float,
@@ -105,11 +109,12 @@ def guard_ros1_general(problem: problems.PiecewiseProblem, x0, tau: float,
 
     Coefficients of dH/dsigma = a0 + a1*sigma + a2*sigma^2 + ... are formed
     from f1, its Jacobian, and the gradient/Hessian of h at x0; the guard
-    passes when a0 > 0 and the worst-case truncation
-    a0 - tau*max(0, -a1) - tau^2*max(0, -a2) stays positive. Requires the
-    Neumann series to converge; when the spectral-radius bound of
-    gamma*tau*J reaches one the guard abstains (neumann_ok False, not
-    passed). Raises ValueError unless tau is positive and finite.
+    passes, certifying tau, when a0 > 0 and the worst-case truncation
+    a0 - sigma*max(0, -a1) - sigma^2*max(0, -a2) has no root in (0, tau);
+    else certified_sigma is that root. Requires the Neumann series to
+    converge; when the spectral-radius bound of gamma*tau*J reaches one the
+    guard abstains (neumann_ok False, not passed, certified_sigma 0).
+    Raises ValueError unless tau is positive and finite.
     """
     _check_step_size(tau)
     x0 = np.asarray(x0, dtype=float)
@@ -129,14 +134,12 @@ def guard_ros1_general(problem: problems.PiecewiseProblem, x0, tau: float,
         + 2.0 * gamma * float(f @ (hxx @ Jf))
         + gamma * float(Jf @ hxxf)
     )
-    r1 = _harm(-a1)
-    r2 = _harm(-a2)
-    passed = bool(neumann_ok and a0 > 0.0 and a0 - tau * r1 - tau * tau * r2 > 0.0)
+    passed, certified = _series_certificate(a0, _harm(-a1), _harm(-a2), tau)
     return GuardReport(
         mode=GuardMode.ROS1_GENERAL,
         coefficients={"a0": a0, "a1": a1, "a2": a2},
-        passed=passed,
-        certified_sigma=_certified_sigma(a0, r1, r2, tau) if neumann_ok else 0.0,
+        passed=passed and neumann_ok,
+        certified_sigma=certified if neumann_ok else 0.0,
         neumann_ok=neumann_ok,
     )
 
@@ -173,14 +176,12 @@ def guard_ros1_orthogonal(problem: problems.PiecewiseProblem, x0, tau: float,
     b2 = 2.0 * gamma * float(f @ (hxx @ Jtf)) + gamma * float(hxxf @ Jtf)
     # dH/dsigma truncates to b0 + sigma*b1 - sigma^2*b2 here, so a positive
     # b2 is the harmful sign.
-    r1 = _harm(-b1)
-    r2 = _harm(b2)
-    passed = bool(b0 > 0.0 and b0 - tau * r1 - tau * tau * r2 > 0.0)
+    passed, certified = _series_certificate(b0, _harm(-b1), _harm(b2), tau)
     return GuardReport(
         mode=GuardMode.ROS1_ORTHOGONAL,
         coefficients={"b0": b0, "b1": b1, "b2": b2, "gram_defect": defect},
         passed=passed,
-        certified_sigma=_certified_sigma(b0, r1, r2, tau),
+        certified_sigma=certified,
         neumann_ok=None,
     )
 

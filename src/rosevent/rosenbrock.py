@@ -37,10 +37,10 @@ and the exact dense guard.
 The step kernel is public, unchecked and runs on Python floats: factor
 (the step matrix's LU factors), stage1 (k1) and finish (k2, x1 and the
 RosenbrockStep). Every step path calls it: the public steps here
-(ros1_step, ros2_step, ros2_stage1, ros2_finish and, through them,
-restep), the driver's plain step (events.take_step), and the guarded step
-and each of its case-1b trials (onesided). The step holds each stage once,
-as those floats (k1 and k2 are arrays built when read), and is its own
+(ros1_step, ros2_step, ros2_finish and, through them, restep), the
+driver's plain step (events.take_step), and the guarded step and each of
+its case-1b trials (onesided). The step holds each stage once, as those
+floats (k1 and k2 are arrays built when read), and is its own
 dense output: dense_eval, dense_derivative, event location and the dense
 guard all read its value, derivative and slopes. The kernel does the IEEE
 operations of the array formulas above in the same order, and numpy's
@@ -242,16 +242,6 @@ def ros1_step(field, x0, tau: float, J, *,
     return finish(None, x0, tau, J, factors, k1)
 
 
-def ros2_factor(J, tau: float) -> linalg.LuFactors:
-    """LU factors of (I - gamma*tau*J), shared by both stages."""
-    return factor(linalg.as_matrix(J), tau, GAMMA_ROS2)
-
-
-def ros2_stage1(factors: linalg.LuFactors, fx0, tau: float) -> np.ndarray:
-    """The first stage k1 from f(x0): (I - gamma*tau*J) k1 = tau*f(x0)."""
-    return np.array(stage1(factors, linalg.as_floats(fx0, factors.n), tau))
-
-
 def ros2_finish(field, x0, tau: float, J, factors, k1) -> RosenbrockStep:
     """Complete a two-stage step from its first stage.
 
@@ -271,14 +261,14 @@ def ros2_step(field, x0, tau: float, J, *,
     evaluations.
 
     factors, when given, must be the LU factors of I - gamma*tau*J (see
-    ros2_factor); the step then skips its factorization and is the same
-    step bit for bit.
+    factor); the step then skips its factorization and is the same step
+    bit for bit.
     """
     x0 = linalg.as_vector(x0)
     n = x0.shape[0]
     fx0 = linalg.as_floats(field(x0), n)
     if factors is None:
-        factors = ros2_factor(J, tau)
+        factors = factor(linalg.as_matrix(J), tau, GAMMA_ROS2)
     return finish(_checked(field, n), x0, tau, J, factors, stage1(factors, fx0, tau))
 
 

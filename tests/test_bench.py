@@ -306,6 +306,16 @@ def test_cli_classify_without_a_sliding_threshold(capsys):
     assert "sliding guaranteed for large eps: no (leading coefficient A is not negative)" in out
 
 
+def test_cli_classify_claims_no_threshold_from_an_overflowed_coefficient(capsys):
+    # far off the surface Csq = (h_z.g)^2 overflows: q has no finite root,
+    # so no threshold is claimed
+    assert cli_main(["classify", "--problem", "kowalczyk", "--state", "1e200,0.5"]) == 0
+    out = capsys.readouterr().out
+    assert "Csq = inf\n" in out
+    assert ("sliding guaranteed for large eps: no (a coefficient is not finite, "
+            "or the threshold is out of range)\n") in out
+
+
 def test_cli_classify_reports_off_surface_pointwise(capsys):
     code = cli_main(["classify", "--problem", "tent", "--state", "0.3"])
     assert code == 0

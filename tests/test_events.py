@@ -706,7 +706,7 @@ def test_no_sign_change_inside_an_accepted_step_goes_unreported(run):
     (-1.0, 0.5, 0.1, None),
 ])
 def test_first_root_of_the_surface_quadratic(g0, m1, m2, root):
-    got = rosevent.events._first_root(g0, m1, m2)
+    got = rosevent.linalg.quadratic_root(g0, m1, m2, 1.0)
     if root is None:
         assert got is None
     else:

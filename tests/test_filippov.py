@@ -1,7 +1,11 @@
 """Crossing/sliding classification, plain and slow/fast."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rosevent.filippov import (
     FilippovCoeffs,
@@ -134,6 +138,60 @@ def test_sliding_threshold():
     eps2 = sliding_sufficient(coeffs)
     assert coeffs.quadratic(1.01 * eps2) < 0.0
     assert coeffs.quadratic(0.99 * eps2) > 0.0
+
+
+def exact_quadratic(coeffs, eps):
+    e = Fraction(eps)
+    return Fraction(coeffs.A) * e * e + Fraction(coeffs.B) * e + Fraction(coeffs.Csq)
+
+
+def check_sliding_threshold(coeffs):
+    # q >= 0 just below eps_2 and q < 0 just above it, exactly; eps_2 >= 0
+    eps2 = sliding_sufficient(coeffs)
+    assert eps2 >= 0.0
+    margin = 1 + 16 * Fraction(np.finfo(float).eps)
+    above = Fraction(eps2) * margin if eps2 > 0.0 else Fraction(5e-324)
+    assert exact_quadratic(coeffs, above) < 0
+    if eps2 > 0.0:
+        assert exact_quadratic(coeffs, Fraction(eps2) / margin) >= 0
+    return eps2
+
+
+MAGNITUDES = st.floats(-12.0, 8.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=MAGNITUDES, b=st.one_of(st.just(0.0), MAGNITUDES, MAGNITUDES.map(lambda v: -v)),
+       csq=st.one_of(st.just(0.0), MAGNITUDES))
+def test_the_sliding_threshold_is_the_last_sign_change_of_q(a, b, csq):
+    check_sliding_threshold(FilippovCoeffs(-a, b, csq))
+
+
+def test_the_sliding_threshold_has_no_cancellation():
+    # B^2 dwarfs 4*|A|*Csq, so the textbook formula cancels to -0.0; but
+    # q(1e-13) = +9e-4, a crossing
+    coeffs = FilippovCoeffs(-1.0, -1e9, 1e-3)
+    assert coeffs.quadratic(1e-13) > 0.0
+    assert check_sliding_threshold(coeffs) == pytest.approx(1e-12, rel=1e-6)
+
+
+def test_the_sliding_threshold_of_a_fast_state_at_rest_is_zero():
+    # teixeira at the origin: Csq = 0 and B = 0, so q = A*eps^2 < 0 for eps > 0
+    coeffs = filippov_coeffs(builtin("teixeira", eps=1e-2), [0.0, 0.0, 0.0])
+    assert coeffs.Csq == 0.0
+    assert check_sliding_threshold(coeffs) == 0.0
+
+
+def test_no_sliding_threshold_from_coefficients_that_give_none():
+    # a negative Csq is no square; an infinite or NaN coefficient, or an A
+    # whose double overflows, has no root from the solver; a root past the
+    # largest float, or one whose Csq vanishes in the solver's scaling
+    # (below 2**-1074 of A), is out of its range
+    for coeffs in (FilippovCoeffs(-1.0, 3.0, -2.0), FilippovCoeffs(-1.0, np.inf, 1.0),
+                   FilippovCoeffs(-1.0, np.nan, 1.0), FilippovCoeffs(np.nan, 1.0, 1.0),
+                   FilippovCoeffs(-1e308, 0.0, 1.0), FilippovCoeffs(-1e-300, 1e10, 1.0),
+                   FilippovCoeffs(-1e-300, 1e10, 0.0), FilippovCoeffs(-1e10, 0.0, 1e-320)):
+        assert sliding_sufficient(coeffs) is None
 
 
 def test_crossing_sufficient_sign_patterns():

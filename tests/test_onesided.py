@@ -1,6 +1,7 @@
 """One-sided stepping guards and case-1b step shortening."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -13,7 +14,7 @@ from rosevent.errors import NoBracket, NotOrthogonal, SingularMatrix
 from rosevent.events import IntegratorConfig, Termination, integrate
 from rosevent.onesided import (
     GuardMode,
-    _certified_sigma,
+    _series_certificate,
     guard_ros1_general,
     guard_ros1_orthogonal,
     guard_ros2_dense,
@@ -111,13 +112,76 @@ def test_series_guards_fail_on_a_nan_coefficient(guard, higher):
 @pytest.mark.parametrize("coeffs", [(math.nan, 0.0, 0.0), (1.0, math.nan, 0.0),
                                     (1.0, 0.0, math.nan), (-1.0, 0.0, 0.0)])
 def test_certified_sigma_is_zero_without_a_certificate(coeffs):
-    assert _certified_sigma(*coeffs, 0.5) == 0.0
+    assert _series_certificate(*coeffs, 0.5) == (False, 0.0)
 
 
 def test_certified_sigma_of_a_certificate():
-    assert _certified_sigma(1.0, 0.0, 0.0, 0.5) == 0.5
-    assert _certified_sigma(1.0, 4.0, 0.0, 0.5) == 0.25
-    assert _certified_sigma(2.0, 0.0, 8.0, 0.75) == 0.5
+    assert _series_certificate(1.0, 0.0, 0.0, 0.5) == (True, 0.5)
+    assert _series_certificate(1.0, 4.0, 0.0, 0.5) == (False, 0.25)
+    assert _series_certificate(2.0, 0.0, 8.0, 0.75) == (False, 0.5)
+
+
+# magnitudes over twenty decades, and the zero a harmless coefficient has
+MAGNITUDES = st.floats(-12.0, 8.0).map(lambda e: 10.0 ** e)
+HARM = st.one_of(st.just(0.0), MAGNITUDES)
+
+
+def truncation(a0, r1, r2, sigma):
+    # a0 - sigma*r1 - sigma^2*r2, exactly
+    s = Fraction(sigma)
+    return Fraction(a0) - s * Fraction(r1) - s * s * Fraction(r2)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a0=MAGNITUDES, r1=HARM, r2=HARM, tau=st.floats(-6.0, 1.0).map(lambda e: 10.0 ** e))
+def test_the_series_certificate_is_the_root_of_its_truncation(a0, r1, r2, tau):
+    passed, sigma = _series_certificate(a0, r1, r2, tau)
+    ulps = 8 * Fraction(np.finfo(float).eps) * Fraction(a0)
+    # the truncation is not negative, beyond rounding, up to the certified
+    # sigma, and a pass certifies the whole step
+    assert 0.0 <= sigma <= tau
+    assert truncation(a0, r1, r2, sigma) >= -ulps
+    assert passed == (sigma == tau)
+    if not passed:
+        # a short sigma is the root itself, not a point below it
+        assert truncation(a0, r1, r2, sigma) <= ulps
+
+
+def test_the_series_certificate_has_no_cancellation():
+    # r1^2 dwarfs 4*r2*a0, so the textbook formula cancels: it gives 3.0654,
+    # where the truncation is -0.67*a0
+    passed, sigma = _series_certificate(6170409.673455715, 3369641.8808141537,
+                                        7.595408584012954e-11, 10.0)
+    assert not passed
+    assert sigma == pytest.approx(1.83118, rel=1e-5)
+    assert abs(truncation(6170409.673455715, 3369641.8808141537, 7.595408584012954e-11,
+                          sigma)) <= 4 * np.finfo(float).eps * 6170409.673455715
+
+
+@pytest.mark.parametrize("coeffs", [(5e-324, 1.0, 0.0), (1e-320, 0.0, 1e10),
+                                    (1e-320, 1e-300, 1e10)])
+def test_a_root_below_the_solvers_resolution_is_no_pass(coeffs):
+    # c0 vanishes when the solver scales by the largest coefficient, and the
+    # tiny root with it; the truncation is negative at tau, so no pass
+    passed, sigma = _series_certificate(*coeffs, 1.0)
+    assert not passed
+    assert truncation(*coeffs, sigma) >= 0
+
+
+def test_a_passing_series_guard_certifies_the_whole_step():
+    # r2 ~ 1.6e-15 next to r1 ~ 2.9: the textbook root cancels to 0 here,
+    # which gave a pass with a certified sigma of 0
+    eps_j = 1.8300780372745886e-16
+    problem = PiecewiseProblem(
+        dim=2, f1=lambda x: np.array([1.0, 0.02234997892112104]) + eps_j * x,
+        f2=lambda x: np.zeros(2), h=lambda x: x[1] - 1.4730870726971745 * x[0] ** 2 - 1.0,
+        jac_f1=lambda x: eps_j * np.eye(2),
+        grad_h=lambda x: np.array([-2.0 * 1.4730870726971745 * x[0], 1.0]),
+        hess_h=lambda x: np.array([[-2.0 * 1.4730870726971745, 0.0], [0.0, 0.0]]),
+    )
+    report = guard_ros1_general(problem, [0.0, 0.0], 3.501693097234597e-4, 1.0)
+    assert report.passed
+    assert report.certified_sigma == 3.501693097234597e-4
 
 
 @pytest.mark.parametrize("tau", [-0.25, 0.0, math.nan, math.inf])
@@ -453,16 +517,10 @@ def test_exact_dense_guard_fails_at_once_when_d_starts_non_positive():
     assert report.certified_sigma == 0.0
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), dim=st.integers(1, 3), log_tau=st.floats(-4.0, 0.0))
-def test_exact_dense_guard_is_an_oracle_certificate(data, dim, log_tau):
-    fin = st.floats(-3.0, 3.0)
-    A = np.array([[data.draw(fin) for _ in range(dim)] for _ in range(dim)])
-    b = np.array([data.draw(fin) for _ in range(dim)])
-    n = np.array([data.draw(fin) for _ in range(dim)])
-    x0 = np.array([data.draw(fin) for _ in range(dim)])
-    problem = declared(A, b, n, data.draw(fin))
-    tau = 10.0 ** log_tau
+def check_exact_dense_guard(A, b, n, x0, c, tau):
+    # the exact dense guard's verdict against d sampled densely; a singular
+    # step matrix is no case
+    problem = declared(A, b, n, c)
     try:
         step = ros2_step(problem.f1, x0, tau, A)
     except SingularMatrix:
@@ -473,9 +531,10 @@ def test_exact_dense_guard_is_an_oracle_certificate(data, dim, log_tau):
     def d(theta):
         return float(n @ dense_derivative(step, theta))
 
-    # d in floats is off by the rounding of one derivative and one dot product
+    # d in floats is off by the rounding of one derivative and one dot
+    # product: relative rounding plus the absolute step of subnormal numbers
     size = float(np.abs(n) @ (np.abs(step.k1) + np.abs(step.k2)))
-    slack = 64 * np.finfo(float).eps * step.c * 4.0 * size
+    slack = 64 * (np.finfo(float).eps * step.c * 4.0 * size + math.ulp(0.0))
     if report.passed:
         assert report.certified_sigma == tau
         assert min(d(th) for th in np.linspace(0.0, 1.0, 10_000).tolist()) > -slack
@@ -488,3 +547,22 @@ def test_exact_dense_guard_is_an_oracle_certificate(data, dim, log_tau):
         if root > 0.0:
             assert d(root) >= -slack
             assert d(1.0) <= slack
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), log_tau=st.floats(-4.0, 0.0))
+def test_exact_dense_guard_is_an_oracle_certificate(data, dim, log_tau):
+    fin = st.floats(-3.0, 3.0)
+    A = np.array([[data.draw(fin) for _ in range(dim)] for _ in range(dim)])
+    b = np.array([data.draw(fin) for _ in range(dim)])
+    n = np.array([data.draw(fin) for _ in range(dim)])
+    x0 = np.array([data.draw(fin) for _ in range(dim)])
+    check_exact_dense_guard(A, b, n, x0, data.draw(fin), 10.0 ** log_tau)
+
+
+@pytest.mark.parametrize("a11", [-1.0, -2.0])
+def test_exact_dense_guard_on_a_subnormal_normal(a11):
+    # n = (-5e-324, 0): d's exact values are below the smallest subnormal
+    # and round to 0 or 5e-324, where the relative part of the slack is 0
+    check_exact_dense_guard(np.array([[a11, 0.0], [0.0, 0.0]]), np.zeros(2),
+                            np.array([-5e-324, 0.0]), np.array([1.0, 0.0]), 0.0, 1.0)

@@ -17,13 +17,13 @@ from rosevent.rosenbrock import (
     ROS2,
     dense_derivative,
     dense_eval,
+    factor,
     method_by_name,
     restep,
     ros1_step,
-    ros2_factor,
     ros2_finish,
-    ros2_stage1,
     ros2_step,
+    stage1,
     _step_rows,
     step_matrix,
 )
@@ -250,8 +250,8 @@ def test_ros2_rejects_nonfinite_inner_stage(bad):
     # right-hand side can catch this
     with pytest.raises(ValueError, match="vector entries must be finite"):
         ros2_step(field_bad_at(bad, "inner"), X0, 0.1, J0)
-    factors = ros2_factor(J0, 0.1)
-    k1 = ros2_stage1(factors, J0 @ X0, 0.1)
+    factors = factor(J0, 0.1, GAMMA_ROS2)
+    k1 = stage1(factors, (J0 @ X0).tolist(), 0.1)
     with pytest.raises(ValueError, match="vector entries must be finite"):
         ros2_finish(field_bad_at(bad, "inner"), X0, 0.1, J0, factors, k1)
     with pytest.raises(ValueError, match="vector entries must be finite"):
@@ -345,6 +345,6 @@ def test_step_rows_are_the_numpy_step_matrix_bit_for_bit(data, gamma, tau):
 ])
 def test_the_factor_path_checks_j_with_the_array_messages(J, tau, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        ros2_factor(J, tau)
+        ros2_step(lambda x: -x, np.ones(2), tau, J)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ros1_step(lambda x: -x, np.ones(2), tau, J)
