@@ -2,7 +2,16 @@
 
 
 class NumericalError(Exception):
-    """Base class for runtime numerical failures (CLI maps these to exit 1)."""
+    """Base class for runtime numerical failures (CLI maps these to exit 1).
+
+    A step that fails still did work, which events.integrate counts:
+    factorizations is the number of LU factorizations it ran, the failing
+    one included, and jacobians the number of Jacobians it evaluated. The
+    code that raises, and each step layer the failure passes, adds its own.
+    """
+
+    factorizations = 0
+    jacobians = 0
 
 
 class SingularMatrix(NumericalError):

@@ -30,7 +30,8 @@ integrate call therefore keeps the LU factors of its last plain step and
 reuses them while J (bit for bit), tau and gamma are unchanged; the kept
 factors live in the call and die with it, and reusing them gives the same
 step bit for bit as factoring again. IntegrationStats.lu_factorizations
-counts the factorizations that actually ran.
+counts the factorizations that actually ran, those of a step that failed
+included.
 
 A finite-difference (FD) Jacobian differs in its last bits from state to
 state, so on its own it would miss that key on every step. But the
@@ -346,13 +347,20 @@ def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
     this call ran (0 when it used the kept factors) and the Jacobians it
     evaluated (0 when it kept W). step.J is the matrix the step used.
     step.tau is the size actually taken, below tau only when case 1b
-    shortened the step.
+    shortened the step. A step that fails, a SingularMatrix or a case-1b
+    NoBracket, carries the factorizations it ran and the Jacobians it
+    evaluated on the exception (errors.NumericalError), and integrate counts
+    them as it counts a step's.
     """
     field = (fields[active - 1] if fields is not None
              else problems.field_floats(problem, active))
     if cfg.guard_mode is onesided.GuardMode.ROS2_DENSE and active == 1:
         J = problems.field_jacobian(problem, active, x)
-        step, factorizations = onesided._guarded_step(problem, x, tau, J, cfg.h_tol, field)
+        try:
+            step, factorizations = onesided._guarded_step(problem, x, tau, J, cfg.h_tol, field)
+        except (SingularMatrix, NoBracket) as exc:
+            exc.jacobians += 1
+            raise
         return step, factorizations, 1, kept
     fx = field(x)
     # uses: the steps the J of this step has served, 0 for an analytic J
@@ -367,7 +375,11 @@ def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
     if kept is not None and kept.key == key:
         factorizations = 0
     else:
-        kept = _Kept(key, rosenbrock.factor(J, tau, gamma), None)
+        try:
+            kept = _Kept(key, rosenbrock.factor(J, tau, gamma), None)
+        except SingularMatrix as exc:
+            exc.jacobians += jacobians
+            raise
         factorizations = 1
     factors = kept.factors
     k1 = rosenbrock.stage1(factors, fx, tau)
@@ -437,12 +449,13 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
         try:
             step, factorizations, jacobians, kept = take_step(
                 problem, x, min(tau, remaining), active, cfg, kept, fields)
-        except SingularMatrix:
-            termination = Termination.SOLVER_FAILURE
-            break
-        except NoBracket:
-            # the one-sided step-shortening machinery failed
-            termination = Termination.GUARD_FAILURE
+        except (SingularMatrix, NoBracket) as exc:
+            # a singular step matrix, or the one-sided step-shortening
+            # machinery failed; the work the step did still counts
+            lu_count += exc.factorizations
+            jac_count += exc.jacobians
+            termination = (Termination.SOLVER_FAILURE if isinstance(exc, SingularMatrix)
+                           else Termination.GUARD_FAILURE)
             break
         except (DomainViolation, NonFiniteState) as exc:
             raise type(exc)(

@@ -7,18 +7,18 @@ and the finite-difference Jacobian run on Python floats. lu_factor takes a
 list of float rows and lu_solve a list of floats, which is how the step
 kernel in rosenbrock passes its step matrices and right-hand sides; given a
 list, lu_solve returns a list of floats, so a step's stages never become
-arrays. It substitutes with straight-line code generated once per system
-size. Also here: the package's two root finders (the safe-side ITP search
-and the closed-form quadratic root), finite-difference stencils (the
-Jacobian one switches to one-sided differences at a domain edge) and a
-cheap spectral-radius bound. All operations are deterministic; the only
-state is the cache of generated substitutions, one pure function per size.
+arrays. Both factor and substitute with straight-line code generated once
+per system size (generated). Also here: the package's two root finders
+(the safe-side ITP search and the closed-form quadratic root),
+finite-difference stencils (the Jacobian one switches to one-sided
+differences at a domain edge) and a cheap spectral-radius bound. All
+operations are deterministic; the only state is the caches of generated
+factorizations and substitutions, one pure function per size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -70,18 +70,21 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
 class LuFactors:
     """Packed LU factors of a row-permuted matrix, as Python floats.
 
     `combined` is a list of rows holding the unit lower triangle strictly
     below the diagonal and U on and above it. `pivots` is a permutation of
     0..n-1: row i of the factored matrix came from row pivots[i] of the
-    input. Neither is modified after lu_factor returns.
+    input. Treated as immutable: neither is modified after lu_factor
+    returns.
     """
 
-    combined: list
-    pivots: list
+    __slots__ = ("combined", "pivots")
+
+    def __init__(self, combined: list, pivots: list):
+        self.combined = combined
+        self.pivots = pivots
 
     @property
     def n(self) -> int:
@@ -92,52 +95,111 @@ def lu_factor(m) -> LuFactors:
     """Factor M (with partial row pivoting) so that M[pivots] = L @ U.
 
     M is an array or a list of n rows, each a list of n floats, as the
-    step kernels in rosenbrock build it. List rows are copied before they
-    are factored, so the caller's lists are left as they were, and checked
-    for finiteness; anything else, a ragged or non-square list included,
-    goes through as_matrix, so both forms fail with the same messages.
+    step kernels in rosenbrock build it. The entries of list rows are read
+    as floats, so the caller's lists are left as they were, and checked for
+    finiteness; anything else, a ragged or non-square list included, goes
+    through as_matrix, so both forms fail with the same messages.
 
     The pivot of each column is the first entry of largest magnitude on or
     below the diagonal. Raises SingularMatrix when that pivot does not
     exceed SINGULARITY_RTOL times its row's scale: the largest |entry| the
     row has held during the elimination (fill-in that cancels leaves noise
     of its size), capped at max|M|, so a stiff row spares the others.
+
+    The factorization is straight-line code for M's size, generated on the
+    first factorization of that size and kept for every later one
+    (_factorization_source): no loop and no indexing, the same operations
+    in the same order as the nested loops it unrolls, so the same bits and
+    the same errors.
     """
     n = len(m) if type(m) is list else 0
-    if n and all(type(row) is list and len(row) == n for row in m):
-        a = [list(map(float, row)) for row in m]
-        if not all(all(map(math.isfinite, row)) for row in a):
-            raise ValueError("matrix entries must be finite")
-    else:
-        a = as_matrix(m).tolist()
-        n = len(a)
-    perm = list(range(n))
-    scales = [max(map(abs, row)) for row in a]  # by row of M, like perm's values
-    cap_tol = SINGULARITY_RTOL * max(scales, default=0.0)
+    if not (n and all(type(row) is list and len(row) == n for row in m)):
+        m = as_matrix(m).tolist()
+        n = len(m)
+    factorize = _FACTORIZATIONS.get(n) or generated(
+        _FACTORIZATIONS, n, _factorization_source, "factorize")
+    return factorize(m, SINGULARITY_RTOL)
+
+
+def _singular(pivot: float, col: int, tol: float, cap_tol: float) -> SingularMatrix:
+    exc = SingularMatrix(
+        f"pivot {pivot:.3e} in column {col} below tolerance {min(tol, cap_tol):.3e}")
+    exc.factorizations = 1  # the factorization that failed ran
+    return exc
+
+
+def _factorization_source(n: int) -> str:
+    """Source of lu_factor's work for size n, factorize(rows, rtol) ->
+    LuFactors for n rows of n entries: the loops of a partial-pivoting LU,
+    unrolled.
+
+    The entries are read as floats and checked finite first. Each row is
+    then a set of locals, its entries, its scale (the largest |entry| it
+    has held) and its row index in M, and a row swap exchanges them all in
+    one assignment. A column's pivot is the first of the largest |entries|
+    on or below the diagonal (strict >), judged against rtol times the
+    pivot row's scale and the cap rtol*max|M| before it divides anything.
+    """
+    a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
+    entries = [v for r in a for v in r]
+    matrix = f"[{', '.join('[' + ', '.join(r) + ']' for r in a)}]"
+    row = [", ".join([*a[i], f"s{i}", f"p{i}"]) for i in range(n)]
+
+    def biggest(values):  # max(values, default=0.0), spelt out
+        if len(values) < 2:
+            return values[0] if values else "0.0"
+        return f"max({', '.join(values)})"
+
+    lines = ["def factorize(rows, rtol):",
+             f"    {matrix} = rows"]
+    if entries:
+        lines += [f"    {', '.join(entries)} = {', '.join(f'float({v})' for v in entries)}",
+                  # 0*v is a zero for every finite v and NaN for inf or NaN
+                  f"    if not {' + '.join(f'0.0 * {v}' for v in entries)} == 0.0:",
+                  "        raise ValueError('matrix entries must be finite')"]
+    lines += [f"    s{i} = {biggest([f'abs({v})' for v in a[i]])}" for i in range(n)]
+    lines += [f"    p{i} = {i}" for i in range(n)]
+    lines.append(f"    cap_tol = rtol * {biggest([f's{i}' for i in range(n)])}")
     for col in range(n):
-        p = col
-        big = abs(a[col][col])
-        for r in range(col + 1, n):
-            if abs(a[r][col]) > big:
-                p, big = r, abs(a[r][col])
-        tol = SINGULARITY_RTOL * scales[perm[p]]
-        if big <= cap_tol and big <= tol:
-            raise SingularMatrix(
-                f"pivot {a[p][col]:.3e} in column {col} below tolerance {min(tol, cap_tol):.3e}"
-            )
-        if p != col:
-            a[col], a[p] = a[p], a[col]
-            perm[col], perm[p] = perm[p], perm[col]
-        upper = a[col]
-        for r, row in enumerate(a[col + 1:], col + 1):
-            mult = row[col] = row[col] / upper[col]
-            scale = scales[perm[r]]
-            for j in range(col + 1, n):
-                row[j] = v = row[j] - mult * upper[j]
-                if abs(v) > scale:
-                    scale = abs(v)
-            scales[perm[r]] = scale
-    return LuFactors(combined=a, pivots=perm)
+        lines.append(f"    big = abs({a[col][col]})")
+        below = range(col + 1, n)
+        if len(below) == 1:
+            (r,) = below
+            lines += [f"    if abs({a[r][col]}) > big:",
+                      f"        big = abs({a[r][col]})",
+                      f"        {row[col]}, {row[r]} = {row[r]}, {row[col]}"]
+        elif below:
+            lines.append(f"    piv = {col}")
+            lines += [f"    if abs({a[r][col]}) > big: big, piv = abs({a[r][col]}), {r}"
+                      for r in below]
+            for k, r in enumerate(below):
+                lines += [f"    {'if' if k == 0 else 'elif'} piv == {r}:",
+                          f"        {row[col]}, {row[r]} = {row[r]}, {row[col]}"]
+        lines += [f"    if big <= cap_tol and big <= rtol * s{col}:",
+                  f"        raise _singular({a[col][col]}, {col}, rtol * s{col}, cap_tol)"]
+        for r in below:
+            lines.append(f"    {a[r][col]} = {a[r][col]} / {a[col][col]}")
+            for j in below:
+                lines += [f"    {a[r][j]} = {a[r][j]} - {a[r][col]} * {a[col][j]}",
+                          f"    if abs({a[r][j]}) > s{r}: s{r} = abs({a[r][j]})"]
+    lines.append(f"    return LuFactors({matrix}, [{', '.join(f'p{i}' for i in range(n))}])")
+    return "\n".join(lines) + "\n"
+
+
+# the generated kernels of each size, made on their first use
+_FACTORIZATIONS: dict = {}
+_SUBSTITUTIONS: dict = {}
+
+
+def generated(cache: dict, n: int, source: Callable, name: str) -> Callable:
+    """The function `name` that source(n) defines, compiled on its first
+    use and kept as cache[n] for the process: how the package makes its
+    straight-line kernels, one pure function per system size. The source
+    sees the two names the factorization needs, LuFactors and _singular."""
+    namespace: dict = {"LuFactors": LuFactors, "_singular": _singular}
+    exec(compile(source(n), f"<{name} n={n}>", "exec"), namespace)
+    made = cache[n] = namespace[name]
+    return made
 
 
 def _substitution_source(n: int) -> str:
@@ -168,20 +230,11 @@ def _substitution_source(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the substitution of each size, generated on its first solve
-_SUBSTITUTIONS: dict = {}
-
-
 def _substitution(n: int) -> Callable:
     """substitute(rows, pivots, b) -> x for size n, generated once:
     x solves L U x = b[pivots] for the packed factor rows of lu_factor."""
-    sub = _SUBSTITUTIONS.get(n)
-    if sub is None:
-        namespace: dict = {}
-        exec(compile(_substitution_source(n), f"<lu_solve substitution n={n}>", "exec"),
-             namespace)
-        sub = _SUBSTITUTIONS[n] = namespace["substitute"]
-    return sub
+    return _SUBSTITUTIONS.get(n) or generated(_SUBSTITUTIONS, n, _substitution_source,
+                                              "substitute")
 
 
 def lu_solve(factors: LuFactors, b) -> list | np.ndarray:
@@ -294,29 +347,53 @@ def safe_side_root(g: Callable, lo: float, hi: float, g_lo: float, g_hi: float,
 
 
 def quadratic_root(g0: float, d1: float, d2: float, hi: float):
-    """The first root in (0, hi) of g0 + d1*x + (d2/2)*x^2 (finite; hi may
-    be inf), or None: the package's one closed-form quadratic solver,
-    cancellation-free (Higham, Accuracy and Stability of Numerical
-    Algorithms, 1.8) and scaled by a power of two, so no square overflows.
-    A coefficient 2**-511 or more below the largest can lose accuracy (d1's
-    square underflows), and a g0 below 2**-1074 of it vanishes, its root too."""
-    big = max(abs(g0), abs(d1), abs(d2))
-    if 0.0 < big < math.inf:
-        e = -math.frexp(big)[1]
-        g0, d1, d2 = math.ldexp(g0, e), math.ldexp(d1, e), math.ldexp(d2, e)
-    a = 0.5 * d2
-    if a == 0.0:
-        roots = (-g0 / d1,) if d1 != 0.0 else ()
+    """The first root in (0, hi) of g0 + d1*x + (d2/2)*x^2 (hi may be inf),
+    or None: the package's one closed-form quadratic solver. A coefficient
+    that is not finite has no root.
+
+    The roots are Higham's cancellation-free pair q/a and g0/q, with
+    q = -(d1 + sign(d1)*sqrt(d1^2 - 4*a*g0))/2 and a = d2/2 (Accuracy and
+    Stability of Numerical Algorithms, 1.8), on a problem scaled by powers
+    of two, which is exact: x = 2**k * y with k balancing g0 against the
+    x^2 term, so the roots in y lie near 1, and the coefficients in y
+    brought to at most 1, so no square overflows and none that matters
+    underflows. Where d1*x dwarfs the other terms, d1^2 exceeding 4*|a*g0|
+    by 2**60 or more, the discriminant would round to d1^2, and the roots
+    are the single divisions -g0/d1 and -d1/a of the coefficients as given;
+    so are a line's root and the nonzero root when g0 = 0. Where nothing
+    underflows or overflows the scaling changes no bit. A root past the
+    largest float rounds to inf, and so lies past every hi; a positive root
+    below 2**-1074 rounds to 0.0, which is then the first root (0 < hi).
+    """
+    if not (math.isfinite(g0) and math.isfinite(d1) and math.isfinite(d2)):
+        return None
+    e0, e1, e2 = math.frexp(g0)[1], math.frexp(d1)[1], math.frexp(d2)[1]
+    if g0 == 0.0 or d2 == 0.0 or (d1 != 0.0 and 2 * e1 > e0 + e2 + 64):
+        # a term is absent, or negligible beside d1*x
+        roots = []
+        if d1 != 0.0 and g0 != 0.0:
+            roots.append(-g0 / d1)
+        if d1 != 0.0 and d2 != 0.0:
+            roots.append(-2.0 * (d1 / d2))
     else:
+        k = (e0 - e2) // 2
+        e = -max(e0, e2 + 2 * k, e1 + k if d1 != 0.0 else e0)
+        g0, d1, d2 = math.ldexp(g0, e), math.ldexp(d1, e + k), math.ldexp(d2, e + 2 * k)
+        a = 0.5 * d2
         disc = d1 * d1 - 4.0 * a * g0
         if not disc >= 0.0:
             return None
         q = -0.5 * (d1 + math.copysign(math.sqrt(disc), d1))
-        if q == 0.0:  # g0 underflowed in the scaling: both roots are 0
-            return None
-        roots = (q / a, g0 / q)
-    inside = [r for r in roots if 0.0 < r < hi]
+        roots = [_times_two_to(q / a, k), _times_two_to(g0 / q, k)]
+    # a positive root that underflowed is +0.0, and still comes first
+    inside = [r for r in roots if 0.0 < r < hi or (r == 0.0 and math.copysign(1.0, r) > 0.0)]
     return min(inside) if inside else None
+
+
+def _times_two_to(y: float, k: int) -> float:
+    # y * 2**k: exact, rounded once below the normal range, and inf past the
+    # largest float, where math.ldexp raises
+    return math.ldexp(y, k) if math.frexp(y)[1] + k <= 1024 else math.copysign(math.inf, y)
 
 
 def _probe_points(x: np.ndarray, j: int, step: float):

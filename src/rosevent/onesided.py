@@ -9,12 +9,13 @@ the surface is approached from one side and never evaluated across.
 For the one-stage method the certificate truncates the power series of
 dH/dsigma, H(sigma) = h(x1(sigma)), keeping the terms through sigma^2 and
 replacing the signs of the unknown coefficients by their worst case; its
-first root in (0, tau) (linalg.quadratic_root) is the certified sigma, and
-with none the guard passes. The general variant needs the Neumann series of
-(I - gamma*sigma*J)^(-1) to converge (spectral radius of gamma*tau*J below
-one); the orthogonal variant replaces the series by the identity
-(I - gamma*tau*J)^(-1) = (I - gamma*tau*J)^T, valid when the step matrix is
-orthogonal.
+first root in (0, tau) (linalg.quadratic_root), taken down to the last
+float where the exact truncation is not negative, is the certified sigma,
+and with none the guard passes. The general variant needs the Neumann
+series of (I - gamma*sigma*J)^(-1) to converge (spectral radius of
+gamma*tau*J below one); the orthogonal variant replaces the series by the
+identity (I - gamma*tau*J)^(-1) = (I - gamma*tau*J)^T, valid when the step
+matrix is orthogonal.
 
 For the two-stage method the guard checks positivity of
 
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, problems, rosenbrock
-from .errors import NoBracket, NotOrthogonal
+from .errors import NoBracket, NotOrthogonal, SingularMatrix
 
 ORTHOGONALITY_TOL = 1e-8
 
@@ -88,19 +89,27 @@ def _harm(v: float) -> float:
 
 
 def _series_certificate(c0: float, r1: float, r2: float, tau: float) -> tuple:
-    # (passed, certified sigma) of c0 - sigma*r1 - sigma^2*r2; a coefficient
-    # that is not finite (a NaN's sign is unknown), 2*r2 included, certifies
-    # nothing
+    # (passed, certified sigma) of c0 - sigma*r1 - sigma^2*r2: its first root
+    # below tau, or tau and a pass when it has none. The float root can lie
+    # an ulp or two past the exact one, so sigma steps down, a float at a
+    # time, until the exact truncation at it is not negative; a few steps
+    # always do, and otherwise nothing is certified. A coefficient that is
+    # not finite (a NaN's sign is unknown), 2*r2 included, certifies nothing.
+    # fractions, and the decimal module it imports, load where a one-stage
+    # guard runs, so an import of the package does not pay for them
+    from fractions import Fraction
+
     coeffs = (c0, -r1, -2.0 * r2)
     if not (c0 > 0.0 and all(map(math.isfinite, coeffs))):
         return False, 0.0
     root = linalg.quadratic_root(*coeffs, tau)
-    if root is not None:
-        return False, root
-    # no root below tau: the truncation at tau agrees, unless c0 vanished in
-    # the solver's scaling and its tiny root with it
-    passed = c0 - tau * r1 - tau * tau * r2 >= 0.0
-    return passed, tau if passed else 0.0
+    sigma = tau if root is None else root
+    for _ in range(4):
+        s = Fraction(sigma)
+        if Fraction(c0) - s * Fraction(r1) - s * s * Fraction(r2) >= 0:
+            return sigma == tau, sigma
+        sigma = math.nextafter(sigma, 0.0)
+    return False, 0.0
 
 
 def guard_ros1_general(problem: problems.PiecewiseProblem, x0, tau: float,
@@ -111,7 +120,7 @@ def guard_ros1_general(problem: problems.PiecewiseProblem, x0, tau: float,
     from f1, its Jacobian, and the gradient/Hessian of h at x0; the guard
     passes, certifying tau, when a0 > 0 and the worst-case truncation
     a0 - sigma*max(0, -a1) - sigma^2*max(0, -a2) has no root in (0, tau);
-    else certified_sigma is that root. Requires the Neumann series to
+    else certified_sigma is that root, or the float just below it. Requires the Neumann series to
     converge; when the spectral-radius bound of gamma*tau*J reaches one the
     guard abstains (neumann_ok False, not passed, certified_sigma 0).
     Raises ValueError unless tau is positive and finite.
@@ -211,7 +220,11 @@ def _guarded_step(problem, x0, tau, J, h_tol, field):
     k1 = rosenbrock.stage1(factors, fx0, tau)
     g_tau = float(problem.h(x0 + k1))
     if not g_tau <= 0.0:
-        step, trials = resolve_case_1b(problem, x0, tau, fx0, J, g_tau, h_tol)
+        try:
+            step, trials = resolve_case_1b(problem, x0, tau, fx0, J, g_tau, h_tol)
+        except (SingularMatrix, NoBracket) as exc:
+            exc.factorizations += 1
+            raise
         return step, 1 + trials
     return rosenbrock.finish(field, x0, tau, J, factors, k1), 1
 
@@ -229,7 +242,9 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
     k1 from fx0, with no field evaluation. The factors of the trial it ends
     at complete the step, so the internal stage has g <= 0. Returns
     (step, factorizations); raises NoBracket when x0 is not below the
-    surface or no trial is safe.
+    surface or no trial is safe, and SingularMatrix from a trial's step
+    matrix, each carrying the trials' factorizations so far
+    (errors.NumericalError.factorizations).
     """
     g_lo = float(problem.h(x0))
     if not g_lo < 0.0:
@@ -243,10 +258,16 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
         tried[sigma] = factors, k1
         return float(problem.h(x0 + k1))
 
-    sigma_bar, _, trials = linalg.safe_side_root(
-        g, 0.0, tau, g_lo, g_tau, h_tol, 4.0 * np.finfo(float).eps * tau)
+    try:
+        sigma_bar, _, trials = linalg.safe_side_root(
+            g, 0.0, tau, g_lo, g_tau, h_tol, 4.0 * np.finfo(float).eps * tau)
+    except SingularMatrix as exc:
+        exc.factorizations += len(tried)  # the trials before the singular one
+        raise
     if sigma_bar == 0.0:
-        raise NoBracket(f"the internal stage trespasses at all {trials} trial sizes")
+        exc = NoBracket(f"the internal stage trespasses at all {trials} trial sizes")
+        exc.factorizations = trials
+        raise exc
 
     factors, k1 = tried[sigma_bar]
     step = rosenbrock.finish(problems.field_floats(problem, 1), x0, sigma_bar, J, factors, k1)

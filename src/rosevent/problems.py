@@ -268,11 +268,7 @@ class FloatRows:
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         n = len(b)
-        make = _ROW_MAKERS.get(n)
-        if make is None:
-            namespace: dict = {}
-            exec(compile(_rows_source(n), f"<float rows n={n}>", "exec"), namespace)
-            make = _ROW_MAKERS[n] = namespace["make"]
+        make = _ROW_MAKERS.get(n) or linalg.generated(_ROW_MAKERS, n, _rows_source, "make")
         self.floats = make(*np.ravel(A).tolist(), *np.ravel(b).tolist())
 
     def __call__(self, x) -> np.ndarray:

@@ -46,8 +46,10 @@ guard all read its value, derivative and slopes. The kernel does the IEEE
 operations of the array formulas above in the same order, and numpy's
 elementwise operations do not fuse, so the results equal the array
 expressions bit for bit. The step matrix is built as float rows
-(_step_rows) and factored by linalg.lu_factor as they are; step_matrix is
-the same rows as an array. linalg.lu_solve returns each stage as floats.
+(_step_rows, straight-line code generated once per system size, one
+expression per entry) and factored by linalg.lu_factor as they are, whose
+elimination is generated the same way; step_matrix is the same rows as an
+array. linalg.lu_solve returns each stage as floats.
 The kernel re-checks nothing; each input is checked once, where it enters.
 The state: x0 by integrate at its entry, or by the public step functions
 here (as_vector), and x1 where finish makes it (NonFiniteState, a
@@ -171,18 +173,33 @@ class RosenbrockStep:
                 2.0 * self.c * (a1 + a2))
 
 
+def _step_rows_source(n: int) -> str:
+    """Source of step_rows(J, g) for size n: the rows of I - g*J from J's
+    rows of Python floats, one expression per entry, 0.0 - g*J_ij and then
+    + 1.0 on the diagonal, the bits of eye(n) - g*J, signed zeros
+    included."""
+    j = [[f"j{i}_{k}" for k in range(n)] for i in range(n)]
+    rows = [[f"0.0 - g * {v}" + (" + 1.0" if i == k else "") for k, v in enumerate(r)]
+            for i, r in enumerate(j)]
+    return (f"def step_rows(J, g):\n"
+            f"    [{', '.join('[' + ', '.join(r) + ']' for r in j)}] = J\n"
+            f"    return [{', '.join('[' + ', '.join(r) + ']' for r in rows)}]\n")
+
+
+# step_rows of each size, generated on its first use
+_STEP_ROWS: dict = {}
+
+
 def _step_rows(J: np.ndarray, tau: float, gamma: float) -> list:
-    # I - gamma*tau*J as Python float rows, J a float array: 0 - g*J_ij, then
-    # 1 added on the diagonal, the bits of eye(n) - g*J, signed zeros
-    # included. A J that is not square fails as_matrix's shape check;
-    # lu_factor checks the rows' finiteness.
+    # I - gamma*tau*J as Python float rows, J a float array. A J that is not
+    # square fails as_matrix's shape check; lu_factor checks the rows'
+    # finiteness.
     if J.ndim != 2 or J.shape[0] != J.shape[1]:
         linalg.as_matrix(J)
-    g = gamma * tau
-    rows = [[0.0 - g * v for v in row] for row in J.tolist()]
-    for i, row in enumerate(rows):
-        row[i] += 1.0
-    return rows
+    n = J.shape[0]
+    step_rows = _STEP_ROWS.get(n) or linalg.generated(_STEP_ROWS, n, _step_rows_source,
+                                                      "step_rows")
+    return step_rows(J.tolist(), gamma * tau)
 
 
 def step_matrix(J, tau: float, gamma: float) -> np.ndarray:
@@ -200,7 +217,9 @@ def _checked(field, n: int):
 # --- the kernel: Python floats in and out, nothing re-checked ---------------
 
 def factor(J: np.ndarray, tau: float, gamma: float) -> linalg.LuFactors:
-    """LU factors of the step matrix I - gamma*tau*J of a float array J."""
+    """LU factors of the step matrix I - gamma*tau*J of a float array J: its
+    float rows (_step_rows) through linalg.lu_factor, so an outside wrapper
+    on lu_factor sees every factorization of every step path."""
     return linalg.lu_factor(_step_rows(J, tau, gamma))
 
 

@@ -262,6 +262,17 @@ def test_cli_integrate_takes_a_stiff_step_matrix(capsys):
     assert "event 0: t = 0.000739845250757," in out
 
 
+def test_cli_integrate_counts_the_work_of_a_singular_step(capsys):
+    # I - tau*J = 1 - 0.5*2 = 0: the run stops at its first step, whose J
+    # was evaluated and whose factorization ran and raised
+    code = cli_main(["integrate", "--problem", "linear_test", "--lam", "2", "--method", "ros1",
+                     "--tau", "0.5", "--t-end", "1"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "termination: solver-failure\nsteps: 0\n" in out
+    assert "lu factorizations: 1\njacobian evaluations: 1\n" in out
+
+
 def test_cli_integrate_writes_files(tmp_path, capsys):
     mesh_file = tmp_path / "mesh.csv"
     events_file = tmp_path / "events.csv"

@@ -499,6 +499,18 @@ def integrate_counting_lu(problem, x0, cfg):
     return result, len(calls)
 
 
+def test_a_singular_step_still_counts_its_factorization_and_jacobian():
+    # I - tau*J = 1 - 0.5*2 = 0: the first one-stage step evaluates J, and
+    # its factorization runs and raises
+    problem = builtin("linear_test", lam=2.0)
+    cfg = IntegratorConfig(tau=0.5, t_end=1.0, method=method_by_name("ros1"))
+    result, lu_calls = integrate_counting_lu(problem, problem.x0, cfg)
+    assert result.termination is Termination.SOLVER_FAILURE
+    assert result.stats.steps == 0
+    assert lu_calls == result.stats.lu_factorizations == 1
+    assert result.stats.jacobian_evaluations == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(problem_names()), method=st.sampled_from(["ros1", "ros2"]),
        tau=st.floats(5e-3, 0.2))

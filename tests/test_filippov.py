@@ -1,10 +1,11 @@
 """Crossing/sliding classification, plain and slow/fast."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rosevent.filippov import (
@@ -185,13 +186,44 @@ def test_the_sliding_threshold_of_a_fast_state_at_rest_is_zero():
 def test_no_sliding_threshold_from_coefficients_that_give_none():
     # a negative Csq is no square; an infinite or NaN coefficient, or an A
     # whose double overflows, has no root from the solver; a root past the
-    # largest float, or one whose Csq vanishes in the solver's scaling
-    # (below 2**-1074 of A), is out of its range
+    # largest float is out of its range
     for coeffs in (FilippovCoeffs(-1.0, 3.0, -2.0), FilippovCoeffs(-1.0, np.inf, 1.0),
                    FilippovCoeffs(-1.0, np.nan, 1.0), FilippovCoeffs(np.nan, 1.0, 1.0),
                    FilippovCoeffs(-1e308, 0.0, 1.0), FilippovCoeffs(-1e-300, 1e10, 1.0),
-                   FilippovCoeffs(-1e-300, 1e10, 0.0), FilippovCoeffs(-1e10, 0.0, 1e-320)):
+                   FilippovCoeffs(-1e-300, 1e10, 0.0)):
         assert sliding_sufficient(coeffs) is None
+
+
+@pytest.mark.parametrize("coeffs, eps2", [
+    # B^2 underflowed once the solver scaled all three coefficients by one
+    # power of two, and it returned half the root -B/A, 4.73e-226
+    (FilippovCoeffs(-1.0429381142240544e+286, 9.874178259077872e+60, 0.0),
+     9.874178259077872e+60 / 1.0429381142240544e+286),
+    # Csq 2**-1074 of A vanished in that scaling, and the threshold with it
+    (FilippovCoeffs(-1e10, 0.0, 1e-320), 9.999944335758489e-166),
+])
+def test_the_sliding_threshold_of_coefficients_far_apart(coeffs, eps2):
+    assert check_sliding_threshold(coeffs) == pytest.approx(eps2, rel=4e-16, abs=0.0)
+
+
+WIDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=WIDE, b=st.one_of(st.just(0.0), WIDE, WIDE.map(lambda v: -v)),
+       csq=st.one_of(st.just(0.0), WIDE))
+def test_the_sliding_threshold_over_the_float_range(a, b, csq):
+    coeffs = FilippovCoeffs(-a, b, csq)
+    assume(math.isfinite(2.0 * coeffs.A))
+    eps2 = sliding_sufficient(coeffs)
+    if eps2 is None:
+        # only a threshold past the largest float is out of range
+        assert exact_quadratic(coeffs, Fraction(np.finfo(float).max)) >= 0
+    elif eps2 >= 2.0 ** -1022:
+        check_sliding_threshold(coeffs)
+    else:
+        # a threshold below the normal range, to a few subnormal quanta
+        assert exact_quadratic(coeffs, Fraction(eps2) + Fraction(2) ** -1072) < 0
 
 
 def test_crossing_sufficient_sign_patterns():

@@ -194,6 +194,7 @@ def test_lu_factor_rejects_nonfinite_and_nonsquare():
 
 
 _entries = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+_TINY_ENTRY = 5e-324
 
 
 @settings(max_examples=300, deadline=None)
@@ -243,6 +244,126 @@ def test_lu_factor_rejects_bad_list_rows_as_the_array_path_does(rows):
         lu_factor(rows)
     assert str(from_rows.value) == expected
     assert repr(rows) == kept
+
+
+def loop_lu_factor(m):
+    """lu_factor as the nested loops it ran before its factorization was
+    generated as straight-line code: the oracle of the generated code,
+    operation for operation."""
+    n = len(m) if type(m) is list else 0
+    if n and all(type(row) is list and len(row) == n for row in m):
+        a = [list(map(float, row)) for row in m]
+        if not all(all(map(math.isfinite, row)) for row in a):
+            raise ValueError("matrix entries must be finite")
+    else:
+        a = linalg.as_matrix(m).tolist()
+        n = len(a)
+    perm = list(range(n))
+    scales = [max(map(abs, row)) for row in a]  # by row of M, like perm's values
+    cap_tol = SINGULARITY_RTOL * max(scales, default=0.0)
+    for col in range(n):
+        p = col
+        big = abs(a[col][col])
+        for r in range(col + 1, n):
+            if abs(a[r][col]) > big:
+                p, big = r, abs(a[r][col])
+        tol = SINGULARITY_RTOL * scales[perm[p]]
+        if big <= cap_tol and big <= tol:
+            raise SingularMatrix(
+                f"pivot {a[p][col]:.3e} in column {col} below tolerance {min(tol, cap_tol):.3e}"
+            )
+        if p != col:
+            a[col], a[p] = a[p], a[col]
+            perm[col], perm[p] = perm[p], perm[col]
+        upper = a[col]
+        for r, row in enumerate(a[col + 1:], col + 1):
+            mult = row[col] = row[col] / upper[col]
+            scale = scales[perm[r]]
+            for j in range(col + 1, n):
+                row[j] = v = row[j] - mult * upper[j]
+                if abs(v) > scale:
+                    scale = abs(v)
+            scales[perm[r]] = scale
+    return linalg.LuFactors(combined=a, pivots=perm)
+
+
+def factor_outcome(factor, m):
+    """The bytes of combined and the pivots, or the error and its message."""
+    try:
+        factors = factor(m)
+    except (SingularMatrix, ValueError) as exc:
+        return type(exc), str(exc)
+    assert all(type(v) is float for row in factors.combined for v in row)
+    return np.array(factors.combined, dtype=float).tobytes(), factors.pivots
+
+
+# small integers make tied pivots and singular matrices common; the specials
+# are signed zeros, subnormals and a pivot at the singularity tolerance
+_factor_entries = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(float),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, _TINY_ENTRY, -_TINY_ENTRY, 1e-310, 2.2250738585072014e-308,
+                     SINGULARITY_RTOL, 1e300]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(n=st.integers(min_value=1, max_value=5), data=st.data())
+def test_lu_factor_is_the_loops_bit_for_bit(n, data):
+    rows = [data.draw(st.lists(_factor_entries, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and data.draw(st.booleans()):
+        # a row repeated, negated or halved: tied pivots and matrices
+        # singular at every precision
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        c = data.draw(st.sampled_from([1.0, -1.0, 0.5, -0.5]))
+        rows[i] = [c * v for v in rows[j]]
+    expected = factor_outcome(loop_lu_factor, rows)
+    # the same bits, signed zeros and subnormals included, the same pivots,
+    # and a singular matrix raises with the same message
+    assert factor_outcome(lu_factor, rows) == expected
+    assert factor_outcome(lu_factor, np.array(rows)) == expected
+
+
+def test_lu_factor_takes_the_first_of_tied_pivots():
+    # column 0 ties |2| with |-2| in rows 1 and 2: row 1 is the pivot, and
+    # column 1 then ties |1| with |-1|
+    for rows in ([[0.0, 1.0, 0.0], [2.0, 0.0, 1.0], [-2.0, 1.0, 1.0]],
+                 [[1.0, 2.0], [-1.0, 5.0]], [[-3.0, 0.0, 0.0], [3.0, 1.0, 0.0], [3.0, -1.0, 1.0]]):
+        expected = factor_outcome(loop_lu_factor, rows)
+        assert factor_outcome(lu_factor, rows) == expected
+    assert lu_factor([[0.0, 1.0, 0.0], [2.0, 0.0, 1.0], [-2.0, 1.0, 1.0]]).pivots[0] == 1
+    assert lu_factor([[1.0, 2.0], [-1.0, 5.0]]).pivots == [0, 1]
+
+
+def test_lu_factor_reads_int_rows_as_floats_and_leaves_them_as_they_were():
+    rows = [[2, 1], [4, 3]]
+    factors = lu_factor(rows)
+    assert factors.pivots == [1, 0]
+    assert factors.combined == [[4.0, 3.0], [0.5, -0.5]]
+    assert all(type(v) is float for row in factors.combined for v in row)
+    assert rows == [[2, 1], [4, 3]]
+    assert all(type(v) is int for row in rows for v in row)
+    assert all(row is not kept for row in factors.combined for kept in rows)
+
+
+def test_lu_factor_generates_each_factorization_once(monkeypatch):
+    generated = []
+    source = linalg._factorization_source
+
+    def counting_source(n):
+        generated.append(n)
+        return source(n)
+
+    monkeypatch.setattr(linalg, "_factorization_source", counting_source)
+    monkeypatch.setattr(linalg, "_FACTORIZATIONS", {})
+    for _ in range(3):
+        for n in (1, 2, 3):
+            for m in (2.0 * np.eye(n), (2.0 * np.eye(n)).tolist()):
+                assert lu_factor(m).combined == (2.0 * np.eye(n)).tolist()
+    # the singular exit runs the same code
+    with pytest.raises(SingularMatrix, match="^pivot 0.000e\\+00 in column 1 "):
+        lu_factor([[1.0, 2.0], [2.0, 4.0]])
+    assert generated == [1, 2, 3]
+    assert linalg._FACTORIZATIONS[2] is linalg._FACTORIZATIONS[2]
 
 
 def test_lu_solve_length_mismatch():
@@ -373,6 +494,59 @@ def test_safe_side_root_rejects_a_bracket_it_cannot_narrow():
     # g(hi) on lo's side is no bracket either
     with pytest.raises(ValueError, match="bad bracket"):
         safe_side_root(g, 0.0, 1.0, -0.5, -0.5, 0.0, 1e-12)
+
+
+# --- closed-form quadratic root -----------------------------------------------
+
+def exact_quadratic(g0, d1, d2, x):
+    """g0 + d1*x + (d2/2)*x^2 at the rational x, exactly."""
+    return Fraction(g0) + Fraction(d1) * x + Fraction(d2) / 2 * x * x
+
+
+_WIDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(g0=_WIDE, d1=st.one_of(st.just(0.0), _WIDE, _WIDE.map(lambda v: -v)),
+       d2=st.one_of(st.just(0.0), _WIDE), flip=st.booleans(),
+       hi=st.one_of(st.just(math.inf), _WIDE))
+def test_quadratic_root_is_exact_over_the_float_range(g0, d1, d2, flip, hi):
+    # g0 and the x^2 term of opposite signs, as in the one-stage guards'
+    # series and the sliding threshold: one positive root, which is simple,
+    # whatever the coefficients' magnitudes; a line when d2 = 0
+    if flip:
+        g0, d1, d2 = -g0, -d1, -d2
+    d2 = -d2
+    root = linalg.quadratic_root(g0, d1, d2, hi)
+
+    def on_g0_side(x):
+        return exact_quadratic(g0, d1, d2, x) * Fraction(g0) > 0
+
+    slack, tiny = 4 * Fraction(EPS), Fraction(2) ** -1073
+    if root is None:
+        # no root below hi, or none inside the float range
+        assert on_g0_side(Fraction(min(hi, sys.float_info.max)) * (1 - slack))
+    else:
+        # the root to a few ulps (a few subnormal quanta below the normal
+        # range): g0's side just before it, the other side just after
+        assert 0.0 <= root < hi
+        below = Fraction(root) * (1 - slack) - tiny
+        assert below <= 0 or on_g0_side(below)
+        assert not on_g0_side(Fraction(root) * (1 + slack) + tiny)
+
+
+@pytest.mark.parametrize("g0, d1, d2, root", [
+    # d1^2 underflows beside 4*a*g0 after the coefficients are scaled
+    (6.24367235517765e-39, -5.945360508154198e-79, -2 * 2.1512319015551195e+280,
+     5.387365460575476e-160),
+    # g0 = 0: the root -2*d1/d2 itself, not half of it
+    (0.0, 9.874178259077872e+60, 2 * -1.0429381142240544e+286, 9.467655006955285e-226),
+    # a root that underflows comes first, as 0.0
+    (1e-300, -1e300, -1.0, 0.0),
+])
+def test_quadratic_root_of_coefficients_far_apart(g0, d1, d2, root):
+    got = linalg.quadratic_root(g0, d1, d2, math.inf)
+    assert got == pytest.approx(root, rel=4 * EPS, abs=0.0)
 
 
 def exact_solve(a, b):

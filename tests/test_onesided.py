@@ -161,11 +161,43 @@ def test_the_series_certificate_has_no_cancellation():
 @pytest.mark.parametrize("coeffs", [(5e-324, 1.0, 0.0), (1e-320, 0.0, 1e10),
                                     (1e-320, 1e-300, 1e10)])
 def test_a_root_below_the_solvers_resolution_is_no_pass(coeffs):
-    # c0 vanishes when the solver scales by the largest coefficient, and the
-    # tiny root with it; the truncation is negative at tau, so no pass
+    # a subnormal c0 beside coefficients ~2**1000 larger: the root is tiny,
+    # so no pass, and the certified sigma is the last float before it
     passed, sigma = _series_certificate(*coeffs, 1.0)
     assert not passed
     assert truncation(*coeffs, sigma) >= 0
+    assert truncation(*coeffs, math.nextafter(sigma, 1.0)) < 0
+
+
+def test_a_certificate_over_coefficients_far_apart_stops_before_the_root():
+    # r1^2 underflowed beside 4*r2*c0 once the solver scaled all three by
+    # one power of two: it certified 5.3873888e-160, where the truncation
+    # is already negative; the root is 5.38736546057547647e-160
+    coeffs = (6.24367235517765e-39, 5.945360508154198e-79, 2.1512319015551195e+280)
+    passed, sigma = _series_certificate(*coeffs, 4.832548891140742e-10)
+    assert not passed
+    assert sigma == 5.387365460575476e-160
+    assert truncation(*coeffs, sigma) >= 0
+    assert truncation(*coeffs, math.nextafter(sigma, 1.0)) < 0
+
+
+# magnitudes over the float range, and a zero
+WIDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a0=WIDE, r1=st.one_of(st.just(0.0), WIDE), r2=st.one_of(st.just(0.0), WIDE), tau=WIDE)
+def test_the_series_certificate_certifies_nothing_past_its_root(a0, r1, r2, tau):
+    assume(math.isfinite(2.0 * r2))
+    passed, sigma = _series_certificate(a0, r1, r2, tau)
+    # the exact truncation is not negative at the certified sigma, and a
+    # pass certifies the whole step
+    assert 0.0 <= sigma <= tau
+    assert truncation(a0, r1, r2, sigma) >= 0
+    assert passed == (sigma == tau)
+    if not passed and sigma >= 2.0 ** -1022:
+        # a short sigma is the root to a few ulps, not a point far below it
+        assert truncation(a0, r1, r2, sigma * (1.0 + 8.0 * np.finfo(float).eps)) < 0
 
 
 def test_a_passing_series_guard_certifies_the_whole_step():
@@ -400,6 +432,42 @@ def test_resolve_case_1b_without_a_safe_trial_is_a_guard_failure():
         tau=1.0, t_end=2.0, guard_mode=GuardMode.ROS2_DENSE))
     assert result.termination is Termination.GUARD_FAILURE
     assert result.stats.steps == 0
+
+
+def _guarded_cliff_run(monkeypatch, singular_call=None):
+    """The guarded run of test_resolve_case_1b_without_a_safe_trial_is_a_guard_failure
+    and the number of linalg.lu_factor calls it made; the call numbered
+    singular_call factors a zero matrix instead of its own."""
+    cliff = unit_speed(lambda x: -1.0 if x[0] <= 0.0 else 1.0)
+    calls = []
+    real = rosevent.linalg.lu_factor
+
+    def counted(m):
+        calls.append(1)
+        return real([[0.0]] if len(calls) == singular_call else m)
+
+    monkeypatch.setattr(rosevent.linalg, "lu_factor", counted)
+    result = integrate(cliff, [0.0], IntegratorConfig(
+        tau=1.0, t_end=2.0, guard_mode=GuardMode.ROS2_DENSE))
+    return result, len(calls)
+
+
+def test_a_guard_failure_still_counts_its_factorizations(monkeypatch):
+    # the step's own factorization and every case-1b trial, all of which
+    # trespass, and the step's Jacobian
+    result, lu_calls = _guarded_cliff_run(monkeypatch)
+    assert result.termination is Termination.GUARD_FAILURE
+    assert lu_calls == result.stats.lu_factorizations > 2
+    assert result.stats.jacobian_evaluations == 1
+
+
+def test_a_singular_case_1b_trial_still_counts_the_factorizations_before_it(monkeypatch):
+    # the step's own factorization, the first trial's, and the second
+    # trial's, which is singular
+    result, lu_calls = _guarded_cliff_run(monkeypatch, singular_call=3)
+    assert result.termination is Termination.SOLVER_FAILURE
+    assert lu_calls == result.stats.lu_factorizations == 3
+    assert result.stats.jacobian_evaluations == 1
 
 
 def test_a_nan_h_at_the_internal_stage_shortens_the_step():
