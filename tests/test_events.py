@@ -722,7 +722,7 @@ def test_first_root_of_the_surface_quadratic(g0, m1, m2, root):
     if root is None:
         assert got is None
     else:
-        assert got == pytest.approx(root, rel=1e-9)
+        assert got == pytest.approx(root, rel=1e-9, abs=0.0)
 
 
 @st.composite
