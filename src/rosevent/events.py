@@ -31,7 +31,12 @@ reuses them while J (bit for bit), tau and gamma are unchanged; the kept
 factors live in the call and die with it, and reusing them gives the same
 step bit for bit as factoring again. IntegrationStats.lu_factorizations
 counts the factorizations that actually ran, those of a step that failed
-included.
+included. On a declared affine problem (problems.Affine) J is the region's
+A_i: a plain step evaluates it on entering a region and the visit's later
+steps keep it. A visit evaluates and holds its own A_i even when its
+bytes equal the last visit's, whose factors it then solves with. A plain
+step that continues the last one starts from the floats that step holds
+of its x1.
 
 A finite-difference (FD) Jacobian differs in its last bits from state to
 state, so on its own it would miss that key on every step. But the
@@ -43,9 +48,10 @@ W of the previous step (take_step): while the field stays in one region, the
 previous step's secant fits W to FD-error level, and W has served fewer
 than REUSE_STEPS steps. A kept W has the same bytes, so the factor key above
 reuses its factors too. A run takes a fresh FD J at its start and on every
-region entry. Analytic Jacobians, and the guarded step, always take a fresh
-J. W does not cancel from the dense output: its interior carries the extra
-term c*gamma*2*theta*(1 - theta)*tau^2*(W - J)*f(x0), zero at theta = 0 and
+region entry. Analytic Jacobians of a field not declared affine, and the
+guarded step, always take a fresh J. W does not cancel from the dense
+output: its interior carries the extra term
+c*gamma*2*theta*(1 - theta)*tau^2*(W - J)*f(x0), zero at theta = 0 and
 theta = 1, so event states keep their order but the interpolant's error
 constant grows with |W - J|, which the secant check keeps at FD-error level.
 IntegrationStats.jacobian_evaluations counts the Jacobians evaluated.
@@ -65,7 +71,6 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -141,8 +146,9 @@ class IntegrationStats:
     """Per-run counts. lu_factorizations counts the LU factorizations that
     ran: a plain step that reuses the run's kept factors adds none.
     jacobian_evaluations counts the field Jacobians evaluated, analytic or
-    FD: one per step that takes a fresh J and one per one-stage guard; a
-    plain step that keeps its W adds none."""
+    FD: one per step that takes a fresh J and one per one-stage guard. A
+    plain step that keeps its W adds none, and a declared affine field
+    adds one per region visit."""
 
     f_evals: dict
     domain_violations: dict
@@ -288,72 +294,83 @@ def _classify_event(problem: problems.PiecewiseProblem,
     return filippov.classify_general(problem, record.x_star, sigma_tol=sigma_tol).kind
 
 
-class _Secant(NamedTuple):
-    # the last plain step of a field without an analytic Jacobian, its
-    # f(x0), and the steps its W (step.J) has served
-    active: int
-    step: rosenbrock.RosenbrockStep
-    fx0: list
-    uses: int
+class _Kept:
+    """What a run's plain steps hand on (take_step), owned by the run and
+    updated in place: the key and LU factors of the last step matrix
+    factored, the last plain step and its field, that step's f(x0), and
+    the steps its J has served when it is a finite-difference J or a W
+    kept from one (uses; 0 for any other J)."""
+
+    __slots__ = ("key", "factors", "active", "step", "fx0", "uses")
+
+    def __init__(self, key: tuple, factors: linalg.LuFactors):
+        self.key = key
+        self.factors = factors
 
 
-class _Kept(NamedTuple):
-    # what a run's plain steps hand on (take_step): the key and LU factors
-    # of the last step matrix factored, and the last step's _Secant or None
-    key: tuple
-    factors: linalg.LuFactors
-    secant: _Secant | None
-
-
-def _keeps_w(last: _Secant | None, active: int, x, fx: list) -> bool:
-    """Whether the W of the last plain step may serve the step from x, with
-    fx = f(x): the step continues it (same field, x its x1), W has served
-    fewer than REUSE_STEPS steps, and the secant from the last step's x0 to
-    x fits W within SECANT_RTOL in every component (a NaN never fits)."""
-    if last is None or last.active != active or last.step.x1 is not x \
-            or last.uses >= REUSE_STEPS:
+def _keeps_w(kept: _Kept, x0f: list, fx: list) -> bool:
+    """Whether the W of the last plain step, which the step from x0f with
+    fx = f(x0f) continues (same field, x0f its x1), may serve this step: W
+    came from a finite-difference J and has served fewer than REUSE_STEPS
+    steps, and the secant from the last step's x0 fits W within
+    SECANT_RTOL in every component (a NaN never fits)."""
+    if not 0 < kept.uses < REUSE_STEPS:
         return False
-    dx = [a - b for a, b in zip(x.tolist(), last.step.x0f)]
-    for f1, f0, row in zip(fx, last.fx0, last.step.J.tolist()):
+    last = kept.step
+    dx = [a - b for a, b in zip(x0f, last.x0f)]
+    for f1, f0, row in zip(fx, kept.fx0, last.J.tolist()):
         r = f1 - f0 - sum(map(operator.mul, row, dx))
         if not abs(r) <= SECANT_RTOL * (abs(f1) + abs(f0)):
             return False
     return True
 
 
+def _run_fields(problem: problems.PiecewiseProblem) -> tuple:
+    # per field, the counted field as the step kernel takes it and whether
+    # it runs on floats, so a plain step hands it x's floats, not x
+    return tuple((problems.field_floats(problem, which), problems.takes_floats(problem, which))
+                 for which in (1, 2))
+
+
 def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
               cfg: IntegratorConfig, kept=None, fields=None):
     """One step of the active field from x: the guarded two-stage step from
     region 1 under the dense guard, else a plain step of cfg.method. Both
-    run on the step kernel (rosenbrock) and check nothing of x, a finite
-    float array of the problem's dimension, as integrate checks it once.
+    run on the step kernel (rosenbrock.kernel) and check nothing of x, a
+    finite float array of the problem's dimension, as integrate checks it
+    once.
 
     kept is None or what this function returned for the previous step of
-    the same run. A plain step of a field without an analytic Jacobian
-    evaluates f(x) first, the value its first stage needs anyway, and keeps
-    the previous plain step's W instead of a fresh finite-difference J when
-    _keeps_w says so: same field, x that step's x1, fewer than REUSE_STEPS
-    uses, and a secant residual at FD-error level. The check costs no field
-    call. Every other step takes a fresh J: the first step of a run or of a
-    region visit, an analytic Jacobian and the guarded step. A plain step
-    whose factor key (the bytes and shape of its J or W, tau, gamma) equals
-    the kept one solves with the kept LU factors of I - gamma*tau*J; any
-    other plain step factors that matrix and keeps it. The key compares
-    bits, so both give the same step bit for bit. The guarded step factors
-    on its own and hands kept on as it was. fields is the pair of counted
-    fields (problems.field_floats) a run makes once; None makes them here.
+    the same run, which this call may update in place. A plain step that
+    takes the same field from the last plain step's x1 (the same array)
+    continues that step: it starts from the floats the step holds of x1,
+    and on a declared affine field (problem.affine) it keeps the step's J,
+    the region's A_i, so J is evaluated once per region visit. A plain
+    step of a field without an analytic Jacobian evaluates f(x) first, the
+    value its first stage needs anyway, and keeps the previous plain step's
+    W instead of a fresh finite-difference J when _keeps_w says so (it
+    continues that step, W has had fewer than REUSE_STEPS uses and the
+    secant residual is at FD-error level; no field call). Every other step
+    takes a fresh J: the first step of a run or of a region visit, an
+    analytic Jacobian of a field not declared affine, and the guarded step.
+    A plain step whose factor key (the bytes and shape of its J or W, tau,
+    gamma) equals the kept one solves with the kept LU factors of
+    I - gamma*tau*J, and a step that keeps its affine J compares tau and
+    gamma only; any other plain step factors that matrix and keeps it. The
+    key compares bits, so both give the same step bit for bit. The guarded
+    step factors on its own and hands kept on as it was. fields is what a
+    run makes once (_run_fields); None makes it here.
 
     Returns (step, factorizations, jacobians, kept): the LU factorizations
     this call ran (0 when it used the kept factors) and the Jacobians it
-    evaluated (0 when it kept W). step.J is the matrix the step used.
+    evaluated (0 when it kept J or W). step.J is the matrix the step used.
     step.tau is the size actually taken, below tau only when case 1b
     shortened the step. A step that fails, a SingularMatrix or a case-1b
     NoBracket, carries the factorizations it ran and the Jacobians it
     evaluated on the exception (errors.NumericalError), and integrate counts
     them as it counts a step's.
     """
-    field = (fields[active - 1] if fields is not None
-             else problems.field_floats(problem, active))
+    field, floats_in = (fields or _run_fields(problem))[active - 1]
     if cfg.guard_mode is onesided.GuardMode.ROS2_DENSE and active == 1:
         J = problems.field_jacobian(problem, active, x)
         try:
@@ -362,30 +379,36 @@ def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
             exc.jacobians += 1
             raise
         return step, factorizations, 1, kept
-    fx = field(x)
-    # uses: the steps the J of this step has served, 0 for an analytic J
-    if (problem.jac_f1 if active == 1 else problem.jac_f2) is not None:
+    # the last plain step, when this one continues it
+    last = (kept.step if kept is not None and kept.active == active and kept.step.x1 is x
+            else None)
+    x0f = x.tolist() if last is None else last.x1f
+    fx = field(x0f if floats_in else x)
+    gamma = cfg.method.gamma
+    affine_visit = last is not None and problem.affine is not None
+    # uses: the steps the J of this step has served, 0 but for a kept W
+    if affine_visit:
+        J, jacobians, uses = last.J, 0, 0
+    elif (problem.jac_f1 if active == 1 else problem.jac_f2) is not None:
         J, jacobians, uses = problems.field_jacobian(problem, active, x), 1, 0
-    elif kept is not None and _keeps_w(kept.secant, active, x, fx):
-        J, jacobians, uses = kept.secant.step.J, 0, kept.secant.uses + 1
+    elif last is not None and _keeps_w(kept, x0f, fx):
+        J, jacobians, uses = last.J, 0, kept.uses + 1
     else:
         J, jacobians, uses = problems.field_jacobian(problem, active, x), 1, 1
-    gamma = cfg.method.gamma
-    key = (J.tobytes(), J.shape, tau, gamma)
-    if kept is not None and kept.key == key:
-        factorizations = 0
-    else:
-        try:
-            kept = _Kept(key, rosenbrock.factor(J, tau, gamma), None)
-        except SingularMatrix as exc:
-            exc.jacobians += jacobians
-            raise
-        factorizations = 1
+    factorizations = 0
+    if not (affine_visit and kept.key[2] == tau and kept.key[3] == gamma):
+        key = (J.tobytes(), J.shape, tau, gamma)
+        if kept is None or kept.key != key:
+            try:
+                kept = _Kept(key, rosenbrock.factor(J, tau, gamma))
+            except SingularMatrix as exc:
+                exc.jacobians += jacobians
+                raise
+            factorizations = 1
     factors = kept.factors
-    k1 = rosenbrock.stage1(factors, fx, tau)
-    step = rosenbrock.finish(field if cfg.method.stages == 2 else None, x, tau, J, factors, k1)
-    if uses:
-        kept = _Kept(kept.key, factors, _Secant(active, step, fx, uses))
+    run = rosenbrock.kernel(cfg.method.stages, len(x0f))
+    step = run.finish(field, x, x0f, tau, J, factors, run.stage1(factors, fx, tau))
+    kept.active, kept.step, kept.fx0, kept.uses = active, step, fx, uses
     return step, factorizations, jacobians, kept
 
 
@@ -428,7 +451,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     guard = cfg.guard_mode
     # the run's pieces, bound once: the counted fields as the step kernel
     # takes them, and what every step reads
-    fields = problems.field_floats(problem, 1), problems.field_floats(problem, 2)
+    fields = _run_fields(problem)
     h = problem.h
     sigma_tol = problems.SIGMA_TOL
     tau, t_end, locate = cfg.tau, cfg.t_end, cfg.locate_events

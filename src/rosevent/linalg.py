@@ -191,12 +191,13 @@ _FACTORIZATIONS: dict = {}
 _SUBSTITUTIONS: dict = {}
 
 
-def generated(cache: dict, n: int, source: Callable, name: str) -> Callable:
-    """The function `name` that source(n) defines, compiled on its first
-    use and kept as cache[n] for the process: how the package makes its
-    straight-line kernels, one pure function per system size. The source
-    sees the two names the factorization needs, LuFactors and _singular."""
-    namespace: dict = {"LuFactors": LuFactors, "_singular": _singular}
+def generated(cache: dict, n, source: Callable, name: str, scope: dict | None = None):
+    """The object `name` that source(n) defines, compiled on its first use
+    and kept as cache[n] for the process: how the package makes its
+    straight-line kernels, one per system size n (or per key, such as a
+    method's stage count and size). The source sees the two names the
+    factorization needs, LuFactors and _singular, and those of scope."""
+    namespace: dict = {"LuFactors": LuFactors, "_singular": _singular, **(scope or {})}
     exec(compile(source(n), f"<{name} n={n}>", "exec"), namespace)
     made = cache[n] = namespace[name]
     return made

@@ -217,7 +217,8 @@ def _guarded_step(problem, x0, tau, J, h_tol, field):
     # internal stage has no side, so it shortens the step as a trespass does.
     fx0 = field(x0)
     factors = rosenbrock.factor(J, tau, rosenbrock.GAMMA_ROS2)
-    k1 = rosenbrock.stage1(factors, fx0, tau)
+    run = rosenbrock.kernel(2, x0.shape[0])
+    k1 = run.stage1(factors, fx0, tau)
     g_tau = float(problem.h(x0 + k1))
     if not g_tau <= 0.0:
         try:
@@ -226,7 +227,7 @@ def _guarded_step(problem, x0, tau, J, h_tol, field):
             exc.factorizations += 1
             raise
         return step, 1 + trials
-    return rosenbrock.finish(field, x0, tau, J, factors, k1), 1
+    return run.finish(field, x0, x0.tolist(), tau, J, factors, k1), 1
 
 
 def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
@@ -251,10 +252,11 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
         raise NoBracket(f"x0 must start below the surface, h(x0) = {g_lo}")
 
     tried = {}  # sigma -> (factors, k1) of that trial
+    run = rosenbrock.kernel(2, x0.shape[0])
 
     def g(sigma):
         factors = rosenbrock.factor(J, sigma, rosenbrock.GAMMA_ROS2)
-        k1 = rosenbrock.stage1(factors, fx0, sigma)
+        k1 = run.stage1(factors, fx0, sigma)
         tried[sigma] = factors, k1
         return float(problem.h(x0 + k1))
 
@@ -270,7 +272,8 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
         raise exc
 
     factors, k1 = tried[sigma_bar]
-    step = rosenbrock.finish(problems.field_floats(problem, 1), x0, sigma_bar, J, factors, k1)
+    step = run.finish(problems.field_floats(problem, 1), x0, x0.tolist(), sigma_bar, J,
+                      factors, k1)
     return step, trials
 
 

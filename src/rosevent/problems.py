@@ -185,6 +185,16 @@ def eval_field(problem: PiecewiseProblem, which: int, x, checked: bool = False):
     return _value_floats(v, problem.dim) if floats else v
 
 
+def takes_floats(problem: PiecewiseProblem, which: int) -> bool:
+    """Whether field_floats(problem, which) runs on Python floats (a
+    float-row field with no domain), so a caller holding the state both as
+    an array and as floats hands it the floats; any other field is handed
+    the array."""
+    if which == 1:
+        return _on_floats(problem.f1, problem.domain_f1)
+    return _on_floats(problem.f2, problem.domain_f2)
+
+
 def field_floats(problem: PiecewiseProblem, which: int) -> Callable:
     """Branch field `which` as the step kernel takes it, through eval_field
     looked up on every call: the state as a float array or a list of
@@ -192,8 +202,7 @@ def field_floats(problem: PiecewiseProblem, which: int) -> Callable:
     to eval_field's float form as it is. An array goes to a float-row field
     without a domain as its floats, and to any other field as it is, so the
     array a step starts from is not built again."""
-    f, dom = (problem.f1, problem.domain_f1) if which == 1 else (problem.f2, problem.domain_f2)
-    if _on_floats(f, dom):
+    if takes_floats(problem, which):
         return lambda x: eval_field(problem, which, x if type(x) is list else x.tolist())
 
     def call(x):

@@ -35,18 +35,24 @@ coefficients from n.k1 and n.k2, for event location, even-count detection
 and the exact dense guard.
 
 The step kernel is public, unchecked and runs on Python floats: factor
-(the step matrix's LU factors), stage1 (k1) and finish (k2, x1 and the
-RosenbrockStep). Every step path calls it: the public steps here
-(ros1_step, ros2_step, ros2_finish and, through them, restep), the
+(the step matrix's LU factors) and kernel(stages, n), whose stage1 (k1)
+and finish (k2, x1 and the RosenbrockStep) are straight-line code
+generated once per method and system size (_kernel_source): b = tau*f(x0),
+k1, the stage state x0 + k1, f there, the k2 right-hand side and x1 as one
+expression per entry, no loop. Every step path runs it: the public steps
+here (ros1_step, ros2_step, ros2_finish and, through them, restep), the
 driver's plain step (events.take_step), and the guarded step and each of
-its case-1b trials (onesided). The step holds each stage once, as those
-floats (k1 and k2 are arrays built when read), and is its own
-dense output: dense_eval, dense_derivative, event location and the dense
-guard all read its value, derivative and slopes. The kernel does the IEEE
+its case-1b trials (onesided), where the guarded step hands finish the k1
+whose stage it has checked. The step holds each stage once, as those
+floats (k1 and k2 are arrays built when read), and x1 as floats beside its
+array, which the driver's next step starts from; it is its own dense
+output: dense_eval, dense_derivative, event location and the dense guard
+all read its value, derivative and slopes. The kernel does the IEEE
 operations of the array formulas above in the same order, and numpy's
 elementwise operations do not fuse, so the results equal the array
-expressions bit for bit. The step matrix is built as float rows
-(_step_rows, straight-line code generated once per system size, one
+expressions bit for bit. Both solves go through linalg.lu_solve, looked up
+on every call, so an outside wrapper on it sees each one. The step matrix
+is built as float rows (_step_rows, generated once per system size, one
 expression per entry) and factored by linalg.lu_factor as they are, whose
 elimination is generated the same way; step_matrix is the same rows as an
 array. linalg.lu_solve returns each stage as floats.
@@ -56,15 +62,16 @@ here (as_vector), and x1 where finish makes it (NonFiniteState, a
 ValueError, when an entry overflowed). Each field value's shape and length:
 linalg.as_floats, which problems.field_floats (the driver's fields) and the
 public step functions apply. J's shape by _step_rows, the step matrix's
-finiteness by lu_factor, and each right-hand side's finiteness by
-linalg.lu_solve, which every solve still goes through.
+finiteness by lu_factor, and each right-hand side's finiteness, tau*f(x0)
+and tau*f(x0 + k1) - 2*k1, by linalg.lu_solve ("vector entries must be
+finite").
 
 The kernel's field returns floats. finish hands it the stage state x0 + k1
-as a list of floats; the driver and the guarded step hand it x0 as the
-array they hold. The driver's fields are problems.field_floats: a declared
-affine field (problems.FloatRows) runs its rows on floats, so a plain step
-of a piecewise-affine problem makes no numpy call for a field value, and
-any other field gets x0's array as it is and one array built from the
+as a list of floats. The driver hands a float-row field (problems.FloatRows,
+the fields of a declared affine problem) x0's floats and any other field
+x0's array, and the guarded step hands its field the array. So a plain
+step of a piecewise-affine problem makes no numpy call for a field value,
+and any other field gets x0's array as it is and one array built from the
 stage's floats. h still gets float arrays, and the public steps here give
 a caller's field an array built from the stage's floats (_checked).
 """
@@ -74,6 +81,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -108,24 +116,27 @@ class RosenbrockStep:
     """One accepted step: inputs, stages, endpoint, and its dense output.
 
     Treated as immutable; dense evaluation, location, the guards and
-    re-stepping read from it without modifying it. x0f, k1f and k2f hold
-    x0, k1 and k2 as the Python floats the kernel computed with, which the
-    dense output reads; k2f is None for one-stage steps. The stages are
-    held only as those floats: k1 and k2 are arrays built when read.
+    re-stepping read from it without modifying it. x0f, k1f, k2f and x1f
+    hold x0, k1, k2 and x1 as the Python floats the kernel computed with,
+    which the dense output reads and the driver's next step starts from;
+    k2f is None for one-stage steps. The stages are held only as those
+    floats: k1 and k2 are arrays built when read. J is the float array the
+    step used.
     """
 
-    __slots__ = ("x0", "x0f", "tau", "J", "gamma", "c", "k1f", "k2f", "x1", "stages")
+    __slots__ = ("x0", "x0f", "tau", "J", "gamma", "c", "k1f", "k2f", "x1f", "x1", "stages")
 
-    def __init__(self, x0: np.ndarray, x0f: list, tau: float, J, gamma: float,
-                 k1f: list, k2f: list | None, x1: np.ndarray):
+    def __init__(self, x0: np.ndarray, x0f: list, tau: float, J: np.ndarray, gamma: float,
+                 k1f: list, k2f: list | None, x1f: list, x1: np.ndarray):
         self.x0 = x0
         self.x0f = x0f
         self.tau = tau
-        self.J = np.asarray(J, dtype=float)
+        self.J = J
         self.gamma = gamma
         self.c = 1.0 / (2.0 * (1.0 - 2.0 * gamma))
         self.k1f = k1f
         self.k2f = k2f
+        self.x1f = x1f
         self.x1 = x1
         self.stages = 1 if k2f is None else 2
 
@@ -209,7 +220,7 @@ def step_matrix(J, tau: float, gamma: float) -> np.ndarray:
 
 
 def _checked(field, n: int):
-    # a caller's field as finish takes it: the stage's floats in, as the
+    # a caller's field as the kernel takes it: the stage's floats in, as the
     # float array a field is given, and each value out as n floats
     return lambda x: linalg.as_floats(field(np.array(x)), n)
 
@@ -223,28 +234,77 @@ def factor(J: np.ndarray, tau: float, gamma: float) -> linalg.LuFactors:
     return linalg.lu_factor(_step_rows(J, tau, gamma))
 
 
-def stage1(factors: linalg.LuFactors, fx0: list, tau: float) -> list:
-    """k1 as floats from f(x0) as floats; lu_solve checks tau*f(x0)."""
-    return linalg.lu_solve(factors, [tau * f for f in fx0])
+class Kernel(NamedTuple):
+    """The stage arithmetic of one method and system size, generated once
+    (_kernel_source):
+
+    stage1(factors, fx0, tau) -> k1, the floats solving
+        (I - gamma*tau*J) k1 = tau*f(x0) from f(x0) as floats;
+    finish(field, x0, x0f, tau, J, factors, k1) -> RosenbrockStep, the step
+        from x0 (a finite float array, x0f its floats) and k1: for two
+        stages k2 from field(x0 + k1) and x1 = x0 + 1.5*k1 + 0.5*k2, for
+        one x1 = x0 + k1 (field unused). field takes the stage state as a
+        list of floats and returns floats, as problems.field_floats does.
+        J is kept on the step as given, a float array. Only x1 is checked,
+        here where it is made (NonFiniteState).
+    """
+
+    stage1: Callable
+    finish: Callable
 
 
-def finish(field, x0: np.ndarray, tau: float, J, factors, k1: list) -> RosenbrockStep:
-    """The step from x0, a finite float array, and k1 from stage1: two-stage
-    when field is given, else x1 = x0 + k1. field takes the stage state
-    x0 + k1 as a list of floats and returns floats, as
-    problems.field_floats does. Only x1 is checked, here where it is made."""
-    x0f = x0.tolist()
-    if field is None:
-        gamma, k2 = GAMMA_ROS1, None
-        x1 = [x + a for x, a in zip(x0f, k1)]
+def _kernel_source(key: tuple) -> str:
+    """Source of the Kernel of (stages, n): the formulas of the module
+    docstring with one expression per entry, the IEEE operations of the
+    element loops in the same order, and both solves through
+    linalg.lu_solve. x1 is finite exactly when the sum of 0.0*x1_i is
+    0.0."""
+    stages, n = key
+
+    def vec(names):
+        return "[" + ", ".join(names) + "]"
+
+    # x0, k1, the stage's f, k2 and x1, entry by entry
+    x, a, g, b, y = ([f"{c}{i}" for i in range(n)] for c in "uagby")
+    lines = ["def stage1(factors, fx0, tau):",
+             f"    {vec(g)} = fx0",
+             f"    return linalg.lu_solve(factors, {vec(f'tau * {v}' for v in g)})",
+             "",
+             "def finish(field, x0, x0f, tau, J, factors, k1):",
+             f"    {vec(x)} = x0f",
+             f"    {vec(a)} = k1"]
+    if stages == 1:
+        gamma, k2 = "GAMMA_ROS1", "None"
+        ends = [f"{xi} + {ai}" for xi, ai in zip(x, a)]
     else:
-        gamma = GAMMA_ROS2
-        f_inner = field(list(map(operator.add, x0f, k1)))
-        k2 = linalg.lu_solve(factors, [tau * f - 2.0 * a for f, a in zip(f_inner, k1)])
-        x1 = [x + 1.5 * a + 0.5 * b for x, a, b in zip(x0f, k1, k2)]
-    if not all(map(math.isfinite, x1)):
-        raise NonFiniteState(f"the step's end state is not finite: x1 = {x1}")
-    return RosenbrockStep(x0, x0f, tau, J, gamma, k1, k2, np.array(x1))
+        gamma, k2 = "GAMMA_ROS2", "k2"
+        lines += [f"    {vec(g)} = field({vec(f'{xi} + {ai}' for xi, ai in zip(x, a))})",
+                  "    k2 = linalg.lu_solve(factors, "
+                  f"{vec(f'tau * {gi} - 2.0 * {ai}' for gi, ai in zip(g, a))})",
+                  f"    {vec(b)} = k2"]
+        ends = [f"{xi} + 1.5 * {ai} + 0.5 * {bi}" for xi, ai, bi in zip(x, a, b)]
+    lines += [f"    {yi} = {end}" for yi, end in zip(y, ends)]
+    lines += [f"    x1 = {vec(y)}",
+              f"    if not {' + '.join(f'0.0 * {yi}' for yi in y)} == 0.0:",
+              "        raise NonFiniteState(f\"the step's end state is not finite: x1 = {x1}\")",
+              f"    return RosenbrockStep(x0, x0f, tau, J, {gamma}, k1, {k2}, x1, array(x1))",
+              "",
+              "kernel = Kernel(stage1, finish)"]
+    return "\n".join(lines) + "\n"
+
+
+# the Kernel of each (stages, n), generated on its first use
+_KERNELS: dict = {}
+
+
+def kernel(stages: int, n: int) -> Kernel:
+    """The step kernel of the stages-stage method on n states."""
+    key = (stages, n)
+    return _KERNELS.get(key) or linalg.generated(
+        _KERNELS, key, _kernel_source, "kernel",
+        {"linalg": linalg, "array": np.array, "NonFiniteState": NonFiniteState,
+         "RosenbrockStep": RosenbrockStep, "Kernel": Kernel,
+         "GAMMA_ROS1": GAMMA_ROS1, "GAMMA_ROS2": GAMMA_ROS2})
 
 
 def ros1_step(field, x0, tau: float, J, *,
@@ -255,10 +315,13 @@ def ros1_step(field, x0, tau: float, J, *,
     as they are, so the step is the one a fresh factorization would give.
     """
     x0 = linalg.as_vector(x0)
+    n = x0.shape[0]
+    J = linalg.as_matrix(J) if factors is None else np.asarray(J, dtype=float)
     if factors is None:
-        factors = factor(linalg.as_matrix(J), tau, GAMMA_ROS1)
-    k1 = stage1(factors, linalg.as_floats(field(x0), x0.shape[0]), tau)
-    return finish(None, x0, tau, J, factors, k1)
+        factors = factor(J, tau, GAMMA_ROS1)
+    run = kernel(1, n)
+    k1 = run.stage1(factors, linalg.as_floats(field(x0), n), tau)
+    return run.finish(None, x0, x0.tolist(), tau, J, factors, k1)
 
 
 def ros2_finish(field, x0, tau: float, J, factors, k1) -> RosenbrockStep:
@@ -271,7 +334,9 @@ def ros2_finish(field, x0, tau: float, J, factors, k1) -> RosenbrockStep:
     k1 = np.asarray(k1, dtype=float)
     if k1.shape != x0.shape:
         raise ValueError(f"k1 has shape {k1.shape} but x0 has shape {x0.shape}")
-    return finish(_checked(field, x0.shape[0]), x0, tau, J, factors, k1.tolist())
+    n = x0.shape[0]
+    return kernel(2, n).finish(_checked(field, n), x0, x0.tolist(), tau,
+                               np.asarray(J, dtype=float), factors, k1.tolist())
 
 
 def ros2_step(field, x0, tau: float, J, *,
@@ -286,9 +351,12 @@ def ros2_step(field, x0, tau: float, J, *,
     x0 = linalg.as_vector(x0)
     n = x0.shape[0]
     fx0 = linalg.as_floats(field(x0), n)
+    J = linalg.as_matrix(J) if factors is None else np.asarray(J, dtype=float)
     if factors is None:
-        factors = factor(linalg.as_matrix(J), tau, GAMMA_ROS2)
-    return finish(_checked(field, n), x0, tau, J, factors, stage1(factors, fx0, tau))
+        factors = factor(J, tau, GAMMA_ROS2)
+    run = kernel(2, n)
+    return run.finish(_checked(field, n), x0, x0.tolist(), tau, J, factors,
+                      run.stage1(factors, fx0, tau))
 
 
 def _check_theta(theta: float) -> None:

@@ -290,14 +290,14 @@ def test_integrate_validates_guard_method_pairing():
 
 @pytest.mark.parametrize("guard", [GuardMode.ROS1_GENERAL, GuardMode.ROS1_ORTHOGONAL])
 def test_a_one_stage_guard_counts_the_jacobian_it_evaluates(guard):
-    # each of the 5 steps to the tent's surface evaluates its analytic J,
-    # and the guard at the hit evaluates one more
+    # the 5 steps to the tent's surface are one visit of a declared affine
+    # region, which evaluates its J once, and the guard at the hit one more
     cfg = default_cfg(tau=0.1, method=method_by_name("ros1"), guard_mode=guard)
     result = integrate(builtin("tent"), [0.0], cfg)
     assert result.termination is Termination.SLIDING
     assert [rep.passed for _, rep in result.guard_reports] == [True]
     assert result.stats.steps == 5
-    assert result.stats.jacobian_evaluations == 6
+    assert result.stats.jacobian_evaluations == 2
 
 
 def test_event_free_trajectory_reaches_t_end():
@@ -1026,9 +1026,70 @@ def test_an_affine_relay_keeps_its_finite_difference_jacobian_across_a_visit(nam
         assert step.value(0.0) is x
         again = restep(field_floats(bare, active), step, step.tau)
         assert again.x1.tobytes() == step.x1.tobytes()
-    # with analytic Jacobians every step evaluates one
-    analytic = integrate(flat, flat.x0, cfg).stats
-    assert analytic.jacobian_evaluations == analytic.steps
+    # the declared affine relay evaluates its A_i once per region visit
+    analytic = integrate(flat, flat.x0, cfg)
+    assert analytic.stats.jacobian_evaluations == len(analytic.events) + 1
+
+
+def entered(taken, i):
+    """Whether recorded step i enters a region: the first step, or one whose
+    field or start differs from the last step's (a hit recorded at the
+    step's end hands its x1 on to the other field)."""
+    if i == 0:
+        return True
+    x, active, *_ = taken[i]
+    _, last_active, last, _ = taken[i - 1]
+    return active != last_active or x is not last.x1
+
+
+@pytest.mark.parametrize("name", ["kowalczyk", "teixeira"])
+def test_a_declared_affine_relay_evaluates_one_jacobian_per_region_visit(name):
+    flat = spp_flatten(builtin(name, eps=1e-2))
+    A = {1: flat.affine.A1, 2: flat.affine.A2}
+    # the regions share their A_i to the byte, so every visit after the
+    # first solves with the factors the last visit kept
+    assert A[1] is not A[2] and A[1].tobytes() == A[2].tobytes()
+    evaluated = []
+    real = rosevent.problems.field_jacobian
+
+    def counting(*args):
+        evaluated.append(args[1])
+        return real(*args)
+
+    cfg = IntegratorConfig(tau=4e-3, t_end=2.0)
+    with mock.patch.object(rosevent.problems, "field_jacobian", counting):
+        result, taken = recorded_steps(flat, flat.x0, cfg)
+    stats = result.stats
+    assert result.termination is Termination.REACHED_T_END
+    assert len(result.events) >= 10
+    assert len(evaluated) == stats.jacobian_evaluations == len(result.events) + 1
+    # one Jacobian on each region entry, of the region entered ...
+    entries = [i for i in range(len(taken)) if entered(taken, i)]
+    assert evaluated == [taken[i][1] for i in entries]
+    assert [j for *_, j in taken] == [int(i in entries) for i in range(len(taken))]
+    # ... which every step of the visit holds, though its factors are shared
+    assert all(step.J is A[active] for _, active, step, _ in taken)
+    assert stats.lu_factorizations <= 2
+    # and the steps are the public steps with that J, bit for bit
+    for x, active, step, _ in taken[:60]:
+        alone = restep(field_floats(flat, active), step, step.tau)
+        assert same_bytes(alone.x1, step.x1) and same_bytes(alone.k2, step.k2)
+    # the naive mode switches fields at a step's end: the next visit starts
+    # from the very x1 the last step of the other region made
+    naive = integrate(flat, flat.x0, IntegratorConfig(tau=4e-3, t_end=2.0, locate_events=False))
+    assert len(naive.events) >= 10
+    assert all(e.theta_star == 1.0 for e in naive.events)
+    assert naive.stats.jacobian_evaluations == len(naive.events) + 1
+    # under the dense guard every step of region 1 is a guarded step with a
+    # fresh J, and a visit to region 2 still starts with one of its own,
+    # though the last plain step the run kept was region 2's too
+    guarded = IntegratorConfig(tau=4e-3, t_end=2.0, guard_mode=GuardMode.ROS2_DENSE)
+    result, taken = recorded_steps(flat, flat.x0, guarded)
+    assert result.termination is Termination.REACHED_T_END
+    visits = [i for i, (_, active, *_) in enumerate(taken) if active == 2 and entered(taken, i)]
+    assert len(visits) >= 5
+    ones = sum(active == 1 for _, active, *_ in taken)
+    assert result.stats.jacobian_evaluations == ones + len(visits)
 
 
 def test_a_field_affine_only_along_the_path_refreshes_its_jacobian_by_the_cap():

@@ -1,6 +1,9 @@
-"""The float step kernel against the numpy formulas it replaced, and the
-errors a bad field value raises on every step path."""
+"""The float step kernel against the numpy formulas it replaced and against
+the element loops the generated kernel replaced, and the errors a bad field
+value raises on every step path."""
 
+import math
+import operator
 import re
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rosevent import linalg
-from rosevent.errors import SingularMatrix
+from rosevent.errors import NonFiniteState, SingularMatrix
 from rosevent.events import IntegratorConfig, integrate
 from rosevent.onesided import GuardMode
 from rosevent.problems import Affine, PiecewiseProblem, affine_problem, field_floats
@@ -18,6 +21,7 @@ from rosevent.rosenbrock import (
     ROS2,
     dense_derivative,
     dense_eval,
+    kernel,
     ros1_step,
     ros2_finish,
     ros2_step,
@@ -128,6 +132,169 @@ def test_integrate_takes_the_standalone_step(case):
     t1, x1 = result.mesh[1]
     assert t1 == tau
     assert same_bits(x1, alone.x1)
+
+
+# --- the loop oracle: the kernel's arithmetic as element loops over Python
+# floats, as rosenbrock.stage1 and rosenbrock.finish computed it before the
+# kernel was generated per method and size; the bodies are those functions'
+# own, only the step record they built is returned as (k2, x1) -------------
+
+
+def loop_stage1(factors, fx0, tau):
+    return linalg.lu_solve(factors, [tau * f for f in fx0])
+
+
+def loop_finish(field, x0, tau, factors, k1):
+    x0f = x0.tolist()
+    if field is None:
+        k2 = None
+        x1 = [x + a for x, a in zip(x0f, k1)]
+    else:
+        f_inner = field(list(map(operator.add, x0f, k1)))
+        k2 = linalg.lu_solve(factors, [tau * f - 2.0 * a for f, a in zip(f_inner, k1)])
+        x1 = [x + 1.5 * a + 0.5 * b for x, a, b in zip(x0f, k1, k2)]
+    if not all(map(math.isfinite, x1)):
+        raise NonFiniteState(f"the step's end state is not finite: x1 = {x1}")
+    return k2, x1
+
+
+def outcome(run):
+    """run()'s result, or the type and message of what it raised."""
+    try:
+        return run()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def floats_bytes(v):
+    return None if v is None else np.array(v, dtype=float).tobytes()
+
+
+# finite floats of every scale: signed zeros, subnormals and huge values
+wide = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                     1e300, -1e308, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def wide_cases(draw):
+    """A method, n = 1..4, an affine field A x + b on Python floats, a state,
+    a step size and packed LU factors, entries of every scale. The kernel
+    takes the factors as given, so they are drawn directly (L's entries,
+    U's with a nonzero diagonal, any row permutation): a solve may then
+    overflow and take lu_solve's scaled path, or fail its finiteness check."""
+    n = draw(st.integers(1, 4))
+    A = np.array(draw(st.lists(wide, min_size=n * n, max_size=n * n))).reshape(n, n)
+    b = draw(st.lists(wide, min_size=n, max_size=n))
+    x0 = np.array(draw(st.lists(wide, min_size=n, max_size=n)))
+    tau = draw(st.one_of(st.floats(1e-4, 1.0), st.sampled_from([5e-324, 1e-300, 1e300])))
+    method = draw(st.sampled_from([ROS1, ROS2]))
+    combined = [[draw(wide.filter(bool) if i == j else wide) for j in range(n)]
+                for i in range(n)]
+    factors = linalg.LuFactors(combined, draw(st.permutations(range(n))))
+    rows = A.tolist()
+
+    def field(x):  # A x + b, each row summed left to right
+        return [sum(map(operator.mul, row, x)) + bi for row, bi in zip(rows, b)]
+
+    return method, A, field, x0, tau, factors
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=wide_cases())
+def test_the_generated_kernel_is_the_element_loops_bit_for_bit(case):
+    method, A, field, x0, tau, factors = case
+    run = kernel(method.stages, x0.shape[0])
+    fx0 = field(x0.tolist())
+    k1 = outcome(lambda: run.stage1(factors, fx0, tau))
+    want = outcome(lambda: loop_stage1(factors, fx0, tau))
+    if type(k1) is not list:  # a ValueError, with the loops' type and message
+        assert k1 == want
+        return
+    assert floats_bytes(k1) == floats_bytes(want)
+    two = field if method.stages == 2 else None
+    step = outcome(lambda: run.finish(two, x0, x0.tolist(), tau, A, factors, k1))
+    want = outcome(lambda: loop_finish(two, x0, tau, factors, k1))
+    if isinstance(step, tuple):  # a ValueError, with the loops' type and message
+        assert step == want
+        return
+    k2, x1 = want
+    assert floats_bytes(step.k1f) == floats_bytes(k1)
+    assert floats_bytes(step.k2f) == floats_bytes(k2)
+    assert floats_bytes(step.x1f) == floats_bytes(x1) == step.x1.tobytes()
+    assert step.x0 is x0 and step.J is A
+    assert (step.tau, step.gamma, step.stages) == (tau, method.gamma, method.stages)
+
+
+def _ill_scaled_factors():
+    # L = I and U = [[1, 1e308], [0, 1]], which lu_factor calls singular at
+    # its row scale: solving for b = (1.5e308, 2) forms 1.5e308 - 1e308*2,
+    # whose product overflows though x[0] = -0.5e308 is finite
+    factors = linalg.LuFactors([[1.0, 1e308], [0.0, 1.0]], [0, 1])
+    assert not math.isfinite(linalg._substitution(2)(factors.combined, factors.pivots,
+                                                     [1.5e308, 2.0])[0])
+    return factors
+
+
+def test_a_first_stage_whose_substitution_overflows_takes_the_scaled_solve():
+    factors = _ill_scaled_factors()
+    k1 = kernel(2, 2).stage1(factors, [1.5e308, 2.0], 1.0)
+    assert floats_bytes(k1) == floats_bytes(loop_stage1(factors, [1.5e308, 2.0], 1.0))
+    assert floats_bytes(k1) == floats_bytes(linalg.lu_solve(factors, [1.5e308, 2.0]))
+    assert all(map(math.isfinite, k1)) and k1[0] < -1e307
+
+
+def test_a_second_stage_whose_substitution_overflows_takes_the_scaled_solve():
+    factors = _ill_scaled_factors()
+    x0 = np.array([1.0, 1.0])
+    k1 = [0.0, 0.0]
+
+    def field(x):  # tau*f - 2*k1 is (1.5e308, 2) at tau = 1
+        return [1.5e308, 2.0]
+
+    step = kernel(2, 2).finish(field, x0, x0.tolist(), 1.0, np.eye(2), factors, k1)
+    k2, x1 = loop_finish(field, x0, 1.0, factors, k1)
+    assert floats_bytes(step.k2f) == floats_bytes(k2)
+    assert floats_bytes(k2) == floats_bytes(linalg.lu_solve(factors, [1.5e308, 2.0]))
+    assert floats_bytes(step.x1f) == floats_bytes(x1)
+
+
+@pytest.mark.parametrize("method", [ROS1, ROS2], ids=["ros1", "ros2"])
+def test_an_end_state_that_overflows_raises_nonfinite_state(method):
+    # J = 0 and tau = 1 from x0 = 1.5e308: k1 = f(x0) = 4e307 and k2 =
+    # f(x0 + k1) - 2*k1 = 2e307, so x1 rounds to inf for either method
+    factors = linalg.lu_factor([[1.0]])
+    x0 = np.array([1.5e308])
+    run = kernel(method.stages, 1)
+    k1 = run.stage1(factors, [4e307], 1.0)
+    field = (lambda x: [1e308]) if method.stages == 2 else None
+    with pytest.raises(NonFiniteState) as got:
+        run.finish(field, x0, x0.tolist(), 1.0, np.zeros((1, 1)), factors, k1)
+    with pytest.raises(NonFiniteState) as want:
+        loop_finish(field, x0, 1.0, factors, k1)
+    assert str(got.value) == str(want.value) == "the step's end state is not finite: x1 = [inf]"
+
+
+def test_a_right_hand_side_that_is_not_finite_fails_the_solve():
+    factors = linalg.lu_factor([[1.0]])
+    run = kernel(2, 1)
+    # tau*f(x0) overflows
+    with pytest.raises(ValueError, match="^vector entries must be finite$") as exc:
+        run.stage1(factors, [1e308], 10.0)
+    assert type(exc.value) is ValueError
+    # tau*f(x0 + k1) overflows
+    x0 = np.array([0.0])
+    with pytest.raises(ValueError, match="^vector entries must be finite$") as exc:
+        run.finish(lambda x: [1e308], x0, [0.0], 10.0, np.zeros((1, 1)), factors, [0.0])
+    assert type(exc.value) is ValueError
+
+
+def test_each_kernel_is_generated_once():
+    assert kernel(2, 3) is kernel(2, 3)
+    assert kernel(1, 3) is not kernel(2, 3)
 
 
 def test_ros2_finish_rejects_a_first_stage_of_another_length():
