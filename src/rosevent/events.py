@@ -27,14 +27,15 @@ is not recorded, the field does not switch, the events so far are kept.
 At a fixed step the step matrix I - gamma*tau*J changes only when J or
 tau does, and on fields that are linear in each region J is constant. Each
 integrate call therefore keeps the LU factors of its last plain step and
-reuses them while J (bit for bit), tau and gamma are unchanged; the kept
+reuses them while J's rows (compared by value, which fixes the step
+matrix's bits), tau and gamma are unchanged; the kept
 factors live in the call and die with it, and reusing them gives the same
 step bit for bit as factoring again. IntegrationStats.lu_factorizations
 counts the factorizations that actually ran, those of a step that failed
 included. On a declared affine problem (problems.Affine) J is the region's
 A_i: a plain step evaluates it on entering a region and the visit's later
 steps keep it. A visit evaluates and holds its own A_i even when its
-bytes equal the last visit's, whose factors it then solves with. A plain
+entries equal the last visit's, whose factors it then solves with. A plain
 step that continues the last one starts from the floats that step holds
 of its x1.
 
@@ -46,7 +47,7 @@ matrix W in place of J: a W-method (Steihaug & Wolfbrandt, Math. Comp. 33,
 1979). So a plain step of a field without an analytic Jacobian may keep the
 W of the previous step (take_step): while the field stays in one region, the
 previous step's secant fits W to FD-error level, and W has served fewer
-than REUSE_STEPS steps. A kept W has the same bytes, so the factor key above
+than REUSE_STEPS steps. A kept W has the same rows, so the factor key above
 reuses its factors too. A run takes a fresh FD J at its start and on every
 region entry. Analytic Jacobians of a field not declared affine, and the
 guarded step, always take a fresh J. W does not cancel from the dense
@@ -296,10 +297,10 @@ def _classify_event(problem: problems.PiecewiseProblem,
 
 class _Kept:
     """What a run's plain steps hand on (take_step), owned by the run and
-    updated in place: the key and LU factors of the last step matrix
-    factored, the last plain step and its field, that step's f(x0), and
-    the steps its J has served when it is a finite-difference J or a W
-    kept from one (uses; 0 for any other J)."""
+    updated in place: the key (J's rows, tau, gamma) and LU factors of the
+    last step matrix factored, the last plain step and its field, that
+    step's f(x0), and the steps its J has served when it is a
+    finite-difference J or a W kept from one (uses; 0 for any other J)."""
 
     __slots__ = ("key", "factors", "active", "step", "fx0", "uses")
 
@@ -316,9 +317,9 @@ def _keeps_w(kept: _Kept, x0f: list, fx: list) -> bool:
     SECANT_RTOL in every component (a NaN never fits)."""
     if not 0 < kept.uses < REUSE_STEPS:
         return False
-    last = kept.step
-    dx = [a - b for a, b in zip(x0f, last.x0f)]
-    for f1, f0, row in zip(fx, kept.fx0, last.J.tolist()):
+    dx = [a - b for a, b in zip(x0f, kept.step.x0f)]
+    # the key's rows are W's, see take_step
+    for f1, f0, row in zip(fx, kept.fx0, kept.key[0]):
         r = f1 - f0 - sum(map(operator.mul, row, dx))
         if not abs(r) <= SECANT_RTOL * (abs(f1) + abs(f0)):
             return False
@@ -327,9 +328,12 @@ def _keeps_w(kept: _Kept, x0f: list, fx: list) -> bool:
 
 def _run_fields(problem: problems.PiecewiseProblem) -> tuple:
     # per field, the counted field as the step kernel takes it and whether
-    # it runs on floats, so a plain step hands it x's floats, not x
-    return tuple((problems.field_floats(problem, which), problems.takes_floats(problem, which))
-                 for which in (1, 2))
+    # it and its Jacobian run on floats, so a step hands them x's floats,
+    # not x
+    return ((problems.field_floats(problem, 1), problems.takes_floats(problem.f1),
+             problems.takes_floats(problem.jac_f1)),
+            (problems.field_floats(problem, 2), problems.takes_floats(problem.f2),
+             problems.takes_floats(problem.jac_f2)))
 
 
 def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
@@ -353,57 +357,69 @@ def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
     secant residual is at FD-error level; no field call). Every other step
     takes a fresh J: the first step of a run or of a region visit, an
     analytic Jacobian of a field not declared affine, and the guarded step.
-    A plain step whose factor key (the bytes and shape of its J or W, tau,
-    gamma) equals the kept one solves with the kept LU factors of
-    I - gamma*tau*J, and a step that keeps its affine J compares tau and
-    gamma only; any other plain step factors that matrix and keeps it. The
-    key compares bits, so both give the same step bit for bit. The guarded
-    step factors on its own and hands kept on as it was. fields is what a
-    run makes once (_run_fields); None makes it here.
+    A float-form field or Jacobian (problems.takes_floats) is handed x's
+    floats, and such a Jacobian's float rows are factored as they are.
+    A plain step whose factor key (the rows of its J or W as Python
+    floats, tau, gamma) equals the kept one solves with the kept LU factors
+    of I - gamma*tau*J, and a step that keeps its affine J compares tau and
+    gamma only; any other plain step factors that matrix and keeps it. Rows
+    that compare equal give the step matrix's bits, so both give the same
+    step bit for bit. The guarded step factors on its own and hands kept on
+    as it was. fields is what a run makes once (_run_fields); None makes it
+    here.
 
     Returns (step, factorizations, jacobians, kept): the LU factorizations
     this call ran (0 when it used the kept factors) and the Jacobians it
-    evaluated (0 when it kept J or W). step.J is the matrix the step used.
+    evaluated (0 when it kept J or W). step.jac is the matrix the step used,
+    as given (float rows or an array), and step.J reads it as an array.
     step.tau is the size actually taken, below tau only when case 1b
     shortened the step. A step that fails, a SingularMatrix or a case-1b
     NoBracket, carries the factorizations it ran and the Jacobians it
     evaluated on the exception (errors.NumericalError), and integrate counts
     them as it counts a step's.
     """
-    field, floats_in = (fields or _run_fields(problem))[active - 1]
+    field, floats_in, jac_floats = (fields or _run_fields(problem))[active - 1]
+    # the last plain step, when this one continues it
+    last = (kept.step if kept is not None and kept.active == active and kept.step.x1 is x
+            else None)
+    x0f = x.tolist() if last is None else last.x1f
+    # the state as the field's Jacobian takes it
+    x_jac = x0f if jac_floats else x
     if cfg.guard_mode is onesided.GuardMode.ROS2_DENSE and active == 1:
-        J = problems.field_jacobian(problem, active, x)
+        J = problems.field_jacobian(problem, active, x_jac)
         try:
             step, factorizations = onesided._guarded_step(problem, x, tau, J, cfg.h_tol, field)
         except (SingularMatrix, NoBracket) as exc:
             exc.jacobians += 1
             raise
         return step, factorizations, 1, kept
-    # the last plain step, when this one continues it
-    last = (kept.step if kept is not None and kept.active == active and kept.step.x1 is x
-            else None)
-    x0f = x.tolist() if last is None else last.x1f
     fx = field(x0f if floats_in else x)
     gamma = cfg.method.gamma
     affine_visit = last is not None and problem.affine is not None
     # uses: the steps the J of this step has served, 0 but for a kept W
     if affine_visit:
-        J, jacobians, uses = last.J, 0, 0
+        J, jacobians, uses = last.jac, 0, 0
     elif (problem.jac_f1 if active == 1 else problem.jac_f2) is not None:
-        J, jacobians, uses = problems.field_jacobian(problem, active, x), 1, 0
+        J, jacobians, uses = problems.field_jacobian(problem, active, x_jac), 1, 0
     elif last is not None and _keeps_w(kept, x0f, fx):
-        J, jacobians, uses = last.J, 0, kept.uses + 1
+        J, jacobians, uses = last.jac, 0, kept.uses + 1
     else:
         J, jacobians, uses = problems.field_jacobian(problem, active, x), 1, 1
     factorizations = 0
-    if not (affine_visit and kept.key[2] == tau and kept.key[3] == gamma):
-        key = (J.tobytes(), J.shape, tau, gamma)
-        if kept is None or kept.key != key:
+    if not (affine_visit and kept.key[1] == tau and kept.key[2] == gamma):
+        # the key compares J's rows by value: rows that compare equal give
+        # the step matrix's bits (+0.0 and -0.0 both give 0.0 - g*J_ij =
+        # 0.0). A key is kept only once lu_factor has taken its rows, so
+        # it holds no NaN, and a row with a NaN matches none. It holds a
+        # copy: a float-form Jacobian's rows are its own lists.
+        rows = J if type(J) is list else J.tolist()
+        if kept is None or kept.key != (rows, tau, gamma):
             try:
-                kept = _Kept(key, rosenbrock.factor(J, tau, gamma))
+                factors = rosenbrock.factor(rows, tau, gamma)
             except SingularMatrix as exc:
                 exc.jacobians += jacobians
                 raise
+            kept = _Kept(([row[:] for row in rows], tau, gamma), factors)
             factorizations = 1
     factors = kept.factors
     run = rosenbrock.kernel(cfg.method.stages, len(x0f))

@@ -212,7 +212,8 @@ def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,
 
 def _guarded_step(problem, x0, tau, J, h_tol, field):
     # guarded_ros2_step on the kernel, unchecked: x0 a finite float array of
-    # the problem's dimension, J a float array, field the counted field 1 as
+    # the problem's dimension, J a float array or the float rows of a
+    # float-form Jacobian (factored as they are), field the counted field 1 as
     # problems.field_floats makes it; integrate's step. A NaN h at the
     # internal stage has no side, so it shortens the step as a trespass does.
     fx0 = field(x0)
@@ -237,11 +238,12 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
     The caller has seen x0 + k1(tau) trespass, with fx0 = f1(x0), J its
     Jacobian and g_tau = h(x0 + k1(tau)) > 0 or NaN; it passes them as the
     guarded step has them, unchecked: x0 a finite float array, fx0 its
-    Python floats, J a float array. linalg.safe_side_root searches
-    g(sigma) = h(x0 + k1(sigma)) over (0, tau) from the safe side, down to a
-    4*eps*tau bracket: each trial factors (I - gamma*sigma*J) and recomputes
-    k1 from fx0, with no field evaluation. The factors of the trial it ends
-    at complete the step, so the internal stage has g <= 0. Returns
+    Python floats, J a float array or float rows, which each trial factors
+    as they are. linalg.safe_side_root searches g(sigma) = h(x0 + k1(sigma))
+    over (0, tau) from the safe side, down to a 4*eps*tau bracket: each
+    trial factors (I - gamma*sigma*J) and recomputes k1 from fx0, with no
+    field evaluation. The factors of the trial it ends at complete the
+    step, so the internal stage has g <= 0. Returns
     (step, factorizations); raises NoBracket when x0 is not below the
     surface or no trial is safe, and SingularMatrix from a trial's step
     matrix, each carrying the trials' factorizations so far

@@ -11,20 +11,31 @@ up here on every call, so each counted evaluation is one eval_field call.
 eval_field has two forms, as linalg.lu_solve does: a float array in gives
 a float array out, and a list of Python floats in gives a list of floats
 out, the form the step kernel (rosenbrock) passes its states in.
+field_jacobian has the same two forms for a float-form Jacobian (below):
+an array in gives an array, a list of floats in gives rows of floats.
+
+A problem may declare the float form of a field or of a Jacobian by giving
+it as a FloatField: `floats` maps a list of Python floats to a list (of
+floats for a field, of float rows for a Jacobian), and calling the object
+with an array returns an array of the same bits. eval_field and
+field_jacobian then run the float form on a list of floats and run no
+numpy; given an array they return an array, as for any other field. A
+float-form field's domain predicate is handed the floats the field is
+given. The step kernel's view of a field (field_floats) and the driver
+(events) hand a float-form field or Jacobian floats, and any other an
+array. najafi's fields, Jacobians and domain run on `math` floats.
 
 A piecewise-affine problem (x' = A_i x + b_i, h = n.x + c) is declared once
 as `Affine` data, and `affine_problem` derives every field, Jacobian and
 surface callable from it and keeps it as `PiecewiseProblem.affine`; other
-problems give callables. Its fields are float-row fields (FloatRows): each
-value is the left-to-right sum (a_i0*x0 + a_i1*x1 + ...) + b_i on Python
-floats, straight-line code generated once per system size, so the bits do
-not depend on the platform's BLAS. On one of them without a domain, the
-float form of eval_field runs no numpy at all, and field_floats, the
-step kernel's view of a field, hands it floats; any other field gets a
-float array, the one the step holds or one built from the kernel's
-floats. A problem with callable fields can still declare
-an affine surface h = n.x + c as `Surface` data (`najafi` does), which
-event location and the dense guard read as `PiecewiseProblem.surface`.
+problems give callables. Its fields are float-row fields (FloatRows, a
+FloatField): each value is the left-to-right sum
+(a_i0*x0 + a_i1*x1 + ...) + b_i on Python floats, straight-line code
+generated once per system size, so the bits do not depend on the
+platform's BLAS; its Jacobians are the read-only arrays A_i. A problem
+with callable fields can still declare an affine surface h = n.x + c as
+`Surface` data (`najafi` does), which event location and the dense guard
+read as `PiecewiseProblem.surface`.
 
 A slow/fast system is one PiecewiseProblem on the stacked state u = (y, z)
 seen through `SppProblem(stacked, slow_dim, eps)`: the rows slow_dim: of
@@ -141,9 +152,31 @@ class PiecewiseProblem:
         self.h, self.grad_h, self.hess_h = self.surface.callables
 
 
-def _on_floats(f, dom) -> bool:
-    # the field runs on Python floats: a float-row field with no domain
-    return dom is None and type(f) is FloatRows
+class FloatField:
+    """A field, or a field's Jacobian, declared with its float form.
+
+    `floats` takes the state as a list of Python floats and returns a list:
+    the field's value as floats, or the Jacobian as rows of floats. Called
+    with a vector, the object returns the float array of what `floats`
+    gives on the vector's floats, the same bits, so it serves wherever a
+    field or Jacobian callable does. eval_field and field_jacobian call
+    `floats` directly on a list of floats, so a step runs no numpy on it.
+    """
+
+    __slots__ = ("floats",)
+
+    def __init__(self, floats: Callable):
+        self.floats = floats
+
+    def __call__(self, x) -> np.ndarray:
+        return np.array(self.floats(np.asarray(x, dtype=float).tolist()))
+
+
+def takes_floats(f) -> bool:
+    """Whether the field or Jacobian f declares its float form (a
+    FloatField), so a caller holding the state both as an array and as
+    floats hands it the floats; any other callable is handed the array."""
+    return isinstance(f, FloatField)
 
 
 def _value_floats(v: np.ndarray, n: int) -> list:
@@ -151,14 +184,23 @@ def _value_floats(v: np.ndarray, n: int) -> list:
     return v.tolist() if v.shape == (n,) else linalg.as_floats(v, n)
 
 
+def _domain_violation(problem: PiecewiseProblem, which: int, x) -> DomainViolation:
+    # counted here; the message shows x as the float array it is
+    problem.counters.domain_violations[which] += 1
+    name = problem.label or "problem"
+    return DomainViolation(f"field {which} of {name} is undefined at {np.asarray(x, dtype=float)}")
+
+
 def eval_field(problem: PiecewiseProblem, which: int, x, checked: bool = False):
     """Evaluate branch field `which` (1 or 2) at x, with bookkeeping.
 
     A list of floats in gives a list of problem.dim floats out, the form
     the step kernel (rosenbrock) takes; anything else gives a float array.
-    For a float-row field (FloatRows) with no domain the list form runs its
-    rows on the floats as they are; any other field gets x as one float
-    array, and its value becomes floats after linalg.as_floats's checks.
+    A float-form field (FloatField, FloatRows among them) is handed the
+    floats as they are, and its domain predicate, if any, gets them too; a
+    value that is not a list of problem.dim entries fails linalg.as_floats.
+    Any other field gets x as one float array, and in the list form its
+    value becomes floats after linalg.as_floats's checks.
 
     Raises DomainViolation (and counts it) when the branch has a domain
     predicate and x falls outside it. checked=True takes the caller's
@@ -172,37 +214,28 @@ def eval_field(problem: PiecewiseProblem, which: int, x, checked: bool = False):
     else:
         raise ValueError(f"field selector must be 1 or 2, got {which!r}")
     floats = type(x) is list
-    if floats and _on_floats(f, dom):
+    if floats and isinstance(f, FloatField):
+        if dom is not None and not checked and not dom(x):
+            raise _domain_violation(problem, which, x)
         problem.counters.f_evals[which] += 1
-        return f.floats(x)
+        v = f.floats(x)
+        return v if type(v) is list and len(v) == problem.dim else linalg.as_floats(v, problem.dim)
     x = np.asarray(x, dtype=float)
     if dom is not None and not checked and not dom(x):
-        problem.counters.domain_violations[which] += 1
-        name = problem.label or "problem"
-        raise DomainViolation(f"field {which} of {name} is undefined at {x}")
+        raise _domain_violation(problem, which, x)
     problem.counters.f_evals[which] += 1
     v = np.asarray(f(x), dtype=float)
     return _value_floats(v, problem.dim) if floats else v
-
-
-def takes_floats(problem: PiecewiseProblem, which: int) -> bool:
-    """Whether field_floats(problem, which) runs on Python floats (a
-    float-row field with no domain), so a caller holding the state both as
-    an array and as floats hands it the floats; any other field is handed
-    the array."""
-    if which == 1:
-        return _on_floats(problem.f1, problem.domain_f1)
-    return _on_floats(problem.f2, problem.domain_f2)
 
 
 def field_floats(problem: PiecewiseProblem, which: int) -> Callable:
     """Branch field `which` as the step kernel takes it, through eval_field
     looked up on every call: the state as a float array or a list of
     floats in, the value as a list of problem.dim floats out. A list goes
-    to eval_field's float form as it is. An array goes to a float-row field
-    without a domain as its floats, and to any other field as it is, so the
-    array a step starts from is not built again."""
-    if takes_floats(problem, which):
+    to eval_field's float form as it is. An array goes to a float-form
+    field (takes_floats) as its floats, and to any other field as it is,
+    so the array a step starts from is not built again."""
+    if takes_floats(problem.f1 if which == 1 else problem.f2):
         return lambda x: eval_field(problem, which, x if type(x) is list else x.tolist())
 
     def call(x):
@@ -212,12 +245,26 @@ def field_floats(problem: PiecewiseProblem, which: int) -> Callable:
     return call
 
 
-def field_jacobian(problem: PiecewiseProblem, which: int, x) -> np.ndarray:
+def field_jacobian(problem: PiecewiseProblem, which: int, x):
     """Jacobian of a branch field: analytic when available, else central
     differences that respect the branch's domain. The stencil checks each
     point it evaluates against the domain once (linalg.fd_jacobian) and
-    counts the evaluation through eval_field, which takes that verdict."""
+    counts the evaluation through eval_field, which takes that verdict.
+
+    A float-form Jacobian (FloatField) handed a list of floats gives its
+    float rows, problem.dim rows of problem.dim Python floats, the form the
+    step kernel factors as it is; rows of another shape go through
+    linalg.as_matrix's checks. Anything else gives a float array. A
+    float-form Jacobian refuses a state by raising, as najafi's does at
+    t >= 1, in both forms."""
     jac = problem.jac_f1 if which == 1 else problem.jac_f2
+    if type(x) is list and isinstance(jac, FloatField):
+        J, n = jac.floats(x), problem.dim
+        if type(J) is list and len(J) == n and all([type(r) is list and len(r) == n for r in J]):
+            return J
+        # a square J of another size then fails lu_solve's length check, as
+        # an array J does
+        return linalg.as_matrix(J).tolist()
     x = np.asarray(x, dtype=float)
     if jac is not None:
         return np.asarray(jac(x), dtype=float)
@@ -261,27 +308,21 @@ def _rows_source(n: int) -> str:
 _ROW_MAKERS: dict = {}
 
 
-class FloatRows:
+class FloatRows(FloatField):
     """The field x -> A x + b of fixed A and b, evaluated on Python floats.
 
-    `floats` is its float form: a list of n floats in, a list of n floats
-    out, the rows of _rows_source with A and b bound in (the maker of each
-    size is generated once). Called with a vector, the field returns a
-    float array of the same bits, as any field does; eval_field's float
-    form calls `floats` directly, so a step runs no numpy on it. The sums
-    are plain IEEE operations in a fixed order, so the bits do not depend
-    on the platform's BLAS.
+    Its float form `floats` is the rows of _rows_source with A and b bound
+    in (the maker of each size is generated once): a list of n floats in,
+    a list of n floats out. The sums are plain IEEE operations in a fixed
+    order, so the bits do not depend on the platform's BLAS.
     """
 
-    __slots__ = ("floats",)
+    __slots__ = ()
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         n = len(b)
         make = _ROW_MAKERS.get(n) or linalg.generated(_ROW_MAKERS, n, _rows_source, "make")
-        self.floats = make(*np.ravel(A).tolist(), *np.ravel(b).tolist())
-
-    def __call__(self, x) -> np.ndarray:
-        return np.array(self.floats(np.asarray(x, dtype=float).tolist()))
+        super().__init__(make(*np.ravel(A).tolist(), *np.ravel(b).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,15 +507,17 @@ def _najafi() -> PiecewiseProblem:
 
     State is (x, t) with t carried as an extra coordinate (t' = 1). Before
     the switch x' = x*sqrt(1 - t), defined only for t <= 1; after it x' = 0.
-    The surface is declared: h = (0, 1).u - 1 = t - 1.
+    The surface is declared: h = (0, 1).u - 1 = t - 1. The fields and
+    Jacobians are float-form (FloatField), written on `math` floats; the
+    domain reads u[1], so it takes floats and arrays alike.
     """
 
     def f1(u):
         x, t = u
-        return np.array([x * math.sqrt(1.0 - t), 1.0])
+        return [x * math.sqrt(1.0 - t), 1.0]
 
     def f2(u):
-        return np.array([0.0, 1.0])
+        return [0.0, 1.0]
 
     def jac_f1(u):
         x, t = u
@@ -483,18 +526,18 @@ def _najafi() -> PiecewiseProblem:
             # the x-derivative is fine at t = 1 but dt blows up; refuse
             raise DomainViolation("pre-switch Jacobian is singular at t >= 1")
         r = math.sqrt(s)
-        return np.array([[r, -x / (2.0 * r)], [0.0, 0.0]])
+        return [[r, -x / (2.0 * r)], [0.0, 0.0]]
 
     def jac_f2(u):
-        return np.zeros((2, 2))
+        return [[0.0, 0.0], [0.0, 0.0]]
 
     return PiecewiseProblem(
         dim=2,
-        f1=f1,
-        f2=f2,
+        f1=FloatField(f1),
+        f2=FloatField(f2),
         surface=_NAJAFI_SURFACE,
-        jac_f1=jac_f1,
-        jac_f2=jac_f2,
+        jac_f1=FloatField(jac_f1),
+        jac_f2=FloatField(jac_f2),
         domain_f1=lambda u: u[1] <= 1.0,
         label="najafi",
         x0=np.array([1.0, 0.0]),

@@ -61,19 +61,24 @@ The state: x0 by integrate at its entry, or by the public step functions
 here (as_vector), and x1 where finish makes it (NonFiniteState, a
 ValueError, when an entry overflowed). Each field value's shape and length:
 linalg.as_floats, which problems.field_floats (the driver's fields) and the
-public step functions apply. J's shape by _step_rows, the step matrix's
-finiteness by lu_factor, and each right-hand side's finiteness, tau*f(x0)
-and tau*f(x0 + k1) - 2*k1, by linalg.lu_solve ("vector entries must be
-finite").
+public step functions apply. J's shape: an array's by _step_rows, float
+rows' by problems.field_jacobian, whose float form returns them. The step
+matrix's finiteness by lu_factor, and each right-hand side's finiteness,
+tau*f(x0) and tau*f(x0 + k1) - 2*k1, by linalg.lu_solve ("vector entries
+must be finite").
 
 The kernel's field returns floats. finish hands it the stage state x0 + k1
-as a list of floats. The driver hands a float-row field (problems.FloatRows,
-the fields of a declared affine problem) x0's floats and any other field
-x0's array, and the guarded step hands its field the array. So a plain
-step of a piecewise-affine problem makes no numpy call for a field value,
-and any other field gets x0's array as it is and one array built from the
-stage's floats. h still gets float arrays, and the public steps here give
-a caller's field an array built from the stage's floats (_checked).
+as a list of floats. A float-form field (problems.FloatField: the float-row
+fields of a declared affine problem, and najafi's) gets x0's floats from
+the driver and from the guarded step alike (problems.field_floats), and any
+other field x0's array. So a step of a float-form field makes no numpy call
+for a field value, and any other field gets x0's array as it is and one
+array built from the stage's floats. J comes in two forms as well: the
+driver hands a float-form Jacobian x0's floats and factors the float rows
+it returns as they are, the guarded step and its case-1b trials included,
+and any other J is a float array whose rows _step_rows reads. h still gets
+float arrays, and the public steps here give a caller's field an array
+built from the stage's floats (_checked) and take J as an array.
 """
 
 from __future__ import annotations
@@ -120,18 +125,20 @@ class RosenbrockStep:
     hold x0, k1, k2 and x1 as the Python floats the kernel computed with,
     which the dense output reads and the driver's next step starts from;
     k2f is None for one-stage steps. The stages are held only as those
-    floats: k1 and k2 are arrays built when read. J is the float array the
-    step used.
+    floats: k1 and k2 are arrays built when read. jac is the Jacobian as the
+    step was given it, a float array or float rows (a float-form
+    Jacobian's, see problems.field_jacobian); J reads it as a float array,
+    the given array itself or one built from the rows when read.
     """
 
-    __slots__ = ("x0", "x0f", "tau", "J", "gamma", "c", "k1f", "k2f", "x1f", "x1", "stages")
+    __slots__ = ("x0", "x0f", "tau", "jac", "gamma", "c", "k1f", "k2f", "x1f", "x1", "stages")
 
-    def __init__(self, x0: np.ndarray, x0f: list, tau: float, J: np.ndarray, gamma: float,
+    def __init__(self, x0: np.ndarray, x0f: list, tau: float, jac, gamma: float,
                  k1f: list, k2f: list | None, x1f: list, x1: np.ndarray):
         self.x0 = x0
         self.x0f = x0f
         self.tau = tau
-        self.J = J
+        self.jac = jac
         self.gamma = gamma
         self.c = 1.0 / (2.0 * (1.0 - 2.0 * gamma))
         self.k1f = k1f
@@ -139,6 +146,11 @@ class RosenbrockStep:
         self.x1f = x1f
         self.x1 = x1
         self.stages = 1 if k2f is None else 2
+
+    @property
+    def J(self) -> np.ndarray:
+        jac = self.jac
+        return np.array(jac) if type(jac) is list else jac
 
     @property
     def k1(self) -> np.ndarray:
@@ -201,16 +213,19 @@ def _step_rows_source(n: int) -> str:
 _STEP_ROWS: dict = {}
 
 
-def _step_rows(J: np.ndarray, tau: float, gamma: float) -> list:
-    # I - gamma*tau*J as Python float rows, J a float array. A J that is not
-    # square fails as_matrix's shape check; lu_factor checks the rows'
-    # finiteness.
-    if J.ndim != 2 or J.shape[0] != J.shape[1]:
-        linalg.as_matrix(J)
-    n = J.shape[0]
+def _step_rows(J, tau: float, gamma: float) -> list:
+    # I - gamma*tau*J as Python float rows, J a float array or n rows of n
+    # Python floats (problems.field_jacobian's float form, which checks
+    # their shape), taken as they are. An array that is not square fails
+    # as_matrix's shape check; lu_factor checks the rows' finiteness.
+    if type(J) is not list:
+        if J.ndim != 2 or J.shape[0] != J.shape[1]:
+            linalg.as_matrix(J)
+        J = J.tolist()
+    n = len(J)
     step_rows = _STEP_ROWS.get(n) or linalg.generated(_STEP_ROWS, n, _step_rows_source,
                                                       "step_rows")
-    return step_rows(J.tolist(), gamma * tau)
+    return step_rows(J, gamma * tau)
 
 
 def step_matrix(J, tau: float, gamma: float) -> np.ndarray:
@@ -227,8 +242,9 @@ def _checked(field, n: int):
 
 # --- the kernel: Python floats in and out, nothing re-checked ---------------
 
-def factor(J: np.ndarray, tau: float, gamma: float) -> linalg.LuFactors:
-    """LU factors of the step matrix I - gamma*tau*J of a float array J: its
+def factor(J, tau: float, gamma: float) -> linalg.LuFactors:
+    """LU factors of the step matrix I - gamma*tau*J, J a float array or
+    float rows (as problems.field_jacobian's float form gives them): its
     float rows (_step_rows) through linalg.lu_factor, so an outside wrapper
     on lu_factor sees every factorization of every step path."""
     return linalg.lu_factor(_step_rows(J, tau, gamma))
@@ -245,8 +261,8 @@ class Kernel(NamedTuple):
         stages k2 from field(x0 + k1) and x1 = x0 + 1.5*k1 + 0.5*k2, for
         one x1 = x0 + k1 (field unused). field takes the stage state as a
         list of floats and returns floats, as problems.field_floats does.
-        J is kept on the step as given, a float array. Only x1 is checked,
-        here where it is made (NonFiniteState).
+        J is kept on the step as given, a float array or float rows. Only
+        x1 is checked, here where it is made (NonFiniteState).
     """
 
     stage1: Callable

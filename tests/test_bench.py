@@ -449,6 +449,31 @@ def test_cli_guard_check_dense_names_a_sampled_certificate(capsys, monkeypatch):
     assert "passed: True" in lines
 
 
+def test_cli_guard_check_series_certifies_a_najafi_step(capsys):
+    # the README walkthrough's one-stage certificate: the series guard reads
+    # najafi's float-form Jacobian through field_jacobian's array form
+    code = cli_main(["guard-check", "--problem", "najafi", "--state", "1,0.9",
+                     "--tau", "0.125", "--mode", "ros1"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "passed: True" in lines
+    assert "certified sigma: 0.125" in lines
+
+
+def test_cli_integrate_counts_a_guarded_najafi_run(capsys):
+    # the README walkthrough's guarded run: 8 guarded steps up to t = 1,
+    # each with its own J and factorization, then 8 plain region-2 steps,
+    # each with a fresh J = 0 as float rows but one factorization for all
+    code = cli_main(["integrate", "--problem", "najafi", "--guard", "ros2-dense",
+                     "--tau", "0.125", "--t-end", "2"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for want in ("termination: t_end", "steps: 16", "f evals: f1 17, f2 17",
+                 "domain violations: f1 0, f2 0", "lu factorizations: 9",
+                 "jacobian evaluations: 16"):
+        assert want in lines
+
+
 def test_cli_guard_check_series_modes_name_no_dense_certificate(capsys):
     assert cli_main(["guard-check", "--problem", "tent", "--state", "0.3",
                      "--tau", "0.25", "--mode", "ros1"]) == 0

@@ -29,6 +29,7 @@ from rosevent.onesided import GuardMode, guarded_ros2_step
 from rosevent.problems import (
     SIGMA_TOL,
     Affine,
+    FloatField,
     PiecewiseProblem,
     SppProblem,
     affine_problem,
@@ -562,6 +563,48 @@ def test_a_state_dependent_jacobian_factors_on_every_step():
     assert result.events == []
     assert result.stats.steps == 18
     assert result.stats.lu_factorizations == lu_calls == 18
+
+
+def test_najafis_region_2_steps_reuse_the_factors_of_equal_float_rows():
+    # jac_f2 is float-form: every region-2 step evaluates J = 0 afresh, a
+    # new list of float rows, and the factor key compares the rows, so the
+    # steps after the first solve with the kept factors and give, bit for
+    # bit, the steps a fresh factorization gives
+    problem = builtin("najafi")
+    cfg = IntegratorConfig(tau=0.125, t_end=2.0)
+    x = np.array([1.5, 1.0625])
+    step, factorizations, jacobians, kept = rosevent.events.take_step(problem, x, 0.125, 2, cfg)
+    assert (factorizations, jacobians) == (1, 1)
+    for _ in range(4):
+        x, rows = step.x1, step.jac
+        step, factorizations, jacobians, kept = rosevent.events.take_step(
+            problem, x, 0.125, 2, cfg, kept)
+        assert (factorizations, jacobians) == (0, 1)
+        assert type(step.jac) is list and step.jac == rows and step.jac is not rows
+        assert step.J.tobytes() == np.zeros((2, 2)).tobytes()
+        fresh = ros2_step(field_floats(problem, 2), x, 0.125, field_jacobian(problem, 2, x))
+        for name in ("x1", "k1", "k2"):
+            assert getattr(step, name).tobytes() == getattr(fresh, name).tobytes()
+
+
+def test_float_rows_with_a_nan_never_match_the_kept_factors():
+    # a float-form Jacobian that hands out the same lists every call and
+    # writes a NaN into them: the key holds its own copy, so the NaN rows
+    # miss it and reach lu_factor, which refuses them, on every step
+    rows = [[0.0, 0.0], [0.0, 0.0]]
+    problem = PiecewiseProblem(dim=2, f1=FloatField(lambda u: [0.0, 1.0]),
+                               f2=FloatField(lambda u: [0.0, 1.0]), h=lambda u: u[1] - 1.0,
+                               jac_f2=FloatField(lambda u: rows))
+    cfg = IntegratorConfig(tau=0.125, t_end=2.0)
+    x = np.array([1.0, 1.5])
+    _, factorizations, _, kept = rosevent.events.take_step(problem, x, 0.125, 2, cfg)
+    assert factorizations == 1
+    rows[0][0] = math.nan
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            rosevent.events.take_step(problem, x, 0.125, 2, cfg, kept)
+    rows[0][0] = 0.0
+    assert rosevent.events.take_step(problem, x, 0.125, 2, cfg, kept)[1] == 0
 
 
 def test_guarded_and_finite_difference_runs_count_every_factorization():

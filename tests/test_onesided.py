@@ -275,6 +275,22 @@ def test_orthogonal_guard_rejects_generic_step_matrix():
         guard_ros1_orthogonal(builtin("linear_test"), [1.0], 0.5, 1.0)
 
 
+def test_one_stage_guards_read_najafis_float_form_jacobian_as_an_array():
+    # najafi declares its Jacobian's float form; the one-stage guards take
+    # field_jacobian's array form (gamma*tau*J, J @ f), so they run on it
+    # as on any other Jacobian. At t = 0.9, h = t - 1 rises at unit speed
+    # and J has a zero second row: a0 = 1, a1 = a2 = 0, tau certified.
+    problem = builtin("najafi")
+    x0 = np.array([1.0, 0.9])
+    rep = guard_ros1_general(problem, x0, 0.125, 1.0)
+    assert rep.passed and rep.neumann_ok is True and rep.certified_sigma == 0.125
+    assert rep.coefficients == {"a0": 1.0, "a1": 0.0, "a2": 0.0}
+    # I - tau*J is upper triangular with a non-zero corner: not orthogonal
+    with pytest.raises(NotOrthogonal, match="orthogonality"):
+        guard_ros1_orthogonal(problem, x0, 0.125, 1.0)
+    assert problem.counters.f_evals == {1: 1, 2: 0}
+
+
 def test_guards_without_a_contraction_condition_do_not_certify_one():
     # only the series guard checks the Neumann series' contraction bound;
     # the others report None (not checked), not a True they never tested

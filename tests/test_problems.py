@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 import rosevent.problems
 from rosevent.errors import DomainViolation, ResidualTooLarge
 from rosevent.filippov import filippov_coeffs
+from rosevent.events import IntegratorConfig, integrate
 from rosevent.problems import (
     Affine,
+    FloatField,
     FloatRows,
     PiecewiseProblem,
     SppProblem,
@@ -701,3 +703,103 @@ def test_the_float_form_of_a_callable_field_checks_its_value():
     reciprocal = PiecewiseProblem(dim=2, f1=lambda u: u ** -1, f2=lambda u: u,
                                   h=lambda u: -1.0, domain_f1=lambda u: u[0] > 0.0)
     assert eval_field(reciprocal, 1, [1, 2]) == [1.0, 0.5]
+
+
+# --- declared float forms: najafi's fields and Jacobians ---------------------
+
+
+def najafi_reference(which, u):
+    """najafi's field and Jacobian `which` as numpy formulas on the array's
+    entries, as the model was written before its float forms; None for the
+    part that is undefined at u (the field past t = 1, the Jacobian of
+    field 1 at t >= 1)."""
+    x, t = np.array(u)
+    if which == 2:
+        return np.array([0.0, 1.0]), np.zeros((2, 2))
+    f = np.array([x * math.sqrt(1.0 - t), 1.0]) if t <= 1.0 else None
+    if not 1.0 - t > 0.0:
+        return f, None
+    r = math.sqrt(1.0 - t)
+    return f, np.array([[r, -x / (2.0 * r)], [0.0, 0.0]])
+
+
+# subnormal and signed-zero x beside ordinary ones; t below, at and past the
+# switch at t = 1
+najafi_x = st.one_of(st.floats(-1e100, 1e100), st.floats(-1e-307, 1e-307),
+                     st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+najafi_t = st.one_of(st.floats(-1e6, 1.0, exclude_max=True), st.just(1.0),
+                     st.floats(1.0, 1e6, exclude_min=True), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=najafi_x, t=najafi_t)
+def test_najafi_float_forms_are_its_array_forms_bit_for_bit(x, t):
+    on_floats, on_arrays = builtin("najafi"), builtin("najafi")
+    assert isinstance(on_floats.f1, FloatField) and isinstance(on_floats.jac_f1, FloatField)
+    for which in (1, 2):
+        f_want, J_want = najafi_reference(which, [x, t])
+        if f_want is None:
+            # past the switch: the same refusal, message and count
+            with pytest.raises(DomainViolation) as from_floats:
+                eval_field(on_floats, which, [x, t])
+            with pytest.raises(DomainViolation) as from_array:
+                eval_field(on_arrays, which, np.array([x, t]))
+            assert str(from_floats.value) == str(from_array.value) == (
+                f"field 1 of najafi is undefined at {np.array([x, t])}")
+        else:
+            got = eval_field(on_floats, which, [x, t])
+            assert type(got) is list and all(type(v) is float for v in got)
+            want = eval_field(on_arrays, which, np.array([x, t]))
+            assert np.array(got).tobytes() == want.tobytes() == f_want.tobytes()
+        if J_want is None:
+            # the Jacobian of field 1 refuses t >= 1 in both forms
+            for u in ([x, t], np.array([x, t])):
+                with pytest.raises(DomainViolation, match="^pre-switch Jacobian is singular"):
+                    field_jacobian(on_floats, which, u)
+        else:
+            rows = field_jacobian(on_floats, which, [x, t])
+            assert type(rows) is list and all(type(v) is float for row in rows for v in row)
+            J = field_jacobian(on_arrays, which, np.array([x, t]))
+            assert isinstance(J, np.ndarray) and J.dtype == float
+            assert np.array(rows).tobytes() == J.tobytes() == J_want.tobytes()
+    assert on_floats.counters.f_evals == on_arrays.counters.f_evals
+    assert (on_floats.counters.domain_violations == on_arrays.counters.domain_violations
+            == {1: int(t > 1.0), 2: 0})
+
+
+def test_a_float_form_field_hands_its_domain_the_floats():
+    seen = []
+
+    def domain(u):
+        seen.append(type(u))
+        return u[0] <= 1.0
+
+    problem = PiecewiseProblem(dim=2, f1=FloatField(lambda u: [u[1], u[0]]),
+                               f2=FloatField(lambda u: [0.0, 0.0]), h=lambda u: -1.0,
+                               domain_f1=domain, label="swap")
+    assert eval_field(problem, 1, [0.5, 0.25]) == [0.25, 0.5]
+    npt.assert_array_equal(eval_field(problem, 1, np.array([0.5, 0.25])), [0.25, 0.5])
+    with pytest.raises(DomainViolation, match=re.escape("field 1 of swap is undefined at [2. 0.]")):
+        eval_field(problem, 1, [2.0, 0.0])
+    assert seen == [list, np.ndarray, list]
+    assert problem.counters.domain_violations == {1: 1, 2: 0}
+
+
+def test_a_float_form_of_the_wrong_shape_fails_the_shared_checks():
+    # a value or rows of the wrong shape fail linalg.as_floats's and
+    # as_matrix's messages, in eval_field and field_jacobian and through
+    # the driver, not an unpack error inside a generated kernel
+    problem = PiecewiseProblem(dim=2, f1=FloatField(lambda u: [u[0]]),
+                               f2=FloatField(lambda u: [0.0, 1.0, 2.0]), h=lambda u: u[1] - 1.0,
+                               jac_f2=FloatField(lambda u: [[0.0, 0.0]]))
+    for which, length in ((1, 1), (2, 3)):
+        with pytest.raises(ValueError, match=f"^matrix is 2x2 but b has length {length}$"):
+            eval_field(problem, which, [0.5, 0.25])
+    cfg = IntegratorConfig(tau=0.1, t_end=1.0)
+    with pytest.raises(ValueError, match="^matrix is 2x2 but b has length 1$"):
+        integrate(problem, np.array([0.5, 0.25]), cfg)
+    with pytest.raises(ValueError, match=re.escape("expected a square matrix, got shape (1, 2)")):
+        field_jacobian(problem, 2, [0.5, 0.25])
+    problem.f2 = FloatField(lambda u: [0.0, 1.0])
+    with pytest.raises(ValueError, match=re.escape("expected a square matrix, got shape (1, 2)")):
+        integrate(problem, np.array([0.5, 1.25]), cfg)
