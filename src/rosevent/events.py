@@ -387,8 +387,10 @@ def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
     x_jac = x0f if jac_floats else x
     if cfg.guard_mode is onesided.GuardMode.ROS2_DENSE and active == 1:
         J = problems.field_jacobian(problem, active, x_jac)
+        fx = field(x0f if floats_in else x)
         try:
-            step, factorizations = onesided._guarded_step(problem, x, tau, J, cfg.h_tol, field)
+            step, factorizations = onesided._guarded_step(problem, x, x0f, fx, tau, J,
+                                                          cfg.h_tol, field)
         except (SingularMatrix, NoBracket) as exc:
             exc.jacobians += 1
             raise
@@ -469,6 +471,8 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     # takes them, and what every step reads
     fields = _run_fields(problem)
     h = problem.h
+    # a declared surface's h takes the floats a step holds of its x1
+    h_floats = problem.surface is not None
     sigma_tol = problems.SIGMA_TOL
     tau, t_end, locate = cfg.tau, cfg.t_end, cfg.locate_events
     # a declared surface's normal, for the even-count test on every step;
@@ -504,7 +508,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
         lu_count += factorizations
         jac_count += jacobians
         steps_taken += 1
-        h_new = float(h(step.x1))
+        h_new = float(h(step.x1f if h_floats else step.x1))
         if h_new != h_new:
             # a NaN has no side: the step may have crossed the surface unseen
             raise ValueError(f"h is NaN at the end of step {step_index}, "

@@ -252,6 +252,14 @@ def lu_solve(factors: LuFactors, b) -> list | np.ndarray:
     (_substitution_source): no loop, no indexing, the same operations in
     the same order as the nested loops it unrolls, so the same bits.
 
+    A list of M's size is substituted before anything is checked: a
+    non-finite entry of b makes every later entry of the forward sweep,
+    and then every entry of the back sweep, non-finite, so a finite x[0]
+    certifies b. Only when x[0] is not finite is b checked ("vector
+    entries must be finite"), before the scaled solve below. A list of
+    another length is checked for finiteness and then fails the length
+    check, as an array does.
+
     A substitution that ends with a non-finite entry (a product u_ij*x_j
     can round to inf while x is finite) is redone with b scaled by 2**-k
     and the result scaled back by 2**k, as LAPACK's robust triangular solve
@@ -262,20 +270,18 @@ def lu_solve(factors: LuFactors, b) -> list | np.ndarray:
     never takes this path and keeps its bits.
     """
     floats = type(b) is list
-    if not floats:
-        vals = as_vector(b).tolist()
-    elif all(map(math.isfinite, b)):
-        vals = b
-    else:
-        raise ValueError("vector entries must be finite")
+    vals = b if floats else as_vector(b).tolist()
     a = factors.combined
     n = len(a)
-    if len(vals) != n:
-        raise ValueError(f"matrix is {n}x{n} but b has length {len(vals)}")
-    substitute = _substitution(n)
-    x = substitute(a, factors.pivots, vals)
-    # a non-finite entry reaches x[0], which sums a product with each
-    if n and not math.isfinite(x[0]):
+    substitute = _SUBSTITUTIONS.get(n) or _substitution(n)
+    x = substitute(a, factors.pivots, vals) if len(vals) == n else None
+    # a non-finite entry of b or x reaches x[0], which sums a product with
+    # each, so one test on the result stands for the checks of b
+    if x is None or (n and not math.isfinite(x[0])):
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("vector entries must be finite")
+        if x is None:
+            raise ValueError(f"matrix is {n}x{n} but b has length {len(vals)}")
         k = math.frexp(n * max(1.0, max(max(map(abs, row)) for row in a)))[1] + n
         x = substitute(a, factors.pivots, [math.ldexp(v, -k) for v in vals])
         # two factors, each a finite power of two, where 2.0**k may not be

@@ -206,21 +206,29 @@ def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,
     ValueError unless tau is positive and finite.
     """
     _check_step_size(tau)
-    return _guarded_step(problem, linalg.as_vector(x0), tau, np.asarray(J, dtype=float),
-                         h_tol, problems.field_floats(problem, 1))
+    x0, J = linalg.as_vector(x0), np.asarray(J, dtype=float)
+    field = problems.field_floats(problem, 1)
+    return _guarded_step(problem, x0, x0.tolist(), field(x0), tau, J, h_tol, field)
 
 
-def _guarded_step(problem, x0, tau, J, h_tol, field):
+def _stage_h(problem, x0f: list, k1: list) -> float:
+    # h at the internal stage x0 + k1, formed on the floats: a declared
+    # surface's h takes them as they are, any other h gets their array
+    stage = [u + a for u, a in zip(x0f, k1)]
+    return float(problem.h(stage if problem.surface is not None else np.array(stage)))
+
+
+def _guarded_step(problem, x0, x0f, fx0, tau, J, h_tol, field):
     # guarded_ros2_step on the kernel, unchecked: x0 a finite float array of
-    # the problem's dimension, J a float array or the float rows of a
-    # float-form Jacobian (factored as they are), field the counted field 1 as
-    # problems.field_floats makes it; integrate's step. A NaN h at the
-    # internal stage has no side, so it shortens the step as a trespass does.
-    fx0 = field(x0)
+    # the problem's dimension and x0f its floats, fx0 = f1(x0) as floats, J a
+    # float array or the float rows of a float-form Jacobian (factored as
+    # they are), field the counted field 1 as problems.field_floats makes
+    # it; integrate's step. A NaN h at the internal stage has no side, so it
+    # shortens the step as a trespass does.
     factors = rosenbrock.factor(J, tau, rosenbrock.GAMMA_ROS2)
-    run = rosenbrock.kernel(2, x0.shape[0])
+    run = rosenbrock.kernel(2, len(x0f))
     k1 = run.stage1(factors, fx0, tau)
-    g_tau = float(problem.h(x0 + k1))
+    g_tau = _stage_h(problem, x0f, k1)
     if not g_tau <= 0.0:
         try:
             step, trials = resolve_case_1b(problem, x0, tau, fx0, J, g_tau, h_tol)
@@ -228,7 +236,7 @@ def _guarded_step(problem, x0, tau, J, h_tol, field):
             exc.factorizations += 1
             raise
         return step, 1 + trials
-    return run.finish(field, x0, x0.tolist(), tau, J, factors, k1), 1
+    return run.finish(field, x0, x0f, tau, J, factors, k1), 1
 
 
 def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
@@ -254,13 +262,14 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
         raise NoBracket(f"x0 must start below the surface, h(x0) = {g_lo}")
 
     tried = {}  # sigma -> (factors, k1) of that trial
-    run = rosenbrock.kernel(2, x0.shape[0])
+    x0f = x0.tolist()
+    run = rosenbrock.kernel(2, len(x0f))
 
     def g(sigma):
         factors = rosenbrock.factor(J, sigma, rosenbrock.GAMMA_ROS2)
         k1 = run.stage1(factors, fx0, sigma)
         tried[sigma] = factors, k1
-        return float(problem.h(x0 + k1))
+        return _stage_h(problem, x0f, k1)
 
     try:
         sigma_bar, _, trials = linalg.safe_side_root(
@@ -274,8 +283,7 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
         raise exc
 
     factors, k1 = tried[sigma_bar]
-    step = run.finish(problems.field_floats(problem, 1), x0, x0.tolist(), sigma_bar, J,
-                      factors, k1)
+    step = run.finish(problems.field_floats(problem, 1), x0, x0f, sigma_bar, J, factors, k1)
     return step, trials
 
 

@@ -35,7 +35,11 @@ generated once per system size, so the bits do not depend on the
 platform's BLAS; its Jacobians are the read-only arrays A_i. A problem
 with callable fields can still declare an affine surface h = n.x + c as
 `Surface` data (`najafi` does), which event location and the dense guard
-read as `PiecewiseProblem.surface`.
+read as `PiecewiseProblem.surface`. A declared surface's h has a float form
+too: the left-to-right sum (n0*x0 + n1*x1 + ...) + c, generated once per
+size, reads a list of floats as it is and an array through tolist(), so
+the driver hands it the floats its steps hold and every evaluation of h,
+on floats or on an array, gives the same bits, free of the BLAS.
 
 A slow/fast system is one PiecewiseProblem on the stacked state u = (y, z)
 seen through `SppProblem(stacked, slow_dim, eps)`: the rows slow_dim: of
@@ -75,6 +79,23 @@ class EvalCounters:
         return dict(self.f_evals), dict(self.domain_violations)
 
 
+def _surface_source(n: int) -> str:
+    """Source of the surface maker for size n: make(n0, ..., c) returns
+    h(x), which maps n floats (an array's through tolist()) to
+    (n0 * x0 + n1 * x1 + ...) + c, the sum left to right, as a row of
+    _rows_source."""
+    x = [f"x{j}" for j in range(n)]
+    return "\n".join([f"def make({', '.join(f'n{j}' for j in range(n))}, c):",
+                      "    def h(x):",
+                      f"        [{', '.join(x)}] = x.tolist() if type(x) is ndarray else x",
+                      f"        return ({' + '.join(f'n{j} * {v}' for j, v in enumerate(x))}) + c",
+                      "    return h"]) + "\n"
+
+
+# the surface maker of each size, generated on its first declared surface
+_SURFACE_MAKERS: dict = {}
+
+
 @dataclass(frozen=True, eq=False)
 class Surface:
     """The affine surface h(x) = n.x + c, n a read-only float copy.
@@ -95,15 +116,21 @@ class Surface:
     @functools.cached_property
     def callables(self):
         """(h, grad_h, hess_h), made once. h is x[i] + c for a unit normal
-        e_i, else float(n.dot(x)) + c (the bits of n @ x, dispatched in half
-        the time); the gradient and Hessian are read-only arrays."""
+        e_i, else the left-to-right sum (n0*x0 + n1*x1 + ...) + c on Python
+        floats (_surface_source). Either takes the state as a list of floats
+        as it is, and an array through tolist(), so both forms give the same
+        bits, which do not depend on the platform's BLAS. The gradient and
+        Hessian are read-only arrays."""
         n, c = self.n, self.c
         nonzero = np.flatnonzero(n)
         if nonzero.size == 1 and n[nonzero[0]] == 1.0:
             i = int(nonzero[0])
             h = lambda x: x[i] + c  # noqa: E731
         else:
-            h = lambda x: float(n.dot(x)) + c  # noqa: E731
+            make = (_SURFACE_MAKERS.get(n.size)
+                    or linalg.generated(_SURFACE_MAKERS, n.size, _surface_source, "make",
+                                        {"ndarray": np.ndarray}))
+            h = make(*n.tolist(), c)
         zero = np.broadcast_to(0.0, (n.size, n.size))
         return h, (lambda x: n), (lambda x: zero)
 

@@ -76,15 +76,17 @@ for a field value, and any other field gets x0's array as it is and one
 array built from the stage's floats. J comes in two forms as well: the
 driver hands a float-form Jacobian x0's floats and factors the float rows
 it returns as they are, the guarded step and its case-1b trials included,
-and any other J is a float array whose rows _step_rows reads. h still gets
-float arrays, and the public steps here give a caller's field an array
-built from the stage's floats (_checked) and take J as an array.
+and any other J is a float array whose rows _step_rows reads. h, too, takes
+floats where the surface is declared (problems.Surface): the driver hands it
+the floats of each step's x1, and the guarded step and its case-1b trials
+those of their stage state x0 + k1, while any other h gets float arrays.
+The public steps here give a caller's field an array built from the stage's
+floats (_checked) and take J as an array.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -187,13 +189,28 @@ class RosenbrockStep:
             h(X1(theta)) = h(x0) + m1*theta + (m2/2)*theta^2
 
         exactly: the b1/b2 weights are quadratics in theta. The one-stage
-        chord gives a line, m2 = 0."""
-        a1 = math.fsum(map(operator.mul, n, self.k1f))
+        chord gives a line, m2 = 0. Each dot product is math.fsum of a
+        tuple of the products (_dot_source), correctly rounded."""
+        dot = _DOTS.get(len(n)) or linalg.generated(_DOTS, len(n), _dot_source, "dot",
+                                                    {"fsum": math.fsum})
+        a1 = dot(n, self.k1f)
         if self.stages == 1:
             return a1, 0.0
-        a2 = math.fsum(map(operator.mul, n, self.k2f))
+        a2 = dot(n, self.k2f)
         return (self.c * ((2.0 - 6.0 * self.gamma) * a1 - 2.0 * self.gamma * a2),
                 2.0 * self.c * (a1 + a2))
+
+
+def _dot_source(n: int) -> str:
+    """Source of dot(n, k) for size n: fsum of the tuple of the n products
+    n_i*k_i, written out."""
+    v, k = [f"n{i}" for i in range(n)], [f"k{i}" for i in range(n)]
+    return (f"def dot(n, k):\n    [{', '.join(v)}] = n\n    [{', '.join(k)}] = k\n"
+            f"    return fsum(({', '.join(f'{a} * {b}' for a, b in zip(v, k))},))\n")
+
+
+# the dot product of each size, generated on its first use
+_DOTS: dict = {}
 
 
 def _step_rows_source(n: int) -> str:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import rosevent.events
 import rosevent.linalg
+import rosevent.onesided
 from rosevent.errors import DomainViolation, NoBracket, NonFiniteState, SingularMatrix
 from rosevent.events import (
     REUSE_STEPS,
@@ -863,9 +864,10 @@ def test_closed_form_location_takes_few_h_calls_on_the_relay():
 def test_integrate_spends_h_only_on_the_start_the_steps_and_location():
     # one h call at x0, one at each step's endpoint and the ones location
     # counts: a crossing's state is not evaluated again (28 crossings here),
-    # nor is a probe state that equals the previous probe's (one here). The
-    # total follows the last bits of the float-row fields; the identity
-    # 1 + steps + location is what holds whatever they are
+    # nor is a probe state that equals the previous probe's (none here; see
+    # test_probes_that_do_not_move_the_state_call_no_h). The total follows
+    # the last bits of the float-row fields and of h's left-to-right sum;
+    # the identity 1 + steps + location is what holds whatever they are
     problem = spp_flatten(builtin("kowalczyk", eps=1e-2))
     calls = []
     real = problem.h
@@ -879,7 +881,47 @@ def test_integrate_spends_h_only_on_the_start_the_steps_and_location():
     assert result.termination is Termination.REACHED_T_END
     assert len(result.events) == 28
     location = sum(ev.root_iterations for ev in result.events)
-    assert len(calls) == 1 + result.stats.steps + location == 572
+    assert len(calls) == 1 + result.stats.steps + location == 570
+
+
+def test_a_declared_h_gets_the_step_floats_and_a_plain_h_only_arrays():
+    # integrate hands a declared surface's h the floats a step holds of its
+    # x1; any other h gets float arrays only: at the steps' ends, in
+    # location, at the guarded step's internal stage and in each case-1b
+    # trial
+    seen = []
+
+    def typed(h):
+        def call(u):
+            seen.append(type(u))
+            return h(u)
+        return call
+
+    relay = spp_flatten(builtin("kowalczyk", eps=1e-2))
+    najafi = builtin("najafi")
+    relay_cfg = IntegratorConfig(tau=4e-3, t_end=0.5)
+    relay.h = typed(relay.h)
+    integrate(relay, relay.x0, relay_cfg)
+    assert list in seen
+
+    runs = [
+        (PiecewiseProblem(dim=2, f1=relay.f1, f2=relay.f2, h=typed(relay.surface.callables[0]),
+                          jac_f1=relay.jac_f1, jac_f2=relay.jac_f2), relay.x0, relay_cfg),
+        (PiecewiseProblem(dim=2, f1=najafi.f1, f2=najafi.f2, h=typed(najafi.h),
+                          jac_f1=najafi.jac_f1, jac_f2=najafi.jac_f2,
+                          domain_f1=najafi.domain_f1),
+         np.array([1.0, 0.05]),
+         IntegratorConfig(tau=0.125, t_end=2.0, guard_mode=GuardMode.ROS2_DENSE)),
+    ]
+    for problem, x0, cfg in runs:
+        seen.clear()
+        with mock.patch.object(rosevent.onesided, "resolve_case_1b",
+                               wraps=rosevent.onesided.resolve_case_1b) as case_1b:
+            result = integrate(problem, x0, cfg)
+        assert result.termination is Termination.REACHED_T_END and result.events
+        # the guarded run shortens a step
+        assert case_1b.call_count == (cfg.guard_mode is not None)
+        assert seen and set(seen) == {np.ndarray}
 
 
 # --- the step kernel under the driver -----------------------------------------

@@ -708,6 +708,68 @@ def test_lu_solve_matches_the_loop_substitution_bit_for_bit(system):
     assert same_floats(lu_solve(factors, b), expected)
 
 
+def check_first_lu_solve(factors, b):
+    """lu_solve of a float list in the order that checks b before it
+    substitutes: finiteness, then length, then the loop substitution with
+    its scaled redo."""
+    if not all(map(math.isfinite, b)):
+        raise ValueError("vector entries must be finite")
+    n = factors.n
+    if len(b) != n:
+        raise ValueError(f"matrix is {n}x{n} but b has length {len(b)}")
+    return loop_lu_solve(factors, b).tolist()
+
+
+def solve_outcome(solve, factors, b):
+    # the result's bits, or the ValueError's message; b must stay as it was
+    given = list(b)
+    try:
+        x = solve(factors, given)
+    except ValueError as exc:
+        outcome = str(exc)
+    else:
+        assert type(x) is list and all(type(v) is float for v in x)
+        outcome = np.array(x, dtype=float).tobytes()
+    assert np.array(given).tobytes() == np.array(b).tobytes()
+    return outcome
+
+
+@st.composite
+def _list_solves(draw):
+    """A factorable n x n system, n = 1..4, whose right-hand side may carry
+    inf or NaN at any position and may be an entry short or long."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    a = draw(hnp.arrays(np.float64, (n, n), elements=_matrix_entries, fill=st.nothing()))
+    b = draw(hnp.arrays(np.float64, (n,), elements=_rhs_entries, fill=st.nothing())).tolist()
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        b[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    length = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+    return a.tolist(), (b + [1.0])[:length]
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=_list_solves())
+# 2*x3 overflows in x1's back substitution: the scaled redo
+@example(system=([[0.0, 0.0, 2.0 ** -1023], [1.0, -1.0, 2.0], [0.0, 1.0, -1.0]],
+                 [1.0, 0.0, 0.0]))
+# a solution that overflows float64 itself keeps its inf
+@example(system=([[2.2e-311]], [1.0]))
+# a non-finite entry at the last position, and beside a wrong length
+@example(system=([[2.0, 1.0, 0.0, 0.0], [1.0, 3.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0]], [1.0, 2.0, 3.0, math.nan]))
+@example(system=([[2.0, 1.0], [1.0, 3.0]], [-math.inf, 1.0, 2.0]))
+@example(system=([[2.0, 1.0], [1.0, 3.0]], [1.0]))
+def test_lu_solve_of_a_list_checks_its_result_as_the_check_first_order_did(system):
+    # lu_solve substitutes a list of the right length first and checks b
+    # only when x[0] is not finite: the same bits, exceptions and messages
+    a, b = system
+    try:
+        factors = lu_factor(a)
+    except SingularMatrix:
+        assume(False)
+    assert solve_outcome(lu_solve, factors, b) == solve_outcome(check_first_lu_solve, factors, b)
+
+
 def test_lu_solve_generates_each_substitution_once(monkeypatch):
     generated = []
     source = linalg._substitution_source

@@ -569,6 +569,18 @@ def test_surface_rejects_bad_shapes_and_non_finite_entries(n, c):
         Surface(n, c)
 
 
+def left_to_right(n, c, x) -> float:
+    """(n0*x0 + n1*x1 + ...) + c with the sum taken left to right, or
+    x[i] + c, one operation, for a unit normal e_i."""
+    nonzero = [j for j, v in enumerate(n) if v != 0.0]
+    if len(nonzero) == 1 and n[nonzero[0]] == 1.0:
+        return x[nonzero[0]] + c
+    total = n[0] * x[0]
+    for nj, xj in zip(n[1:], x[1:]):
+        total = total + nj * xj
+    return total + c
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), dim=st.integers(1, 4))
 def test_a_declared_surface_gives_h_and_its_derivatives(data, dim):
@@ -578,13 +590,30 @@ def test_a_declared_surface_gives_h_and_its_derivatives(data, dim):
     x = np.array([data.draw(fin) for _ in range(dim)])
     problem = PiecewiseProblem(dim=dim, f1=lambda u: u, f2=lambda u: -u,
                                surface=Surface(n, c))
-    if np.count_nonzero(n) == 1 and n[np.flatnonzero(n)[0]] == 1.0:
-        # a unit normal e_i: h = x[i] + c, one operation
-        assert problem.h(x) == x[np.flatnonzero(n)[0]] + c
-    else:
-        assert problem.h(x) == float(n @ x) + c
+    assert problem.h(x) == left_to_right(n.tolist(), c, x.tolist())
     npt.assert_array_equal(h_gradient(problem, x), n)
     npt.assert_array_equal(h_hessian(problem, x), np.zeros((dim, dim)))
+
+
+def float_bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 4))
+def test_a_declared_h_reads_a_list_and_an_array_to_the_same_bits(data, dim):
+    # signed zeros beside ordinary values, so a sum's sign of zero matters
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3))
+    if data.draw(st.booleans(), label="unit normal"):
+        n = [data.draw(st.sampled_from([0.0, -0.0])) for _ in range(dim)]
+        n[data.draw(st.integers(0, dim - 1))] = 1.0
+    else:
+        n = [data.draw(entry) for _ in range(dim)]
+    c = data.draw(entry)
+    x = [data.draw(entry) for _ in range(dim)]
+    h = Surface(n, c).callables[0]
+    expected = float_bits(left_to_right(n, c, x))
+    assert float_bits(h(list(x))) == float_bits(h(np.array(x))) == expected
 
 
 def test_h_and_a_declared_surface_exclude_each_other():
