@@ -32,12 +32,16 @@ matrix's bits), tau and gamma are unchanged; the kept
 factors live in the call and die with it, and reusing them gives the same
 step bit for bit as factoring again. IntegrationStats.lu_factorizations
 counts the factorizations that actually ran, those of a step that failed
-included. On a declared affine problem (problems.Affine) J is the region's
-A_i: a plain step evaluates it on entering a region and the visit's later
-steps keep it. A visit evaluates and holds its own A_i even when its
-entries equal the last visit's, whose factors it then solves with. A plain
-step that continues the last one starts from the floats that step holds
-of its x1.
+included. A plain step that continues the last one (the same field from
+that step's x1) starts from the floats that step holds of its x1. On a
+declared affine problem (problems.Affine) J is the region's A_i: the first
+plain step of a region visit (take_step) evaluates it, and integrate runs
+the visit's continuing plain steps itself, in its loop, on the kernel, the
+fields and the surface's dot product it binds once per run: f(x0), then
+the kernel's stage1 and finish on the visit's A_i and the kept factors,
+refactored from that A_i only when the step size changes (a remainder at
+t_end). A visit evaluates and holds its own A_i even when its entries
+equal the last visit's, whose factors it then solves with.
 
 A finite-difference (FD) Jacobian differs in its last bits from state to
 state, so on its own it would miss that key on every step. But the
@@ -47,14 +51,15 @@ matrix W in place of J: a W-method (Steihaug & Wolfbrandt, Math. Comp. 33,
 1979). So a plain step of a field without an analytic Jacobian may keep the
 W of the previous step (take_step): while the field stays in one region, the
 previous step's secant fits W to FD-error level, and W has served fewer
-than REUSE_STEPS steps. A kept W has the same rows, so the factor key above
-reuses its factors too. A run takes a fresh FD J at its start and on every
-region entry. Analytic Jacobians of a field not declared affine, and the
-guarded step, always take a fresh J. W does not cancel from the dense
-output: its interior carries the extra term
-c*gamma*2*theta*(1 - theta)*tau^2*(W - J)*f(x0), zero at theta = 0 and
-theta = 1, so event states keep their order but the interpolant's error
-constant grows with |W - J|, which the secant check keeps at FD-error level.
+than REUSE_STEPS steps. A kept W has the factor key's rows, so its step
+compares tau and gamma only and reuses the key's factors. A run takes a
+fresh FD J at its start and on every region entry. Analytic Jacobians of a
+field not declared affine, and the guarded step, always take a fresh J.
+W does not cancel from the dense output: its interior carries the extra
+term c*gamma*2*theta*(1 - theta)*tau^2*(W - J)*f(x0), zero at theta = 0
+and theta = 1, so event states keep their order but the interpolant's
+error constant grows with |W - J|, which the secant check keeps at
+FD-error level.
 IntegrationStats.jacobian_evaluations counts the Jacobians evaluated.
 
 Every hit that is not located is recorded at theta = 1, the step endpoint:
@@ -174,11 +179,9 @@ def detect_sign_change(h0: float, h1: float) -> bool:
 
 
 def _dips_across(g0: float, m1: float, m2: float) -> bool:
-    """Whether g0 + m1*theta + (m2/2)*theta^2 turns inside (0, 1) at a
-    vertex beyond the band on the side away from g0."""
-    d1 = m1 + m2
-    if not ((m1 > 0.0 and d1 < 0.0) or (m1 < 0.0 and d1 > 0.0)):
-        return False
+    """Whether g0 + m1*theta + (m2/2)*theta^2, whose slope m1 + m2*theta
+    changes sign inside (0, 1) (the caller tests m1 and m1 + m2), turns at
+    a vertex beyond the band on the side away from g0."""
     g_vertex = g0 - 0.5 * m1 * (m1 / m2)  # |m1/m2| = theta_v < 1
     return g_vertex > problems.SIGMA_TOL if g0 < 0.0 else g_vertex < -problems.SIGMA_TOL
 
@@ -326,6 +329,13 @@ def _keeps_w(kept: _Kept, x0f: list, fx: list) -> bool:
     return True
 
 
+# Called, when set, as _on_step(x, active, step, jacobians) after every step
+# integrate takes, in take_step or in its own loop: the state the step
+# started from, its field, the RosenbrockStep and the Jacobians it
+# evaluated. integrate reads it once per run; None in normal use.
+_on_step = None
+
+
 def _run_fields(problem: problems.PiecewiseProblem) -> tuple:
     # per field, the counted field as the step kernel takes it and whether
     # it and its Jacobian run on floats, so a step hands them x's floats,
@@ -336,41 +346,62 @@ def _run_fields(problem: problems.PiecewiseProblem) -> tuple:
              problems.takes_floats(problem.jac_f2)))
 
 
+def _factored(kept, J, tau: float, gamma: float, jacobians: int) -> tuple:
+    """(kept, 0) when kept's key equals (J's rows, tau, gamma), else a new
+    _Kept with those rows and the LU factors of I - gamma*tau*J, and 1. A
+    SingularMatrix carries the failing step's Jacobians (jacobians)."""
+    # the key compares J's rows by value: rows that compare equal give the
+    # step matrix's bits (+0.0 and -0.0 both give 0.0 - g*J_ij = 0.0). A
+    # key is kept only once lu_factor has taken its rows, so it holds no
+    # NaN, and a row with a NaN matches none. It holds a copy: a float-form
+    # Jacobian's rows are its own lists.
+    rows = J if type(J) is list else J.tolist()
+    if kept is not None and kept.key == (rows, tau, gamma):
+        return kept, 0
+    try:
+        factors = rosenbrock.factor(rows, tau, gamma)
+    except SingularMatrix as exc:
+        exc.jacobians += jacobians
+        raise
+    return _Kept(([row[:] for row in rows], tau, gamma), factors), 1
+
+
 def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
               cfg: IntegratorConfig, kept=None, fields=None):
     """One step of the active field from x: the guarded two-stage step from
     region 1 under the dense guard, else a plain step of cfg.method. Both
     run on the step kernel (rosenbrock.kernel) and check nothing of x, a
     finite float array of the problem's dimension, as integrate checks it
-    once.
+    once. integrate runs every step through here but one kind: the
+    continuing plain step of a declared affine visit, which it runs on the
+    kernel itself (module docstring). Handed such a step, this function
+    evaluates the region's A_i again and gives the same step.
 
     kept is None or what this function returned for the previous step of
     the same run, which this call may update in place. A plain step that
     takes the same field from the last plain step's x1 (the same array)
-    continues that step: it starts from the floats the step holds of x1,
-    and on a declared affine field (problem.affine) it keeps the step's J,
-    the region's A_i, so J is evaluated once per region visit. A plain
-    step of a field without an analytic Jacobian evaluates f(x) first, the
-    value its first stage needs anyway, and keeps the previous plain step's
-    W instead of a fresh finite-difference J when _keeps_w says so (it
-    continues that step, W has had fewer than REUSE_STEPS uses and the
-    secant residual is at FD-error level; no field call). Every other step
-    takes a fresh J: the first step of a run or of a region visit, an
-    analytic Jacobian of a field not declared affine, and the guarded step.
-    A float-form field or Jacobian (problems.takes_floats) is handed x's
-    floats, and such a Jacobian's float rows are factored as they are.
-    A plain step whose factor key (the rows of its J or W as Python
-    floats, tau, gamma) equals the kept one solves with the kept LU factors
-    of I - gamma*tau*J, and a step that keeps its affine J compares tau and
-    gamma only; any other plain step factors that matrix and keeps it. Rows
-    that compare equal give the step matrix's bits, so both give the same
-    step bit for bit. The guarded step factors on its own and hands kept on
-    as it was. fields is what a run makes once (_run_fields); None makes it
+    continues that step and starts from the floats the step holds of x1. A
+    plain step of a field without an analytic Jacobian evaluates f(x)
+    first, the value its first stage needs anyway, and keeps the previous
+    plain step's W instead of a fresh finite-difference J when _keeps_w
+    says so (it continues that step, W has had fewer than REUSE_STEPS uses
+    and the secant residual is at FD-error level; no field call). Every
+    other step takes a fresh J: the first step of a run or of a region
+    visit, an analytic Jacobian, and the guarded step. A float-form field
+    or Jacobian (problems.takes_floats) is handed x's floats, and such a
+    Jacobian's float rows are factored as they are. A plain step whose
+    factor key (the rows of its J or W as Python floats, tau, gamma) equals
+    the kept one solves with the kept LU factors of I - gamma*tau*J, and a
+    step that keeps its W, whose rows are the key's, compares tau and gamma
+    only; any other plain step factors that matrix and keeps it. Rows that
+    compare equal give the step matrix's bits, so both give the same step
+    bit for bit. The guarded step factors on its own and hands kept on as
+    it was. fields is what a run makes once (_run_fields); None makes it
     here.
 
     Returns (step, factorizations, jacobians, kept): the LU factorizations
     this call ran (0 when it used the kept factors) and the Jacobians it
-    evaluated (0 when it kept J or W). step.jac is the matrix the step used,
+    evaluated (0 when it kept W). step.jac is the matrix the step used,
     as given (float rows or an array), and step.J reads it as an array.
     step.tau is the size actually taken, below tau only when case 1b
     shortened the step. A step that fails, a SingularMatrix or a case-1b
@@ -397,32 +428,18 @@ def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
         return step, factorizations, 1, kept
     fx = field(x0f if floats_in else x)
     gamma = cfg.method.gamma
-    affine_visit = last is not None and problem.affine is not None
-    # uses: the steps the J of this step has served, 0 but for a kept W
-    if affine_visit:
-        J, jacobians, uses = last.jac, 0, 0
-    elif (problem.jac_f1 if active == 1 else problem.jac_f2) is not None:
+    # uses: the steps the J of this step has served, 0 but for a
+    # finite-difference J or a W kept from one
+    if (problem.jac_f1 if active == 1 else problem.jac_f2) is not None:
         J, jacobians, uses = problems.field_jacobian(problem, active, x_jac), 1, 0
     elif last is not None and _keeps_w(kept, x0f, fx):
         J, jacobians, uses = last.jac, 0, kept.uses + 1
     else:
         J, jacobians, uses = problems.field_jacobian(problem, active, x), 1, 1
-    factorizations = 0
-    if not (affine_visit and kept.key[1] == tau and kept.key[2] == gamma):
-        # the key compares J's rows by value: rows that compare equal give
-        # the step matrix's bits (+0.0 and -0.0 both give 0.0 - g*J_ij =
-        # 0.0). A key is kept only once lu_factor has taken its rows, so
-        # it holds no NaN, and a row with a NaN matches none. It holds a
-        # copy: a float-form Jacobian's rows are its own lists.
-        rows = J if type(J) is list else J.tolist()
-        if kept is None or kept.key != (rows, tau, gamma):
-            try:
-                factors = rosenbrock.factor(rows, tau, gamma)
-            except SingularMatrix as exc:
-                exc.jacobians += jacobians
-                raise
-            kept = _Kept(([row[:] for row in rows], tau, gamma), factors)
-            factorizations = 1
+    if uses > 1 and kept.key[1] == tau and kept.key[2] == gamma:
+        factorizations = 0  # the kept W, whose rows are the key's
+    else:
+        kept, factorizations = _factored(kept, J, tau, gamma, jacobians)
     factors = kept.factors
     run = rosenbrock.kernel(cfg.method.stages, len(x0f))
     step = run.finish(field, x, x0f, tau, J, factors, run.stage1(factors, fx, tau))
@@ -475,12 +492,24 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     h_floats = problem.surface is not None
     sigma_tol = problems.SIGMA_TOL
     tau, t_end, locate = cfg.tau, cfg.t_end, cfg.locate_events
-    # a declared surface's normal, for the even-count test on every step;
-    # the one-stage chord is a line in theta and cannot cross twice
+    # a declared affine visit's continuing plain steps run in the loop
+    # below, on this kernel, the fields and the kept factors
+    affine = problem.affine is not None
+    gamma = cfg.method.gamma
+    run = rosenbrock.kernel(cfg.method.stages, problem.dim)
+    stage1, finish = run.stage1, run.finish
+    observe = _on_step
+    # a declared surface's normal and its dot product, for the even-count
+    # test on every step, with the constants of RosenbrockStep.slopes; the
+    # one-stage chord is a line in theta and cannot cross twice
     if problem.surface is None or cfg.method.stages == 1:
         normal = None
     else:
         normal = problem.surface.n.tolist()
+        dot = rosenbrock._dot(len(normal))
+        g = rosenbrock.GAMMA_ROS2
+        c = 1.0 / (2.0 * (1.0 - 2.0 * g))  # RosenbrockStep.c of the step
+        w1, w2, c2 = 2.0 - 6.0 * g, 2.0 * g, 2.0 * c
     # a remainder this small is round-off in t, not a step
     end_tol = 4.0 * np.spacing(max(1.0, abs(t_end)))
 
@@ -489,9 +518,31 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
         if remaining <= end_tol:
             termination = Termination.REACHED_T_END
             break
+        size = min(tau, remaining)
         try:
-            step, factorizations, jacobians, kept = take_step(
-                problem, x, min(tau, remaining), active, cfg, kept, fields)
+            if affine and kept is not None and kept.active == active and kept.step.x1 is x:
+                # a plain step of a declared affine field that continues the
+                # last plain step (take_step's test; the guarded step is never
+                # one, as no plain step of region 1 runs under its guard):
+                # from the floats of that step's x1, on its J, the region's
+                # A_i, and the kept factors, refactored from that J when size
+                # is not the kept key's tau (a remainder at t_end)
+                last = kept.step
+                field, floats_in, _ = fields[active - 1]
+                x0f, J = last.x1f, last.jac
+                fx = field(x0f if floats_in else x)
+                key = kept.key
+                if key[1] == size and key[2] == gamma:
+                    factorizations = 0
+                else:
+                    kept, factorizations = _factored(kept, J, size, gamma, 0)
+                factors = kept.factors
+                step = finish(field, x, x0f, size, J, factors, stage1(factors, fx, size))
+                kept.active, kept.step, kept.fx0, kept.uses = active, step, fx, 0
+                jacobians = 0
+            else:
+                step, factorizations, jacobians, kept = take_step(
+                    problem, x, size, active, cfg, kept, fields)
         except (SingularMatrix, NoBracket) as exc:
             # a singular step matrix, or the one-sided step-shortening
             # machinery failed; the work the step did still counts
@@ -508,6 +559,8 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
         lu_count += factorizations
         jac_count += jacobians
         steps_taken += 1
+        if observe is not None:
+            observe(x, active, step, jacobians)
         h_new = float(h(step.x1f if h_floats else step.x1))
         if h_new != h_new:
             # a NaN has no side: the step may have crossed the surface unseen
@@ -519,8 +572,17 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
         # an endpoint past the surface is located even inside the band: a
         # state recorded there would be classified with the field it left
         if (crossed or (not on_band and normal is not None)) and locate:
-            # with both ends on one side, h(X1(theta)) may still cross and return
-            if crossed or _dips_across(h_at_x, *step.slopes(normal)):
+            dips = crossed
+            if not crossed:
+                # with both ends on one side, h(X1(theta)) may still cross
+                # and return: step.slopes(normal), operation for operation,
+                # and _dips_across once the slope changes sign in (0, 1)
+                a1, a2 = dot(normal, step.k1f), dot(normal, step.k2f)
+                m1, m2 = c * (w1 * a1 - w2 * a2), c2 * (a1 + a2)
+                d1 = m1 + m2
+                dips = (((m1 > 0.0 and d1 < 0.0) or (m1 < 0.0 and d1 > 0.0))
+                        and _dips_across(h_at_x, m1, m2))
+            if dips:
                 try:
                     record = locate_event(step, h, cfg, step_index, t,
                                           h0=h_at_x, h1=h_new, surface=problem.surface)

@@ -207,8 +207,9 @@ def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,
     """
     _check_step_size(tau)
     x0, J = linalg.as_vector(x0), np.asarray(J, dtype=float)
-    field = problems.field_floats(problem, 1)
-    return _guarded_step(problem, x0, x0.tolist(), field(x0), tau, J, h_tol, field)
+    field, x0f = problems.field_floats(problem, 1), x0.tolist()
+    fx0 = field(x0f if problems.takes_floats(problem.f1) else x0)
+    return _guarded_step(problem, x0, x0f, fx0, tau, J, h_tol, field)
 
 
 def _stage_h(problem, x0f: list, k1: list) -> float:

@@ -256,14 +256,16 @@ def eval_field(problem: PiecewiseProblem, which: int, x, checked: bool = False):
 
 
 def field_floats(problem: PiecewiseProblem, which: int) -> Callable:
-    """Branch field `which` as the step kernel takes it, through eval_field
-    looked up on every call: the state as a float array or a list of
-    floats in, the value as a list of problem.dim floats out. A list goes
-    to eval_field's float form as it is. An array goes to a float-form
-    field (takes_floats) as its floats, and to any other field as it is,
-    so the array a step starts from is not built again."""
+    """Branch field `which` as the step kernel takes it, counted through the
+    eval_field bound when this is called (a wrapper installed before then
+    sees every evaluation). A list of floats in gives a list of problem.dim
+    floats out. A float-form field (takes_floats) is eval_field itself with
+    problem and which bound in, so an array in gives eval_field's float
+    array out; a step hands it the list of floats it holds. Any other field
+    takes the array a step starts from as it is, so that array is not
+    built again, and gives its value as floats."""
     if takes_floats(problem.f1 if which == 1 else problem.f2):
-        return lambda x: eval_field(problem, which, x if type(x) is list else x.tolist())
+        return functools.partial(eval_field, problem, which)
 
     def call(x):
         v = eval_field(problem, which, x)

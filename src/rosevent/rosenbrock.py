@@ -41,13 +41,15 @@ generated once per method and system size (_kernel_source): b = tau*f(x0),
 k1, the stage state x0 + k1, f there, the k2 right-hand side and x1 as one
 expression per entry, no loop. Every step path runs it: the public steps
 here (ros1_step, ros2_step, ros2_finish and, through them, restep), the
-driver's plain step (events.take_step), and the guarded step and each of
-its case-1b trials (onesided), where the guarded step hands finish the k1
-whose stage it has checked. The step holds each stage once, as those
-floats (k1 and k2 are arrays built when read), and x1 as floats beside its
-array, which the driver's next step starts from; it is its own dense
-output: dense_eval, dense_derivative, event location and the dense guard
-all read its value, derivative and slopes. The kernel does the IEEE
+driver's plain step (events.take_step), the continuing plain step of a
+declared affine visit (events.integrate, which binds stage1 and finish once
+per run), and the guarded step and each of its case-1b trials (onesided),
+where the guarded step hands finish the k1 whose stage it has checked.
+The step holds each stage once, as those floats (k1 and k2 are arrays
+built when read), and x1 as floats beside its array, which the driver's
+next step starts from; it is its own dense output: dense_eval,
+dense_derivative, event location and the dense guard all read its value,
+derivative and slopes. The kernel does the IEEE
 operations of the array formulas above in the same order, and numpy's
 elementwise operations do not fuse, so the results equal the array
 expressions bit for bit. Both solves go through linalg.lu_solve, looked up
@@ -60,12 +62,12 @@ The kernel re-checks nothing; each input is checked once, where it enters.
 The state: x0 by integrate at its entry, or by the public step functions
 here (as_vector), and x1 where finish makes it (NonFiniteState, a
 ValueError, when an entry overflowed). Each field value's shape and length:
-linalg.as_floats, which problems.field_floats (the driver's fields) and the
-public step functions apply. J's shape: an array's by _step_rows, float
-rows' by problems.field_jacobian, whose float form returns them. The step
-matrix's finiteness by lu_factor, and each right-hand side's finiteness,
-tau*f(x0) and tau*f(x0 + k1) - 2*k1, by linalg.lu_solve ("vector entries
-must be finite").
+linalg.as_floats, which problems.eval_field (the driver's fields, through
+problems.field_floats) and the public step functions apply. J's shape: an
+array's by _step_rows, float rows' by problems.field_jacobian, whose float
+form returns them. The step matrix's finiteness by lu_factor, and each
+right-hand side's finiteness, tau*f(x0) and tau*f(x0 + k1) - 2*k1, by
+linalg.lu_solve ("vector entries must be finite").
 
 The kernel's field returns floats. finish hands it the stage state x0 + k1
 as a list of floats. A float-form field (problems.FloatField: the float-row
@@ -191,8 +193,7 @@ class RosenbrockStep:
         exactly: the b1/b2 weights are quadratics in theta. The one-stage
         chord gives a line, m2 = 0. Each dot product is math.fsum of a
         tuple of the products (_dot_source), correctly rounded."""
-        dot = _DOTS.get(len(n)) or linalg.generated(_DOTS, len(n), _dot_source, "dot",
-                                                    {"fsum": math.fsum})
+        dot = _dot(len(n))
         a1 = dot(n, self.k1f)
         if self.stages == 1:
             return a1, 0.0
@@ -211,6 +212,13 @@ def _dot_source(n: int) -> str:
 
 # the dot product of each size, generated on its first use
 _DOTS: dict = {}
+
+
+def _dot(n: int) -> Callable:
+    """dot(n, k) of size n (_dot_source), the one slopes forms its a1 and
+    a2 with; events.integrate binds it once per run for the even-count
+    test."""
+    return _DOTS.get(n) or linalg.generated(_DOTS, n, _dot_source, "dot", {"fsum": math.fsum})
 
 
 def _step_rows_source(n: int) -> str:

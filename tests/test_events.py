@@ -670,16 +670,14 @@ def test_a_step_with_two_crossings_reports_both(method):
 
 
 def recorded_steps(problem, x0, cfg):
-    """integrate, plus (x, active, step, jacobians) for every take_step."""
+    """integrate, plus (x, active, step, jacobians) for every step it took,
+    in take_step or in its own loop (the events._on_step hook)."""
     taken = []
-    real = rosevent.events.take_step
 
-    def recording(problem, x, tau, active, *args):
-        out = real(problem, x, tau, active, *args)
-        taken.append((x, active, out[0], out[2]))
-        return out
+    def recording(x, active, step, jacobians):
+        taken.append((x, active, step, jacobians))
 
-    with mock.patch.object(rosevent.events, "take_step", recording):
+    with mock.patch.object(rosevent.events, "_on_step", recording):
         result = integrate(problem, x0, cfg)
     return result, taken
 
@@ -1052,6 +1050,41 @@ def test_a_wrapper_on_eval_field_sees_every_finite_difference_evaluation():
     # through the same eval_field as the driver's fields
     _assert_eval_field_sees_every_counted_evaluation(
         _derivative_free(spp_flatten(builtin("kowalczyk", eps=1e-2))))
+
+
+def test_outside_wrappers_count_the_steps_integrate_runs_itself():
+    # a declared affine visit's continuing steps run in integrate's own
+    # loop, on the fields and the kernel it binds at its start: wrappers
+    # installed before the run still see each field evaluation, solve and
+    # factorization, and the last step, a remainder at t_end, refactors
+    # from the visit's A_i without evaluating a Jacobian
+    flat = spp_flatten(builtin("kowalczyk", eps=1e-2))
+    calls = {"eval_field": 0, "lu_solve": 0, "lu_factor": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return mock.patch.object(module, name, wrapper)
+
+    cfg = IntegratorConfig(tau=1e-3, t_end=1.5)
+    with counted(rosevent.problems, "eval_field"), counted(rosevent.linalg, "lu_solve"), \
+            counted(rosevent.linalg, "lu_factor"):
+        result, taken = recorded_steps(flat, flat.x0, cfg)
+    stats = result.stats
+    assert result.termination is Termination.REACHED_T_END
+    assert stats.steps == len(taken) == 1504
+    assert calls["eval_field"] == sum(stats.f_evals.values()) == 2 * stats.steps
+    assert calls["lu_solve"] == 2 * stats.steps
+    assert calls["lu_factor"] == stats.lu_factorizations == 2
+    # the visits' continuing steps, the remainder among them, keep their J
+    *_, (_, _, last, jacobians) = taken
+    assert last.tau < cfg.tau and jacobians == 0 and not entered(taken, len(taken) - 1)
+    assert sum(j for *_, j in taken) == len(result.events) + 1
+    assert stats.jacobian_evaluations == len(result.events) + 1 == 15
 
 
 # --- the W-method: a finite-difference J kept across a region visit ---------
