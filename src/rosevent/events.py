@@ -33,28 +33,30 @@ factors live in the call and die with it, and reusing them gives the same
 step bit for bit as factoring again. IntegrationStats.lu_factorizations
 counts the factorizations that actually ran, those of a step that failed
 included. A plain step that continues the last one (the same field from
-that step's x1) starts from the floats that step holds of its x1. On a
-declared affine problem (problems.Affine) J is the region's A_i: the first
-plain step of a region visit (take_step) evaluates it, and integrate runs
-the visit's continuing plain steps itself, in its loop, on the kernel, the
-fields and the surface's dot product it binds once per run: f(x0), then
-the kernel's stage1 and finish on the visit's A_i and the kept factors,
-refactored from that A_i only when the step size changes (a remainder at
-t_end). A visit evaluates and holds its own A_i even when its entries
-equal the last visit's, whose factors it then solves with.
+that step's x1) starts from the floats that step holds of its x1. The
+first plain step of a region visit takes a fresh J (take_step); integrate
+runs the visit's continuing plain steps itself, in its loop, on the kernel,
+the fields, the surface's dot product and the secant test it binds once
+per run, when the last step's matrix may be held: a declared affine
+problem's (problems.Affine) A_i, or a kept finite-difference W (below).
+Such a step is f(x0), then the kernel's stage1 and finish on that matrix
+and the kept factors, refactored only when the step size changes (a
+remainder at t_end). A visit evaluates and holds its own A_i even when its
+entries equal the last visit's, whose factors it then solves with.
 
 A finite-difference (FD) Jacobian differs in its last bits from state to
 state, so on its own it would miss that key on every step. But the
 two-stage scheme is the ROS2 of Verwer, Spee, Blom & Hundsdorfer (SIAM J.
 Sci. Comput. 20, 1999), which keeps order 2 at the step's end for any
 matrix W in place of J: a W-method (Steihaug & Wolfbrandt, Math. Comp. 33,
-1979). So a plain step of a field without an analytic Jacobian may keep the
-W of the previous step (take_step): while the field stays in one region, the
-previous step's secant fits W to FD-error level, and W has served fewer
-than REUSE_STEPS steps. A kept W has the factor key's rows, so its step
-compares tau and gamma only and reuses the key's factors. A run takes a
-fresh FD J at its start and on every region entry. Analytic Jacobians of a
-field not declared affine, and the guarded step, always take a fresh J.
+1979). So a continuing plain step of a field without an analytic Jacobian
+keeps the W of the previous step (integrate's loop) while W has served
+fewer than REUSE_STEPS steps and the previous step's secant fits W to
+FD-error level (_secant); else it takes a fresh FD J there. A kept W has
+the factor key's rows, so its step compares tau and gamma only and reuses
+the key's factors. A run takes a fresh FD J at its start and on every
+region entry. Analytic Jacobians of a field not declared affine, and the
+guarded step, always take a fresh J (take_step).
 W does not cancel from the dense output: its interior carries the extra
 term c*gamma*2*theta*(1 - theta)*tau^2*(W - J)*f(x0), zero at theta = 0
 and theta = 1, so event states keep their order but the interpolant's
@@ -75,7 +77,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,7 +92,7 @@ THETA_TOL = 1e-12
 # the surface polynomial before it falls back to the ITP search
 SNAP_TRIES = 4
 
-# Most consecutive plain steps one FD Jacobian serves (take_step). A secant
+# Most consecutive plain steps one FD Jacobian serves (integrate). A secant
 # sees W only along the step, so a field affine along the path but not across
 # it passes every check; this cap bounds how long its W can go stale.
 REUSE_STEPS = 16
@@ -276,6 +277,13 @@ def _validate_config(cfg: IntegratorConfig) -> None:
         raise ValueError(f"h_tol must be non-negative and finite, got {cfg.h_tol}")
     if cfg.max_events is not None and cfg.max_events < 1:
         raise ValueError(f"max_events must be at least 1, got {cfg.max_events}")
+    # the step kernel writes its method's gamma into every step it makes
+    method = cfg.method
+    if (method.stages, method.gamma) not in ((1, rosenbrock.GAMMA_ROS1),
+                                             (2, rosenbrock.GAMMA_ROS2)):
+        raise ValueError(f"method {method.label!r} (stages={method.stages}, "
+                         f"gamma={method.gamma}) is neither ROS1 nor ROS2, the only "
+                         f"methods the step kernel runs")
     gm = cfg.guard_mode
     if gm is onesided.GuardMode.ROS2_DENSE and cfg.method.stages != 2:
         raise ValueError("the dense-output guard requires the two-stage method")
@@ -299,11 +307,13 @@ def _classify_event(problem: problems.PiecewiseProblem,
 
 
 class _Kept:
-    """What a run's plain steps hand on (take_step), owned by the run and
-    updated in place: the key (J's rows, tau, gamma) and LU factors of the
-    last step matrix factored, the last plain step and its field, that
-    step's f(x0), and the steps its J has served when it is a
-    finite-difference J or a W kept from one (uses; 0 for any other J)."""
+    """What a run's plain steps hand on (take_step and integrate's loop),
+    owned by the run and updated in place: the key (J's rows, tau, gamma)
+    and LU factors of the last step matrix factored, the last plain step and
+    its field, that step's f(x0), and the steps its J has served when it is
+    a finite-difference J or a W kept from one (uses; 0 for any other J).
+    integrate's loop runs the step that continues it on the held matrix
+    when that is a declared affine field's A_i or uses is not 0."""
 
     __slots__ = ("key", "factors", "active", "step", "fx0", "uses")
 
@@ -312,21 +322,33 @@ class _Kept:
         self.factors = factors
 
 
-def _keeps_w(kept: _Kept, x0f: list, fx: list) -> bool:
-    """Whether the W of the last plain step, which the step from x0f with
-    fx = f(x0f) continues (same field, x0f its x1), may serve this step: W
-    came from a finite-difference J and has served fewer than REUSE_STEPS
-    steps, and the secant from the last step's x0 fits W within
-    SECANT_RTOL in every component (a NaN never fits)."""
-    if not 0 < kept.uses < REUSE_STEPS:
-        return False
-    dx = [a - b for a, b in zip(x0f, kept.step.x0f)]
-    # the key's rows are W's, see take_step
-    for f1, f0, row in zip(fx, kept.fx0, kept.key[0]):
-        r = f1 - f0 - sum(map(operator.mul, row, dx))
-        if not abs(r) <= SECANT_RTOL * (abs(f1) + abs(f0)):
-            return False
-    return True
+def _secant_source(n: int) -> str:
+    """Source of fits(f1, f0, x1, x0, W) for size n: whether W fits the
+    secant from x0 to x1, f1 and f0 the field there and W n rows of n
+    Python floats, within SECANT_RTOL in every component. Each residual is
+    f1_i - f0_i - (W_i0*d0 + W_i1*d1 + ...), d = x1 - x0, the products
+    summed left to right; a NaN never fits."""
+    f1, f0, x1, x0, d = ([f"{c}{i}" for i in range(n)] for c in "abuvd")
+    w = [[f"w{i}_{k}" for k in range(n)] for i in range(n)]
+    rows = [f"abs({f1[i]} - {f0[i]} - ({' + '.join(f'{w[i][k]} * {d[k]}' for k in range(n))}))"
+            f" <= rtol * (abs({f1[i]}) + abs({f0[i]}))" for i in range(n)]
+    return (f"def fits(f1, f0, x1, x0, W):\n"
+            f"    [{', '.join(f1)}] = f1\n    [{', '.join(f0)}] = f0\n"
+            f"    [{', '.join(x1)}] = x1\n    [{', '.join(x0)}] = x0\n"
+            f"    [{', '.join('[' + ', '.join(r) + ']' for r in w)}] = W\n"
+            + "".join(f"    {d[k]} = {x1[k]} - {x0[k]}\n" for k in range(n))
+            + f"    return {' and '.join(rows)}\n")
+
+
+# the secant test of each size, generated on its first use
+_SECANTS: dict = {}
+
+
+def _secant(n: int):
+    """fits(f1, f0, x1, x0, W) of size n (_secant_source), which integrate
+    binds once per run for its kept-W steps."""
+    return _SECANTS.get(n) or linalg.generated(_SECANTS, n, _secant_source, "fits",
+                                               {"rtol": SECANT_RTOL})
 
 
 # Called, when set, as _on_step(x, active, step, jacobians) after every step
@@ -368,46 +390,39 @@ def _factored(kept, J, tau: float, gamma: float, jacobians: int) -> tuple:
 
 def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
               cfg: IntegratorConfig, kept=None, fields=None):
-    """One step of the active field from x: the guarded two-stage step from
-    region 1 under the dense guard, else a plain step of cfg.method. Both
-    run on the step kernel (rosenbrock.kernel) and check nothing of x, a
-    finite float array of the problem's dimension, as integrate checks it
-    once. integrate runs every step through here but one kind: the
-    continuing plain step of a declared affine visit, which it runs on the
-    kernel itself (module docstring). Handed such a step, this function
-    evaluates the region's A_i again and gives the same step.
+    """One step of the active field from x with a fresh J: the guarded
+    two-stage step from region 1 under the dense guard, else a plain step
+    of cfg.method. Both run on the step kernel (rosenbrock.kernel) and check
+    nothing of x, a finite float array of the problem's dimension, as
+    integrate checks it once. integrate runs every step through here but
+    the continuing plain steps on a held matrix, a declared affine visit's
+    A_i or a kept finite-difference W, which it runs on the kernel itself
+    (module docstring). Handed such a step, this function evaluates J again:
+    the same step on an affine visit, a step with a fresh W otherwise.
 
-    kept is None or what this function returned for the previous step of
-    the same run, which this call may update in place. A plain step that
-    takes the same field from the last plain step's x1 (the same array)
-    continues that step and starts from the floats the step holds of x1. A
-    plain step of a field without an analytic Jacobian evaluates f(x)
-    first, the value its first stage needs anyway, and keeps the previous
-    plain step's W instead of a fresh finite-difference J when _keeps_w
-    says so (it continues that step, W has had fewer than REUSE_STEPS uses
-    and the secant residual is at FD-error level; no field call). Every
-    other step takes a fresh J: the first step of a run or of a region
-    visit, an analytic Jacobian, and the guarded step. A float-form field
-    or Jacobian (problems.takes_floats) is handed x's floats, and such a
-    Jacobian's float rows are factored as they are. A plain step whose
-    factor key (the rows of its J or W as Python floats, tau, gamma) equals
-    the kept one solves with the kept LU factors of I - gamma*tau*J, and a
-    step that keeps its W, whose rows are the key's, compares tau and gamma
-    only; any other plain step factors that matrix and keeps it. Rows that
-    compare equal give the step matrix's bits, so both give the same step
-    bit for bit. The guarded step factors on its own and hands kept on as
-    it was. fields is what a run makes once (_run_fields); None makes it
-    here.
+    kept is None or what this function or integrate's loop left of the
+    previous step of the same run, which this call may update in place. A
+    plain step that takes the same field from the last plain step's x1 (the
+    same array) continues that step and starts from the floats the step
+    holds of x1. A float-form field or Jacobian (problems.takes_floats) is
+    handed x's floats, and such a Jacobian's float rows are factored as
+    they are. A plain step whose factor key (the rows of its J as Python
+    floats, tau, gamma) equals the kept one solves with the kept LU factors
+    of I - gamma*tau*J; any other plain step factors that matrix and keeps
+    it. Rows that compare equal give the step matrix's bits, so both give
+    the same step bit for bit. The guarded step factors on its own and
+    hands kept on as it was. fields is what a run makes once (_run_fields);
+    None makes it here.
 
     Returns (step, factorizations, jacobians, kept): the LU factorizations
     this call ran (0 when it used the kept factors) and the Jacobians it
-    evaluated (0 when it kept W). step.jac is the matrix the step used,
-    as given (float rows or an array), and step.J reads it as an array.
-    step.tau is the size actually taken, below tau only when case 1b
-    shortened the step. A step that fails, a SingularMatrix or a case-1b
-    NoBracket, carries the factorizations it ran and the Jacobians it
-    evaluated on the exception (errors.NumericalError), and integrate counts
-    them as it counts a step's.
+    evaluated. step.jac is the matrix the step used, as given (float rows
+    or an array), and step.J reads it as an array. step.tau is the size
+    actually taken, below tau only when case 1b shortened the step. A step
+    that fails, a SingularMatrix or a case-1b NoBracket, carries the
+    factorizations it ran and the Jacobians it evaluated on the exception
+    (errors.NumericalError), and integrate counts them as it counts a
+    step's.
     """
     field, floats_in, jac_floats = (fields or _run_fields(problem))[active - 1]
     # the last plain step, when this one continues it
@@ -427,24 +442,16 @@ def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
             raise
         return step, factorizations, 1, kept
     fx = field(x0f if floats_in else x)
-    gamma = cfg.method.gamma
-    # uses: the steps the J of this step has served, 0 but for a
-    # finite-difference J or a W kept from one
-    if (problem.jac_f1 if active == 1 else problem.jac_f2) is not None:
-        J, jacobians, uses = problems.field_jacobian(problem, active, x_jac), 1, 0
-    elif last is not None and _keeps_w(kept, x0f, fx):
-        J, jacobians, uses = last.jac, 0, kept.uses + 1
-    else:
-        J, jacobians, uses = problems.field_jacobian(problem, active, x), 1, 1
-    if uses > 1 and kept.key[1] == tau and kept.key[2] == gamma:
-        factorizations = 0  # the kept W, whose rows are the key's
-    else:
-        kept, factorizations = _factored(kept, J, tau, gamma, jacobians)
+    J = problems.field_jacobian(problem, active, x_jac)
+    kept, factorizations = _factored(kept, J, tau, cfg.method.gamma, 1)
     factors = kept.factors
     run = rosenbrock.kernel(cfg.method.stages, len(x0f))
     step = run.finish(field, x, x0f, tau, J, factors, run.stage1(factors, fx, tau))
+    # uses: the steps the J of this step has served, 0 but for a
+    # finite-difference J
+    uses = int((problem.jac_f1 if active == 1 else problem.jac_f2) is None)
     kept.active, kept.step, kept.fx0, kept.uses = active, step, fx, uses
-    return step, factorizations, jacobians, kept
+    return step, factorizations, 1, kept
 
 
 def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> TrajectoryResult:
@@ -475,7 +482,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
 
     f_before, v_before = problem.counters.snapshot()
     lu_count = jac_count = 0
-    # factors and W of the last plain step, see take_step; local to this call
+    # factors and W of the last plain step, see _Kept; local to this call
     kept = None
     steps_taken = 0
     t = 0.0
@@ -492,12 +499,15 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     h_floats = problem.surface is not None
     sigma_tol = problems.SIGMA_TOL
     tau, t_end, locate = cfg.tau, cfg.t_end, cfg.locate_events
-    # a declared affine visit's continuing plain steps run in the loop
-    # below, on this kernel, the fields and the kept factors
+    # the continuing plain steps on a held matrix run in the loop below, on
+    # this kernel, the fields, the kept factors and, for a field without an
+    # analytic Jacobian, the secant test
     affine = problem.affine is not None
     gamma = cfg.method.gamma
     run = rosenbrock.kernel(cfg.method.stages, problem.dim)
     stage1, finish = run.stage1, run.finish
+    fits = (_secant(problem.dim) if problem.jac_f1 is None or problem.jac_f2 is None
+            else None)
     observe = _on_step
     # a declared surface's normal and its dot product, for the even-count
     # test on every step, with the constants of RosenbrockStep.slopes; the
@@ -520,26 +530,36 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
             break
         size = min(tau, remaining)
         try:
-            if affine and kept is not None and kept.active == active and kept.step.x1 is x:
-                # a plain step of a declared affine field that continues the
-                # last plain step (take_step's test; the guarded step is never
-                # one, as no plain step of region 1 runs under its guard):
-                # from the floats of that step's x1, on its J, the region's
-                # A_i, and the kept factors, refactored from that J when size
-                # is not the kept key's tau (a remainder at t_end)
+            if kept is not None and (affine or kept.uses) and kept.active == active \
+                    and kept.step.x1 is x:
+                # a plain step that continues the last plain step (take_step's
+                # test; no plain step of region 1 runs under the dense guard),
+                # from the floats of its x1, on the matrix it held: a declared
+                # affine field's A_i (uses 0), or a finite-difference W, whose
+                # rows are the key's, while it has served fewer than
+                # REUSE_STEPS steps and fits the last step's secant, else a
+                # fresh FD J; refactored when J is fresh or size is not the
+                # kept key's tau (a remainder at t_end)
                 last = kept.step
                 field, floats_in, _ = fields[active - 1]
-                x0f, J = last.x1f, last.jac
+                x0f = last.x1f
                 fx = field(x0f if floats_in else x)
-                key = kept.key
-                if key[1] == size and key[2] == gamma:
-                    factorizations = 0
+                key, uses = kept.key, kept.uses
+                if not uses or (uses < REUSE_STEPS
+                                and fits(fx, kept.fx0, x0f, last.x0f, key[0])):
+                    J, jacobians = last.jac, 0
+                    if uses:
+                        uses += 1
+                    if key[1] == size and key[2] == gamma:
+                        factorizations = 0
+                    else:
+                        kept, factorizations = _factored(kept, J, size, gamma, 0)
                 else:
-                    kept, factorizations = _factored(kept, J, size, gamma, 0)
+                    J, jacobians, uses = problems.field_jacobian(problem, active, x), 1, 1
+                    kept, factorizations = _factored(kept, J, size, gamma, 1)
                 factors = kept.factors
                 step = finish(field, x, x0f, size, J, factors, stage1(factors, fx, size))
-                kept.active, kept.step, kept.fx0, kept.uses = active, step, fx, 0
-                jacobians = 0
+                kept.active, kept.step, kept.fx0, kept.uses = active, step, fx, uses
             else:
                 step, factorizations, jacobians, kept = take_step(
                     problem, x, size, active, cfg, kept, fields)

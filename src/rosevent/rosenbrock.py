@@ -41,9 +41,10 @@ generated once per method and system size (_kernel_source): b = tau*f(x0),
 k1, the stage state x0 + k1, f there, the k2 right-hand side and x1 as one
 expression per entry, no loop. Every step path runs it: the public steps
 here (ros1_step, ros2_step, ros2_finish and, through them, restep), the
-driver's plain step (events.take_step), the continuing plain step of a
-declared affine visit (events.integrate, which binds stage1 and finish once
-per run), and the guarded step and each of its case-1b trials (onesided),
+driver's plain step (events.take_step), the continuing plain step on a
+held matrix, a declared affine visit's A_i or a kept finite-difference W
+(events.integrate, which binds stage1 and finish once per run), and the
+guarded step and each of its case-1b trials (onesided),
 where the guarded step hands finish the k1 whose stage it has checked.
 The step holds each stage once, as those floats (k1 and k2 are arrays
 built when read), and x1 as floats beside its array, which the driver's

@@ -1,13 +1,14 @@
 """Event detection, safe-side location, and the integration driver."""
 
 import math
+import random
 import warnings
 from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rosevent.events
@@ -16,6 +17,7 @@ import rosevent.onesided
 from rosevent.errors import DomainViolation, NoBracket, NonFiniteState, SingularMatrix
 from rosevent.events import (
     REUSE_STEPS,
+    SECANT_RTOL,
     SNAP_TRIES,
     THETA_TOL,
     Direction,
@@ -42,7 +44,11 @@ from rosevent.problems import (
     spp_flatten,
 )
 from rosevent.rosenbrock import (
+    GAMMA_ROS1,
     GAMMA_ROS2,
+    ROS1,
+    ROS2,
+    RosMethod,
     dense_derivative,
     dense_eval,
     method_by_name,
@@ -288,6 +294,21 @@ def test_integrate_validates_guard_method_pairing():
     with pytest.raises(ValueError, match="one-stage"):
         integrate(tent, [0.0], default_cfg(
             tau=0.1, guard_mode=GuardMode.ROS1_GENERAL))
+
+
+@pytest.mark.parametrize("stages, gamma", [(2, 0.5), (1, GAMMA_ROS2), (2, GAMMA_ROS1),
+                                           (3, GAMMA_ROS2)])
+def test_integrate_rejects_a_method_the_step_kernel_does_not_run(stages, gamma):
+    # the kernel writes ROS1's or ROS2's gamma into every step while the
+    # driver factors I - gamma*tau*J with the method's: a g05 method used to
+    # run with stages and step.gamma that did not match
+    method = RosMethod(stages=stages, gamma=gamma, label="g05")
+    problem = spp_flatten(builtin("kowalczyk", eps=1e-2))
+    with pytest.raises(ValueError, match=r"^method 'g05' \(stages=.*\) is neither ROS1 nor ROS2"):
+        integrate(problem, problem.x0, default_cfg(tau=1e-3, method=method))
+    for method in (ROS1, ROS2, RosMethod(stages=2, gamma=GAMMA_ROS2, label="copy")):
+        run = integrate(problem, problem.x0, default_cfg(tau=1e-3, t_end=0.01, method=method))
+        assert run.termination is Termination.REACHED_T_END
 
 
 @pytest.mark.parametrize("guard", [GuardMode.ROS1_GENERAL, GuardMode.ROS1_ORTHOGONAL])
@@ -1222,6 +1243,157 @@ def test_a_field_affine_only_along_the_path_refreshes_its_jacobian_by_the_cap():
     assert all(x[1] == 0.0 for x, *_ in taken)
     assert [j for *_, j in taken] == [1 if i % REUSE_STEPS == 0 else 0 for i in range(100)]
     assert result.stats.jacobian_evaluations == math.ceil(100 / REUSE_STEPS)
+
+
+def _secant_sum(row, dx):
+    # W_i.d, its products summed left to right from 0.0, as builtin sum
+    # does on Python 3.10 and 3.11
+    s = 0.0
+    for w, d in zip(row, dx):
+        s += w * d
+    return s
+
+
+def _row_fits(f1, f0, s):
+    return abs(f1 - f0 - s) <= SECANT_RTOL * (abs(f1) + abs(f0))
+
+
+def secant_fits(f1s, f0s, x1, x0, W):
+    """The secant test in loop form, the oracle of events._secant: with
+    d = x1 - x0, whether every row's residual f1 - f0 - W_i.d is within
+    SECANT_RTOL of |f1| + |f0|; a NaN never fits."""
+    dx = [a - b for a, b in zip(x1, x0)]
+    for f1, f0, row in zip(f1s, f0s, W):
+        if not _row_fits(f1, f0, _secant_sum(row, dx)):
+            return False
+    return True
+
+
+def _secant_edge(f0, s, outside):
+    """The float f1 nearest the secant f0 + s whose row still fits, or, when
+    outside, the next float beyond it, which does not: a bisection of the
+    floats between the secant and a value far off it."""
+    lo = f0 + s
+    hi = lo + (1.0 + abs(lo) + abs(f0))
+    if not (math.isfinite(hi) and _row_fits(lo, f0, s)) or _row_fits(hi, f0, s):
+        return lo
+    while True:
+        mid = lo + (hi - lo) / 2.0
+        if mid in (lo, hi):
+            return hi if outside else lo
+        if _row_fits(mid, f0, s):
+            lo = mid
+        else:
+            hi = mid
+
+
+@st.composite
+def secant_cases(draw):
+    """(f1, f0, x1, x0, W) of size 1 to 4, with NaN and signed-zero entries,
+    and each f1_i drawn freely, on the secant, or at either side of the
+    edge of SECANT_RTOL."""
+    n = draw(st.integers(1, 4))
+    # full-mantissa floats in [-4, 4], whose products and sums round, and
+    # one entry in ten a NaN, a signed zero or a tiny value
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    specials = [0.0, -0.0, math.nan, 1e-300, -5e-324]
+
+    def vector():
+        return [rnd.choice(specials) if rnd.random() < 0.1 else rnd.uniform(-4.0, 4.0)
+                for _ in range(n)]
+
+    W, x1, x0, f0 = [vector() for _ in range(n)], vector(), vector(), vector()
+    dx = [a - b for a, b in zip(x1, x0)]
+    f1 = []
+    for row, f0_i in zip(W, f0):
+        s = _secant_sum(row, dx)
+        kind = draw(st.sampled_from(["free", "secant", "inside", "outside"]))
+        if kind == "free":
+            f1.append(vector()[0])
+        elif kind == "secant":
+            f1.append(f0_i + s)
+        else:
+            f1.append(_secant_edge(f0_i, s, kind == "outside"))
+    return f1, f0, x1, x0, W
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=secant_cases())
+@example(case=([0.0], [0.0], [0.0], [0.0], [[-1.0]]))  # 0 <= 0 fits
+@example(case=([-0.0], [0.0], [0.0], [0.0], [[-1.0]]))  # W.d = -0.0 against 0.0
+@example(case=([-0.0, 0.0], [0.0, -0.0], [0.0, 1.0], [0.0, 1.0], [[-1.0, -0.0], [1.0, -0.0]]))
+@example(case=([math.nan], [0.0], [0.0], [0.0], [[0.0]]))
+@example(case=([1.0], [1.0], [1.0], [0.0], [[math.nan]]))
+def test_the_generated_secant_test_agrees_with_the_loop(case):
+    f1, f0, x1, x0, W = case
+    fits = rosevent.events._secant(len(f1))
+    assert fits(f1, f0, x1, x0, W) is secant_fits(f1, f0, x1, x0, W)
+
+
+def test_the_secant_edge_is_found():
+    # the strategy's edge cases do straddle SECANT_RTOL's edge
+    f0, s = 1.0, 0.25
+    inside, outside = _secant_edge(f0, s, False), _secant_edge(f0, s, True)
+    assert math.nextafter(inside, math.inf) == outside
+    assert _row_fits(inside, f0, s) and not _row_fits(outside, f0, s)
+    fits = rosevent.events._secant(1)
+    assert fits([inside], [f0], [1.25], [1.0], [[1.0]])
+    assert not fits([outside], [f0], [1.25], [1.0], [[1.0]])
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("kowalczyk", (527, 45, 6, {1: 368, 2: 922})),
+    ("teixeira", (511, 44, 7, {1: 375, 2: 965})),
+])
+def test_kept_w_steps_are_the_public_steps_with_that_w_bit_for_bit(name, counts):
+    # the steps that keep their W run in integrate's loop; each is the public
+    # step on the W it holds, and the run does the work it always did
+    flat = spp_flatten(builtin(name, eps=1e-2))
+    bare = _derivative_free(flat)
+    result, taken = recorded_steps(bare, flat.x0, IntegratorConfig(tau=4e-3, t_end=2.0))
+    stats = result.stats
+    assert result.termination is Termination.REACHED_T_END
+    assert (stats.steps, stats.jacobian_evaluations, stats.lu_factorizations,
+            stats.f_evals) == counts
+    assert sum(j == 0 for *_, j in taken) == stats.steps - stats.jacobian_evaluations
+    for x, active, step, _ in taken:
+        alone = ros2_step(bare.f1 if active == 1 else bare.f2, x, step.tau, step.jac)
+        assert alone.x1.tobytes() == step.x1.tobytes()
+
+
+def test_a_remainder_step_refactors_its_kept_w():
+    # x' = y, y' = -x without a Jacobian, to t_end = 0.105 at tau = 0.01:
+    # the first step takes a finite-difference J, the next nine keep it on
+    # its factors, and the last, a remainder of 0.005, keeps it too and
+    # factors it at its own size
+    def f(u):
+        return np.array([u[1], -u[0]])
+
+    problem = PiecewiseProblem(2, f, f, lambda u: -1.0)
+    factored = []
+    real_factor = rosevent.linalg.lu_factor
+
+    def counting(*args):
+        factored.append(None)
+        return real_factor(*args)
+
+    taken = []
+
+    def recording(x, active, step, jacobians):
+        taken.append((x, step, jacobians, len(factored)))
+
+    cfg = IntegratorConfig(tau=0.01, t_end=0.105)
+    with mock.patch.object(rosevent.linalg, "lu_factor", counting), \
+            mock.patch.object(rosevent.events, "_on_step", recording):
+        result = integrate(problem, [1.0, 0.0], cfg)
+    assert result.stats.steps == len(taken) == 11
+    assert [j for _, _, j, _ in taken] == [1] + [0] * 10
+    assert [n for *_, n in taken] == [1] * 10 + [2]
+    assert result.stats.lu_factorizations == 2
+    x, last, _, _ = taken[-1]
+    assert 0.0 < last.tau < cfg.tau and last.jac is taken[0][1].jac
+    fresh = ros2_step(f, x, last.tau, last.jac)
+    assert fresh.x1.tobytes() == last.x1.tobytes()
 
 
 def test_a_kept_w_moves_the_dense_output_by_the_stated_term():
