@@ -17,6 +17,13 @@ and the hit is its first root (linalg.quadratic_root), checked on the real
 h (Shampine, Gladwell & Brankin, ACM TOMS 17, 1991). Any other h is judged
 by its signs at the step's ends and searched with ITP (linalg.safe_side_root,
 as in the case-1b shortening), so it can miss an even number of crossings.
+Location reads the dense output's float form (RosenbrockStep.value_floats):
+a declared h is handed each probe's floats, which the repeat test compares
+bit for bit, any other h the float array built from them, and the located
+state's array is built once, for the record. integrate forms the
+quadratic's slopes once per located step, for the dip test and location.
+A hit of a declared slow/fast problem is classified on its float rows
+(filippov.filippov_coeffs), outside the counted field evaluations.
 
 A first step after a crossing whose hit is located within THETA_TOL of its
 start turns straight back (numerical chattering, e.g. a one-stage step at
@@ -77,6 +84,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,10 +195,22 @@ def _dips_across(g0: float, m1: float, m2: float) -> bool:
     return g_vertex > problems.SIGMA_TOL if g0 < 0.0 else g_vertex < -problems.SIGMA_TOL
 
 
+def _same_bits(a: list, b: list) -> bool:
+    """Whether two lists of floats of one length hold the same bits, as
+    their arrays' tobytes() would say. Floats that compare equal have the
+    same bits but for the zeros' signs, and a NaN never compares equal, so
+    a list with a zero or a NaN (or whose sum is NaN) compares bytes."""
+    total = sum(a)
+    if total != total or 0.0 in a:
+        return array("d", a).tobytes() == array("d", b).tobytes()
+    return a == b
+
+
 def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
                  step_index: int = 0, t_offset: float = 0.0,
                  h0: float | None = None, h1: float | None = None,
-                 surface: problems.Surface | None = None) -> EventRecord:
+                 surface: problems.Surface | None = None,
+                 slopes: tuple | None = None) -> EventRecord:
     """Find the first surface hit inside a step on its dense output.
 
     With a declared affine surface, g(theta) = h(X1(theta)) is a quadratic
@@ -200,15 +220,19 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
     it and accept the departing end of a bracket narrower than THETA_TOL.
     A probe whose state X1(theta) is bit for bit the previous probe's
     takes that probe's h instead of calling h again. The ends of the step
-    may share a sign (an even number of crossings).
+    may share a sign (an even number of crossings). slopes, when given, is
+    step.slopes(surface.n) as the caller has formed it.
     Otherwise, or when the probes do not settle it, linalg.safe_side_root
     searches the bracket known so far ([0, 1] when h0 and h1 differ in
     sign), from g at its far end, with cfg.h_tol and width THETA_TOL.
-    Either way the located state never trespasses, and location costs h
-    evaluations only (root_iterations counts them). Raises NoBracket when
-    no bracket is found.
+    With a surface given, h is handed each state as the floats of
+    step.value_floats, as a declared surface's h takes them; else as the
+    float array step.value builds from those floats. Either way the located
+    state never trespasses, x_star is the array step.value(theta_star), and
+    location costs h evaluations only (root_iterations counts them). Raises
+    NoBracket when no bracket is found.
     """
-    X1 = step.value
+    X1 = step.value if surface is None else step.value_floats
 
     def g(theta):
         return float(h(X1(theta)))
@@ -217,23 +241,23 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
         h0 = g(0.0)
     neg = h0 < 0.0
     lo, g_lo, hi, g_hi, calls = 0.0, h0, None, None, 0
+    x_lo = None  # the floats of X1(lo) when a probe set lo
     settled = False
     theta = None
     if surface is not None and h0 != 0.0:
-        m1, m2 = step.slopes(surface.n.tolist())
+        m1, m2 = slopes or step.slopes(surface.n.tolist())
         theta = linalg.quadratic_root(h0, m1, m2, 1.0)
-    seen = None  # the bytes of the last probe's state
+    seen = None  # the last probe's state
     for k in range(SNAP_TRIES if theta is not None else 0):
         x_theta = X1(theta)
-        key = x_theta.tobytes()
-        if key != seen:
-            seen = key
+        if seen is None or not _same_bits(x_theta, seen):
+            seen = x_theta
             g_theta = float(h(x_theta))
             calls += 1
         # else X1 is flat at this theta resolution: h reads as before
         departing = g_theta < 0.0 if neg else g_theta > 0.0
         if departing or g_theta == 0.0:
-            lo, g_lo = theta, g_theta
+            lo, g_lo, x_lo = theta, g_theta, x_theta
         else:  # the far side, or NaN
             hi, g_hi = theta, g_theta
         settled = (g_theta == 0.0 or (departing and abs(g_theta) <= cfg.h_tol)
@@ -257,11 +281,12 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
             hi, g_hi = 1.0, h1
         lo, g_lo, more = linalg.safe_side_root(g, lo, hi, g_lo, g_hi, cfg.h_tol, THETA_TOL)
         calls += more
+        x_lo = None
     return EventRecord(
         step_index=step_index,
         theta_star=lo,
         t_star=t_offset + lo * step.tau,
-        x_star=X1(lo),
+        x_star=step.value(lo) if x_lo is None else np.array(x_lo),
         residual=abs(g_lo),
         direction=Direction.R1_TO_R2 if neg else Direction.R2_TO_R1,
         root_iterations=calls,
@@ -294,15 +319,15 @@ def _validate_config(cfg: IntegratorConfig) -> None:
 
 def _classify_event(problem: problems.PiecewiseProblem,
                     record: EventRecord) -> filippov.Kind:
-    # the located state is on the surface by construction; widen the band
-    # check to its recorded residual
-    sigma_tol = max(problems.SIGMA_TOL, 2.0 * record.residual)
     spp = problem.source_spp
     if spp is not None:
         coeffs = filippov.filippov_coeffs(spp, record.x_star)
         kind = filippov.classify_spp(coeffs, spp.eps)
         if kind is not filippov.Kind.SLIDING:
             return kind
+    # the located state is on the surface by construction; widen the band
+    # check to its recorded residual
+    sigma_tol = max(problems.SIGMA_TOL, 2.0 * record.residual)
     return filippov.classify_general(problem, record.x_star, sigma_tol=sigma_tol).kind
 
 
@@ -510,8 +535,9 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
             else None)
     observe = _on_step
     # a declared surface's normal and its dot product, for the even-count
-    # test on every step, with the constants of RosenbrockStep.slopes; the
-    # one-stage chord is a line in theta and cannot cross twice
+    # test on every step and for location, with the constants of
+    # RosenbrockStep.slopes; the one-stage chord is a line in theta and
+    # cannot cross twice
     if problem.surface is None or cfg.method.stages == 1:
         normal = None
     else:
@@ -592,20 +618,25 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
         # an endpoint past the surface is located even inside the band: a
         # state recorded there would be classified with the field it left
         if (crossed or (not on_band and normal is not None)) and locate:
+            slopes = None
+            if normal is not None:
+                # step.slopes(normal), operation for operation, formed once
+                # for the dip test and for location
+                a1, a2 = dot(normal, step.k1f), dot(normal, step.k2f)
+                m1, m2 = c * (w1 * a1 - w2 * a2), c2 * (a1 + a2)
+                slopes = m1, m2
             dips = crossed
             if not crossed:
                 # with both ends on one side, h(X1(theta)) may still cross
-                # and return: step.slopes(normal), operation for operation,
-                # and _dips_across once the slope changes sign in (0, 1)
-                a1, a2 = dot(normal, step.k1f), dot(normal, step.k2f)
-                m1, m2 = c * (w1 * a1 - w2 * a2), c2 * (a1 + a2)
+                # and return: _dips_across once the slope changes sign in
+                # (0, 1)
                 d1 = m1 + m2
                 dips = (((m1 > 0.0 and d1 < 0.0) or (m1 < 0.0 and d1 > 0.0))
                         and _dips_across(h_at_x, m1, m2))
             if dips:
                 try:
-                    record = locate_event(step, h, cfg, step_index, t,
-                                          h0=h_at_x, h1=h_new, surface=problem.surface)
+                    record = locate_event(step, h, cfg, step_index, t, h0=h_at_x, h1=h_new,
+                                          surface=problem.surface, slopes=slopes)
                 except NoBracket:
                     if crossed:
                         raise

@@ -14,6 +14,13 @@ which equals eps^2 times the product of the stacked normal components:
 q < 0 means sliding, q > 0 crossing. Closed-form sufficient conditions in
 eps come from the sign pattern of (A, B, discriminant). f_i, g, h_y and
 h_z are the stacked problem's F_i and grad h split at slow_dim.
+
+On a declared stacked problem (problems.Affine) the products h_y.f1, h_y.f2
+and h_z.g are sums from +0.0, left to right, of the declared normal times
+the float rows' values at the state's floats: no array is built, and the
+bits do not depend on the BLAS (a one-term product's are numpy's). That g
+is shared is a property of the declaration, which problems.SppProblem
+checks once; an undeclared problem's F1 and F2 are compared at each state.
 """
 
 from __future__ import annotations
@@ -83,22 +90,47 @@ def classify_general(problem: problems.PiecewiseProblem, x,
     return SurfaceClassification(kind=kind, normal_products=(p1, p2))
 
 
+def _sum_products(a: list, b: list) -> float:
+    # 0.0 + a_0*b_0 + a_1*b_1 + ... on Python floats, summed left to right
+    # from +0.0 as numpy's dot sums, so a one-term product's zero is +0.0
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
 def filippov_coeffs(problem: problems.SppProblem, u) -> FilippovCoeffs:
     """Quadratic coefficients at a stacked surface state u = (y, z).
-    ValueError when F1 and F2 differ in a fast row (g must be shared)."""
+
+    On a declared stacked problem (stacked.affine, whose fields are its
+    float rows) F1 and F2 are its rows' float forms on u's floats, and p1 =
+    h_y.f1, p2 = h_y.f2 and q = h_z.g are left-to-right sums with the
+    declared normal, so their bits do not depend on the BLAS; SppProblem
+    has checked that the fast rows are shared. Otherwise F1, F2 and the
+    gradient of h are arrays, and ValueError when F1 and F2 differ in a
+    fast row (g must be shared)."""
     st, s = problem.stacked, problem.slow_dim
-    u = np.asarray(u, dtype=float)
     # raw callables, analytic gradient when given: classifying a hit is not
     # field work, so it adds nothing to the counters or the counted layers
-    F1 = np.asarray(st.f1(u), dtype=float)
-    F2 = np.asarray(st.f2(u), dtype=float)
-    if not np.array_equal(F1[s:], F2[s:], equal_nan=True):
-        raise ValueError(f"the fast rows of F1 and F2 differ at u = {u}: {F1[s:]} != {F2[s:]}")
-    grad = (np.asarray(st.grad_h(u), dtype=float) if st.grad_h is not None
-            else linalg.fd_gradient(st.h, u))
-    p1 = float(grad[:s] @ F1[:s])
-    p2 = float(grad[:s] @ F2[:s])
-    q = float(grad[s:] @ F1[s:])
+    aff = st.affine
+    if aff is not None:
+        uf = np.asarray(u, dtype=float).tolist()
+        n, F1, F2 = aff.n.tolist(), st.f1.floats(uf), st.f2.floats(uf)
+        p1 = _sum_products(n[:s], F1[:s])
+        p2 = _sum_products(n[:s], F2[:s])
+        q = _sum_products(n[s:], F1[s:])
+    else:
+        u = np.asarray(u, dtype=float)
+        F1 = np.asarray(st.f1(u), dtype=float)
+        F2 = np.asarray(st.f2(u), dtype=float)
+        if not np.array_equal(F1[s:], F2[s:], equal_nan=True):
+            raise ValueError(f"the fast rows of F1 and F2 differ at u = {u}: "
+                             f"{F1[s:]} != {F2[s:]}")
+        grad = (np.asarray(st.grad_h(u), dtype=float) if st.grad_h is not None
+                else linalg.fd_gradient(st.h, u))
+        p1 = float(grad[:s] @ F1[:s])
+        p2 = float(grad[:s] @ F2[:s])
+        q = float(grad[s:] @ F1[s:])
     return FilippovCoeffs(A=p1 * p2, B=p1 * q + p2 * q, Csq=q * q)
 
 

@@ -403,7 +403,9 @@ class SppProblem:
 
     `stacked` holds the unscaled stacked fields F_i(u) = [f_i(u); g(u)]:
     its rows slow_dim: are g, which both regions share. Its h, gradient,
-    Hessian, Jacobians, domains and x0 are those of u.
+    Hessian, Jacobians, domains and x0 are those of u. A declared stacked
+    problem (stacked.affine) is checked for that here: ValueError when the
+    fast rows of A1 and A2, or of b1 and b2, differ.
     """
 
     stacked: PiecewiseProblem
@@ -416,6 +418,10 @@ class SppProblem:
         if not 0 < self.slow_dim < self.stacked.dim:
             raise ValueError(
                 f"need 0 < slow_dim < {self.stacked.dim}, got slow_dim = {self.slow_dim}")
+        aff, fast = self.stacked.affine, slice(self.slow_dim, None)
+        if aff is not None and not (np.array_equal(aff.A1[fast], aff.A2[fast])
+                                    and np.array_equal(aff.b1[fast], aff.b2[fast])):
+            raise ValueError("both regions must share the fast rows")
 
     @property
     def label(self) -> str:
@@ -478,13 +484,8 @@ def affine_spp(aff: Affine, slow_dim: int, eps: float, label: str = "",
                x0=None) -> SppProblem:
     """The SppProblem whose stacked problem is `affine_problem(aff, ...)`:
     the first slow_dim rows of region i give f_i, the other rows give g,
-    which both regions must share (ValueError otherwise)."""
-    spp = SppProblem(affine_problem(aff, label, x0), slow_dim, float(eps))
-    fast = slice(slow_dim, None)
-    if not (np.array_equal(aff.A1[fast], aff.A2[fast])
-            and np.array_equal(aff.b1[fast], aff.b2[fast])):
-        raise ValueError("both regions must share the fast rows")
-    return spp
+    which both regions must share (SppProblem checks it)."""
+    return SppProblem(affine_problem(aff, label, x0), slow_dim, float(eps))
 
 
 def reduced_order_model(problem: SppProblem, g0: Callable) -> PiecewiseProblem:

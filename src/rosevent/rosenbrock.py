@@ -50,7 +50,9 @@ The step holds each stage once, as those floats (k1 and k2 are arrays
 built when read), and x1 as floats beside its array, which the driver's
 next step starts from; it is its own dense output: dense_eval,
 dense_derivative, event location and the dense guard all read its value,
-derivative and slopes. The kernel does the IEEE
+derivative and slopes. Its value has one formula, on floats
+(value_floats, which location hands a declared h); value is its array.
+The kernel does the IEEE
 operations of the array formulas above in the same order, and numpy's
 elementwise operations do not fuse, so the results equal the array
 expressions bit for bit. Both solves go through linalg.lu_solve, looked up
@@ -165,16 +167,22 @@ class RosenbrockStep:
     def k2(self) -> np.ndarray | None:
         return None if self.k2f is None else np.array(self.k2f)
 
-    def value(self, theta: float) -> np.ndarray:
-        """X1(theta), theta unchecked: the formula of the module docstring,
-        operation for operation."""
+    def value_floats(self, theta: float) -> list:
+        """X1(theta) as Python floats, theta unchecked: the formula of the
+        module docstring, operation for operation. At theta = 0 it is x0f
+        itself, which the caller must not modify."""
         if theta == 0.0:
-            return self.x0
+            return self.x0f
         if self.stages == 1:
-            return np.array([x + theta * a for x, a in zip(self.x0f, self.k1f)])
+            return [x + theta * a for x, a in zip(self.x0f, self.k1f)]
         w1 = self.c * (theta * (theta + (2.0 - 6.0 * self.gamma)))
         w2 = self.c * (theta * (theta - 2.0 * self.gamma))
-        return np.array([x + w1 * a + w2 * b for x, a, b in zip(self.x0f, self.k1f, self.k2f)])
+        return [x + w1 * a + w2 * b for x, a, b in zip(self.x0f, self.k1f, self.k2f)]
+
+    def value(self, theta: float) -> np.ndarray:
+        """X1(theta), theta unchecked: x0 itself at theta = 0, else the
+        array of value_floats(theta)."""
+        return self.x0 if theta == 0.0 else np.array(self.value_floats(theta))
 
     def derivative(self, theta: float) -> np.ndarray:
         """dX1/dtheta at theta, unchecked."""
@@ -218,7 +226,7 @@ _DOTS: dict = {}
 def _dot(n: int) -> Callable:
     """dot(n, k) of size n (_dot_source), the one slopes forms its a1 and
     a2 with; events.integrate binds it once per run for the even-count
-    test."""
+    test and location."""
     return _DOTS.get(n) or linalg.generated(_DOTS, n, _dot_source, "dot", {"fsum": math.fsum})
 
 

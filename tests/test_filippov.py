@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rosevent.filippov import (
+    TANGENT_TOL,
     FilippovCoeffs,
     Kind,
     classify_general,
@@ -18,8 +19,10 @@ from rosevent.filippov import (
     sliding_sufficient,
 )
 from rosevent.problems import (
+    Affine,
     PiecewiseProblem,
     SppProblem,
+    affine_spp,
     builtin,
     spp_flatten,
 )
@@ -290,3 +293,87 @@ def test_spp_and_stacked_classifications_agree():
                 eps * eps * p1 * p2, rel=1e-7, abs=1e-12)
             checked += 1
     assert checked >= 90
+
+
+# --- declared problems: the coefficients on floats ----------------------------
+
+def left_to_right(n, x):
+    total = 0.0
+    for a, b in zip(n, x):
+        total = total + a * b
+    return total
+
+
+@st.composite
+def declared_spps(draw):
+    """A random declared slow/fast problem with n = 2..4 states, a generic
+    normal (no zero entry), shared fast rows, a stacked state and an eps."""
+    dim = draw(st.integers(2, 4))
+    s = draw(st.integers(1, dim - 1))
+    entry = st.floats(-4.0, 4.0)
+
+    def matrix():
+        return np.array(draw(st.lists(entry, min_size=dim * dim, max_size=dim * dim))
+                        ).reshape(dim, dim)
+
+    A1, A2 = matrix(), matrix()
+    A2[s:] = A1[s:]
+    b1 = np.array(draw(st.lists(entry, min_size=dim, max_size=dim)))
+    b2 = np.array(draw(st.lists(entry, min_size=dim, max_size=dim)))
+    b2[s:] = b1[s:]
+    normal = draw(st.lists(st.floats(0.1, 4.0) | st.floats(-4.0, -0.1),
+                           min_size=dim, max_size=dim))
+    spp = affine_spp(Affine(A1, b1, A2, b2, normal, 0.0), s, draw(st.floats(1e-6, 1.0)))
+    u = np.array(draw(st.lists(entry, min_size=dim, max_size=dim)))
+    return spp, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=declared_spps())
+def test_declared_coefficients_are_left_to_right_sums_on_the_float_rows(case):
+    spp, u = case
+    st_problem, s = spp.stacked, spp.slow_dim
+    n, uf = st_problem.affine.n.tolist(), u.tolist()
+    F1, F2 = st_problem.f1.floats(uf), st_problem.f2.floats(uf)
+    p1, p2 = left_to_right(n[:s], F1[:s]), left_to_right(n[:s], F2[:s])
+    q = left_to_right(n[s:], F1[s:])
+    coeffs = filippov_coeffs(spp, u)
+    assert (coeffs.A, coeffs.B, coeffs.Csq) == (p1 * p2, p1 * q + p2 * q, q * q)
+    # the state as a list gives the same bits
+    assert filippov_coeffs(spp, uf) == coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=declared_spps())
+def test_declared_classification_is_the_array_classification_off_the_band_edge(case):
+    # the same problem undeclared (the same fields and gradient, no
+    # declaration) is classified on arrays, its dot products through numpy;
+    # the kinds agree wherever q(eps) is clear of +-TANGENT_TOL by more than
+    # the two paths' rounding can move it
+    spp, u = case
+    st_problem, s = spp.stacked, spp.slow_dim
+    bare = SppProblem(PiecewiseProblem(dim=st_problem.dim, f1=st_problem.f1, f2=st_problem.f2,
+                                       h=st_problem.h, grad_h=st_problem.grad_h),
+                      s, spp.eps)
+    floats, arrays = filippov_coeffs(spp, u), filippov_coeffs(bare, u)
+    n = np.abs(st_problem.affine.n)
+    F1, F2 = np.abs(st_problem.f1(u)), np.abs(st_problem.f2(u))
+    # each dot product is within 4 ulp of its absolute sum per path
+    P1, P2, Q = float(n[:s] @ F1[:s]), float(n[:s] @ F2[:s]), float(n[s:] @ F1[s:])
+    eps = spp.eps
+    scale = P1 * P2 * eps * eps + (P1 + P2) * Q * eps + Q * Q
+    value = arrays.quadratic(eps)
+    assume(abs(abs(value) - TANGENT_TOL) > 1e-12 * scale + 1e-3 * TANGENT_TOL)
+    assert classify_spp(floats, eps) is classify_spp(arrays, eps)
+    assert floats.quadratic(eps) == pytest.approx(value, rel=0.0, abs=1e-12 * scale)
+
+
+def test_a_generic_slow_normal_sums_left_to_right():
+    # three slow terms whose left-to-right sum rounds away from the exact
+    # one: 1e16 + 1 - 1e16 is 0 left to right (and 1 exactly)
+    aff = Affine(A1=[[0.0] * 4] * 4, b1=[1e16, 1.0, -1e16, 1.0],
+                 A2=[[0.0] * 4] * 4, b2=[1.0, 1.0, 1.0, 1.0],
+                 n=[1.0, 1.0, 1.0, 2.0], c=0.0)
+    coeffs = filippov_coeffs(affine_spp(aff, 3, 1e-2), [0.0, 0.0, 0.0, 0.0])
+    p1, p2, q = 0.0, 3.0, 2.0
+    assert (coeffs.A, coeffs.B, coeffs.Csq) == (p1 * p2, p1 * q + p2 * q, q * q)

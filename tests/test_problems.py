@@ -533,6 +533,19 @@ def test_affine_spp_checks_the_split_and_the_shared_fast_rows():
     npt.assert_array_equal(spp.x0, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("change", [{"A2": [[0.0, 0.0], [2.0, -1.0]]}, {"b2": [-1.0, 0.5]}])
+def test_a_declared_spp_with_fast_rows_that_differ_fails_at_construction(change):
+    # SppProblem itself refuses the declaration, not only affine_spp, so a
+    # declared problem cannot reach its first hit with a fast row that is
+    # not shared; a slow row may differ, and the signs of zeros do not count
+    rows = dict(A1=[[0.0, 0.0], [1.0, -1.0]], b1=[1.0, 0.0],
+                A2=[[5.0, 0.0], [1.0, -1.0]], b2=[-1.0, -0.0], n=[0.0, 1.0], c=0.0)
+    SppProblem(affine_problem(Affine(**rows)), 1, 1e-2)
+    rows.update(change)
+    with pytest.raises(ValueError, match="both regions must share the fast rows"):
+        SppProblem(affine_problem(Affine(**rows)), 1, 1e-2)
+
+
 @pytest.mark.parametrize("name, params", [
     ("kowalczyk", {"theta": math.nan}),
     ("kowalczyk", {"theta": math.inf}),
