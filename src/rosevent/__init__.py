@@ -24,7 +24,6 @@ from .events import (
     TrajectoryResult,
     integrate,
     locate_event,
-    take_step,
 )
 from .filippov import (
     classify_general,
@@ -95,5 +94,4 @@ __all__ = [
     "run_order_study",
     "sliding_sufficient",
     "spp_flatten",
-    "take_step",
 ]

@@ -6,12 +6,11 @@ class NumericalError(Exception):
 
     A step that fails still did work, which events.integrate counts:
     factorizations is the number of LU factorizations it ran, the failing
-    one included, and jacobians the number of Jacobians it evaluated. The
-    code that raises, and each step layer the failure passes, adds its own.
+    one included. The code that raises, and each step layer the failure
+    passes, adds its own.
     """
 
     factorizations = 0
-    jacobians = 0
 
 
 class SingularMatrix(NumericalError):

@@ -1,6 +1,6 @@
 """Event-driven fixed-step integration with dense-output event location.
 
-The driver advances one branch field with a fixed step (take_step). After
+The driver, integrate, advances one branch field with a fixed step. After
 each step it looks for a surface hit inside the step and locates it **on
 the dense output** X1(theta) of the already-computed step, costing h
 evaluations only (no field evaluations, no linear solves). The step is
@@ -31,25 +31,34 @@ tau/eps >> 1 relaxing the fast state): switching again would repeat the hit
 without advancing t, so the run ends with Termination.CHATTERING. That hit
 is not recorded, the field does not switch, the events so far are kept.
 
+Every step runs on one path, in integrate's loop, on the step kernel
+(rosenbrock.kernel) and the pieces the loop binds once per run. Each field
+is problems.eval_field with the problem and the field's number bound in,
+handed the step's x0 as a list of Python floats, and each Jacobian is
+problems.field_jacobian on those floats. A float-form field or Jacobian
+(problems.FloatField) runs on the floats as they are; any other gets the
+float array eval_field or field_jacobian builds from them, with the bits
+of the step's state. A step that continues the last plain step (the same
+field from that step's x1) starts from the floats that step holds of x1.
+
 At a fixed step the step matrix I - gamma*tau*J changes only when J or
-tau does, and on fields that are linear in each region J is constant. Each
-integrate call therefore keeps the LU factors of its last plain step and
+tau does, and on fields that are linear in each region J is constant. The
+loop therefore keeps the LU factors of its last plain step's matrix and
 reuses them while J's rows (compared by value, which fixes the step
-matrix's bits), tau and gamma are unchanged; the kept
-factors live in the call and die with it, and reusing them gives the same
-step bit for bit as factoring again. IntegrationStats.lu_factorizations
-counts the factorizations that actually ran, those of a step that failed
-included. A plain step that continues the last one (the same field from
-that step's x1) starts from the floats that step holds of its x1. The
-first plain step of a region visit takes a fresh J (take_step); integrate
-runs the visit's continuing plain steps itself, in its loop, on the kernel,
-the fields, the surface's dot product and the secant test it binds once
-per run, when the last step's matrix may be held: a declared affine
-problem's (problems.Affine) A_i, or a kept finite-difference W (below).
-Such a step is f(x0), then the kernel's stage1 and finish on that matrix
-and the kept factors, refactored only when the step size changes (a
-remainder at t_end). A visit evaluates and holds its own A_i even when its
-entries equal the last visit's, whose factors it then solves with.
+matrix's bits) and tau are unchanged; the kept factors live in the call
+and die with it, and reusing them gives the same step bit for bit as
+factoring again. IntegrationStats.lu_factorizations counts the
+factorizations that actually ran, those of a step that failed included.
+A plain step takes a fresh J, but one that continues the last plain step
+keeps that step's matrix when it may be held: a declared affine problem's
+(problems.Affine) A_i, evaluated on a visit's first step, or a kept
+finite-difference W (below). Such a step costs f(x0) and the kernel's
+stage1 and finish on the kept factors, refactored only when the step size
+changes (a remainder at t_end). A visit evaluates and holds its own A_i
+even when its entries equal the last visit's, whose factors it then
+solves with. The dense-guarded step of region 1 (onesided) takes a fresh J
+and factors on its own, and leaves the last plain step and the kept
+factors as they were.
 
 A finite-difference (FD) Jacobian differs in its last bits from state to
 state, so on its own it would miss that key on every step. But the
@@ -57,13 +66,12 @@ two-stage scheme is the ROS2 of Verwer, Spee, Blom & Hundsdorfer (SIAM J.
 Sci. Comput. 20, 1999), which keeps order 2 at the step's end for any
 matrix W in place of J: a W-method (Steihaug & Wolfbrandt, Math. Comp. 33,
 1979). So a continuing plain step of a field without an analytic Jacobian
-keeps the W of the previous step (integrate's loop) while W has served
-fewer than REUSE_STEPS steps and the previous step's secant fits W to
-FD-error level (_secant); else it takes a fresh FD J there. A kept W has
-the factor key's rows, so its step compares tau and gamma only and reuses
-the key's factors. A run takes a fresh FD J at its start and on every
-region entry. Analytic Jacobians of a field not declared affine, and the
-guarded step, always take a fresh J (take_step).
+keeps the W of the previous step while W has served fewer than
+REUSE_STEPS steps and the previous step's secant fits W to FD-error level
+(_secant); else it takes a fresh FD J. A kept W has the factor key's rows,
+so its step compares tau only and reuses the key's factors. A run takes a
+fresh FD J at its start and on every region entry. An analytic Jacobian
+of a field not declared affine is evaluated afresh on every plain step.
 W does not cancel from the dense output: its interior carries the extra
 term c*gamma*2*theta*(1 - theta)*tau^2*(W - J)*f(x0), zero at theta = 0
 and theta = 1, so event states keep their order but the interpolant's
@@ -83,6 +91,7 @@ point. It exists to measure the order reduction this causes.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -331,22 +340,6 @@ def _classify_event(problem: problems.PiecewiseProblem,
     return filippov.classify_general(problem, record.x_star, sigma_tol=sigma_tol).kind
 
 
-class _Kept:
-    """What a run's plain steps hand on (take_step and integrate's loop),
-    owned by the run and updated in place: the key (J's rows, tau, gamma)
-    and LU factors of the last step matrix factored, the last plain step and
-    its field, that step's f(x0), and the steps its J has served when it is
-    a finite-difference J or a W kept from one (uses; 0 for any other J).
-    integrate's loop runs the step that continues it on the held matrix
-    when that is a declared affine field's A_i or uses is not 0."""
-
-    __slots__ = ("key", "factors", "active", "step", "fx0", "uses")
-
-    def __init__(self, key: tuple, factors: linalg.LuFactors):
-        self.key = key
-        self.factors = factors
-
-
 def _secant_source(n: int) -> str:
     """Source of fits(f1, f0, x1, x0, W) for size n: whether W fits the
     secant from x0 to x1, f1 and f0 the field there and W n rows of n
@@ -377,106 +370,10 @@ def _secant(n: int):
 
 
 # Called, when set, as _on_step(x, active, step, jacobians) after every step
-# integrate takes, in take_step or in its own loop: the state the step
-# started from, its field, the RosenbrockStep and the Jacobians it
-# evaluated. integrate reads it once per run; None in normal use.
+# integrate takes: the state the step started from, its field, the
+# RosenbrockStep and the Jacobians it evaluated. integrate reads it once per
+# run; None in normal use.
 _on_step = None
-
-
-def _run_fields(problem: problems.PiecewiseProblem) -> tuple:
-    # per field, the counted field as the step kernel takes it and whether
-    # it and its Jacobian run on floats, so a step hands them x's floats,
-    # not x
-    return ((problems.field_floats(problem, 1), problems.takes_floats(problem.f1),
-             problems.takes_floats(problem.jac_f1)),
-            (problems.field_floats(problem, 2), problems.takes_floats(problem.f2),
-             problems.takes_floats(problem.jac_f2)))
-
-
-def _factored(kept, J, tau: float, gamma: float, jacobians: int) -> tuple:
-    """(kept, 0) when kept's key equals (J's rows, tau, gamma), else a new
-    _Kept with those rows and the LU factors of I - gamma*tau*J, and 1. A
-    SingularMatrix carries the failing step's Jacobians (jacobians)."""
-    # the key compares J's rows by value: rows that compare equal give the
-    # step matrix's bits (+0.0 and -0.0 both give 0.0 - g*J_ij = 0.0). A
-    # key is kept only once lu_factor has taken its rows, so it holds no
-    # NaN, and a row with a NaN matches none. It holds a copy: a float-form
-    # Jacobian's rows are its own lists.
-    rows = J if type(J) is list else J.tolist()
-    if kept is not None and kept.key == (rows, tau, gamma):
-        return kept, 0
-    try:
-        factors = rosenbrock.factor(rows, tau, gamma)
-    except SingularMatrix as exc:
-        exc.jacobians += jacobians
-        raise
-    return _Kept(([row[:] for row in rows], tau, gamma), factors), 1
-
-
-def take_step(problem: problems.PiecewiseProblem, x, tau: float, active: int,
-              cfg: IntegratorConfig, kept=None, fields=None):
-    """One step of the active field from x with a fresh J: the guarded
-    two-stage step from region 1 under the dense guard, else a plain step
-    of cfg.method. Both run on the step kernel (rosenbrock.kernel) and check
-    nothing of x, a finite float array of the problem's dimension, as
-    integrate checks it once. integrate runs every step through here but
-    the continuing plain steps on a held matrix, a declared affine visit's
-    A_i or a kept finite-difference W, which it runs on the kernel itself
-    (module docstring). Handed such a step, this function evaluates J again:
-    the same step on an affine visit, a step with a fresh W otherwise.
-
-    kept is None or what this function or integrate's loop left of the
-    previous step of the same run, which this call may update in place. A
-    plain step that takes the same field from the last plain step's x1 (the
-    same array) continues that step and starts from the floats the step
-    holds of x1. A float-form field or Jacobian (problems.takes_floats) is
-    handed x's floats, and such a Jacobian's float rows are factored as
-    they are. A plain step whose factor key (the rows of its J as Python
-    floats, tau, gamma) equals the kept one solves with the kept LU factors
-    of I - gamma*tau*J; any other plain step factors that matrix and keeps
-    it. Rows that compare equal give the step matrix's bits, so both give
-    the same step bit for bit. The guarded step factors on its own and
-    hands kept on as it was. fields is what a run makes once (_run_fields);
-    None makes it here.
-
-    Returns (step, factorizations, jacobians, kept): the LU factorizations
-    this call ran (0 when it used the kept factors) and the Jacobians it
-    evaluated. step.jac is the matrix the step used, as given (float rows
-    or an array), and step.J reads it as an array. step.tau is the size
-    actually taken, below tau only when case 1b shortened the step. A step
-    that fails, a SingularMatrix or a case-1b NoBracket, carries the
-    factorizations it ran and the Jacobians it evaluated on the exception
-    (errors.NumericalError), and integrate counts them as it counts a
-    step's.
-    """
-    field, floats_in, jac_floats = (fields or _run_fields(problem))[active - 1]
-    # the last plain step, when this one continues it
-    last = (kept.step if kept is not None and kept.active == active and kept.step.x1 is x
-            else None)
-    x0f = x.tolist() if last is None else last.x1f
-    # the state as the field's Jacobian takes it
-    x_jac = x0f if jac_floats else x
-    if cfg.guard_mode is onesided.GuardMode.ROS2_DENSE and active == 1:
-        J = problems.field_jacobian(problem, active, x_jac)
-        fx = field(x0f if floats_in else x)
-        try:
-            step, factorizations = onesided._guarded_step(problem, x, x0f, fx, tau, J,
-                                                          cfg.h_tol, field)
-        except (SingularMatrix, NoBracket) as exc:
-            exc.jacobians += 1
-            raise
-        return step, factorizations, 1, kept
-    fx = field(x0f if floats_in else x)
-    J = problems.field_jacobian(problem, active, x_jac)
-    kept, factorizations = _factored(kept, J, tau, cfg.method.gamma, 1)
-    factors = kept.factors
-    run = rosenbrock.kernel(cfg.method.stages, len(x0f))
-    step = run.finish(field, x, x0f, tau, J, factors, run.stage1(factors, fx, tau))
-    # uses: the steps the J of this step has served, 0 but for a
-    # finite-difference J
-    uses = int((problem.jac_f1 if active == 1 else problem.jac_f2) is None)
-    kept.active, kept.step, kept.fx0, kept.uses = active, step, fx, uses
-    return step, factorizations, 1, kept
 
 
 def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> TrajectoryResult:
@@ -507,8 +404,6 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
 
     f_before, v_before = problem.counters.snapshot()
     lu_count = jac_count = 0
-    # factors and W of the last plain step, see _Kept; local to this call
-    kept = None
     steps_taken = 0
     t = 0.0
     mesh = [(0.0, x.copy())]
@@ -516,23 +411,36 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     guard_reports: list = []
     step_index = 0
     guard = cfg.guard_mode
-    # the run's pieces, bound once: the counted fields as the step kernel
-    # takes them, and what every step reads
-    fields = _run_fields(problem)
+    # the run's pieces, bound once: each field counted through eval_field,
+    # a list of floats in and out as the step kernel takes it, its Jacobian,
+    # and what every step reads
+    fields = (functools.partial(problems.eval_field, problem, 1),
+              functools.partial(problems.eval_field, problem, 2))
+    jacobian = problems.field_jacobian
+    # per field, the uses a fresh J starts at: 1 for a finite-difference J,
+    # whose W a continuing step may keep, 0 for an analytic one
+    fresh_uses = (int(problem.jac_f1 is None), int(problem.jac_f2 is None))
     h = problem.h
     # a declared surface's h takes the floats a step holds of its x1
     h_floats = problem.surface is not None
     sigma_tol = problems.SIGMA_TOL
     tau, t_end, locate = cfg.tau, cfg.t_end, cfg.locate_events
-    # the continuing plain steps on a held matrix run in the loop below, on
-    # this kernel, the fields, the kept factors and, for a field without an
-    # analytic Jacobian, the secant test
+    # the step kernel, and the secant test of a field without an analytic
+    # Jacobian
     affine = problem.affine is not None
     gamma = cfg.method.gamma
     run = rosenbrock.kernel(cfg.method.stages, problem.dim)
     stage1, finish = run.stage1, run.finish
     fits = (_secant(problem.dim) if problem.jac_f1 is None or problem.jac_f2 is None
             else None)
+    dense_guard = guard is onesided.GuardMode.ROS2_DENSE
+    h_tol = cfg.h_tol
+    # the last plain step and its field, and what a step that continues it
+    # reuses: the key (J's rows, tau) and LU factors of the last step matrix
+    # factored, that step's f(x0), and the steps its J has served when it is
+    # a finite-difference J or a W kept from one (uses; 0 for any other J)
+    last = last_active = key_rows = key_tau = factors = fx0 = None
+    uses = 0
     observe = _on_step
     # a declared surface's normal and its dot product, for the even-count
     # test on every step and for location, with the constants of
@@ -555,45 +463,50 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
             termination = Termination.REACHED_T_END
             break
         size = min(tau, remaining)
+        field = fields[active - 1]
+        # a step that continues the last plain step (the same field from its
+        # x1) starts from the floats that step holds of x1
+        cont = last is not None and last_active == active and last.x1 is x
+        x0f = last.x1f if cont else x.tolist()
         try:
-            if kept is not None and (affine or kept.uses) and kept.active == active \
-                    and kept.step.x1 is x:
-                # a plain step that continues the last plain step (take_step's
-                # test; no plain step of region 1 runs under the dense guard),
-                # from the floats of its x1, on the matrix it held: a declared
-                # affine field's A_i (uses 0), or a finite-difference W, whose
-                # rows are the key's, while it has served fewer than
-                # REUSE_STEPS steps and fits the last step's secant, else a
-                # fresh FD J; refactored when J is fresh or size is not the
-                # kept key's tau (a remainder at t_end)
-                last = kept.step
-                field, floats_in, _ = fields[active - 1]
-                x0f = last.x1f
-                fx = field(x0f if floats_in else x)
-                key, uses = kept.key, kept.uses
-                if not uses or (uses < REUSE_STEPS
-                                and fits(fx, kept.fx0, x0f, last.x0f, key[0])):
-                    J, jacobians = last.jac, 0
+            if dense_guard and active == 1:
+                # the guarded step: a fresh J, factored on its own; the last
+                # plain step and its factors stay as they were
+                J, jacobians = jacobian(problem, 1, x0f), 1
+                step, factorizations = onesided._guarded_step(
+                    problem, x, x0f, field(x0f), size, J, h_tol, field)
+            else:
+                fx = field(x0f)
+                if cont and (uses < REUSE_STEPS and fits(fx, fx0, x0f, last.x0f, key_rows)
+                             if uses else affine):
+                    # the matrix the last step held, whose rows are the key's:
+                    # a declared affine field's A_i, or a finite-difference W
+                    # while it has served fewer than REUSE_STEPS steps and
+                    # fits the last step's secant
+                    J, rows, jacobians = last.jac, key_rows, 0
                     if uses:
                         uses += 1
-                    if key[1] == size and key[2] == gamma:
-                        factorizations = 0
-                    else:
-                        kept, factorizations = _factored(kept, J, size, gamma, 0)
                 else:
-                    J, jacobians, uses = problems.field_jacobian(problem, active, x), 1, 1
-                    kept, factorizations = _factored(kept, J, size, gamma, 1)
-                factors = kept.factors
+                    J, jacobians, uses = jacobian(problem, active, x0f), 1, fresh_uses[active - 1]
+                    rows = J if type(J) is list else J.tolist()
+                # the key compares J's rows by value: rows that compare equal
+                # give the step matrix's bits (+0.0 and -0.0 both give
+                # 0.0 - g*J_ij = 0.0). A key is kept only once lu_factor has
+                # taken its rows, so it holds no NaN, and a row with a NaN
+                # matches none. It holds a copy: a float-form Jacobian's rows
+                # are its own lists.
+                if size != key_tau or rows != key_rows:
+                    factors = rosenbrock.factor(rows, size, gamma)
+                    key_rows, key_tau, factorizations = [r[:] for r in rows], size, 1
+                else:
+                    factorizations = 0
                 step = finish(field, x, x0f, size, J, factors, stage1(factors, fx, size))
-                kept.active, kept.step, kept.fx0, kept.uses = active, step, fx, uses
-            else:
-                step, factorizations, jacobians, kept = take_step(
-                    problem, x, size, active, cfg, kept, fields)
+                last, last_active, fx0 = step, active, fx
         except (SingularMatrix, NoBracket) as exc:
             # a singular step matrix, or the one-sided step-shortening
             # machinery failed; the work the step did still counts
             lu_count += exc.factorizations
-            jac_count += exc.jacobians
+            jac_count += jacobians
             termination = (Termination.SOLVER_FAILURE if isinstance(exc, SingularMatrix)
                            else Termination.GUARD_FAILURE)
             break

@@ -6,16 +6,29 @@ powers, table lookups). The guards below certify, from quantities available
 at the step start, that h increases monotonically along the step family, so
 the surface is approached from one side and never evaluated across.
 
-For the one-stage method the certificate truncates the power series of
-dH/dsigma, H(sigma) = h(x1(sigma)), keeping the terms through sigma^2 and
-replacing the signs of the unknown coefficients by their worst case; its
-first root in (0, tau) (linalg.quadratic_root), taken down to the last
-float where the exact truncation is not negative, is the certified sigma,
-and with none the guard passes. The general variant needs the Neumann
-series of (I - gamma*sigma*J)^(-1) to converge (spectral radius of
-gamma*tau*J below one); the orthogonal variant replaces the series by the
-identity (I - gamma*tau*J)^(-1) = (I - gamma*tau*J)^T, valid when the step
-matrix is orthogonal.
+For the one-stage method the step family is x1(sigma) = x0 +
+sigma*M(sigma)^(-1) f(x0), M(sigma) = I - gamma*sigma*J, so along it
+H(sigma) = h(x1(sigma)) has the power series
+dH/dsigma = a0 + a1*sigma + a2*sigma^2 + ..., whose coefficients through
+sigma^2 the guards report. On a declared affine surface h = n.x + c
+(problems.Surface) the series is H'(sigma) = n.M(sigma)^(-2) f =
+sum_k (k+1)*(gamma*sigma)^k * n.J^k f exactly, and both one-stage guards
+decide from a lower bound of it (_declared_certificate): the terms through
+sigma^2 with their harmless signs dropped, less a bound on the tail in the
+infinity norm, all of it exact in rationals. So a pass certifies that H
+increases along the whole family up to tau, and the certified sigma is the
+largest size, to within a few ulps, at which the bound is still positive.
+On any other surface the guards truncate the series after sigma^2,
+replacing the signs of a1 and a2 by their worst case: its first root in
+(0, tau) (linalg.quadratic_root), taken down to the last float where the
+exact truncation is not negative, is the certified sigma, and with none the
+guard passes. That truncation drops the tail and Hessian changes along the
+step, so there the verdict is not a certificate. The general variant needs
+the Neumann series of (I - gamma*sigma*J)^(-1) to converge (spectral radius
+of gamma*tau*J below one); the orthogonal variant forms its truncation from
+the identity (I - gamma*tau*J)^(-1) = (I - gamma*tau*J)^T, valid when the
+step matrix is orthogonal at tau (at smaller sigma it is not, which is why
+a declared surface decides it by the same bound as the general variant).
 
 For the two-stage method the guard checks positivity of
 
@@ -43,6 +56,7 @@ and no field evaluations.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,18 +126,80 @@ def _series_certificate(c0: float, r1: float, r2: float, tau: float) -> tuple:
     return False, 0.0
 
 
+def _declared_certificate(n, J, f, gamma: float, tau: float) -> tuple:
+    # (passed, certified sigma) of the one-stage step family on the surface
+    # n.x + c from a lower bound of H'(sigma) = n.M(sigma)^-2 f, exact in
+    # rationals: c0 - sigma*r1 - sigma^2*r2 - tail(sigma), with
+    # c_k = n.J^k f, r1 = max(0, -2*gamma*c1), r2 = max(0, -3*gamma^2*c2)
+    # and, from |n.J^k f| <= ||J^T n||_1 * ||J||_inf^(k-1) * ||f||_inf,
+    #   tail = ||J^T n||_1 * ||f||_inf * (gamma*sigma)^3 * ||J||_inf^2 * S(q),
+    #   q = gamma*sigma*||J||_inf < 1, S(q) = sum_{k>=3} (k+1)*q^(k-3)
+    #                                       = (4 - 3q)/(1 - q)^2.
+    # Every term worsens as sigma grows, so the bound at tau decides the
+    # pass, and linalg.safe_side_root finds the last sigma (within 4 ulps of
+    # tau) where it is positive. An entry that is not finite certifies
+    # nothing.
+    from fractions import Fraction
+
+    if not all(np.isfinite(a).all() for a in (n, J, f)):
+        return False, 0.0
+    nv = [Fraction(v) for v in n.tolist()]
+    fv = [Fraction(v) for v in f.tolist()]
+    rows = [[Fraction(v) for v in row] for row in J.tolist()]
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    c0 = dot(nv, fv)
+    if not c0 > 0:
+        return False, 0.0
+    Jf = [dot(row, fv) for row in rows]
+    c1, c2 = dot(nv, Jf), dot(nv, [dot(row, Jf) for row in rows])
+    g = Fraction(gamma)
+    r1, r2 = max(0, -2 * g * c1), max(0, -3 * g * g * c2)
+    norm_J = max(sum(abs(v) for v in row) for row in rows)
+    tail_scale = (sum(abs(dot(col, nv)) for col in zip(*rows)) * max(abs(v) for v in fv)
+                  * norm_J * norm_J)
+
+    def bound(sigma: float) -> float:
+        # the bound at sigma as a float of its sign: one > 0 reads positive
+        # and one <= 0 negative, however small, and q >= 1 reads -inf
+        s = Fraction(sigma)
+        q = g * s * norm_J
+        if q >= 1:
+            return -math.inf
+        v = c0 - s * r1 - s * s * r2 - tail_scale * (g * s) ** 3 * (4 - 3 * q) / (1 - q) ** 2
+        try:
+            out = float(v)
+        except OverflowError:
+            out = math.inf if v > 0 else -math.inf
+        return max(out, 5e-324) if v > 0 else min(out, -5e-324)
+
+    at_tau = bound(tau)
+    if at_tau > 0.0:
+        return True, tau
+    sigma, _, _ = linalg.safe_side_root(bound, 0.0, tau, bound(0.0), at_tau, 0.0,
+                                        4.0 * np.finfo(float).eps * tau)
+    return False, sigma
+
+
 def guard_ros1_general(problem: problems.PiecewiseProblem, x0, tau: float,
                        gamma: float) -> GuardReport:
-    """Truncated-series monotonicity certificate for the one-stage step.
+    """Monotonicity certificate for the one-stage step.
 
     Coefficients of dH/dsigma = a0 + a1*sigma + a2*sigma^2 + ... are formed
-    from f1, its Jacobian, and the gradient/Hessian of h at x0; the guard
-    passes, certifying tau, when a0 > 0 and the worst-case truncation
-    a0 - sigma*max(0, -a1) - sigma^2*max(0, -a2) has no root in (0, tau);
-    else certified_sigma is that root, or the float just below it. Requires the Neumann series to
-    converge; when the spectral-radius bound of gamma*tau*J reaches one the
-    guard abstains (neumann_ok False, not passed, certified_sigma 0).
-    Raises ValueError unless tau is positive and finite.
+    from f1, its Jacobian, and the gradient/Hessian of h at x0. On a
+    declared surface the guard passes, certifying tau, when a lower bound
+    of dH/dsigma over the whole series stays positive up to tau
+    (_declared_certificate); else certified_sigma is the last size where it
+    does. On any other surface it passes when a0 > 0 and the worst-case
+    truncation a0 - sigma*max(0, -a1) - sigma^2*max(0, -a2) has no root in
+    (0, tau), else certified_sigma is that root, or the float just below
+    it; that verdict is not a certificate (module docstring). Requires the
+    Neumann series to converge; when the spectral-radius bound of
+    gamma*tau*J reaches one the guard abstains (neumann_ok False, not
+    passed, certified_sigma 0). Raises ValueError unless tau is positive
+    and finite.
     """
     _check_step_size(tau)
     x0 = np.asarray(x0, dtype=float)
@@ -143,12 +219,17 @@ def guard_ros1_general(problem: problems.PiecewiseProblem, x0, tau: float,
         + 2.0 * gamma * float(f @ (hxx @ Jf))
         + gamma * float(Jf @ hxxf)
     )
-    passed, certified = _series_certificate(a0, _harm(-a1), _harm(-a2), tau)
+    if not neumann_ok:
+        passed, certified = False, 0.0
+    elif problem.surface is not None:
+        passed, certified = _declared_certificate(problem.surface.n, J, f, gamma, tau)
+    else:
+        passed, certified = _series_certificate(a0, _harm(-a1), _harm(-a2), tau)
     return GuardReport(
         mode=GuardMode.ROS1_GENERAL,
         coefficients={"a0": a0, "a1": a1, "a2": a2},
-        passed=passed and neumann_ok,
-        certified_sigma=certified if neumann_ok else 0.0,
+        passed=passed,
+        certified_sigma=certified,
         neumann_ok=neumann_ok,
     )
 
@@ -157,8 +238,10 @@ def guard_ros1_orthogonal(problem: problems.PiecewiseProblem, x0, tau: float,
                           gamma: float) -> GuardReport:
     """Variant of the one-stage guard for an orthogonal step matrix.
 
-    Replaces the Neumann series by the transpose identity, so no spectral
-    condition enters. Raises NotOrthogonal unless
+    Forms its coefficients from the transpose identity, so no spectral
+    condition is reported. On a declared surface it decides passed and
+    certified_sigma by the bound guard_ros1_general uses, since the step
+    matrix at sigma < tau is not orthogonal. Raises NotOrthogonal unless
     (I - gamma*tau*J)^T (I - gamma*tau*J) = I within ORTHOGONALITY_TOL in
     the induced infinity norm, and ValueError unless tau is positive and
     finite.
@@ -183,9 +266,12 @@ def guard_ros1_orthogonal(problem: problems.PiecewiseProblem, x0, tau: float,
     b0 = float(hx @ f)
     b1 = float(f @ hxxf) - 2.0 * gamma * float(hx @ Jtf)
     b2 = 2.0 * gamma * float(f @ (hxx @ Jtf)) + gamma * float(hxxf @ Jtf)
-    # dH/dsigma truncates to b0 + sigma*b1 - sigma^2*b2 here, so a positive
-    # b2 is the harmful sign.
-    passed, certified = _series_certificate(b0, _harm(-b1), _harm(b2), tau)
+    if problem.surface is not None:
+        passed, certified = _declared_certificate(problem.surface.n, J, f, gamma, tau)
+    else:
+        # dH/dsigma truncates to b0 + sigma*b1 - sigma^2*b2 here, so a
+        # positive b2 is the harmful sign.
+        passed, certified = _series_certificate(b0, _harm(-b1), _harm(b2), tau)
     return GuardReport(
         mode=GuardMode.ROS1_ORTHOGONAL,
         coefficients={"b0": b0, "b1": b1, "b2": b2, "gram_defect": defect},
@@ -207,9 +293,8 @@ def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,
     """
     _check_step_size(tau)
     x0, J = linalg.as_vector(x0), np.asarray(J, dtype=float)
-    field, x0f = problems.field_floats(problem, 1), x0.tolist()
-    fx0 = field(x0f if problems.takes_floats(problem.f1) else x0)
-    return _guarded_step(problem, x0, x0f, fx0, tau, J, h_tol, field)
+    field, x0f = functools.partial(problems.eval_field, problem, 1), x0.tolist()
+    return _guarded_step(problem, x0, x0f, field(x0f), tau, J, h_tol, field)
 
 
 def _stage_h(problem, x0f: list, k1: list) -> float:
@@ -223,9 +308,9 @@ def _guarded_step(problem, x0, x0f, fx0, tau, J, h_tol, field):
     # guarded_ros2_step on the kernel, unchecked: x0 a finite float array of
     # the problem's dimension and x0f its floats, fx0 = f1(x0) as floats, J a
     # float array or the float rows of a float-form Jacobian (factored as
-    # they are), field the counted field 1 as problems.field_floats makes
-    # it; integrate's step. A NaN h at the internal stage has no side, so it
-    # shortens the step as a trespass does.
+    # they are), field the counted field 1 (problems.eval_field with problem
+    # and 1 bound in); integrate's step. A NaN h at the internal stage has no
+    # side, so it shortens the step as a trespass does.
     factors = rosenbrock.factor(J, tau, rosenbrock.GAMMA_ROS2)
     run = rosenbrock.kernel(2, len(x0f))
     k1 = run.stage1(factors, fx0, tau)
@@ -284,7 +369,8 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
         raise exc
 
     factors, k1 = tried[sigma_bar]
-    step = run.finish(problems.field_floats(problem, 1), x0, x0f, sigma_bar, J, factors, k1)
+    step = run.finish(functools.partial(problems.eval_field, problem, 1), x0, x0f, sigma_bar, J,
+                      factors, k1)
     return step, trials
 
 

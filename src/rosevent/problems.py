@@ -6,24 +6,21 @@ of width `sigma_tol` in practice). Each region owns one branch of the
 vector field; branches may carry domain predicates marking where they can
 be evaluated at all. Evaluation bookkeeping lives on the problem instance
 so integrations can report exact evaluation and violation counts, all
-through eval_field: the step kernel's fields and the FD Jacobian look it
-up here on every call, so each counted evaluation is one eval_field call.
-eval_field has two forms, as linalg.lu_solve does: a float array in gives
-a float array out, and a list of Python floats in gives a list of floats
-out, the form the step kernel (rosenbrock) passes its states in.
-field_jacobian has the same two forms for a float-form Jacobian (below):
-an array in gives an array, a list of floats in gives rows of floats.
+through eval_field: every field evaluation of a step, of the guards and of
+the FD Jacobian is one eval_field call, which the driver (events) and the
+guarded step (onesided) bind once as functools.partial(eval_field,
+problem, which). eval_field has two forms, as linalg.lu_solve does: a float
+array in gives a float array out, and a list of Python floats in gives a
+list of floats out, the form in which every step hands a field its state.
+field_jacobian takes the same two forms; every step hands it the floats.
 
 A problem may declare the float form of a field or of a Jacobian by giving
-it as a FloatField: `floats` maps a list of Python floats to a list (of
-floats for a field, of float rows for a Jacobian), and calling the object
-with an array returns an array of the same bits. eval_field and
-field_jacobian then run the float form on a list of floats and run no
-numpy; given an array they return an array, as for any other field. A
-float-form field's domain predicate is handed the floats the field is
-given. The step kernel's view of a field (field_floats) and the driver
-(events) hand a float-form field or Jacobian floats, and any other an
-array. najafi's fields, Jacobians and domain run on `math` floats.
+it as a FloatField. eval_field and field_jacobian run a float form on the
+step's floats as they are, and run no numpy; a float-form Jacobian's rows
+are factored as they come. Any other field, Jacobian or domain predicate
+gets the float array eval_field or field_jacobian builds from the floats,
+with the step's bits. najafi's fields, Jacobians and domain run on `math`
+floats.
 
 A piecewise-affine problem (x' = A_i x + b_i, h = n.x + c) is declared once
 as `Affine` data, and `affine_problem` derives every field, Jacobian and
@@ -183,11 +180,13 @@ class FloatField:
     """A field, or a field's Jacobian, declared with its float form.
 
     `floats` takes the state as a list of Python floats and returns a list:
-    the field's value as floats, or the Jacobian as rows of floats. Called
-    with a vector, the object returns the float array of what `floats`
-    gives on the vector's floats, the same bits, so it serves wherever a
-    field or Jacobian callable does. eval_field and field_jacobian call
-    `floats` directly on a list of floats, so a step runs no numpy on it.
+    the field's value as floats, or the Jacobian as rows of floats. Every
+    step hands eval_field and field_jacobian its state as floats, and they
+    call `floats` on them directly, so the step runs no numpy on the field;
+    the field's domain predicate, if any, gets the same floats. Called with
+    a vector, the object returns the float array of what `floats` gives on
+    the vector's floats, the same bits, so it serves wherever a field or
+    Jacobian callable does.
     """
 
     __slots__ = ("floats",)
@@ -197,13 +196,6 @@ class FloatField:
 
     def __call__(self, x) -> np.ndarray:
         return np.array(self.floats(np.asarray(x, dtype=float).tolist()))
-
-
-def takes_floats(f) -> bool:
-    """Whether the field or Jacobian f declares its float form (a
-    FloatField), so a caller holding the state both as an array and as
-    floats hands it the floats; any other callable is handed the array."""
-    return isinstance(f, FloatField)
 
 
 def _value_floats(v: np.ndarray, n: int) -> list:
@@ -253,25 +245,6 @@ def eval_field(problem: PiecewiseProblem, which: int, x, checked: bool = False):
     problem.counters.f_evals[which] += 1
     v = np.asarray(f(x), dtype=float)
     return _value_floats(v, problem.dim) if floats else v
-
-
-def field_floats(problem: PiecewiseProblem, which: int) -> Callable:
-    """Branch field `which` as the step kernel takes it, counted through the
-    eval_field bound when this is called (a wrapper installed before then
-    sees every evaluation). A list of floats in gives a list of problem.dim
-    floats out. A float-form field (takes_floats) is eval_field itself with
-    problem and which bound in, so an array in gives eval_field's float
-    array out; a step hands it the list of floats it holds. Any other field
-    takes the array a step starts from as it is, so that array is not
-    built again, and gives its value as floats."""
-    if takes_floats(problem.f1 if which == 1 else problem.f2):
-        return functools.partial(eval_field, problem, which)
-
-    def call(x):
-        v = eval_field(problem, which, x)
-        return v if type(x) is list else _value_floats(v, problem.dim)
-
-    return call
 
 
 def field_jacobian(problem: PiecewiseProblem, which: int, x):

@@ -41,20 +41,17 @@ generated once per method and system size (_kernel_source): b = tau*f(x0),
 k1, the stage state x0 + k1, f there, the k2 right-hand side and x1 as one
 expression per entry, no loop. Every step path runs it: the public steps
 here (ros1_step, ros2_step, ros2_finish and, through them, restep), the
-driver's plain step (events.take_step), the continuing plain step on a
-held matrix, a declared affine visit's A_i or a kept finite-difference W
-(events.integrate, which binds stage1 and finish once per run), and the
-guarded step and each of its case-1b trials (onesided),
-where the guarded step hands finish the k1 whose stage it has checked.
-The step holds each stage once, as those floats (k1 and k2 are arrays
-built when read), and x1 as floats beside its array, which the driver's
-next step starts from; it is its own dense output: dense_eval,
+driver's one step path in events.integrate (which binds stage1 and finish
+once per run), and the guarded step and each of its case-1b trials
+(onesided), where the guarded step hands finish the k1 whose stage it has
+checked. The step holds each stage once, as those floats (k1 and k2 are
+arrays built when read), and x1 as floats beside its array, which the
+driver's next step starts from; it is its own dense output: dense_eval,
 dense_derivative, event location and the dense guard all read its value,
-derivative and slopes. Its value has one formula, on floats
-(value_floats, which location hands a declared h); value is its array.
-The kernel does the IEEE
-operations of the array formulas above in the same order, and numpy's
-elementwise operations do not fuse, so the results equal the array
+derivative and slopes. Its value has one formula, on floats (value_floats,
+which location hands a declared h); value is its array. The kernel does
+the IEEE operations of the array formulas above in the same order, and
+numpy's elementwise operations do not fuse, so the results equal the array
 expressions bit for bit. Both solves go through linalg.lu_solve, looked up
 on every call, so an outside wrapper on it sees each one. The step matrix
 is built as float rows (_step_rows, generated once per system size, one
@@ -65,28 +62,28 @@ The kernel re-checks nothing; each input is checked once, where it enters.
 The state: x0 by integrate at its entry, or by the public step functions
 here (as_vector), and x1 where finish makes it (NonFiniteState, a
 ValueError, when an entry overflowed). Each field value's shape and length:
-linalg.as_floats, which problems.eval_field (the driver's fields, through
-problems.field_floats) and the public step functions apply. J's shape: an
+linalg.as_floats, which problems.eval_field (every field of the driver and
+the guarded step) and the public step functions apply. J's shape: an
 array's by _step_rows, float rows' by problems.field_jacobian, whose float
 form returns them. The step matrix's finiteness by lu_factor, and each
 right-hand side's finiteness, tau*f(x0) and tau*f(x0 + k1) - 2*k1, by
 linalg.lu_solve ("vector entries must be finite").
 
-The kernel's field returns floats. finish hands it the stage state x0 + k1
-as a list of floats. A float-form field (problems.FloatField: the float-row
-fields of a declared affine problem, and najafi's) gets x0's floats from
-the driver and from the guarded step alike (problems.field_floats), and any
-other field x0's array. So a step of a float-form field makes no numpy call
-for a field value, and any other field gets x0's array as it is and one
-array built from the stage's floats. J comes in two forms as well: the
-driver hands a float-form Jacobian x0's floats and factors the float rows
-it returns as they are, the guarded step and its case-1b trials included,
-and any other J is a float array whose rows _step_rows reads. h, too, takes
-floats where the surface is declared (problems.Surface): the driver hands it
-the floats of each step's x1, and the guarded step and its case-1b trials
-those of their stage state x0 + k1, while any other h gets float arrays.
-The public steps here give a caller's field an array built from the stage's
-floats (_checked) and take J as an array.
+The kernel's field takes a list of floats and returns floats: finish
+hands it the stage state x0 + k1 as floats. The driver and the guarded
+step hand every field x0's floats too, through problems.eval_field, which
+runs a float-form field (problems.FloatField: the float-row fields of a
+declared affine problem, and najafi's) on them as they are and gives any
+other field one float array built from them. So a step of a float-form
+field makes no numpy call for a field value. J comes in two forms as well:
+problems.field_jacobian on x0's floats gives a float-form Jacobian's float
+rows, which the step factors as they are, and any other J as a float
+array, whose rows _step_rows reads. h, too, takes floats where the surface
+is declared (problems.Surface): the driver hands it the floats of each
+step's x1, and the guarded step and its case-1b trials those of their
+stage state x0 + k1, while any other h gets float arrays. The public steps
+here give a caller's field an array built from the stage's floats
+(_checked) and take J as an array.
 """
 
 from __future__ import annotations
@@ -294,7 +291,7 @@ class Kernel(NamedTuple):
         from x0 (a finite float array, x0f its floats) and k1: for two
         stages k2 from field(x0 + k1) and x1 = x0 + 1.5*k1 + 0.5*k2, for
         one x1 = x0 + k1 (field unused). field takes the stage state as a
-        list of floats and returns floats, as problems.field_floats does.
+        list of floats and returns floats, as problems.eval_field does.
         J is kept on the step as given, a float array or float rows. Only
         x1 is checked, here where it is made (NonFiniteState).
     """

@@ -8,6 +8,7 @@ deliberate and explained next to the tables.
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -29,7 +30,6 @@ from rosevent.problems import (
     SppProblem,
     builtin,
     eval_field,
-    field_floats,
     field_jacobian,
     reduced_order_model,
     spp_flatten,
@@ -145,7 +145,7 @@ def test_criterion_04_dense_output_matches_endpoints():
         problem, which, tau_cap, sampler = draws[i % len(draws)]
         x = sampler()
         tau = float(rng.uniform(0.1, 1.0)) * tau_cap
-        step = ros2_step(field_floats(problem, which), x, tau,
+        step = ros2_step(partial(eval_field, problem, which), x, tau,
                          field_jacobian(problem, which, x))
         npt.assert_array_equal(dense_eval(step, 0.0), step.x0)  # bit-exact
         gap = float(np.max(np.abs(dense_eval(step, 1.0) - step.x1)))
@@ -161,7 +161,7 @@ def test_criterion_05_interpolant_carries_the_method_order():
     thetas = np.linspace(0.0, 1.0, 33)
 
     def sup_error(tau0):
-        field = field_floats(problem, 1)
+        field = partial(eval_field, problem, 1)
         x = np.array([1.0])
         t = 0.0
         sup = 0.0
@@ -209,7 +209,7 @@ def test_criterion_07_location_is_free_and_consistent(monkeypatch):
     result = integrate(problem, problem.x0, cfg)
     ev = result.events[0]
     t0, x_before = result.mesh[ev.step_index]
-    fld = field_floats(problem, 1)
+    fld = partial(eval_field, problem, 1)
     step = ros2_step(fld, x_before, tau, field_jacobian(problem, 1, x_before))
 
     # part 1: zero field evaluations and zero linear solves during location

@@ -41,7 +41,6 @@ from rosevent.problems import (
     affine_problem,
     builtin,
     eval_field,
-    field_floats,
     field_jacobian,
     problem_names,
     spp_flatten,
@@ -139,7 +138,7 @@ def _builtin_step(name, which, tau, shift):
     spec = builtin(name)
     problem = spp_flatten(spec) if isinstance(spec, SppProblem) else spec
     x0 = problem.x0 + shift
-    return ros2_step(field_floats(problem, which), x0, tau,
+    return ros2_step(functools.partial(eval_field, problem, which), x0, tau,
                      field_jacobian(problem, which, x0))
 
 
@@ -186,7 +185,7 @@ def test_locate_ends_converged_within_41_calls_on_the_departing_side(
 def test_locate_costs_no_field_evals_or_solves(monkeypatch):
     problem = builtin("tent")
     x = np.array([0.4])
-    step = ros2_step(field_floats(problem, 1), x, 0.2,
+    step = ros2_step(functools.partial(eval_field, problem, 1), x, 0.2,
                      field_jacobian(problem, 1, x))
 
     def banned(*a, **k):  # pragma: no cover - should never run
@@ -213,7 +212,7 @@ def test_located_theta_matches_shortened_step_root():
 
     t0, x_before = result.mesh[ev.step_index]
     assert abs(t0 - ev.step_index * tau) < 1e-12
-    fld = field_floats(problem, 1)
+    fld = functools.partial(eval_field, problem, 1)
     step = ros2_step(fld, x_before, tau, field_jacobian(problem, 1, x_before))
     assert float(problem.h(step.x1)) > 0.0
 
@@ -563,8 +562,8 @@ def test_reused_factors_give_the_steps_of_fresh_factorizations(name, method, tau
             active = 2 if start.direction is Direction.R1_TO_R2 else 1
         else:
             active = 1 if problem.h(x0) < 0.0 else 2
-        fresh = stepper(field_floats(problem, active), x0, min(cfg.tau, cfg.t_end - t0),
-                        field_jacobian(problem, active, x0))
+        fresh = stepper(functools.partial(eval_field, problem, active), x0,
+                        min(cfg.tau, cfg.t_end - t0), field_jacobian(problem, active, x0))
         assert fresh.x1.tobytes() == x1.tobytes(), (t0, active)
         replayed += 1
     assert replayed >= 1
@@ -596,40 +595,50 @@ def test_najafis_region_2_steps_reuse_the_factors_of_equal_float_rows():
     # steps after the first solve with the kept factors and give, bit for
     # bit, the steps a fresh factorization gives
     problem = builtin("najafi")
-    cfg = IntegratorConfig(tau=0.125, t_end=2.0)
-    x = np.array([1.5, 1.0625])
-    step, factorizations, jacobians, kept = rosevent.events.take_step(problem, x, 0.125, 2, cfg)
-    assert (factorizations, jacobians) == (1, 1)
-    for _ in range(4):
-        x, rows = step.x1, step.jac
-        step, factorizations, jacobians, kept = rosevent.events.take_step(
-            problem, x, 0.125, 2, cfg, kept)
-        assert (factorizations, jacobians) == (0, 1)
-        assert type(step.jac) is list and step.jac == rows and step.jac is not rows
+    cfg = IntegratorConfig(tau=0.125, t_end=0.625)
+    result, taken = recorded_steps(problem, np.array([1.5, 1.0625]), cfg)
+    assert result.termination is Termination.REACHED_T_END and result.events == []
+    assert result.stats.steps == len(taken) == 5
+    assert (result.stats.lu_factorizations, result.stats.jacobian_evaluations) == (1, 5)
+    assert [(active, jacobians) for _, active, _, jacobians in taken] == [(2, 1)] * 5
+    for i, (x, _, step, _) in enumerate(taken):
+        if i:
+            rows = taken[i - 1][2].jac
+            assert type(step.jac) is list and step.jac == rows and step.jac is not rows
         assert step.J.tobytes() == np.zeros((2, 2)).tobytes()
-        fresh = ros2_step(field_floats(problem, 2), x, 0.125, field_jacobian(problem, 2, x))
+        fresh = ros2_step(functools.partial(eval_field, problem, 2), x, 0.125,
+                          field_jacobian(problem, 2, x))
         for name in ("x1", "k1", "k2"):
             assert getattr(step, name).tobytes() == getattr(fresh, name).tobytes()
 
 
 def test_float_rows_with_a_nan_never_match_the_kept_factors():
-    # a float-form Jacobian that hands out the same lists every call and
-    # writes a NaN into them: the key holds its own copy, so the NaN rows
-    # miss it and reach lu_factor, which refuses them, on every step
+    # a float-form Jacobian that hands out the same lists every call: its
+    # rows match the key and the steps after the first reuse the kept
+    # factors. Once a NaN is written into them after the first step, the
+    # key, which holds its own copy, misses them, and they reach lu_factor,
+    # which refuses them
     rows = [[0.0, 0.0], [0.0, 0.0]]
     problem = PiecewiseProblem(dim=2, f1=FloatField(lambda u: [0.0, 1.0]),
                                f2=FloatField(lambda u: [0.0, 1.0]), h=lambda u: u[1] - 1.0,
                                jac_f2=FloatField(lambda u: rows))
-    cfg = IntegratorConfig(tau=0.125, t_end=2.0)
-    x = np.array([1.0, 1.5])
-    _, factorizations, _, kept = rosevent.events.take_step(problem, x, 0.125, 2, cfg)
-    assert factorizations == 1
-    rows[0][0] = math.nan
-    for _ in range(2):
+    cfg = IntegratorConfig(tau=0.125, t_end=0.5)
+    x0 = np.array([1.0, 1.5])
+    result, lu_calls = integrate_counting_lu(problem, x0, cfg)
+    assert result.stats.steps == 4
+    assert result.stats.lu_factorizations == lu_calls == 1
+
+    def poison(x, active, step, jacobians):
+        rows[0][0] = math.nan
+
+    calls = []
+    real = rosevent.linalg.lu_factor
+    with mock.patch.object(rosevent.events, "_on_step", poison), \
+            mock.patch.object(rosevent.linalg, "lu_factor", lambda m: calls.append(m) or real(m)):
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
-            rosevent.events.take_step(problem, x, 0.125, 2, cfg, kept)
-    rows[0][0] = 0.0
-    assert rosevent.events.take_step(problem, x, 0.125, 2, cfg, kept)[1] == 0
+            integrate(problem, x0, cfg)
+    # the first step factored; the second step's NaN rows reached lu_factor
+    assert len(calls) == 2 and math.isnan(calls[1][0][0])
 
 
 def test_guarded_and_finite_difference_runs_count_every_factorization():
@@ -694,8 +703,8 @@ def test_a_step_with_two_crossings_reports_both(method):
 
 
 def recorded_steps(problem, x0, cfg):
-    """integrate, plus (x, active, step, jacobians) for every step it took,
-    in take_step or in its own loop (the events._on_step hook)."""
+    """integrate, plus (x, active, step, jacobians) for every step it took
+    (the events._on_step hook)."""
     taken = []
 
     def recording(x, active, step, jacobians):
@@ -971,39 +980,104 @@ def kernel_cases(draw):
     return problem, x0, tau, method_by_name(method)
 
 
+def plain_callables(aff, seen):
+    """The problem of the declaration aff with plain numpy callables for
+    fields, Jacobians, domains and h, no float form: each field and domain
+    call appends the state it is handed to seen."""
+
+    def field(A, b):
+        def f(x):
+            seen.append(x)
+            return A @ x + b
+        return f
+
+    def domain(x):
+        seen.append(x)
+        return True
+
+    return PiecewiseProblem(dim=aff.dim, f1=field(aff.A1, aff.b1), f2=field(aff.A2, aff.b2),
+                            h=lambda x: aff.n @ x + aff.c, jac_f1=lambda x: aff.A1,
+                            jac_f2=lambda x: aff.A2, domain_f1=domain, domain_f2=domain)
+
+
+def driver_steps(problem, x0, cfg, seen):
+    """integrate, plus per step (x, active, step, jacobians, factorizations,
+    handed): the LU factorizations it ran and the states its field and
+    domain were handed, the last 2 or 4 entries of seen when it ended; the
+    run's exception, if any, instead of its result."""
+    taken, lu_calls = [], []
+    real = rosevent.linalg.lu_factor
+
+    def recording(x, active, step, jacobians):
+        done = sum(t[4] for t in taken)
+        taken.append((x, active, step, jacobians, len(lu_calls) - done,
+                      seen[-2 * step.stages:]))
+
+    with mock.patch.object(rosevent.events, "_on_step", recording), \
+            mock.patch.object(rosevent.linalg, "lu_factor",
+                              lambda m: lu_calls.append(1) or real(m)):
+        try:
+            result = integrate(problem, x0, cfg)
+        except ValueError as exc:
+            result = exc
+    return result, taken
+
+
 @settings(max_examples=200, deadline=None)
-@given(case=kernel_cases())
-def test_driver_steps_are_the_public_steps_bit_for_bit(case):
+@given(case=kernel_cases(), plain=st.booleans())
+def test_driver_steps_are_the_public_steps_bit_for_bit(case, plain):
+    # two plain steps of integrate, the second continuing the first unless
+    # a hit came between, and one guarded step: each is the public step
+    # from its x0 bit for bit. The second solves with the first's factors,
+    # and on a declared problem with the A_1 it holds. A problem of plain
+    # numpy callables gets the step's state as float arrays with its bits:
+    # its domain and field, in that order, at x0 and at the stage x0 + k1
     problem, x0, tau, method = case
+    seen = []
+    if plain:
+        problem = plain_callables(problem.affine, seen)
     J = field_jacobian(problem, 1, x0)
-    cfg = IntegratorConfig(tau=tau, t_end=1.0, method=method)
     public = ros2_step if method.stages == 2 else ros1_step
     try:
-        alone = public(field_floats(problem, 1), x0, tau, J)
+        alone = public(functools.partial(eval_field, problem, 1), x0, tau, J)
     except (SingularMatrix, ValueError):
         assume(False)
-    first, factorizations, _, kept = rosevent.events.take_step(problem, x0, tau, 1, cfg)
-    again, reused, _, _ = rosevent.events.take_step(problem, x0, tau, 1, cfg, kept)
-    assert (factorizations, reused) == (1, 0)
-    for step in (first, again):
-        assert (step.tau, step.gamma, step.stages) == (alone.tau, alone.gamma, alone.stages)
-        for name in ("x1", "k1", "k2"):
-            assert same_bytes(getattr(step, name), getattr(alone, name))
-
+    try:
+        public_guarded = guarded_ros2_step(problem, x0, tau, J)
+    except (NoBracket, SingularMatrix) as exc:
+        public_guarded = exc
+    runs = [IntegratorConfig(tau=tau, t_end=2.0 * tau, method=method)]
     if method.stages == 2:
-        guarded_cfg = IntegratorConfig(tau=tau, t_end=1.0, guard_mode=GuardMode.ROS2_DENSE)
-        try:
-            public_guarded = guarded_ros2_step(problem, x0, tau, J)
-        except (NoBracket, SingularMatrix) as exc:
-            with pytest.raises(type(exc)):
-                rosevent.events.take_step(problem, x0, tau, 1, guarded_cfg)
-            return
-        inner = rosevent.events.take_step(problem, x0, tau, 1, guarded_cfg)
-        assert inner[1] == public_guarded[1]
-        step, ref = inner[0], public_guarded[0]
-        assert step.tau == ref.tau
-        for name in ("x1", "k1", "k2"):
-            assert same_bytes(getattr(step, name), getattr(ref, name))
+        runs.append(IntegratorConfig(tau=tau, t_end=tau, guard_mode=GuardMode.ROS2_DENSE))
+    for cfg in runs:
+        seen.clear()
+        result, taken = driver_steps(problem, x0, cfg, seen)
+        if cfg.guard_mode is not None and not isinstance(public_guarded, tuple):
+            assert taken == []
+            assert result.termination is (Termination.GUARD_FAILURE
+                                          if isinstance(public_guarded, NoBracket)
+                                          else Termination.SOLVER_FAILURE)
+            continue
+        assert taken
+        for i, (x, active, step, _, factorizations, handed) in enumerate(taken):
+            if i == 0:
+                ref, count = (alone, 1) if cfg.guard_mode is None else public_guarded
+                assert x is not x0 and x.tobytes() == x0.tobytes()
+                assert factorizations == count
+            else:
+                ref = public(functools.partial(eval_field, problem, active), x, step.tau,
+                             step.J)
+            assert (step.tau, step.gamma, step.stages) == (ref.tau, ref.gamma, ref.stages)
+            for name in ("x1", "k1", "k2"):
+                assert same_bytes(getattr(step, name), getattr(ref, name))
+            if plain:
+                stage = np.array([u + a for u, a in zip(step.x0f, step.k1f)])
+                states = [x, x, stage, stage][:2 * step.stages]
+                assert [v.tobytes() for v in handed] == [v.tobytes() for v in states]
+        if (cfg.guard_mode is None and not isinstance(result, ValueError)
+                and len(taken) == 2 and not result.events):
+            assert [t[3:5] for t in taken] == [(1, 1), (int(plain), 0)]
+    assert all(type(v) is np.ndarray and v.dtype == np.float64 for v in seen)
 
 
 @pytest.mark.parametrize("name", ["kowalczyk", "teixeira"])
@@ -1024,22 +1098,39 @@ def test_driver_steps_on_the_declared_relays_are_the_public_steps(name):
 @pytest.mark.parametrize("banned_name", ["lu_factor", "lu_solve"])
 def test_banning_the_linear_algebra_stops_every_driver_step(method, guard, banned_name):
     # the bans that show location solves nothing are only worth something
-    # if a step, which must factor and solve, runs into them
+    # if a step, which must factor and solve, runs into them: a run's first
+    # step, and, banned from the second step on, a step that solves with
+    # the kept factors (a guarded step factors afresh)
     problem = builtin("tent")
-    x = np.array([0.1])
     cfg = IntegratorConfig(tau=0.2, t_end=1.0, method=method_by_name(method),
                            guard_mode=guard)
-    _, _, _, kept = rosevent.events.take_step(problem, x, 0.2, 1, cfg)
 
     def banned(*a, **k):
         raise AssertionError("linear algebra called during event location")
 
     with mock.patch.object(rosevent.linalg, banned_name, banned):
         with pytest.raises(AssertionError, match="linear algebra called"):
-            rosevent.events.take_step(problem, x, 0.2, 1, cfg)
-        if banned_name == "lu_solve":  # the kept factors still solve
+            integrate(problem, [0.1], cfg)
+    if banned_name == "lu_factor":
+        return
+    ban = mock.patch.object(rosevent.linalg, "lu_solve", banned)
+    taken, lu_calls = [], []
+    real = rosevent.linalg.lu_factor
+
+    def ban_after_the_first(x, active, step, jacobians):
+        taken.append(step)
+        ban.start()
+
+    try:
+        with mock.patch.object(rosevent.events, "_on_step", ban_after_the_first), \
+                mock.patch.object(rosevent.linalg, "lu_factor",
+                                  lambda m: lu_calls.append(1) or real(m)):
             with pytest.raises(AssertionError, match="linear algebra called"):
-                rosevent.events.take_step(problem, x, 0.2, 1, cfg, kept)
+                integrate(problem, [0.1], cfg)
+    finally:
+        ban.stop()
+    assert len(taken) == 1
+    assert len(lu_calls) == (1 if guard is None else 2)
 
 
 def _derivative_free(flat):
@@ -1166,7 +1257,7 @@ def test_an_affine_relay_keeps_its_finite_difference_jacobian_across_a_visit(nam
     # and a restep at the same size is the step again, bit for bit
     for x, active, step, _ in taken[:40]:
         assert step.value(0.0) is x
-        again = restep(field_floats(bare, active), step, step.tau)
+        again = restep(functools.partial(eval_field, bare, active), step, step.tau)
         assert again.x1.tobytes() == step.x1.tobytes()
     # the declared affine relay evaluates its A_i once per region visit
     analytic = integrate(flat, flat.x0, cfg)
@@ -1214,7 +1305,7 @@ def test_a_declared_affine_relay_evaluates_one_jacobian_per_region_visit(name):
     assert stats.lu_factorizations <= 2
     # and the steps are the public steps with that J, bit for bit
     for x, active, step, _ in taken[:60]:
-        alone = restep(field_floats(flat, active), step, step.tau)
+        alone = restep(functools.partial(eval_field, flat, active), step, step.tau)
         assert same_bytes(alone.x1, step.x1) and same_bytes(alone.k2, step.k2)
     # the naive mode switches fields at a step's end: the next visit starts
     # from the very x1 the last step of the other region made

@@ -5,6 +5,7 @@ value raises on every step path."""
 import math
 import operator
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from rosevent import linalg
 from rosevent.errors import NonFiniteState, SingularMatrix
 from rosevent.events import IntegratorConfig, integrate
 from rosevent.onesided import GuardMode
-from rosevent.problems import Affine, PiecewiseProblem, affine_problem, field_floats
+from rosevent.problems import Affine, PiecewiseProblem, affine_problem, eval_field
 from rosevent.rosenbrock import (
     ROS1,
     ROS2,
@@ -124,7 +125,7 @@ def test_integrate_takes_the_standalone_step(case):
     problem = affine_problem(Affine(A, b, A, b, np.zeros(len(b)), -1.0))
     with np.errstate(all="ignore"):
         try:
-            alone = STEPPERS[method.stages](field_floats(problem, 1), x0, tau, A)
+            alone = STEPPERS[method.stages](partial(eval_field, problem, 1), x0, tau, A)
         except ValueError:
             assume(False)
         result = integrate(problem, x0, IntegratorConfig(tau=tau, t_end=tau, method=method))

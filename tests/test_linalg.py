@@ -982,8 +982,8 @@ def test_fd_jacobian_matches_the_array_reference(n, m, data):
             continue
         seen.clear()
         got = fd_jacobian(f, x, dom)
-        # f and domain see float arrays; take_step's reuse key reads
-        # J.tobytes(), so the layout is part of the result
+        # f and domain see float arrays, and the result's dtype and layout
+        # are part of its contract
         assert all(type(v) is np.ndarray and v.dtype == np.float64 for v in seen)
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.shape == expected.shape == (m, n)

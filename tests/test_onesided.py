@@ -43,6 +43,10 @@ def unit_speed(h, **kw):
                           jac=lambda x: np.zeros((1, 1)), **kw)
 
 
+def declared(A, b, n, c):
+    return affine_problem(Affine(A1=A, b1=b, A2=A, b2=b, n=n, c=c))
+
+
 # Constant drift toward h = 1 - x^2 from x0 = -2: the series coefficients
 # are exact because f is constant and h quadratic.
 QUADRATIC_H = unit_speed(
@@ -307,6 +311,104 @@ def test_guards_without_a_contraction_condition_do_not_certify_one():
         assert dense.passed and dense.neumann_ok is None
 
 
+# --- one-stage guards on a declared surface against the H' oracle ------------
+
+def h_prime(A, f, n, gamma, sigmas):
+    """H'(sigma) = n.M(sigma)^-2 f with M(sigma) = I - gamma*sigma*A, the
+    derivative of h along the one-stage step family x0 + sigma*M^-1 f on
+    the surface n.x + c, by numpy.linalg.solve at each sigma where M is
+    not numerically singular (condition number below 1e12): where it is,
+    the solve says nothing of H'. n is scaled to a largest entry of 1,
+    which keeps H''s sign, so a subnormal n does not round H' to 0."""
+    n = np.asarray(n) / np.abs(n).max()
+    M = np.eye(len(f)) - gamma * np.asarray(sigmas)[:, None, None] * A
+    sv = np.linalg.svd(M, compute_uv=False)
+    M = M[sv[:, -1] > 1e-12 * sv[:, 0]]
+    F = np.broadcast_to(np.asarray(f)[:, None], M.shape[:-1] + (1,))
+    return (np.linalg.solve(M, np.linalg.solve(M, F))[..., 0] @ n)
+
+
+def check_one_stage_certificate(report, problem, x0, tau, gamma):
+    # no certified sigma may see H' <= 0 on (0, sigma], sampled densely,
+    # and a pass certifies the whole step
+    assert report.passed == (report.certified_sigma == tau)
+    if report.certified_sigma > 0.0:
+        A, n = problem.affine.A1, problem.affine.n
+        sigmas = np.linspace(0.0, report.certified_sigma, 2001)[1:]
+        assert h_prime(A, problem.f1(x0), n, gamma, sigmas).min() > 0.0
+
+
+# An affine field whose one-stage end state crosses the surface inside the
+# step and comes back: the series truncated after sigma^2 passed it.
+PINNED = declared([[0.7494305476522148, 0.10628944609664308],
+                   [-0.1908466417121482, 0.41585030711681836]],
+                  [-0.27569182256266134, 1.1198322753344498],
+                  [-0.8906886071465294, 0.20543389798570286], -0.31008706380509854)
+PINNED_X0 = np.array([0.0937499619126291, 0.9072457236618531])
+PINNED_TAU = 0.8332737666451671
+
+
+def test_a_one_stage_step_that_crosses_and_returns_fails_the_guard():
+    x0, tau = PINNED_X0, PINNED_TAU
+    A = PINNED.affine.A1
+    # the end state is past the surface at sigma = 0.7 and back below it
+    # at tau, and H' falls to about -0.56 in between
+    assert PINNED.h(ros1_step(PINNED.f1, x0, 0.7, A).x1) == pytest.approx(0.0314, abs=1e-4)
+    assert -0.0004 < PINNED.h(ros1_step(PINNED.f1, x0, tau, A).x1) < 0.0
+    sigmas = np.linspace(0.0, tau, 2001)[1:]
+    assert h_prime(A, PINNED.f1(x0), PINNED.affine.n, 1.0, sigmas).min() < -0.5
+    report = guard_ros1_general(PINNED, x0, tau, 1.0)
+    # the truncated series' coefficients are reported as they were
+    assert report.coefficients == {"a0": 0.4009686100744706, "a1": 0.1267278942172567,
+                                   "a2": -0.1777772547357146}
+    assert report.neumann_ok and not report.passed
+    assert 0.0 < report.certified_sigma < 0.7
+    check_one_stage_certificate(report, PINNED, x0, tau, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.integers(2, 3), log_tau=st.floats(-2.0, 0.5))
+def test_the_one_stage_guard_on_a_declared_surface_is_an_oracle_certificate(data, dim,
+                                                                             log_tau):
+    fin = st.floats(-3.0, 3.0)
+    A = np.array([[data.draw(fin) for _ in range(dim)] for _ in range(dim)])
+    b, n, x0 = (np.array([data.draw(fin) for _ in range(dim)]) for _ in range(3))
+    problem = declared(A, b, n, -float(n @ x0) - data.draw(st.floats(1e-3, 2.0)))
+    assume(problem.h(x0) < 0.0)
+    tau = 10.0 ** log_tau
+    check_one_stage_certificate(guard_ros1_general(problem, x0, tau, 1.0), problem, x0,
+                                tau, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.integers(2, 3), log_tau=st.floats(-2.0, 0.5),
+       reflect=st.booleans())
+def test_the_orthogonal_guard_on_a_declared_surface_is_an_oracle_certificate(
+        data, dim, log_tau, reflect):
+    # I - tau*J is the orthogonal Cayley transform (I - S)^-1 (I + S) of a
+    # skew-symmetric S, times a reflection or not; at sigma < tau the step
+    # matrix is not orthogonal, and a reflection's is singular at tau/2
+    fin = st.floats(-3.0, 3.0)
+    S = np.zeros((dim, dim))
+    for i in range(dim):
+        for k in range(i):
+            S[i, k] = data.draw(st.floats(-1.0, 1.0))
+            S[k, i] = -S[i, k]
+    Q = np.linalg.solve(np.eye(dim) - S, np.eye(dim) + S)
+    if reflect:
+        Q[:, 0] = -Q[:, 0]
+    tau = 10.0 ** log_tau
+    J = (np.eye(dim) - Q) / tau
+    b, n, x0 = (np.array([data.draw(fin) for _ in range(dim)]) for _ in range(3))
+    problem = declared(J, b, n, -float(n @ x0) - data.draw(st.floats(1e-3, 2.0)))
+    assume(problem.h(x0) < 0.0)
+    try:
+        report = guard_ros1_orthogonal(problem, x0, tau, 1.0)
+    except NotOrthogonal:
+        assume(False)
+    check_one_stage_certificate(report, problem, x0, tau, 1.0)
+
+
 # --- case-1b shortening ------------------------------------------------------
 
 def guarded(problem, x0, tau, **kw):
@@ -564,10 +666,6 @@ def test_dense_guard_validates_inputs():
 
 
 # --- the exact dense guard on a declared affine surface ------------------------
-
-def declared(A, b, n, c):
-    return affine_problem(Affine(A1=A, b1=b, A2=A, b2=b, n=n, c=c))
-
 
 def test_exact_dense_guard_passes_on_monotone_approach():
     problem = declared([[0.0]], [1.0], [1.0], -2.0)
