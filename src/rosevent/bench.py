@@ -89,7 +89,8 @@ def run_order_study(problem, method: rosenbrock.RosMethod = rosenbrock.ROS2,
     here). Each row carries the error against the shared reference state
     and the ratio to the previous row's error. Two-stage runs, the
     reference included, use the dense-output guard when field 1 has a
-    domain.
+    domain, and the guard needs a declared surface (onesided): on such a
+    problem with an undeclared surface the study raises ValueError.
     """
     if halvings < 0:
         raise ValueError(f"halvings must be non-negative, got {halvings}")

@@ -388,8 +388,12 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     NonFiniteState, a ValueError, from a step whose end state overflowed:
     a non-finite state never reaches the mesh, h or the next step. A NaN h
     at a step's end, which has no side, raises ValueError with step context.
+    A guarded run (cfg.guard_mode) needs a declared surface (onesided); on
+    any other it raises ValueError before h or a field is evaluated.
     """
     _validate_config(cfg)
+    if cfg.guard_mode is not None:
+        onesided._surface_normal(problem)
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 must have shape ({problem.dim},), got {x.shape}")

@@ -31,9 +31,6 @@ SINGULARITY_RTOL = 1e-13
 
 _EPS = float(np.finfo(float).eps)
 _SQRT_EPS = float(np.sqrt(_EPS))
-# Second differences need a larger step than first differences or the
-# stencil falls below the round-off floor.
-_QUARTIC_EPS = float(_EPS ** 0.25)
 
 
 def as_vector(x) -> np.ndarray:
@@ -403,16 +400,6 @@ def _times_two_to(y: float, k: int) -> float:
     return math.ldexp(y, k) if math.frexp(y)[1] + k <= 1024 else math.copysign(math.inf, y)
 
 
-def _probe_points(x: np.ndarray, j: int, step: float):
-    """Forward/backward perturbations of coordinate j with exactly
-    representable offsets (the classic (x+h)-x trick)."""
-    xp = x.copy()
-    xm = x.copy()
-    xp[j] = x[j] + step
-    xm[j] = x[j] - step
-    return xp, xm
-
-
 def fd_jacobian(f: Callable, x, domain: Callable | None = None) -> np.ndarray:
     """Finite-difference Jacobian of a vector field.
 
@@ -467,32 +454,6 @@ def fd_gradient(h: Callable, x) -> np.ndarray:
     """Finite-difference gradient of a scalar function: fd_jacobian of h
     as a one-output field, with the same central stencil."""
     return fd_jacobian(lambda v: [h(v)], x)[0]
-
-
-def fd_hessian(h: Callable, x) -> np.ndarray:
-    """Finite-difference Hessian of a scalar function, exactly symmetric.
-
-    Direct second differences with step eps**0.25 * max(1, |x_j|).
-    """
-    x = as_vector(x)
-    n = x.shape[0]
-    steps = _QUARTIC_EPS * np.maximum(1.0, np.abs(x))
-    hess = np.empty((n, n))
-    h0 = float(h(x))
-    for j in range(n):
-        xp, xm = _probe_points(x, j, steps[j])
-        dj = xp[j] - x[j]
-        hess[j, j] = (float(h(xp)) - 2.0 * h0 + float(h(xm))) / (dj * dj)
-        for l in range(j + 1, n):
-            dl = steps[l]
-            xpp, xpm = _probe_points(xp, l, dl)
-            xmp, xmm = _probe_points(xm, l, dl)
-            val = (
-                float(h(xpp)) - float(h(xpm)) - float(h(xmp)) + float(h(xmm))
-            ) / ((xp[j] - xm[j]) * (xpp[l] - xpm[l]))
-            hess[j, l] = val
-            hess[l, j] = val
-    return 0.5 * (hess + hess.T)
 
 
 def spectral_radius_bound(m) -> float:

@@ -6,42 +6,37 @@ powers, table lookups). The guards below certify, from quantities available
 at the step start, that h increases monotonically along the step family, so
 the surface is approached from one side and never evaluated across.
 
+Every guard certifies only on a declared affine surface h = n.x + c
+(problems.Surface; an affine problem declares one), where the gradient is
+the constant n and the Hessian is zero; on any other surface a guard raises
+ValueError, as integrate does for a guarded run, since there it could
+certify nothing.
+
 For the one-stage method the step family is x1(sigma) = x0 +
 sigma*M(sigma)^(-1) f(x0), M(sigma) = I - gamma*sigma*J, so along it
-H(sigma) = h(x1(sigma)) has the power series
-dH/dsigma = a0 + a1*sigma + a2*sigma^2 + ..., whose coefficients through
-sigma^2 the guards report. On a declared affine surface h = n.x + c
-(problems.Surface) the series is H'(sigma) = n.M(sigma)^(-2) f =
-sum_k (k+1)*(gamma*sigma)^k * n.J^k f exactly, and both one-stage guards
-decide from a lower bound of it (_declared_certificate): the terms through
-sigma^2 with their harmless signs dropped, less a bound on the tail in the
-infinity norm, all of it exact in rationals. So a pass certifies that H
-increases along the whole family up to tau, and the certified sigma is the
-largest size, to within a few ulps, at which the bound is still positive.
-On any other surface the guards truncate the series after sigma^2,
-replacing the signs of a1 and a2 by their worst case: its first root in
-(0, tau) (linalg.quadratic_root), taken down to the last float where the
-exact truncation is not negative, is the certified sigma, and with none the
-guard passes. That truncation drops the tail and Hessian changes along the
-step, so there the verdict is not a certificate. The general variant needs
-the Neumann series of (I - gamma*sigma*J)^(-1) to converge (spectral radius
-of gamma*tau*J below one); the orthogonal variant forms its truncation from
-the identity (I - gamma*tau*J)^(-1) = (I - gamma*tau*J)^T, valid when the
-step matrix is orthogonal at tau (at smaller sigma it is not, which is why
-a declared surface decides it by the same bound as the general variant).
+H(sigma) = h(x1(sigma)) has the derivative H'(sigma) = n.M(sigma)^(-2) f =
+sum_k (k+1)*(gamma*sigma)^k * n.J^k f, whose coefficients through sigma^2,
+a0 + a1*sigma + a2*sigma^2, the guards report. Both one-stage guards decide
+from a lower bound of it (_declared_certificate): the terms through sigma^2
+with their harmless signs dropped, less a bound on the tail in the infinity
+norm, all of it exact in rationals. So a pass certifies that H increases
+along the whole family up to tau, and the certified sigma is the largest
+size, to within a few ulps, at which the bound is still positive. The
+general variant needs the Neumann series of (I - gamma*sigma*J)^(-1) to
+converge (spectral radius of gamma*tau*J below one); the orthogonal variant
+forms its coefficients from the identity (I - gamma*tau*J)^(-1) =
+(I - gamma*tau*J)^T, valid when the step matrix is orthogonal at tau (at
+smaller sigma it is not, which is why it decides by the same bound as the
+general variant).
 
 For the two-stage method the guard checks positivity of
 
-    d(theta) = grad h(X1(theta)) . dX1/dtheta(theta)
+    d(theta) = n . dX1/dtheta(theta)
 
-on the dense output. Along a gradient n, the step's slopes (m1, m2) =
+on the dense output. The step's slopes (m1, m2) =
 RosenbrockStep.slopes(n) give n . dX1/dtheta = m1 + theta*m2, with
-m1 = n . c*((2-6*gamma)*k1 - 2*gamma*k2) and m2 = n . 2*c*(k1 + k2). On a
-declared affine surface (problems.Surface) the gradient is the constant n,
-so d is that line and d(0) > 0, d(1) > 0 certify it exactly. Otherwise
-the guard samples d on a uniform theta grid, with n the gradient at each
-point, which is not exhaustive, and reports the minima of m1 and m2 over
-the grid.
+m1 = n . c*((2-6*gamma)*k1 - 2*gamma*k2) and m2 = n . 2*c*(k1 + k2), so d
+is that line and d(0) > 0, d(1) > 0 certify it exactly.
 
 Case 1b is decided in one place, guarded_ros2_step, the only code that
 builds a guarded two-stage step (the integrator and the guard-check command
@@ -66,9 +61,6 @@ from . import linalg, problems, rosenbrock
 from .errors import NoBracket, NotOrthogonal, SingularMatrix
 
 ORTHOGONALITY_TOL = 1e-8
-
-# theta grid points of the dense-output guard
-GUARD_GRID = 64
 
 
 class GuardMode(enum.Enum):
@@ -96,34 +88,12 @@ def _check_step_size(tau: float) -> None:
         raise ValueError(f"tau must be positive and finite, got {tau}")
 
 
-def _harm(v: float) -> float:
-    # the harmful part of a coefficient, max(0, v), except that a NaN
-    # (sign unknown) stays NaN and so fails every certificate
-    return v if not v <= 0.0 else 0.0
-
-
-def _series_certificate(c0: float, r1: float, r2: float, tau: float) -> tuple:
-    # (passed, certified sigma) of c0 - sigma*r1 - sigma^2*r2: its first root
-    # below tau, or tau and a pass when it has none. The float root can lie
-    # an ulp or two past the exact one, so sigma steps down, a float at a
-    # time, until the exact truncation at it is not negative; a few steps
-    # always do, and otherwise nothing is certified. A coefficient that is
-    # not finite (a NaN's sign is unknown), 2*r2 included, certifies nothing.
-    # fractions, and the decimal module it imports, load where a one-stage
-    # guard runs, so an import of the package does not pay for them
-    from fractions import Fraction
-
-    coeffs = (c0, -r1, -2.0 * r2)
-    if not (c0 > 0.0 and all(map(math.isfinite, coeffs))):
-        return False, 0.0
-    root = linalg.quadratic_root(*coeffs, tau)
-    sigma = tau if root is None else root
-    for _ in range(4):
-        s = Fraction(sigma)
-        if Fraction(c0) - s * Fraction(r1) - s * s * Fraction(r2) >= 0:
-            return sigma == tau, sigma
-        sigma = math.nextafter(sigma, 0.0)
-    return False, 0.0
+def _surface_normal(problem: problems.PiecewiseProblem) -> np.ndarray:
+    # n of the declared surface n.x + c, the only surface a guard certifies on
+    if problem.surface is None:
+        raise ValueError(f"{problem.label or 'the problem'} declares no surface: a guard "
+                         f"certifies only on a declared affine surface (problems.Surface)")
+    return problem.surface.n
 
 
 def _declared_certificate(n, J, f, gamma: float, tau: float) -> tuple:
@@ -139,6 +109,8 @@ def _declared_certificate(n, J, f, gamma: float, tau: float) -> tuple:
     # pass, and linalg.safe_side_root finds the last sigma (within 4 ulps of
     # tau) where it is positive. An entry that is not finite certifies
     # nothing.
+    # fractions, and the decimal module it imports, load where a one-stage
+    # guard runs, so an import of the package does not pay for them
     from fractions import Fraction
 
     if not all(np.isfinite(a).all() for a in (n, J, f)):
@@ -188,43 +160,31 @@ def guard_ros1_general(problem: problems.PiecewiseProblem, x0, tau: float,
     """Monotonicity certificate for the one-stage step.
 
     Coefficients of dH/dsigma = a0 + a1*sigma + a2*sigma^2 + ... are formed
-    from f1, its Jacobian, and the gradient/Hessian of h at x0. On a
-    declared surface the guard passes, certifying tau, when a lower bound
-    of dH/dsigma over the whole series stays positive up to tau
-    (_declared_certificate); else certified_sigma is the last size where it
-    does. On any other surface it passes when a0 > 0 and the worst-case
-    truncation a0 - sigma*max(0, -a1) - sigma^2*max(0, -a2) has no root in
-    (0, tau), else certified_sigma is that root, or the float just below
-    it; that verdict is not a certificate (module docstring). Requires the
-    Neumann series to converge; when the spectral-radius bound of
-    gamma*tau*J reaches one the guard abstains (neumann_ok False, not
-    passed, certified_sigma 0). Raises ValueError unless tau is positive
-    and finite.
+    from f1, its Jacobian and the declared surface's normal n at x0. The
+    guard passes, certifying tau, when a lower bound of dH/dsigma over the
+    whole series stays positive up to tau (_declared_certificate); else
+    certified_sigma is the last size where it does. Requires the Neumann
+    series to converge; when the spectral-radius bound of gamma*tau*J
+    reaches one the guard abstains (neumann_ok False, not passed,
+    certified_sigma 0). Raises ValueError unless tau is positive and finite
+    and the problem declares its surface.
     """
     _check_step_size(tau)
+    n = _surface_normal(problem)
     x0 = np.asarray(x0, dtype=float)
     f = problems.eval_field(problem, 1, x0)
-    hx = problems.h_gradient(problem, x0)
-    hxx = problems.h_hessian(problem, x0)
     J = problems.field_jacobian(problem, 1, x0)
 
     neumann_ok = linalg.spectral_radius_bound(gamma * tau * J) < 1.0
 
     Jf = J @ f
-    hxxf = hxx @ f
-    a0 = float(hx @ f)
-    a1 = float(f @ hxxf) + 2.0 * gamma * float(hx @ Jf)
-    a2 = (
-        3.0 * gamma * gamma * float(hx @ (J @ Jf))
-        + 2.0 * gamma * float(f @ (hxx @ Jf))
-        + gamma * float(Jf @ hxxf)
-    )
-    if not neumann_ok:
-        passed, certified = False, 0.0
-    elif problem.surface is not None:
-        passed, certified = _declared_certificate(problem.surface.n, J, f, gamma, tau)
+    a0 = float(n @ f)
+    a1 = 2.0 * gamma * float(n @ Jf)
+    a2 = 3.0 * gamma * gamma * float(n @ (J @ Jf))
+    if neumann_ok:
+        passed, certified = _declared_certificate(n, J, f, gamma, tau)
     else:
-        passed, certified = _series_certificate(a0, _harm(-a1), _harm(-a2), tau)
+        passed, certified = False, 0.0
     return GuardReport(
         mode=GuardMode.ROS1_GENERAL,
         coefficients={"a0": a0, "a1": a1, "a2": a2},
@@ -239,14 +199,16 @@ def guard_ros1_orthogonal(problem: problems.PiecewiseProblem, x0, tau: float,
     """Variant of the one-stage guard for an orthogonal step matrix.
 
     Forms its coefficients from the transpose identity, so no spectral
-    condition is reported. On a declared surface it decides passed and
-    certified_sigma by the bound guard_ros1_general uses, since the step
-    matrix at sigma < tau is not orthogonal. Raises NotOrthogonal unless
+    condition is reported; b2, the Hessian's term, is zero on the declared
+    surface. It decides passed and certified_sigma by the bound
+    guard_ros1_general uses, since the step matrix at sigma < tau is not
+    orthogonal. Raises NotOrthogonal unless
     (I - gamma*tau*J)^T (I - gamma*tau*J) = I within ORTHOGONALITY_TOL in
     the induced infinity norm, and ValueError unless tau is positive and
-    finite.
+    finite and the problem declares its surface.
     """
     _check_step_size(tau)
+    n = _surface_normal(problem)
     x0 = np.asarray(x0, dtype=float)
     J = problems.field_jacobian(problem, 1, x0)
     M = rosenbrock.step_matrix(J, tau, gamma)
@@ -258,23 +220,12 @@ def guard_ros1_orthogonal(problem: problems.PiecewiseProblem, x0, tau: float,
         )
 
     f = problems.eval_field(problem, 1, x0)
-    hx = problems.h_gradient(problem, x0)
-    hxx = problems.h_hessian(problem, x0)
-
-    Jtf = J.T @ f
-    hxxf = hxx @ f
-    b0 = float(hx @ f)
-    b1 = float(f @ hxxf) - 2.0 * gamma * float(hx @ Jtf)
-    b2 = 2.0 * gamma * float(f @ (hxx @ Jtf)) + gamma * float(hxxf @ Jtf)
-    if problem.surface is not None:
-        passed, certified = _declared_certificate(problem.surface.n, J, f, gamma, tau)
-    else:
-        # dH/dsigma truncates to b0 + sigma*b1 - sigma^2*b2 here, so a
-        # positive b2 is the harmful sign.
-        passed, certified = _series_certificate(b0, _harm(-b1), _harm(b2), tau)
+    b0 = float(n @ f)
+    b1 = 0.0 - 2.0 * gamma * float(n @ (J.T @ f))  # a zero b1 is +0.0, printed as 0
+    passed, certified = _declared_certificate(n, J, f, gamma, tau)
     return GuardReport(
         mode=GuardMode.ROS1_ORTHOGONAL,
-        coefficients={"b0": b0, "b1": b1, "b2": b2, "gram_defect": defect},
+        coefficients={"b0": b0, "b1": b1, "b2": 0.0, "gram_defect": defect},
         passed=passed,
         certified_sigma=certified,
         neumann_ok=None,
@@ -376,68 +327,32 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
 
 def guard_ros2_dense(problem: problems.PiecewiseProblem,
                      step: rosenbrock.RosenbrockStep) -> GuardReport:
-    """Positivity of d(theta) = grad h(X1(theta)) . dX1/dtheta on [0, 1].
+    """Positivity of d(theta) = n . dX1/dtheta on [0, 1], n the declared
+    surface's normal.
 
     Passing means h is strictly increasing along the dense output, so the
     located surface hit is the unique one inside the step and the approach
-    is one-sided. certified_sigma is tau scaled by the theta up to which d
-    stays positive.
-
-    On a declared affine surface d is the line m1 + theta*m2
-    (RosenbrockStep.slopes), so d(0) > 0 and d(1) > 0 is an exact
-    certificate; certified_sigma comes from the line's root. Otherwise d is
-    sampled on a GUARD_GRID-point grid, which is not exhaustive: a dip
-    between grid points goes unseen. certified_sigma then stops at the last
-    grid point before d turns non-positive, and the coefficients carry
-    n_grid.
+    is one-sided. d is the line m1 + theta*m2 (RosenbrockStep.slopes), so
+    d(0) > 0 and d(1) > 0 is an exact certificate; certified_sigma is tau
+    scaled by the line's root in (0, 1] when d turns non-positive there,
+    and 0 when d(0) is not positive. Raises ValueError unless the step is a
+    two-stage one and the problem declares its surface.
     """
     if step.stages != 2:
         raise ValueError("dense-output guard applies to two-stage steps")
-    if problem.surface is not None:
-        m1, m2 = step.slopes(problem.surface.n.tolist())
-        d1 = m1 + m2
-        passed = m1 > 0.0 and d1 > 0.0
-        if passed:
-            certified = step.tau
-        elif m1 > 0.0 and m2 < 0.0:
-            certified = step.tau * (m1 / -m2)  # d's root, in (0, 1]
-        else:
-            certified = 0.0
-        coefficients = {"d_min": min(m1, d1), "m1": m1, "m2": m2}
+    m1, m2 = step.slopes(_surface_normal(problem).tolist())
+    d1 = m1 + m2
+    passed = m1 > 0.0 and d1 > 0.0
+    if passed:
+        certified = step.tau
+    elif m1 > 0.0 and m2 < 0.0:
+        certified = step.tau * (m1 / -m2)  # d's root, in (0, 1]
     else:
-        passed, certified, coefficients = _sampled_dense_guard(problem, step)
+        certified = 0.0
     return GuardReport(
         mode=GuardMode.ROS2_DENSE,
-        coefficients=coefficients,
+        coefficients={"d_min": min(m1, d1), "m1": m1, "m2": m2},
         passed=passed,
         certified_sigma=certified,
         neumann_ok=None,
     )
-
-
-def _sampled_dense_guard(problem: problems.PiecewiseProblem,
-                         step: rosenbrock.RosenbrockStep):
-    # d = m1 + theta*m2 on the grid, from the slopes of the step along the
-    # gradient there; m1 and m2 are reported as their minima over the grid
-    thetas = np.linspace(0.0, 1.0, GUARD_GRID)
-    d_min = np.inf
-    m1 = np.inf
-    m2 = np.inf
-    first_bad = None
-    for i, theta in enumerate(thetas.tolist()):
-        s1, s2 = step.slopes(problems.h_gradient(problem, step.value(theta)).tolist())
-        d = s1 + theta * s2
-        d_min = min(d_min, d)
-        m1 = min(m1, s1)
-        m2 = min(m2, s2)
-        if d <= 0.0 and first_bad is None:
-            first_bad = i
-    passed = first_bad is None
-    if passed:
-        certified = step.tau
-    elif first_bad == 0:
-        certified = 0.0
-    else:
-        certified = step.tau * float(thetas[first_bad - 1])
-    return passed, certified, {"d_min": d_min, "m1": m1, "m2": m2,
-                               "n_grid": float(GUARD_GRID)}

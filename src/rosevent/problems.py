@@ -112,12 +112,12 @@ class Surface:
 
     @functools.cached_property
     def callables(self):
-        """(h, grad_h, hess_h), made once. h is x[i] + c for a unit normal
-        e_i, else the left-to-right sum (n0*x0 + n1*x1 + ...) + c on Python
+        """(h, grad_h), made once. h is x[i] + c for a unit normal e_i,
+        else the left-to-right sum (n0*x0 + n1*x1 + ...) + c on Python
         floats (_surface_source). Either takes the state as a list of floats
         as it is, and an array through tolist(), so both forms give the same
-        bits, which do not depend on the platform's BLAS. The gradient and
-        Hessian are read-only arrays."""
+        bits, which do not depend on the platform's BLAS. The gradient is
+        the read-only n."""
         n, c = self.n, self.c
         nonzero = np.flatnonzero(n)
         if nonzero.size == 1 and n[nonzero[0]] == 1.0:
@@ -128,8 +128,7 @@ class Surface:
                     or linalg.generated(_SURFACE_MAKERS, n.size, _surface_source, "make",
                                         {"ndarray": np.ndarray}))
             h = make(*n.tolist(), c)
-        zero = np.broadcast_to(0.0, (n.size, n.size))
-        return h, (lambda x: n), (lambda x: zero)
+        return h, (lambda x: n)
 
 
 @dataclass
@@ -142,8 +141,9 @@ class PiecewiseProblem:
     closure of the owning region (the field must be evaluable up to and on
     the surface).
 
-    Give either h (with optional grad_h, hess_h) or a declared `surface`,
-    which sets all three; giving both is a ValueError.
+    Give either h (with an optional grad_h) or a declared `surface`, which
+    sets both; giving both is a ValueError. Only a declared surface can be
+    guarded (onesided).
     """
 
     dim: int
@@ -151,7 +151,6 @@ class PiecewiseProblem:
     f2: Callable
     h: Callable | None = None
     grad_h: Callable | None = None
-    hess_h: Callable | None = None
     jac_f1: Callable | None = None
     jac_f2: Callable | None = None
     domain_f1: Callable | None = None
@@ -168,12 +167,12 @@ class PiecewiseProblem:
             if self.h is None:
                 raise ValueError("a problem needs an event function h or a declared surface")
             return
-        if not (self.h is None and self.grad_h is None and self.hess_h is None):
-            raise ValueError("a declared surface sets h, grad_h and hess_h; give one or the other")
+        if not (self.h is None and self.grad_h is None):
+            raise ValueError("a declared surface sets h and grad_h; give one or the other")
         if self.surface.n.size != self.dim:
             raise ValueError(f"the surface normal has {self.surface.n.size} entries, "
                              f"the state {self.dim}")
-        self.h, self.grad_h, self.hess_h = self.surface.callables
+        self.h, self.grad_h = self.surface.callables
 
 
 class FloatField:
@@ -282,13 +281,6 @@ def h_gradient(problem: PiecewiseProblem, x) -> np.ndarray:
     return linalg.fd_gradient(problem.h, x)
 
 
-def h_hessian(problem: PiecewiseProblem, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if problem.hess_h is not None:
-        return np.asarray(problem.hess_h(x), dtype=float)
-    return linalg.fd_hessian(problem.h, x)
-
-
 def _rows_source(n: int) -> str:
     """Source of the float-row maker for size n: make(a0_0, ..., b0, ...)
     returns rows(x), which maps a list of n floats to the n values
@@ -376,7 +368,7 @@ class SppProblem:
 
     `stacked` holds the unscaled stacked fields F_i(u) = [f_i(u); g(u)]:
     its rows slow_dim: are g, which both regions share. Its h, gradient,
-    Hessian, Jacobians, domains and x0 are those of u. A declared stacked
+    Jacobians, domains and x0 are those of u. A declared stacked
     problem (stacked.affine) is checked for that here: ValueError when the
     fast rows of A1 and A2, or of b1 and b2, differ.
     """
@@ -411,7 +403,7 @@ def spp_flatten(problem: SppProblem) -> PiecewiseProblem:
 
     A declared problem flattens once, its declaration's fast rows over eps
     (ValueError when one is not finite); otherwise the fields and Jacobians
-    are wrapped. The surface (declared, or h and its derivatives) and the
+    are wrapped. The surface (declared, or h and its gradient) and the
     domains pass through. The result has its own counters and keeps a link
     to its source, so surface hits can be classified with the slow/fast
     structure intact.
@@ -437,7 +429,7 @@ def spp_flatten(problem: SppProblem) -> PiecewiseProblem:
     if st.surface is not None:
         surface = {"surface": st.surface}
     else:
-        surface = {"h": st.h, "grad_h": st.grad_h, "hess_h": st.hess_h}
+        surface = {"h": st.h, "grad_h": st.grad_h}
     return PiecewiseProblem(
         dim=st.dim,
         f1=over_eps(st.f1, rows),

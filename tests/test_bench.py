@@ -427,11 +427,11 @@ def test_cli_guard_check_dense_names_an_exact_certificate(capsys):
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert "certificate: exact (affine surface)" in lines
-    assert not any(line.startswith("n_grid") for line in lines)
 
 
-def test_cli_guard_check_dense_names_a_sampled_certificate(capsys, monkeypatch):
-    # the same model with h given as a callable: the guard can only sample d
+@pytest.mark.parametrize("mode", ["ros1", "ros1-orth", "ros2-dense"])
+def test_cli_guard_check_refuses_an_undeclared_surface(capsys, monkeypatch, mode):
+    # the same model with h given as a callable: no guard certifies on it
     def undeclared_najafi():
         declared = rosevent.problems._najafi()
         return PiecewiseProblem(
@@ -441,12 +441,12 @@ def test_cli_guard_check_dense_names_a_sampled_certificate(capsys, monkeypatch):
 
     monkeypatch.setitem(rosevent.problems._REGISTRY, "najafi", undeclared_najafi)
     code = cli_main(["guard-check", "--problem", "najafi", "--state", "1,0.9",
-                     "--tau", "0.125", "--mode", "ros2-dense"])
-    assert code == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert "certificate: 64-point sample (not exhaustive)" in lines
-    assert "n_grid = 64" in lines
-    assert "passed: True" in lines
+                     "--tau", "0.125", "--mode", mode])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert err == ("error: najafi declares no surface: a guard certifies only on a declared "
+                   "affine surface (problems.Surface)\n")
+    assert "passed:" not in out
 
 
 def test_cli_guard_check_series_certifies_a_najafi_step(capsys):

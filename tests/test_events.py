@@ -917,9 +917,10 @@ def test_integrate_spends_h_only_on_the_start_the_steps_and_location():
 
 def test_a_declared_h_gets_the_step_floats_and_a_plain_h_only_arrays():
     # integrate hands a declared surface's h the floats a step holds of its
-    # x1; any other h gets float arrays only: at the steps' ends, in
-    # location, at the guarded step's internal stage and in each case-1b
-    # trial
+    # x1, and so do the guarded step's internal stage and each case-1b
+    # trial; any other h gets float arrays only: at the steps' ends and in
+    # location, and, in the public guarded step, at the internal stage and
+    # in each case-1b trial
     seen = []
 
     def typed(h):
@@ -928,31 +929,44 @@ def test_a_declared_h_gets_the_step_floats_and_a_plain_h_only_arrays():
             return h(u)
         return call
 
+    def case_1b():
+        return mock.patch.object(rosevent.onesided, "resolve_case_1b",
+                                 wraps=rosevent.onesided.resolve_case_1b)
+
     relay = spp_flatten(builtin("kowalczyk", eps=1e-2))
-    najafi = builtin("najafi")
     relay_cfg = IntegratorConfig(tau=4e-3, t_end=0.5)
+    plain_relay = PiecewiseProblem(dim=2, f1=relay.f1, f2=relay.f2,
+                                   h=typed(relay.surface.callables[0]),
+                                   jac_f1=relay.jac_f1, jac_f2=relay.jac_f2)
     relay.h = typed(relay.h)
     integrate(relay, relay.x0, relay_cfg)
     assert list in seen
+    seen.clear()
+    result = integrate(plain_relay, relay.x0, relay_cfg)
+    assert result.termination is Termination.REACHED_T_END and result.events
+    assert seen and set(seen) == {np.ndarray}
 
-    runs = [
-        (PiecewiseProblem(dim=2, f1=relay.f1, f2=relay.f2, h=typed(relay.surface.callables[0]),
-                          jac_f1=relay.jac_f1, jac_f2=relay.jac_f2), relay.x0, relay_cfg),
-        (PiecewiseProblem(dim=2, f1=najafi.f1, f2=najafi.f2, h=typed(najafi.h),
-                          jac_f1=najafi.jac_f1, jac_f2=najafi.jac_f2,
-                          domain_f1=najafi.domain_f1),
-         np.array([1.0, 0.05]),
-         IntegratorConfig(tau=0.125, t_end=2.0, guard_mode=GuardMode.ROS2_DENSE)),
-    ]
-    for problem, x0, cfg in runs:
-        seen.clear()
-        with mock.patch.object(rosevent.onesided, "resolve_case_1b",
-                               wraps=rosevent.onesided.resolve_case_1b) as case_1b:
-            result = integrate(problem, x0, cfg)
-        assert result.termination is Termination.REACHED_T_END and result.events
-        # the guarded run shortens a step
-        assert case_1b.call_count == (cfg.guard_mode is not None)
-        assert seen and set(seen) == {np.ndarray}
+    najafi = builtin("najafi")
+    plain_najafi = PiecewiseProblem(dim=2, f1=najafi.f1, f2=najafi.f2, h=typed(najafi.h),
+                                    jac_f1=najafi.jac_f1, jac_f2=najafi.jac_f2,
+                                    domain_f1=najafi.domain_f1)
+    najafi.h = typed(najafi.h)
+    seen.clear()
+    with case_1b() as shortening:
+        result = integrate(najafi, np.array([1.0, 0.05]),
+                           IntegratorConfig(tau=0.125, t_end=2.0, guard_mode=GuardMode.ROS2_DENSE))
+    assert result.termination is Termination.REACHED_T_END and result.events
+    # the guarded run shortens a step
+    assert shortening.call_count == 1
+    assert list in seen
+    # the internal stage at t = 1.025 trespasses, so the step is shortened
+    x0 = np.array([1.0, 0.9])
+    seen.clear()
+    with case_1b() as shortening:
+        step, _ = guarded_ros2_step(plain_najafi, x0, 0.125,
+                                    field_jacobian(plain_najafi, 1, x0))
+    assert shortening.call_count == 1 and step.tau < 0.125
+    assert seen and set(seen) == {np.ndarray}
 
 
 # --- the step kernel under the driver -----------------------------------------
@@ -980,10 +994,11 @@ def kernel_cases(draw):
     return problem, x0, tau, method_by_name(method)
 
 
-def plain_callables(aff, seen):
+def plain_callables(aff, seen, declared=False):
     """The problem of the declaration aff with plain numpy callables for
     fields, Jacobians, domains and h, no float form: each field and domain
-    call appends the state it is handed to seen."""
+    call appends the state it is handed to seen. declared=True declares
+    the surface instead of giving h, as a guarded run needs."""
 
     def field(A, b):
         def f(x):
@@ -995,8 +1010,10 @@ def plain_callables(aff, seen):
         seen.append(x)
         return True
 
+    surface = ({"surface": Surface(aff.n, aff.c)} if declared
+               else {"h": lambda x: aff.n @ x + aff.c})
     return PiecewiseProblem(dim=aff.dim, f1=field(aff.A1, aff.b1), f2=field(aff.A2, aff.b2),
-                            h=lambda x: aff.n @ x + aff.c, jac_f1=lambda x: aff.A1,
+                            **surface, jac_f1=lambda x: aff.A1,
                             jac_f2=lambda x: aff.A2, domain_f1=domain, domain_f2=domain)
 
 
@@ -1031,9 +1048,12 @@ def test_driver_steps_are_the_public_steps_bit_for_bit(case, plain):
     # from its x0 bit for bit. The second solves with the first's factors,
     # and on a declared problem with the A_1 it holds. A problem of plain
     # numpy callables gets the step's state as float arrays with its bits:
-    # its domain and field, in that order, at x0 and at the stage x0 + k1
+    # its domain and field, in that order, at x0 and at the stage x0 + k1.
+    # The guarded run needs a declared surface, so there the plain problem
+    # declares it and keeps its plain fields.
     problem, x0, tau, method = case
     seen = []
+    guarded_problem = plain_callables(problem.affine, seen, declared=True) if plain else problem
     if plain:
         problem = plain_callables(problem.affine, seen)
     J = field_jacobian(problem, 1, x0)
@@ -1043,13 +1063,14 @@ def test_driver_steps_are_the_public_steps_bit_for_bit(case, plain):
     except (SingularMatrix, ValueError):
         assume(False)
     try:
-        public_guarded = guarded_ros2_step(problem, x0, tau, J)
+        public_guarded = guarded_ros2_step(guarded_problem, x0, tau, J)
     except (NoBracket, SingularMatrix) as exc:
         public_guarded = exc
-    runs = [IntegratorConfig(tau=tau, t_end=2.0 * tau, method=method)]
+    runs = [(problem, IntegratorConfig(tau=tau, t_end=2.0 * tau, method=method))]
     if method.stages == 2:
-        runs.append(IntegratorConfig(tau=tau, t_end=tau, guard_mode=GuardMode.ROS2_DENSE))
-    for cfg in runs:
+        runs.append((guarded_problem,
+                     IntegratorConfig(tau=tau, t_end=tau, guard_mode=GuardMode.ROS2_DENSE)))
+    for problem, cfg in runs:
         seen.clear()
         result, taken = driver_steps(problem, x0, cfg, seen)
         if cfg.guard_mode is not None and not isinstance(public_guarded, tuple):

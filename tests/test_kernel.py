@@ -16,7 +16,7 @@ from rosevent import linalg
 from rosevent.errors import NonFiniteState, SingularMatrix
 from rosevent.events import IntegratorConfig, integrate
 from rosevent.onesided import GuardMode
-from rosevent.problems import Affine, PiecewiseProblem, affine_problem, eval_field
+from rosevent.problems import Affine, PiecewiseProblem, Surface, affine_problem, eval_field
 from rosevent.rosenbrock import (
     ROS1,
     ROS2,
@@ -311,11 +311,11 @@ X0 = np.array([1.0, 1.0])
 
 
 def problem_with_field_1(value_at):
-    """Linear field 2 and an analytic Jacobian; h = x[0] - 10 keeps every run
-    in region 1, where field 1 is value_at(x)."""
+    """Linear field 2 and an analytic Jacobian; the declared surface
+    h = x[0] - 10 keeps every run in region 1, where field 1 is
+    value_at(x)."""
     return PiecewiseProblem(
-        dim=2, f1=value_at, f2=lambda x: -x, h=lambda x: float(x[0]) - 10.0,
-        grad_h=lambda x: np.array([1.0, 0.0]), hess_h=lambda x: np.zeros((2, 2)),
+        dim=2, f1=value_at, f2=lambda x: -x, surface=Surface([1.0, 0.0], -10.0),
         jac_f1=lambda x: -np.eye(2), jac_f2=lambda x: -np.eye(2),
     )
 

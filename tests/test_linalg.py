@@ -16,7 +16,6 @@ from rosevent.errors import DomainViolation, SingularMatrix
 from rosevent.linalg import (
     SINGULARITY_RTOL,
     fd_gradient,
-    fd_hessian,
     fd_jacobian,
     lu_factor,
     lu_solve,
@@ -988,18 +987,6 @@ def test_fd_jacobian_matches_the_array_reference(n, m, data):
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.shape == expected.shape == (m, n)
         assert got.tobytes() == expected.tobytes()
-
-
-def test_fd_hessian_bilinear():
-    # h = x0 * x1 has constant Hessian [[0,1],[1,0]]
-    H = fd_hessian(lambda x: x[0] * x[1], np.array([2.0, 3.0]))
-    npt.assert_allclose(H, [[0.0, 1.0], [1.0, 0.0]], rtol=0, atol=1e-5)
-    npt.assert_array_equal(H, H.T)
-
-
-def test_fd_hessian_cubic_diagonal():
-    H = fd_hessian(lambda x: x[0] ** 3, np.array([2.0]))
-    npt.assert_allclose(H, [[12.0]], rtol=1e-4, atol=0)
 
 
 # --- spectral radius bound -------------------------------------------------

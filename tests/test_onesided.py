@@ -1,7 +1,6 @@
 """One-sided stepping guards and case-1b step shortening."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -14,7 +13,6 @@ from rosevent.errors import NoBracket, NotOrthogonal, SingularMatrix
 from rosevent.events import IntegratorConfig, Termination, integrate
 from rosevent.onesided import (
     GuardMode,
-    _series_certificate,
     guard_ros1_general,
     guard_ros1_orthogonal,
     guard_ros2_dense,
@@ -28,32 +26,19 @@ from rosevent.problems import (
     builtin,
     field_jacobian,
 )
-from rosevent.rosenbrock import GAMMA_ROS2, dense_derivative, ros1_step, ros2_step
+from rosevent.rosenbrock import GAMMA_ROS2, ROS1, ROS2, dense_derivative, ros1_step, ros2_step
 
 
-def scalar_problem(f1, h, *, jac=None, grad=None, hess=None):
-    return PiecewiseProblem(
-        dim=1, f1=f1, f2=lambda x: np.zeros(1), h=h,
-        jac_f1=jac, grad_h=grad, hess_h=hess,
-    )
+def scalar_problem(f1, h, *, jac=None):
+    return PiecewiseProblem(dim=1, f1=f1, f2=lambda x: np.zeros(1), h=h, jac_f1=jac)
 
 
-def unit_speed(h, **kw):
-    return scalar_problem(lambda x: np.array([1.0]), h,
-                          jac=lambda x: np.zeros((1, 1)), **kw)
+def unit_speed(h):
+    return scalar_problem(lambda x: np.array([1.0]), h, jac=lambda x: np.zeros((1, 1)))
 
 
 def declared(A, b, n, c):
     return affine_problem(Affine(A1=A, b1=b, A2=A, b2=b, n=n, c=c))
-
-
-# Constant drift toward h = 1 - x^2 from x0 = -2: the series coefficients
-# are exact because f is constant and h quadratic.
-QUADRATIC_H = unit_speed(
-    lambda x: 1.0 - x[0] ** 2,
-    grad=lambda x: np.array([-2.0 * x[0]]),
-    hess=lambda x: np.array([[-2.0]]),
-)
 
 
 # --- one-stage series guard --------------------------------------------------
@@ -69,155 +54,14 @@ def test_series_guard_passes_on_transversal_drift():
     assert abs(report.coefficients["a2"]) <= 1e-6
 
 
-def test_series_guard_certificate_exact_for_quadratic_h():
-    # H'(sigma) = 4 - 2*sigma exactly, so the monotone window ends at 2
-    report = guard_ros1_general(QUADRATIC_H, [-2.0], 3.0, 1.0)
-    assert report.coefficients == {"a0": 4.0, "a1": -2.0, "a2": 0.0}
-    assert not report.passed
-    assert report.certified_sigma == 2.0
-    assert report.neumann_ok
-
-    # inside the window the same certificate passes at full size
-    ok = guard_ros1_general(QUADRATIC_H, [-2.0], 0.5, 1.0)
-    assert ok.passed
-    assert ok.certified_sigma == 0.5
-
-
 def test_series_guard_abstains_without_neumann_convergence():
-    stiff = scalar_problem(
-        lambda x: np.array([-100.0 * x[0]]),
-        lambda x: x[0] - 2.0,
-        jac=lambda x: np.array([[-100.0]]),
-    )
+    stiff = declared([[-100.0]], [0.0], [1.0], -2.0)
     report = guard_ros1_general(stiff, [-1.0], 1.0, 1.0)
     assert not report.neumann_ok
     assert not report.passed
     assert report.certified_sigma == 0.0
     # the coefficients are still reported for diagnostics
     assert report.coefficients["a0"] == pytest.approx(100.0)
-
-
-# Unit drift with a NaN Hessian of h: the leading coefficient is 1, every
-# coefficient that reads the Hessian is NaN, so its sign is unknown.
-NAN_HESSIAN = unit_speed(lambda x: x[0], grad=lambda x: np.array([1.0]),
-                         hess=lambda x: np.array([[math.nan]]))
-
-
-@pytest.mark.parametrize("guard, higher", [(guard_ros1_general, ("a1", "a2")),
-                                           (guard_ros1_orthogonal, ("b1", "b2"))])
-def test_series_guards_fail_on_a_nan_coefficient(guard, higher):
-    report = guard(NAN_HESSIAN, [-1.0], 0.1, 1.0)
-    assert list(report.coefficients.values())[0] == 1.0
-    assert all(math.isnan(report.coefficients[name]) for name in higher)
-    assert not report.passed
-    assert report.certified_sigma == 0.0
-
-
-@pytest.mark.parametrize("coeffs", [(math.nan, 0.0, 0.0), (1.0, math.nan, 0.0),
-                                    (1.0, 0.0, math.nan), (-1.0, 0.0, 0.0)])
-def test_certified_sigma_is_zero_without_a_certificate(coeffs):
-    assert _series_certificate(*coeffs, 0.5) == (False, 0.0)
-
-
-def test_certified_sigma_of_a_certificate():
-    assert _series_certificate(1.0, 0.0, 0.0, 0.5) == (True, 0.5)
-    assert _series_certificate(1.0, 4.0, 0.0, 0.5) == (False, 0.25)
-    assert _series_certificate(2.0, 0.0, 8.0, 0.75) == (False, 0.5)
-
-
-# magnitudes over twenty decades, and the zero a harmless coefficient has
-MAGNITUDES = st.floats(-12.0, 8.0).map(lambda e: 10.0 ** e)
-HARM = st.one_of(st.just(0.0), MAGNITUDES)
-
-
-def truncation(a0, r1, r2, sigma):
-    # a0 - sigma*r1 - sigma^2*r2, exactly
-    s = Fraction(sigma)
-    return Fraction(a0) - s * Fraction(r1) - s * s * Fraction(r2)
-
-
-@settings(max_examples=500, deadline=None)
-@given(a0=MAGNITUDES, r1=HARM, r2=HARM, tau=st.floats(-6.0, 1.0).map(lambda e: 10.0 ** e))
-def test_the_series_certificate_is_the_root_of_its_truncation(a0, r1, r2, tau):
-    passed, sigma = _series_certificate(a0, r1, r2, tau)
-    ulps = 8 * Fraction(np.finfo(float).eps) * Fraction(a0)
-    # the truncation is not negative, beyond rounding, up to the certified
-    # sigma, and a pass certifies the whole step
-    assert 0.0 <= sigma <= tau
-    assert truncation(a0, r1, r2, sigma) >= -ulps
-    assert passed == (sigma == tau)
-    if not passed:
-        # a short sigma is the root itself, not a point below it
-        assert truncation(a0, r1, r2, sigma) <= ulps
-
-
-def test_the_series_certificate_has_no_cancellation():
-    # r1^2 dwarfs 4*r2*a0, so the textbook formula cancels: it gives 3.0654,
-    # where the truncation is -0.67*a0
-    passed, sigma = _series_certificate(6170409.673455715, 3369641.8808141537,
-                                        7.595408584012954e-11, 10.0)
-    assert not passed
-    assert sigma == pytest.approx(1.83118, rel=1e-5)
-    assert abs(truncation(6170409.673455715, 3369641.8808141537, 7.595408584012954e-11,
-                          sigma)) <= 4 * np.finfo(float).eps * 6170409.673455715
-
-
-@pytest.mark.parametrize("coeffs", [(5e-324, 1.0, 0.0), (1e-320, 0.0, 1e10),
-                                    (1e-320, 1e-300, 1e10)])
-def test_a_root_below_the_solvers_resolution_is_no_pass(coeffs):
-    # a subnormal c0 beside coefficients ~2**1000 larger: the root is tiny,
-    # so no pass, and the certified sigma is the last float before it
-    passed, sigma = _series_certificate(*coeffs, 1.0)
-    assert not passed
-    assert truncation(*coeffs, sigma) >= 0
-    assert truncation(*coeffs, math.nextafter(sigma, 1.0)) < 0
-
-
-def test_a_certificate_over_coefficients_far_apart_stops_before_the_root():
-    # r1^2 underflowed beside 4*r2*c0 once the solver scaled all three by
-    # one power of two: it certified 5.3873888e-160, where the truncation
-    # is already negative; the root is 5.38736546057547647e-160
-    coeffs = (6.24367235517765e-39, 5.945360508154198e-79, 2.1512319015551195e+280)
-    passed, sigma = _series_certificate(*coeffs, 4.832548891140742e-10)
-    assert not passed
-    assert sigma == 5.387365460575476e-160
-    assert truncation(*coeffs, sigma) >= 0
-    assert truncation(*coeffs, math.nextafter(sigma, 1.0)) < 0
-
-
-# magnitudes over the float range, and a zero
-WIDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
-
-
-@settings(max_examples=500, deadline=None)
-@given(a0=WIDE, r1=st.one_of(st.just(0.0), WIDE), r2=st.one_of(st.just(0.0), WIDE), tau=WIDE)
-def test_the_series_certificate_certifies_nothing_past_its_root(a0, r1, r2, tau):
-    assume(math.isfinite(2.0 * r2))
-    passed, sigma = _series_certificate(a0, r1, r2, tau)
-    # the exact truncation is not negative at the certified sigma, and a
-    # pass certifies the whole step
-    assert 0.0 <= sigma <= tau
-    assert truncation(a0, r1, r2, sigma) >= 0
-    assert passed == (sigma == tau)
-    if not passed and sigma >= 2.0 ** -1022:
-        # a short sigma is the root to a few ulps, not a point far below it
-        assert truncation(a0, r1, r2, sigma * (1.0 + 8.0 * np.finfo(float).eps)) < 0
-
-
-def test_a_passing_series_guard_certifies_the_whole_step():
-    # r2 ~ 1.6e-15 next to r1 ~ 2.9: the textbook root cancels to 0 here,
-    # which gave a pass with a certified sigma of 0
-    eps_j = 1.8300780372745886e-16
-    problem = PiecewiseProblem(
-        dim=2, f1=lambda x: np.array([1.0, 0.02234997892112104]) + eps_j * x,
-        f2=lambda x: np.zeros(2), h=lambda x: x[1] - 1.4730870726971745 * x[0] ** 2 - 1.0,
-        jac_f1=lambda x: eps_j * np.eye(2),
-        grad_h=lambda x: np.array([-2.0 * 1.4730870726971745 * x[0], 1.0]),
-        hess_h=lambda x: np.array([[-2.0 * 1.4730870726971745, 0.0], [0.0, 0.0]]),
-    )
-    report = guard_ros1_general(problem, [0.0, 0.0], 3.501693097234597e-4, 1.0)
-    assert report.passed
-    assert report.certified_sigma == 3.501693097234597e-4
 
 
 @pytest.mark.parametrize("tau", [-0.25, 0.0, math.nan, math.inf])
@@ -243,15 +87,7 @@ def test_orthogonal_guard_accepts_rotation_step_matrix():
                   [math.sin(angle), math.cos(angle)]])
     J = (np.eye(2) - Q) / (gamma * tau)
     b = np.array([1.0, 0.2])
-    problem = PiecewiseProblem(
-        dim=2,
-        f1=lambda x: J @ x + b,
-        f2=lambda x: np.zeros(2),
-        h=lambda x: x[0] - 1.0,
-        jac_f1=lambda x: J,
-        grad_h=lambda x: np.array([1.0, 0.0]),
-        hess_h=lambda x: np.zeros((2, 2)),
-    )
+    problem = declared(J, b, [1.0, 0.0], -1.0)
     report = guard_ros1_orthogonal(problem, [0.0, 0.0], tau, gamma)
     assert report.mode is GuardMode.ROS1_ORTHOGONAL
     assert report.coefficients["gram_defect"] <= 1e-12
@@ -264,9 +100,14 @@ def test_orthogonal_guard_accepts_rotation_step_matrix():
     assert report.certified_sigma == tau
 
 
+# Constant drift toward the surface 2*x0 - x1 = 3 with a zero Jacobian
+DRIFT = declared(np.zeros((2, 2)), [1.0, 0.5], [2.0, -1.0], -3.0)
+
+
 def test_orthogonal_guard_matches_general_when_jacobian_vanishes():
-    ga = guard_ros1_general(QUADRATIC_H, [-2.0], 0.5, 1.0)
-    go = guard_ros1_orthogonal(QUADRATIC_H, [-2.0], 0.5, 1.0)
+    ga = guard_ros1_general(DRIFT, [0.0, 0.0], 0.5, 1.0)
+    go = guard_ros1_orthogonal(DRIFT, [0.0, 0.0], 0.5, 1.0)
+    assert ga.coefficients == {"a0": 1.5, "a1": 0.0, "a2": 0.0}
     assert go.coefficients["b0"] == ga.coefficients["a0"]
     assert go.coefficients["b1"] == ga.coefficients["a1"]
     assert go.coefficients["b2"] == ga.coefficients["a2"]
@@ -299,16 +140,12 @@ def test_guards_without_a_contraction_condition_do_not_certify_one():
     # only the series guard checks the Neumann series' contraction bound;
     # the others report None (not checked), not a True they never tested
     assert guard_ros1_general(builtin("tent"), [0.3], 0.25, 1.0).neumann_ok is True
-    orthogonal = guard_ros1_orthogonal(QUADRATIC_H, [-2.0], 0.5, 1.0)
+    orthogonal = guard_ros1_orthogonal(DRIFT, [0.0, 0.0], 0.5, 1.0)
     assert orthogonal.passed and orthogonal.neumann_ok is None
-    # the dense guard's exact (declared surface) and sampled certificates
-    declared = affine_problem(Affine(A1=[[0.0]], b1=[1.0], A2=[[0.0]], b2=[1.0],
-                                     n=[1.0], c=-2.0))
-    sampled = unit_speed(lambda x: x[0] - 2.0, grad=lambda x: np.array([1.0]))
-    for problem in (declared, sampled):
-        step = ros2_step(problem.f1, np.array([0.0]), 0.8, np.zeros((1, 1)))
-        dense = guard_ros2_dense(problem, step)
-        assert dense.passed and dense.neumann_ok is None
+    problem = declared([[0.0]], [1.0], [1.0], -2.0)
+    step = ros2_step(problem.f1, np.array([0.0]), 0.8, np.zeros((1, 1)))
+    dense = guard_ros2_dense(problem, step)
+    assert dense.passed and dense.neumann_ok is None
 
 
 # --- one-stage guards on a declared surface against the H' oracle ------------
@@ -339,7 +176,7 @@ def check_one_stage_certificate(report, problem, x0, tau, gamma):
 
 
 # An affine field whose one-stage end state crosses the surface inside the
-# step and comes back: the series truncated after sigma^2 passed it.
+# step and comes back, which the series truncated after sigma^2 passes.
 PINNED = declared([[0.7494305476522148, 0.10628944609664308],
                    [-0.1908466417121482, 0.41585030711681836]],
                   [-0.27569182256266134, 1.1198322753344498],
@@ -364,6 +201,47 @@ def test_a_one_stage_step_that_crosses_and_returns_fails_the_guard():
     assert report.neumann_ok and not report.passed
     assert 0.0 < report.certified_sigma < 0.7
     check_one_stage_certificate(report, PINNED, x0, tau, 1.0)
+
+
+def undeclared_twin(problem):
+    """An affine problem's fields, Jacobians, h and gradient as plain
+    callables: the same problem, with its surface undeclared."""
+    aff = problem.affine
+    return PiecewiseProblem(
+        dim=problem.dim, f1=lambda x: aff.A1 @ x + aff.b1, f2=lambda x: aff.A2 @ x + aff.b2,
+        h=lambda x: float(aff.n @ x) + aff.c, grad_h=lambda x: aff.n,
+        jac_f1=lambda x: aff.A1, jac_f2=lambda x: aff.A2)
+
+
+def test_the_guards_refuse_an_undeclared_surface():
+    # the pinned case's undeclared twin: the series truncated after sigma^2
+    # passed it, certifying tau, where the declared case fails. Without a
+    # declared surface no guard has a certificate to give.
+    twin = undeclared_twin(PINNED)
+    for guard in (guard_ros1_general, guard_ros1_orthogonal):
+        with pytest.raises(ValueError, match="declares no surface"):
+            guard(twin, PINNED_X0, PINNED_TAU, 1.0)
+    step = ros2_step(twin.f1, PINNED_X0, PINNED_TAU, PINNED.affine.A1)
+    with pytest.raises(ValueError, match="declares no surface"):
+        guard_ros2_dense(twin, step)
+    # refused before any field evaluation
+    assert twin.counters.f_evals == {1: 0, 2: 0}
+
+
+@pytest.mark.parametrize("guard, method", [(GuardMode.ROS1_GENERAL, ROS1),
+                                           (GuardMode.ROS1_ORTHOGONAL, ROS1),
+                                           (GuardMode.ROS2_DENSE, ROS2)],
+                         ids=["ros1", "ros1-orth", "ros2-dense"])
+def test_a_guarded_run_refuses_an_undeclared_surface(guard, method):
+    twin = undeclared_twin(PINNED)
+    h, h_calls = twin.h, []
+    twin.h = lambda x: h_calls.append(1) or h(x)
+    with pytest.raises(ValueError, match="declares no surface"):
+        integrate(twin, PINNED_X0, IntegratorConfig(tau=PINNED_TAU, t_end=1.0, method=method,
+                                                    guard_mode=guard))
+    # refused while the inputs are checked: no h, no field
+    assert not h_calls
+    assert twin.counters.snapshot() == ({1: 0, 2: 0}, {1: 0, 2: 0})
 
 
 @settings(max_examples=300, deadline=None)
@@ -541,22 +419,28 @@ def test_resolve_case_1b_takes_few_trials_on_najafi():
         assert float(najafi.h(step.x0 + step.k1)) <= 0.0
 
 
+# A declared surface 2e-12 ahead of x0 = 0 at speed 1e6: the internal
+# stage reaches it at sigma = 2e-18, below the case-1b search's resolution
+# of 4*eps*tau, so every trial trespasses
+RUSH = declared([[0.0]], [1e6], [1.0], -2e-12)
+
+
 def test_resolve_case_1b_without_a_safe_trial_is_a_guard_failure():
     # every internal stage off x0 trespasses, so the search ends at sigma = 0
     cliff = unit_speed(lambda x: -1.0 if x[0] <= 0.0 else 1.0)
-    with pytest.raises(NoBracket, match="trespasses at all"):
-        guarded(cliff, [0.0], 1.0)
-    result = integrate(cliff, [0.0], IntegratorConfig(
+    for problem in (cliff, RUSH):
+        with pytest.raises(NoBracket, match="trespasses at all"):
+            guarded(problem, [0.0], 1.0)
+    result = integrate(RUSH, [0.0], IntegratorConfig(
         tau=1.0, t_end=2.0, guard_mode=GuardMode.ROS2_DENSE))
     assert result.termination is Termination.GUARD_FAILURE
     assert result.stats.steps == 0
 
 
-def _guarded_cliff_run(monkeypatch, singular_call=None):
+def _unsafe_guarded_run(monkeypatch, singular_call=None):
     """The guarded run of test_resolve_case_1b_without_a_safe_trial_is_a_guard_failure
     and the number of linalg.lu_factor calls it made; the call numbered
     singular_call factors a zero matrix instead of its own."""
-    cliff = unit_speed(lambda x: -1.0 if x[0] <= 0.0 else 1.0)
     calls = []
     real = rosevent.linalg.lu_factor
 
@@ -565,7 +449,7 @@ def _guarded_cliff_run(monkeypatch, singular_call=None):
         return real([[0.0]] if len(calls) == singular_call else m)
 
     monkeypatch.setattr(rosevent.linalg, "lu_factor", counted)
-    result = integrate(cliff, [0.0], IntegratorConfig(
+    result = integrate(RUSH, [0.0], IntegratorConfig(
         tau=1.0, t_end=2.0, guard_mode=GuardMode.ROS2_DENSE))
     return result, len(calls)
 
@@ -573,7 +457,7 @@ def _guarded_cliff_run(monkeypatch, singular_call=None):
 def test_a_guard_failure_still_counts_its_factorizations(monkeypatch):
     # the step's own factorization and every case-1b trial, all of which
     # trespass, and the step's Jacobian
-    result, lu_calls = _guarded_cliff_run(monkeypatch)
+    result, lu_calls = _unsafe_guarded_run(monkeypatch)
     assert result.termination is Termination.GUARD_FAILURE
     assert lu_calls == result.stats.lu_factorizations > 2
     assert result.stats.jacobian_evaluations == 1
@@ -582,7 +466,7 @@ def test_a_guard_failure_still_counts_its_factorizations(monkeypatch):
 def test_a_singular_case_1b_trial_still_counts_the_factorizations_before_it(monkeypatch):
     # the step's own factorization, the first trial's, and the second
     # trial's, which is singular
-    result, lu_calls = _guarded_cliff_run(monkeypatch, singular_call=3)
+    result, lu_calls = _unsafe_guarded_run(monkeypatch, singular_call=3)
     assert result.termination is Termination.SOLVER_FAILURE
     assert lu_calls == result.stats.lu_factorizations == 3
     assert result.stats.jacobian_evaluations == 1
@@ -613,76 +497,33 @@ def test_a_nan_h_at_the_internal_stage_shortens_the_step():
 
 # --- two-stage dense-output guard --------------------------------------------
 
-def test_dense_guard_passes_on_monotone_approach():
-    problem = unit_speed(lambda x: x[0] - 2.0,
-                         grad=lambda x: np.array([1.0]))
+def test_dense_guard_validates_inputs():
+    problem = declared([[0.0]], [1.0], [1.0], -2.0)
+    one_stage = ros1_step(problem.f1, np.array([0.0]), 0.5, np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="two-stage"):
+        guard_ros2_dense(problem, one_stage)
+
+def test_exact_dense_guard_passes_on_monotone_approach():
+    problem = declared([[0.0]], [1.0], [1.0], -2.0)
     step = ros2_step(problem.f1, np.array([0.0]), 0.8, np.zeros((1, 1)))
     report = guard_ros2_dense(problem, step)
     assert report.mode is GuardMode.ROS2_DENSE
     assert report.passed
     assert report.certified_sigma == step.tau
-    assert report.coefficients["n_grid"] == 64.0
     assert report.coefficients["d_min"] == pytest.approx(0.8, rel=1e-12)
     # for a constant field k2 = -k1, so the theta-linear part vanishes
     assert abs(report.coefficients["m2"]) <= 1e-15
     assert report.coefficients["m1"] == pytest.approx(0.8, rel=1e-12)
 
 
-def test_dense_guard_fails_immediately_on_stalled_flow():
-    problem = scalar_problem(lambda x: np.zeros(1), lambda x: x[0] - 0.5,
-                             jac=lambda x: np.zeros((1, 1)),
-                             grad=lambda x: np.array([1.0]))
-    step = ros2_step(problem.f1, np.array([0.0]), 1.0, np.zeros((1, 1)))
-    report = guard_ros2_dense(problem, step)
-    assert not report.passed
-    assert report.certified_sigma == 0.0
-    assert report.coefficients["d_min"] == 0.0
-
-
-def test_dense_guard_catches_double_crossing_endpoint_detection_misses():
-    # h = 0.04 - (x - 0.5)^2 dips positive inside the step while both
-    # endpoints sit on the negative side
-    problem = unit_speed(
-        lambda x: 0.04 - (x[0] - 0.5) ** 2,
-        grad=lambda x: np.array([-2.0 * (x[0] - 0.5)]),
-    )
-    step = ros2_step(problem.f1, np.array([0.0]), 0.8, np.zeros((1, 1)))
-    assert float(problem.h(step.x0)) < 0.0
-    assert float(problem.h(step.x1)) < 0.0  # endpoint comparison sees nothing
-    report = guard_ros2_dense(problem, step)
-    assert not report.passed
-    assert report.coefficients["d_min"] < 0.0
-    # d flips sign at x = 0.5, i.e. theta = 0.625: the certificate stops at
-    # the last grid point before that
-    assert report.certified_sigma == pytest.approx(0.8 * 39.0 / 63.0, rel=1e-12)
-    assert 0.0 < report.certified_sigma < step.tau
-
-
-def test_dense_guard_validates_inputs():
-    problem = unit_speed(lambda x: x[0] - 2.0)
-    one_stage = ros1_step(problem.f1, np.array([0.0]), 0.5, np.zeros((1, 1)))
-    with pytest.raises(ValueError, match="two-stage"):
-        guard_ros2_dense(problem, one_stage)
-
-
-# --- the exact dense guard on a declared affine surface ------------------------
-
-def test_exact_dense_guard_passes_on_monotone_approach():
-    problem = declared([[0.0]], [1.0], [1.0], -2.0)
-    step = ros2_step(problem.f1, np.array([0.0]), 0.8, np.zeros((1, 1)))
-    report = guard_ros2_dense(problem, step)
-    assert report.passed
-    assert report.certified_sigma == step.tau
-    assert "n_grid" not in report.coefficients
-    assert report.coefficients["d_min"] == pytest.approx(0.8, rel=1e-12)
-    assert abs(report.coefficients["m2"]) <= 1e-15
-
-
 def test_exact_dense_guard_certifies_up_to_the_root_of_d():
     # y' = 1 - 2t, t' = 1 toward y = 0.2: d(theta) = tau*(1 - 2*tau*theta)
-    # turns at theta = 1/(2*tau) = 5/9, between the 64-point grid's nodes
+    # turns at theta = 1/(2*tau) = 5/9, where y = 0.25 is past the surface
+    # while both endpoints sit below it
     problem = declared([[0.0, -2.0], [0.0, 0.0]], [1.0, 1.0], [1.0, 0.0], -0.2)
     step = ros2_step(problem.f1, np.array([0.0, 0.0]), 0.9, problem.jac_f1(None))
+    assert problem.h(step.x0) < 0.0
+    assert problem.h(step.x1) < 0.0  # endpoint comparison sees nothing
     report = guard_ros2_dense(problem, step)
     assert not report.passed
     assert report.certified_sigma == pytest.approx(0.5, rel=1e-14)
@@ -697,6 +538,7 @@ def test_exact_dense_guard_fails_at_once_when_d_starts_non_positive():
     report = guard_ros2_dense(problem, step)
     assert not report.passed
     assert report.certified_sigma == 0.0
+    assert report.coefficients["d_min"] == 0.0
 
 
 def check_exact_dense_guard(A, b, n, x0, c, tau):
@@ -708,7 +550,6 @@ def check_exact_dense_guard(A, b, n, x0, c, tau):
     except SingularMatrix:
         assume(False)
     report = guard_ros2_dense(problem, step)
-    assert "n_grid" not in report.coefficients
 
     def d(theta):
         return float(n @ dense_derivative(step, theta))

@@ -28,7 +28,6 @@ from rosevent.problems import (
     eval_field,
     field_jacobian,
     h_gradient,
-    h_hessian,
     problem_names,
     reduced_order_model,
     spp_flatten,
@@ -86,10 +85,9 @@ def test_a_finite_difference_jacobian_checks_each_point_once(x, rejected):
         npt.assert_allclose(J[0], [math.sqrt(0.5), -1.0 / (2.0 * math.sqrt(0.5))], rtol=1e-7)
 
 
-def test_h_gradient_hessian_analytic_or_fd():
+def test_h_gradient_analytic_or_fd():
     p = builtin("tent")
     npt.assert_array_equal(h_gradient(p, np.array([0.3])), [1.0])
-    npt.assert_array_equal(h_hessian(p, np.array([0.3])), [[0.0]])
 
 
 def test_spp_flatten_kowalczyk_fields():
@@ -235,7 +233,6 @@ def reference_tent(level):
         f2=lambda u: np.array([-1.0]),
         h=lambda u: u[0] - level,
         grad_h=lambda u: np.array([1.0]),
-        hess_h=lambda u: np.zeros((1, 1)),
         jac_f1=lambda u: np.zeros((1, 1)),
         jac_f2=lambda u: np.zeros((1, 1)),
     )
@@ -248,7 +245,6 @@ def reference_linear_test(lam):
         f2=lambda u: lam * np.asarray(u, dtype=float),
         h=lambda u: -1.0,
         grad_h=lambda u: np.zeros(1),
-        hess_h=lambda u: np.zeros((1, 1)),
         jac_f1=lambda u: np.array([[lam]]),
         jac_f2=lambda u: np.array([[lam]]),
     )
@@ -265,7 +261,6 @@ def reference_kowalczyk(theta, eps):
         h=lambda y, z: th * y[0] + (1.0 - th) * z[0],
         h_y=lambda y, z: np.array([th]),
         h_z=lambda y, z: np.array([1.0 - th]),
-        hess_h=lambda u: np.zeros((2, 2)),
         jac_f1=lambda y, z: np.zeros((1, 2)),
         jac_f2=lambda y, z: np.zeros((1, 2)),
         jac_g=lambda y, z: np.array([[1.0, -1.0]]),
@@ -282,7 +277,6 @@ def reference_teixeira(eps):
         h=lambda y, z: 2.0 * z[0] - y[0],
         h_y=lambda y, z: np.array([-1.0, 0.0]),
         h_z=lambda y, z: np.array([2.0]),
-        hess_h=lambda u: np.zeros((3, 3)),
         jac_f1=lambda y, z: np.array([[0.0, 0.0, 0.0], [-1.0, -1.0, 0.0]]),
         jac_f2=lambda y, z: np.array([[0.0, 0.0, 0.0], [-1.0, -1.0, 0.0]]),
         jac_g=lambda y, z: np.array([[1.0, 0.0, -1.0]]),
@@ -300,7 +294,6 @@ def reference_ostermann_modified(eps):
         h=lambda y, z: y[0],
         h_y=lambda y, z: np.array([1.0, 0.0]),
         h_z=lambda y, z: np.array([0.0]),
-        hess_h=lambda u: np.zeros((3, 3)),
         jac_f1=lambda y, z: np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
         jac_f2=lambda y, z: np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
         jac_g=lambda y, z: np.array([[-e, 1.0, -1.0]]),
@@ -323,7 +316,6 @@ def stacked(ref) -> SppProblem:
         f2=on_u(ref.f2, ref.g, np.concatenate),
         h=lambda u: ref.h(u[:s], u[s:]),
         grad_h=on_u(ref.h_y, ref.h_z, np.concatenate),
-        hess_h=ref.hess_h,
         jac_f1=on_u(ref.jac_f1, ref.jac_g, np.vstack),
         jac_f2=on_u(ref.jac_f2, ref.jac_g, np.vstack),
     ), s, ref.eps)
@@ -353,7 +345,6 @@ def assert_piecewise_matches(derived, reference, aff, x):
         assert_within_ulps(J, field_jacobian(reference, which, x), np.abs(J))
     assert_within_ulps(derived.h(x), reference.h(x), np.abs(aff.n) @ np.abs(x) + abs(aff.c))
     assert_within_ulps(h_gradient(derived, x), h_gradient(reference, x), np.abs(aff.n))
-    npt.assert_array_equal(h_hessian(derived, x), h_hessian(reference, x))
 
 
 # Zero or at least 1e-100 in magnitude: products of a few of these stay
@@ -468,7 +459,7 @@ def test_returned_jacobians_and_gradients_are_read_only():
         problem = spp_flatten(spec) if isinstance(spec, SppProblem) else spec
         u = x[: problem.dim]
         for J in (field_jacobian(problem, 1, u), field_jacobian(problem, 2, u),
-                  h_gradient(problem, u), h_hessian(problem, u)):
+                  h_gradient(problem, u)):
             with pytest.raises(ValueError, match="read-only"):
                 J[0] = 1.0
         if isinstance(spec, SppProblem):
@@ -605,7 +596,6 @@ def test_a_declared_surface_gives_h_and_its_derivatives(data, dim):
                                surface=Surface(n, c))
     assert problem.h(x) == left_to_right(n.tolist(), c, x.tolist())
     npt.assert_array_equal(h_gradient(problem, x), n)
-    npt.assert_array_equal(h_hessian(problem, x), np.zeros((dim, dim)))
 
 
 def float_bits(v) -> bytes:
