@@ -26,7 +26,15 @@ from rosevent.problems import (
     builtin,
     field_jacobian,
 )
-from rosevent.rosenbrock import GAMMA_ROS2, ROS1, ROS2, dense_derivative, ros1_step, ros2_step
+from rosevent.rosenbrock import (
+    GAMMA_ROS2,
+    ROS1,
+    ROS2,
+    dense_derivative,
+    dense_eval,
+    ros1_step,
+    ros2_step,
+)
 
 
 def scalar_problem(f1, h, *, jac=None):
@@ -502,6 +510,45 @@ def test_dense_guard_validates_inputs():
     one_stage = ros1_step(problem.f1, np.array([0.0]), 0.5, np.zeros((1, 1)))
     with pytest.raises(ValueError, match="two-stage"):
         guard_ros2_dense(problem, one_stage)
+
+
+def test_dense_guard_passes_on_monotone_approach():
+    # x' = 2 - x rises toward x = 1 without reaching it in the step
+    problem = declared([[-1.0]], [2.0], [1.0], -1.0)
+    step = ros2_step(problem.f1, np.array([0.0]), 0.5, problem.jac_f1(None))
+    report = guard_ros2_dense(problem, step)
+    assert report.passed
+    assert report.certified_sigma == step.tau
+    assert report.coefficients["d_min"] > 0.0
+    assert problem.h(step.x1) < 0.0
+
+
+def test_dense_guard_fails_immediately_on_stalled_flow():
+    # x' = -x sits at its equilibrium x = 0 below the surface x = 0.5
+    problem = declared([[-1.0]], [0.0], [1.0], -0.5)
+    step = ros2_step(problem.f1, np.array([0.0]), 1.0, problem.jac_f1(None))
+    report = guard_ros2_dense(problem, step)
+    assert not report.passed
+    assert report.certified_sigma == 0.0
+    assert report.coefficients["d_min"] == 0.0
+
+
+def test_dense_guard_catches_double_crossing_endpoint_detection_misses():
+    # a rotation carries x up past the surface x = 0.99 and back inside one
+    # step, while both endpoints sit on the negative side
+    problem = declared([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0], [1.0, 0.0], -0.99)
+    step = ros2_step(problem.f1, np.array([0.6, -0.8]), 1.2, problem.jac_f1(None))
+    assert problem.h(step.x0) < 0.0
+    assert problem.h(step.x1) < 0.0  # endpoint comparison sees nothing
+    report = guard_ros2_dense(problem, step)
+    assert not report.passed
+    assert report.coefficients["d_min"] < 0.0
+    m1, m2 = report.coefficients["m1"], report.coefficients["m2"]
+    assert report.certified_sigma == step.tau * (m1 / -m2)
+    assert 0.0 < report.certified_sigma < step.tau
+    # the certificate stops at the dense output's peak, which is past the surface
+    assert problem.h(dense_eval(step, report.certified_sigma / step.tau)) > 0.0
+
 
 def test_exact_dense_guard_passes_on_monotone_approach():
     problem = declared([[0.0]], [1.0], [1.0], -2.0)
