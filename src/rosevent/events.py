@@ -52,8 +52,8 @@ factorizations that actually ran, those of a step that failed included.
 A plain step takes a fresh J, but one that continues the last plain step
 keeps that step's matrix when it may be held: a declared affine problem's
 (problems.Affine) A_i, evaluated on a visit's first step, or a kept
-finite-difference W (below). Such a step costs f(x0) and the kernel's
-stage1 and finish on the kept factors, refactored only when the step size
+finite-difference W (below). Such a step costs f(x0) and one call of the
+kernel's step on the kept factors, refactored only when the step size
 changes (a remainder at t_end). A visit evaluates and holds its own A_i
 even when its entries equal the last visit's, whose factors it then
 solves with. The dense-guarded step of region 1 (onesided) takes a fresh J
@@ -433,8 +433,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     # Jacobian
     affine = problem.affine is not None
     gamma = cfg.method.gamma
-    run = rosenbrock.kernel(cfg.method.stages, problem.dim)
-    stage1, finish = run.stage1, run.finish
+    kernel_step = rosenbrock.kernel(cfg.method.stages, problem.dim).step
     fits = (_secant(problem.dim) if problem.jac_f1 is None or problem.jac_f2 is None
             else None)
     dense_guard = guard is onesided.GuardMode.ROS2_DENSE
@@ -504,7 +503,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
                     key_rows, key_tau, factorizations = [r[:] for r in rows], size, 1
                 else:
                     factorizations = 0
-                step = finish(field, x, x0f, size, J, factors, stage1(factors, fx, size))
+                step = kernel_step(field, x, x0f, fx, size, J, factors)
                 last, last_active, fx0 = step, active, fx
         except (SingularMatrix, NoBracket) as exc:
             # a singular step matrix, or the one-sided step-shortening

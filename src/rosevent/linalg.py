@@ -4,11 +4,13 @@ Everything here is sized for the systems this package integrates: a handful
 of states, not thousands. At that size a numpy call costs its dispatch, not
 its arithmetic, so the input checks, the partial-pivoting LU, the solves
 and the finite-difference Jacobian run on Python floats. lu_factor takes a
-list of float rows and lu_solve a list of floats, which is how the step
-kernel in rosenbrock passes its step matrices and right-hand sides; given a
-list, lu_solve returns a list of floats, so a step's stages never become
-arrays. Both factor and substitute with straight-line code generated once
-per system size (generated). Also here: the package's two root finders
+list of float rows, which is how the step kernel in rosenbrock passes its
+step matrices, and lu_solve a list of floats, returning a list of floats.
+Both factor and substitute with straight-line code generated once per
+system size (generated). The step kernel writes the same substitution
+lines (_substitution_lines) into its own code and calls lu_solve only for
+a right-hand side whose solution is not finite, so a step's stages never
+become arrays and cost no solve call. Also here: the package's two root finders
 (the safe-side ITP search and the closed-form quadratic root),
 finite-difference stencils (the Jacobian one switches to one-sided
 differences at a domain edge) and a cheap spectral-radius bound. All
@@ -200,32 +202,49 @@ def generated(cache: dict, n, source: Callable, name: str, scope: dict | None = 
     return made
 
 
-def _substitution_source(n: int) -> str:
-    """Source of the forward and back substitution for size n, one
-    assignment per entry of x and sweep: the loops of a generic solve,
-    unrolled.
+def _factor_lines(n: int, rows: str, pivots: str) -> list:
+    """Lines that unpack packed factors of size n, the expression rows (as
+    lu_factor's combined) and pivots, into the locals that
+    _substitution_lines reads: m{i}_{j} for each entry and p{i} for each
+    pivot."""
+    m = [[f"m{i}_{j}" for j in range(n)] for i in range(n)]
+    return [f"[{', '.join('[' + ', '.join(row) + ']' for row in m)}] = {rows}",
+            f"[{', '.join(f'p{i}' for i in range(n))}] = {pivots}"]
+
+
+def _substitution_lines(n: int, b: str, x: list) -> list:
+    """Lines of the forward and back substitution for size n that solve
+    L U x = b[pivots] into the locals named x, from the list named b and
+    the factor locals of _factor_lines: one assignment per entry of x and
+    sweep, the loops of a generic solve, unrolled. lu_solve's substitute
+    and the step kernel (rosenbrock) both run these lines, so one piece of
+    code fixes the order of the operations.
 
     Each dot product starts at 0.0 and adds its products left to right,
     and back substitution forms (x_i - dot) / u_ii even where the dot is
     the empty 0.0, so the bits, signed zeros included, are the loops'.
     """
-    a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
-    x = [f"x{i}" for i in range(n)]
+    m = [[f"m{i}_{j}" for j in range(n)] for i in range(n)]
 
     def dot(i, cols):
-        return "".join(f" + {a[i][j]} * {x[j]}" for j in cols)
+        return "".join(f" + {m[i][j]} * {x[j]}" for j in cols)
 
-    lines = ["def substitute(rows, pivots, b):",
-             f"    [{', '.join('[' + ', '.join(row) + ']' for row in a)}] = rows",
-             f"    [{', '.join(f'p{i}' for i in range(n))}] = pivots"]
-    lines += [f"    {x[i]} = b[p{i}]" for i in range(n)]
+    lines = [f"{x[i]} = {b}[p{i}]" for i in range(n)]
     # forward substitution, unit diagonal
-    lines += [f"    {x[i]} = {x[i]} - (0.0{dot(i, range(i))})" for i in range(1, n)]
+    lines += [f"{x[i]} = {x[i]} - (0.0{dot(i, range(i))})" for i in range(1, n)]
     # back substitution
-    lines += [f"    {x[i]} = ({x[i]} - (0.0{dot(i, range(i + 1, n))})) / {a[i][i]}"
+    lines += [f"{x[i]} = ({x[i]} - (0.0{dot(i, range(i + 1, n))})) / {m[i][i]}"
               for i in range(n - 1, -1, -1)]
-    lines.append(f"    return [{', '.join(x)}]")
-    return "\n".join(lines) + "\n"
+    return lines
+
+
+def _substitution_source(n: int) -> str:
+    """Source of substitute(rows, pivots, b) for size n: the factors
+    unpacked (_factor_lines) and then _substitution_lines."""
+    x = [f"x{i}" for i in range(n)]
+    body = [*_factor_lines(n, "rows", "pivots"), *_substitution_lines(n, "b", x),
+            f"return [{', '.join(x)}]"]
+    return "def substitute(rows, pivots, b):\n" + "".join(f"    {line}\n" for line in body)
 
 
 def _substitution(n: int) -> Callable:
@@ -247,7 +266,12 @@ def lu_solve(factors: LuFactors, b) -> list | np.ndarray:
     The forward and back substitution is straight-line code for M's size,
     generated on the first solve of that size and kept for every later one
     (_substitution_source): no loop, no indexing, the same operations in
-    the same order as the nested loops it unrolls, so the same bits.
+    the same order as the nested loops it unrolls, so the same bits. The
+    step kernel in rosenbrock runs the same lines inline
+    (_substitution_lines) and hands this function only a right-hand side
+    whose substituted first entry is not finite, or one of another length
+    than its factors, so what follows decides the kernel's bits and errors
+    there too.
 
     A list of M's size is substituted before anything is checked: a
     non-finite entry of b makes every later entry of the forward sweep,

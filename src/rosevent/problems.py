@@ -133,7 +133,8 @@ class Surface:
 
 @dataclass
 class PiecewiseProblem:
-    """A vector field with one switching surface.
+    """A vector field with one switching surface, on dim >= 1 states (a
+    smaller dim is a ValueError).
 
     f1 drives region 1 (h < 0), f2 drives region 2 (h > 0). Analytic
     derivatives are optional; finite-difference fallbacks are used when a
@@ -163,6 +164,8 @@ class PiecewiseProblem:
     counters: EvalCounters = field(default_factory=EvalCounters)
 
     def __post_init__(self):
+        if not self.dim >= 1:
+            raise ValueError(f"a problem needs at least one state, got dim = {self.dim}")
         if self.surface is None:
             if self.h is None:
                 raise ValueError("a problem needs an event function h or a declared surface")

@@ -35,29 +35,35 @@ coefficients from n.k1 and n.k2, for event location, even-count detection
 and the exact dense guard.
 
 The step kernel is public, unchecked and runs on Python floats: factor
-(the step matrix's LU factors) and kernel(stages, n), whose stage1 (k1)
-and finish (k2, x1 and the RosenbrockStep) are straight-line code
-generated once per method and system size (_kernel_source): b = tau*f(x0),
-k1, the stage state x0 + k1, f there, the k2 right-hand side and x1 as one
-expression per entry, no loop. Every step path runs it: the public steps
-here (ros1_step, ros2_step, ros2_finish and, through them, restep), the
-driver's one step path in events.integrate (which binds stage1 and finish
-once per run), and the guarded step and each of its case-1b trials
-(onesided), where the guarded step hands finish the k1 whose stage it has
-checked. The step holds each stage once, as those floats (k1 and k2 are
-arrays built when read), and x1 as floats beside its array, which the
-driver's next step starts from; it is its own dense output: dense_eval,
-dense_derivative, event location and the dense guard all read its value,
-derivative and slopes. Its value has one formula, on floats (value_floats,
-which location hands a declared h); value is its array. The kernel does
-the IEEE operations of the array formulas above in the same order, and
-numpy's elementwise operations do not fuse, so the results equal the array
-expressions bit for bit. Both solves go through linalg.lu_solve, looked up
-on every call, so an outside wrapper on it sees each one. The step matrix
-is built as float rows (_step_rows, generated once per system size, one
-expression per entry) and factored by linalg.lu_factor as they are, whose
-elimination is generated the same way; step_matrix is the same rows as an
-array. linalg.lu_solve returns each stage as floats.
+(the step matrix's LU factors) and kernel(stages, n), whose stage1 (k1),
+finish (k2, x1 and the RosenbrockStep) and step (the two fused) are
+straight-line code generated once per method and system size
+(_kernel_source): b = tau*f(x0), the substitution that solves for k1, the
+stage state x0 + k1, f there, the k2 right-hand side, its substitution and
+x1 as one expression per entry, no loop. Every step path runs it: the
+public steps here (ros1_step and ros2_step call step, ros2_finish finish,
+and restep them), the driver's one step path in events.integrate (which
+binds step once per run), and the guarded step and each of its case-1b
+trials (onesided), which call stage1 and finish, where the guarded step
+hands finish the k1 whose stage it has checked. The step holds each stage
+once, as those floats (k1 and k2 are arrays built when read), and x1 as
+floats beside its array, which the driver's next step starts from; it is
+its own dense output: dense_eval, dense_derivative, event location and the
+dense guard all read its value, derivative and slopes. Its value has one
+formula, on floats (value_floats, which location hands a declared h);
+value is its array. The kernel does the IEEE operations of the array
+formulas above in the same order, and numpy's elementwise operations do
+not fuse, so the results equal the array expressions bit for bit. Each
+solve is linalg.lu_solve's substitution (linalg._substitution_lines),
+written into the kernel on the factors' entries unpacked into locals: the
+bits of lu_solve without a call. Where lu_solve would do more than
+substitute, the kernel hands it the same right-hand side (see Kernel), so
+the bits and the errors stay lu_solve's; an outside wrapper on lu_solve
+sees only those calls, and one on kernel, installed before the run, sees
+every step. The step matrix is built as
+float rows (_step_rows, generated once per system size, one expression per
+entry) and factored by linalg.lu_factor as they are, whose elimination is
+generated the same way; step_matrix is the same rows as an array.
 The kernel re-checks nothing; each input is checked once, where it enters.
 The state: x0 by integrate at its entry, or by the public step functions
 here (as_vector), and x1 where finish makes it (NonFiniteState, a
@@ -67,10 +73,11 @@ the guarded step) and the public step functions apply. J's shape: an
 array's by _step_rows, float rows' by problems.field_jacobian, whose float
 form returns them. The step matrix's finiteness by lu_factor, and each
 right-hand side's finiteness, tau*f(x0) and tau*f(x0 + k1) - 2*k1, by
-linalg.lu_solve ("vector entries must be finite").
+linalg.lu_solve ("vector entries must be finite"), to which the kernel
+hands any right-hand side whose solution is not finite.
 
-The kernel's field takes a list of floats and returns floats: finish
-hands it the stage state x0 + k1 as floats. The driver and the guarded
+The kernel's field takes a list of floats and returns floats: finish and
+step hand it the stage state x0 + k1 as floats. The driver and the guarded
 step hand every field x0's floats too, through problems.eval_field, which
 runs a float-form field (problems.FloatField: the float-row fields of a
 declared affine problem, and najafi's) on them as they are and gives any
@@ -283,7 +290,10 @@ def factor(J, tau: float, gamma: float) -> linalg.LuFactors:
 
 class Kernel(NamedTuple):
     """The stage arithmetic of one method and system size, generated once
-    (_kernel_source):
+    (_kernel_source). Each solve substitutes inline on the factors and
+    hands its right-hand side to linalg.lu_solve only when the solution's
+    first entry is not finite (lu_solve's check and scaled solve) or the
+    factors are of another size (its length check):
 
     stage1(factors, fx0, tau) -> k1, the floats solving
         (I - gamma*tau*J) k1 = tau*f(x0) from f(x0) as floats;
@@ -293,19 +303,28 @@ class Kernel(NamedTuple):
         one x1 = x0 + k1 (field unused). field takes the stage state as a
         list of floats and returns floats, as problems.eval_field does.
         J is kept on the step as given, a float array or float rows. Only
-        x1 is checked, here where it is made (NonFiniteState).
+        x1 is checked, here where it is made (NonFiniteState);
+    step(field, x0, x0f, fx0, tau, J, factors) -> RosenbrockStep, the whole
+        step from f(x0) as floats: finish(field, x0, x0f, tau, J, factors,
+        stage1(factors, fx0, tau)) bit for bit, with the factors unpacked
+        once.
     """
 
     stage1: Callable
     finish: Callable
+    step: Callable
 
 
 def _kernel_source(key: tuple) -> str:
     """Source of the Kernel of (stages, n): the formulas of the module
     docstring with one expression per entry, the IEEE operations of the
-    element loops in the same order, and both solves through
-    linalg.lu_solve. x1 is finite exactly when the sum of 0.0*x1_i is
-    0.0."""
+    element loops in the same order, and each solve linalg.lu_solve's
+    substitution (linalg._substitution_lines) on the factors unpacked into
+    locals. Where lu_solve would do more than return that substitution (a
+    non-finite first entry, or factors of another size) the right-hand
+    side goes to lu_solve itself, for its checks and its scaled solve, so
+    the bits and the errors are lu_solve's. x1 is finite exactly when the
+    sum of 0.0*x1_i is 0.0."""
     stages, n = key
 
     def vec(names):
@@ -313,45 +332,74 @@ def _kernel_source(key: tuple) -> str:
 
     # x0, k1, the stage's f, k2 and x1, entry by entry
     x, a, g, b, y = ([f"{c}{i}" for i in range(n)] for c in "uagby")
-    lines = ["def stage1(factors, fx0, tau):",
-             f"    {vec(g)} = fx0",
-             f"    return linalg.lu_solve(factors, {vec(f'tau * {v}' for v in g)})",
-             "",
-             "def finish(field, x0, x0f, tau, J, factors, k1):",
-             f"    {vec(x)} = x0f",
-             f"    {vec(a)} = k1"]
+    # the factors into locals, once a right-hand side r is formed; factors
+    # of another size fail lu_solve's length check, as they always have
+    unpack = ["try:",
+              *(f"    {line}" for line in linalg._factor_lines(n, "factors.combined",
+                                                                  "factors.pivots")),
+              "except ValueError:",
+              "    linalg.lu_solve(factors, r)",
+              "    raise"]
+
+    def solve(into, name):
+        # name, the solution of r: a non-finite entry of r or of the sweeps
+        # reaches the first entry, which sums a product with each, so one
+        # test on it stands for lu_solve's checks
+        return [*linalg._substitution_lines(n, "r", into),
+                f"if 0.0 * {into[0]} == 0.0:",
+                f"    {name} = {vec(into)}",
+                "else:",
+                f"    {vec(into)} = {name} = linalg.lu_solve(factors, r)"]
+
+    first = [f"{vec(g)} = fx0", f"r = {vec(f'tau * {v}' for v in g)}", *unpack,
+             *solve(a, "k1")]
     if stages == 1:
-        gamma, k2 = "GAMMA_ROS1", "None"
+        gamma, k2, inner, second = "GAMMA_ROS1", "None", [], []
         ends = [f"{xi} + {ai}" for xi, ai in zip(x, a)]
     else:
         gamma, k2 = "GAMMA_ROS2", "k2"
-        lines += [f"    {vec(g)} = field({vec(f'{xi} + {ai}' for xi, ai in zip(x, a))})",
-                  "    k2 = linalg.lu_solve(factors, "
-                  f"{vec(f'tau * {gi} - 2.0 * {ai}' for gi, ai in zip(g, a))})",
-                  f"    {vec(b)} = k2"]
+        inner = [f"{vec(g)} = field({vec(f'{xi} + {ai}' for xi, ai in zip(x, a))})",
+                 f"r = {vec(f'tau * {gi} - 2.0 * {ai}' for gi, ai in zip(g, a))}"]
+        second = solve(b, "k2")
         ends = [f"{xi} + 1.5 * {ai} + 0.5 * {bi}" for xi, ai, bi in zip(x, a, b)]
-    lines += [f"    {yi} = {end}" for yi, end in zip(y, ends)]
-    lines += [f"    x1 = {vec(y)}",
-              f"    if not {' + '.join(f'0.0 * {yi}' for yi in y)} == 0.0:",
-              "        raise NonFiniteState(f\"the step's end state is not finite: x1 = {x1}\")",
-              f"    return RosenbrockStep(x0, x0f, tau, J, {gamma}, k1, {k2}, x1, array(x1))",
-              "",
-              "kernel = Kernel(stage1, finish)"]
-    return "\n".join(lines) + "\n"
+    end = [*(f"{yi} = {e}" for yi, e in zip(y, ends)),
+           f"x1 = {vec(y)}",
+           f"if not {' + '.join(f'0.0 * {yi}' for yi in y)} == 0.0:",
+           "    raise NonFiniteState(f\"the step's end state is not finite: x1 = {x1}\")",
+           f"return RosenbrockStep(x0, x0f, tau, J, {gamma}, k1, {k2}, x1, array(x1))"]
+    functions = {
+        "stage1(factors, fx0, tau)": [*first, "return k1"],
+        "finish(field, x0, x0f, tau, J, factors, k1)": [
+            f"{vec(x)} = x0f", f"{vec(a)} = k1", *inner, *(unpack if second else []), *second,
+            *end],
+        "step(field, x0, x0f, fx0, tau, J, factors)": [
+            *first, f"{vec(x)} = x0f", *inner, *second, *end],
+    }
+    return "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in body) + "\n"
+                   for head, body in functions.items()) + "kernel = Kernel(stage1, finish, step)\n"
 
 
 # the Kernel of each (stages, n), generated on its first use
 _KERNELS: dict = {}
 
 
-def kernel(stages: int, n: int) -> Kernel:
-    """The step kernel of the stages-stage method on n states."""
-    key = (stages, n)
-    return _KERNELS.get(key) or linalg.generated(
+def _new_kernel(key: tuple) -> Kernel:
+    stages, n = key
+    if stages not in (1, 2) or n < 1:
+        raise ValueError(f"no step kernel for {stages} stages on {n} states "
+                         f"(stages must be 1 or 2, n at least 1)")
+    return linalg.generated(
         _KERNELS, key, _kernel_source, "kernel",
         {"linalg": linalg, "array": np.array, "NonFiniteState": NonFiniteState,
          "RosenbrockStep": RosenbrockStep, "Kernel": Kernel,
          "GAMMA_ROS1": GAMMA_ROS1, "GAMMA_ROS2": GAMMA_ROS2})
+
+
+def kernel(stages: int, n: int) -> Kernel:
+    """The step kernel of the stages-stage method (1 or 2) on n >= 1
+    states; ValueError for any other."""
+    key = (stages, n)
+    return _KERNELS.get(key) or _new_kernel(key)
 
 
 def ros1_step(field, x0, tau: float, J, *,
@@ -366,9 +414,8 @@ def ros1_step(field, x0, tau: float, J, *,
     J = linalg.as_matrix(J) if factors is None else np.asarray(J, dtype=float)
     if factors is None:
         factors = factor(J, tau, GAMMA_ROS1)
-    run = kernel(1, n)
-    k1 = run.stage1(factors, linalg.as_floats(field(x0), n), tau)
-    return run.finish(None, x0, x0.tolist(), tau, J, factors, k1)
+    return kernel(1, n).step(None, x0, x0.tolist(), linalg.as_floats(field(x0), n), tau, J,
+                             factors)
 
 
 def ros2_finish(field, x0, tau: float, J, factors, k1) -> RosenbrockStep:
@@ -401,9 +448,7 @@ def ros2_step(field, x0, tau: float, J, *,
     J = linalg.as_matrix(J) if factors is None else np.asarray(J, dtype=float)
     if factors is None:
         factors = factor(J, tau, GAMMA_ROS2)
-    run = kernel(2, n)
-    return run.finish(_checked(field, n), x0, x0.tolist(), tau, J, factors,
-                      run.stage1(factors, fx0, tau))
+    return kernel(2, n).step(_checked(field, n), x0, x0.tolist(), fx0, tau, J, factors)
 
 
 def _check_theta(theta: float) -> None:

@@ -212,14 +212,17 @@ def test_criterion_07_location_is_free_and_consistent(monkeypatch):
     fld = partial(eval_field, problem, 1)
     step = ros2_step(fld, x_before, tau, field_jacobian(problem, 1, x_before))
 
-    # part 1: zero field evaluations and zero linear solves during location
+    # part 1: zero field evaluations and zero linear solves during location;
+    # any solve needs lu_factor's factors and runs in the step kernel
     import rosevent.linalg as _linalg
+    import rosevent.rosenbrock as _rosenbrock
 
     def banned(*a, **k):  # pragma: no cover
         raise AssertionError("linear algebra called during event location")
 
     monkeypatch.setattr(_linalg, "lu_factor", banned)
     monkeypatch.setattr(_linalg, "lu_solve", banned)
+    monkeypatch.setattr(_rosenbrock, "kernel", banned)
     before = problem.counters.snapshot()[0]
     # integrate locates on the declared surface's polynomial, so does this
     record = locate_event(step, problem.h, cfg, surface=problem.surface)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import rosevent.events
 import rosevent.linalg
 import rosevent.onesided
+import rosevent.rosenbrock
 from rosevent import linalg
 from rosevent.errors import DomainViolation, NoBracket, NonFiniteState, SingularMatrix
 from rosevent.events import (
@@ -50,6 +51,7 @@ from rosevent.rosenbrock import (
     GAMMA_ROS2,
     ROS1,
     ROS2,
+    Kernel,
     RosMethod,
     dense_derivative,
     dense_eval,
@@ -191,8 +193,10 @@ def test_locate_costs_no_field_evals_or_solves(monkeypatch):
     def banned(*a, **k):  # pragma: no cover - should never run
         raise AssertionError("linear algebra called during event location")
 
+    # any solve needs lu_factor's factors and runs in the step kernel
     monkeypatch.setattr(rosevent.linalg, "lu_factor", banned)
     monkeypatch.setattr(rosevent.linalg, "lu_solve", banned)
+    monkeypatch.setattr(rosevent.rosenbrock, "kernel", banned)
     before = problem.counters.snapshot()[0]
     record = locate_event(step, problem.h, default_cfg())
     after = problem.counters.snapshot()[0]
@@ -857,7 +861,8 @@ def test_closed_form_location_agrees_with_bisection(case):
         raise AssertionError("linear algebra called during event location")
 
     with mock.patch.object(rosevent.linalg, "lu_factor", banned), \
-            mock.patch.object(rosevent.linalg, "lu_solve", banned):
+            mock.patch.object(rosevent.linalg, "lu_solve", banned), \
+            mock.patch.object(rosevent.rosenbrock, "kernel", banned):
         before = problem.counters.snapshot()
         record = locate_event(step, h, default_cfg(), surface=problem.surface)
         assert problem.counters.snapshot() == before
@@ -1114,14 +1119,29 @@ def test_driver_steps_on_the_declared_relays_are_the_public_steps(name):
             assert same_bytes(getattr(step, attr), getattr(alone, attr))
 
 
+def kernel_wrapped(wrap):
+    """A patch of rosenbrock.kernel whose kernels hand out wrap(name, fn) for
+    each of their functions. integrate binds its kernel's step once per
+    run, so the patch must be in place before the run starts."""
+    real = rosevent.rosenbrock.kernel
+
+    def wrapped(stages, n):
+        return Kernel(*(wrap(name, fn) for name, fn in zip(Kernel._fields, real(stages, n))))
+
+    return mock.patch.object(rosevent.rosenbrock, "kernel", wrapped)
+
+
 @pytest.mark.parametrize("method, guard", [("ros2", None), ("ros1", None),
                                            ("ros2", GuardMode.ROS2_DENSE)])
-@pytest.mark.parametrize("banned_name", ["lu_factor", "lu_solve"])
+@pytest.mark.parametrize("banned_name", ["lu_factor", "lu_solve", "kernel"])
 def test_banning_the_linear_algebra_stops_every_driver_step(method, guard, banned_name):
     # the bans that show location solves nothing are only worth something
     # if a step, which must factor and solve, runs into them: a run's first
     # step, and, banned from the second step on, a step that solves with
-    # the kept factors (a guarded step factors afresh)
+    # the kept factors (a guarded step factors afresh). A step's solves run
+    # inside the step kernel, so "lu_solve" bans the kernel's functions
+    # through a wrapper on rosenbrock.kernel installed before the run; a
+    # ban on rosenbrock.kernel itself stops every run before its first step
     problem = builtin("tent")
     cfg = IntegratorConfig(tau=0.2, t_end=1.0, method=method_by_name(method),
                            guard_mode=guard)
@@ -1129,27 +1149,34 @@ def test_banning_the_linear_algebra_stops_every_driver_step(method, guard, banne
     def banned(*a, **k):
         raise AssertionError("linear algebra called during event location")
 
-    with mock.patch.object(rosevent.linalg, banned_name, banned):
+    solves_banned = [True]
+
+    def solves(name, fn):
+        # a kernel function, banned while solves_banned holds anything
+        return lambda *args: banned() if solves_banned else fn(*args)
+
+    bans = {"lu_factor": mock.patch.object(rosevent.linalg, "lu_factor", banned),
+            "lu_solve": kernel_wrapped(solves),
+            "kernel": mock.patch.object(rosevent.rosenbrock, "kernel", banned)}
+    with bans[banned_name]:
         with pytest.raises(AssertionError, match="linear algebra called"):
             integrate(problem, [0.1], cfg)
-    if banned_name == "lu_factor":
+    if banned_name != "lu_solve":
         return
-    ban = mock.patch.object(rosevent.linalg, "lu_solve", banned)
+    solves_banned.clear()
     taken, lu_calls = [], []
     real = rosevent.linalg.lu_factor
 
     def ban_after_the_first(x, active, step, jacobians):
         taken.append(step)
-        ban.start()
+        solves_banned.append(True)
 
-    try:
-        with mock.patch.object(rosevent.events, "_on_step", ban_after_the_first), \
-                mock.patch.object(rosevent.linalg, "lu_factor",
-                                  lambda m: lu_calls.append(1) or real(m)):
-            with pytest.raises(AssertionError, match="linear algebra called"):
-                integrate(problem, [0.1], cfg)
-    finally:
-        ban.stop()
+    with kernel_wrapped(solves), \
+            mock.patch.object(rosevent.events, "_on_step", ban_after_the_first), \
+            mock.patch.object(rosevent.linalg, "lu_factor",
+                              lambda m: lu_calls.append(1) or real(m)):
+        with pytest.raises(AssertionError, match="linear algebra called"):
+            integrate(problem, [0.1], cfg)
     assert len(taken) == 1
     assert len(lu_calls) == (1 if guard is None else 2)
 
@@ -1191,30 +1218,34 @@ def test_a_wrapper_on_eval_field_sees_every_finite_difference_evaluation():
 def test_outside_wrappers_count_the_steps_integrate_runs_itself():
     # a declared affine visit's continuing steps run in integrate's own
     # loop, on the fields and the kernel it binds at its start: wrappers
-    # installed before the run still see each field evaluation, solve and
-    # factorization, and the last step, a remainder at t_end, refactors
-    # from the visit's A_i without evaluating a Jacobian
+    # installed before the run still see each field evaluation, kernel step
+    # and factorization, and the last step, a remainder at t_end, refactors
+    # from the visit's A_i without evaluating a Jacobian. Each step's two
+    # solves run inside the kernel's step, not through lu_solve
     flat = spp_flatten(builtin("kowalczyk", eps=1e-2))
-    calls = {"eval_field": 0, "lu_solve": 0, "lu_factor": 0}
+    calls = {"eval_field": 0, "lu_solve": 0, "lu_factor": 0, "stage1": 0, "finish": 0,
+             "step": 0}
 
-    def counted(module, name):
-        real = getattr(module, name)
-
+    def counting(name, real):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
 
-        return mock.patch.object(module, name, wrapper)
+        return wrapper
+
+    def counted(module, name):
+        return mock.patch.object(module, name, counting(name, getattr(module, name)))
 
     cfg = IntegratorConfig(tau=1e-3, t_end=1.5)
     with counted(rosevent.problems, "eval_field"), counted(rosevent.linalg, "lu_solve"), \
-            counted(rosevent.linalg, "lu_factor"):
+            counted(rosevent.linalg, "lu_factor"), kernel_wrapped(counting):
         result, taken = recorded_steps(flat, flat.x0, cfg)
     stats = result.stats
     assert result.termination is Termination.REACHED_T_END
     assert stats.steps == len(taken) == 1504
     assert calls["eval_field"] == sum(stats.f_evals.values()) == 2 * stats.steps
-    assert calls["lu_solve"] == 2 * stats.steps
+    assert (calls["step"], calls["stage1"], calls["finish"]) == (stats.steps, 0, 0)
+    assert calls["lu_solve"] == 0
     assert calls["lu_factor"] == stats.lu_factorizations == 2
     # the visits' continuing steps, the remainder among them, keep their J
     *_, (_, _, last, jacobians) = taken

@@ -1,6 +1,7 @@
-"""The float step kernel against the numpy formulas it replaced and against
-the element loops the generated kernel replaced, and the errors a bad field
-value raises on every step path."""
+"""The float step kernel against the numpy formulas it replaced, against
+the element loops the generated kernel replaced, its inline solves against
+linalg.lu_solve, and the errors a bad field value raises on every step
+path."""
 
 import math
 import operator
@@ -230,6 +231,84 @@ def test_the_generated_kernel_is_the_element_loops_bit_for_bit(case):
     assert (step.tau, step.gamma, step.stages) == (tau, method.gamma, method.stages)
 
 
+def step_bits(o):
+    """An outcome as comparable bits: a list's bytes, a step's k1, k2 and x1
+    (floats and array), or the type and message of what was raised."""
+    if type(o) is list:
+        return floats_bytes(o)
+    if isinstance(o, tuple):
+        return o
+    return floats_bytes(o.k1f), floats_bytes(o.k2f), floats_bytes(o.x1f), o.x1.tobytes()
+
+
+# a right-hand side entry to spoil: where (f(x0) or f at the stage), which
+# entry, and with what
+spoil = st.one_of(st.none(), st.tuples(st.sampled_from(["x0", "stage"]), st.integers(0, 3),
+                                       st.sampled_from([math.nan, math.inf, -math.inf])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=wide_cases(), spoilt=spoil)
+def test_the_kernel_solves_are_lu_solve_bit_for_bit(case, spoilt):
+    # the substitution inline in the kernel against linalg.lu_solve on the
+    # same factors and right-hand sides: drawn factors pivot, and entries
+    # of every scale give signed zeros, subnormals, products that overflow
+    # (lu_solve's scaled solve) and right-hand sides that are not finite
+    # (its ValueError); the fused step is finish(stage1(...)) throughout
+    method, A, field, x0, tau, factors = case
+    n = x0.shape[0]
+    run = kernel(method.stages, n)
+    x0f = x0.tolist()
+    fx0 = field(x0f)
+    two = field if method.stages == 2 else None
+    if spoilt is not None:
+        where, i, bad = spoilt
+        if where == "x0":
+            fx0[i % n] = bad
+        elif two is not None:
+            def two(x):
+                value = field(x)
+                value[i % n] = bad
+                return value
+    k1 = outcome(lambda: run.stage1(factors, fx0, tau))
+    assert step_bits(k1) == step_bits(outcome(
+        lambda: linalg.lu_solve(factors, [tau * f for f in fx0])))
+    step = outcome(lambda: run.step(two, x0, x0f, fx0, tau, A, factors))
+    if type(k1) is not list:
+        assert step == k1
+        return
+    want = outcome(lambda: run.finish(two, x0, x0f, tau, A, factors, k1))
+    assert step_bits(step) == step_bits(want)
+    if two is not None:
+        f_inner = two([x + a for x, a in zip(x0f, k1)])
+        k2 = outcome(lambda: linalg.lu_solve(factors, [tau * f - 2.0 * a
+                                                       for f, a in zip(f_inner, k1)]))
+        if type(k2) is not list:
+            assert want == k2
+        elif not isinstance(want, tuple):
+            assert floats_bytes(want.k2f) == floats_bytes(k2)
+
+
+@pytest.mark.parametrize("stages, n", [(3, 2), (0, 2), (2, 0), (1, -1)])
+def test_a_kernel_is_made_for_one_or_two_stages_on_some_states(stages, n):
+    with pytest.raises(ValueError, match=f"^no step kernel for {stages} stages on {n} states"):
+        kernel(stages, n)
+
+
+def test_factors_of_another_size_fail_the_solve_length_check():
+    # the kernel's own unpacking of the factors does not change the error
+    factors = linalg.lu_factor(np.eye(3))
+    x0 = np.ones(2)
+    run = kernel(2, 2)
+    message = "^matrix is 3x3 but b has length 2$"
+    with pytest.raises(ValueError, match=message):
+        run.stage1(factors, [1.0, 2.0], 0.1)
+    with pytest.raises(ValueError, match=message):
+        run.finish(lambda x: x, x0, [1.0, 1.0], 0.1, np.eye(2), factors, [0.0, 0.0])
+    with pytest.raises(ValueError, match=message):
+        run.step(lambda x: x, x0, [1.0, 1.0], [1.0, 2.0], 0.1, np.eye(2), factors)
+
+
 def _ill_scaled_factors():
     # L = I and U = [[1, 1e308], [0, 1]], which lu_factor calls singular at
     # its row scale: solving for b = (1.5e308, 2) forms 1.5e308 - 1e308*2,
@@ -246,6 +325,12 @@ def test_a_first_stage_whose_substitution_overflows_takes_the_scaled_solve():
     assert floats_bytes(k1) == floats_bytes(loop_stage1(factors, [1.5e308, 2.0], 1.0))
     assert floats_bytes(k1) == floats_bytes(linalg.lu_solve(factors, [1.5e308, 2.0]))
     assert all(map(math.isfinite, k1)) and k1[0] < -1e307
+    # the fused step solves its first stage the same way
+    x0 = np.array([1.0, 1.0])
+    step = kernel(1, 2).step(None, x0, x0.tolist(), [1.5e308, 2.0], 1.0, np.eye(2), factors)
+    assert floats_bytes(step.k1f) == floats_bytes(k1)
+    assert step_bits(step) == step_bits(kernel(1, 2).finish(None, x0, x0.tolist(), 1.0,
+                                                            np.eye(2), factors, k1))
 
 
 def test_a_second_stage_whose_substitution_overflows_takes_the_scaled_solve():
@@ -261,6 +346,9 @@ def test_a_second_stage_whose_substitution_overflows_takes_the_scaled_solve():
     assert floats_bytes(step.k2f) == floats_bytes(k2)
     assert floats_bytes(k2) == floats_bytes(linalg.lu_solve(factors, [1.5e308, 2.0]))
     assert floats_bytes(step.x1f) == floats_bytes(x1)
+    # the fused step from f(x0) = 0, whose first stage is k1 = 0
+    fused = kernel(2, 2).step(field, x0, x0.tolist(), [0.0, 0.0], 1.0, np.eye(2), factors)
+    assert step_bits(fused) == step_bits(step)
 
 
 @pytest.mark.parametrize("method", [ROS1, ROS2], ids=["ros1", "ros2"])
@@ -291,6 +379,11 @@ def test_a_right_hand_side_that_is_not_finite_fails_the_solve():
     with pytest.raises(ValueError, match="^vector entries must be finite$") as exc:
         run.finish(lambda x: [1e308], x0, [0.0], 10.0, np.zeros((1, 1)), factors, [0.0])
     assert type(exc.value) is ValueError
+    # the fused step, at either stage
+    for fx0, inner in (([1e308], [0.0]), ([0.0], [1e308])):
+        with pytest.raises(ValueError, match="^vector entries must be finite$") as exc:
+            run.step(lambda x: inner, x0, [0.0], fx0, 10.0, np.zeros((1, 1)), factors)
+        assert type(exc.value) is ValueError
 
 
 def test_each_kernel_is_generated_once():

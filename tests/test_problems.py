@@ -136,6 +136,13 @@ def test_spp_needs_a_slow_and_a_fast_part():
     assert spp.x0 is stacked.x0
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_a_problem_needs_at_least_one_state(dim):
+    # refused where it is built, not later by the step kernel of size dim
+    with pytest.raises(ValueError, match=f"^a problem needs at least one state, got dim = {dim}$"):
+        PiecewiseProblem(dim=dim, f1=lambda u: u, f2=lambda u: u, h=lambda u: -1.0)
+
+
 def test_spp_flatten_gives_the_flat_problem_its_own_counters():
     for spp in (builtin("kowalczyk"), stacked(reference_kowalczyk(-0.9, 1e-2))):
         flat = spp_flatten(spp)

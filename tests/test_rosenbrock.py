@@ -261,13 +261,17 @@ def test_ros2_rejects_nonfinite_inner_stage(bad):
 # --- cost ------------------------------------------------------------------
 
 def test_ros2_step_costs_one_factorization_two_solves(monkeypatch):
+    # the two solves run inside the step kernel, on the one factorization,
+    # and give lu_solve's bits on the step's own right-hand sides
     counts = {"factor": 0, "solve": 0}
+    made = []
     real_factor = rosevent.linalg.lu_factor
     real_solve = rosevent.linalg.lu_solve
 
     def counting_factor(m):
         counts["factor"] += 1
-        return real_factor(m)
+        made.append(real_factor(m))
+        return made[-1]
 
     def counting_solve(f, b):
         counts["solve"] += 1
@@ -275,8 +279,15 @@ def test_ros2_step_costs_one_factorization_two_solves(monkeypatch):
 
     monkeypatch.setattr(rosevent.linalg, "lu_factor", counting_factor)
     monkeypatch.setattr(rosevent.linalg, "lu_solve", counting_solve)
-    ros2_step(linear_field(-1.0), np.array([1.0]), 0.1, np.array([[-1.0]]))
-    assert counts == {"factor": 1, "solve": 2}
+    field, x0, tau = linear_field(-1.0), np.array([1.0]), 0.1
+    step = ros2_step(field, x0, tau, np.array([[-1.0]]))
+    assert counts == {"factor": 1, "solve": 0}
+    monkeypatch.undo()
+    (factors,) = made
+    k1 = rosevent.linalg.lu_solve(factors, tau * field(x0))
+    k2 = rosevent.linalg.lu_solve(factors, tau * field(x0 + k1) - 2.0 * k1)
+    assert step.k1.tobytes() == k1.tobytes()
+    assert step.k2.tobytes() == k2.tobytes()
 
 
 @pytest.mark.parametrize("step_fn, gamma", [(ros1_step, 1.0), (ros2_step, GAMMA_ROS2)])
