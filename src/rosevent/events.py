@@ -35,8 +35,10 @@ Every step runs on one path, in integrate's loop, on the step kernel
 (rosenbrock.kernel) and the pieces the loop binds once per run. Each field
 is problems.eval_field with the problem and the field's number bound in,
 handed the step's x0 as a list of Python floats, and each Jacobian is
-problems.field_jacobian on those floats. A float-form field or Jacobian
-(problems.FloatField) runs on the floats as they are; any other gets the
+problems.field_jacobian on those floats. Both give one form, checked
+there: a field's value as floats, a Jacobian as n rows of n floats, which
+the loop factors, compares and holds as they are. A float-form field or
+Jacobian (problems.FloatField) runs on the floats; any other gets the
 float array eval_field or field_jacobian builds from them, with the bits
 of the step's state. A step that continues the last plain step (the same
 field from that step's x1) starts from the floats that step holds of x1.
@@ -50,9 +52,10 @@ and die with it, and reusing them gives the same step bit for bit as
 factoring again. IntegrationStats.lu_factorizations counts the
 factorizations that actually ran, those of a step that failed included.
 A plain step takes a fresh J, but one that continues the last plain step
-keeps that step's matrix when it may be held: a declared affine problem's
-(problems.Affine) A_i, evaluated on a visit's first step, or a kept
-finite-difference W (below). Such a step costs f(x0) and one call of the
+keeps that step's matrix when it may be held, the very rows object that
+step holds: a declared affine problem's (problems.Affine) A_i, evaluated
+on a visit's first step, or a kept finite-difference W (below). Such a
+step costs f(x0) and one call of the
 kernel's step on the kept factors, refactored only when the step size
 changes (a remainder at t_end). A visit evaluates and holds its own A_i
 even when its entries equal the last visit's, whose factors it then
@@ -482,25 +485,24 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
                 fx = field(x0f)
                 if cont and (uses < REUSE_STEPS and fits(fx, fx0, x0f, last.x0f, key_rows)
                              if uses else affine):
-                    # the matrix the last step held, whose rows are the key's:
-                    # a declared affine field's A_i, or a finite-difference W
+                    # the rows the last step held, which are the key's: a
+                    # declared affine field's A_i, or a finite-difference W
                     # while it has served fewer than REUSE_STEPS steps and
                     # fits the last step's secant
-                    J, rows, jacobians = last.jac, key_rows, 0
+                    J, jacobians = last.jac, 0
                     if uses:
                         uses += 1
                 else:
                     J, jacobians, uses = jacobian(problem, active, x0f), 1, fresh_uses[active - 1]
-                    rows = J if type(J) is list else J.tolist()
                 # the key compares J's rows by value: rows that compare equal
                 # give the step matrix's bits (+0.0 and -0.0 both give
                 # 0.0 - g*J_ij = 0.0). A key is kept only once lu_factor has
                 # taken its rows, so it holds no NaN, and a row with a NaN
                 # matches none. It holds a copy: a float-form Jacobian's rows
                 # are its own lists.
-                if size != key_tau or rows != key_rows:
-                    factors = rosenbrock.factor(rows, size, gamma)
-                    key_rows, key_tau, factorizations = [r[:] for r in rows], size, 1
+                if size != key_tau or J != key_rows:
+                    factors = rosenbrock.factor(J, size, gamma)
+                    key_rows, key_tau, factorizations = [r[:] for r in J], size, 1
                 else:
                     factorizations = 0
                 step = kernel_step(field, x, x0f, fx, size, J, factors)

@@ -76,9 +76,9 @@ def classify_general(problem: problems.PiecewiseProblem, x,
     hx = float(problem.h(x))
     if abs(hx) > sigma_tol:
         raise ValueError(f"state is not on the surface: h(x) = {hx:.3e}")
-    n = problems.h_gradient(problem, x)
-    p1 = float(n @ problems.eval_field(problem, 1, x))
-    p2 = float(n @ problems.eval_field(problem, 2, x))
+    n, xf = problems.h_gradient(problem, x), x.tolist()
+    p1 = float(n @ problems.eval_field(problem, 1, xf))
+    p2 = float(n @ problems.eval_field(problem, 2, xf))
     if min(abs(p1), abs(p2)) <= TANGENT_TOL:
         kind = Kind.TANGENTIAL
     elif p1 * p2 > 0.0:

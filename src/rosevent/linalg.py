@@ -221,19 +221,21 @@ def _substitution_lines(n: int, b: str, x: list) -> list:
     code fixes the order of the operations.
 
     Each dot product starts at 0.0 and adds its products left to right,
-    and back substitution forms (x_i - dot) / u_ii even where the dot is
-    the empty 0.0, so the bits, signed zeros included, are the loops'.
+    so the bits, signed zeros included, are the loops'. Where the loops
+    subtract the empty dot 0.0, the first forward entry and the last back
+    substitution's numerator, the line leaves the subtraction out: x - 0.0
+    is x bit for bit, -0.0 and NaN included.
     """
     m = [[f"m{i}_{j}" for j in range(n)] for i in range(n)]
 
-    def dot(i, cols):
-        return "".join(f" + {m[i][j]} * {x[j]}" for j in cols)
+    def less_dot(v, i, cols):
+        # (v - (0.0 + m_ij*x_j + ...)), or v itself where the dot is empty
+        return f"({v} - (0.0{''.join(f' + {m[i][j]} * {x[j]}' for j in cols)}))" if cols else v
 
-    lines = [f"{x[i]} = {b}[p{i}]" for i in range(n)]
-    # forward substitution, unit diagonal
-    lines += [f"{x[i]} = {x[i]} - (0.0{dot(i, range(i))})" for i in range(1, n)]
+    # forward substitution, unit diagonal, each entry loaded in its line
+    lines = [f"{x[i]} = {less_dot(f'{b}[p{i}]', i, range(i))}" for i in range(n)]
     # back substitution
-    lines += [f"{x[i]} = ({x[i]} - (0.0{dot(i, range(i + 1, n))})) / {m[i][i]}"
+    lines += [f"{x[i]} = {less_dot(x[i], i, range(i + 1, n))} / {m[i][i]}"
               for i in range(n - 1, -1, -1)]
     return lines
 

@@ -160,7 +160,9 @@ def guard_ros1_general(problem: problems.PiecewiseProblem, x0, tau: float,
     """Monotonicity certificate for the one-stage step.
 
     Coefficients of dH/dsigma = a0 + a1*sigma + a2*sigma^2 + ... are formed
-    from f1, its Jacobian and the declared surface's normal n at x0. The
+    from f1, its Jacobian and the declared surface's normal n at x0: f1 and
+    J as problems.eval_field and field_jacobian give them on x0's floats,
+    checked there, read as arrays. The
     guard passes, certifying tau, when a lower bound of dH/dsigma over the
     whole series stays positive up to tau (_declared_certificate); else
     certified_sigma is the last size where it does. Requires the Neumann
@@ -171,9 +173,9 @@ def guard_ros1_general(problem: problems.PiecewiseProblem, x0, tau: float,
     """
     _check_step_size(tau)
     n = _surface_normal(problem)
-    x0 = np.asarray(x0, dtype=float)
-    f = problems.eval_field(problem, 1, x0)
-    J = problems.field_jacobian(problem, 1, x0)
+    x0f = np.asarray(x0, dtype=float).tolist()
+    f = np.array(problems.eval_field(problem, 1, x0f))
+    J = np.array(problems.field_jacobian(problem, 1, x0f))
 
     neumann_ok = linalg.spectral_radius_bound(gamma * tau * J) < 1.0
 
@@ -209,8 +211,8 @@ def guard_ros1_orthogonal(problem: problems.PiecewiseProblem, x0, tau: float,
     """
     _check_step_size(tau)
     n = _surface_normal(problem)
-    x0 = np.asarray(x0, dtype=float)
-    J = problems.field_jacobian(problem, 1, x0)
+    x0f = np.asarray(x0, dtype=float).tolist()
+    J = np.array(problems.field_jacobian(problem, 1, x0f))
     M = rosenbrock.step_matrix(J, tau, gamma)
     gram_defect = M.T @ M - np.eye(M.shape[0])
     defect = float(np.max(np.sum(np.abs(gram_defect), axis=1)))
@@ -219,7 +221,7 @@ def guard_ros1_orthogonal(problem: problems.PiecewiseProblem, x0, tau: float,
             f"step matrix fails orthogonality check: defect {defect:.3e}"
         )
 
-    f = problems.eval_field(problem, 1, x0)
+    f = np.array(problems.eval_field(problem, 1, x0f))
     b0 = float(n @ f)
     b1 = 0.0 - 2.0 * gamma * float(n @ (J.T @ f))  # a zero b1 is +0.0, printed as 0
     passed, certified = _declared_certificate(n, J, f, gamma, tau)
@@ -240,12 +242,14 @@ def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,
     evaluation; when it trespasses (case 1b), or h is NaN there and so has
     no side, the step is shortened by resolve_case_1b first. Returns
     (step, factorizations); step.tau < tau marks a shortened step. Raises
-    ValueError unless tau is positive and finite.
+    ValueError unless tau is positive and finite and J is a square, finite
+    matrix of x0's size (linalg.as_matrix), before any field evaluation.
     """
     _check_step_size(tau)
-    x0, J = linalg.as_vector(x0), np.asarray(J, dtype=float)
+    x0, J = linalg.as_vector(x0), linalg.as_matrix(J)
+    rosenbrock._sized(len(J), len(x0))
     field, x0f = functools.partial(problems.eval_field, problem, 1), x0.tolist()
-    return _guarded_step(problem, x0, x0f, field(x0f), tau, J, h_tol, field)
+    return _guarded_step(problem, x0, x0f, field(x0f), tau, J.tolist(), h_tol, field)
 
 
 def _stage_h(problem, x0f: list, k1: list) -> float:
@@ -257,10 +261,10 @@ def _stage_h(problem, x0f: list, k1: list) -> float:
 
 def _guarded_step(problem, x0, x0f, fx0, tau, J, h_tol, field):
     # guarded_ros2_step on the kernel, unchecked: x0 a finite float array of
-    # the problem's dimension and x0f its floats, fx0 = f1(x0) as floats, J a
-    # float array or the float rows of a float-form Jacobian (factored as
-    # they are), field the counted field 1 (problems.eval_field with problem
-    # and 1 bound in); integrate's step. A NaN h at the internal stage has no
+    # the problem's dimension and x0f its floats, fx0 = f1(x0) as floats, J
+    # n rows of n floats (problems.field_jacobian's form, factored as they
+    # are), field the counted field 1 (problems.eval_field with problem and
+    # 1 bound in); integrate's step. A NaN h at the internal stage has no
     # side, so it shortens the step as a trespass does.
     factors = rosenbrock.factor(J, tau, rosenbrock.GAMMA_ROS2)
     run = rosenbrock.kernel(2, len(x0f))
@@ -282,8 +286,8 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
 
     The caller has seen x0 + k1(tau) trespass, with fx0 = f1(x0), J its
     Jacobian and g_tau = h(x0 + k1(tau)) > 0 or NaN; it passes them as the
-    guarded step has them, unchecked: x0 a finite float array, fx0 its
-    Python floats, J a float array or float rows, which each trial factors
+    guarded step has them, unchecked: x0 a finite float array, fx0 f1(x0)
+    as Python floats, J n rows of n Python floats, which each trial factors
     as they are. linalg.safe_side_root searches g(sigma) = h(x0 + k1(sigma))
     over (0, tau) from the safe side, down to a 4*eps*tau bracket: each
     trial factors (I - gamma*sigma*J) and recomputes k1 from fx0, with no

@@ -9,18 +9,18 @@ so integrations can report exact evaluation and violation counts, all
 through eval_field: every field evaluation of a step, of the guards and of
 the FD Jacobian is one eval_field call, which the driver (events) and the
 guarded step (onesided) bind once as functools.partial(eval_field,
-problem, which). eval_field has two forms, as linalg.lu_solve does: a float
-array in gives a float array out, and a list of Python floats in gives a
-list of floats out, the form in which every step hands a field its state.
-field_jacobian takes the same two forms; every step hands it the floats.
+problem, which).
 
-A problem may declare the float form of a field or of a Jacobian by giving
-it as a FloatField. eval_field and field_jacobian run a float form on the
-step's floats as they are, and run no numpy; a float-form Jacobian's rows
-are factored as they come. Any other field, Jacobian or domain predicate
-gets the float array eval_field or field_jacobian builds from the floats,
-with the step's bits. najafi's fields, Jacobians and domain run on `math`
-floats.
+This module is the one place that knows a user callable may want an
+array. eval_field and field_jacobian take the state as a list of Python
+floats and give one form back, checked once here: a field's value as
+problem.dim floats, a Jacobian as problem.dim rows of problem.dim floats.
+The driver, the guards, the classifier and the step kernel take them as
+they are. A problem may declare the float form of a field or of a
+Jacobian by giving it as a FloatField: eval_field and field_jacobian run
+it on the floats and run no numpy. Any other field, Jacobian or domain
+predicate gets the one float array built from the floats, with their
+bits. najafi's fields, Jacobians and domain run on `math` floats.
 
 A piecewise-affine problem (x' = A_i x + b_i, h = n.x + c) is declared once
 as `Affine` data, and `affine_problem` derives every field, Jacobian and
@@ -29,7 +29,8 @@ problems give callables. Its fields are float-row fields (FloatRows, a
 FloatField): each value is the left-to-right sum
 (a_i0*x0 + a_i1*x1 + ...) + b_i on Python floats, straight-line code
 generated once per system size, so the bits do not depend on the
-platform's BLAS; its Jacobians are the read-only arrays A_i. A problem
+platform's BLAS; its Jacobians are the read-only arrays A_i, which
+field_jacobian hands out as fresh float rows. A problem
 with callable fields can still declare an affine surface h = n.x + c as
 `Surface` data (`najafi` does), which event location and the dense guard
 read as `PiecewiseProblem.surface`. A declared surface's h has a float form
@@ -182,10 +183,10 @@ class FloatField:
     """A field, or a field's Jacobian, declared with its float form.
 
     `floats` takes the state as a list of Python floats and returns a list:
-    the field's value as floats, or the Jacobian as rows of floats. Every
-    step hands eval_field and field_jacobian its state as floats, and they
-    call `floats` on them directly, so the step runs no numpy on the field;
-    the field's domain predicate, if any, gets the same floats. Called with
+    the field's value as floats, or the Jacobian as rows of floats.
+    eval_field and field_jacobian call `floats` on the state's floats
+    directly, so a step runs no numpy on the field; the field's domain
+    predicate, if any, gets the same floats. Called with
     a vector, the object returns the float array of what `floats` gives on
     the vector's floats, the same bits, so it serves wherever a field or
     Jacobian callable does.
@@ -200,11 +201,6 @@ class FloatField:
         return np.array(self.floats(np.asarray(x, dtype=float).tolist()))
 
 
-def _value_floats(v: np.ndarray, n: int) -> list:
-    # a field's value as n Python floats; another shape fails as_floats
-    return v.tolist() if v.shape == (n,) else linalg.as_floats(v, n)
-
-
 def _domain_violation(problem: PiecewiseProblem, which: int, x) -> DomainViolation:
     # counted here; the message shows x as the float array it is
     problem.counters.domain_violations[which] += 1
@@ -212,16 +208,17 @@ def _domain_violation(problem: PiecewiseProblem, which: int, x) -> DomainViolati
     return DomainViolation(f"field {which} of {name} is undefined at {np.asarray(x, dtype=float)}")
 
 
-def eval_field(problem: PiecewiseProblem, which: int, x, checked: bool = False):
+def eval_field(problem: PiecewiseProblem, which: int, x: list, checked: bool = False) -> list:
     """Evaluate branch field `which` (1 or 2) at x, with bookkeeping.
 
-    A list of floats in gives a list of problem.dim floats out, the form
-    the step kernel (rosenbrock) takes; anything else gives a float array.
-    A float-form field (FloatField, FloatRows among them) is handed the
-    floats as they are, and its domain predicate, if any, gets them too; a
-    value that is not a list of problem.dim entries fails linalg.as_floats.
-    Any other field gets x as one float array, and in the list form its
-    value becomes floats after linalg.as_floats's checks.
+    x is the state as a list of Python floats, and the value comes back as
+    a list of problem.dim floats, the form the step kernel (rosenbrock)
+    takes, checked here once. A float-form field (FloatField, FloatRows
+    among them) is handed the floats as they are, and its domain predicate,
+    if any, gets them too; a value that is not a list of problem.dim
+    entries goes through linalg.as_floats. Any other field, and its domain,
+    gets one float array built from the floats, and its value becomes
+    floats after linalg.as_floats's checks.
 
     Raises DomainViolation (and counts it) when the branch has a domain
     predicate and x falls outside it. checked=True takes the caller's
@@ -234,8 +231,7 @@ def eval_field(problem: PiecewiseProblem, which: int, x, checked: bool = False):
         f, dom = problem.f2, problem.domain_f2
     else:
         raise ValueError(f"field selector must be 1 or 2, got {which!r}")
-    floats = type(x) is list
-    if floats and isinstance(f, FloatField):
+    if isinstance(f, FloatField):
         if dom is not None and not checked and not dom(x):
             raise _domain_violation(problem, which, x)
         problem.counters.f_evals[which] += 1
@@ -245,36 +241,43 @@ def eval_field(problem: PiecewiseProblem, which: int, x, checked: bool = False):
     if dom is not None and not checked and not dom(x):
         raise _domain_violation(problem, which, x)
     problem.counters.f_evals[which] += 1
-    v = np.asarray(f(x), dtype=float)
-    return _value_floats(v, problem.dim) if floats else v
+    return linalg.as_floats(f(x), problem.dim)
 
 
-def field_jacobian(problem: PiecewiseProblem, which: int, x):
-    """Jacobian of a branch field: analytic when available, else central
-    differences that respect the branch's domain. The stencil checks each
-    point it evaluates against the domain once (linalg.fd_jacobian) and
-    counts the evaluation through eval_field, which takes that verdict.
+def field_jacobian(problem: PiecewiseProblem, which: int, x: list) -> list:
+    """Jacobian of a branch field at x, a list of Python floats, as
+    problem.dim rows of problem.dim Python floats: the form the step kernel
+    factors as it is, checked here once.
 
-    A float-form Jacobian (FloatField) handed a list of floats gives its
-    float rows, problem.dim rows of problem.dim Python floats, the form the
-    step kernel factors as it is; rows of another shape go through
-    linalg.as_matrix's checks. Anything else gives a float array. A
-    float-form Jacobian refuses a state by raising, as najafi's does at
-    t >= 1, in both forms."""
-    jac = problem.jac_f1 if which == 1 else problem.jac_f2
-    if type(x) is list and isinstance(jac, FloatField):
-        J, n = jac.floats(x), problem.dim
+    A float-form Jacobian (FloatField) runs on the floats, and rows of that
+    shape come back as they are. An analytic Jacobian gets one float array
+    built from the floats. Its value, and float-form rows of another shape,
+    go through linalg.as_matrix (a square, finite matrix) and must have
+    problem.dim rows, else ValueError, before anything is factored. A
+    Jacobian may refuse a state by raising, as najafi's does at t >= 1.
+
+    Without an analytic Jacobian, central differences that respect the
+    branch's domain (linalg.fd_jacobian, on the array of x): the stencil
+    checks each point it evaluates against the domain once and counts the
+    evaluation through eval_field, handed the point's floats, which takes
+    that verdict."""
+    jac, n = (problem.jac_f1 if which == 1 else problem.jac_f2), problem.dim
+    if isinstance(jac, FloatField):
+        J = jac.floats(x)
         if type(J) is list and len(J) == n and all([type(r) is list and len(r) == n for r in J]):
             return J
-        # a square J of another size then fails lu_solve's length check, as
-        # an array J does
-        return linalg.as_matrix(J).tolist()
-    x = np.asarray(x, dtype=float)
-    if jac is not None:
-        return np.asarray(jac(x), dtype=float)
-    dom = problem.domain_f1 if which == 1 else problem.domain_f2
-    # checked passed by position, as a wrapper on eval_field may take *args
-    return linalg.fd_jacobian(lambda v: eval_field(problem, which, v, True), x, domain=dom)
+    elif jac is not None:
+        J = jac(np.array(x, dtype=float))
+    else:
+        dom = problem.domain_f1 if which == 1 else problem.domain_f2
+        # checked passed by position, as a wrapper on eval_field may take *args
+        return linalg.fd_jacobian(lambda v: eval_field(problem, which, v.tolist(), True),
+                                  np.array(x, dtype=float), domain=dom).tolist()
+    J = linalg.as_matrix(J)
+    if J.shape[0] != n:
+        raise ValueError(f"the Jacobian of field {which} is {J.shape[0]}x{J.shape[0]} "
+                         f"but the state has {n} entries")
+    return J.tolist()
 
 
 def h_gradient(problem: PiecewiseProblem, x) -> np.ndarray:

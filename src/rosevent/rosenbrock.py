@@ -56,11 +56,11 @@ formulas above in the same order, and numpy's elementwise operations do
 not fuse, so the results equal the array expressions bit for bit. Each
 solve is linalg.lu_solve's substitution (linalg._substitution_lines),
 written into the kernel on the factors' entries unpacked into locals: the
-bits of lu_solve without a call. Where lu_solve would do more than
-substitute, the kernel hands it the same right-hand side (see Kernel), so
-the bits and the errors stay lu_solve's; an outside wrapper on lu_solve
-sees only those calls, and one on kernel, installed before the run, sees
-every step. The step matrix is built as
+bits of lu_solve without a call. Where the solution is not finite, and
+lu_solve would do more than substitute, the kernel hands it the same
+right-hand side (see Kernel), so the bits and the errors stay lu_solve's;
+an outside wrapper on lu_solve sees only those calls, and one on kernel,
+installed before the run, sees every step. The step matrix is built as
 float rows (_step_rows, generated once per system size, one expression per
 entry) and factored by linalg.lu_factor as they are, whose elimination is
 generated the same way; step_matrix is the same rows as an array.
@@ -69,9 +69,13 @@ The state: x0 by integrate at its entry, or by the public step functions
 here (as_vector), and x1 where finish makes it (NonFiniteState, a
 ValueError, when an entry overflowed). Each field value's shape and length:
 linalg.as_floats, which problems.eval_field (every field of the driver and
-the guarded step) and the public step functions apply. J's shape: an
-array's by _step_rows, float rows' by problems.field_jacobian, whose float
-form returns them. The step matrix's finiteness by lu_factor, and each
+the guarded step) and the public step functions apply. J's shape and size:
+problems.field_jacobian, which gives every J of the driver and the guarded
+step as n rows of n floats, and the public entries that take a caller's J
+or factors (ros1_step, ros2_step, ros2_finish and
+onesided.guarded_ros2_step), which refuse another size before any field
+evaluation; the kernel, factor and onesided.resolve_case_1b check neither.
+The step matrix's finiteness by lu_factor, and each
 right-hand side's finiteness, tau*f(x0) and tau*f(x0 + k1) - 2*k1, by
 linalg.lu_solve ("vector entries must be finite"), to which the kernel
 hands any right-hand side whose solution is not finite.
@@ -82,15 +86,15 @@ step hand every field x0's floats too, through problems.eval_field, which
 runs a float-form field (problems.FloatField: the float-row fields of a
 declared affine problem, and najafi's) on them as they are and gives any
 other field one float array built from them. So a step of a float-form
-field makes no numpy call for a field value. J comes in two forms as well:
-problems.field_jacobian on x0's floats gives a float-form Jacobian's float
-rows, which the step factors as they are, and any other J as a float
-array, whose rows _step_rows reads. h, too, takes floats where the surface
+field makes no numpy call for a field value. J has one form as well:
+problems.field_jacobian on x0's floats gives n rows of n floats, whatever
+the Jacobian's kind, which the step factors as they are and holds. h,
+too, takes floats where the surface
 is declared (problems.Surface): the driver hands it the floats of each
 step's x1, and the guarded step and its case-1b trials those of their
 stage state x0 + k1, while any other h gets float arrays. The public steps
 here give a caller's field an array built from the stage's floats
-(_checked) and take J as an array.
+(_checked), take J as an array and factor its rows.
 """
 
 from __future__ import annotations
@@ -137,9 +141,11 @@ class RosenbrockStep:
     which the dense output reads and the driver's next step starts from;
     k2f is None for one-stage steps. The stages are held only as those
     floats: k1 and k2 are arrays built when read. jac is the Jacobian as the
-    step was given it, a float array or float rows (a float-form
-    Jacobian's, see problems.field_jacobian); J reads it as a float array,
-    the given array itself or one built from the rows when read.
+    step was given it: on the driver's and the guarded step's path the rows
+    of floats problems.field_jacobian gave (a continuing step holds the
+    last step's rows object itself), on the public steps here the array
+    they were given. J reads it as a float array, that array itself or one
+    built from the rows when read.
     """
 
     __slots__ = ("x0", "x0f", "tau", "jac", "gamma", "c", "k1f", "k2f", "x1f", "x1", "stages")
@@ -251,15 +257,10 @@ def _step_rows_source(n: int) -> str:
 _STEP_ROWS: dict = {}
 
 
-def _step_rows(J, tau: float, gamma: float) -> list:
-    # I - gamma*tau*J as Python float rows, J a float array or n rows of n
-    # Python floats (problems.field_jacobian's float form, which checks
-    # their shape), taken as they are. An array that is not square fails
-    # as_matrix's shape check; lu_factor checks the rows' finiteness.
-    if type(J) is not list:
-        if J.ndim != 2 or J.shape[0] != J.shape[1]:
-            linalg.as_matrix(J)
-        J = J.tolist()
+def _step_rows(J: list, tau: float, gamma: float) -> list:
+    # I - gamma*tau*J as Python float rows, J n rows of n Python floats
+    # (problems.field_jacobian's form, which checks their shape), taken as
+    # they are; lu_factor checks the rows' finiteness
     n = len(J)
     step_rows = _STEP_ROWS.get(n) or linalg.generated(_STEP_ROWS, n, _step_rows_source,
                                                       "step_rows")
@@ -269,7 +270,7 @@ def _step_rows(J, tau: float, gamma: float) -> list:
 def step_matrix(J, tau: float, gamma: float) -> np.ndarray:
     """The step matrix I - gamma*tau*J."""
     J = linalg.as_matrix(J)
-    return np.array(_step_rows(J, tau, gamma)).reshape(J.shape)
+    return np.array(_step_rows(J.tolist(), tau, gamma)).reshape(J.shape)
 
 
 def _checked(field, n: int):
@@ -281,19 +282,20 @@ def _checked(field, n: int):
 # --- the kernel: Python floats in and out, nothing re-checked ---------------
 
 def factor(J, tau: float, gamma: float) -> linalg.LuFactors:
-    """LU factors of the step matrix I - gamma*tau*J, J a float array or
-    float rows (as problems.field_jacobian's float form gives them): its
-    float rows (_step_rows) through linalg.lu_factor, so an outside wrapper
-    on lu_factor sees every factorization of every step path."""
+    """LU factors of the step matrix I - gamma*tau*J, J n rows of n Python
+    floats (as problems.field_jacobian gives them), unchecked: the step
+    matrix's float rows (_step_rows) through linalg.lu_factor, so an
+    outside wrapper on lu_factor sees every factorization of every step
+    path."""
     return linalg.lu_factor(_step_rows(J, tau, gamma))
 
 
 class Kernel(NamedTuple):
     """The stage arithmetic of one method and system size, generated once
-    (_kernel_source). Each solve substitutes inline on the factors and
+    (_kernel_source), unchecked: the factors must be of its size, as the
+    public entries check. Each solve substitutes inline on the factors and
     hands its right-hand side to linalg.lu_solve only when the solution's
-    first entry is not finite (lu_solve's check and scaled solve) or the
-    factors are of another size (its length check):
+    first entry is not finite (lu_solve's check and scaled solve):
 
     stage1(factors, fx0, tau) -> k1, the floats solving
         (I - gamma*tau*J) k1 = tau*f(x0) from f(x0) as floats;
@@ -302,7 +304,7 @@ class Kernel(NamedTuple):
         stages k2 from field(x0 + k1) and x1 = x0 + 1.5*k1 + 0.5*k2, for
         one x1 = x0 + k1 (field unused). field takes the stage state as a
         list of floats and returns floats, as problems.eval_field does.
-        J is kept on the step as given, a float array or float rows. Only
+        J is kept on the step as given, float rows or an array. Only
         x1 is checked, here where it is made (NonFiniteState);
     step(field, x0, x0f, fx0, tau, J, factors) -> RosenbrockStep, the whole
         step from f(x0) as floats: finish(field, x0, x0f, tau, J, factors,
@@ -321,10 +323,10 @@ def _kernel_source(key: tuple) -> str:
     element loops in the same order, and each solve linalg.lu_solve's
     substitution (linalg._substitution_lines) on the factors unpacked into
     locals. Where lu_solve would do more than return that substitution (a
-    non-finite first entry, or factors of another size) the right-hand
-    side goes to lu_solve itself, for its checks and its scaled solve, so
-    the bits and the errors are lu_solve's. x1 is finite exactly when the
-    sum of 0.0*x1_i is 0.0."""
+    non-finite first entry) the right-hand side goes to lu_solve itself,
+    for its checks and its scaled solve, so the bits and the errors are
+    lu_solve's. Nothing else is checked: factors of another size fail the
+    unpacking. x1 is finite exactly when the sum of 0.0*x1_i is 0.0."""
     stages, n = key
 
     def vec(names):
@@ -332,14 +334,8 @@ def _kernel_source(key: tuple) -> str:
 
     # x0, k1, the stage's f, k2 and x1, entry by entry
     x, a, g, b, y = ([f"{c}{i}" for i in range(n)] for c in "uagby")
-    # the factors into locals, once a right-hand side r is formed; factors
-    # of another size fail lu_solve's length check, as they always have
-    unpack = ["try:",
-              *(f"    {line}" for line in linalg._factor_lines(n, "factors.combined",
-                                                                  "factors.pivots")),
-              "except ValueError:",
-              "    linalg.lu_solve(factors, r)",
-              "    raise"]
+    # the factors into locals, once a right-hand side r is formed
+    unpack = linalg._factor_lines(n, "factors.combined", "factors.pivots")
 
     def solve(into, name):
         # name, the solution of r: a non-finite entry of r or of the sweeps
@@ -402,18 +398,34 @@ def kernel(stages: int, n: int) -> Kernel:
     return _KERNELS.get(key) or _new_kernel(key)
 
 
+def _sized(m: int, n: int) -> None:
+    # a caller's J or factors of m states for a state of n: refused where it
+    # enters, with lu_solve's length message, as the kernel checks nothing
+    if m != n:
+        raise ValueError(f"matrix is {m}x{m} but b has length {n}")
+
+
+def _entry(x0, tau: float, J, gamma: float, factors) -> tuple:
+    # the public steps' checks, before any field evaluation: x0 a finite
+    # vector, J a square finite matrix when the step factors it, and the
+    # factors, given or made, of x0's size
+    x0 = linalg.as_vector(x0)
+    J = linalg.as_matrix(J) if factors is None else np.asarray(J, dtype=float)
+    _sized(len(J) if factors is None else factors.n, x0.shape[0])
+    return x0, J, factor(J.tolist(), tau, gamma) if factors is None else factors
+
+
 def ros1_step(field, x0, tau: float, J, *,
               factors: linalg.LuFactors | None = None) -> RosenbrockStep:
     """Linearly implicit Euler step of size tau with Jacobian J.
 
     factors, when given, must be the LU factors of I - tau*J; they are used
     as they are, so the step is the one a fresh factorization would give.
+    ValueError, before the field is evaluated, when J or the factors are
+    not of x0's size.
     """
-    x0 = linalg.as_vector(x0)
+    x0, J, factors = _entry(x0, tau, J, GAMMA_ROS1, factors)
     n = x0.shape[0]
-    J = linalg.as_matrix(J) if factors is None else np.asarray(J, dtype=float)
-    if factors is None:
-        factors = factor(J, tau, GAMMA_ROS1)
     return kernel(1, n).step(None, x0, x0.tolist(), linalg.as_floats(field(x0), n), tau, J,
                              factors)
 
@@ -423,12 +435,15 @@ def ros2_finish(field, x0, tau: float, J, factors, k1) -> RosenbrockStep:
 
     Split out so a driver can inspect x0 + k1 (the only point beyond x0
     where the field gets evaluated) before committing to the evaluation.
+    ValueError, before the field is evaluated, when k1 or the factors are
+    not of x0's size.
     """
     x0 = linalg.as_vector(x0)
     k1 = np.asarray(k1, dtype=float)
     if k1.shape != x0.shape:
         raise ValueError(f"k1 has shape {k1.shape} but x0 has shape {x0.shape}")
     n = x0.shape[0]
+    _sized(factors.n, n)
     return kernel(2, n).finish(_checked(field, n), x0, x0.tolist(), tau,
                                np.asarray(J, dtype=float), factors, k1.tolist())
 
@@ -440,15 +455,13 @@ def ros2_step(field, x0, tau: float, J, *,
 
     factors, when given, must be the LU factors of I - gamma*tau*J (see
     factor); the step then skips its factorization and is the same step
-    bit for bit.
+    bit for bit. ValueError, before the field is evaluated, when J or the
+    factors are not of x0's size.
     """
-    x0 = linalg.as_vector(x0)
+    x0, J, factors = _entry(x0, tau, J, GAMMA_ROS2, factors)
     n = x0.shape[0]
-    fx0 = linalg.as_floats(field(x0), n)
-    J = linalg.as_matrix(J) if factors is None else np.asarray(J, dtype=float)
-    if factors is None:
-        factors = factor(J, tau, GAMMA_ROS2)
-    return kernel(2, n).step(_checked(field, n), x0, x0.tolist(), fx0, tau, J, factors)
+    return kernel(2, n).step(_checked(field, n), x0, x0.tolist(),
+                             linalg.as_floats(field(x0), n), tau, J, factors)
 
 
 def _check_theta(theta: float) -> None:

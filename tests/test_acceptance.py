@@ -8,7 +8,6 @@ deliberate and explained next to the tables.
 
 import math
 import time
-from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -44,6 +43,12 @@ from rosevent.rosenbrock import (
 )
 
 SLIDING_KINDS = (Kind.SLIDING, Kind.SLIDING_ATTRACTIVE, Kind.SLIDING_REPULSIVE)
+
+
+def array_field(problem, which):
+    """problems.eval_field as a public step's field: the float array the
+    step hands it, as the floats eval_field takes."""
+    return lambda x: eval_field(problem, which, x.tolist())
 
 
 def study_factors(rows):
@@ -145,8 +150,8 @@ def test_criterion_04_dense_output_matches_endpoints():
         problem, which, tau_cap, sampler = draws[i % len(draws)]
         x = sampler()
         tau = float(rng.uniform(0.1, 1.0)) * tau_cap
-        step = ros2_step(partial(eval_field, problem, which), x, tau,
-                         field_jacobian(problem, which, x))
+        step = ros2_step(array_field(problem, which), x, tau,
+                         field_jacobian(problem, which, x.tolist()))
         npt.assert_array_equal(dense_eval(step, 0.0), step.x0)  # bit-exact
         gap = float(np.max(np.abs(dense_eval(step, 1.0) - step.x1)))
         allowance = 4.0 * float(np.spacing(np.max(np.abs(step.x1))))
@@ -161,13 +166,13 @@ def test_criterion_05_interpolant_carries_the_method_order():
     thetas = np.linspace(0.0, 1.0, 33)
 
     def sup_error(tau0):
-        field = partial(eval_field, problem, 1)
+        field = array_field(problem, 1)
         x = np.array([1.0])
         t = 0.0
         sup = 0.0
         while t < 1.0 - 1e-12:
             tau = min(tau0, 1.0 - t)
-            step = ros2_step(field, x, tau, field_jacobian(problem, 1, x))
+            step = ros2_step(field, x, tau, field_jacobian(problem, 1, x.tolist()))
             for theta in thetas:
                 exact = math.exp(lam * (t + theta * tau))
                 sup = max(sup, abs(float(dense_eval(step, float(theta))[0]) - exact))
@@ -209,8 +214,8 @@ def test_criterion_07_location_is_free_and_consistent(monkeypatch):
     result = integrate(problem, problem.x0, cfg)
     ev = result.events[0]
     t0, x_before = result.mesh[ev.step_index]
-    fld = partial(eval_field, problem, 1)
-    step = ros2_step(fld, x_before, tau, field_jacobian(problem, 1, x_before))
+    fld = array_field(problem, 1)
+    step = ros2_step(fld, x_before, tau, field_jacobian(problem, 1, x_before.tolist()))
 
     # part 1: zero field evaluations and zero linear solves during location;
     # any solve needs lu_factor's factors and runs in the step kernel

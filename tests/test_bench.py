@@ -451,7 +451,7 @@ def test_cli_guard_check_refuses_an_undeclared_surface(capsys, monkeypatch, mode
 
 def test_cli_guard_check_series_certifies_a_najafi_step(capsys):
     # the README walkthrough's one-stage certificate: the series guard reads
-    # najafi's float-form Jacobian through field_jacobian's array form
+    # najafi's float-form Jacobian through field_jacobian's rows, as an array
     code = cli_main(["guard-check", "--problem", "najafi", "--state", "1,0.9",
                      "--tau", "0.125", "--mode", "ros1"])
     assert code == 0

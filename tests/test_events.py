@@ -62,6 +62,12 @@ from rosevent.rosenbrock import (
 )
 
 
+def array_field(problem, which):
+    """problems.eval_field as a public step's field: the float array the
+    step hands it, as the floats eval_field takes."""
+    return lambda x: eval_field(problem, which, x.tolist())
+
+
 def unit_speed_step(x0=0.0, tau=1.0):
     """Two-stage step on x' = 1, whose dense output is x0 + theta*tau."""
     return ros2_step(lambda x: np.array([1.0]), np.array([x0]), tau,
@@ -140,8 +146,8 @@ def _builtin_step(name, which, tau, shift):
     spec = builtin(name)
     problem = spp_flatten(spec) if isinstance(spec, SppProblem) else spec
     x0 = problem.x0 + shift
-    return ros2_step(functools.partial(eval_field, problem, which), x0, tau,
-                     field_jacobian(problem, which, x0))
+    return ros2_step(array_field(problem, which), x0, tau,
+                     field_jacobian(problem, which, x0.tolist()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -187,8 +193,8 @@ def test_locate_ends_converged_within_41_calls_on_the_departing_side(
 def test_locate_costs_no_field_evals_or_solves(monkeypatch):
     problem = builtin("tent")
     x = np.array([0.4])
-    step = ros2_step(functools.partial(eval_field, problem, 1), x, 0.2,
-                     field_jacobian(problem, 1, x))
+    step = ros2_step(array_field(problem, 1), x, 0.2,
+                     field_jacobian(problem, 1, x.tolist()))
 
     def banned(*a, **k):  # pragma: no cover - should never run
         raise AssertionError("linear algebra called during event location")
@@ -216,8 +222,8 @@ def test_located_theta_matches_shortened_step_root():
 
     t0, x_before = result.mesh[ev.step_index]
     assert abs(t0 - ev.step_index * tau) < 1e-12
-    fld = functools.partial(eval_field, problem, 1)
-    step = ros2_step(fld, x_before, tau, field_jacobian(problem, 1, x_before))
+    fld = array_field(problem, 1)
+    step = ros2_step(fld, x_before, tau, field_jacobian(problem, 1, x_before.tolist()))
     assert float(problem.h(step.x1)) > 0.0
 
     lo, hi = 0.0, tau
@@ -566,8 +572,8 @@ def test_reused_factors_give_the_steps_of_fresh_factorizations(name, method, tau
             active = 2 if start.direction is Direction.R1_TO_R2 else 1
         else:
             active = 1 if problem.h(x0) < 0.0 else 2
-        fresh = stepper(functools.partial(eval_field, problem, active), x0,
-                        min(cfg.tau, cfg.t_end - t0), field_jacobian(problem, active, x0))
+        fresh = stepper(array_field(problem, active), x0,
+                        min(cfg.tau, cfg.t_end - t0), field_jacobian(problem, active, x0.tolist()))
         assert fresh.x1.tobytes() == x1.tobytes(), (t0, active)
         replayed += 1
     assert replayed >= 1
@@ -610,8 +616,8 @@ def test_najafis_region_2_steps_reuse_the_factors_of_equal_float_rows():
             rows = taken[i - 1][2].jac
             assert type(step.jac) is list and step.jac == rows and step.jac is not rows
         assert step.J.tobytes() == np.zeros((2, 2)).tobytes()
-        fresh = ros2_step(functools.partial(eval_field, problem, 2), x, 0.125,
-                          field_jacobian(problem, 2, x))
+        fresh = ros2_step(array_field(problem, 2), x, 0.125,
+                          field_jacobian(problem, 2, x.tolist()))
         for name in ("x1", "k1", "k2"):
             assert getattr(step, name).tobytes() == getattr(fresh, name).tobytes()
 
@@ -969,7 +975,7 @@ def test_a_declared_h_gets_the_step_floats_and_a_plain_h_only_arrays():
     seen.clear()
     with case_1b() as shortening:
         step, _ = guarded_ros2_step(plain_najafi, x0, 0.125,
-                                    field_jacobian(plain_najafi, 1, x0))
+                                    field_jacobian(plain_najafi, 1, x0.tolist()))
     assert shortening.call_count == 1 and step.tau < 0.125
     assert seen and set(seen) == {np.ndarray}
 
@@ -1061,10 +1067,10 @@ def test_driver_steps_are_the_public_steps_bit_for_bit(case, plain):
     guarded_problem = plain_callables(problem.affine, seen, declared=True) if plain else problem
     if plain:
         problem = plain_callables(problem.affine, seen)
-    J = field_jacobian(problem, 1, x0)
+    J = field_jacobian(problem, 1, x0.tolist())
     public = ros2_step if method.stages == 2 else ros1_step
     try:
-        alone = public(functools.partial(eval_field, problem, 1), x0, tau, J)
+        alone = public(array_field(problem, 1), x0, tau, J)
     except (SingularMatrix, ValueError):
         assume(False)
     try:
@@ -1091,7 +1097,7 @@ def test_driver_steps_are_the_public_steps_bit_for_bit(case, plain):
                 assert x is not x0 and x.tobytes() == x0.tobytes()
                 assert factorizations == count
             else:
-                ref = public(functools.partial(eval_field, problem, active), x, step.tau,
+                ref = public(array_field(problem, active), x, step.tau,
                              step.J)
             assert (step.tau, step.gamma, step.stages) == (ref.tau, ref.gamma, ref.stages)
             for name in ("x1", "k1", "k2"):
@@ -1309,7 +1315,7 @@ def test_an_affine_relay_keeps_its_finite_difference_jacobian_across_a_visit(nam
     # and a restep at the same size is the step again, bit for bit
     for x, active, step, _ in taken[:40]:
         assert step.value(0.0) is x
-        again = restep(functools.partial(eval_field, bare, active), step, step.tau)
+        again = restep(array_field(bare, active), step, step.tau)
         assert again.x1.tobytes() == step.x1.tobytes()
     # the declared affine relay evaluates its A_i once per region visit
     analytic = integrate(flat, flat.x0, cfg)
@@ -1352,12 +1358,15 @@ def test_a_declared_affine_relay_evaluates_one_jacobian_per_region_visit(name):
     entries = [i for i in range(len(taken)) if entered(taken, i)]
     assert evaluated == [taken[i][1] for i in entries]
     assert [j for *_, j in taken] == [int(i in entries) for i in range(len(taken))]
-    # ... which every step of the visit holds, though its factors are shared
-    assert all(step.J is A[active] for _, active, step, _ in taken)
+    # ... as one rows object of A_i's bytes, which every step of the visit
+    # holds, though its factors are shared
+    for i, (_, active, step, _) in enumerate(taken):
+        assert np.array(step.jac).tobytes() == A[active].tobytes()
+        assert (i > 0 and step.jac is taken[i - 1][2].jac) == (i not in entries)
     assert stats.lu_factorizations <= 2
     # and the steps are the public steps with that J, bit for bit
     for x, active, step, _ in taken[:60]:
-        alone = restep(functools.partial(eval_field, flat, active), step, step.tau)
+        alone = restep(array_field(flat, active), step, step.tau)
         assert same_bytes(alone.x1, step.x1) and same_bytes(alone.k2, step.k2)
     # the naive mode switches fields at a step's end: the next visit starts
     # from the very x1 the last step of the other region made

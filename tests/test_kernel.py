@@ -6,7 +6,6 @@ path."""
 import math
 import operator
 import re
-from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 from rosevent import linalg
 from rosevent.errors import NonFiniteState, SingularMatrix
 from rosevent.events import IntegratorConfig, integrate
-from rosevent.onesided import GuardMode
+from rosevent.onesided import GuardMode, guarded_ros2_step
 from rosevent.problems import Affine, PiecewiseProblem, Surface, affine_problem, eval_field
 from rosevent.rosenbrock import (
     ROS1,
@@ -33,6 +32,12 @@ from rosevent.rosenbrock import (
 # --- the numpy reference: the step and dense formulas as numpy array
 # expressions, one operation at a time, as rosenbrock computed them before
 # its arithmetic moved to Python floats ------------------------------------
+
+
+def array_field(problem, which):
+    """problems.eval_field as a public step's field: the float array the
+    step hands it, as the floats eval_field takes."""
+    return lambda x: eval_field(problem, which, x.tolist())
 
 
 def reference_step(method, field, x0, tau, factors):
@@ -126,7 +131,7 @@ def test_integrate_takes_the_standalone_step(case):
     problem = affine_problem(Affine(A, b, A, b, np.zeros(len(b)), -1.0))
     with np.errstate(all="ignore"):
         try:
-            alone = STEPPERS[method.stages](partial(eval_field, problem, 1), x0, tau, A)
+            alone = STEPPERS[method.stages](array_field(problem, 1), x0, tau, A)
         except ValueError:
             assume(False)
         result = integrate(problem, x0, IntegratorConfig(tau=tau, t_end=tau, method=method))
@@ -296,17 +301,33 @@ def test_a_kernel_is_made_for_one_or_two_stages_on_some_states(stages, n):
 
 
 def test_factors_of_another_size_fail_the_solve_length_check():
-    # the kernel's own unpacking of the factors does not change the error
+    # the kernel checks nothing: the public entries that take a caller's J
+    # or factors refuse another size where it enters, with lu_solve's length
+    # message, before the field is evaluated
     factors = linalg.lu_factor(np.eye(3))
-    x0 = np.ones(2)
-    run = kernel(2, 2)
+    x0, J = np.array([0.5, 0.5]), np.eye(2)
+    handed = []
+
+    def field(x):
+        handed.append(x)
+        return -x
+
     message = "^matrix is 3x3 but b has length 2$"
     with pytest.raises(ValueError, match=message):
-        run.stage1(factors, [1.0, 2.0], 0.1)
+        ros1_step(field, x0, 0.1, J, factors=factors)
     with pytest.raises(ValueError, match=message):
-        run.finish(lambda x: x, x0, [1.0, 1.0], 0.1, np.eye(2), factors, [0.0, 0.0])
+        ros2_step(field, x0, 0.1, J, factors=factors)
     with pytest.raises(ValueError, match=message):
-        run.step(lambda x: x, x0, [1.0, 1.0], [1.0, 2.0], 0.1, np.eye(2), factors)
+        ros2_finish(field, x0, 0.1, J, factors, [0.0, 0.0])
+    # a J of another size, which the step factors itself
+    for step_fn in (ros1_step, ros2_step):
+        with pytest.raises(ValueError, match=message):
+            step_fn(field, x0, 0.1, np.eye(3))
+    zero = np.zeros((2, 2))
+    problem = affine_problem(Affine(zero, [1.0, 0.0], zero, [-1.0, 0.0], [1.0, 0.0], -1.0))
+    with pytest.raises(ValueError, match=message):
+        guarded_ros2_step(problem, x0, 0.1, np.eye(3))
+    assert handed == [] and problem.counters.f_evals == {1: 0, 2: 0}
 
 
 def _ill_scaled_factors():

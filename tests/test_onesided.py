@@ -76,7 +76,7 @@ def test_series_guard_abstains_without_neumann_convergence():
 def test_guards_reject_a_step_that_is_not_positive_and_finite(tau):
     problem = builtin("tent")
     x0 = np.array([0.3])
-    J = field_jacobian(problem, 1, x0)
+    J = field_jacobian(problem, 1, x0.tolist())
     with pytest.raises(ValueError, match="tau must be positive and finite"):
         guard_ros1_general(problem, x0, tau, 1.0)
     with pytest.raises(ValueError, match="tau must be positive and finite"):
@@ -129,8 +129,8 @@ def test_orthogonal_guard_rejects_generic_step_matrix():
 
 
 def test_one_stage_guards_read_najafis_float_form_jacobian_as_an_array():
-    # najafi declares its Jacobian's float form; the one-stage guards take
-    # field_jacobian's array form (gamma*tau*J, J @ f), so they run on it
+    # najafi declares its Jacobian's float form; the one-stage guards read
+    # field_jacobian's rows as an array (gamma*tau*J, J @ f), so they run on it
     # as on any other Jacobian. At t = 0.9, h = t - 1 rises at unit speed
     # and J has a zero second row: a0 = 1, a1 = a2 = 0, tau certified.
     problem = builtin("najafi")
@@ -300,7 +300,7 @@ def test_the_orthogonal_guard_on_a_declared_surface_is_an_oracle_certificate(
 def guarded(problem, x0, tau, **kw):
     """The guarded two-stage step from x0 with the problem's own Jacobian."""
     x0 = np.array(x0, dtype=float)
-    return guarded_ros2_step(problem, x0, tau, field_jacobian(problem, 1, x0), **kw)
+    return guarded_ros2_step(problem, x0, tau, field_jacobian(problem, 1, x0.tolist()), **kw)
 
 
 def test_resolve_case_1b_places_internal_stage_on_surface(monkeypatch):

@@ -11,10 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rosevent.linalg
 import rosevent.problems
 from rosevent.errors import DomainViolation, ResidualTooLarge
-from rosevent.filippov import filippov_coeffs
+from rosevent.filippov import classify_general, filippov_coeffs
 from rosevent.events import IntegratorConfig, integrate
+from rosevent.onesided import GuardMode, guard_ros1_general, guard_ros1_orthogonal
+from rosevent.rosenbrock import ROS1
 from rosevent.problems import (
     Affine,
     FloatField,
@@ -36,31 +39,31 @@ from rosevent.problems import (
 
 def test_eval_field_counts_and_validates():
     p = builtin("tent")
-    npt.assert_array_equal(eval_field(p, 1, np.array([0.0])), [1.0])
-    npt.assert_array_equal(eval_field(p, 2, np.array([0.0])), [-1.0])
+    npt.assert_array_equal(eval_field(p, 1, [0.0]), [1.0])
+    npt.assert_array_equal(eval_field(p, 2, [0.0]), [-1.0])
     assert p.counters.f_evals == {1: 1, 2: 1}
     with pytest.raises(ValueError):
-        eval_field(p, 3, np.array([0.0]))
+        eval_field(p, 3, [0.0])
 
 
 def test_najafi_domain_violation_counted():
     p = builtin("najafi")
-    ok = eval_field(p, 1, np.array([1.0, 0.96]))
+    ok = eval_field(p, 1, [1.0, 0.96])
     npt.assert_allclose(ok, [0.2, 1.0], rtol=0, atol=1e-15)
     with pytest.raises(DomainViolation):
-        eval_field(p, 1, np.array([1.0, 1.5]))
+        eval_field(p, 1, [1.0, 1.5])
     assert p.counters.domain_violations == {1: 1, 2: 0}
     assert p.counters.f_evals == {1: 1, 2: 0}
     # the post-switch field has no domain restriction
-    npt.assert_array_equal(eval_field(p, 2, np.array([1.0, 1.5])), [0.0, 1.0])
+    npt.assert_array_equal(eval_field(p, 2, [1.0, 1.5]), [0.0, 1.0])
 
 
 def test_najafi_jacobian_refuses_past_switch():
     p = builtin("najafi")
-    J = field_jacobian(p, 1, np.array([2.0, 0.75]))
+    J = field_jacobian(p, 1, [2.0, 0.75])
     npt.assert_allclose(J, [[0.5, -2.0], [0.0, 0.0]], rtol=0, atol=1e-15)
     with pytest.raises(DomainViolation):
-        field_jacobian(p, 1, np.array([2.0, 1.0]))
+        field_jacobian(p, 1, [2.0, 1.0])
 
 
 @pytest.mark.parametrize("x, rejected", [([1.0, 0.5], 0), ([1.0, 1.0], 1)])
@@ -77,7 +80,7 @@ def test_a_finite_difference_jacobian_checks_each_point_once(x, rejected):
         return najafi.domain_f1(u)
 
     p = PiecewiseProblem(2, najafi.f1, najafi.f2, surface=najafi.surface, domain_f1=domain)
-    J = field_jacobian(p, 1, np.array(x))
+    J = field_jacobian(p, 1, x)
     assert p.counters.f_evals[1] == len(checked) - rejected == 4
     assert p.counters.domain_violations == {1: 0, 2: 0}
     npt.assert_allclose(J[1], [0.0, 0.0], atol=0)
@@ -97,8 +100,8 @@ def test_spp_flatten_kowalczyk_fields():
     assert flat.source_spp is spp
     u = np.array([0.5, -0.25])
     # slow block +-1, fast block (y - z)/eps = 0.75 * 128 exactly
-    npt.assert_array_equal(eval_field(flat, 1, u), [1.0, 96.0])
-    npt.assert_array_equal(eval_field(flat, 2, u), [-1.0, 96.0])
+    npt.assert_array_equal(eval_field(flat, 1, u.tolist()), [1.0, 96.0])
+    npt.assert_array_equal(eval_field(flat, 2, u.tolist()), [-1.0, 96.0])
     npt.assert_array_equal(h_gradient(flat, u), [-0.9, 1.9])
     npt.assert_allclose(flat.h(u), -0.9 * 0.5 + 1.9 * -0.25, rtol=0, atol=0)
     npt.assert_array_equal(flat.x0, [1.0, 0.0])
@@ -108,14 +111,14 @@ def test_spp_flatten_slow_block_bit_equal():
     spp = builtin("teixeira", eps=1e-3)
     flat = spp_flatten(spp)
     u = np.array([0.37, -1.12, 0.185])
-    npt.assert_array_equal(eval_field(flat, 1, u)[:2], spp.stacked.f1(u)[:2])
-    npt.assert_array_equal(eval_field(flat, 2, u)[:2], spp.stacked.f2(u)[:2])
+    npt.assert_array_equal(eval_field(flat, 1, u.tolist())[:2], spp.stacked.f1(u)[:2])
+    npt.assert_array_equal(eval_field(flat, 2, u.tolist())[:2], spp.stacked.f2(u)[:2])
 
 
 def test_spp_flatten_jacobian_stacks_fast_rows():
     spp = builtin("kowalczyk", eps=1e-2)
     flat = spp_flatten(spp)
-    J = field_jacobian(flat, 1, np.array([0.4, -0.2]))
+    J = field_jacobian(flat, 1, [0.4, -0.2])
     npt.assert_array_equal(J, [[0.0, 0.0], [100.0, -100.0]])
 
 
@@ -146,7 +149,7 @@ def test_a_problem_needs_at_least_one_state(dim):
 def test_spp_flatten_gives_the_flat_problem_its_own_counters():
     for spp in (builtin("kowalczyk"), stacked(reference_kowalczyk(-0.9, 1e-2))):
         flat = spp_flatten(spp)
-        eval_field(flat, 1, np.array([0.5, 0.25]))
+        eval_field(flat, 1, [0.5, 0.25])
         assert flat.counters is not spp.stacked.counters
         assert flat.counters.f_evals == {1: 1, 2: 0}
         assert spp.stacked.counters.f_evals == {1: 0, 2: 0}
@@ -171,16 +174,16 @@ def test_spp_flatten_wraps_a_callable_stacked_problem():
     ), slow_dim=1, eps=0.25)
     flat = spp_flatten(spp)
     u = np.array([1.5, 0.5])
-    npt.assert_array_equal(eval_field(flat, 1, u), [0.5, 4.0])
-    npt.assert_array_equal(eval_field(flat, 2, u), [1.0, 4.0])
-    npt.assert_array_equal(field_jacobian(flat, 1, u), [[0.0, 1.0], [4.0, -4.0]])
+    npt.assert_array_equal(eval_field(flat, 1, u.tolist()), [0.5, 4.0])
+    npt.assert_array_equal(eval_field(flat, 2, u.tolist()), [1.0, 4.0])
+    npt.assert_array_equal(field_jacobian(flat, 1, u.tolist()), [[0.0, 1.0], [4.0, -4.0]])
     assert flat.jac_f2 is None
     assert flat.h is spp.stacked.h and flat.grad_h is spp.stacked.grad_h
     assert flat.domain_f1 is in_domain and flat.domain_f2 is None
     assert flat.affine is None and flat.source_spp is spp
     assert flat.label == "callable/flattened"
     with pytest.raises(DomainViolation):
-        eval_field(flat, 1, np.array([2.5, 0.0]))
+        eval_field(flat, 1, [2.5, 0.0])
 
 
 @pytest.mark.parametrize("eps", [1e-320, 5e-324])
@@ -195,7 +198,7 @@ def test_reduced_model_on_consistent_manifold():
     spp = builtin("kowalczyk", eps=1e-2)
     red = reduced_order_model(spp, lambda y: y)  # g(y, y) = 0 identically
     assert red.dim == 1
-    npt.assert_array_equal(eval_field(red, 1, np.array([0.7])), [1.0])
+    npt.assert_array_equal(eval_field(red, 1, [0.7]), [1.0])
     # h on the manifold collapses to x itself: -0.9 x + 1.9 x = x
     npt.assert_allclose(red.h(np.array([0.7])), 0.7, rtol=1e-15, atol=0)
 
@@ -204,7 +207,7 @@ def test_reduced_model_rejects_bad_manifold():
     spp = builtin("kowalczyk", eps=1e-2)
     red = reduced_order_model(spp, lambda y: np.zeros(1))  # g(1, 0) = 1
     with pytest.raises(ResidualTooLarge):
-        eval_field(red, 1, np.array([1.0]))
+        eval_field(red, 1, [1.0])
 
 
 def test_builtin_registry():
@@ -346,10 +349,11 @@ def assert_piecewise_matches(derived, reference, aff, x):
     """Fields, Jacobians, h and its gradient of `derived` (built from the
     declaration aff) against the hand-written `reference`, at x."""
     for which, (A, b) in ((1, (aff.A1, aff.b1)), (2, (aff.A2, aff.b2))):
-        assert_within_ulps(eval_field(derived, which, x), eval_field(reference, which, x),
+        xf = x.tolist()
+        assert_within_ulps(eval_field(derived, which, xf), eval_field(reference, which, xf),
                            term_scale(A, b, x))
-        J = field_jacobian(derived, which, x)
-        assert_within_ulps(J, field_jacobian(reference, which, x), np.abs(J))
+        J = field_jacobian(derived, which, xf)
+        assert_within_ulps(J, field_jacobian(reference, which, xf), np.abs(J))
     assert_within_ulps(derived.h(x), reference.h(x), np.abs(aff.n) @ np.abs(x) + abs(aff.c))
     assert_within_ulps(h_gradient(derived, x), h_gradient(reference, x), np.abs(aff.n))
 
@@ -444,7 +448,7 @@ def test_classification_and_reduced_fields_equal_the_yz_forms(name, eps, theta, 
     g0 = MANIFOLDS[name](eps)
     red = reduced_order_model(spec, g0)
     for which, f in ((1, ref.f1), (2, ref.f2)):
-        npt.assert_array_equal(eval_field(red, which, y), f(y, g0(y)))
+        npt.assert_array_equal(eval_field(red, which, y.tolist()), f(y, g0(y)))
 
 
 def test_filippov_coeffs_rejects_fast_rows_that_differ():
@@ -460,19 +464,24 @@ def test_filippov_coeffs_rejects_fast_rows_that_differ():
 
 
 def test_returned_jacobians_and_gradients_are_read_only():
-    x = np.array([0.3, -0.2, 0.1])
+    # a Jacobian comes back as fresh float rows: writing into them changes
+    # neither the declared A_i nor the next field_jacobian; the gradient of
+    # h is the read-only n
+    x = [0.3, -0.2, 0.1]
     for name in ("tent", "linear_test", "kowalczyk", "teixeira", "ostermann_modified"):
         spec = builtin(name)
         problem = spp_flatten(spec) if isinstance(spec, SppProblem) else spec
         u = x[: problem.dim]
-        for J in (field_jacobian(problem, 1, u), field_jacobian(problem, 2, u),
-                  h_gradient(problem, u)):
+        for p in [problem] + ([spec.stacked] if isinstance(spec, SppProblem) else []):
+            for which, A in ((1, p.affine.A1), (2, p.affine.A2)):
+                before = A.tobytes()
+                rows = field_jacobian(p, which, u)
+                rows[0][0] = 1.0
+                rows[0] = [7.0] * p.dim
+                assert A.tobytes() == before
+                assert np.array(field_jacobian(p, which, u)).tobytes() == before
             with pytest.raises(ValueError, match="read-only"):
-                J[0] = 1.0
-        if isinstance(spec, SppProblem):
-            for J in (field_jacobian(spec.stacked, 1, u), h_gradient(spec.stacked, u)):
-                with pytest.raises(ValueError, match="read-only"):
-                    J[0] = 1.0
+                h_gradient(p, np.array(u))[0] = 1.0
 
 
 def test_affine_stores_read_only_copies():
@@ -489,7 +498,7 @@ def test_affine_stores_read_only_copies():
     with pytest.raises(AttributeError):
         aff.c = 0.0
     problem = affine_problem(aff, label="rotor", x0=np.array([0.0, 1.0]))
-    npt.assert_array_equal(eval_field(problem, 2, np.array([2.0, 3.0])), [4.0, -2.0])
+    npt.assert_array_equal(eval_field(problem, 2, [2.0, 3.0]), [4.0, -2.0])
     assert problem.h(np.array([2.0, 3.0])) == 1.5
     assert problem.label == "rotor"
     assert problem.affine is aff
@@ -706,12 +715,12 @@ def test_float_rows_are_the_left_to_right_sums_in_both_forms(data, n):
         with mock.patch.object(rosevent.problems, "np", NoNumpy()):
             as_list = eval_field(problem, which, list(x))
         assert type(as_list) is list and all(type(v) is float for v in as_list)
-        as_array = eval_field(problem, which, np.array(x))
+        # the array form is the field's own __call__, which counts nothing
+        as_array = f(np.array(x))
         assert isinstance(as_array, np.ndarray) and as_array.dtype == float
         assert np.array(as_list).tobytes() == as_array.tobytes() == want
-        assert f(np.array(x)).tobytes() == want
-    # each eval_field call counted once, whichever form
-    assert problem.counters.f_evals == {1: 2, 2: 2}
+    # each eval_field call counted once
+    assert problem.counters.f_evals == {1: 1, 2: 1}
 
 
 def test_float_rows_are_generated_once_per_size():
@@ -773,37 +782,40 @@ najafi_t = st.one_of(st.floats(-1e6, 1.0, exclude_max=True), st.just(1.0),
 @settings(max_examples=300, deadline=None)
 @given(x=najafi_x, t=najafi_t)
 def test_najafi_float_forms_are_its_array_forms_bit_for_bit(x, t):
-    on_floats, on_arrays = builtin("najafi"), builtin("najafi")
-    assert isinstance(on_floats.f1, FloatField) and isinstance(on_floats.jac_f1, FloatField)
+    # eval_field and field_jacobian give the float forms; the array forms
+    # are the FloatFields' own __call__ on the state's array
+    problem = builtin("najafi")
+    assert isinstance(problem.f1, FloatField) and isinstance(problem.jac_f1, FloatField)
+    fields = {1: (problem.f1, problem.jac_f1), 2: (problem.f2, problem.jac_f2)}
     for which in (1, 2):
         f_want, J_want = najafi_reference(which, [x, t])
+        f, jac = fields[which]
         if f_want is None:
-            # past the switch: the same refusal, message and count
+            # past the switch: eval_field refuses, with the state's array
+            # in the message, and counts the refusal
             with pytest.raises(DomainViolation) as from_floats:
-                eval_field(on_floats, which, [x, t])
-            with pytest.raises(DomainViolation) as from_array:
-                eval_field(on_arrays, which, np.array([x, t]))
-            assert str(from_floats.value) == str(from_array.value) == (
+                eval_field(problem, which, [x, t])
+            assert str(from_floats.value) == (
                 f"field 1 of najafi is undefined at {np.array([x, t])}")
         else:
-            got = eval_field(on_floats, which, [x, t])
+            got = eval_field(problem, which, [x, t])
             assert type(got) is list and all(type(v) is float for v in got)
-            want = eval_field(on_arrays, which, np.array([x, t]))
+            want = f(np.array([x, t]))
             assert np.array(got).tobytes() == want.tobytes() == f_want.tobytes()
         if J_want is None:
             # the Jacobian of field 1 refuses t >= 1 in both forms
-            for u in ([x, t], np.array([x, t])):
-                with pytest.raises(DomainViolation, match="^pre-switch Jacobian is singular"):
-                    field_jacobian(on_floats, which, u)
+            with pytest.raises(DomainViolation, match="^pre-switch Jacobian is singular"):
+                field_jacobian(problem, which, [x, t])
+            with pytest.raises(DomainViolation, match="^pre-switch Jacobian is singular"):
+                jac(np.array([x, t]))
         else:
-            rows = field_jacobian(on_floats, which, [x, t])
+            rows = field_jacobian(problem, which, [x, t])
             assert type(rows) is list and all(type(v) is float for row in rows for v in row)
-            J = field_jacobian(on_arrays, which, np.array([x, t]))
+            J = jac(np.array([x, t]))
             assert isinstance(J, np.ndarray) and J.dtype == float
             assert np.array(rows).tobytes() == J.tobytes() == J_want.tobytes()
-    assert on_floats.counters.f_evals == on_arrays.counters.f_evals
-    assert (on_floats.counters.domain_violations == on_arrays.counters.domain_violations
-            == {1: int(t > 1.0), 2: 0})
+    assert problem.counters.f_evals == {1: int(t <= 1.0), 2: 1}
+    assert problem.counters.domain_violations == {1: int(t > 1.0), 2: 0}
 
 
 def test_a_float_form_field_hands_its_domain_the_floats():
@@ -817,7 +829,10 @@ def test_a_float_form_field_hands_its_domain_the_floats():
                                f2=FloatField(lambda u: [0.0, 0.0]), h=lambda u: -1.0,
                                domain_f1=domain, label="swap")
     assert eval_field(problem, 1, [0.5, 0.25]) == [0.25, 0.5]
-    npt.assert_array_equal(eval_field(problem, 1, np.array([0.5, 0.25])), [0.25, 0.5])
+    # a callable field's domain gets the one array built from the floats
+    plain = PiecewiseProblem(dim=2, f1=lambda u: u[::-1], f2=lambda u: 0.0 * u,
+                             h=lambda u: -1.0, domain_f1=domain)
+    assert eval_field(plain, 1, [0.5, 0.25]) == [0.25, 0.5]
     with pytest.raises(DomainViolation, match=re.escape("field 1 of swap is undefined at [2. 0.]")):
         eval_field(problem, 1, [2.0, 0.0])
     assert seen == [list, np.ndarray, list]
@@ -842,3 +857,54 @@ def test_a_float_form_of_the_wrong_shape_fails_the_shared_checks():
     problem.f2 = FloatField(lambda u: [0.0, 1.0])
     with pytest.raises(ValueError, match=re.escape("expected a square matrix, got shape (1, 2)")):
         integrate(problem, np.array([0.5, 1.25]), cfg)
+
+
+# a J of another shape than 2x2, with the message it fails on where it enters
+WRONG_JACOBIANS = {
+    (2,): "expected a square matrix, got shape (2,)",
+    (2, 3): "expected a square matrix, got shape (2, 3)",
+    (3, 2): "expected a square matrix, got shape (3, 2)",
+    (3, 3): "the Jacobian of field 1 is 3x3 but the state has 2 entries",
+    (1, 1): "the Jacobian of field 1 is 1x1 but the state has 2 entries",
+}
+
+
+@pytest.mark.parametrize("shape", list(WRONG_JACOBIANS), ids=str)
+@pytest.mark.parametrize("form", ["array", "float rows"])
+def test_a_jacobian_of_another_shape_fails_before_any_factorization(monkeypatch, shape, form):
+    # an analytic J, or a float form's rows, of another shape fails
+    # field_jacobian's checks on every driver path: not an unpack error
+    # inside the generated kernel, and before anything is factored
+    message = WRONG_JACOBIANS[shape]
+    value = np.full(shape, 0.5)
+    jac = FloatField(lambda u: value.tolist()) if form == "float rows" else (lambda u: value)
+    problem = PiecewiseProblem(dim=2, f1=FloatField(lambda u: [1.0, 0.0]),
+                               f2=FloatField(lambda u: [-1.0, 0.0]),
+                               surface=Surface([1.0, 0.0], -1.0), jac_f1=jac, jac_f2=jac)
+
+    def banned(*args):  # pragma: no cover - must not run
+        raise AssertionError("factored a Jacobian of another shape")
+
+    monkeypatch.setattr(rosevent.linalg, "lu_factor", banned)
+    for cfg in (IntegratorConfig(tau=0.1, t_end=1.0),
+                IntegratorConfig(tau=0.1, t_end=1.0, guard_mode=GuardMode.ROS2_DENSE),
+                IntegratorConfig(tau=0.1, t_end=1.0, method=ROS1)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            integrate(problem, np.array([0.0, 0.0]), cfg)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        field_jacobian(problem, 1, [0.0, 0.0])
+
+
+def test_a_field_value_of_another_length_fails_the_guards_and_the_classifier():
+    # the guards and the classifier get eval_field's checked floats, so a
+    # value of 3 entries on 2 states fails its length check, not a matmul
+    problem = PiecewiseProblem(dim=2, f1=lambda u: np.ones(3), f2=lambda u: np.ones(3),
+                               surface=Surface([1.0, 0.0], 0.0),
+                               jac_f1=lambda u: np.zeros((2, 2)))
+    message = "^matrix is 2x2 but b has length 3$"
+    with pytest.raises(ValueError, match=message):
+        guard_ros1_general(problem, [-0.5, 0.0], 0.1, 1.0)
+    with pytest.raises(ValueError, match=message):
+        guard_ros1_orthogonal(problem, [-0.5, 0.0], 0.1, 1.0)
+    with pytest.raises(ValueError, match=message):
+        classify_general(problem, [0.0, 0.0])

@@ -250,7 +250,7 @@ def test_ros2_rejects_nonfinite_inner_stage(bad):
     # right-hand side can catch this
     with pytest.raises(ValueError, match="vector entries must be finite"):
         ros2_step(field_bad_at(bad, "inner"), X0, 0.1, J0)
-    factors = factor(J0, 0.1, GAMMA_ROS2)
+    factors = factor(J0.tolist(), 0.1, GAMMA_ROS2)
     k1 = kernel(2, 2).stage1(factors, (J0 @ X0).tolist(), 0.1)
     with pytest.raises(ValueError, match="vector entries must be finite"):
         ros2_finish(field_bad_at(bad, "inner"), X0, 0.1, J0, factors, k1)
@@ -340,7 +340,7 @@ def test_step_rows_are_the_numpy_step_matrix_bit_for_bit(data, gamma, tau):
         expected = 0.0 - (gamma * tau) * J
     for i in range(n):
         expected[i, i] += 1.0
-    rows = _step_rows(J, tau, gamma)
+    rows = _step_rows(J.tolist(), tau, gamma)
     assert all(type(v) is float for row in rows for v in row)
     assert np.array(rows).tobytes() == expected.tobytes()
     assert step_matrix(J, tau, gamma).tobytes() == expected.tobytes()
