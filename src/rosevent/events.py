@@ -71,10 +71,11 @@ matrix W in place of J: a W-method (Steihaug & Wolfbrandt, Math. Comp. 33,
 1979). So a continuing plain step of a field without an analytic Jacobian
 keeps the W of the previous step while W has served fewer than
 REUSE_STEPS steps and the previous step's secant fits W to FD-error level
-(_secant); else it takes a fresh FD J. A kept W has the factor key's rows,
-so its step compares tau only and reuses the key's factors. A run takes a
-fresh FD J at its start and on every region entry. An analytic Jacobian
-of a field not declared affine is evaluated afresh on every plain step.
+(_secant_source); else it takes a fresh FD J. A kept W has the factor key's
+rows, so its step compares tau only and reuses the key's factors. A run
+takes a fresh FD J at its start and on every region entry. An analytic
+Jacobian of a field not declared affine is evaluated afresh on every plain
+step.
 W does not cancel from the dense output: its interior carries the extra
 term c*gamma*2*theta*(1 - theta)*tau^2*(W - J)*f(x0), zero at theta = 0
 and theta = 1, so event states keep their order but the interpolant's
@@ -343,33 +344,23 @@ def _classify_event(problem: problems.PiecewiseProblem,
     return filippov.classify_general(problem, record.x_star, sigma_tol=sigma_tol).kind
 
 
-def _secant_source(n: int) -> str:
-    """Source of fits(f1, f0, x1, x0, W) for size n: whether W fits the
-    secant from x0 to x1, f1 and f0 the field there and W n rows of n
-    Python floats, within SECANT_RTOL in every component. Each residual is
+def _secant_source(n: int) -> list:
+    """fits(f1, f0, x1, x0, W) for size n, which integrate binds once per
+    run for its kept-W steps: whether W fits the secant from x0 to x1, f1
+    and f0 the field there and W n rows of n Python floats, within
+    SECANT_RTOL (rtol) in every component. Each residual is
     f1_i - f0_i - (W_i0*d0 + W_i1*d1 + ...), d = x1 - x0, the products
-    summed left to right; a NaN never fits."""
+    summed left to right (linalg._sums); a NaN never fits."""
     f1, f0, x1, x0, d = ([f"{c}{i}" for i in range(n)] for c in "abuvd")
     w = [[f"w{i}_{k}" for k in range(n)] for i in range(n)]
-    rows = [f"abs({f1[i]} - {f0[i]} - ({' + '.join(f'{w[i][k]} * {d[k]}' for k in range(n))}))"
-            f" <= rtol * (abs({f1[i]}) + abs({f0[i]}))" for i in range(n)]
-    return (f"def fits(f1, f0, x1, x0, W):\n"
-            f"    [{', '.join(f1)}] = f1\n    [{', '.join(f0)}] = f0\n"
-            f"    [{', '.join(x1)}] = x1\n    [{', '.join(x0)}] = x0\n"
-            f"    [{', '.join('[' + ', '.join(r) + ']' for r in w)}] = W\n"
-            + "".join(f"    {d[k]} = {x1[k]} - {x0[k]}\n" for k in range(n))
-            + f"    return {' and '.join(rows)}\n")
-
-
-# the secant test of each size, generated on its first use
-_SECANTS: dict = {}
-
-
-def _secant(n: int):
-    """fits(f1, f0, x1, x0, W) of size n (_secant_source), which integrate
-    binds once per run for its kept-W steps."""
-    return _SECANTS.get(n) or linalg.generated(_SECANTS, n, _secant_source, "fits",
-                                               {"rtol": SECANT_RTOL})
+    rows = [f"abs({f1[i]} - {f0[i]} - {wd}) <= rtol * (abs({f1[i]}) + abs({f0[i]}))"
+            for i, wd in enumerate(linalg._sums(w, d))]
+    return linalg.define("fits(f1, f0, x1, x0, W)", [
+        f"[{', '.join(f1)}] = f1", f"[{', '.join(f0)}] = f0",
+        f"[{', '.join(x1)}] = x1", f"[{', '.join(x0)}] = x0",
+        f"[{', '.join('[' + ', '.join(r) + ']' for r in w)}] = W",
+        *(f"{d[k]} = {x1[k]} - {x0[k]}" for k in range(n)),
+        f"return {' and '.join(rows)}"])
 
 
 # Called, when set, as _on_step(x, active, step, jacobians) after every step
@@ -436,9 +427,9 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     # Jacobian
     affine = problem.affine is not None
     gamma = cfg.method.gamma
-    kernel_step = rosenbrock.kernel(cfg.method.stages, problem.dim).step
-    fits = (_secant(problem.dim) if problem.jac_f1 is None or problem.jac_f2 is None
-            else None)
+    kernel_step = rosenbrock.kernel(cfg.method.stages, problem.dim)
+    fits = (linalg.generated(_secant_source, problem.dim, {"rtol": SECANT_RTOL})
+            if problem.jac_f1 is None or problem.jac_f2 is None else None)
     dense_guard = guard is onesided.GuardMode.ROS2_DENSE
     h_tol = cfg.h_tol
     # the last plain step and its field, and what a step that continues it
@@ -456,7 +447,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
         normal = None
     else:
         normal = problem.surface.n.tolist()
-        dot = rosenbrock._dot(len(normal))
+        dot = linalg.generated(rosenbrock._dot_source, len(normal), rosenbrock._SCOPE)
         g = rosenbrock.GAMMA_ROS2
         c = 1.0 / (2.0 * (1.0 - 2.0 * g))  # RosenbrockStep.c of the step
         w1, w2, c2 = 2.0 - 6.0 * g, 2.0 * g, 2.0 * c

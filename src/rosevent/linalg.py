@@ -7,15 +7,19 @@ and the finite-difference Jacobian run on Python floats. lu_factor takes a
 list of float rows, which is how the step kernel in rosenbrock passes its
 step matrices, and lu_solve a list of floats, returning a list of floats.
 Both factor and substitute with straight-line code generated once per
-system size (generated). The step kernel writes the same substitution
-lines (_substitution_lines) into its own code and calls lu_solve only for
-a right-hand side whose solution is not finite, so a step's stages never
-become arrays and cost no solve call. Also here: the package's two root finders
-(the safe-side ITP search and the closed-form quadratic root),
+system size. Every straight-line kernel of the package is made here, by
+generated, from an emitter that writes its lines: the LU pair below, the
+float rows and surface sums of problems (_sums is the one sum of
+products they and the secant test of events write), and the step kernel
+of rosenbrock, which writes the same substitution lines
+(_substitution_lines) into its own code and calls lu_solve only for a
+right-hand side whose solution is not finite, so a step's stages never
+become arrays and cost no solve call. Also here: the package's two root
+finders (the safe-side ITP search and the closed-form quadratic root),
 finite-difference stencils (the Jacobian one switches to one-sided
 differences at a domain edge) and a cheap spectral-radius bound. All
-operations are deterministic; the only state is the caches of generated
-factorizations and substitutions, one pure function per size.
+operations are deterministic; the only state is the one cache of
+generated code, one pure function per emitter and key.
 """
 
 from __future__ import annotations
@@ -115,9 +119,7 @@ def lu_factor(m) -> LuFactors:
     if not (n and all(type(row) is list and len(row) == n for row in m)):
         m = as_matrix(m).tolist()
         n = len(m)
-    factorize = _FACTORIZATIONS.get(n) or generated(
-        _FACTORIZATIONS, n, _factorization_source, "factorize")
-    return factorize(m, SINGULARITY_RTOL)
+    return generated(_factorization_source, n, _FACTOR_SCOPE)(m, SINGULARITY_RTOL)
 
 
 def _singular(pivot: float, col: int, tol: float, cap_tol: float) -> SingularMatrix:
@@ -127,8 +129,8 @@ def _singular(pivot: float, col: int, tol: float, cap_tol: float) -> SingularMat
     return exc
 
 
-def _factorization_source(n: int) -> str:
-    """Source of lu_factor's work for size n, factorize(rows, rtol) ->
+def _factorization_source(n: int) -> list:
+    """Lines of lu_factor's work for size n, factorize(rows, rtol) ->
     LuFactors for n rows of n entries: the loops of a partial-pivoting LU,
     unrolled.
 
@@ -149,56 +151,70 @@ def _factorization_source(n: int) -> str:
             return values[0] if values else "0.0"
         return f"max({', '.join(values)})"
 
-    lines = ["def factorize(rows, rtol):",
-             f"    {matrix} = rows"]
+    lines = [f"{matrix} = rows"]
     if entries:
-        lines += [f"    {', '.join(entries)} = {', '.join(f'float({v})' for v in entries)}",
+        lines += [f"{', '.join(entries)} = {', '.join(f'float({v})' for v in entries)}",
                   # 0*v is a zero for every finite v and NaN for inf or NaN
-                  f"    if not {' + '.join(f'0.0 * {v}' for v in entries)} == 0.0:",
-                  "        raise ValueError('matrix entries must be finite')"]
-    lines += [f"    s{i} = {biggest([f'abs({v})' for v in a[i]])}" for i in range(n)]
-    lines += [f"    p{i} = {i}" for i in range(n)]
-    lines.append(f"    cap_tol = rtol * {biggest([f's{i}' for i in range(n)])}")
+                  f"if not {' + '.join(f'0.0 * {v}' for v in entries)} == 0.0:",
+                  "    raise ValueError('matrix entries must be finite')"]
+    lines += [f"s{i} = {biggest([f'abs({v})' for v in a[i]])}" for i in range(n)]
+    lines += [f"p{i} = {i}" for i in range(n)]
+    lines.append(f"cap_tol = rtol * {biggest([f's{i}' for i in range(n)])}")
     for col in range(n):
-        lines.append(f"    big = abs({a[col][col]})")
+        lines.append(f"big = abs({a[col][col]})")
         below = range(col + 1, n)
         if len(below) == 1:
             (r,) = below
-            lines += [f"    if abs({a[r][col]}) > big:",
-                      f"        big = abs({a[r][col]})",
-                      f"        {row[col]}, {row[r]} = {row[r]}, {row[col]}"]
+            lines += [f"if abs({a[r][col]}) > big:",
+                      f"    big = abs({a[r][col]})",
+                      f"    {row[col]}, {row[r]} = {row[r]}, {row[col]}"]
         elif below:
-            lines.append(f"    piv = {col}")
-            lines += [f"    if abs({a[r][col]}) > big: big, piv = abs({a[r][col]}), {r}"
+            lines.append(f"piv = {col}")
+            lines += [f"if abs({a[r][col]}) > big: big, piv = abs({a[r][col]}), {r}"
                       for r in below]
             for k, r in enumerate(below):
-                lines += [f"    {'if' if k == 0 else 'elif'} piv == {r}:",
-                          f"        {row[col]}, {row[r]} = {row[r]}, {row[col]}"]
-        lines += [f"    if big <= cap_tol and big <= rtol * s{col}:",
-                  f"        raise _singular({a[col][col]}, {col}, rtol * s{col}, cap_tol)"]
+                lines += [f"{'if' if k == 0 else 'elif'} piv == {r}:",
+                          f"    {row[col]}, {row[r]} = {row[r]}, {row[col]}"]
+        lines += [f"if big <= cap_tol and big <= rtol * s{col}:",
+                  f"    raise _singular({a[col][col]}, {col}, rtol * s{col}, cap_tol)"]
         for r in below:
-            lines.append(f"    {a[r][col]} = {a[r][col]} / {a[col][col]}")
+            lines.append(f"{a[r][col]} = {a[r][col]} / {a[col][col]}")
             for j in below:
-                lines += [f"    {a[r][j]} = {a[r][j]} - {a[r][col]} * {a[col][j]}",
-                          f"    if abs({a[r][j]}) > s{r}: s{r} = abs({a[r][j]})"]
-    lines.append(f"    return LuFactors({matrix}, [{', '.join(f'p{i}' for i in range(n))}])")
-    return "\n".join(lines) + "\n"
+                lines += [f"{a[r][j]} = {a[r][j]} - {a[r][col]} * {a[col][j]}",
+                          f"if abs({a[r][j]}) > s{r}: s{r} = abs({a[r][j]})"]
+    lines.append(f"return LuFactors({matrix}, [{', '.join(f'p{i}' for i in range(n))}])")
+    return define("factorize(rows, rtol)", lines)
 
 
-# the generated kernels of each size, made on their first use
-_FACTORIZATIONS: dict = {}
-_SUBSTITUTIONS: dict = {}
+# every generated function of the process, by (emitter, key), each made on
+# its first use
+_GENERATED: dict = {}
+
+# the names the factorization's code sees
+_FACTOR_SCOPE = {"LuFactors": LuFactors, "_singular": _singular}
 
 
-def generated(cache: dict, n, source: Callable, name: str, scope: dict | None = None):
-    """The object `name` that source(n) defines, compiled on its first use
-    and kept as cache[n] for the process: how the package makes its
-    straight-line kernels, one per system size n (or per key, such as a
-    method's stage count and size). The source sees the two names the
-    factorization needs, LuFactors and _singular, and those of scope."""
-    namespace: dict = {"LuFactors": LuFactors, "_singular": _singular, **(scope or {})}
-    exec(compile(source(n), f"<{name} n={n}>", "exec"), namespace)
-    made = cache[n] = namespace[name]
+def define(head: str, body: list) -> list:
+    """The lines of `def head:` around the lines of body, indented: how an
+    emitter wraps its body, nested functions included."""
+    return [f"def {head}:", *(f"    {line}" for line in body)]
+
+
+def generated(emit: Callable, key, scope: dict | None = None):
+    """The function emit(key)'s lines define, or the tuple of the functions
+    when they define several, compiled on the first call for (emit, key) and
+    kept for the process: how the package makes its straight-line kernels,
+    one per system size (or per key, such as a kernel unit, stage count and
+    size). emit returns the lines of top-level defs (define), which see the
+    names of scope."""
+    made = _GENERATED.get((emit, key))
+    if made is None:
+        lines = emit(key)
+        namespace = dict(scope or {})
+        exec(compile("\n".join(lines) + "\n", f"<{emit.__name__} {key}>", "exec"), namespace)
+        names = [line[4:line.index("(")] for line in lines if line[:4] == "def "]
+        made = _GENERATED[emit, key] = (namespace[names[0]] if len(names) == 1
+                                        else tuple(namespace[name] for name in names))
     return made
 
 
@@ -240,20 +256,22 @@ def _substitution_lines(n: int, b: str, x: list) -> list:
     return lines
 
 
-def _substitution_source(n: int) -> str:
-    """Source of substitute(rows, pivots, b) for size n: the factors
+def _substitution_source(n: int) -> list:
+    """substitute(rows, pivots, b) -> x for size n, x solving
+    L U x = b[pivots] for the packed factor rows of lu_factor: the factors
     unpacked (_factor_lines) and then _substitution_lines."""
     x = [f"x{i}" for i in range(n)]
-    body = [*_factor_lines(n, "rows", "pivots"), *_substitution_lines(n, "b", x),
-            f"return [{', '.join(x)}]"]
-    return "def substitute(rows, pivots, b):\n" + "".join(f"    {line}\n" for line in body)
+    return define("substitute(rows, pivots, b)", [
+        *_factor_lines(n, "rows", "pivots"), *_substitution_lines(n, "b", x),
+        f"return [{', '.join(x)}]"])
 
 
-def _substitution(n: int) -> Callable:
-    """substitute(rows, pivots, b) -> x for size n, generated once:
-    x solves L U x = b[pivots] for the packed factor rows of lu_factor."""
-    return _SUBSTITUTIONS.get(n) or generated(_SUBSTITUTIONS, n, _substitution_source,
-                                              "substitute")
+def _sums(a: list, x: list) -> list:
+    """The sums (a_i0 * x0 + a_i1 * x1 + ...) of each row of the names a on
+    the names x, left to right: a matrix-vector product, unrolled. The
+    float rows and a declared surface's h (problems) and the secant test
+    (events) write these sums, so one piece of code fixes their order."""
+    return [f"({' + '.join(f'{v} * {u}' for v, u in zip(row, x))})" for row in a]
 
 
 def lu_solve(factors: LuFactors, b) -> list | np.ndarray:
@@ -296,7 +314,7 @@ def lu_solve(factors: LuFactors, b) -> list | np.ndarray:
     vals = b if floats else as_vector(b).tolist()
     a = factors.combined
     n = len(a)
-    substitute = _SUBSTITUTIONS.get(n) or _substitution(n)
+    substitute = generated(_substitution_source, n)
     x = substitute(a, factors.pivots, vals) if len(vals) == n else None
     # a non-finite entry of b or x reaches x[0], which sums a product with
     # each, so one test on the result stands for the checks of b

@@ -267,8 +267,8 @@ def _guarded_step(problem, x0, x0f, fx0, tau, J, h_tol, field):
     # 1 bound in); integrate's step. A NaN h at the internal stage has no
     # side, so it shortens the step as a trespass does.
     factors = rosenbrock.factor(J, tau, rosenbrock.GAMMA_ROS2)
-    run = rosenbrock.kernel(2, len(x0f))
-    k1 = run.stage1(factors, fx0, tau)
+    stage1, finish = rosenbrock.kernel_pair(2, len(x0f))
+    k1 = stage1(factors, fx0, tau)
     g_tau = _stage_h(problem, x0f, k1)
     if not g_tau <= 0.0:
         try:
@@ -277,7 +277,7 @@ def _guarded_step(problem, x0, x0f, fx0, tau, J, h_tol, field):
             exc.factorizations += 1
             raise
         return step, 1 + trials
-    return run.finish(field, x0, x0f, tau, J, factors, k1), 1
+    return finish(field, x0, x0f, tau, J, factors, k1), 1
 
 
 def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
@@ -304,11 +304,11 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
 
     tried = {}  # sigma -> (factors, k1) of that trial
     x0f = x0.tolist()
-    run = rosenbrock.kernel(2, len(x0f))
+    stage1, finish = rosenbrock.kernel_pair(2, len(x0f))
 
     def g(sigma):
         factors = rosenbrock.factor(J, sigma, rosenbrock.GAMMA_ROS2)
-        k1 = run.stage1(factors, fx0, sigma)
+        k1 = stage1(factors, fx0, sigma)
         tried[sigma] = factors, k1
         return _stage_h(problem, x0f, k1)
 
@@ -324,8 +324,8 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
         raise exc
 
     factors, k1 = tried[sigma_bar]
-    step = run.finish(functools.partial(problems.eval_field, problem, 1), x0, x0f, sigma_bar, J,
-                      factors, k1)
+    step = finish(functools.partial(problems.eval_field, problem, 1), x0, x0f, sigma_bar, J,
+                  factors, k1)
     return step, trials
 
 

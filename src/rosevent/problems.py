@@ -29,15 +29,16 @@ problems give callables. Its fields are float-row fields (FloatRows, a
 FloatField): each value is the left-to-right sum
 (a_i0*x0 + a_i1*x1 + ...) + b_i on Python floats, straight-line code
 generated once per system size, so the bits do not depend on the
-platform's BLAS; its Jacobians are the read-only arrays A_i, which
-field_jacobian hands out as fresh float rows. A problem
-with callable fields can still declare an affine surface h = n.x + c as
-`Surface` data (`najafi` does), which event location and the dense guard
-read as `PiecewiseProblem.surface`. A declared surface's h has a float form
-too: the left-to-right sum (n0*x0 + n1*x1 + ...) + c, generated once per
-size, reads a list of floats as it is and an array through tolist(), so
-the driver hands it the floats its steps hold and every evaluation of h,
-on floats or on an array, gives the same bits, free of the BLAS.
+platform's BLAS; its Jacobians are float-form too (FloatField), each call
+a fresh copy of A_i's rows, which field_jacobian hands out as they are. A
+problem with callable fields can still declare an affine surface
+h = n.x + c as `Surface` data (`najafi` does), which event location and the
+dense guard read as `PiecewiseProblem.surface`. A declared surface's h has
+a float form too: the left-to-right sum (n0*x0 + n1*x1 + ...) + c, the one
+row of the float rows of the 1 x n matrix n, generated once per size,
+reads a list of floats as it is and an array through tolist(), so the
+driver hands it the floats its steps hold and every evaluation of h, on
+floats or on an array, gives the same bits, free of the BLAS.
 
 A slow/fast system is one PiecewiseProblem on the stacked state u = (y, z)
 seen through `SppProblem(stacked, slow_dim, eps)`: the rows slow_dim: of
@@ -77,21 +78,15 @@ class EvalCounters:
         return dict(self.f_evals), dict(self.domain_violations)
 
 
-def _surface_source(n: int) -> str:
-    """Source of the surface maker for size n: make(n0, ..., c) returns
-    h(x), which maps n floats (an array's through tolist()) to
-    (n0 * x0 + n1 * x1 + ...) + c, the sum left to right, as a row of
-    _rows_source."""
-    x = [f"x{j}" for j in range(n)]
-    return "\n".join([f"def make({', '.join(f'n{j}' for j in range(n))}, c):",
-                      "    def h(x):",
-                      f"        [{', '.join(x)}] = x.tolist() if type(x) is ndarray else x",
-                      f"        return ({' + '.join(f'n{j} * {v}' for j, v in enumerate(x))}) + c",
-                      "    return h"]) + "\n"
-
-
-# the surface maker of each size, generated on its first declared surface
-_SURFACE_MAKERS: dict = {}
+def _surface_source(n: int) -> list:
+    """The surface maker for size n: make(n0, ..., c) returns h(x), which
+    maps n floats (an array's through tolist()) to (n0 * x0 + n1 * x1 + ...)
+    + c, the sum left to right (linalg._sums), as a row of _rows_source."""
+    v, x = [f"n{j}" for j in range(n)], [f"x{j}" for j in range(n)]
+    return linalg.define(f"make({', '.join(v)}, c)", [
+        *linalg.define("h(x)", [f"[{', '.join(x)}] = x.tolist() if type(x) is ndarray else x",
+                                f"return {linalg._sums([v], x)[0]} + c"]),
+        "return h"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,9 +120,7 @@ class Surface:
             i = int(nonzero[0])
             h = lambda x: x[i] + c  # noqa: E731
         else:
-            make = (_SURFACE_MAKERS.get(n.size)
-                    or linalg.generated(_SURFACE_MAKERS, n.size, _surface_source, "make",
-                                        {"ndarray": np.ndarray}))
+            make = linalg.generated(_surface_source, n.size, {"ndarray": np.ndarray})
             h = make(*n.tolist(), c)
         return h, (lambda x: n)
 
@@ -287,41 +280,35 @@ def h_gradient(problem: PiecewiseProblem, x) -> np.ndarray:
     return linalg.fd_gradient(problem.h, x)
 
 
-def _rows_source(n: int) -> str:
-    """Source of the float-row maker for size n: make(a0_0, ..., b0, ...)
-    returns rows(x), which maps a list of n floats to the n values
-    (a_i0 * x0 + a_i1 * x1 + ...) + b_i, each sum left to right, one
-    expression per row: a matrix-vector product plus b, unrolled."""
-    a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
-    x = [f"x{j}" for j in range(n)]
-    params = [v for row in a for v in row] + [f"b{i}" for i in range(n)]
-    values = [f"({' + '.join(f'{a[i][j]} * {x[j]}' for j in range(n))}) + b{i}"
-              for i in range(n)]
-    return "\n".join([f"def make({', '.join(params)}):",
-                      "    def rows(x):",
-                      f"        [{', '.join(x)}] = x",
-                      f"        return [{', '.join(values)}]",
-                      "    return rows"]) + "\n"
-
-
-# the float-row maker of each size, generated on its first field
-_ROW_MAKERS: dict = {}
+def _rows_source(shape: tuple) -> list:
+    """The float-row maker for an m x n matrix: make(a0_0, ..., b0, ...)
+    returns rows(x), which maps a list of n floats to the m values
+    (a_i0 * x0 + a_i1 * x1 + ...) + b_i, each sum left to right
+    (linalg._sums), one expression per row: a matrix-vector product plus b,
+    unrolled."""
+    m, n = shape
+    a = [[f"a{i}_{j}" for j in range(n)] for i in range(m)]
+    x, b = [f"x{j}" for j in range(n)], [f"b{i}" for i in range(m)]
+    values = [f"{s} + {bi}" for s, bi in zip(linalg._sums(a, x), b)]
+    return linalg.define(f"make({', '.join([*(v for row in a for v in row), *b])})", [
+        *linalg.define("rows(x)", [f"[{', '.join(x)}] = x", f"return [{', '.join(values)}]"]),
+        "return rows"])
 
 
 class FloatRows(FloatField):
-    """The field x -> A x + b of fixed A and b, evaluated on Python floats.
+    """The map x -> A x + b of a fixed m x n A and m-vector b (a field when
+    A is square), evaluated on Python floats.
 
     Its float form `floats` is the rows of _rows_source with A and b bound
-    in (the maker of each size is generated once): a list of n floats in,
-    a list of n floats out. The sums are plain IEEE operations in a fixed
+    in (the maker of each shape is generated once): a list of n floats in,
+    a list of m floats out. The sums are plain IEEE operations in a fixed
     order, so the bits do not depend on the platform's BLAS.
     """
 
     __slots__ = ()
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
-        n = len(b)
-        make = _ROW_MAKERS.get(n) or linalg.generated(_ROW_MAKERS, n, _rows_source, "make")
+        make = linalg.generated(_rows_source, np.shape(A))
         super().__init__(make(*np.ravel(A).tolist(), *np.ravel(b).tolist()))
 
 
@@ -358,11 +345,13 @@ def affine_problem(aff: Affine, label: str = "", x0=None) -> PiecewiseProblem:
     """The PiecewiseProblem of a declaration: every field, Jacobian and
     surface callable comes from `aff`, and its surface is declared
     (`Surface(aff.n, aff.c)`). The fields are float-row fields (FloatRows);
-    Jacobians and the gradient of h are read-only arrays."""
-    A1, b1, A2, b2 = aff.A1, aff.b1, aff.A2, aff.b2
+    each Jacobian is a FloatField that hands out a fresh copy of A_i's rows
+    per call; the gradient of h is the read-only n."""
+    A1, A2 = aff.A1.tolist(), aff.A2.tolist()
     return PiecewiseProblem(
-        dim=aff.dim, f1=FloatRows(A1, b1), f2=FloatRows(A2, b2),
-        jac_f1=lambda x: A1, jac_f2=lambda x: A2, label=label, x0=x0, affine=aff,
+        dim=aff.dim, f1=FloatRows(aff.A1, aff.b1), f2=FloatRows(aff.A2, aff.b2),
+        jac_f1=FloatField(lambda x: [row[:] for row in A1]),
+        jac_f2=FloatField(lambda x: [row[:] for row in A2]), label=label, x0=x0, affine=aff,
         surface=Surface(aff.n, aff.c),
     )
 

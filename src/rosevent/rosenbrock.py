@@ -35,15 +35,17 @@ coefficients from n.k1 and n.k2, for event location, even-count detection
 and the exact dense guard.
 
 The step kernel is public, unchecked and runs on Python floats: factor
-(the step matrix's LU factors) and kernel(stages, n), whose stage1 (k1),
-finish (k2, x1 and the RosenbrockStep) and step (the two fused) are
-straight-line code generated once per method and system size
-(_kernel_source): b = tau*f(x0), the substitution that solves for k1, the
-stage state x0 + k1, f there, the k2 right-hand side, its substitution and
-x1 as one expression per entry, no loop. Every step path runs it: the
-public steps here (ros1_step and ros2_step call step, ros2_finish finish,
-and restep them), the driver's one step path in events.integrate (which
-binds step once per run), and the guarded step and each of its case-1b
+(the step matrix's LU factors), kernel(stages, n), the step, and
+kernel_pair(stages, n), the same step split into stage1 (k1) and finish
+(k2, x1 and the RosenbrockStep). Each is straight-line code generated by
+linalg.generated on its first use per method and system size
+(_kernel_source), so a run that never splits a step compiles the step
+alone: b = tau*f(x0), the substitution that solves for k1, the stage
+state x0 + k1, f there, the k2 right-hand side, its substitution and x1 as
+one expression per entry, no loop. Every step path runs it: the public
+steps here (ros1_step and ros2_step call the step, ros2_finish finish, and
+restep them), the driver's one step path in events.integrate (which binds
+the step once per run), and the guarded step and each of its case-1b
 trials (onesided), which call stage1 and finish, where the guarded step
 hands finish the k1 whose stage it has checked. The step holds each stage
 once, as those floats (k1 and k2 are arrays built when read), and x1 as
@@ -58,12 +60,13 @@ solve is linalg.lu_solve's substitution (linalg._substitution_lines),
 written into the kernel on the factors' entries unpacked into locals: the
 bits of lu_solve without a call. Where the solution is not finite, and
 lu_solve would do more than substitute, the kernel hands it the same
-right-hand side (see Kernel), so the bits and the errors stay lu_solve's;
-an outside wrapper on lu_solve sees only those calls, and one on kernel,
-installed before the run, sees every step. The step matrix is built as
-float rows (_step_rows, generated once per system size, one expression per
-entry) and factored by linalg.lu_factor as they are, whose elimination is
-generated the same way; step_matrix is the same rows as an array.
+right-hand side (see kernel), so the bits and the errors stay lu_solve's;
+an outside wrapper on lu_solve sees only those calls, and one on kernel
+and kernel_pair, installed before the run, sees every step. The step
+matrix is built as float rows (_step_rows, generated once per system size,
+one expression per entry) and factored by linalg.lu_factor as they are,
+whose elimination is generated the same way; step_matrix is the same rows
+as an array.
 The kernel re-checks nothing; each input is checked once, where it enters.
 The state: x0 by integrate at its entry, or by the public step functions
 here (as_vector), and x1 where finish makes it (NonFiniteState, a
@@ -100,8 +103,9 @@ here give a caller's field an array built from the stage's floats
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -212,7 +216,7 @@ class RosenbrockStep:
         exactly: the b1/b2 weights are quadratics in theta. The one-stage
         chord gives a line, m2 = 0. Each dot product is math.fsum of a
         tuple of the products (_dot_source), correctly rounded."""
-        dot = _dot(len(n))
+        dot = linalg.generated(_dot_source, len(n), _SCOPE)
         a1 = dot(n, self.k1f)
         if self.stages == 1:
             return a1, 0.0
@@ -221,50 +225,39 @@ class RosenbrockStep:
                 2.0 * self.c * (a1 + a2))
 
 
-def _dot_source(n: int) -> str:
-    """Source of dot(n, k) for size n: fsum of the tuple of the n products
-    n_i*k_i, written out."""
+# the names the generated code of this module sees
+_SCOPE = {"fsum": math.fsum, "linalg": linalg, "array": np.array,
+          "NonFiniteState": NonFiniteState, "RosenbrockStep": RosenbrockStep,
+          "GAMMA_ROS1": GAMMA_ROS1, "GAMMA_ROS2": GAMMA_ROS2}
+
+
+def _dot_source(n: int) -> list:
+    """dot(n, k) for size n, the one slopes forms its a1 and a2 with and
+    events.integrate binds once per run for the even-count test and
+    location: fsum of the tuple of the n products n_i*k_i, written out."""
     v, k = [f"n{i}" for i in range(n)], [f"k{i}" for i in range(n)]
-    return (f"def dot(n, k):\n    [{', '.join(v)}] = n\n    [{', '.join(k)}] = k\n"
-            f"    return fsum(({', '.join(f'{a} * {b}' for a, b in zip(v, k))},))\n")
+    return linalg.define("dot(n, k)", [
+        f"[{', '.join(v)}] = n", f"[{', '.join(k)}] = k",
+        f"return fsum(({', '.join(f'{a} * {b}' for a, b in zip(v, k))},))"])
 
 
-# the dot product of each size, generated on its first use
-_DOTS: dict = {}
-
-
-def _dot(n: int) -> Callable:
-    """dot(n, k) of size n (_dot_source), the one slopes forms its a1 and
-    a2 with; events.integrate binds it once per run for the even-count
-    test and location."""
-    return _DOTS.get(n) or linalg.generated(_DOTS, n, _dot_source, "dot", {"fsum": math.fsum})
-
-
-def _step_rows_source(n: int) -> str:
-    """Source of step_rows(J, g) for size n: the rows of I - g*J from J's
-    rows of Python floats, one expression per entry, 0.0 - g*J_ij and then
-    + 1.0 on the diagonal, the bits of eye(n) - g*J, signed zeros
-    included."""
+def _step_rows_source(n: int) -> list:
+    """step_rows(J, g) for size n: the rows of I - g*J from J's rows of
+    Python floats, one expression per entry, 0.0 - g*J_ij and then + 1.0 on
+    the diagonal, the bits of eye(n) - g*J, signed zeros included."""
     j = [[f"j{i}_{k}" for k in range(n)] for i in range(n)]
     rows = [[f"0.0 - g * {v}" + (" + 1.0" if i == k else "") for k, v in enumerate(r)]
             for i, r in enumerate(j)]
-    return (f"def step_rows(J, g):\n"
-            f"    [{', '.join('[' + ', '.join(r) + ']' for r in j)}] = J\n"
-            f"    return [{', '.join('[' + ', '.join(r) + ']' for r in rows)}]\n")
-
-
-# step_rows of each size, generated on its first use
-_STEP_ROWS: dict = {}
+    return linalg.define("step_rows(J, g)", [
+        f"[{', '.join('[' + ', '.join(r) + ']' for r in j)}] = J",
+        f"return [{', '.join('[' + ', '.join(r) + ']' for r in rows)}]"])
 
 
 def _step_rows(J: list, tau: float, gamma: float) -> list:
     # I - gamma*tau*J as Python float rows, J n rows of n Python floats
     # (problems.field_jacobian's form, which checks their shape), taken as
     # they are; lu_factor checks the rows' finiteness
-    n = len(J)
-    step_rows = _STEP_ROWS.get(n) or linalg.generated(_STEP_ROWS, n, _step_rows_source,
-                                                      "step_rows")
-    return step_rows(J, gamma * tau)
+    return linalg.generated(_step_rows_source, len(J))(J, gamma * tau)
 
 
 def step_matrix(J, tau: float, gamma: float) -> np.ndarray:
@@ -290,44 +283,18 @@ def factor(J, tau: float, gamma: float) -> linalg.LuFactors:
     return linalg.lu_factor(_step_rows(J, tau, gamma))
 
 
-class Kernel(NamedTuple):
-    """The stage arithmetic of one method and system size, generated once
-    (_kernel_source), unchecked: the factors must be of its size, as the
-    public entries check. Each solve substitutes inline on the factors and
-    hands its right-hand side to linalg.lu_solve only when the solution's
-    first entry is not finite (lu_solve's check and scaled solve):
-
-    stage1(factors, fx0, tau) -> k1, the floats solving
-        (I - gamma*tau*J) k1 = tau*f(x0) from f(x0) as floats;
-    finish(field, x0, x0f, tau, J, factors, k1) -> RosenbrockStep, the step
-        from x0 (a finite float array, x0f its floats) and k1: for two
-        stages k2 from field(x0 + k1) and x1 = x0 + 1.5*k1 + 0.5*k2, for
-        one x1 = x0 + k1 (field unused). field takes the stage state as a
-        list of floats and returns floats, as problems.eval_field does.
-        J is kept on the step as given, float rows or an array. Only
-        x1 is checked, here where it is made (NonFiniteState);
-    step(field, x0, x0f, fx0, tau, J, factors) -> RosenbrockStep, the whole
-        step from f(x0) as floats: finish(field, x0, x0f, tau, J, factors,
-        stage1(factors, fx0, tau)) bit for bit, with the factors unpacked
-        once.
-    """
-
-    stage1: Callable
-    finish: Callable
-    step: Callable
-
-
-def _kernel_source(key: tuple) -> str:
-    """Source of the Kernel of (stages, n): the formulas of the module
-    docstring with one expression per entry, the IEEE operations of the
-    element loops in the same order, and each solve linalg.lu_solve's
-    substitution (linalg._substitution_lines) on the factors unpacked into
-    locals. Where lu_solve would do more than return that substitution (a
-    non-finite first entry) the right-hand side goes to lu_solve itself,
-    for its checks and its scaled solve, so the bits and the errors are
-    lu_solve's. Nothing else is checked: factors of another size fail the
-    unpacking. x1 is finite exactly when the sum of 0.0*x1_i is 0.0."""
-    stages, n = key
+def _kernel_source(key: tuple) -> list:
+    """A unit of the kernel of (unit, stages, n), "step" or "pair" (see
+    kernel and kernel_pair): the formulas of the module docstring with one
+    expression per entry, the IEEE operations of the element loops in the
+    same order, and each solve linalg.lu_solve's substitution
+    (linalg._substitution_lines) on the factors unpacked into locals. Where
+    lu_solve would do more than return that substitution (a non-finite
+    first entry) the right-hand side goes to lu_solve itself, for its
+    checks and its scaled solve, so the bits and the errors are lu_solve's.
+    Nothing else is checked: factors of another size fail the unpacking.
+    x1 is finite exactly when the sum of 0.0*x1_i is 0.0."""
+    unit, stages, n = key
 
     def vec(names):
         return "[" + ", ".join(names) + "]"
@@ -363,39 +330,61 @@ def _kernel_source(key: tuple) -> str:
            f"if not {' + '.join(f'0.0 * {yi}' for yi in y)} == 0.0:",
            "    raise NonFiniteState(f\"the step's end state is not finite: x1 = {x1}\")",
            f"return RosenbrockStep(x0, x0f, tau, J, {gamma}, k1, {k2}, x1, array(x1))"]
-    functions = {
-        "stage1(factors, fx0, tau)": [*first, "return k1"],
-        "finish(field, x0, x0f, tau, J, factors, k1)": [
-            f"{vec(x)} = x0f", f"{vec(a)} = k1", *inner, *(unpack if second else []), *second,
-            *end],
-        "step(field, x0, x0f, fx0, tau, J, factors)": [
-            *first, f"{vec(x)} = x0f", *inner, *second, *end],
-    }
-    return "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in body) + "\n"
-                   for head, body in functions.items()) + "kernel = Kernel(stage1, finish, step)\n"
+    if unit == "step":
+        return linalg.define("step(field, x0, x0f, fx0, tau, J, factors)",
+                             [*first, f"{vec(x)} = x0f", *inner, *second, *end])
+    return [*linalg.define("stage1(factors, fx0, tau)", [*first, "return k1"]),
+            *linalg.define("finish(field, x0, x0f, tau, J, factors, k1)", [
+                f"{vec(x)} = x0f", f"{vec(a)} = k1", *inner,
+                *(unpack if second else []), *second, *end])]
 
 
-# the Kernel of each (stages, n), generated on its first use
-_KERNELS: dict = {}
-
-
-def _new_kernel(key: tuple) -> Kernel:
-    stages, n = key
-    if stages not in (1, 2) or n < 1:
+def _unit(unit: str, stages: int, n: int):
+    # a kernel unit, its key checked on every call: integers in range, so a
+    # key equal to a made one, as (2, 2.0) is to (2, 2), does not find it
+    try:
+        known = operator.index(stages) in (1, 2) and operator.index(n) >= 1
+    except TypeError:
+        known = False
+    if not known:
         raise ValueError(f"no step kernel for {stages} stages on {n} states "
                          f"(stages must be 1 or 2, n at least 1)")
-    return linalg.generated(
-        _KERNELS, key, _kernel_source, "kernel",
-        {"linalg": linalg, "array": np.array, "NonFiniteState": NonFiniteState,
-         "RosenbrockStep": RosenbrockStep, "Kernel": Kernel,
-         "GAMMA_ROS1": GAMMA_ROS1, "GAMMA_ROS2": GAMMA_ROS2})
+    return linalg.generated(_kernel_source, (unit, stages, n), _SCOPE)
 
 
-def kernel(stages: int, n: int) -> Kernel:
-    """The step kernel of the stages-stage method (1 or 2) on n >= 1
-    states; ValueError for any other."""
-    key = (stages, n)
-    return _KERNELS.get(key) or _new_kernel(key)
+def kernel(stages: int, n: int) -> Callable:
+    """The step of the stages-stage method (1 or 2) on n >= 1 states, both
+    integers; ValueError for any other. Generated on its first use
+    (_kernel_source) and unchecked: the factors must be of its size, as the
+    public entries check. Each solve substitutes inline on the factors and
+    hands its right-hand side to linalg.lu_solve only when the solution's
+    first entry is not finite (lu_solve's check and scaled solve).
+
+    step(field, x0, x0f, fx0, tau, J, factors) -> RosenbrockStep, the step
+    from x0 (a finite float array, x0f its floats) and f(x0) as floats: k1
+    solving (I - gamma*tau*J) k1 = tau*f(x0), then for two stages k2 from
+    field(x0 + k1) and x1 = x0 + 1.5*k1 + 0.5*k2, for one x1 = x0 + k1
+    (field unused). field takes the stage state as a list of floats and
+    returns floats, as problems.eval_field does. J is kept on the step as
+    given, float rows or an array. Only x1 is checked, here where it is
+    made (NonFiniteState).
+    """
+    return _unit("step", stages, n)
+
+
+def kernel_pair(stages: int, n: int) -> tuple:
+    """kernel(stages, n)'s step split at its first stage, for a caller that
+    checks x0 + k1 before the second field evaluation (the guarded step and
+    its case-1b trials in onesided, ros2_finish): (stage1, finish), one
+    unit apart from step, generated on its first use, so a run that never
+    splits a step never compiles it. ValueError as kernel.
+
+    stage1(factors, fx0, tau) -> k1, the floats solving
+        (I - gamma*tau*J) k1 = tau*f(x0) from f(x0) as floats;
+    finish(field, x0, x0f, tau, J, factors, k1) -> RosenbrockStep, the rest
+        of the step from k1; finish(..., stage1(...)) is step bit for bit.
+    """
+    return _unit("pair", stages, n)
 
 
 def _sized(m: int, n: int) -> None:
@@ -426,8 +415,7 @@ def ros1_step(field, x0, tau: float, J, *,
     """
     x0, J, factors = _entry(x0, tau, J, GAMMA_ROS1, factors)
     n = x0.shape[0]
-    return kernel(1, n).step(None, x0, x0.tolist(), linalg.as_floats(field(x0), n), tau, J,
-                             factors)
+    return kernel(1, n)(None, x0, x0.tolist(), linalg.as_floats(field(x0), n), tau, J, factors)
 
 
 def ros2_finish(field, x0, tau: float, J, factors, k1) -> RosenbrockStep:
@@ -444,8 +432,8 @@ def ros2_finish(field, x0, tau: float, J, factors, k1) -> RosenbrockStep:
         raise ValueError(f"k1 has shape {k1.shape} but x0 has shape {x0.shape}")
     n = x0.shape[0]
     _sized(factors.n, n)
-    return kernel(2, n).finish(_checked(field, n), x0, x0.tolist(), tau,
-                               np.asarray(J, dtype=float), factors, k1.tolist())
+    return kernel_pair(2, n)[1](_checked(field, n), x0, x0.tolist(), tau,
+                                np.asarray(J, dtype=float), factors, k1.tolist())
 
 
 def ros2_step(field, x0, tau: float, J, *,
@@ -460,8 +448,8 @@ def ros2_step(field, x0, tau: float, J, *,
     """
     x0, J, factors = _entry(x0, tau, J, GAMMA_ROS2, factors)
     n = x0.shape[0]
-    return kernel(2, n).step(_checked(field, n), x0, x0.tolist(),
-                             linalg.as_floats(field(x0), n), tau, J, factors)
+    return kernel(2, n)(_checked(field, n), x0, x0.tolist(), linalg.as_floats(field(x0), n),
+                        tau, J, factors)
 
 
 def _check_theta(theta: float) -> None:

@@ -1,5 +1,6 @@
 """Event detection, safe-side location, and the integration driver."""
 
+import contextlib
 import functools
 import math
 import random
@@ -51,7 +52,6 @@ from rosevent.rosenbrock import (
     GAMMA_ROS2,
     ROS1,
     ROS2,
-    Kernel,
     RosMethod,
     dense_derivative,
     dense_eval,
@@ -1125,16 +1125,18 @@ def test_driver_steps_on_the_declared_relays_are_the_public_steps(name):
             assert same_bytes(getattr(step, attr), getattr(alone, attr))
 
 
+@contextlib.contextmanager
 def kernel_wrapped(wrap):
-    """A patch of rosenbrock.kernel whose kernels hand out wrap(name, fn) for
-    each of their functions. integrate binds its kernel's step once per
-    run, so the patch must be in place before the run starts."""
-    real = rosevent.rosenbrock.kernel
-
-    def wrapped(stages, n):
-        return Kernel(*(wrap(name, fn) for name, fn in zip(Kernel._fields, real(stages, n))))
-
-    return mock.patch.object(rosevent.rosenbrock, "kernel", wrapped)
+    """Patches of rosenbrock.kernel and rosenbrock.kernel_pair that hand out
+    wrap(name, fn) for each kernel function, step, stage1 and finish.
+    integrate binds its kernel's step once per run, so the patch must be in
+    place before the run starts."""
+    rb = rosevent.rosenbrock
+    step, pair = rb.kernel, rb.kernel_pair
+    with mock.patch.object(rb, "kernel", lambda *key: wrap("step", step(*key))), \
+            mock.patch.object(rb, "kernel_pair", lambda *key: tuple(
+                map(wrap, ("stage1", "finish"), pair(*key)))):
+        yield
 
 
 @pytest.mark.parametrize("method, guard", [("ros2", None), ("ros1", None),
@@ -1424,6 +1426,11 @@ def secant_fits(f1s, f0s, x1, x0, W):
     return True
 
 
+def secant_test(n):
+    """The generated secant test of size n, as integrate binds it."""
+    return linalg.generated(rosevent.events._secant_source, n, {"rtol": SECANT_RTOL})
+
+
 def _secant_edge(f0, s, outside):
     """The float f1 nearest the secant f0 + s whose row still fits, or, when
     outside, the next float beyond it, which does not: a bisection of the
@@ -1481,7 +1488,7 @@ def secant_cases(draw):
 @example(case=([1.0], [1.0], [1.0], [0.0], [[math.nan]]))
 def test_the_generated_secant_test_agrees_with_the_loop(case):
     f1, f0, x1, x0, W = case
-    fits = rosevent.events._secant(len(f1))
+    fits = secant_test(len(f1))
     assert fits(f1, f0, x1, x0, W) is secant_fits(f1, f0, x1, x0, W)
 
 
@@ -1491,7 +1498,7 @@ def test_the_secant_edge_is_found():
     inside, outside = _secant_edge(f0, s, False), _secant_edge(f0, s, True)
     assert math.nextafter(inside, math.inf) == outside
     assert _row_fits(inside, f0, s) and not _row_fits(outside, f0, s)
-    fits = rosevent.events._secant(1)
+    fits = secant_test(1)
     assert fits([inside], [f0], [1.25], [1.0], [[1.0]])
     assert not fits([outside], [f0], [1.25], [1.0], [[1.0]])
 

@@ -12,17 +12,26 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rosevent import linalg
+from rosevent import linalg, rosenbrock
 from rosevent.errors import NonFiniteState, SingularMatrix
 from rosevent.events import IntegratorConfig, integrate
 from rosevent.onesided import GuardMode, guarded_ros2_step
-from rosevent.problems import Affine, PiecewiseProblem, Surface, affine_problem, eval_field
+from rosevent.problems import (
+    Affine,
+    PiecewiseProblem,
+    Surface,
+    affine_problem,
+    builtin,
+    eval_field,
+    spp_flatten,
+)
 from rosevent.rosenbrock import (
     ROS1,
     ROS2,
     dense_derivative,
     dense_eval,
     kernel,
+    kernel_pair,
     ros1_step,
     ros2_finish,
     ros2_step,
@@ -214,16 +223,16 @@ def wide_cases(draw):
 @given(case=wide_cases())
 def test_the_generated_kernel_is_the_element_loops_bit_for_bit(case):
     method, A, field, x0, tau, factors = case
-    run = kernel(method.stages, x0.shape[0])
+    stage1, finish = kernel_pair(method.stages, x0.shape[0])
     fx0 = field(x0.tolist())
-    k1 = outcome(lambda: run.stage1(factors, fx0, tau))
+    k1 = outcome(lambda: stage1(factors, fx0, tau))
     want = outcome(lambda: loop_stage1(factors, fx0, tau))
     if type(k1) is not list:  # a ValueError, with the loops' type and message
         assert k1 == want
         return
     assert floats_bytes(k1) == floats_bytes(want)
     two = field if method.stages == 2 else None
-    step = outcome(lambda: run.finish(two, x0, x0.tolist(), tau, A, factors, k1))
+    step = outcome(lambda: finish(two, x0, x0.tolist(), tau, A, factors, k1))
     want = outcome(lambda: loop_finish(two, x0, tau, factors, k1))
     if isinstance(step, tuple):  # a ValueError, with the loops' type and message
         assert step == want
@@ -262,7 +271,7 @@ def test_the_kernel_solves_are_lu_solve_bit_for_bit(case, spoilt):
     # (its ValueError); the fused step is finish(stage1(...)) throughout
     method, A, field, x0, tau, factors = case
     n = x0.shape[0]
-    run = kernel(method.stages, n)
+    (stage1, finish), step_fn = kernel_pair(method.stages, n), kernel(method.stages, n)
     x0f = x0.tolist()
     fx0 = field(x0f)
     two = field if method.stages == 2 else None
@@ -275,14 +284,14 @@ def test_the_kernel_solves_are_lu_solve_bit_for_bit(case, spoilt):
                 value = field(x)
                 value[i % n] = bad
                 return value
-    k1 = outcome(lambda: run.stage1(factors, fx0, tau))
+    k1 = outcome(lambda: stage1(factors, fx0, tau))
     assert step_bits(k1) == step_bits(outcome(
         lambda: linalg.lu_solve(factors, [tau * f for f in fx0])))
-    step = outcome(lambda: run.step(two, x0, x0f, fx0, tau, A, factors))
+    step = outcome(lambda: step_fn(two, x0, x0f, fx0, tau, A, factors))
     if type(k1) is not list:
         assert step == k1
         return
-    want = outcome(lambda: run.finish(two, x0, x0f, tau, A, factors, k1))
+    want = outcome(lambda: finish(two, x0, x0f, tau, A, factors, k1))
     assert step_bits(step) == step_bits(want)
     if two is not None:
         f_inner = two([x + a for x, a in zip(x0f, k1)])
@@ -294,10 +303,12 @@ def test_the_kernel_solves_are_lu_solve_bit_for_bit(case, spoilt):
             assert floats_bytes(want.k2f) == floats_bytes(k2)
 
 
-@pytest.mark.parametrize("stages, n", [(3, 2), (0, 2), (2, 0), (1, -1)])
+@pytest.mark.parametrize("stages, n", [(3, 2), (0, 2), (2, 0), (1, -1), (2, 2.0), (2, "2")])
 def test_a_kernel_is_made_for_one_or_two_stages_on_some_states(stages, n):
-    with pytest.raises(ValueError, match=f"^no step kernel for {stages} stages on {n} states"):
-        kernel(stages, n)
+    kernel(2, 2)  # made, so a key equal to it must not find it
+    for unit in (kernel, kernel_pair):
+        with pytest.raises(ValueError, match=f"^no step kernel for {stages} stages on {n} states"):
+            unit(stages, n)
 
 
 def test_factors_of_another_size_fail_the_solve_length_check():
@@ -335,23 +346,23 @@ def _ill_scaled_factors():
     # its row scale: solving for b = (1.5e308, 2) forms 1.5e308 - 1e308*2,
     # whose product overflows though x[0] = -0.5e308 is finite
     factors = linalg.LuFactors([[1.0, 1e308], [0.0, 1.0]], [0, 1])
-    assert not math.isfinite(linalg._substitution(2)(factors.combined, factors.pivots,
-                                                     [1.5e308, 2.0])[0])
+    substitute = linalg.generated(linalg._substitution_source, 2)
+    assert not math.isfinite(substitute(factors.combined, factors.pivots, [1.5e308, 2.0])[0])
     return factors
 
 
 def test_a_first_stage_whose_substitution_overflows_takes_the_scaled_solve():
     factors = _ill_scaled_factors()
-    k1 = kernel(2, 2).stage1(factors, [1.5e308, 2.0], 1.0)
+    k1 = kernel_pair(2, 2)[0](factors, [1.5e308, 2.0], 1.0)
     assert floats_bytes(k1) == floats_bytes(loop_stage1(factors, [1.5e308, 2.0], 1.0))
     assert floats_bytes(k1) == floats_bytes(linalg.lu_solve(factors, [1.5e308, 2.0]))
     assert all(map(math.isfinite, k1)) and k1[0] < -1e307
     # the fused step solves its first stage the same way
     x0 = np.array([1.0, 1.0])
-    step = kernel(1, 2).step(None, x0, x0.tolist(), [1.5e308, 2.0], 1.0, np.eye(2), factors)
+    step = kernel(1, 2)(None, x0, x0.tolist(), [1.5e308, 2.0], 1.0, np.eye(2), factors)
     assert floats_bytes(step.k1f) == floats_bytes(k1)
-    assert step_bits(step) == step_bits(kernel(1, 2).finish(None, x0, x0.tolist(), 1.0,
-                                                            np.eye(2), factors, k1))
+    assert step_bits(step) == step_bits(kernel_pair(1, 2)[1](None, x0, x0.tolist(), 1.0,
+                                                             np.eye(2), factors, k1))
 
 
 def test_a_second_stage_whose_substitution_overflows_takes_the_scaled_solve():
@@ -362,13 +373,13 @@ def test_a_second_stage_whose_substitution_overflows_takes_the_scaled_solve():
     def field(x):  # tau*f - 2*k1 is (1.5e308, 2) at tau = 1
         return [1.5e308, 2.0]
 
-    step = kernel(2, 2).finish(field, x0, x0.tolist(), 1.0, np.eye(2), factors, k1)
+    step = kernel_pair(2, 2)[1](field, x0, x0.tolist(), 1.0, np.eye(2), factors, k1)
     k2, x1 = loop_finish(field, x0, 1.0, factors, k1)
     assert floats_bytes(step.k2f) == floats_bytes(k2)
     assert floats_bytes(k2) == floats_bytes(linalg.lu_solve(factors, [1.5e308, 2.0]))
     assert floats_bytes(step.x1f) == floats_bytes(x1)
     # the fused step from f(x0) = 0, whose first stage is k1 = 0
-    fused = kernel(2, 2).step(field, x0, x0.tolist(), [0.0, 0.0], 1.0, np.eye(2), factors)
+    fused = kernel(2, 2)(field, x0, x0.tolist(), [0.0, 0.0], 1.0, np.eye(2), factors)
     assert step_bits(fused) == step_bits(step)
 
 
@@ -378,11 +389,11 @@ def test_an_end_state_that_overflows_raises_nonfinite_state(method):
     # f(x0 + k1) - 2*k1 = 2e307, so x1 rounds to inf for either method
     factors = linalg.lu_factor([[1.0]])
     x0 = np.array([1.5e308])
-    run = kernel(method.stages, 1)
-    k1 = run.stage1(factors, [4e307], 1.0)
+    stage1, finish = kernel_pair(method.stages, 1)
+    k1 = stage1(factors, [4e307], 1.0)
     field = (lambda x: [1e308]) if method.stages == 2 else None
     with pytest.raises(NonFiniteState) as got:
-        run.finish(field, x0, x0.tolist(), 1.0, np.zeros((1, 1)), factors, k1)
+        finish(field, x0, x0.tolist(), 1.0, np.zeros((1, 1)), factors, k1)
     with pytest.raises(NonFiniteState) as want:
         loop_finish(field, x0, 1.0, factors, k1)
     assert str(got.value) == str(want.value) == "the step's end state is not finite: x1 = [inf]"
@@ -390,26 +401,44 @@ def test_an_end_state_that_overflows_raises_nonfinite_state(method):
 
 def test_a_right_hand_side_that_is_not_finite_fails_the_solve():
     factors = linalg.lu_factor([[1.0]])
-    run = kernel(2, 1)
+    stage1, finish = kernel_pair(2, 1)
     # tau*f(x0) overflows
     with pytest.raises(ValueError, match="^vector entries must be finite$") as exc:
-        run.stage1(factors, [1e308], 10.0)
+        stage1(factors, [1e308], 10.0)
     assert type(exc.value) is ValueError
     # tau*f(x0 + k1) overflows
     x0 = np.array([0.0])
     with pytest.raises(ValueError, match="^vector entries must be finite$") as exc:
-        run.finish(lambda x: [1e308], x0, [0.0], 10.0, np.zeros((1, 1)), factors, [0.0])
+        finish(lambda x: [1e308], x0, [0.0], 10.0, np.zeros((1, 1)), factors, [0.0])
     assert type(exc.value) is ValueError
     # the fused step, at either stage
     for fx0, inner in (([1e308], [0.0]), ([0.0], [1e308])):
         with pytest.raises(ValueError, match="^vector entries must be finite$") as exc:
-            run.step(lambda x: inner, x0, [0.0], fx0, 10.0, np.zeros((1, 1)), factors)
+            kernel(2, 1)(lambda x: inner, x0, [0.0], fx0, 10.0, np.zeros((1, 1)), factors)
         assert type(exc.value) is ValueError
 
 
 def test_each_kernel_is_generated_once():
     assert kernel(2, 3) is kernel(2, 3)
     assert kernel(1, 3) is not kernel(2, 3)
+
+
+def test_a_run_generates_only_the_kernel_units_it_calls(monkeypatch):
+    # from an empty cache, an unguarded run compiles the step alone; only
+    # a run that splits a step at its first stage, the dense-guarded one,
+    # compiles the (stage1, finish) pair
+    monkeypatch.setattr(linalg, "_GENERATED", {})
+
+    def units():
+        return {key for emit, key in linalg._GENERATED if emit is rosenbrock._kernel_source}
+
+    flat = spp_flatten(builtin("kowalczyk"))
+    integrate(flat, flat.x0, IntegratorConfig(tau=1e-2, t_end=0.5))
+    assert units() == {("step", 2, 2)}
+    najafi = builtin("najafi")
+    integrate(najafi, najafi.x0, IntegratorConfig(tau=0.1, t_end=1.5,
+                                                  guard_mode=GuardMode.ROS2_DENSE))
+    assert units() == {("step", 2, 2), ("pair", 2, 2)}
 
 
 def test_ros2_finish_rejects_a_first_stage_of_another_length():

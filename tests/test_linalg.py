@@ -353,7 +353,7 @@ def test_lu_factor_generates_each_factorization_once(monkeypatch):
         return source(n)
 
     monkeypatch.setattr(linalg, "_factorization_source", counting_source)
-    monkeypatch.setattr(linalg, "_FACTORIZATIONS", {})
+    monkeypatch.setattr(linalg, "_GENERATED", {})
     for _ in range(3):
         for n in (1, 2, 3):
             for m in (2.0 * np.eye(n), (2.0 * np.eye(n)).tolist()):
@@ -362,7 +362,7 @@ def test_lu_factor_generates_each_factorization_once(monkeypatch):
     with pytest.raises(SingularMatrix, match="^pivot 0.000e\\+00 in column 1 "):
         lu_factor([[1.0, 2.0], [2.0, 4.0]])
     assert generated == [1, 2, 3]
-    assert linalg._FACTORIZATIONS[2] is linalg._FACTORIZATIONS[2]
+    assert linalg._GENERATED[counting_source, 2] is linalg._GENERATED[counting_source, 2]
 
 
 def test_lu_solve_length_mismatch():
@@ -778,7 +778,7 @@ def test_lu_solve_generates_each_substitution_once(monkeypatch):
         return source(n)
 
     monkeypatch.setattr(linalg, "_substitution_source", counting_source)
-    monkeypatch.setattr(linalg, "_SUBSTITUTIONS", {})
+    monkeypatch.setattr(linalg, "_GENERATED", {})
     for _ in range(3):
         for n in (1, 2, 3):
             x = lu_solve(lu_factor(2.0 * np.eye(n)), [1.0] * n)
@@ -788,7 +788,8 @@ def test_lu_solve_generates_each_substitution_once(monkeypatch):
     lu_solve(lu_factor([[0.0, 0.0, u33], [1.0, -1.0, 2.0], [0.0, 1.0, -1.0]]),
              [1.0, 0.0, 0.0])
     assert generated == [1, 2, 3]
-    assert linalg._substitution(2) is linalg._substitution(2)
+    assert (linalg.generated(counting_source, 2)
+            is linalg.generated(counting_source, 2) is linalg._GENERATED[counting_source, 2])
 
 
 def test_lu_solve_subnormal_systems_numpy_gets_wrong():

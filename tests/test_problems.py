@@ -633,6 +633,9 @@ def test_a_declared_h_reads_a_list_and_an_array_to_the_same_bits(data, dim):
     h = Surface(n, c).callables[0]
     expected = float_bits(left_to_right(n, c, x))
     assert float_bits(h(list(x))) == float_bits(h(np.array(x))) == expected
+    if [v for v in n if v != 0.0] != [1.0]:
+        # not a unit normal: h is the one row of the float rows of [n], c
+        assert float_bits(FloatRows([n], [c]).floats(list(x))[0]) == expected
 
 
 def test_h_and_a_declared_surface_exclude_each_other():

@@ -18,7 +18,7 @@ from rosevent.rosenbrock import (
     dense_derivative,
     dense_eval,
     factor,
-    kernel,
+    kernel_pair,
     method_by_name,
     restep,
     ros1_step,
@@ -251,7 +251,7 @@ def test_ros2_rejects_nonfinite_inner_stage(bad):
     with pytest.raises(ValueError, match="vector entries must be finite"):
         ros2_step(field_bad_at(bad, "inner"), X0, 0.1, J0)
     factors = factor(J0.tolist(), 0.1, GAMMA_ROS2)
-    k1 = kernel(2, 2).stage1(factors, (J0 @ X0).tolist(), 0.1)
+    k1 = kernel_pair(2, 2)[0](factors, (J0 @ X0).tolist(), 0.1)
     with pytest.raises(ValueError, match="vector entries must be finite"):
         ros2_finish(field_bad_at(bad, "inner"), X0, 0.1, J0, factors, k1)
     with pytest.raises(ValueError, match="vector entries must be finite"):
