@@ -187,7 +187,7 @@ def _cmd_guard_check(args) -> int:
         rep = onesided.guard_ros1_orthogonal(problem, x0, args.tau, rosenbrock.GAMMA_ROS1)
     elif mode is onesided.GuardMode.ROS2_DENSE:
         J = problems.field_jacobian(problem, 1, x0.tolist())
-        step, _ = onesided.guarded_ros2_step(problem, x0, args.tau, J)
+        step = onesided.guarded_ros2_step(problem, x0, args.tau, J)
         if step.tau < args.tau:
             print(f"internal stage trespassed; step shortened to sigma = {step.tau:.12g}")
         rep = onesided.guard_ros2_dense(problem, step)

@@ -4,13 +4,9 @@
 class NumericalError(Exception):
     """Base class for runtime numerical failures (CLI maps these to exit 1).
 
-    A step that fails still did work, which events.integrate counts:
-    factorizations is the number of LU factorizations it ran, the failing
-    one included. The code that raises, and each step layer the failure
-    passes, adds its own.
+    The work a failed step did counts where it ran, on the run in
+    progress (linalg.current_run), so the exception carries no counts.
     """
-
-    factorizations = 0
 
 
 class SingularMatrix(NumericalError):

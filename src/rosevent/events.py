@@ -90,6 +90,12 @@ the surface or on the departing side, and every hit in the naive mode
 even inside the band. The naive mode runs no guard and no classification:
 each hit is a crossing, accepted as-is, and the field switches at the mesh
 point. It exists to measure the order reduction this causes.
+
+A run owns its counts (IntegrationStats): integrate makes them
+linalg.current_run until the run returns or raises, and each is added
+where its work happens, in problems.eval_field, problems.field_jacobian
+and linalg.lu_factor. So runs that share a problem, nested (from
+_on_step) or in other threads, each count only their own work.
 """
 
 from __future__ import annotations
@@ -103,7 +109,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import filippov, linalg, onesided, problems, rosenbrock
-from .errors import DomainViolation, NoBracket, NonFiniteState, SingularMatrix
+from .errors import DomainViolation, NoBracket, NonFiniteState, NotOrthogonal, SingularMatrix
 
 # Bracket width in theta at which event location stops. The ITP search of
 # [0, 1] reaches it after at most 41 iterations, one more than bisection.
@@ -171,15 +177,16 @@ class EventRecord:
 
 @dataclass
 class IntegrationStats:
-    """Per-run counts. lu_factorizations counts the LU factorizations that
-    ran: a plain step that reuses the run's kept factors adds none.
-    jacobian_evaluations counts the field Jacobians evaluated, analytic or
-    FD: one per step that takes a fresh J and one per one-stage guard. A
-    plain step that keeps its W adds none, and a declared affine field
-    adds one per region visit."""
+    """Per-run counts, added where the work happens (module docstring);
+    f_evals and domain_violations by field number. lu_factorizations
+    counts the linalg.lu_factor calls: a plain step that reuses the run's
+    kept factors adds none. jacobian_evaluations counts the
+    problems.field_jacobian calls, analytic or FD: one per step that takes
+    a fresh J and one per one-stage guard. A plain step that keeps its W
+    adds none, and a declared affine field adds one per region visit."""
 
-    f_evals: dict
-    domain_violations: dict
+    f_evals: dict = field(default_factory=lambda: {1: 0, 2: 0})
+    domain_violations: dict = field(default_factory=lambda: {1: 0, 2: 0})
     lu_factorizations: int = 0
     steps: int = 0
     jacobian_evaluations: int = 0
@@ -377,14 +384,26 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     with a finite h, and t_end must be finite. Crossings switch the active
     field and continue; sliding and tangential hits stop the integration, as do
     chattering and solver and guard failures (reported in `termination`, not
-    raised). DomainViolation from a field evaluated outside its domain
-    propagates to the caller with step context, and so does
-    NonFiniteState, a ValueError, from a step whose end state overflowed:
-    a non-finite state never reaches the mesh, h or the next step. A NaN h
-    at a step's end, which has no side, raises ValueError with step context.
-    A guarded run (cfg.guard_mode) needs a declared surface (onesided); on
-    any other it raises ValueError before h or a field is evaluated.
+    raised); an orthogonal guard whose step matrix is not orthogonal
+    (NotOrthogonal) is a guard failure with no report. DomainViolation from
+    a field evaluated outside its domain propagates to the caller with step
+    context, and so does NonFiniteState, a ValueError, from a step whose end
+    state overflowed: a non-finite state never reaches the mesh, h or the
+    next step. A NaN h at a step's end, which has no side, raises ValueError
+    with step context. A guarded run (cfg.guard_mode) needs a declared
+    surface (onesided); on any other it raises ValueError before h or a
+    field is evaluated.
     """
+    stats = IntegrationStats()
+    token = linalg.current_run.set(stats)
+    try:
+        return _integrate(problem, x0, cfg, stats)
+    finally:
+        linalg.current_run.reset(token)
+
+
+def _integrate(problem, x0, cfg, stats):
+    # integrate's run, its counts added to stats as they happen
     _validate_config(cfg)
     if cfg.guard_mode is not None:
         onesided._surface_normal(problem)
@@ -400,9 +419,6 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
         raise ValueError("initial state lies on the switching surface")
     active = 1 if h_at_x < 0.0 else 2
 
-    f_before, v_before = problem.counters.snapshot()
-    lu_count = jac_count = 0
-    steps_taken = 0
     t = 0.0
     mesh = [(0.0, x.copy())]
     events: list = []
@@ -470,7 +486,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
                 # the guarded step: a fresh J, factored on its own; the last
                 # plain step and its factors stay as they were
                 J, jacobians = jacobian(problem, 1, x0f), 1
-                step, factorizations = onesided._guarded_step(
+                step = onesided._guarded_step(
                     problem, x, x0f, field(x0f), size, J, h_tol, field)
             else:
                 fx = field(x0f)
@@ -493,16 +509,12 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
                 # are its own lists.
                 if size != key_tau or J != key_rows:
                     factors = rosenbrock.factor(J, size, gamma)
-                    key_rows, key_tau, factorizations = [r[:] for r in J], size, 1
-                else:
-                    factorizations = 0
+                    key_rows, key_tau = [r[:] for r in J], size
                 step = kernel_step(field, x, x0f, fx, size, J, factors)
                 last, last_active, fx0 = step, active, fx
         except (SingularMatrix, NoBracket) as exc:
             # a singular step matrix, or the one-sided step-shortening
-            # machinery failed; the work the step did still counts
-            lu_count += exc.factorizations
-            jac_count += jacobians
+            # machinery failed; the work the step did has counted as it ran
             termination = (Termination.SOLVER_FAILURE if isinstance(exc, SingularMatrix)
                            else Termination.GUARD_FAILURE)
             break
@@ -511,9 +523,7 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
                 f"{exc} (step {step_index}, t = {t:.12g}, field {active})"
             ) from exc
 
-        lu_count += factorizations
-        jac_count += jacobians
-        steps_taken += 1
+        stats.steps += 1
         if observe is not None:
             observe(x, active, step, jacobians)
         h_new = float(h(step.x1f if h_floats else step.x1))
@@ -567,9 +577,12 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
             elif guard is onesided.GuardMode.ROS1_GENERAL:
                 rep = onesided.guard_ros1_general(problem, x, step.tau, cfg.method.gamma)
             else:
-                rep = onesided.guard_ros1_orthogonal(problem, x, step.tau, cfg.method.gamma)
-            if guard is not onesided.GuardMode.ROS2_DENSE:
-                jac_count += 1  # the one-stage guards evaluate J at x
+                try:
+                    rep = onesided.guard_ros1_orthogonal(problem, x, step.tau, cfg.method.gamma)
+                except NotOrthogonal:
+                    # a step matrix that is not orthogonal certifies nothing
+                    termination = Termination.GUARD_FAILURE
+                    break
             guard_reports.append((step_index, rep))
             if not rep.passed:
                 termination = Termination.GUARD_FAILURE
@@ -612,14 +625,6 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
         termination = Termination.TANGENTIAL
         break
 
-    f_after, v_after = problem.counters.snapshot()
-    stats = IntegrationStats(
-        f_evals={k: f_after[k] - f_before[k] for k in f_after},
-        domain_violations={k: v_after[k] - v_before[k] for k in v_after},
-        lu_factorizations=lu_count,
-        steps=steps_taken,
-        jacobian_evaluations=jac_count,
-    )
     return TrajectoryResult(
         mesh=mesh, events=events, stats=stats,
         termination=termination, guard_reports=guard_reports,

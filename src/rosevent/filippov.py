@@ -111,7 +111,7 @@ def filippov_coeffs(problem: problems.SppProblem, u) -> FilippovCoeffs:
     fast row (g must be shared)."""
     st, s = problem.stacked, problem.slow_dim
     # raw callables, analytic gradient when given: classifying a hit is not
-    # field work, so it adds nothing to the counters or the counted layers
+    # field work, so it adds nothing to the run's counts or counted layers
     aff = st.affine
     if aff is not None:
         uf = np.asarray(u, dtype=float).tolist()

@@ -18,12 +18,14 @@ become arrays and cost no solve call. Also here: the package's two root
 finders (the safe-side ITP search and the closed-form quadratic root),
 finite-difference stencils (the Jacobian one switches to one-sided
 differences at a domain edge) and a cheap spectral-radius bound. All
-operations are deterministic; the only state is the one cache of
-generated code, one pure function per emitter and key.
+operations are deterministic. The state is the one cache of generated
+code, one pure function per emitter and key, and current_run, the counts
+of the run in progress, to which lu_factor adds each factorization.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 from typing import Callable
 
@@ -37,6 +39,11 @@ SINGULARITY_RTOL = 1e-13
 
 _EPS = float(np.finfo(float).eps)
 _SQRT_EPS = float(np.sqrt(_EPS))
+
+# The events.IntegrationStats of the run in progress (events.integrate sets
+# it for the run), None outside one; a context variable, so a nested run or
+# one in another thread counts on its own stats.
+current_run: contextvars.ContextVar = contextvars.ContextVar("current_run", default=None)
 
 
 def as_vector(x) -> np.ndarray:
@@ -113,20 +120,22 @@ def lu_factor(m) -> LuFactors:
     first factorization of that size and kept for every later one
     (_factorization_source): no loop and no indexing, the same operations
     in the same order as the nested loops it unrolls, so the same bits and
-    the same errors.
+    the same errors. Each call counts in the run's lu_factorizations
+    (current_run), one that ends singular included.
     """
     n = len(m) if type(m) is list else 0
     if not (n and all(type(row) is list and len(row) == n for row in m)):
         m = as_matrix(m).tolist()
         n = len(m)
+    stats = current_run.get()
+    if stats is not None:
+        stats.lu_factorizations += 1
     return generated(_factorization_source, n, _FACTOR_SCOPE)(m, SINGULARITY_RTOL)
 
 
 def _singular(pivot: float, col: int, tol: float, cap_tol: float) -> SingularMatrix:
-    exc = SingularMatrix(
+    return SingularMatrix(
         f"pivot {pivot:.3e} in column {col} below tolerance {min(tol, cap_tol):.3e}")
-    exc.factorizations = 1  # the factorization that failed ran
-    return exc
 
 
 def _factorization_source(n: int) -> list:

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, problems, rosenbrock
-from .errors import NoBracket, NotOrthogonal, SingularMatrix
+from .errors import NoBracket, NotOrthogonal
 
 ORTHOGONALITY_TOL = 1e-8
 
@@ -240,8 +240,8 @@ def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,
 
     The internal stage x0 + k1 is checked before the second field
     evaluation; when it trespasses (case 1b), or h is NaN there and so has
-    no side, the step is shortened by resolve_case_1b first. Returns
-    (step, factorizations); step.tau < tau marks a shortened step. Raises
+    no side, the step is shortened by resolve_case_1b first. Returns the
+    step, as ros2_step does; step.tau < tau marks a shortened step. Raises
     ValueError unless tau is positive and finite and J is a square, finite
     matrix of x0's size (linalg.as_matrix), before any field evaluation.
     """
@@ -271,13 +271,8 @@ def _guarded_step(problem, x0, x0f, fx0, tau, J, h_tol, field):
     k1 = stage1(factors, fx0, tau)
     g_tau = _stage_h(problem, x0f, k1)
     if not g_tau <= 0.0:
-        try:
-            step, trials = resolve_case_1b(problem, x0, tau, fx0, J, g_tau, h_tol)
-        except (SingularMatrix, NoBracket) as exc:
-            exc.factorizations += 1
-            raise
-        return step, 1 + trials
-    return finish(field, x0, x0f, tau, J, factors, k1), 1
+        return resolve_case_1b(problem, x0, tau, fx0, J, g_tau, h_tol)[0]
+    return finish(field, x0, x0f, tau, J, factors, k1)
 
 
 def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
@@ -292,11 +287,10 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
     over (0, tau) from the safe side, down to a 4*eps*tau bracket: each
     trial factors (I - gamma*sigma*J) and recomputes k1 from fx0, with no
     field evaluation. The factors of the trial it ends at complete the
-    step, so the internal stage has g <= 0. Returns
-    (step, factorizations); raises NoBracket when x0 is not below the
+    step, so the internal stage has g <= 0. Returns (step, trials), trials
+    the factorizations it ran; raises NoBracket when x0 is not below the
     surface or no trial is safe, and SingularMatrix from a trial's step
-    matrix, each carrying the trials' factorizations so far
-    (errors.NumericalError.factorizations).
+    matrix.
     """
     g_lo = float(problem.h(x0))
     if not g_lo < 0.0:
@@ -312,16 +306,10 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
         tried[sigma] = factors, k1
         return _stage_h(problem, x0f, k1)
 
-    try:
-        sigma_bar, _, trials = linalg.safe_side_root(
-            g, 0.0, tau, g_lo, g_tau, h_tol, 4.0 * np.finfo(float).eps * tau)
-    except SingularMatrix as exc:
-        exc.factorizations += len(tried)  # the trials before the singular one
-        raise
+    sigma_bar, _, trials = linalg.safe_side_root(
+        g, 0.0, tau, g_lo, g_tau, h_tol, 4.0 * np.finfo(float).eps * tau)
     if sigma_bar == 0.0:
-        exc = NoBracket(f"the internal stage trespasses at all {trials} trial sizes")
-        exc.factorizations = trials
-        raise exc
+        raise NoBracket(f"the internal stage trespasses at all {trials} trial sizes")
 
     factors, k1 = tried[sigma_bar]
     step = finish(functools.partial(problems.eval_field, problem, 1), x0, x0f, sigma_bar, J,

@@ -4,12 +4,12 @@ A scalar event function h splits the state space into region 1 = {h < 0},
 region 2 = {h > 0}, and the switching surface = {h = 0} (an absolute band
 of width `sigma_tol` in practice). Each region owns one branch of the
 vector field; branches may carry domain predicates marking where they can
-be evaluated at all. Evaluation bookkeeping lives on the problem instance
-so integrations can report exact evaluation and violation counts, all
-through eval_field: every field evaluation of a step, of the guards and of
-the FD Jacobian is one eval_field call, which the driver (events) and the
-guarded step (onesided) bind once as functools.partial(eval_field,
-problem, which).
+be evaluated at all. A problem holds no counts: eval_field counts each
+field evaluation and domain violation, and field_jacobian each Jacobian,
+on the run in progress (linalg.current_run). Every field evaluation
+of a step, of the guards and of the FD Jacobian is one eval_field call,
+which the driver (events) and the guarded step (onesided) bind once as
+functools.partial(eval_field, problem, which).
 
 This module is the one place that knows a user callable may want an
 array. eval_field and field_jacobian take the state as a list of Python
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,17 +65,6 @@ SIGMA_TOL = 1e-12
 
 # Residual tolerance for user-supplied quasi-steady-state solutions.
 RESIDUAL_TOL = 1e-8
-
-
-@dataclass
-class EvalCounters:
-    """Mutable per-problem evaluation counters, keyed by field number."""
-
-    f_evals: dict = field(default_factory=lambda: {1: 0, 2: 0})
-    domain_violations: dict = field(default_factory=lambda: {1: 0, 2: 0})
-
-    def snapshot(self):
-        return dict(self.f_evals), dict(self.domain_violations)
 
 
 def _surface_source(n: int) -> list:
@@ -155,7 +144,6 @@ class PiecewiseProblem:
     source_spp: "SppProblem | None" = None
     affine: "Affine | None" = None
     surface: Surface | None = None
-    counters: EvalCounters = field(default_factory=EvalCounters)
 
     def __post_init__(self):
         if not self.dim >= 1:
@@ -195,14 +183,17 @@ class FloatField:
 
 
 def _domain_violation(problem: PiecewiseProblem, which: int, x) -> DomainViolation:
-    # counted here; the message shows x as the float array it is
-    problem.counters.domain_violations[which] += 1
+    # counted here, on the run; the message shows x as the float array it is
+    stats = linalg.current_run.get()
+    if stats is not None:
+        stats.domain_violations[which] += 1
     name = problem.label or "problem"
     return DomainViolation(f"field {which} of {name} is undefined at {np.asarray(x, dtype=float)}")
 
 
 def eval_field(problem: PiecewiseProblem, which: int, x: list, checked: bool = False) -> list:
-    """Evaluate branch field `which` (1 or 2) at x, with bookkeeping.
+    """Evaluate branch field `which` (1 or 2) at x, counted in the run's
+    f_evals (linalg.current_run).
 
     x is the state as a list of Python floats, and the value comes back as
     a list of problem.dim floats, the form the step kernel (rosenbrock)
@@ -213,10 +204,11 @@ def eval_field(problem: PiecewiseProblem, which: int, x: list, checked: bool = F
     gets one float array built from the floats, and its value becomes
     floats after linalg.as_floats's checks.
 
-    Raises DomainViolation (and counts it) when the branch has a domain
-    predicate and x falls outside it. checked=True takes the caller's
-    verdict that x lies inside, as the finite-difference stencil of
-    field_jacobian has found it, and skips the predicate.
+    Raises DomainViolation (counted in domain_violations instead) when the
+    branch has a domain predicate and x falls outside it. checked=True
+    takes the caller's verdict that x lies inside, as the
+    finite-difference stencil of field_jacobian has found it, and skips
+    the predicate.
     """
     if which == 1:
         f, dom = problem.f1, problem.domain_f1
@@ -224,23 +216,25 @@ def eval_field(problem: PiecewiseProblem, which: int, x: list, checked: bool = F
         f, dom = problem.f2, problem.domain_f2
     else:
         raise ValueError(f"field selector must be 1 or 2, got {which!r}")
-    if isinstance(f, FloatField):
-        if dom is not None and not checked and not dom(x):
-            raise _domain_violation(problem, which, x)
-        problem.counters.f_evals[which] += 1
-        v = f.floats(x)
-        return v if type(v) is list and len(v) == problem.dim else linalg.as_floats(v, problem.dim)
-    x = np.asarray(x, dtype=float)
+    floats = isinstance(f, FloatField)
+    if not floats:
+        x = np.asarray(x, dtype=float)
     if dom is not None and not checked and not dom(x):
         raise _domain_violation(problem, which, x)
-    problem.counters.f_evals[which] += 1
+    stats = linalg.current_run.get()
+    if stats is not None:
+        stats.f_evals[which] += 1
+    if floats:
+        v = f.floats(x)
+        return v if type(v) is list and len(v) == problem.dim else linalg.as_floats(v, problem.dim)
     return linalg.as_floats(f(x), problem.dim)
 
 
 def field_jacobian(problem: PiecewiseProblem, which: int, x: list) -> list:
     """Jacobian of a branch field at x, a list of Python floats, as
     problem.dim rows of problem.dim Python floats: the form the step kernel
-    factors as it is, checked here once.
+    factors as it is, checked here once. Each call counts in the run's
+    jacobian_evaluations (linalg.current_run), one that raises included.
 
     A float-form Jacobian (FloatField) runs on the floats, and rows of that
     shape come back as they are. An analytic Jacobian gets one float array
@@ -254,6 +248,9 @@ def field_jacobian(problem: PiecewiseProblem, which: int, x: list) -> list:
     checks each point it evaluates against the domain once and counts the
     evaluation through eval_field, handed the point's floats, which takes
     that verdict."""
+    stats = linalg.current_run.get()
+    if stats is not None:
+        stats.jacobian_evaluations += 1
     jac, n = (problem.jac_f1 if which == 1 else problem.jac_f2), problem.dim
     if isinstance(jac, FloatField):
         J = jac.floats(x)
@@ -399,9 +396,8 @@ def spp_flatten(problem: SppProblem) -> PiecewiseProblem:
     A declared problem flattens once, its declaration's fast rows over eps
     (ValueError when one is not finite); otherwise the fields and Jacobians
     are wrapped. The surface (declared, or h and its gradient) and the
-    domains pass through. The result has its own counters and keeps a link
-    to its source, so surface hits can be classified with the slow/fast
-    structure intact.
+    domains pass through. The result keeps a link to its source, so
+    surface hits can be classified with the slow/fast structure intact.
     """
     st, eps = problem.stacked, problem.eps
     label = (st.label + "/flattened") if st.label else "flattened"

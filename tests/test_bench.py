@@ -274,6 +274,16 @@ def test_cli_integrate_counts_the_work_of_a_singular_step(capsys):
     assert "lu factorizations: 1\njacobian evaluations: 1\n" in out
 
 
+def test_cli_integrate_reports_a_refused_orthogonal_guard_as_a_guard_failure(capsys):
+    # the guard's NotOrthogonal ends the run, not the command
+    code = cli_main(["integrate", "--problem", "kowalczyk", "--method", "ros1",
+                     "--guard", "ros1-orth", "--tau", "1e-3", "--t-end", "0.5"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "termination: guard-failure\nsteps: 7\nevents: 0\n" in out
+    assert "lu factorizations: 1\njacobian evaluations: 2\n" in out
+
+
 def test_cli_integrate_writes_files(tmp_path, capsys):
     mesh_file = tmp_path / "mesh.csv"
     events_file = tmp_path / "events.csv"

@@ -4,6 +4,8 @@ import contextlib
 import functools
 import math
 import random
+import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 import rosevent.events
 import rosevent.linalg
 import rosevent.onesided
+import rosevent.problems
 import rosevent.rosenbrock
 from rosevent import linalg
 from rosevent.errors import DomainViolation, NoBracket, NonFiniteState, SingularMatrix
@@ -190,7 +193,7 @@ def test_locate_ends_converged_within_41_calls_on_the_departing_side(
     assert (g <= 0.0) if h0 < 0.0 else (g >= 0.0)
 
 
-def test_locate_costs_no_field_evals_or_solves(monkeypatch):
+def test_locate_costs_no_field_evals_or_solves(monkeypatch, counting):
     problem = builtin("tent")
     x = np.array([0.4])
     step = ros2_step(array_field(problem, 1), x, 0.2,
@@ -203,10 +206,9 @@ def test_locate_costs_no_field_evals_or_solves(monkeypatch):
     monkeypatch.setattr(rosevent.linalg, "lu_factor", banned)
     monkeypatch.setattr(rosevent.linalg, "lu_solve", banned)
     monkeypatch.setattr(rosevent.rosenbrock, "kernel", banned)
-    before = problem.counters.snapshot()[0]
-    record = locate_event(step, problem.h, default_cfg())
-    after = problem.counters.snapshot()[0]
-    assert after == before
+    with counting() as stats:
+        record = locate_event(step, problem.h, default_cfg())
+    assert stats.f_evals == {1: 0, 2: 0}
     assert abs(record.t_star - 0.1) <= 1e-12  # theta* = 0.5 of tau = 0.2
 
 
@@ -521,17 +523,27 @@ def builtin_piecewise(name):
 
 
 def integrate_counting_lu(problem, x0, cfg):
-    """integrate, plus the number of linalg.lu_factor calls it made."""
-    calls = []
-    real = rosevent.linalg.lu_factor
+    """integrate, plus the number of linalg.lu_factor calls it made. The
+    problems.eval_field and problems.field_jacobian calls it made are
+    counted too, and must be the run's summed f_evals and its
+    jacobian_evaluations."""
+    calls = {"lu_factor": 0, "eval_field": 0, "field_jacobian": 0}
 
-    def counted(m):
-        calls.append(1)
-        return real(m)
+    def counted(module, name):
+        real = getattr(module, name)
 
-    with mock.patch.object(rosevent.linalg, "lu_factor", counted):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return mock.patch.object(module, name, call)
+
+    with counted(rosevent.linalg, "lu_factor"), counted(rosevent.problems, "eval_field"), \
+            counted(rosevent.problems, "field_jacobian"):
         result = integrate(problem, x0, cfg)
-    return result, len(calls)
+    assert calls["eval_field"] == sum(result.stats.f_evals.values())
+    assert calls["field_jacobian"] == result.stats.jacobian_evaluations
+    return result, calls["lu_factor"]
 
 
 def test_a_singular_step_still_counts_its_factorization_and_jacobian():
@@ -674,6 +686,65 @@ def test_guarded_and_finite_difference_runs_count_every_factorization():
     result, lu_calls = integrate_counting_lu(relay, relay.x0, cfg)
     assert result.events
     assert result.stats.lu_factorizations == lu_calls <= result.stats.steps
+
+
+# --- the run's own counts ------------------------------------------------------
+
+def relay_stats(problem):
+    """The stats of a short kowalczyk relay run with its crossings."""
+    result = integrate(problem, problem.x0, IntegratorConfig(tau=1e-3, t_end=0.2))
+    assert result.events
+    return result.stats
+
+
+def test_a_run_nested_in_another_on_its_problem_counts_its_own_work():
+    # a run started from the first step of another on the same problem:
+    # each reports what a run alone does, not the sum of both
+    problem = spp_flatten(builtin("kowalczyk", eps=1e-2))
+    alone = relay_stats(problem)
+    inner = []
+
+    def nest(x, active, step, jacobians):
+        if not inner:
+            inner.append(None)  # the nested run's own steps start none
+            inner[0] = relay_stats(problem)
+
+    with mock.patch.object(rosevent.events, "_on_step", nest):
+        outer = relay_stats(problem)
+    assert inner == [alone] and outer == alone
+    assert alone.f_evals == {1: 14, 2: 388}
+
+
+def test_runs_in_threads_on_one_problem_count_their_own_work():
+    # three runs, more than the cores, meet at their first steps, so each is
+    # in progress while the others evaluate the shared problem's fields, and
+    # a short switch interval interleaves the rest of them
+    problem = spp_flatten(builtin("kowalczyk", eps=1e-2))
+    alone = relay_stats(problem)
+    n = 3
+    barrier, met, stats = threading.Barrier(n, timeout=30), set(), [None] * n
+
+    def meet(x, active, step, jacobians):
+        if threading.get_ident() not in met:
+            met.add(threading.get_ident())
+            barrier.wait()
+
+    def run(i):
+        stats[i] = relay_stats(problem)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with mock.patch.object(rosevent.events, "_on_step", meet):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(met) == n and stats == [alone] * n
 
 
 # --- declared affine surfaces: closed-form location and even-count hits -------
@@ -844,7 +915,7 @@ def rounding_scale(problem, step):
 
 @settings(max_examples=300, deadline=None)
 @given(case=affine_steps())
-def test_closed_form_location_agrees_with_bisection(case):
+def test_closed_form_location_agrees_with_bisection(case, counting):
     problem, step = case
     h = problem.h
 
@@ -869,9 +940,9 @@ def test_closed_form_location_agrees_with_bisection(case):
     with mock.patch.object(rosevent.linalg, "lu_factor", banned), \
             mock.patch.object(rosevent.linalg, "lu_solve", banned), \
             mock.patch.object(rosevent.rosenbrock, "kernel", banned):
-        before = problem.counters.snapshot()
-        record = locate_event(step, h, default_cfg(), surface=problem.surface)
-        assert problem.counters.snapshot() == before
+        with counting() as stats:
+            record = locate_event(step, h, default_cfg(), surface=problem.surface)
+        assert (stats.f_evals, stats.domain_violations) == ({1: 0, 2: 0}, {1: 0, 2: 0})
 
     # the located state is on the departing side or on the surface
     g_star = g(record.theta_star)
@@ -974,8 +1045,8 @@ def test_a_declared_h_gets_the_step_floats_and_a_plain_h_only_arrays():
     x0 = np.array([1.0, 0.9])
     seen.clear()
     with case_1b() as shortening:
-        step, _ = guarded_ros2_step(plain_najafi, x0, 0.125,
-                                    field_jacobian(plain_najafi, 1, x0.tolist()))
+        step = guarded_ros2_step(plain_najafi, x0, 0.125,
+                                 field_jacobian(plain_najafi, 1, x0.tolist()))
     assert shortening.call_count == 1 and step.tau < 0.125
     assert seen and set(seen) == {np.ndarray}
 
@@ -1073,8 +1144,12 @@ def test_driver_steps_are_the_public_steps_bit_for_bit(case, plain):
         alone = public(array_field(problem, 1), x0, tau, J)
     except (SingularMatrix, ValueError):
         assume(False)
+    # the public guarded step and the factorizations it ran
+    guarded_lu, real = [], rosevent.linalg.lu_factor
     try:
-        public_guarded = guarded_ros2_step(guarded_problem, x0, tau, J)
+        with mock.patch.object(rosevent.linalg, "lu_factor",
+                               lambda m: guarded_lu.append(1) or real(m)):
+            public_guarded = guarded_ros2_step(guarded_problem, x0, tau, J)
     except (NoBracket, SingularMatrix) as exc:
         public_guarded = exc
     runs = [(problem, IntegratorConfig(tau=tau, t_end=2.0 * tau, method=method))]
@@ -1084,7 +1159,7 @@ def test_driver_steps_are_the_public_steps_bit_for_bit(case, plain):
     for problem, cfg in runs:
         seen.clear()
         result, taken = driver_steps(problem, x0, cfg, seen)
-        if cfg.guard_mode is not None and not isinstance(public_guarded, tuple):
+        if cfg.guard_mode is not None and isinstance(public_guarded, Exception):
             assert taken == []
             assert result.termination is (Termination.GUARD_FAILURE
                                           if isinstance(public_guarded, NoBracket)
@@ -1093,7 +1168,8 @@ def test_driver_steps_are_the_public_steps_bit_for_bit(case, plain):
         assert taken
         for i, (x, active, step, _, factorizations, handed) in enumerate(taken):
             if i == 0:
-                ref, count = (alone, 1) if cfg.guard_mode is None else public_guarded
+                ref, count = ((alone, 1) if cfg.guard_mode is None
+                              else (public_guarded, len(guarded_lu)))
                 assert x is not x0 and x.tobytes() == x0.tobytes()
                 assert factorizations == count
             else:
@@ -1686,10 +1762,23 @@ def test_a_nan_h_at_a_step_end_fails_the_run_at_its_step():
     problem = PiecewiseProblem(1, lambda x: np.array([1.0]), lambda x: np.array([-1.0]), h,
                                jac_f1=lambda x: np.zeros((1, 1)),
                                jac_f2=lambda x: np.zeros((1, 1)))
-    with pytest.raises(ValueError, match=r"^h is NaN at the end of step 8, t = 0\.45: "
-                       r"h\(x1\) = nan$"):
+    # the stats the run counts on, as its steps see them
+    runs = []
+
+    def observe(x, active, step, jacobians):
+        runs.append(rosevent.linalg.current_run.get())
+
+    with mock.patch.object(rosevent.events, "_on_step", observe), \
+            pytest.raises(ValueError, match=r"^h is NaN at the end of step 8, t = 0\.45: "
+                          r"h\(x1\) = nan$"):
         integrate(problem, [0.0], IntegratorConfig(tau=0.05, t_end=1.0))
-    assert problem.counters.f_evals == {1: 18, 2: 0}
+    stats = runs[0]
+    assert all(s is stats for s in runs) and stats.f_evals == {1: 18, 2: 0}
+    # the run's counting ended with it: a field evaluated after it counts on
+    # no run, the failed one included
+    assert rosevent.linalg.current_run.get() is None
+    eval_field(problem, 1, [0.0])
+    assert stats.f_evals == {1: 18, 2: 0}
 
 
 def test_probes_that_do_not_move_the_state_call_no_h():

@@ -311,7 +311,7 @@ def test_a_kernel_is_made_for_one_or_two_stages_on_some_states(stages, n):
             unit(stages, n)
 
 
-def test_factors_of_another_size_fail_the_solve_length_check():
+def test_factors_of_another_size_fail_the_solve_length_check(counting):
     # the kernel checks nothing: the public entries that take a caller's J
     # or factors refuse another size where it enters, with lu_solve's length
     # message, before the field is evaluated
@@ -336,9 +336,9 @@ def test_factors_of_another_size_fail_the_solve_length_check():
             step_fn(field, x0, 0.1, np.eye(3))
     zero = np.zeros((2, 2))
     problem = affine_problem(Affine(zero, [1.0, 0.0], zero, [-1.0, 0.0], [1.0, 0.0], -1.0))
-    with pytest.raises(ValueError, match=message):
+    with counting() as stats, pytest.raises(ValueError, match=message):
         guarded_ros2_step(problem, x0, 0.1, np.eye(3))
-    assert handed == [] and problem.counters.f_evals == {1: 0, 2: 0}
+    assert handed == [] and stats.f_evals == {1: 0, 2: 0}
 
 
 def _ill_scaled_factors():

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rosevent.linalg
+import rosevent.problems
 from rosevent.errors import NoBracket, NotOrthogonal, SingularMatrix
 from rosevent.events import IntegratorConfig, Termination, integrate
 from rosevent.onesided import (
@@ -25,6 +26,7 @@ from rosevent.problems import (
     affine_problem,
     builtin,
     field_jacobian,
+    spp_flatten,
 )
 from rosevent.rosenbrock import (
     GAMMA_ROS2,
@@ -47,6 +49,30 @@ def unit_speed(h):
 
 def declared(A, b, n, c):
     return affine_problem(Affine(A1=A, b1=b, A2=A, b2=b, n=n, c=c))
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The field numbers of the problems.eval_field calls made while the
+    test runs, in order: every field evaluation is one such call."""
+    calls = []
+    real = rosevent.problems.eval_field
+
+    def recorded(problem, which, *args):
+        calls.append(which)
+        return real(problem, which, *args)
+
+    monkeypatch.setattr(rosevent.problems, "eval_field", recorded)
+    return calls
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """One entry per linalg.lu_factor call made while the test runs."""
+    calls = []
+    real = rosevent.linalg.lu_factor
+    monkeypatch.setattr(rosevent.linalg, "lu_factor", lambda m: calls.append(1) or real(m))
+    return calls
 
 
 # --- one-stage series guard --------------------------------------------------
@@ -73,7 +99,7 @@ def test_series_guard_abstains_without_neumann_convergence():
 
 
 @pytest.mark.parametrize("tau", [-0.25, 0.0, math.nan, math.inf])
-def test_guards_reject_a_step_that_is_not_positive_and_finite(tau):
+def test_guards_reject_a_step_that_is_not_positive_and_finite(tau, evaluated):
     problem = builtin("tent")
     x0 = np.array([0.3])
     J = field_jacobian(problem, 1, x0.tolist())
@@ -84,7 +110,7 @@ def test_guards_reject_a_step_that_is_not_positive_and_finite(tau):
     with pytest.raises(ValueError, match="tau must be positive and finite"):
         guarded_ros2_step(problem, x0, tau, J)
     # rejected before any field evaluation
-    assert problem.counters.f_evals == {1: 0, 2: 0}
+    assert evaluated == []
 
 
 # --- one-stage orthogonal guard ----------------------------------------------
@@ -128,20 +154,43 @@ def test_orthogonal_guard_rejects_generic_step_matrix():
         guard_ros1_orthogonal(builtin("linear_test"), [1.0], 0.5, 1.0)
 
 
-def test_one_stage_guards_read_najafis_float_form_jacobian_as_an_array():
+def test_an_orthogonal_guard_that_refuses_its_step_matrix_ends_the_run(evaluated, monkeypatch):
+    # the relay's step matrix is no rotation: at the first hit the guard
+    # raises NotOrthogonal, and the run ends there as a failed guard does,
+    # with its mesh and counts and no report
+    jacobians = []
+    real = rosevent.problems.field_jacobian
+    monkeypatch.setattr(rosevent.problems, "field_jacobian",
+                        lambda *args: jacobians.append(1) or real(*args))
+    flat = spp_flatten(builtin("kowalczyk", eps=1e-2))
+    result = integrate(flat, flat.x0, IntegratorConfig(
+        tau=1e-3, t_end=0.5, method=ROS1, guard_mode=GuardMode.ROS1_ORTHOGONAL))
+    assert result.termination is Termination.GUARD_FAILURE
+    assert result.events == [] and result.guard_reports == []
+    # the six steps before the hit; the hit's step is not kept
+    assert len(result.mesh) == 7 and result.mesh[-1][0] == pytest.approx(0.006)
+    assert result.stats.steps == 7
+    assert result.stats.f_evals == {1: 7, 2: 0} and evaluated == [1] * 7
+    assert result.stats.lu_factorizations == 1
+    # the visit's A_1, and the J the guard evaluated before it refused
+    assert result.stats.jacobian_evaluations == len(jacobians) == 2
+
+
+def test_one_stage_guards_read_najafis_float_form_jacobian_as_an_array(counting):
     # najafi declares its Jacobian's float form; the one-stage guards read
     # field_jacobian's rows as an array (gamma*tau*J, J @ f), so they run on it
     # as on any other Jacobian. At t = 0.9, h = t - 1 rises at unit speed
     # and J has a zero second row: a0 = 1, a1 = a2 = 0, tau certified.
     problem = builtin("najafi")
     x0 = np.array([1.0, 0.9])
-    rep = guard_ros1_general(problem, x0, 0.125, 1.0)
-    assert rep.passed and rep.neumann_ok is True and rep.certified_sigma == 0.125
-    assert rep.coefficients == {"a0": 1.0, "a1": 0.0, "a2": 0.0}
-    # I - tau*J is upper triangular with a non-zero corner: not orthogonal
-    with pytest.raises(NotOrthogonal, match="orthogonality"):
-        guard_ros1_orthogonal(problem, x0, 0.125, 1.0)
-    assert problem.counters.f_evals == {1: 1, 2: 0}
+    with counting() as stats:
+        rep = guard_ros1_general(problem, x0, 0.125, 1.0)
+        assert rep.passed and rep.neumann_ok is True and rep.certified_sigma == 0.125
+        assert rep.coefficients == {"a0": 1.0, "a1": 0.0, "a2": 0.0}
+        # I - tau*J is upper triangular with a non-zero corner: not orthogonal
+        with pytest.raises(NotOrthogonal, match="orthogonality"):
+            guard_ros1_orthogonal(problem, x0, 0.125, 1.0)
+    assert stats.f_evals == {1: 1, 2: 0}
 
 
 def test_guards_without_a_contraction_condition_do_not_certify_one():
@@ -221,7 +270,7 @@ def undeclared_twin(problem):
         jac_f1=lambda x: aff.A1, jac_f2=lambda x: aff.A2)
 
 
-def test_the_guards_refuse_an_undeclared_surface():
+def test_the_guards_refuse_an_undeclared_surface(evaluated):
     # the pinned case's undeclared twin: the series truncated after sigma^2
     # passed it, certifying tau, where the declared case fails. Without a
     # declared surface no guard has a certificate to give.
@@ -233,14 +282,14 @@ def test_the_guards_refuse_an_undeclared_surface():
     with pytest.raises(ValueError, match="declares no surface"):
         guard_ros2_dense(twin, step)
     # refused before any field evaluation
-    assert twin.counters.f_evals == {1: 0, 2: 0}
+    assert evaluated == []
 
 
 @pytest.mark.parametrize("guard, method", [(GuardMode.ROS1_GENERAL, ROS1),
                                            (GuardMode.ROS1_ORTHOGONAL, ROS1),
                                            (GuardMode.ROS2_DENSE, ROS2)],
                          ids=["ros1", "ros1-orth", "ros2-dense"])
-def test_a_guarded_run_refuses_an_undeclared_surface(guard, method):
+def test_a_guarded_run_refuses_an_undeclared_surface(guard, method, evaluated):
     twin = undeclared_twin(PINNED)
     h, h_calls = twin.h, []
     twin.h = lambda x: h_calls.append(1) or h(x)
@@ -249,7 +298,7 @@ def test_a_guarded_run_refuses_an_undeclared_surface(guard, method):
                                                     guard_mode=guard))
     # refused while the inputs are checked: no h, no field
     assert not h_calls
-    assert twin.counters.snapshot() == ({1: 0, 2: 0}, {1: 0, 2: 0})
+    assert evaluated == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -303,19 +352,10 @@ def guarded(problem, x0, tau, **kw):
     return guarded_ros2_step(problem, x0, tau, field_jacobian(problem, 1, x0.tolist()), **kw)
 
 
-def test_resolve_case_1b_places_internal_stage_on_surface(monkeypatch):
+def test_resolve_case_1b_places_internal_stage_on_surface(factored, counting):
     problem = unit_speed(lambda x: x[0] - 0.4)
-    factored = []
-    lu_factor = rosevent.linalg.lu_factor
-
-    def counted(m):
-        factored.append(1)
-        return lu_factor(m)
-
-    monkeypatch.setattr(rosevent.linalg, "lu_factor", counted)
-    before = problem.counters.snapshot()[0]
-    step, factorizations = guarded(problem, [0.0], 1.0)
-    after = problem.counters.snapshot()[0]
+    with counting() as stats:
+        step = guarded(problem, [0.0], 1.0)
 
     assert abs(step.tau - 0.4) <= 1e-9
     h_inner = float(problem.h(step.x0 + step.k1))
@@ -324,17 +364,17 @@ def test_resolve_case_1b_places_internal_stage_on_surface(monkeypatch):
     assert abs(step.x1[0] - 0.4) <= 1e-9
     # exactly two field evaluations for the whole guarded step: f(x0) once,
     # then the second stage of the shortened step
-    assert after[1] - before[1] == 2
-    assert after[2] - before[2] == 0
+    assert stats.f_evals[1] == 2
+    assert stats.f_evals[2] == 0
     # the full-size trial plus one per bisection trial, and every one counted
-    assert factorizations >= 2
-    assert factorizations == len(factored)
+    assert len(factored) >= 2
+    assert stats.lu_factorizations == len(factored)
 
 
 def test_resolve_case_1b_accounts_for_jacobian():
     problem = scalar_problem(lambda x: x.copy(), lambda x: x[0] - 1.1,
                              jac=lambda x: np.eye(1))
-    step, _ = guarded(problem, [1.0], 1.0)
+    step = guarded(problem, [1.0], 1.0)
     # internal stage 1 + sigma/(1 - gamma*sigma) = 1.1
     expected = 0.1 / (1.0 + 0.1 * GAMMA_ROS2)
     assert abs(step.tau - expected) <= 1e-9
@@ -347,7 +387,7 @@ def test_resolve_case_1b_completed_step_can_fall_back_inside():
         lambda x: x[0] - 0.35,
         jac=lambda x: np.array([[-8.0 * x[0]]]),
     )
-    step, _ = guarded(problem, [0.0], 0.5)
+    step = guarded(problem, [0.0], 0.5)
     assert abs(step.tau - 0.35) <= 1e-6
     # second stage sees the slower field past the surface and pulls the
     # endpoint back to the safe side
@@ -355,7 +395,7 @@ def test_resolve_case_1b_completed_step_can_fall_back_inside():
     assert float(problem.h(step.x1)) < 0.0
 
 
-def test_resolve_case_1b_requires_actual_trespass():
+def test_resolve_case_1b_requires_actual_trespass(factored):
     # right after an R2 -> R1 crossing the step can start on the surface's
     # far side; the trespassing internal stage then has no bracket
     problem = unit_speed(lambda x: x[0] - 0.4)
@@ -364,8 +404,9 @@ def test_resolve_case_1b_requires_actual_trespass():
     # an internal stage on the safe side leaves the step unshortened and
     # bit-identical to the plain two-stage step
     far = unit_speed(lambda x: x[0] - 5.0)
-    step, factorizations = guarded(far, [0.0], 1.0)
-    assert factorizations == 1
+    factored.clear()
+    step = guarded(far, [0.0], 1.0)
+    assert len(factored) == 1
     plain = ros2_step(far.f1, np.array([0.0]), 1.0, np.zeros((1, 1)))
     assert step.tau == 1.0
     npt.assert_array_equal(step.k1, plain.k1)
@@ -373,21 +414,22 @@ def test_resolve_case_1b_requires_actual_trespass():
     npt.assert_array_equal(step.x1, plain.x1)
 
 
-def test_resolve_case_1b_iteration_budget():
+def test_resolve_case_1b_iteration_budget(factored):
     # the internal stage is exactly sigma here and no float squares to 0.5,
     # so with h_tol = 0 the search narrows its bracket to 4*eps*tau and
     # completes the step at its last safe trial
     problem = unit_speed(lambda x: x[0] * x[0] - 0.5)
-    step, factorizations = guarded(problem, [0.0], 1.0, h_tol=0.0)
+    step = guarded(problem, [0.0], 1.0, h_tol=0.0)
     assert float(problem.h(step.x0 + step.k1)) <= 0.0
     assert 0.0 < math.sqrt(0.5) - step.tau <= 4 * np.finfo(float).eps
-    assert factorizations - 1 <= 52
+    assert len(factored) - 1 <= 52
     # an h that jumps across zero has no trial within h_tol either
     jump = unit_speed(lambda x: -1.0 if x[0] < 0.3 else 1.0)
-    step, factorizations = guarded(jump, [0.0], 1.0)
+    factored.clear()
+    step = guarded(jump, [0.0], 1.0)
     assert float(jump.h(step.x0 + step.k1)) == -1.0
     assert 0.0 < 0.3 - step.tau <= 4 * np.finfo(float).eps
-    assert factorizations - 1 <= 52
+    assert len(factored) - 1 <= 52
 
 
 def test_resolve_case_1b_lands_a_linear_stage_on_the_surface():
@@ -398,7 +440,7 @@ def test_resolve_case_1b_lands_a_linear_stage_on_the_surface():
     najafi = builtin("najafi")
     tau = 2.0**-5
     x0 = np.array([1.0, 1.0 - 14 * 2.0**-10])
-    step, _ = guarded(najafi, x0, tau)
+    step = guarded(najafi, x0, tau)
     assert step.tau < tau
     assert float(najafi.h(step.x0 + step.k1)) == 0.0
     assert 0.0 < float(najafi.h(step.x1)) <= SIGMA_TOL
@@ -413,7 +455,7 @@ def test_resolve_case_1b_lands_a_linear_stage_on_the_surface():
     assert float(najafi.h(result.events[0].x_star)) <= 0.0
 
 
-def test_resolve_case_1b_takes_few_trials_on_najafi():
+def test_resolve_case_1b_takes_few_trials_on_najafi(factored):
     # ITP needs ~8 trials per shortening where bisection took ~34
     najafi = builtin("najafi")
     tau = 2.0**-5
@@ -421,9 +463,10 @@ def test_resolve_case_1b_takes_few_trials_on_najafi():
     for _ in range(50):
         # the full step's internal stage passes t = 1 from each of these
         x0 = np.array([rng.uniform(0.5, 1.5), 1.0 - rng.uniform(0.0, tau)])
-        step, factorizations = guarded(najafi, x0, tau)
+        factored.clear()
+        step = guarded(najafi, x0, tau)
         assert step.tau < tau
-        assert factorizations - 1 <= 12
+        assert len(factored) - 1 <= 12
         assert float(najafi.h(step.x0 + step.k1)) <= 0.0
 
 
@@ -497,7 +540,7 @@ def test_a_nan_h_at_the_internal_stage_shortens_the_step():
     problem = PiecewiseProblem(dim=2, f1=f1, f2=lambda u: np.array([0.0, 1.0]), h=h,
                                jac_f1=lambda u: np.zeros((2, 2)),
                                jac_f2=lambda u: np.zeros((2, 2)))
-    step, _ = guarded_ros2_step(problem, (1.0, 0.9), 0.125, np.zeros((2, 2)))
+    step = guarded_ros2_step(problem, (1.0, 0.9), 0.125, np.zeros((2, 2)))
     assert step.tau < 0.125
     assert times and max(times) <= 1.0
     assert float(problem.h(step.x0 + step.k1)) <= 0.0

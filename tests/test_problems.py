@@ -1,4 +1,4 @@
-"""Problem containers, counters, slow/fast flattening, builtin registry."""
+"""Problem containers, counting, slow/fast flattening, builtin registry."""
 
 import math
 import re
@@ -37,23 +37,25 @@ from rosevent.problems import (
 )
 
 
-def test_eval_field_counts_and_validates():
+def test_eval_field_counts_and_validates(counting):
     p = builtin("tent")
-    npt.assert_array_equal(eval_field(p, 1, [0.0]), [1.0])
-    npt.assert_array_equal(eval_field(p, 2, [0.0]), [-1.0])
-    assert p.counters.f_evals == {1: 1, 2: 1}
+    with counting() as stats:
+        npt.assert_array_equal(eval_field(p, 1, [0.0]), [1.0])
+        npt.assert_array_equal(eval_field(p, 2, [0.0]), [-1.0])
+    assert stats.f_evals == {1: 1, 2: 1}
     with pytest.raises(ValueError):
         eval_field(p, 3, [0.0])
 
 
-def test_najafi_domain_violation_counted():
+def test_najafi_domain_violation_counted(counting):
     p = builtin("najafi")
-    ok = eval_field(p, 1, [1.0, 0.96])
-    npt.assert_allclose(ok, [0.2, 1.0], rtol=0, atol=1e-15)
-    with pytest.raises(DomainViolation):
-        eval_field(p, 1, [1.0, 1.5])
-    assert p.counters.domain_violations == {1: 1, 2: 0}
-    assert p.counters.f_evals == {1: 1, 2: 0}
+    with counting() as stats:
+        ok = eval_field(p, 1, [1.0, 0.96])
+        npt.assert_allclose(ok, [0.2, 1.0], rtol=0, atol=1e-15)
+        with pytest.raises(DomainViolation):
+            eval_field(p, 1, [1.0, 1.5])
+    assert stats.domain_violations == {1: 1, 2: 0}
+    assert stats.f_evals == {1: 1, 2: 0}
     # the post-switch field has no domain restriction
     npt.assert_array_equal(eval_field(p, 2, [1.0, 1.5]), [0.0, 1.0])
 
@@ -67,7 +69,7 @@ def test_najafi_jacobian_refuses_past_switch():
 
 
 @pytest.mark.parametrize("x, rejected", [([1.0, 0.5], 0), ([1.0, 1.0], 1)])
-def test_a_finite_difference_jacobian_checks_each_point_once(x, rejected):
+def test_a_finite_difference_jacobian_checks_each_point_once(x, rejected, counting):
     # najafi's field 1 without its Jacobian, under a counting domain
     # predicate: the stencil checks each point once and eval_field takes its
     # verdict. At t = 1 the forward t-probe leaves the domain, and the
@@ -80,9 +82,10 @@ def test_a_finite_difference_jacobian_checks_each_point_once(x, rejected):
         return najafi.domain_f1(u)
 
     p = PiecewiseProblem(2, najafi.f1, najafi.f2, surface=najafi.surface, domain_f1=domain)
-    J = field_jacobian(p, 1, x)
-    assert p.counters.f_evals[1] == len(checked) - rejected == 4
-    assert p.counters.domain_violations == {1: 0, 2: 0}
+    with counting() as stats:
+        J = field_jacobian(p, 1, x)
+    assert stats.f_evals[1] == len(checked) - rejected == 4
+    assert stats.domain_violations == {1: 0, 2: 0}
     npt.assert_allclose(J[1], [0.0, 0.0], atol=0)
     if not rejected:  # central differences: dx' / dx = sqrt(1 - t)
         npt.assert_allclose(J[0], [math.sqrt(0.5), -1.0 / (2.0 * math.sqrt(0.5))], rtol=1e-7)
@@ -146,13 +149,46 @@ def test_a_problem_needs_at_least_one_state(dim):
         PiecewiseProblem(dim=dim, f1=lambda u: u, f2=lambda u: u, h=lambda u: -1.0)
 
 
-def test_spp_flatten_gives_the_flat_problem_its_own_counters():
+def state_of(problem) -> dict:
+    """What a problem holds, attribute by attribute, as its repr: a value
+    replaced or changed in place reads differently."""
+    return {name: repr(value) for name, value in vars(problem).items()}
+
+
+def test_spp_flatten_and_a_run_leave_both_problems_as_they_were():
+    # the counts of a run are the run's: neither the flat problem nor its
+    # stacked source holds any, so neither changes
     for spp in (builtin("kowalczyk"), stacked(reference_kowalczyk(-0.9, 1e-2))):
+        before = state_of(spp.stacked)
         flat = spp_flatten(spp)
-        eval_field(flat, 1, [0.5, 0.25])
-        assert flat.counters is not spp.stacked.counters
-        assert flat.counters.f_evals == {1: 1, 2: 0}
-        assert spp.stacked.counters.f_evals == {1: 0, 2: 0}
+        made = state_of(flat)
+        result = integrate(flat, [1.0, 0.0], IntegratorConfig(tau=1e-3, t_end=0.2))
+        assert result.stats.f_evals[1] > 0 and result.events
+        assert state_of(flat) == made
+        assert state_of(spp.stacked) == before
+
+
+def bare_relay() -> PiecewiseProblem:
+    # kowalczyk flattened and stripped to its fields and h: finite-difference
+    # Jacobians on an undeclared surface, as the derivative-free relay runs
+    flat = spp_flatten(builtin("kowalczyk", eps=1e-2))
+    return PiecewiseProblem(flat.dim, flat.f1, flat.f2, flat.h, x0=flat.x0)
+
+
+@pytest.mark.parametrize("make, cfg", [
+    (lambda: spp_flatten(builtin("kowalczyk", eps=1e-2)), IntegratorConfig(tau=1e-3, t_end=0.2)),
+    (bare_relay, IntegratorConfig(tau=1e-3, t_end=0.2)),
+    (lambda: builtin("najafi"),
+     IntegratorConfig(tau=0.125, t_end=2.0, guard_mode=GuardMode.ROS2_DENSE)),
+    (lambda: builtin("najafi"),
+     IntegratorConfig(tau=0.125, t_end=2.0, method=ROS1, guard_mode=GuardMode.ROS1_GENERAL)),
+], ids=["plain", "finite-difference", "ros2-dense", "ros1-guarded"])
+def test_a_run_leaves_its_problem_as_it_was(make, cfg):
+    problem = make()
+    before = state_of(problem)
+    result = integrate(problem, problem.x0, cfg)
+    assert result.stats.f_evals[1] > 0 and result.stats.lu_factorizations > 0
+    assert state_of(problem) == before
 
 
 def test_spp_flatten_wraps_a_callable_stacked_problem():
@@ -703,27 +739,28 @@ class NoNumpy:
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(2, 4))
-def test_float_rows_are_the_left_to_right_sums_in_both_forms(data, n):
+def test_float_rows_are_the_left_to_right_sums_in_both_forms(data, n, counting):
     def floats():
         return data.draw(st.lists(finite, min_size=n, max_size=n))
 
     A1, A2 = [floats() for _ in range(n)], [floats() for _ in range(n)]
     b1, b2, x = floats(), floats(), floats()
     problem = affine_problem(Affine(A1, b1, A2, b2, np.ones(n), 0.0))
-    for which, A, b in ((1, A1, b1), (2, A2, b2)):
-        want = np.array(left_to_right_rows(A, b, x)).tobytes()
-        f = problem.f1 if which == 1 else problem.f2
-        assert isinstance(f, FloatRows)
-        # the float form runs no numpy: a list of floats in, a list out
-        with mock.patch.object(rosevent.problems, "np", NoNumpy()):
-            as_list = eval_field(problem, which, list(x))
-        assert type(as_list) is list and all(type(v) is float for v in as_list)
-        # the array form is the field's own __call__, which counts nothing
-        as_array = f(np.array(x))
-        assert isinstance(as_array, np.ndarray) and as_array.dtype == float
-        assert np.array(as_list).tobytes() == as_array.tobytes() == want
+    with counting() as stats:
+        for which, A, b in ((1, A1, b1), (2, A2, b2)):
+            want = np.array(left_to_right_rows(A, b, x)).tobytes()
+            f = problem.f1 if which == 1 else problem.f2
+            assert isinstance(f, FloatRows)
+            # the float form runs no numpy: a list of floats in, a list out
+            with mock.patch.object(rosevent.problems, "np", NoNumpy()):
+                as_list = eval_field(problem, which, list(x))
+            assert type(as_list) is list and all(type(v) is float for v in as_list)
+            # the array form is the field's own __call__, which counts nothing
+            as_array = f(np.array(x))
+            assert isinstance(as_array, np.ndarray) and as_array.dtype == float
+            assert np.array(as_list).tobytes() == as_array.tobytes() == want
     # each eval_field call counted once
-    assert problem.counters.f_evals == {1: 1, 2: 1}
+    assert stats.f_evals == {1: 1, 2: 1}
 
 
 def test_float_rows_are_generated_once_per_size():
@@ -737,18 +774,19 @@ def test_float_rows_are_generated_once_per_size():
     assert other.floats([1.0, 2.0]) == [-2.0, 1.0]
 
 
-def test_the_float_form_of_a_callable_field_checks_its_value():
+def test_the_float_form_of_a_callable_field_checks_its_value(counting):
     # a callable field gets one float array and its value comes back as
     # floats, or fails the checks the step kernel relies on
     problem = PiecewiseProblem(dim=2, f1=lambda u: 2.0 * u, f2=lambda u: np.ones(3),
                                h=lambda u: -1.0, domain_f1=lambda u: u[0] <= 1.0)
-    assert eval_field(problem, 1, [0.5, 0.25]) == [1.0, 0.5]
-    with pytest.raises(DomainViolation):
-        eval_field(problem, 1, [1.5, 0.0])
-    with pytest.raises(ValueError, match="^matrix is 2x2 but b has length 3$"):
-        eval_field(problem, 2, [0.0, 0.0])
-    assert problem.counters.f_evals == {1: 1, 2: 1}
-    assert problem.counters.domain_violations == {1: 1, 2: 0}
+    with counting() as stats:
+        assert eval_field(problem, 1, [0.5, 0.25]) == [1.0, 0.5]
+        with pytest.raises(DomainViolation):
+            eval_field(problem, 1, [1.5, 0.0])
+        with pytest.raises(ValueError, match="^matrix is 2x2 but b has length 3$"):
+            eval_field(problem, 2, [0.0, 0.0])
+    assert stats.f_evals == {1: 1, 2: 1}
+    assert stats.domain_violations == {1: 1, 2: 0}
     # a list of ints reaches the field as a float array, as any x does
     # (an int array would raise at a negative integer power)
     reciprocal = PiecewiseProblem(dim=2, f1=lambda u: u ** -1, f2=lambda u: u,
@@ -784,44 +822,46 @@ najafi_t = st.one_of(st.floats(-1e6, 1.0, exclude_max=True), st.just(1.0),
 
 @settings(max_examples=300, deadline=None)
 @given(x=najafi_x, t=najafi_t)
-def test_najafi_float_forms_are_its_array_forms_bit_for_bit(x, t):
+def test_najafi_float_forms_are_its_array_forms_bit_for_bit(x, t, counting):
     # eval_field and field_jacobian give the float forms; the array forms
     # are the FloatFields' own __call__ on the state's array
     problem = builtin("najafi")
     assert isinstance(problem.f1, FloatField) and isinstance(problem.jac_f1, FloatField)
     fields = {1: (problem.f1, problem.jac_f1), 2: (problem.f2, problem.jac_f2)}
-    for which in (1, 2):
-        f_want, J_want = najafi_reference(which, [x, t])
-        f, jac = fields[which]
-        if f_want is None:
-            # past the switch: eval_field refuses, with the state's array
-            # in the message, and counts the refusal
-            with pytest.raises(DomainViolation) as from_floats:
-                eval_field(problem, which, [x, t])
-            assert str(from_floats.value) == (
-                f"field 1 of najafi is undefined at {np.array([x, t])}")
-        else:
-            got = eval_field(problem, which, [x, t])
-            assert type(got) is list and all(type(v) is float for v in got)
-            want = f(np.array([x, t]))
-            assert np.array(got).tobytes() == want.tobytes() == f_want.tobytes()
-        if J_want is None:
-            # the Jacobian of field 1 refuses t >= 1 in both forms
-            with pytest.raises(DomainViolation, match="^pre-switch Jacobian is singular"):
-                field_jacobian(problem, which, [x, t])
-            with pytest.raises(DomainViolation, match="^pre-switch Jacobian is singular"):
-                jac(np.array([x, t]))
-        else:
-            rows = field_jacobian(problem, which, [x, t])
-            assert type(rows) is list and all(type(v) is float for row in rows for v in row)
-            J = jac(np.array([x, t]))
-            assert isinstance(J, np.ndarray) and J.dtype == float
-            assert np.array(rows).tobytes() == J.tobytes() == J_want.tobytes()
-    assert problem.counters.f_evals == {1: int(t <= 1.0), 2: 1}
-    assert problem.counters.domain_violations == {1: int(t > 1.0), 2: 0}
+    with counting() as stats:
+        for which in (1, 2):
+            f_want, J_want = najafi_reference(which, [x, t])
+            f, jac = fields[which]
+            if f_want is None:
+                # past the switch: eval_field refuses, with the state's array
+                # in the message, and counts the refusal
+                with pytest.raises(DomainViolation) as from_floats:
+                    eval_field(problem, which, [x, t])
+                assert str(from_floats.value) == (
+                    f"field 1 of najafi is undefined at {np.array([x, t])}")
+            else:
+                got = eval_field(problem, which, [x, t])
+                assert type(got) is list and all(type(v) is float for v in got)
+                want = f(np.array([x, t]))
+                assert np.array(got).tobytes() == want.tobytes() == f_want.tobytes()
+            if J_want is None:
+                # the Jacobian of field 1 refuses t >= 1 in both forms
+                with pytest.raises(DomainViolation, match="^pre-switch Jacobian is singular"):
+                    field_jacobian(problem, which, [x, t])
+                with pytest.raises(DomainViolation, match="^pre-switch Jacobian is singular"):
+                    jac(np.array([x, t]))
+            else:
+                rows = field_jacobian(problem, which, [x, t])
+                assert type(rows) is list and all(type(v) is float for row in rows for v in row)
+                J = jac(np.array([x, t]))
+                assert isinstance(J, np.ndarray) and J.dtype == float
+                assert np.array(rows).tobytes() == J.tobytes() == J_want.tobytes()
+    assert stats.f_evals == {1: int(t <= 1.0), 2: 1}
+    assert stats.domain_violations == {1: int(t > 1.0), 2: 0}
+    assert stats.jacobian_evaluations == 2
 
 
-def test_a_float_form_field_hands_its_domain_the_floats():
+def test_a_float_form_field_hands_its_domain_the_floats(counting):
     seen = []
 
     def domain(u):
@@ -836,10 +876,12 @@ def test_a_float_form_field_hands_its_domain_the_floats():
     plain = PiecewiseProblem(dim=2, f1=lambda u: u[::-1], f2=lambda u: 0.0 * u,
                              h=lambda u: -1.0, domain_f1=domain)
     assert eval_field(plain, 1, [0.5, 0.25]) == [0.25, 0.5]
-    with pytest.raises(DomainViolation, match=re.escape("field 1 of swap is undefined at [2. 0.]")):
-        eval_field(problem, 1, [2.0, 0.0])
+    with counting() as stats:
+        with pytest.raises(DomainViolation,
+                           match=re.escape("field 1 of swap is undefined at [2. 0.]")):
+            eval_field(problem, 1, [2.0, 0.0])
     assert seen == [list, np.ndarray, list]
-    assert problem.counters.domain_violations == {1: 1, 2: 0}
+    assert stats.domain_violations == {1: 1, 2: 0}
 
 
 def test_a_float_form_of_the_wrong_shape_fails_the_shared_checks():
