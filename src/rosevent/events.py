@@ -40,42 +40,41 @@ there: a field's value as floats, a Jacobian as n rows of n floats, which
 the loop factors, compares and holds as they are. A float-form field or
 Jacobian (problems.FloatField) runs on the floats; any other gets the
 float array eval_field or field_jacobian builds from them, with the bits
-of the step's state. A step that continues the last plain step (the same
+of the step's state. A step that continues the last step (the same
 field from that step's x1) starts from the floats that step holds of x1.
 
 At a fixed step the step matrix I - gamma*tau*J changes only when J or
 tau does, and on fields that are linear in each region J is constant. The
-loop therefore keeps the LU factors of its last plain step's matrix and
-reuses them while J's rows (compared by value, which fixes the step
-matrix's bits) and tau are unchanged; the kept factors live in the call
+run holds the one set of LU factors: the loop keeps those of its last
+step's matrix and reuses them while J's rows (compared by value, which
+fixes the step matrix's bits) and tau are unchanged; they live in the call
 and die with it, and reusing them gives the same step bit for bit as
 factoring again. IntegrationStats.lu_factorizations counts the
 factorizations that actually ran, those of a step that failed included.
-A plain step takes a fresh J, but one that continues the last plain step
-keeps that step's matrix when it may be held, the very rows object that
-step holds: a declared affine problem's (problems.Affine) A_i, evaluated
-on a visit's first step, or a kept finite-difference W (below). Such a
-step costs f(x0) and one call of the
-kernel's step on the kept factors, refactored only when the step size
-changes (a remainder at t_end). A visit evaluates and holds its own A_i
-even when its entries equal the last visit's, whose factors it then
-solves with. The dense-guarded step of region 1 (onesided) takes a fresh J
-and factors on its own, and leaves the last plain step and the kept
-factors as they were.
+A step takes a fresh J, but one that continues the last step keeps that
+step's matrix when it may be held, the very rows object that step holds:
+a declared affine problem's (problems.Affine) A_i, evaluated on a visit's
+first step, or a kept finite-difference W (below). Such a step costs f(x0)
+and one kernel call on the kept factors, refactored only when the step
+size changes (a remainder at t_end). A visit evaluates and holds its own
+A_i even when its entries equal the last visit's, whose factors it then
+solves with. A dense-guarded step of region 1 (onesided._guarded_step)
+differs only in its kernel call; its case-1b trials factor their own sizes.
 
 A finite-difference (FD) Jacobian differs in its last bits from state to
 state, so on its own it would miss that key on every step. But the
 two-stage scheme is the ROS2 of Verwer, Spee, Blom & Hundsdorfer (SIAM J.
 Sci. Comput. 20, 1999), which keeps order 2 at the step's end for any
 matrix W in place of J: a W-method (Steihaug & Wolfbrandt, Math. Comp. 33,
-1979). So a continuing plain step of a field without an analytic Jacobian
+1979). So a continuing step of a field without an analytic Jacobian
 keeps the W of the previous step while W has served fewer than
 REUSE_STEPS steps and the previous step's secant fits W to FD-error level
 (_secant_source); else it takes a fresh FD J. A kept W has the factor key's
 rows, so its step compares tau only and reuses the key's factors. A run
-takes a fresh FD J at its start and on every region entry. An analytic
-Jacobian of a field not declared affine is evaluated afresh on every plain
-step.
+takes a fresh FD J at its start and on every region entry, and under a
+one-stage guard, which certifies the fresh J at x, on every step of region
+1. An analytic Jacobian of a field not declared affine is evaluated afresh
+on every step.
 W does not cancel from the dense output: its interior carries the extra
 term c*gamma*2*theta*(1 - theta)*tau^2*(W - J)*f(x0), zero at theta = 0
 and theta = 1, so event states keep their order but the interpolant's
@@ -119,7 +118,7 @@ THETA_TOL = 1e-12
 # the surface polynomial before it falls back to the ITP search
 SNAP_TRIES = 4
 
-# Most consecutive plain steps one FD Jacobian serves (integrate). A secant
+# Most consecutive steps one FD Jacobian serves (integrate). A secant
 # sees W only along the step, so a field affine along the path but not across
 # it passes every check; this cap bounds how long its W can go stale.
 REUSE_STEPS = 16
@@ -179,11 +178,10 @@ class EventRecord:
 class IntegrationStats:
     """Per-run counts, added where the work happens (module docstring);
     f_evals and domain_violations by field number. lu_factorizations
-    counts the linalg.lu_factor calls: a plain step that reuses the run's
-    kept factors adds none. jacobian_evaluations counts the
-    problems.field_jacobian calls, analytic or FD: one per step that takes
-    a fresh J and one per one-stage guard. A plain step that keeps its W
-    adds none, and a declared affine field adds one per region visit."""
+    counts the linalg.lu_factor calls: one per factor-key miss and one per
+    case-1b trial. jacobian_evaluations counts the problems.field_jacobian
+    calls, analytic or FD: one per step that takes a fresh J and one per
+    one-stage guard, so a declared affine field adds one per region visit."""
 
     f_evals: dict = field(default_factory=lambda: {1: 0, 2: 0})
     domain_violations: dict = field(default_factory=lambda: {1: 0, 2: 0})
@@ -432,8 +430,10 @@ def _integrate(problem, x0, cfg, stats):
               functools.partial(problems.eval_field, problem, 2))
     jacobian = problems.field_jacobian
     # per field, the uses a fresh J starts at: 1 for a finite-difference J,
-    # whose W a continuing step may keep, 0 for an analytic one
-    fresh_uses = (int(problem.jac_f1 is None), int(problem.jac_f2 is None))
+    # whose W a continuing step may keep, 0 for an analytic one and for
+    # region 1 under a one-stage guard, which certifies the fresh J at x
+    fresh_uses = (int(problem.jac_f1 is None and (guard is None or cfg.method.stages == 2)),
+                  int(problem.jac_f2 is None))
     h = problem.h
     # a declared surface's h takes the floats a step holds of its x1
     h_floats = problem.surface is not None
@@ -446,9 +446,11 @@ def _integrate(problem, x0, cfg, stats):
     kernel_step = rosenbrock.kernel(cfg.method.stages, problem.dim)
     fits = (linalg.generated(_secant_source, problem.dim, {"rtol": SECANT_RTOL})
             if problem.jac_f1 is None or problem.jac_f2 is None else None)
-    dense_guard = guard is onesided.GuardMode.ROS2_DENSE
+    # the dense guard's region-1 step splits at its first stage
+    pair = (rosenbrock.kernel_pair(2, problem.dim)
+            if guard is onesided.GuardMode.ROS2_DENSE else None)
     h_tol = cfg.h_tol
-    # the last plain step and its field, and what a step that continues it
+    # the last step and its field, and what a step that continues it
     # reuses: the key (J's rows, tau) and LU factors of the last step matrix
     # factored, that step's f(x0), and the steps its J has served when it is
     # a finite-difference J or a W kept from one (uses; 0 for any other J)
@@ -477,41 +479,38 @@ def _integrate(problem, x0, cfg, stats):
             break
         size = min(tau, remaining)
         field = fields[active - 1]
-        # a step that continues the last plain step (the same field from its
+        # a step that continues the last step (the same field from its
         # x1) starts from the floats that step holds of x1
         cont = last is not None and last_active == active and last.x1 is x
         x0f = last.x1f if cont else x.tolist()
         try:
-            if dense_guard and active == 1:
-                # the guarded step: a fresh J, factored on its own; the last
-                # plain step and its factors stay as they were
-                J, jacobians = jacobian(problem, 1, x0f), 1
-                step = onesided._guarded_step(
-                    problem, x, x0f, field(x0f), size, J, h_tol, field)
+            fx = field(x0f)
+            if cont and (uses < REUSE_STEPS and fits(fx, fx0, x0f, last.x0f, key_rows)
+                         if uses else affine):
+                # the rows the last step held, which are the key's: a
+                # declared affine field's A_i, or a finite-difference W
+                # while it has served fewer than REUSE_STEPS steps and
+                # fits the last step's secant
+                J, jacobians = last.jac, 0
+                if uses:
+                    uses += 1
             else:
-                fx = field(x0f)
-                if cont and (uses < REUSE_STEPS and fits(fx, fx0, x0f, last.x0f, key_rows)
-                             if uses else affine):
-                    # the rows the last step held, which are the key's: a
-                    # declared affine field's A_i, or a finite-difference W
-                    # while it has served fewer than REUSE_STEPS steps and
-                    # fits the last step's secant
-                    J, jacobians = last.jac, 0
-                    if uses:
-                        uses += 1
-                else:
-                    J, jacobians, uses = jacobian(problem, active, x0f), 1, fresh_uses[active - 1]
-                # the key compares J's rows by value: rows that compare equal
-                # give the step matrix's bits (+0.0 and -0.0 both give
-                # 0.0 - g*J_ij = 0.0). A key is kept only once lu_factor has
-                # taken its rows, so it holds no NaN, and a row with a NaN
-                # matches none. It holds a copy: a float-form Jacobian's rows
-                # are its own lists.
-                if size != key_tau or J != key_rows:
-                    factors = rosenbrock.factor(J, size, gamma)
-                    key_rows, key_tau = [r[:] for r in J], size
+                J, jacobians, uses = jacobian(problem, active, x0f), 1, fresh_uses[active - 1]
+            # the key compares J's rows by value: rows that compare equal
+            # give the step matrix's bits (+0.0 and -0.0 both give
+            # 0.0 - g*J_ij = 0.0). A key is kept only once lu_factor has
+            # taken its rows, so it holds no NaN, and a row with a NaN
+            # matches none. It holds a copy: a float-form Jacobian's rows
+            # are its own lists.
+            if size != key_tau or J != key_rows:
+                factors = rosenbrock.factor(J, size, gamma)
+                key_rows, key_tau = [r[:] for r in J], size
+            if pair is not None and active == 1:
+                step = onesided._guarded_step(problem, x, x0f, fx, size, J, factors, h_tol,
+                                              field, pair)
+            else:
                 step = kernel_step(field, x, x0f, fx, size, J, factors)
-                last, last_active, fx0 = step, active, fx
+            last, last_active, fx0 = step, active, fx
         except (SingularMatrix, NoBracket) as exc:
             # a singular step matrix, or the one-sided step-shortening
             # machinery failed; the work the step did has counted as it ran

@@ -38,14 +38,13 @@ RosenbrockStep.slopes(n) give n . dX1/dtheta = m1 + theta*m2, with
 m1 = n . c*((2-6*gamma)*k1 - 2*gamma*k2) and m2 = n . 2*c*(k1 + k2), so d
 is that line and d(0) > 0, d(1) > 0 certify it exactly.
 
-Case 1b is decided in one place, guarded_ros2_step, the only code that
-builds a guarded two-stage step (the integrator and the guard-check command
-both call it): when the internal stage x0 + k1 would already trespass the
-surface, the step is shortened before the second field evaluation ever
-happens. resolve_case_1b searches g(sigma) = h(x0 + k1(sigma)) for a safe
-size with linalg.safe_side_root, the ITP search event location also uses,
-reusing the caller's f(x0), J and g(tau), with one factorization per trial
-and no field evaluations.
+Case 1b is decided in one place, _guarded_step (integrate's region-1 step
+on the run's J and factors, and guarded_ros2_step's): when the internal
+stage x0 + k1 would already trespass the surface, the step is shortened
+before the second field evaluation ever happens. resolve_case_1b searches
+g(sigma) = h(x0 + k1(sigma)) for a safe size with linalg.safe_side_root,
+the ITP search event location also uses, reusing the caller's f(x0), J and
+g(tau), with one factorization per trial and no field evaluations.
 """
 
 from __future__ import annotations
@@ -241,15 +240,15 @@ def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,
     The internal stage x0 + k1 is checked before the second field
     evaluation; when it trespasses (case 1b), or h is NaN there and so has
     no side, the step is shortened by resolve_case_1b first. Returns the
-    step, as ros2_step does; step.tau < tau marks a shortened step. Raises
-    ValueError unless tau is positive and finite and J is a square, finite
-    matrix of x0's size (linalg.as_matrix), before any field evaluation.
+    step, as ros2_step does; step.tau < tau marks a shortened step. Before
+    any field evaluation, raises ValueError unless tau is positive and
+    finite, and checks x0 and J and factors as ros2_step does.
     """
     _check_step_size(tau)
-    x0, J = linalg.as_vector(x0), linalg.as_matrix(J)
-    rosenbrock._sized(len(J), len(x0))
+    x0, J, factors = rosenbrock._entry(x0, tau, J, rosenbrock.GAMMA_ROS2)
     field, x0f = functools.partial(problems.eval_field, problem, 1), x0.tolist()
-    return _guarded_step(problem, x0, x0f, field(x0f), tau, J.tolist(), h_tol, field)
+    return _guarded_step(problem, x0, x0f, field(x0f), tau, J.tolist(), factors, h_tol, field,
+                         rosenbrock.kernel_pair(2, len(x0f)))
 
 
 def _stage_h(problem, x0f: list, k1: list) -> float:
@@ -259,15 +258,14 @@ def _stage_h(problem, x0f: list, k1: list) -> float:
     return float(problem.h(stage if problem.surface is not None else np.array(stage)))
 
 
-def _guarded_step(problem, x0, x0f, fx0, tau, J, h_tol, field):
+def _guarded_step(problem, x0, x0f, fx0, tau, J, factors, h_tol, field, pair):
     # guarded_ros2_step on the kernel, unchecked: x0 a finite float array of
     # the problem's dimension and x0f its floats, fx0 = f1(x0) as floats, J
-    # n rows of n floats (problems.field_jacobian's form, factored as they
-    # are), field the counted field 1 (problems.eval_field with problem and
-    # 1 bound in); integrate's step. A NaN h at the internal stage has no
-    # side, so it shortens the step as a trespass does.
-    factors = rosenbrock.factor(J, tau, rosenbrock.GAMMA_ROS2)
-    stage1, finish = rosenbrock.kernel_pair(2, len(x0f))
+    # n rows of n floats and factors those of its step matrix, field the
+    # counted field 1 and pair rosenbrock.kernel_pair(2, n); integrate's
+    # region-1 step. A NaN h at the internal stage has no side, so it
+    # shortens the step as a trespass does.
+    stage1, finish = pair
     k1 = stage1(factors, fx0, tau)
     g_tau = _stage_h(problem, x0f, k1)
     if not g_tau <= 0.0:

@@ -13,11 +13,11 @@ The one-stage scheme is the linearly implicit Euler step
 (I - tau*J) k1 = tau * f(x0), x1 = x0 + k1.
 
 Each step solves with the LU factors of its step matrix I - gamma*tau*J,
-the two-stage step for both of its stages. A caller that already holds
-those factors passes them in (factors=...). events.integrate does: within
-one run it factors again only when (J, tau) differs from the previous
-step's, not once per step. Without them the step factors the matrix
-itself. J may be any matrix W in place of the Jacobian: x1 keeps order 2
+the two-stage step for both of its stages. ros1_step and ros2_step factor
+the matrix themselves; a caller that holds the factors steps with factor
+and the kernel below, as events.integrate does: within one run it factors
+again only when (J, tau) differs from the previous step's, not once per
+step. J may be any matrix W in place of the Jacobian: x1 keeps order 2
 for every W (a W-method), which lets events.integrate keep a
 finite-difference J over several steps; the dense output's interior then
 carries an error term in W - J (see events). The dense output
@@ -45,10 +45,10 @@ state x0 + k1, f there, the k2 right-hand side, its substitution and x1 as
 one expression per entry, no loop. Every step path runs it: the public
 steps here (ros1_step and ros2_step call the step, ros2_finish finish, and
 restep them), the driver's one step path in events.integrate (which binds
-the step once per run), and the guarded step and each of its case-1b
-trials (onesided), which call stage1 and finish, where the guarded step
-hands finish the k1 whose stage it has checked. The step holds each stage
-once, as those floats (k1 and k2 are arrays built when read), and x1 as
+the step, and a dense-guarded run's pair, once per run), and the guarded
+step and each of its case-1b trials (onesided), which call stage1 and
+finish, where the guarded step hands finish the k1 whose stage it has
+checked. The step holds each stage once, as those floats (k1 and k2 are arrays built when read), and x1 as
 floats beside its array, which the driver's next step starts from; it is
 its own dense output: dense_eval, dense_derivative, event location and the
 dense guard all read its value, derivative and slopes. Its value has one
@@ -73,11 +73,11 @@ here (as_vector), and x1 where finish makes it (NonFiniteState, a
 ValueError, when an entry overflowed). Each field value's shape and length:
 linalg.as_floats, which problems.eval_field (every field of the driver and
 the guarded step) and the public step functions apply. J's shape and size:
-problems.field_jacobian, which gives every J of the driver and the guarded
-step as n rows of n floats, and the public entries that take a caller's J
-or factors (ros1_step, ros2_step, ros2_finish and
-onesided.guarded_ros2_step), which refuse another size before any field
-evaluation; the kernel, factor and onesided.resolve_case_1b check neither.
+problems.field_jacobian, which gives every J of the driver as n rows of
+n floats, and the public entries that take a caller's J or factors
+(ros1_step, ros2_step and onesided.guarded_ros2_step through _entry, and
+ros2_finish), which refuse another size before any field evaluation; the
+kernel, factor and onesided.resolve_case_1b check neither.
 The step matrix's finiteness by lu_factor, and each
 right-hand side's finiteness, tau*f(x0) and tau*f(x0 + k1) - 2*k1, by
 linalg.lu_solve ("vector entries must be finite"), to which the kernel
@@ -394,26 +394,20 @@ def _sized(m: int, n: int) -> None:
         raise ValueError(f"matrix is {m}x{m} but b has length {n}")
 
 
-def _entry(x0, tau: float, J, gamma: float, factors) -> tuple:
-    # the public steps' checks, before any field evaluation: x0 a finite
-    # vector, J a square finite matrix when the step factors it, and the
-    # factors, given or made, of x0's size
-    x0 = linalg.as_vector(x0)
-    J = linalg.as_matrix(J) if factors is None else np.asarray(J, dtype=float)
-    _sized(len(J) if factors is None else factors.n, x0.shape[0])
-    return x0, J, factor(J.tolist(), tau, gamma) if factors is None else factors
+def _entry(x0, tau: float, J, gamma: float) -> tuple:
+    # the public steps' checks and factors, before any field evaluation: x0
+    # a finite vector and J a square finite matrix of its size
+    x0, J = linalg.as_vector(x0), linalg.as_matrix(J)
+    _sized(len(J), x0.shape[0])
+    return x0, J, factor(J.tolist(), tau, gamma)
 
 
-def ros1_step(field, x0, tau: float, J, *,
-              factors: linalg.LuFactors | None = None) -> RosenbrockStep:
+def ros1_step(field, x0, tau: float, J) -> RosenbrockStep:
     """Linearly implicit Euler step of size tau with Jacobian J.
 
-    factors, when given, must be the LU factors of I - tau*J; they are used
-    as they are, so the step is the one a fresh factorization would give.
-    ValueError, before the field is evaluated, when J or the factors are
-    not of x0's size.
+    ValueError, before the field is evaluated, when J is not of x0's size.
     """
-    x0, J, factors = _entry(x0, tau, J, GAMMA_ROS1, factors)
+    x0, J, factors = _entry(x0, tau, J, GAMMA_ROS1)
     n = x0.shape[0]
     return kernel(1, n)(None, x0, x0.tolist(), linalg.as_floats(field(x0), n), tau, J, factors)
 
@@ -436,17 +430,14 @@ def ros2_finish(field, x0, tau: float, J, factors, k1) -> RosenbrockStep:
                                 np.asarray(J, dtype=float), factors, k1.tolist())
 
 
-def ros2_step(field, x0, tau: float, J, *,
-              factors: linalg.LuFactors | None = None) -> RosenbrockStep:
+def ros2_step(field, x0, tau: float, J) -> RosenbrockStep:
     """Two-stage step of size tau: one factorization, two solves, two field
     evaluations.
 
-    factors, when given, must be the LU factors of I - gamma*tau*J (see
-    factor); the step then skips its factorization and is the same step
-    bit for bit. ValueError, before the field is evaluated, when J or the
-    factors are not of x0's size.
+    ValueError, before the field is evaluated, when J is not of x0's size.
+    A caller that holds the factors steps with kernel, as integrate does.
     """
-    x0, J, factors = _entry(x0, tau, J, GAMMA_ROS2, factors)
+    x0, J, factors = _entry(x0, tau, J, GAMMA_ROS2)
     n = x0.shape[0]
     return kernel(2, n)(_checked(field, n), x0, x0.tolist(), linalg.as_floats(field(x0), n),
                         tau, J, factors)

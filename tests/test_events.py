@@ -1222,7 +1222,7 @@ def test_banning_the_linear_algebra_stops_every_driver_step(method, guard, banne
     # the bans that show location solves nothing are only worth something
     # if a step, which must factor and solve, runs into them: a run's first
     # step, and, banned from the second step on, a step that solves with
-    # the kept factors (a guarded step factors afresh). A step's solves run
+    # the kept factors, guarded or not. A step's solves run
     # inside the step kernel, so "lu_solve" bans the kernel's functions
     # through a wrapper on rosenbrock.kernel installed before the run; a
     # ban on rosenbrock.kernel itself stops every run before its first step
@@ -1262,7 +1262,7 @@ def test_banning_the_linear_algebra_stops_every_driver_step(method, guard, banne
         with pytest.raises(AssertionError, match="linear algebra called"):
             integrate(problem, [0.1], cfg)
     assert len(taken) == 1
-    assert len(lu_calls) == (1 if guard is None else 2)
+    assert len(lu_calls) == 1
 
 
 def _derivative_free(flat):
@@ -1400,6 +1400,31 @@ def test_an_affine_relay_keeps_its_finite_difference_jacobian_across_a_visit(nam
     assert analytic.stats.jacobian_evaluations == len(analytic.events) + 1
 
 
+def test_a_one_stage_guard_certifies_the_jacobian_its_step_used():
+    # a derivative-free relay under the one-stage guard: region 1 keeps no
+    # finite-difference W, so the step at every guarded hit used the fresh
+    # FD J at its start, bit for bit the J the guard certifies
+    flat = spp_flatten(builtin("kowalczyk", eps=1e-2))
+    bare = PiecewiseProblem(flat.dim, flat.f1, flat.f2, surface=flat.surface)
+    cfg = IntegratorConfig(tau=1e-3, t_end=1.5, method=ROS1,
+                           guard_mode=GuardMode.ROS1_GENERAL)
+    result, taken = recorded_steps(bare, flat.x0, cfg)
+    assert result.termination is Termination.REACHED_T_END
+    assert len(result.guard_reports) >= 5
+    hits = {ev.step_index: ev for ev in result.events}
+    for index, report in result.guard_reports:
+        assert report.passed
+        x, active, step, _ = taken[index]
+        # the step the run recorded under this index is the one it hit in
+        event = hits[index]
+        assert same_bytes(step.value(event.theta_star), event.x_star)
+        assert active == 1
+        J = rosevent.problems.field_jacobian(bare, 1, x.tolist())
+        assert np.array(step.jac).tobytes() == np.array(J).tobytes()
+    # region 2 still keeps its W
+    assert any(active == 2 and not jacobians for _, active, _, jacobians in taken)
+
+
 def entered(taken, i):
     """Whether recorded step i enters a region: the first step, or one whose
     field or start differs from the last step's (a hit recorded at the
@@ -1452,16 +1477,54 @@ def test_a_declared_affine_relay_evaluates_one_jacobian_per_region_visit(name):
     assert len(naive.events) >= 10
     assert all(e.theta_star == 1.0 for e in naive.events)
     assert naive.stats.jacobian_evaluations == len(naive.events) + 1
-    # under the dense guard every step of region 1 is a guarded step with a
-    # fresh J, and a visit to region 2 still starts with one of its own,
-    # though the last plain step the run kept was region 2's too
+    # under the dense guard the steps of region 1 are guarded steps, which
+    # take their J as every other step does: one per visit in both regions
     guarded = IntegratorConfig(tau=4e-3, t_end=2.0, guard_mode=GuardMode.ROS2_DENSE)
-    result, taken = recorded_steps(flat, flat.x0, guarded)
+    evaluated.clear()
+    with mock.patch.object(rosevent.problems, "field_jacobian", counting):
+        result, taken = recorded_steps(flat, flat.x0, guarded)
     assert result.termination is Termination.REACHED_T_END
     visits = [i for i, (_, active, *_) in enumerate(taken) if active == 2 and entered(taken, i)]
     assert len(visits) >= 5
-    ones = sum(active == 1 for _, active, *_ in taken)
-    assert result.stats.jacobian_evaluations == ones + len(visits)
+    entries = [i for i in range(len(taken)) if entered(taken, i)]
+    assert result.stats.jacobian_evaluations == len(evaluated) == len(entries)
+    assert evaluated == [taken[i][1] for i in entries]
+    assert [j for *_, j in taken] == [int(i in entries) for i in range(len(taken))]
+
+
+@pytest.mark.parametrize("name", ["kowalczyk", "teixeira"])
+def test_a_dense_guarded_run_factors_on_key_misses_and_case_1b_trials_only(name):
+    # the guarded steps of region 1 solve with the run's kept factors: a
+    # factorization runs where (J's rows, the step size asked for) differs
+    # from the last factored one's, and once per case-1b trial
+    flat = spp_flatten(builtin(name, eps=1e-2))
+    shortened = {}  # the guarded step's x0 -> (size asked for, trials)
+    real = rosevent.onesided.resolve_case_1b
+
+    def resolving(problem, x0, tau, *args):
+        step, trials = real(problem, x0, tau, *args)
+        shortened[id(x0)] = tau, trials
+        return step, trials
+
+    cfg = IntegratorConfig(tau=4e-3, t_end=2.0 - 1e-3, guard_mode=GuardMode.ROS2_DENSE)
+    taken = []
+    with mock.patch.object(rosevent.onesided, "resolve_case_1b", resolving), \
+            mock.patch.object(rosevent.events, "_on_step",
+                              lambda x, active, step, _: taken.append((x, active, step))):
+        result, lu_calls = integrate_counting_lu(flat, flat.x0, cfg)
+    assert result.termination is Termination.REACHED_T_END
+    key, misses = None, 0
+    for x, active, step in taken:
+        size, _ = shortened.get(id(x), (step.tau, 0))
+        rows = [list(r) for r in step.jac]
+        if (rows, size) != key:
+            key, misses = (rows, size), misses + 1
+    trials = sum(t for _, t in shortened.values())
+    assert len(shortened) >= 10
+    # the first step, and the remainder step at t_end, which asks for
+    # another size
+    assert misses == 2
+    assert result.stats.lu_factorizations == lu_calls == misses + trials
 
 
 def test_a_field_affine_only_along_the_path_refreshes_its_jacobian_by_the_cap():

@@ -18,6 +18,7 @@ from rosevent.rosenbrock import (
     dense_derivative,
     dense_eval,
     factor,
+    kernel,
     kernel_pair,
     method_by_name,
     restep,
@@ -292,6 +293,8 @@ def test_ros2_step_costs_one_factorization_two_solves(monkeypatch):
 
 @pytest.mark.parametrize("step_fn, gamma", [(ros1_step, 1.0), (ros2_step, GAMMA_ROS2)])
 def test_given_factors_give_the_same_step_without_factoring(monkeypatch, step_fn, gamma):
+    # a caller that holds the factors steps with the kernel, as integrate
+    # does: the public step's bits, and no factorization
     J = np.array([[-3.0, 1.0], [0.5, -2.0]])
     x0 = np.array([1.0, -0.5])
     fresh = step_fn(lambda x: J @ x, x0, 0.1, J)
@@ -301,7 +304,9 @@ def test_given_factors_give_the_same_step_without_factoring(monkeypatch, step_fn
         raise AssertionError("factored although factors were given")
 
     monkeypatch.setattr(rosevent.linalg, "lu_factor", banned)
-    kept = step_fn(lambda x: J @ x, x0, 0.1, J, factors=factors)
+    step = kernel(fresh.stages, 2)
+    kept = step(lambda x: (J @ np.array(x)).tolist(), x0, x0.tolist(), (J @ x0).tolist(), 0.1,
+                J, factors)
     assert kept.x1.tobytes() == fresh.x1.tobytes()
     assert kept.k1.tobytes() == fresh.k1.tobytes()
     if fresh.k2 is not None:
