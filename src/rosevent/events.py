@@ -71,10 +71,11 @@ keeps the W of the previous step while W has served fewer than
 REUSE_STEPS steps and the previous step's secant fits W to FD-error level
 (_secant_source); else it takes a fresh FD J. A kept W has the factor key's
 rows, so its step compares tau only and reuses the key's factors. A run
-takes a fresh FD J at its start and on every region entry, and under a
-one-stage guard, which certifies the fresh J at x, on every step of region
-1. An analytic Jacobian of a field not declared affine is evaluated afresh
-on every step.
+takes a fresh FD J at its start and on every region entry, and keeps W in
+either region: a one-stage guard at a hit certifies the family its step
+was drawn from, that step's own matrix (a kept W included) and f(x0), and
+evaluates no field or Jacobian of its own. An analytic Jacobian of a field
+not declared affine is evaluated afresh on every step.
 W does not cancel from the dense output: its interior carries the extra
 term c*gamma*2*theta*(1 - theta)*tau^2*(W - J)*f(x0), zero at theta = 0
 and theta = 1, so event states keep their order but the interpolant's
@@ -180,8 +181,8 @@ class IntegrationStats:
     f_evals and domain_violations by field number. lu_factorizations
     counts the linalg.lu_factor calls: one per factor-key miss and one per
     case-1b trial. jacobian_evaluations counts the problems.field_jacobian
-    calls, analytic or FD: one per step that takes a fresh J and one per
-    one-stage guard, so a declared affine field adds one per region visit."""
+    calls, analytic or FD: one per step that takes a fresh J, so a declared
+    affine field adds one per region visit; a guard reads its step's J."""
 
     f_evals: dict = field(default_factory=lambda: {1: 0, 2: 0})
     domain_violations: dict = field(default_factory=lambda: {1: 0, 2: 0})
@@ -430,10 +431,9 @@ def _integrate(problem, x0, cfg, stats):
               functools.partial(problems.eval_field, problem, 2))
     jacobian = problems.field_jacobian
     # per field, the uses a fresh J starts at: 1 for a finite-difference J,
-    # whose W a continuing step may keep, 0 for an analytic one and for
-    # region 1 under a one-stage guard, which certifies the fresh J at x
-    fresh_uses = (int(problem.jac_f1 is None and (guard is None or cfg.method.stages == 2)),
-                  int(problem.jac_f2 is None))
+    # whose W a continuing step may keep, 0 for an analytic one. A one-stage
+    # guard certifies whatever matrix its hit step factored, a kept W too.
+    fresh_uses = (int(problem.jac_f1 is None), int(problem.jac_f2 is None))
     h = problem.h
     # a declared surface's h takes the floats a step holds of its x1
     h_floats = problem.surface is not None
@@ -573,11 +573,12 @@ def _integrate(problem, x0, cfg, stats):
         if locate and guard is not None and active == 1:
             if guard is onesided.GuardMode.ROS2_DENSE:
                 rep = onesided.guard_ros2_dense(problem, step)
-            elif guard is onesided.GuardMode.ROS1_GENERAL:
-                rep = onesided.guard_ros1_general(problem, x, step.tau, cfg.method.gamma)
             else:
+                # the one-stage guard certifies the family this step was
+                # drawn from: its own matrix, a kept W included, and f(x0)
                 try:
-                    rep = onesided.guard_ros1_orthogonal(problem, x, step.tau, cfg.method.gamma)
+                    rep = onesided._one_stage_report(guard, problem.surface.n, step.jac,
+                                                     lambda: fx0, step.tau, gamma)
                 except NotOrthogonal:
                     # a step matrix that is not orthogonal certifies nothing
                     termination = Termination.GUARD_FAILURE

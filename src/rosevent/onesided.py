@@ -29,6 +29,15 @@ forms its coefficients from the identity (I - gamma*tau*J)^(-1) =
 smaller sigma it is not, which is why it decides by the same bound as the
 general variant).
 
+Both one-stage guards build their report in one place (_one_stage_report)
+from J and f(x0). The public guards evaluate f1 and its Jacobian at x0.
+integrate's guard reads the step it hit in: the matrix that step factored,
+a kept finite-difference W included, and the f(x0) it was built from, so
+it evaluates no field or Jacobian at the hit. A step on a kept W is drawn
+from the family of W, not of the Jacobian at x0 (a W-method: Steihaug &
+Wolfbrandt, Math. Comp. 33, 1979), and the family of W is what the report
+certifies.
+
 For the two-stage method the guard checks positivity of
 
     d(theta) = n . dX1/dtheta(theta)
@@ -95,10 +104,11 @@ def _surface_normal(problem: problems.PiecewiseProblem) -> np.ndarray:
     return problem.surface.n
 
 
-def _declared_certificate(n, J, f, gamma: float, tau: float) -> tuple:
+def _declared_certificate(n: list, J: list, f: list, gamma: float, tau: float) -> tuple:
     # (passed, certified sigma) of the one-stage step family on the surface
     # n.x + c from a lower bound of H'(sigma) = n.M(sigma)^-2 f, exact in
-    # rationals: c0 - sigma*r1 - sigma^2*r2 - tail(sigma), with
+    # rationals, n and f lists of floats and J n rows of n floats:
+    # c0 - sigma*r1 - sigma^2*r2 - tail(sigma), with
     # c_k = n.J^k f, r1 = max(0, -2*gamma*c1), r2 = max(0, -3*gamma^2*c2)
     # and, from |n.J^k f| <= ||J^T n||_1 * ||J||_inf^(k-1) * ||f||_inf,
     #   tail = ||J^T n||_1 * ||f||_inf * (gamma*sigma)^3 * ||J||_inf^2 * S(q),
@@ -112,11 +122,11 @@ def _declared_certificate(n, J, f, gamma: float, tau: float) -> tuple:
     # guard runs, so an import of the package does not pay for them
     from fractions import Fraction
 
-    if not all(np.isfinite(a).all() for a in (n, J, f)):
+    if not all(map(math.isfinite, [*n, *f, *(v for row in J for v in row)])):
         return False, 0.0
-    nv = [Fraction(v) for v in n.tolist()]
-    fv = [Fraction(v) for v in f.tolist()]
-    rows = [[Fraction(v) for v in row] for row in J.tolist()]
+    nv = [Fraction(v) for v in n]
+    fv = [Fraction(v) for v in f]
+    rows = [[Fraction(v) for v in row] for row in J]
 
     def dot(u, v):
         return sum(a * b for a, b in zip(u, v))
@@ -154,6 +164,38 @@ def _declared_certificate(n, J, f, gamma: float, tau: float) -> tuple:
     return False, sigma
 
 
+def _one_stage_report(mode: GuardMode, n: np.ndarray, J: list, f, tau: float,
+                      gamma: float) -> GuardReport:
+    # the report of the one-stage guard `mode` on the step family of the
+    # matrix I - gamma*tau*J from x0: n the declared surface's normal, J n
+    # rows of n floats and f a callable giving f1(x0) as floats, called only
+    # once the orthogonal mode has checked its step matrix, so a refusal
+    # (NotOrthogonal) evaluates no field. integrate hands it the matrix and
+    # f(x0) its hit step was drawn from, a kept W included, the public
+    # guards those they evaluate at x0.
+    Ja = np.array(J)
+    neumann_ok = defect = None
+    if mode is GuardMode.ROS1_ORTHOGONAL:
+        M = rosenbrock.step_matrix(Ja, tau, gamma)
+        defect = float(np.max(np.sum(np.abs(M.T @ M - np.eye(len(J))), axis=1)))
+        if defect > ORTHOGONALITY_TOL:
+            raise NotOrthogonal(f"step matrix fails orthogonality check: defect {defect:.3e}")
+    else:
+        neumann_ok = linalg.spectral_radius_bound(gamma * tau * Ja) < 1.0
+    fx = f()
+    fa = np.array(fx)
+    if defect is None:
+        Jf = Ja @ fa
+        coefficients = {"a0": float(n @ fa), "a1": 2.0 * gamma * float(n @ Jf),
+                        "a2": 3.0 * gamma * gamma * float(n @ (Ja @ Jf))}
+    else:  # a zero b1 is +0.0, printed as 0
+        coefficients = {"b0": float(n @ fa), "b1": 0.0 - 2.0 * gamma * float(n @ (Ja.T @ fa)),
+                        "b2": 0.0, "gram_defect": defect}
+    passed, certified = ((False, 0.0) if neumann_ok is False
+                         else _declared_certificate(n.tolist(), J, fx, gamma, tau))
+    return GuardReport(mode, coefficients, passed, certified, neumann_ok)
+
+
 def guard_ros1_general(problem: problems.PiecewiseProblem, x0, tau: float,
                        gamma: float) -> GuardReport:
     """Monotonicity certificate for the one-stage step.
@@ -161,38 +203,22 @@ def guard_ros1_general(problem: problems.PiecewiseProblem, x0, tau: float,
     Coefficients of dH/dsigma = a0 + a1*sigma + a2*sigma^2 + ... are formed
     from f1, its Jacobian and the declared surface's normal n at x0: f1 and
     J as problems.eval_field and field_jacobian give them on x0's floats,
-    checked there, read as arrays. The
+    checked there. The
     guard passes, certifying tau, when a lower bound of dH/dsigma over the
     whole series stays positive up to tau (_declared_certificate); else
     certified_sigma is the last size where it does. Requires the Neumann
     series to converge; when the spectral-radius bound of gamma*tau*J
     reaches one the guard abstains (neumann_ok False, not passed,
     certified_sigma 0). Raises ValueError unless tau is positive and finite
-    and the problem declares its surface.
+    and the problem declares its surface. integrate's guard builds the same
+    report from its hit step's own matrix and f(x0), a kept W included.
     """
     _check_step_size(tau)
     n = _surface_normal(problem)
     x0f = np.asarray(x0, dtype=float).tolist()
-    f = np.array(problems.eval_field(problem, 1, x0f))
-    J = np.array(problems.field_jacobian(problem, 1, x0f))
-
-    neumann_ok = linalg.spectral_radius_bound(gamma * tau * J) < 1.0
-
-    Jf = J @ f
-    a0 = float(n @ f)
-    a1 = 2.0 * gamma * float(n @ Jf)
-    a2 = 3.0 * gamma * gamma * float(n @ (J @ Jf))
-    if neumann_ok:
-        passed, certified = _declared_certificate(n, J, f, gamma, tau)
-    else:
-        passed, certified = False, 0.0
-    return GuardReport(
-        mode=GuardMode.ROS1_GENERAL,
-        coefficients={"a0": a0, "a1": a1, "a2": a2},
-        passed=passed,
-        certified_sigma=certified,
-        neumann_ok=neumann_ok,
-    )
+    f = problems.eval_field(problem, 1, x0f)
+    J = problems.field_jacobian(problem, 1, x0f)
+    return _one_stage_report(GuardMode.ROS1_GENERAL, n, J, lambda: f, tau, gamma)
 
 
 def guard_ros1_orthogonal(problem: problems.PiecewiseProblem, x0, tau: float,
@@ -203,34 +229,19 @@ def guard_ros1_orthogonal(problem: problems.PiecewiseProblem, x0, tau: float,
     condition is reported; b2, the Hessian's term, is zero on the declared
     surface. It decides passed and certified_sigma by the bound
     guard_ros1_general uses, since the step matrix at sigma < tau is not
-    orthogonal. Raises NotOrthogonal unless
+    orthogonal. Raises NotOrthogonal, before f1 is evaluated, unless
     (I - gamma*tau*J)^T (I - gamma*tau*J) = I within ORTHOGONALITY_TOL in
     the induced infinity norm, and ValueError unless tau is positive and
-    finite and the problem declares its surface.
+    finite and the problem declares its surface. integrate's guard builds
+    the same report from its hit step's own matrix and f(x0), a kept W
+    included.
     """
     _check_step_size(tau)
     n = _surface_normal(problem)
     x0f = np.asarray(x0, dtype=float).tolist()
-    J = np.array(problems.field_jacobian(problem, 1, x0f))
-    M = rosenbrock.step_matrix(J, tau, gamma)
-    gram_defect = M.T @ M - np.eye(M.shape[0])
-    defect = float(np.max(np.sum(np.abs(gram_defect), axis=1)))
-    if defect > ORTHOGONALITY_TOL:
-        raise NotOrthogonal(
-            f"step matrix fails orthogonality check: defect {defect:.3e}"
-        )
-
-    f = np.array(problems.eval_field(problem, 1, x0f))
-    b0 = float(n @ f)
-    b1 = 0.0 - 2.0 * gamma * float(n @ (J.T @ f))  # a zero b1 is +0.0, printed as 0
-    passed, certified = _declared_certificate(n, J, f, gamma, tau)
-    return GuardReport(
-        mode=GuardMode.ROS1_ORTHOGONAL,
-        coefficients={"b0": b0, "b1": b1, "b2": 0.0, "gram_defect": defect},
-        passed=passed,
-        certified_sigma=certified,
-        neumann_ok=None,
-    )
+    J = problems.field_jacobian(problem, 1, x0f)
+    return _one_stage_report(GuardMode.ROS1_ORTHOGONAL, n, J,
+                             functools.partial(problems.eval_field, problem, 1, x0f), tau, gamma)
 
 
 def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,

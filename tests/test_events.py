@@ -21,7 +21,8 @@ import rosevent.onesided
 import rosevent.problems
 import rosevent.rosenbrock
 from rosevent import linalg
-from rosevent.errors import DomainViolation, NoBracket, NonFiniteState, SingularMatrix
+from rosevent.errors import (DomainViolation, NoBracket, NonFiniteState, NotOrthogonal,
+                             SingularMatrix)
 from rosevent.events import (
     REUSE_STEPS,
     SECANT_RTOL,
@@ -326,15 +327,18 @@ def test_integrate_rejects_a_method_the_step_kernel_does_not_run(stages, gamma):
 
 
 @pytest.mark.parametrize("guard", [GuardMode.ROS1_GENERAL, GuardMode.ROS1_ORTHOGONAL])
-def test_a_one_stage_guard_counts_the_jacobian_it_evaluates(guard):
+def test_a_one_stage_guard_adds_no_evaluation_at_the_hit(guard):
     # the 5 steps to the tent's surface are one visit of a declared affine
-    # region, which evaluates its J once, and the guard at the hit one more
+    # region, which evaluates its J once; the guard at the hit reads the
+    # step's own matrix and f(x0), so it adds no Jacobian and no f1. The
+    # sixth f1 and the one f2 are the classification's.
     cfg = default_cfg(tau=0.1, method=method_by_name("ros1"), guard_mode=guard)
     result = integrate(builtin("tent"), [0.0], cfg)
     assert result.termination is Termination.SLIDING
     assert [rep.passed for _, rep in result.guard_reports] == [True]
     assert result.stats.steps == 5
-    assert result.stats.jacobian_evaluations == 2
+    assert result.stats.jacobian_evaluations == 1
+    assert result.stats.f_evals == {1: 6, 2: 1}
 
 
 def test_event_free_trajectory_reaches_t_end():
@@ -1400,10 +1404,16 @@ def test_an_affine_relay_keeps_its_finite_difference_jacobian_across_a_visit(nam
     assert analytic.stats.jacobian_evaluations == len(analytic.events) + 1
 
 
-def test_a_one_stage_guard_certifies_the_jacobian_its_step_used():
-    # a derivative-free relay under the one-stage guard: region 1 keeps no
-    # finite-difference W, so the step at every guarded hit used the fresh
-    # FD J at its start, bit for bit the J the guard certifies
+def report_bits(report):
+    """A GuardReport with each float as its bits, for equality bit for bit."""
+    return (report.mode, {k: v.hex() for k, v in report.coefficients.items()}, report.passed,
+            report.certified_sigma.hex(), report.neumann_ok)
+
+
+def test_a_one_stage_guard_certifies_the_matrix_its_step_factored():
+    # a derivative-free relay under the one-stage guard: region 1 keeps its
+    # finite-difference W as region 2 does, and the guard at each hit
+    # certifies the step's own matrix, kept or fresh, with the step's f(x0)
     flat = spp_flatten(builtin("kowalczyk", eps=1e-2))
     bare = PiecewiseProblem(flat.dim, flat.f1, flat.f2, surface=flat.surface)
     cfg = IntegratorConfig(tau=1e-3, t_end=1.5, method=ROS1,
@@ -1419,10 +1429,81 @@ def test_a_one_stage_guard_certifies_the_jacobian_its_step_used():
         event = hits[index]
         assert same_bytes(step.value(event.theta_star), event.x_star)
         assert active == 1
-        J = rosevent.problems.field_jacobian(bare, 1, x.tolist())
-        assert np.array(step.jac).tobytes() == np.array(J).tobytes()
-    # region 2 still keeps its W
-    assert any(active == 2 and not jacobians for _, active, _, jacobians in taken)
+        fx0 = eval_field(bare, 1, x.tolist())
+        built = rosevent.onesided._one_stage_report(
+            GuardMode.ROS1_GENERAL, bare.surface.n, step.jac, lambda: fx0, step.tau, GAMMA_ROS1)
+        assert report_bits(report) == report_bits(built)
+    # both regions keep a W, and the guard certified a kept one at a hit
+    assert {active for _, active, _, jacobians in taken if not jacobians} == {1, 2}
+    assert any(taken[index][3] == 0 for index, _ in result.guard_reports)
+
+
+def assert_reports_are_the_public_guards(result, taken, problem, guard):
+    """Each guard report of a one-stage run is, bit for bit, the public
+    guard's at its hit step's start state and size; a run the orthogonal
+    guard refused ends on a step whose start the public guard refuses too."""
+    public = {GuardMode.ROS1_GENERAL: rosevent.onesided.guard_ros1_general,
+              GuardMode.ROS1_ORTHOGONAL: rosevent.onesided.guard_ros1_orthogonal}[guard]
+    for index, report in result.guard_reports:
+        x, active, step, _ = taken[index]
+        assert active == 1
+        assert report_bits(report) == report_bits(public(problem, x, step.tau, GAMMA_ROS1))
+    refused = (result.termination is Termination.GUARD_FAILURE
+               and not (result.guard_reports and not result.guard_reports[-1][1].passed))
+    if refused:
+        x, _, step, _ = taken[-1]
+        with pytest.raises(NotOrthogonal):
+            public(problem, x, step.tau, GAMMA_ROS1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), log_tau=st.floats(-2.0, 0.0),
+       guard=st.sampled_from([GuardMode.ROS1_GENERAL, GuardMode.ROS1_ORTHOGONAL]))
+def test_a_one_stage_guard_in_a_run_reports_as_the_public_guard(data, dim, log_tau, guard):
+    # random declared affine problems, one field in both regions, with
+    # f(x0) pointing at the surface. Under the orthogonal guard A is random,
+    # a step matrix the guard refuses, or (I - Q)/tau for the Cayley
+    # transform Q of a skew-symmetric S, times a reflection or not, so its
+    # step matrix at tau is orthogonal.
+    fin = st.floats(-1.0, 1.0)
+    tau = 10.0 ** log_tau
+    if guard is GuardMode.ROS1_GENERAL or data.draw(st.booleans()):
+        A = np.array([[data.draw(fin) for _ in range(dim)] for _ in range(dim)])
+    else:
+        S = np.zeros((dim, dim))
+        for i in range(dim):
+            for k in range(i):
+                S[i, k] = data.draw(fin)
+                S[k, i] = -S[i, k]
+        Q = np.linalg.solve(np.eye(dim) - S, np.eye(dim) + S)
+        if data.draw(st.booleans()):
+            Q[:, 0] = -Q[:, 0]
+        A = (np.eye(dim) - Q) / tau
+    n, x0, b = (np.array([data.draw(fin) for _ in range(dim)]) for _ in range(3))
+    assume(float(n @ n) > 0.01)
+    # the drift along n at x0 is a drawn speed
+    b = b + n * (data.draw(st.floats(0.1, 3.0)) - float(n @ (A @ x0 + b))) / float(n @ n)
+    problem = affine_problem(Affine(A1=A, b1=b, A2=A, b2=b, n=n,
+                                    c=-float(n @ x0) - data.draw(st.floats(1e-3, 0.5))))
+    assume(problem.h(x0) < -SIGMA_TOL)
+    result, taken = recorded_steps(problem, x0, IntegratorConfig(
+        tau=tau, t_end=16 * tau, method=ROS1, guard_mode=guard))
+    assert_reports_are_the_public_guards(result, taken, problem, guard)
+
+
+def test_najafis_one_stage_guard_reports_as_the_public_guard():
+    # najafi's Jacobian is analytic (a float form) and moves with the state,
+    # so every step takes a fresh one; the hit's is the public guard's at
+    # the step's start. The guard adds no evaluation: one f and one J per
+    # step, and the classification's f1 and f2.
+    problem = builtin("najafi")
+    cfg = IntegratorConfig(tau=0.125, t_end=2.0, method=ROS1,
+                           guard_mode=GuardMode.ROS1_GENERAL)
+    result, taken = recorded_steps(problem, problem.x0, cfg)
+    assert [(i, rep.passed) for i, rep in result.guard_reports] == [(7, True)]
+    assert result.stats.steps == result.stats.jacobian_evaluations == 16
+    assert result.stats.f_evals == {1: 9, 2: 9}
+    assert_reports_are_the_public_guards(result, taken, problem, GuardMode.ROS1_GENERAL)
 
 
 def entered(taken, i):

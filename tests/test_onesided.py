@@ -172,8 +172,9 @@ def test_an_orthogonal_guard_that_refuses_its_step_matrix_ends_the_run(evaluated
     assert result.stats.steps == 7
     assert result.stats.f_evals == {1: 7, 2: 0} and evaluated == [1] * 7
     assert result.stats.lu_factorizations == 1
-    # the visit's A_1, and the J the guard evaluated before it refused
-    assert result.stats.jacobian_evaluations == len(jacobians) == 2
+    # the visit's A_1, the matrix of the hit's step, which the guard refused
+    # without a Jacobian or a field of its own
+    assert result.stats.jacobian_evaluations == len(jacobians) == 1
 
 
 def test_one_stage_guards_read_najafis_float_form_jacobian_as_an_array(counting):
