@@ -21,7 +21,12 @@ Location reads the dense output's float form (RosenbrockStep.value_floats):
 a declared h is handed each probe's floats, which the repeat test compares
 bit for bit, any other h the float array built from them, and the located
 state's array is built once, for the record. integrate forms the
-quadratic's slopes once per located step, for the dip test and location.
+quadratic's slopes once per step it tests, for the dip test and location,
+with the one function every reader of the slopes calls
+(rosenbrock.kernel_slopes, bound once per run for either method): a
+one-stage chord is a line in theta (m2 = 0), which never dips. A dot
+product whose exact sum is past the float range gives an infinite slope,
+not an error, and location then searches with ITP.
 A hit of a declared slow/fast problem is classified on its float rows
 (filippov.filippov_coeffs), outside the counted field evaluations.
 
@@ -109,7 +114,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import filippov, linalg, onesided, problems, rosenbrock
-from .errors import DomainViolation, NoBracket, NonFiniteState, NotOrthogonal, SingularMatrix
+from .errors import NoBracket, NotOrthogonal, NumericalError, SingularMatrix
 
 # Bracket width in theta at which event location stops. The ITP search of
 # [0, 1] reaches it after at most 41 iterations, one more than bisection.
@@ -240,7 +245,8 @@ def locate_event(step: rosenbrock.RosenbrockStep, h, cfg: IntegratorConfig,
     A probe whose state X1(theta) is bit for bit the previous probe's
     takes that probe's h instead of calling h again. The ends of the step
     may share a sign (an even number of crossings). slopes, when given, is
-    step.slopes(surface.n) as the caller has formed it.
+    step.slopes(surface.n) as the caller has formed it, with the same
+    generated function (rosenbrock.kernel_slopes); else it is formed here.
     Otherwise, or when the probes do not settle it, linalg.safe_side_root
     searches the bracket known so far ([0, 1] when h0 and h1 differ in
     sign), from g at its far end, with cfg.h_tol and width THETA_TOL.
@@ -384,14 +390,17 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     field and continue; sliding and tangential hits stop the integration, as do
     chattering and solver and guard failures (reported in `termination`, not
     raised); an orthogonal guard whose step matrix is not orthogonal
-    (NotOrthogonal) is a guard failure with no report. DomainViolation from
-    a field evaluated outside its domain propagates to the caller with step
-    context, and so does NonFiniteState, a ValueError, from a step whose end
-    state overflowed: a non-finite state never reaches the mesh, h or the
-    next step. A NaN h at a step's end, which has no side, raises ValueError
-    with step context. A guarded run (cfg.guard_mode) needs a declared
-    surface (onesided); on any other it raises ValueError before h or a
-    field is evaluated.
+    (NotOrthogonal) is a guard failure with no report. Any other
+    NumericalError or ValueError a step raises propagates to the caller as
+    its own type with step context: DomainViolation from a field evaluated
+    outside its domain, ResidualTooLarge from a reduced model's field,
+    ValueError from a field value or Jacobian that is not finite or of the
+    wrong shape, and NonFiniteState, a ValueError, from a step whose end
+    state overflowed, so a non-finite state never reaches the mesh, h or
+    the next step. A NaN h at a step's end, which has no side, raises
+    ValueError with step context. A guarded run (cfg.guard_mode) needs a
+    declared surface (onesided); on any other it raises ValueError before h
+    or a field is evaluated.
     """
     stats = IntegrationStats()
     token = linalg.current_run.set(stats)
@@ -457,18 +466,11 @@ def _integrate(problem, x0, cfg, stats):
     last = last_active = key_rows = key_tau = factors = fx0 = None
     uses = 0
     observe = _on_step
-    # a declared surface's normal and its dot product, for the even-count
-    # test on every step and for location, with the constants of
-    # RosenbrockStep.slopes; the one-stage chord is a line in theta and
-    # cannot cross twice
-    if problem.surface is None or cfg.method.stages == 1:
-        normal = None
-    else:
-        normal = problem.surface.n.tolist()
-        dot = linalg.generated(rosenbrock._dot_source, len(normal), rosenbrock._SCOPE)
-        g = rosenbrock.GAMMA_ROS2
-        c = 1.0 / (2.0 * (1.0 - 2.0 * g))  # RosenbrockStep.c of the step
-        w1, w2, c2 = 2.0 - 6.0 * g, 2.0 * g, 2.0 * c
+    # a declared surface's normal and the slopes of the method's steps
+    # along it, for the even-count test on every step and for location
+    normal = None if problem.surface is None else problem.surface.n.tolist()
+    if normal is not None:
+        slopes_of = rosenbrock.kernel_slopes(cfg.method.stages, len(normal))
     # a remainder this small is round-off in t, not a step
     end_tol = 4.0 * np.spacing(max(1.0, abs(t_end)))
 
@@ -517,7 +519,8 @@ def _integrate(problem, x0, cfg, stats):
             termination = (Termination.SOLVER_FAILURE if isinstance(exc, SingularMatrix)
                            else Termination.GUARD_FAILURE)
             break
-        except (DomainViolation, NonFiniteState) as exc:
+        except (NumericalError, ValueError) as exc:
+            # any other failure of the step names the step
             raise type(exc)(
                 f"{exc} (step {step_index}, t = {t:.12g}, field {active})"
             ) from exc
@@ -538,16 +541,13 @@ def _integrate(problem, x0, cfg, stats):
         if (crossed or (not on_band and normal is not None)) and locate:
             slopes = None
             if normal is not None:
-                # step.slopes(normal), operation for operation, formed once
-                # for the dip test and for location
-                a1, a2 = dot(normal, step.k1f), dot(normal, step.k2f)
-                m1, m2 = c * (w1 * a1 - w2 * a2), c2 * (a1 + a2)
-                slopes = m1, m2
+                # formed once for the dip test and for location
+                slopes = m1, m2 = slopes_of(normal, step.k1f, step.k2f)
             dips = crossed
             if not crossed:
                 # with both ends on one side, h(X1(theta)) may still cross
                 # and return: _dips_across once the slope changes sign in
-                # (0, 1)
+                # (0, 1), which a one-stage chord's (m2 = 0) never does
                 d1 = m1 + m2
                 dips = (((m1 > 0.0 and d1 < 0.0) or (m1 < 0.0 and d1 > 0.0))
                         and _dips_across(h_at_x, m1, m2))

@@ -110,8 +110,9 @@ def filippov_coeffs(problem: problems.SppProblem, u) -> FilippovCoeffs:
     gradient of h are arrays, and ValueError when F1 and F2 differ in a
     fast row (g must be shared)."""
     st, s = problem.stacked, problem.slow_dim
-    # raw callables, analytic gradient when given: classifying a hit is not
-    # field work, so it adds nothing to the run's counts or counted layers
+    # the raw field callables: classifying a hit is not field work, so it
+    # adds nothing to the run's counts; an undeclared surface's gradient is
+    # problems.h_gradient's, analytic when given
     aff = st.affine
     if aff is not None:
         uf = np.asarray(u, dtype=float).tolist()
@@ -126,8 +127,7 @@ def filippov_coeffs(problem: problems.SppProblem, u) -> FilippovCoeffs:
         if not np.array_equal(F1[s:], F2[s:], equal_nan=True):
             raise ValueError(f"the fast rows of F1 and F2 differ at u = {u}: "
                              f"{F1[s:]} != {F2[s:]}")
-        grad = (np.asarray(st.grad_h(u), dtype=float) if st.grad_h is not None
-                else linalg.fd_gradient(st.h, u))
+        grad = problems.h_gradient(st, u)
         p1 = float(grad[:s] @ F1[:s])
         p2 = float(grad[:s] @ F2[:s])
         q = float(grad[s:] @ F1[s:])

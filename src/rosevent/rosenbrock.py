@@ -30,9 +30,14 @@ interpolates x0 at theta = 0 and x1 at theta = 1 and carries the order of
 the method, so events can be located inside a step without extra field
 evaluations or linear solves. The one-stage dense output is the chord
 X1(theta) = x0 + theta*k1. Both are polynomials in theta, so an affine
-h = n.x + c along them is a polynomial too: RosenbrockStep.slopes forms its
-coefficients from n.k1 and n.k2, for event location, even-count detection
-and the exact dense guard.
+h = n.x + c along them is a polynomial too, a quadratic whose slopes
+(m1, m2), n . dX1/dtheta = m1 + theta*m2, come from n.k1 and n.k2. One
+generated function per method and size forms them (kernel_slopes), for
+both methods: RosenbrockStep.slopes, event location, even-count detection
+in events.integrate and the exact dense guard all read it. Each dot product
+is math.fsum of the tuple of its products; where fsum raises (a partial
+sum past the float range, or products of both infinite signs) both dot
+products are instead the exact sums, correctly rounded (_exact_sum).
 
 The step kernel is public, unchecked and runs on Python floats: factor
 (the step matrix's LU factors), kernel(stages, n), the step, and
@@ -207,38 +212,68 @@ class RosenbrockStep:
         return np.array([w1 * a + w2 * b for a, b in zip(self.k1f, self.k2f)])
 
     def slopes(self, n) -> tuple:
-        """(m1, m2) with n . dX1/dtheta = m1 + theta*m2, from a1 = n.k1 and
-        a2 = n.k2 (n a sequence of floats). For an affine h = n.x + c the
-        value along the dense output is then the quadratic
+        """(m1, m2) with n . dX1/dtheta = m1 + theta*m2 (n a sequence of
+        floats): kernel_slopes for the step's stages and n's size, on its
+        k1 and k2, with the constants of the method's gamma, the one the
+        kernel writes into its steps. For an affine h = n.x + c the value
+        along the dense output is then the quadratic
 
             h(X1(theta)) = h(x0) + m1*theta + (m2/2)*theta^2
 
         exactly: the b1/b2 weights are quadratics in theta. The one-stage
-        chord gives a line, m2 = 0. Each dot product is math.fsum of a
-        tuple of the products (_dot_source), correctly rounded."""
-        dot = linalg.generated(_dot_source, len(n), _SCOPE)
-        a1 = dot(n, self.k1f)
-        if self.stages == 1:
-            return a1, 0.0
-        a2 = dot(n, self.k2f)
-        return (self.c * ((2.0 - 6.0 * self.gamma) * a1 - 2.0 * self.gamma * a2),
-                2.0 * self.c * (a1 + a2))
+        chord gives a line, m2 = 0."""
+        return kernel_slopes(self.stages, len(n))(n, self.k1f, self.k2f)
+
+
+def _exact_sum(terms: tuple) -> float:
+    """The sum of the floats terms as IEEE arithmetic rounds an exact sum,
+    for the sums math.fsum refuses: a partial sum past the float range, or
+    infinities of both signs. Terms that are not finite decide alone, by
+    their own IEEE sum (an infinity, or NaN); else the exact rational sum,
+    correctly rounded, and an infinity past the largest float. Wherever
+    fsum returns, this is its value."""
+    special = [t for t in terms if not math.isfinite(t)]
+    if special:
+        return sum(special)
+    # fractions loads where a sum needs it, so an import of the package
+    # does not pay for it
+    from fractions import Fraction
+
+    total = sum(map(Fraction, terms))
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 # the names the generated code of this module sees
-_SCOPE = {"fsum": math.fsum, "linalg": linalg, "array": np.array,
+_SCOPE = {"fsum": math.fsum, "exact_sum": _exact_sum, "linalg": linalg, "array": np.array,
           "NonFiniteState": NonFiniteState, "RosenbrockStep": RosenbrockStep,
           "GAMMA_ROS1": GAMMA_ROS1, "GAMMA_ROS2": GAMMA_ROS2}
 
 
-def _dot_source(n: int) -> list:
-    """dot(n, k) for size n, the one slopes forms its a1 and a2 with and
-    events.integrate binds once per run for the even-count test and
-    location: fsum of the tuple of the n products n_i*k_i, written out."""
-    v, k = [f"n{i}" for i in range(n)], [f"k{i}" for i in range(n)]
-    return linalg.define("dot(n, k)", [
-        f"[{', '.join(v)}] = n", f"[{', '.join(k)}] = k",
-        f"return fsum(({', '.join(f'{a} * {b}' for a, b in zip(v, k))},))"])
+def _slopes_source(key: tuple) -> list:
+    """slopes(n, k1, k2) of ("slopes", stages, n) (kernel_slopes): d1 = n.k1
+    and, for two stages, d2 = n.k2, each fsum of the tuple of the n products
+    n_i*k_i, written out, or where an fsum raises both _exact_sum of the
+    same tuples; then (m1, m2) = (c*((2 - 6*gamma)*d1 - 2*gamma*d2),
+    2*c*(d1 + d2)) with RosenbrockStep's constants of GAMMA_ROS2, written in
+    as literals, or (d1, 0.0) for one stage, which leaves k2 unread."""
+    _, stages, n = key
+    v, *ks = ([f"{s}{i}" for i in range(n)] for s in "npq"[:stages + 1])
+    dots = ["(" + ", ".join(f"{a} * {b}" for a, b in zip(v, k)) + ",)" for k in ks]
+    sums = ", ".join(f"d{j + 1}" for j in range(stages))
+    g = GAMMA_ROS2
+    c = 1.0 / (2.0 * (1.0 - 2.0 * g))  # RosenbrockStep.c
+    m = ("d1, 0.0" if stages == 1 else
+         f"{c!r} * ({2.0 - 6.0 * g!r} * d1 - {2.0 * g!r} * d2), {2.0 * c!r} * (d1 + d2)")
+    return linalg.define("slopes(n, k1, k2)", [
+        *(f"[{', '.join(k)}] = {name}" for k, name in zip([v, *ks], ("n", "k1", "k2"))),
+        "try:",
+        f"    {sums} = {', '.join(f'fsum({d})' for d in dots)}",
+        "except (OverflowError, ValueError):",
+        f"    {sums} = {', '.join(f'exact_sum({d})' for d in dots)}",
+        f"return {m}"])
 
 
 def _step_rows_source(n: int) -> list:
@@ -349,7 +384,8 @@ def _unit(unit: str, stages: int, n: int):
     if not known:
         raise ValueError(f"no step kernel for {stages} stages on {n} states "
                          f"(stages must be 1 or 2, n at least 1)")
-    return linalg.generated(_kernel_source, (unit, stages, n), _SCOPE)
+    return linalg.generated(_slopes_source if unit == "slopes" else _kernel_source,
+                            (unit, stages, n), _SCOPE)
 
 
 def kernel(stages: int, n: int) -> Callable:
@@ -385,6 +421,22 @@ def kernel_pair(stages: int, n: int) -> tuple:
         of the step from k1; finish(..., stage1(...)) is step bit for bit.
     """
     return _unit("pair", stages, n)
+
+
+def kernel_slopes(stages: int, n: int) -> Callable:
+    """The slopes of the stages-stage method's steps on n states, the one
+    function every reader of them calls (RosenbrockStep.slopes, and
+    events.integrate, which binds it once per run), generated on its first
+    use (_slopes_source) and unchecked. ValueError as kernel.
+
+    slopes(n, k1, k2) -> (m1, m2), n . dX1/dtheta = m1 + theta*m2 for a
+        step's k1 and k2 as floats (k2 unread for one stage, where m2 = 0.0)
+        and n a sequence of floats of their length. Each dot product is
+        math.fsum of the tuple of its products, correctly rounded; where an
+        fsum raises, both are _exact_sum's, so a sum past the float range
+        is an infinity, never an OverflowError.
+    """
+    return _unit("slopes", stages, n)
 
 
 def _sized(m: int, n: int) -> None:

@@ -22,7 +22,7 @@ import rosevent.problems
 import rosevent.rosenbrock
 from rosevent import linalg
 from rosevent.errors import (DomainViolation, NoBracket, NonFiniteState, NotOrthogonal,
-                             SingularMatrix)
+                             ResidualTooLarge, SingularMatrix)
 from rosevent.events import (
     REUSE_STEPS,
     SECANT_RTOL,
@@ -49,6 +49,7 @@ from rosevent.problems import (
     eval_field,
     field_jacobian,
     problem_names,
+    reduced_order_model,
     spp_flatten,
 )
 from rosevent.rosenbrock import (
@@ -661,7 +662,8 @@ def test_float_rows_with_a_nan_never_match_the_kept_factors():
     real = rosevent.linalg.lu_factor
     with mock.patch.object(rosevent.events, "_on_step", poison), \
             mock.patch.object(rosevent.linalg, "lu_factor", lambda m: calls.append(m) or real(m)):
-        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        with pytest.raises(ValueError, match=r"^matrix entries must be finite "
+                                             r"\(step 1, t = 0\.125, field 2\)$"):
             integrate(problem, x0, cfg)
     # the first step factored; the second step's NaN rows reached lu_factor
     assert len(calls) == 2 and math.isnan(calls[1][0][0])
@@ -2116,3 +2118,72 @@ def test_the_repeat_test_is_the_bytes_comparison(data):
     # fresh float objects, as the dense output makes them
     a, b = [v * 1.0 for v in a], [v * 1.0 for v in b]
     assert rosevent.events._same_bits(a, b) == (np.array(a).tobytes() == np.array(b).tobytes())
+
+
+# --- slopes past fsum's range, and errors with their step -------------------
+
+def overflowing_slopes_problem():
+    """x' = (1, 1) then (-1, -1) across h = 1e300*(x0 + x1): on the first
+    step from (-4e7, -4e7) at tau = 1e8 each product n_i*k_i is 1e308, so
+    math.fsum's partial sums overflow on finite inputs; the surface is hit
+    at t = 4e7 and both fields push into it (sliding)."""
+    zero = np.zeros((2, 2))
+    return affine_problem(Affine(A1=zero, b1=np.array([1.0, 1.0]), A2=zero,
+                                 b2=np.array([-1.0, -1.0]), n=np.array([1e300, 1e300]), c=0.0))
+
+
+@pytest.mark.parametrize("method", [ROS2, ROS1])
+def test_a_dot_product_past_the_float_range_does_not_escape_a_run(method):
+    result = integrate(overflowing_slopes_problem(), np.array([-4e7, -4e7]),
+                       IntegratorConfig(tau=1e8, t_end=2e8, method=method))
+    assert len(result.events) == 1
+    assert result.events[0].t_star == pytest.approx(4e7, rel=1e-9)
+    assert result.termination is Termination.SLIDING
+
+
+def test_the_slopes_and_the_dense_guard_of_an_overflowing_step_are_values():
+    problem = overflowing_slopes_problem()
+    step = ros2_step(array_field(problem, 1), np.array([-4e7, -4e7]), 1e8, np.zeros((2, 2)))
+    # n.k1 = 2e308 and n.k2 = -2e308 exactly: infinities once rounded
+    m1, m2 = step.slopes(problem.surface.n.tolist())
+    assert m1 == math.inf and math.isnan(m2)
+    report = rosevent.onesided.guard_ros2_dense(problem, step)
+    assert not report.passed and report.certified_sigma == 0.0
+
+
+def region_1_problem(f1, jac_f1):
+    """A declared surface x0 = 10 that runs from (0, 0) never reach, with
+    field 1 and its Jacobian as given."""
+    return PiecewiseProblem(dim=2, f1=f1, f2=lambda x: -x, surface=Surface([1.0, 0.0], -10.0),
+                            jac_f1=jac_f1, jac_f2=lambda x: -np.eye(2))
+
+
+@pytest.mark.parametrize("method, step, t", [(ROS2, 2, r"0\.2"), (ROS1, 3, r"0\.3")])
+def test_a_field_value_that_is_not_finite_names_its_step(method, step, t):
+    # inf from x0 = 0.25 on: the two-stage step from 0.2 meets it at its
+    # stage state, the one-stage step at its start 0.3
+    problem = region_1_problem(
+        lambda x: np.array([1.0 if x[0] < 0.25 else math.inf, 0.0]),
+        lambda x: np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"^vector entries must be finite "
+                                         rf"\(step {step}, t = {t}, field 1\)$"):
+        integrate(problem, np.array([0.0, 0.0]), IntegratorConfig(tau=0.1, t_end=1.0,
+                                                                  method=method))
+
+
+def test_a_jacobian_entry_that_is_not_finite_names_its_step():
+    problem = region_1_problem(
+        lambda x: np.array([1.0, 0.0]),
+        lambda x: np.array([[0.0, 0.0], [0.0, 0.0 if x[0] < 0.25 else math.inf]]))
+    with pytest.raises(ValueError, match=r"^matrix entries must be finite "
+                                         r"\(step 3, t = 0\.3, field 1\)$"):
+        integrate(problem, np.array([0.0, 0.0]), IntegratorConfig(tau=0.1, t_end=1.0))
+
+
+def test_a_residual_too_large_names_its_step():
+    # z = y + 1 is off kowalczyk's manifold z = 0 wherever the field is asked
+    problem = reduced_order_model(builtin("kowalczyk"), lambda y: y + 1.0)
+    with pytest.raises(ResidualTooLarge, match=r"^g\(y, g0\(y\)\) has residual 1\.000e\+00 "
+                                                r"> 1\.0e-08 at y=\[0\.5\] "
+                                                r"\(step 0, t = 0, field 2\)$"):
+        integrate(problem, np.array([0.5]), IntegratorConfig(tau=0.1, t_end=1.0))

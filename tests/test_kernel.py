@@ -32,6 +32,7 @@ from rosevent.rosenbrock import (
     dense_eval,
     kernel,
     kernel_pair,
+    kernel_slopes,
     ros1_step,
     ros2_finish,
     ros2_step,
@@ -305,8 +306,8 @@ def test_the_kernel_solves_are_lu_solve_bit_for_bit(case, spoilt):
 
 @pytest.mark.parametrize("stages, n", [(3, 2), (0, 2), (2, 0), (1, -1), (2, 2.0), (2, "2")])
 def test_a_kernel_is_made_for_one_or_two_stages_on_some_states(stages, n):
-    kernel(2, 2)  # made, so a key equal to it must not find it
-    for unit in (kernel, kernel_pair):
+    kernel(2, 2), kernel_slopes(2, 2)  # made, so a key equal to them must not find them
+    for unit in (kernel, kernel_pair, kernel_slopes):
         with pytest.raises(ValueError, match=f"^no step kernel for {stages} stages on {n} states"):
             unit(stages, n)
 
@@ -468,14 +469,17 @@ STEP_PATHS = [
     pytest.param(ROS2, GuardMode.ROS2_DENSE, id="guarded_ros2_step"),
     pytest.param(ROS1, None, id="ros1_step"),
 ]
+# the context integrate adds to an error of its first step
+AT_THE_FIRST_STEP = " (step 0, t = 0, field 1)"
 
 
 @pytest.mark.parametrize("method, guard", STEP_PATHS)
 @pytest.mark.parametrize("bad, message", BAD_VALUES)
 def test_a_bad_field_value_fails_integrate(method, guard, bad, message):
+    # the check's message, with the context of the step that failed
     problem = problem_with_field_1(lambda x: bad)
     cfg = IntegratorConfig(tau=0.1, t_end=1.0, method=method, guard_mode=guard)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message + AT_THE_FIRST_STEP)}$"):
         integrate(problem, X0, cfg)
 
 
@@ -486,5 +490,5 @@ def test_a_bad_value_at_the_inner_stage_fails_integrate(method, guard, bad, mess
     # check can catch it
     problem = problem_with_field_1(lambda x: -x if np.array_equal(x, X0) else bad)
     cfg = IntegratorConfig(tau=0.1, t_end=1.0, method=method, guard_mode=guard)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message + AT_THE_FIRST_STEP)}$"):
         integrate(problem, X0, cfg)

@@ -1,6 +1,7 @@
 """One-sided stepping guards and case-1b step shortening."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -223,14 +224,50 @@ def h_prime(A, f, n, gamma, sigmas):
     return (np.linalg.solve(M, np.linalg.solve(M, F))[..., 0] @ n)
 
 
+def exact_solve(M, b):
+    """M x = b in rationals by Gaussian elimination, or None when M is
+    singular."""
+    size = len(M)
+    rows = [[*row, v] for row, v in zip(M, b)]
+    for k in range(size):
+        p = next((i for i in range(k, size) if rows[i][k] != 0), None)
+        if p is None:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        for i in range(k + 1, size):
+            r = rows[i][k] / rows[k][k]
+            rows[i] = [a - r * c for a, c in zip(rows[i], rows[k])]
+    x = [Fraction(0)] * size
+    for k in reversed(range(size)):
+        x[k] = (rows[k][size] - sum(rows[k][j] * x[j] for j in range(k + 1, size))) / rows[k][k]
+    return x
+
+
+def exact_h_prime(A, f, n, gamma, sigma):
+    """H'(sigma) = n.M(sigma)^-2 f in rationals, or None where M(sigma) is
+    singular and H' is not defined."""
+    g = Fraction(gamma) * Fraction(sigma)
+    M = [[int(i == j) - g * Fraction(a) for j, a in enumerate(row)]
+         for i, row in enumerate(np.asarray(A).tolist())]
+    y = exact_solve(M, [Fraction(v) for v in np.asarray(f).tolist()])
+    z = None if y is None else exact_solve(M, y)
+    return None if z is None else sum(Fraction(a) * b for a, b in zip(n.tolist(), z))
+
+
 def check_one_stage_certificate(report, problem, x0, tau, gamma):
     # no certified sigma may see H' <= 0 on (0, sigma], sampled densely,
     # and a pass certifies the whole step
     assert report.passed == (report.certified_sigma == tau)
     if report.certified_sigma > 0.0:
-        A, n = problem.affine.A1, problem.affine.n
+        A, n, f = problem.affine.A1, problem.affine.n, problem.f1(x0)
         sigmas = np.linspace(0.0, report.certified_sigma, 2001)[1:]
-        assert h_prime(A, problem.f1(x0), n, gamma, sigmas).min() > 0.0
+        if h_prime(A, f, n, gamma, sigmas).min() <= 0.0:
+            # the float solves can round an H' far below the size of its
+            # terms to zero or past it: each sample is then decided in
+            # rationals, as the guards decide
+            for sigma in sigmas.tolist():
+                value = exact_h_prime(A, f, n, gamma, sigma)
+                assert value is None or value > 0, sigma
 
 
 # An affine field whose one-stage end state crosses the surface inside the

@@ -895,7 +895,8 @@ def test_a_float_form_of_the_wrong_shape_fails_the_shared_checks():
         with pytest.raises(ValueError, match=f"^matrix is 2x2 but b has length {length}$"):
             eval_field(problem, which, [0.5, 0.25])
     cfg = IntegratorConfig(tau=0.1, t_end=1.0)
-    with pytest.raises(ValueError, match="^matrix is 2x2 but b has length 1$"):
+    with pytest.raises(ValueError, match=r"^matrix is 2x2 but b has length 1 "
+                                         r"\(step 0, t = 0, field 1\)$"):
         integrate(problem, np.array([0.5, 0.25]), cfg)
     with pytest.raises(ValueError, match=re.escape("expected a square matrix, got shape (1, 2)")):
         field_jacobian(problem, 2, [0.5, 0.25])
@@ -931,10 +932,12 @@ def test_a_jacobian_of_another_shape_fails_before_any_factorization(monkeypatch,
         raise AssertionError("factored a Jacobian of another shape")
 
     monkeypatch.setattr(rosevent.linalg, "lu_factor", banned)
+    # integrate adds the context of the step that failed
     for cfg in (IntegratorConfig(tau=0.1, t_end=1.0),
                 IntegratorConfig(tau=0.1, t_end=1.0, guard_mode=GuardMode.ROS2_DENSE),
                 IntegratorConfig(tau=0.1, t_end=1.0, method=ROS1)):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(message + ' (step 0, t = 0, field 1)')}$"):
             integrate(problem, np.array([0.0, 0.0]), cfg)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         field_jacobian(problem, 1, [0.0, 0.0])

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -20,6 +21,7 @@ from rosevent.rosenbrock import (
     factor,
     kernel,
     kernel_pair,
+    kernel_slopes,
     method_by_name,
     restep,
     ros1_step,
@@ -364,3 +366,120 @@ def test_the_factor_path_checks_j_with_the_array_messages(J, tau, message):
         ros2_step(lambda x: -x, np.ones(2), tau, J)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ros1_step(lambda x: -x, np.ones(2), tau, J)
+
+
+# --- the slopes: one generated function for both methods -------------------
+
+def reference_slopes(n, k1, k2):
+    """RosenbrockStep.slopes as it was written before one generated function
+    formed every reader's slopes, kept as the oracle: each dot product
+    math.fsum of the tuple of its products, then RosenbrockStep's formula
+    on the step's gamma (GAMMA_ROS2 for two stages)."""
+    a1 = math.fsum(tuple(a * b for a, b in zip(n, k1)))
+    if k2 is None:
+        return a1, 0.0
+    return two_stage_slopes(a1, math.fsum(tuple(a * b for a, b in zip(n, k2))))
+
+
+def two_stage_slopes(a1, a2):
+    # the formula of the oracle above on a1 = n.k1 and a2 = n.k2
+    g = GAMMA_ROS2
+    c = 1.0 / (2.0 * (1.0 - 2.0 * g))
+    return c * ((2.0 - 6.0 * g) * a1 - 2.0 * g * a2), 2.0 * c * (a1 + a2)
+
+
+# sums at or past this round to an infinity: halfway from the largest float
+# to 2**1024, where round-half-even goes up
+OVERFLOW = 2**1024 - 2**970
+
+
+def exact_dot(n, k):
+    """n.k as IEEE arithmetic rounds the exact sum of the rounded products
+    of finite n and k: the products that overflowed decide alone (their
+    infinity, or NaN for both signs), else the exact rational sum, rounded."""
+    products = [a * b for a, b in zip(n, k)]
+    special = [p for p in products if not math.isfinite(p)]
+    if special:
+        return special[0] if len(set(special)) == 1 else math.nan
+    total = sum(map(Fraction, products))
+    if abs(total) >= OVERFLOW:
+        return math.inf if total > 0 else -math.inf
+    return float(total)
+
+
+def dot_or_exact(n, k):
+    # fsum where it returns, else the exact sum
+    try:
+        return math.fsum(tuple(a * b for a, b in zip(n, k)))
+    except (OverflowError, ValueError):
+        return exact_dot(n, k)
+
+
+def bits(values):
+    return [v.hex() for v in values]
+
+
+# finite floats of every scale, with signed zeros, subnormals and values
+# near the largest float drawn often enough for partial sums to overflow
+ANY_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-4.0, 4.0),
+    st.floats(1e150, 1.7976931348623157e308).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+                     1e154, -1e154, 1e300, -1e300, 1e308, -1e308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data(), stages=st.sampled_from([1, 2]), size=st.integers(1, 4))
+def test_the_slopes_are_the_reference_formula_bit_for_bit(data, stages, size):
+    vec = st.lists(ANY_FINITE, min_size=size, max_size=size)
+    n, k1 = data.draw(vec), data.draw(vec)
+    k2 = data.draw(vec) if stages == 2 else None
+    got = kernel_slopes(stages, size)(n, k1, k2)
+    try:
+        want = reference_slopes(n, k1, k2)
+    except (OverflowError, ValueError):
+        # an fsum raised: each dot product is fsum's where it returns and
+        # the exact sum, rounded, where it raises
+        d1 = dot_or_exact(n, k1)
+        want = (d1, 0.0) if k2 is None else two_stage_slopes(d1, dot_or_exact(n, k2))
+    assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("stages", [1, 2])
+@pytest.mark.parametrize("n, k, want", [
+    # a partial sum overflows, the exact sum does not
+    ([1e308, 1e308, -1e308], [1.0, 1.0, 1.0], 1e308),
+    # every exact partial sum is past the largest float, the total is not
+    ([1.7976931348623157e308, 1.7976931348623157e308, -1.7976931348623157e308,
+      -1e308], [1.0, 1.0, 1.0, 1.0], 1.7976931348623157e308 - 1e308),
+    # the exact sum is past the largest float
+    ([1e308, 1e308], [1.0, 1.0], math.inf),
+    ([-1e308, -1e308], [1.0, 1.0], -math.inf),
+    # products of both infinite signs: the IEEE sum
+    ([1e300, 1e300, 1.0], [1e300, -1e300, 1.0], math.nan),
+    # one infinite product decides, whatever the finite ones overflow to
+    ([1e308, 1e308, 1e300], [1.0, 1.0, -1e300], -math.inf),
+])
+def test_a_dot_product_fsum_refuses_is_its_exact_sum(stages, n, k, want):
+    # math.fsum raises on each of these, so the slopes raised with it
+    with pytest.raises((OverflowError, ValueError)):
+        math.fsum(tuple(a * b for a, b in zip(n, k)))
+    assert bits([exact_dot(n, k)]) == bits([want])
+    m1, m2 = kernel_slopes(stages, len(n))(n, k, [0.0] * len(n) if stages == 2 else None)
+    if stages == 1:
+        assert bits([m1, m2]) == bits([want, 0.0])
+    else:
+        assert bits([m1, m2]) == bits(two_stage_slopes(want, 0.0))
+
+
+@pytest.mark.parametrize("step_fn", [ros1_step, ros2_step])
+def test_a_steps_slopes_are_the_generated_slopes(step_fn):
+    # RosenbrockStep.slopes is kernel_slopes for its stages and size
+    A = np.array([[-1.0, 0.5, 0.0], [0.25, -2.0, 0.125], [0.0, 1.0, -0.5]])
+    step = step_fn(lambda x: A @ x + 1.0, np.array([1.0, -2.0, 0.5]), 0.1, A)
+    n = [0.3, -1.0, 2.0]
+    want = kernel_slopes(step.stages, 3)(n, step.k1f, step.k2f)
+    assert bits(step.slopes(n)) == bits(want) == bits(reference_slopes(n, step.k1f, step.k2f))
