@@ -21,10 +21,11 @@ Location reads the dense output's float form (RosenbrockStep.value_floats):
 a declared h is handed each probe's floats, which the repeat test compares
 bit for bit, any other h the float array built from them, and the located
 state's array is built once, for the record. integrate forms the
-quadratic's slopes once per step it tests, for the dip test and location,
-with the one function every reader of the slopes calls
-(rosenbrock.kernel_slopes, bound once per run for either method): a
-one-stage chord is a line in theta (m2 = 0), which never dips. A dot
+quadratic's slopes once per step it tests, with the one function every
+reader of the slopes calls (rosenbrock.kernel_slopes, bound once per run
+for either method): a two-stage step off the band, for the dip test and
+location, and a one-stage step only where its ends cross, for location,
+as a one-stage chord is a line in theta (m2 = 0), which never dips. A dot
 product whose exact sum is past the float range gives an infinite slope,
 not an error, and location then searches with ITP.
 A hit of a declared slow/fast problem is classified on its float rows
@@ -45,8 +46,13 @@ there: a field's value as floats, a Jacobian as n rows of n floats, which
 the loop factors, compares and holds as they are. A float-form field or
 Jacobian (problems.FloatField) runs on the floats; any other gets the
 float array eval_field or field_jacobian builds from them, with the bits
-of the step's state. A step that continues the last step (the same
-field from that step's x1) starts from the floats that step holds of x1.
+of the step's state. The run carries its state as those floats from its
+entry check until it returns: a step that continues the last step (the same
+field from that step's x1) starts from the very floats that step holds of
+x1. The mesh keeps each accepted state as an array, built once per step
+(an undeclared h is handed the same array), and a hit's record.x_star:
+rows kept as floats until the return would hold both forms there at once,
+nearly doubling a long run's peak memory.
 
 At a fixed step the step matrix I - gamma*tau*J changes only when J or
 tau does, and on fields that are linear in each region J is constant. The
@@ -327,13 +333,10 @@ def _validate_config(cfg: IntegratorConfig) -> None:
         raise ValueError(f"h_tol must be non-negative and finite, got {cfg.h_tol}")
     if cfg.max_events is not None and cfg.max_events < 1:
         raise ValueError(f"max_events must be at least 1, got {cfg.max_events}")
-    # the step kernel writes its method's gamma into every step it makes
     method = cfg.method
-    if (method.stages, method.gamma) not in ((1, rosenbrock.GAMMA_ROS1),
-                                             (2, rosenbrock.GAMMA_ROS2)):
-        raise ValueError(f"method {method.label!r} (stages={method.stages}, "
-                         f"gamma={method.gamma}) is neither ROS1 nor ROS2, the only "
-                         f"methods the step kernel runs")
+    if method.stages not in (1, 2):
+        raise ValueError(f"method {method.label!r} (stages={method.stages}) is neither ROS1 "
+                         f"nor ROS2, the only methods the step kernel runs")
     gm = cfg.guard_mode
     if gm is onesided.GuardMode.ROS2_DENSE and cfg.method.stages != 2:
         raise ValueError("the dense-output guard requires the two-stage method")
@@ -376,9 +379,9 @@ def _secant_source(n: int) -> list:
 
 
 # Called, when set, as _on_step(x, active, step, jacobians) after every step
-# integrate takes: the state the step started from, its field, the
-# RosenbrockStep and the Jacobians it evaluated. integrate reads it once per
-# run; None in normal use.
+# integrate takes: the floats of the state the step started from, its
+# field, the RosenbrockStep and the Jacobians it evaluated. integrate reads
+# it once per run; None in normal use.
 _on_step = None
 
 
@@ -415,7 +418,7 @@ def _integrate(problem, x0, cfg, stats):
     _validate_config(cfg)
     if cfg.guard_mode is not None:
         onesided._surface_normal(problem)
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 must have shape ({problem.dim},), got {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -427,8 +430,9 @@ def _integrate(problem, x0, cfg, stats):
         raise ValueError("initial state lies on the switching surface")
     active = 1 if h_at_x < 0.0 else 2
 
-    t = 0.0
-    mesh = [(0.0, x.copy())]
+    # from here to the return the state is a list of floats
+    t, mesh = 0.0, [(0.0, x.copy())]
+    x = x.tolist()
     events: list = []
     guard_reports: list = []
     step_index = 0
@@ -451,8 +455,8 @@ def _integrate(problem, x0, cfg, stats):
     # the step kernel, and the secant test of a field without an analytic
     # Jacobian
     affine = problem.affine is not None
-    gamma = cfg.method.gamma
-    kernel_step = rosenbrock.kernel(cfg.method.stages, problem.dim)
+    stages, gamma = cfg.method.stages, cfg.method.gamma
+    kernel_step = rosenbrock.kernel(stages, problem.dim)
     fits = (linalg.generated(_secant_source, problem.dim, {"rtol": SECANT_RTOL})
             if problem.jac_f1 is None or problem.jac_f2 is None else None)
     # the dense guard's region-1 step splits at its first stage
@@ -467,10 +471,11 @@ def _integrate(problem, x0, cfg, stats):
     uses = 0
     observe = _on_step
     # a declared surface's normal and the slopes of the method's steps
-    # along it, for the even-count test on every step and for location
+    # along it, for location and, for two stages, the even-count test
     normal = None if problem.surface is None else problem.surface.n.tolist()
     if normal is not None:
-        slopes_of = rosenbrock.kernel_slopes(cfg.method.stages, len(normal))
+        slopes_of = rosenbrock.kernel_slopes(stages, len(normal))
+    dip_test = normal is not None and stages == 2
     # a remainder this small is round-off in t, not a step
     end_tol = 4.0 * np.spacing(max(1.0, abs(t_end)))
 
@@ -483,11 +488,10 @@ def _integrate(problem, x0, cfg, stats):
         field = fields[active - 1]
         # a step that continues the last step (the same field from its
         # x1) starts from the floats that step holds of x1
-        cont = last is not None and last_active == active and last.x1 is x
-        x0f = last.x1f if cont else x.tolist()
+        cont = last is not None and last_active == active and last.x1f is x
         try:
-            fx = field(x0f)
-            if cont and (uses < REUSE_STEPS and fits(fx, fx0, x0f, last.x0f, key_rows)
+            fx = field(x)
+            if cont and (uses < REUSE_STEPS and fits(fx, fx0, x, last.x0f, key_rows)
                          if uses else affine):
                 # the rows the last step held, which are the key's: a
                 # declared affine field's A_i, or a finite-difference W
@@ -497,7 +501,7 @@ def _integrate(problem, x0, cfg, stats):
                 if uses:
                     uses += 1
             else:
-                J, jacobians, uses = jacobian(problem, active, x0f), 1, fresh_uses[active - 1]
+                J, jacobians, uses = jacobian(problem, active, x), 1, fresh_uses[active - 1]
             # the key compares J's rows by value: rows that compare equal
             # give the step matrix's bits (+0.0 and -0.0 both give
             # 0.0 - g*J_ij = 0.0). A key is kept only once lu_factor has
@@ -508,10 +512,10 @@ def _integrate(problem, x0, cfg, stats):
                 factors = rosenbrock.factor(J, size, gamma)
                 key_rows, key_tau = [r[:] for r in J], size
             if pair is not None and active == 1:
-                step = onesided._guarded_step(problem, x, x0f, fx, size, J, factors, h_tol,
-                                              field, pair)
+                step = onesided._guarded_step(problem, x, fx, size, J, factors, h_tol, field,
+                                              pair)
             else:
-                step = kernel_step(field, x, x0f, fx, size, J, factors)
+                step = kernel_step(field, x, fx, size, J, factors)
             last, last_active, fx0 = step, active, fx
         except (SingularMatrix, NoBracket) as exc:
             # a singular step matrix, or the one-sided step-shortening
@@ -528,7 +532,8 @@ def _integrate(problem, x0, cfg, stats):
         stats.steps += 1
         if observe is not None:
             observe(x, active, step, jacobians)
-        h_new = float(h(step.x1f if h_floats else step.x1))
+        x1 = step.x1  # the mesh's row
+        h_new = float(h(step.x1f if h_floats else x1))
         if h_new != h_new:
             # a NaN has no side: the step may have crossed the surface unseen
             raise ValueError(f"h is NaN at the end of step {step_index}, "
@@ -538,16 +543,17 @@ def _integrate(problem, x0, cfg, stats):
         record = None
         # an endpoint past the surface is located even inside the band: a
         # state recorded there would be classified with the field it left
-        if (crossed or (not on_band and normal is not None)) and locate:
+        if (crossed or (not on_band and dip_test)) and locate:
             slopes = None
             if normal is not None:
                 # formed once for the dip test and for location
                 slopes = m1, m2 = slopes_of(normal, step.k1f, step.k2f)
             dips = crossed
             if not crossed:
-                # with both ends on one side, h(X1(theta)) may still cross
-                # and return: _dips_across once the slope changes sign in
-                # (0, 1), which a one-stage chord's (m2 = 0) never does
+                # with both ends on one side, a two-stage step's h(X1(theta))
+                # may still cross and return: _dips_across once the slope
+                # changes sign in (0, 1). A one-stage chord (m2 = 0) never
+                # does, so its uncrossed steps form no slopes.
                 d1 = m1 + m2
                 dips = (((m1 > 0.0 and d1 < 0.0) or (m1 < 0.0 and d1 > 0.0))
                         and _dips_across(h_at_x, m1, m2))
@@ -564,8 +570,8 @@ def _integrate(problem, x0, cfg, stats):
 
         if not (on_band or crossed):
             t += step.tau
-            x = step.x1
-            mesh.append((t, x))
+            x = step.x1f
+            mesh.append((t, x1))
             h_at_x = h_new
             step_index += 1
             continue
@@ -590,7 +596,7 @@ def _integrate(problem, x0, cfg, stats):
 
         if record is None:
             direction = Direction.R1_TO_R2 if active == 1 else Direction.R2_TO_R1
-            record = EventRecord(step_index, 1.0, t + step.tau, step.x1,
+            record = EventRecord(step_index, 1.0, t + step.tau, x1,
                                  abs(h_new), direction, 0, True)
         elif events and events[-1].t_star == t and record.theta_star <= THETA_TOL:
             # chattering: the first step after a crossing turned back
@@ -610,7 +616,7 @@ def _integrate(problem, x0, cfg, stats):
             kind = filippov.Kind.CROSSING
         if kind is filippov.Kind.CROSSING:
             active = 2 if record.direction is Direction.R1_TO_R2 else 1
-            x = record.x_star
+            x = record.x_star.tolist()
             t = record.t_star
             # x sits on the side it left or on the surface, so its own h has
             # no sign to start the next step from: take the band's edge on

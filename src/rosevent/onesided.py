@@ -258,62 +258,60 @@ def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,
     _check_step_size(tau)
     x0, J, factors = rosenbrock._entry(x0, tau, J, rosenbrock.GAMMA_ROS2)
     field, x0f = functools.partial(problems.eval_field, problem, 1), x0.tolist()
-    return _guarded_step(problem, x0, x0f, field(x0f), tau, J.tolist(), factors, h_tol, field,
+    return _guarded_step(problem, x0f, field(x0f), tau, J.tolist(), factors, h_tol, field,
                          rosenbrock.kernel_pair(2, len(x0f)))
 
 
-def _stage_h(problem, x0f: list, k1: list) -> float:
-    # h at the internal stage x0 + k1, formed on the floats: a declared
-    # surface's h takes them as they are, any other h gets their array
-    stage = [u + a for u, a in zip(x0f, k1)]
-    return float(problem.h(stage if problem.surface is not None else np.array(stage)))
+def _h(problem, x: list) -> float:
+    # h at a state given as floats: a declared surface's h takes them as
+    # they are, any other h gets their array
+    return float(problem.h(x if problem.surface is not None else np.array(x)))
 
 
-def _guarded_step(problem, x0, x0f, fx0, tau, J, factors, h_tol, field, pair):
-    # guarded_ros2_step on the kernel, unchecked: x0 a finite float array of
-    # the problem's dimension and x0f its floats, fx0 = f1(x0) as floats, J
-    # n rows of n floats and factors those of its step matrix, field the
-    # counted field 1 and pair rosenbrock.kernel_pair(2, n); integrate's
-    # region-1 step. A NaN h at the internal stage has no side, so it
-    # shortens the step as a trespass does.
+def _guarded_step(problem, x0f, fx0, tau, J, factors, h_tol, field, pair):
+    # guarded_ros2_step on the kernel, unchecked: x0f the floats of a finite
+    # state of the problem's dimension, fx0 = f1(x0) as floats, J n rows of
+    # n floats and factors those of its step matrix, field the counted
+    # field 1 and pair rosenbrock.kernel_pair(2, n); integrate's region-1
+    # step. A NaN h at the internal stage has no side, so it shortens the
+    # step as a trespass does.
     stage1, finish = pair
     k1 = stage1(factors, fx0, tau)
-    g_tau = _stage_h(problem, x0f, k1)
+    g_tau = _h(problem, [u + a for u, a in zip(x0f, k1)])
     if not g_tau <= 0.0:
-        return resolve_case_1b(problem, x0, tau, fx0, J, g_tau, h_tol)[0]
-    return finish(field, x0, x0f, tau, J, factors, k1)
+        return resolve_case_1b(problem, x0f, tau, fx0, J, g_tau, h_tol)[0]
+    return finish(field, x0f, tau, J, factors, k1)
 
 
-def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
+def resolve_case_1b(problem: problems.PiecewiseProblem, x0f: list, tau: float, fx0, J,
                     g_tau: float, h_tol: float = 1e-12):
     """Shrink a two-stage step whose internal stage trespasses the surface.
 
     The caller has seen x0 + k1(tau) trespass, with fx0 = f1(x0), J its
     Jacobian and g_tau = h(x0 + k1(tau)) > 0 or NaN; it passes them as the
-    guarded step has them, unchecked: x0 a finite float array, fx0 f1(x0)
-    as Python floats, J n rows of n Python floats, which each trial factors
-    as they are. linalg.safe_side_root searches g(sigma) = h(x0 + k1(sigma))
-    over (0, tau) from the safe side, down to a 4*eps*tau bracket: each
-    trial factors (I - gamma*sigma*J) and recomputes k1 from fx0, with no
+    guarded step has them, unchecked: x0f the floats of a finite state, fx0
+    f1(x0) as Python floats, J n rows of n Python floats, which each trial
+    factors as they are. linalg.safe_side_root searches
+    g(sigma) = h(x0 + k1(sigma)) over (0, tau) from the safe side, down to
+    a 4*eps*tau bracket: each trial factors (I - gamma*sigma*J) and recomputes k1 from fx0, with no
     field evaluation. The factors of the trial it ends at complete the
     step, so the internal stage has g <= 0. Returns (step, trials), trials
     the factorizations it ran; raises NoBracket when x0 is not below the
     surface or no trial is safe, and SingularMatrix from a trial's step
     matrix.
     """
-    g_lo = float(problem.h(x0))
+    g_lo = _h(problem, x0f)
     if not g_lo < 0.0:
         raise NoBracket(f"x0 must start below the surface, h(x0) = {g_lo}")
 
     tried = {}  # sigma -> (factors, k1) of that trial
-    x0f = x0.tolist()
     stage1, finish = rosenbrock.kernel_pair(2, len(x0f))
 
     def g(sigma):
         factors = rosenbrock.factor(J, sigma, rosenbrock.GAMMA_ROS2)
         k1 = stage1(factors, fx0, sigma)
         tried[sigma] = factors, k1
-        return _stage_h(problem, x0f, k1)
+        return _h(problem, [u + a for u, a in zip(x0f, k1)])
 
     sigma_bar, _, trials = linalg.safe_side_root(
         g, 0.0, tau, g_lo, g_tau, h_tol, 4.0 * np.finfo(float).eps * tau)
@@ -321,7 +319,7 @@ def resolve_case_1b(problem: problems.PiecewiseProblem, x0, tau: float, fx0, J,
         raise NoBracket(f"the internal stage trespasses at all {trials} trial sizes")
 
     factors, k1 = tried[sigma_bar]
-    step = finish(functools.partial(problems.eval_field, problem, 1), x0, x0f, sigma_bar, J,
+    step = finish(functools.partial(problems.eval_field, problem, 1), x0f, sigma_bar, J,
                   factors, k1)
     return step, trials
 

@@ -53,14 +53,17 @@ restep them), the driver's one step path in events.integrate (which binds
 the step, and a dense-guarded run's pair, once per run), and the guarded
 step and each of its case-1b trials (onesided), which call stage1 and
 finish, where the guarded step hands finish the k1 whose stage it has
-checked. The step holds each stage once, as those floats (k1 and k2 are arrays built when read), and x1 as
-floats beside its array, which the driver's next step starts from; it is
-its own dense output: dense_eval, dense_derivative, event location and the
-dense guard all read its value, derivative and slopes. Its value has one
-formula, on floats (value_floats, which location hands a declared h);
-value is its array. The kernel does the IEEE operations of the array
-formulas above in the same order, and numpy's elementwise operations do
-not fuse, so the results equal the array expressions bit for bit. Each
+checked. The step is its floats: it holds x0, k1, k2 and x1 as the
+floats the kernel computed, and builds each array (x0, k1, k2, x1) when
+read; the driver's next step starts from x1's floats. Its gamma and the
+dense output's c follow from its stage count (GAMMA_ROS1, GAMMA_ROS2 and
+C_ROS2), so neither the kernel nor a step takes them. A step is its own
+dense output: dense_eval, dense_derivative, event location and the dense
+guard all read its value, derivative and slopes. Its value has one formula,
+on floats (value_floats, which location hands a declared h); value is its
+array. The kernel does the IEEE operations of the array formulas above in
+the same order, and numpy's elementwise operations do not fuse, so the
+results equal the array expressions bit for bit. Each
 solve is linalg.lu_solve's substitution (linalg._substitution_lines),
 written into the kernel on the factors' entries unpacked into locals: the
 bits of lu_solve without a call. Where the solution is not finite, and
@@ -119,17 +122,28 @@ from .errors import NonFiniteState
 
 GAMMA_ROS2 = 1.0 - math.sqrt(2.0) / 2.0
 GAMMA_ROS1 = 1.0
+# the two-stage dense output's c, and the theta terms of b1 and b2:
+# 2 - 6*gamma and 2*gamma
+C_ROS2 = 1.0 / (2.0 * (1.0 - 2.0 * GAMMA_ROS2))
+_B1, _B2 = 2.0 - 6.0 * GAMMA_ROS2, 2.0 * GAMMA_ROS2
 
 
 @dataclass(frozen=True)
 class RosMethod:
+    """A method by its stage count; the step kernel runs 1 (ROS1) and 2
+    (ROS2)."""
+
     stages: int
-    gamma: float
     label: str
 
+    @property
+    def gamma(self) -> float:
+        """The step matrix's gamma, which the stage count fixes."""
+        return GAMMA_ROS1 if self.stages == 1 else GAMMA_ROS2
 
-ROS1 = RosMethod(stages=1, gamma=GAMMA_ROS1, label="ros1")
-ROS2 = RosMethod(stages=2, gamma=GAMMA_ROS2, label="ros2")
+
+ROS1 = RosMethod(stages=1, label="ros1")
+ROS2 = RosMethod(stages=2, label="ros2")
 
 _METHODS = {"ros1": ROS1, "ros2": ROS2}
 
@@ -145,11 +159,12 @@ class RosenbrockStep:
     """One accepted step: inputs, stages, endpoint, and its dense output.
 
     Treated as immutable; dense evaluation, location, the guards and
-    re-stepping read from it without modifying it. x0f, k1f, k2f and x1f
-    hold x0, k1, k2 and x1 as the Python floats the kernel computed with,
-    which the dense output reads and the driver's next step starts from;
-    k2f is None for one-stage steps. The stages are held only as those
-    floats: k1 and k2 are arrays built when read. jac is the Jacobian as the
+    re-stepping read from it without modifying it. The step is its floats:
+    x0f, k1f, k2f and x1f hold x0, k1, k2 and x1 as the Python floats the
+    kernel computed with, which the dense output reads and the driver's next
+    step starts from; k2f is None for one-stage steps. x0, k1, k2 and x1
+    are arrays of those floats built when read. Its gamma and c follow from
+    stages (GAMMA_ROS1, or GAMMA_ROS2 and C_ROS2). jac is the Jacobian as the
     step was given it: on the driver's and the guarded step's path the rows
     of floats problems.field_jacobian gave (a continuing step holds the
     last step's rows object itself), on the public steps here the array
@@ -157,34 +172,22 @@ class RosenbrockStep:
     built from the rows when read.
     """
 
-    __slots__ = ("x0", "x0f", "tau", "jac", "gamma", "c", "k1f", "k2f", "x1f", "x1", "stages")
+    __slots__ = ("x0f", "tau", "jac", "k1f", "k2f", "x1f", "stages")
 
-    def __init__(self, x0: np.ndarray, x0f: list, tau: float, jac, gamma: float,
-                 k1f: list, k2f: list | None, x1f: list, x1: np.ndarray):
-        self.x0 = x0
+    def __init__(self, x0f: list, tau: float, jac, k1f: list, k2f: list | None, x1f: list):
         self.x0f = x0f
         self.tau = tau
         self.jac = jac
-        self.gamma = gamma
-        self.c = 1.0 / (2.0 * (1.0 - 2.0 * gamma))
         self.k1f = k1f
         self.k2f = k2f
         self.x1f = x1f
-        self.x1 = x1
         self.stages = 1 if k2f is None else 2
 
-    @property
-    def J(self) -> np.ndarray:
-        jac = self.jac
-        return np.array(jac) if type(jac) is list else jac
-
-    @property
-    def k1(self) -> np.ndarray:
-        return np.array(self.k1f)
-
-    @property
-    def k2(self) -> np.ndarray | None:
-        return None if self.k2f is None else np.array(self.k2f)
+    x0 = property(lambda self: np.array(self.x0f))
+    x1 = property(lambda self: np.array(self.x1f))
+    k1 = property(lambda self: np.array(self.k1f))
+    k2 = property(lambda self: None if self.k2f is None else np.array(self.k2f))
+    J = property(lambda self: np.array(self.jac) if type(self.jac) is list else self.jac)
 
     def value_floats(self, theta: float) -> list:
         """X1(theta) as Python floats, theta unchecked: the formula of the
@@ -194,29 +197,29 @@ class RosenbrockStep:
             return self.x0f
         if self.stages == 1:
             return [x + theta * a for x, a in zip(self.x0f, self.k1f)]
-        w1 = self.c * (theta * (theta + (2.0 - 6.0 * self.gamma)))
-        w2 = self.c * (theta * (theta - 2.0 * self.gamma))
+        w1 = C_ROS2 * (theta * (theta + _B1))
+        w2 = C_ROS2 * (theta * (theta - _B2))
         return [x + w1 * a + w2 * b for x, a, b in zip(self.x0f, self.k1f, self.k2f)]
 
     def value(self, theta: float) -> np.ndarray:
-        """X1(theta), theta unchecked: x0 itself at theta = 0, else the
-        array of value_floats(theta)."""
-        return self.x0 if theta == 0.0 else np.array(self.value_floats(theta))
+        """X1(theta), theta unchecked: the array of value_floats(theta), at
+        theta = 0 an array of x0's bits."""
+        return np.array(self.value_floats(theta))
 
     def derivative(self, theta: float) -> np.ndarray:
         """dX1/dtheta at theta, unchecked."""
         if self.stages == 1:
             return np.array(self.k1f)
-        w1 = self.c * (2.0 * theta + (2.0 - 6.0 * self.gamma))
-        w2 = self.c * (2.0 * theta - 2.0 * self.gamma)
+        w1 = C_ROS2 * (2.0 * theta + _B1)
+        w2 = C_ROS2 * (2.0 * theta - _B2)
         return np.array([w1 * a + w2 * b for a, b in zip(self.k1f, self.k2f)])
 
     def slopes(self, n) -> tuple:
         """(m1, m2) with n . dX1/dtheta = m1 + theta*m2 (n a sequence of
         floats): kernel_slopes for the step's stages and n's size, on its
-        k1 and k2, with the constants of the method's gamma, the one the
-        kernel writes into its steps. For an affine h = n.x + c the value
-        along the dense output is then the quadratic
+        k1 and k2, with the constants of value_floats and derivative. For
+        an affine h = n.x + c the value along the dense output is then the
+        quadratic
 
             h(X1(theta)) = h(x0) + m1*theta + (m2/2)*theta^2
 
@@ -247,9 +250,8 @@ def _exact_sum(terms: tuple) -> float:
 
 
 # the names the generated code of this module sees
-_SCOPE = {"fsum": math.fsum, "exact_sum": _exact_sum, "linalg": linalg, "array": np.array,
-          "NonFiniteState": NonFiniteState, "RosenbrockStep": RosenbrockStep,
-          "GAMMA_ROS1": GAMMA_ROS1, "GAMMA_ROS2": GAMMA_ROS2}
+_SCOPE = {"fsum": math.fsum, "exact_sum": _exact_sum, "linalg": linalg,
+          "NonFiniteState": NonFiniteState, "RosenbrockStep": RosenbrockStep}
 
 
 def _slopes_source(key: tuple) -> list:
@@ -257,16 +259,15 @@ def _slopes_source(key: tuple) -> list:
     and, for two stages, d2 = n.k2, each fsum of the tuple of the n products
     n_i*k_i, written out, or where an fsum raises both _exact_sum of the
     same tuples; then (m1, m2) = (c*((2 - 6*gamma)*d1 - 2*gamma*d2),
-    2*c*(d1 + d2)) with RosenbrockStep's constants of GAMMA_ROS2, written in
-    as literals, or (d1, 0.0) for one stage, which leaves k2 unread."""
+    2*c*(d1 + d2)) with the dense output's constants (C_ROS2, _B1, _B2)
+    written in as literals, or (d1, 0.0) for one stage, which leaves k2
+    unread."""
     _, stages, n = key
     v, *ks = ([f"{s}{i}" for i in range(n)] for s in "npq"[:stages + 1])
     dots = ["(" + ", ".join(f"{a} * {b}" for a, b in zip(v, k)) + ",)" for k in ks]
     sums = ", ".join(f"d{j + 1}" for j in range(stages))
-    g = GAMMA_ROS2
-    c = 1.0 / (2.0 * (1.0 - 2.0 * g))  # RosenbrockStep.c
     m = ("d1, 0.0" if stages == 1 else
-         f"{c!r} * ({2.0 - 6.0 * g!r} * d1 - {2.0 * g!r} * d2), {2.0 * c!r} * (d1 + d2)")
+         f"{C_ROS2!r} * ({_B1!r} * d1 - {_B2!r} * d2), {2.0 * C_ROS2!r} * (d1 + d2)")
     return linalg.define("slopes(n, k1, k2)", [
         *(f"[{', '.join(k)}] = {name}" for k, name in zip([v, *ks], ("n", "k1", "k2"))),
         "try:",
@@ -352,10 +353,10 @@ def _kernel_source(key: tuple) -> list:
     first = [f"{vec(g)} = fx0", f"r = {vec(f'tau * {v}' for v in g)}", *unpack,
              *solve(a, "k1")]
     if stages == 1:
-        gamma, k2, inner, second = "GAMMA_ROS1", "None", [], []
+        k2, inner, second = "None", [], []
         ends = [f"{xi} + {ai}" for xi, ai in zip(x, a)]
     else:
-        gamma, k2 = "GAMMA_ROS2", "k2"
+        k2 = "k2"
         inner = [f"{vec(g)} = field({vec(f'{xi} + {ai}' for xi, ai in zip(x, a))})",
                  f"r = {vec(f'tau * {gi} - 2.0 * {ai}' for gi, ai in zip(g, a))}"]
         second = solve(b, "k2")
@@ -364,12 +365,12 @@ def _kernel_source(key: tuple) -> list:
            f"x1 = {vec(y)}",
            f"if not {' + '.join(f'0.0 * {yi}' for yi in y)} == 0.0:",
            "    raise NonFiniteState(f\"the step's end state is not finite: x1 = {x1}\")",
-           f"return RosenbrockStep(x0, x0f, tau, J, {gamma}, k1, {k2}, x1, array(x1))"]
+           f"return RosenbrockStep(x0f, tau, J, k1, {k2}, x1)"]
     if unit == "step":
-        return linalg.define("step(field, x0, x0f, fx0, tau, J, factors)",
+        return linalg.define("step(field, x0f, fx0, tau, J, factors)",
                              [*first, f"{vec(x)} = x0f", *inner, *second, *end])
     return [*linalg.define("stage1(factors, fx0, tau)", [*first, "return k1"]),
-            *linalg.define("finish(field, x0, x0f, tau, J, factors, k1)", [
+            *linalg.define("finish(field, x0f, tau, J, factors, k1)", [
                 f"{vec(x)} = x0f", f"{vec(a)} = k1", *inner,
                 *(unpack if second else []), *second, *end])]
 
@@ -396,8 +397,8 @@ def kernel(stages: int, n: int) -> Callable:
     hands its right-hand side to linalg.lu_solve only when the solution's
     first entry is not finite (lu_solve's check and scaled solve).
 
-    step(field, x0, x0f, fx0, tau, J, factors) -> RosenbrockStep, the step
-    from x0 (a finite float array, x0f its floats) and f(x0) as floats: k1
+    step(field, x0f, fx0, tau, J, factors) -> RosenbrockStep, the step
+    from x0 (x0f, the floats of a finite state) and f(x0) as floats: k1
     solving (I - gamma*tau*J) k1 = tau*f(x0), then for two stages k2 from
     field(x0 + k1) and x1 = x0 + 1.5*k1 + 0.5*k2, for one x1 = x0 + k1
     (field unused). field takes the stage state as a list of floats and
@@ -417,7 +418,7 @@ def kernel_pair(stages: int, n: int) -> tuple:
 
     stage1(factors, fx0, tau) -> k1, the floats solving
         (I - gamma*tau*J) k1 = tau*f(x0) from f(x0) as floats;
-    finish(field, x0, x0f, tau, J, factors, k1) -> RosenbrockStep, the rest
+    finish(field, x0f, tau, J, factors, k1) -> RosenbrockStep, the rest
         of the step from k1; finish(..., stage1(...)) is step bit for bit.
     """
     return _unit("pair", stages, n)
@@ -461,7 +462,7 @@ def ros1_step(field, x0, tau: float, J) -> RosenbrockStep:
     """
     x0, J, factors = _entry(x0, tau, J, GAMMA_ROS1)
     n = x0.shape[0]
-    return kernel(1, n)(None, x0, x0.tolist(), linalg.as_floats(field(x0), n), tau, J, factors)
+    return kernel(1, n)(None, x0.tolist(), linalg.as_floats(field(x0), n), tau, J, factors)
 
 
 def ros2_finish(field, x0, tau: float, J, factors, k1) -> RosenbrockStep:
@@ -478,7 +479,7 @@ def ros2_finish(field, x0, tau: float, J, factors, k1) -> RosenbrockStep:
         raise ValueError(f"k1 has shape {k1.shape} but x0 has shape {x0.shape}")
     n = x0.shape[0]
     _sized(factors.n, n)
-    return kernel_pair(2, n)[1](_checked(field, n), x0, x0.tolist(), tau,
+    return kernel_pair(2, n)[1](_checked(field, n), x0.tolist(), tau,
                                 np.asarray(J, dtype=float), factors, k1.tolist())
 
 
@@ -491,7 +492,7 @@ def ros2_step(field, x0, tau: float, J) -> RosenbrockStep:
     """
     x0, J, factors = _entry(x0, tau, J, GAMMA_ROS2)
     n = x0.shape[0]
-    return kernel(2, n)(_checked(field, n), x0, x0.tolist(), linalg.as_floats(field(x0), n),
+    return kernel(2, n)(_checked(field, n), x0.tolist(), linalg.as_floats(field(x0), n),
                         tau, J, factors)
 
 
@@ -523,6 +524,4 @@ def restep(field, step: RosenbrockStep, sigma: float) -> RosenbrockStep:
     """
     if not 0.0 < sigma <= step.tau:
         raise ValueError(f"sigma must lie in (0, tau], got {sigma}")
-    if step.stages == 1:
-        return ros1_step(field, step.x0, sigma, step.J)
-    return ros2_step(field, step.x0, sigma, step.J)
+    return (ros1_step if step.stages == 1 else ros2_step)(field, step.x0, sigma, step.J)

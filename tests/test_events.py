@@ -53,6 +53,7 @@ from rosevent.problems import (
     spp_flatten,
 )
 from rosevent.rosenbrock import (
+    C_ROS2,
     GAMMA_ROS1,
     GAMMA_ROS2,
     ROS1,
@@ -312,19 +313,50 @@ def test_integrate_validates_guard_method_pairing():
             tau=0.1, guard_mode=GuardMode.ROS1_GENERAL))
 
 
-@pytest.mark.parametrize("stages, gamma", [(2, 0.5), (1, GAMMA_ROS2), (2, GAMMA_ROS1),
-                                           (3, GAMMA_ROS2)])
-def test_integrate_rejects_a_method_the_step_kernel_does_not_run(stages, gamma):
-    # the kernel writes ROS1's or ROS2's gamma into every step while the
-    # driver factors I - gamma*tau*J with the method's: a g05 method used to
-    # run with stages and step.gamma that did not match
-    method = RosMethod(stages=stages, gamma=gamma, label="g05")
+@pytest.mark.parametrize("stages", [3, 0])
+def test_integrate_rejects_a_method_the_step_kernel_does_not_run(stages):
+    # a method's gamma follows from its stage count, and the kernel runs
+    # one or two stages: any other count is refused before h or a field is
+    # evaluated
+    method = RosMethod(stages=stages, label="g05")
     problem = spp_flatten(builtin("kowalczyk", eps=1e-2))
+    problem.h = problem.f1 = problem.f2 = None  # refused before any is called
     with pytest.raises(ValueError, match=r"^method 'g05' \(stages=.*\) is neither ROS1 nor ROS2"):
         integrate(problem, problem.x0, default_cfg(tau=1e-3, method=method))
-    for method in (ROS1, ROS2, RosMethod(stages=2, gamma=GAMMA_ROS2, label="copy")):
+    problem = spp_flatten(builtin("kowalczyk", eps=1e-2))
+    for method in (ROS1, ROS2, RosMethod(stages=2, label="copy")):
         run = integrate(problem, problem.x0, default_cfg(tau=1e-3, t_end=0.01, method=method))
         assert run.termination is Termination.REACHED_T_END
+
+
+def test_a_declared_one_stage_run_forms_slopes_only_for_the_steps_it_locates():
+    # a one-stage chord (m2 = 0) never dips, so a step whose ends do not
+    # cross forms no slopes; each step that is located forms them once,
+    # for location. The wrappers go on before the run, which binds the
+    # slopes function once.
+    flat = spp_flatten(builtin("kowalczyk", eps=1e-2))
+    real_slopes, real_locate = rosevent.rosenbrock.kernel_slopes, rosevent.events.locate_event
+    calls = {"slopes": 0, "locate": 0}
+
+    def kernel_slopes(stages, n):
+        slopes = real_slopes(stages, n)
+
+        def counted(*args):
+            calls["slopes"] += 1
+            return slopes(*args)
+
+        return counted
+
+    def locate_event(*args, **kwargs):
+        calls["locate"] += 1
+        return real_locate(*args, **kwargs)
+
+    with mock.patch.object(rosevent.rosenbrock, "kernel_slopes", kernel_slopes), \
+            mock.patch.object(rosevent.events, "locate_event", locate_event):
+        result = integrate(flat, flat.x0, default_cfg(tau=1e-3, t_end=1.5, method=ROS1))
+    assert (result.stats.steps, len(result.events)) == (1507, 15)
+    located = sum(ev.theta_star < 1.0 for ev in result.events)
+    assert calls["slopes"] == calls["locate"] == located > 0
 
 
 @pytest.mark.parametrize("guard", [GuardMode.ROS1_GENERAL, GuardMode.ROS1_ORTHOGONAL])
@@ -490,7 +522,7 @@ def test_chattering_after_a_crossing_stops_the_run():
     assert abs(last.t_star - 1.0746414219471) <= 1e-9
     # the turned-back hit is not recorded and the run ends at the crossing
     assert result.mesh[-1][0] == last.t_star
-    assert result.mesh[-1][1] is last.x_star
+    assert result.mesh[-1][1].tobytes() == last.x_star.tobytes()
 
 
 AFFINE_BUILTINS = ["tent", "linear_test", "kowalczyk", "teixeira", "ostermann_modified"]
@@ -582,10 +614,10 @@ def test_reused_factors_give_the_steps_of_fresh_factorizations(name, method, tau
     replayed = 0
     for (t0, x0), (t1, x1) in zip(result.mesh, result.mesh[1:]):
         end = events_at.get(t1)
-        if end is not None and end.x_star is x1:
+        if end is not None and end.x_star.tobytes() == x1.tobytes():
             continue
         start = events_at.get(t0)
-        if start is not None and start.x_star is x0:
+        if start is not None and start.x_star.tobytes() == x0.tobytes():
             active = 2 if start.direction is Direction.R1_TO_R2 else 1
         else:
             active = 1 if problem.h(x0) < 0.0 else 2
@@ -633,8 +665,7 @@ def test_najafis_region_2_steps_reuse_the_factors_of_equal_float_rows():
             rows = taken[i - 1][2].jac
             assert type(step.jac) is list and step.jac == rows and step.jac is not rows
         assert step.J.tobytes() == np.zeros((2, 2)).tobytes()
-        fresh = ros2_step(array_field(problem, 2), x, 0.125,
-                          field_jacobian(problem, 2, x.tolist()))
+        fresh = ros2_step(array_field(problem, 2), x, 0.125, field_jacobian(problem, 2, x))
         for name in ("x1", "k1", "k2"):
             assert getattr(step, name).tobytes() == getattr(fresh, name).tobytes()
 
@@ -804,21 +835,28 @@ def recorded_steps(problem, x0, cfg):
 
 def accepted_steps(problem, x0, cfg):
     """integrate, plus (step, active, theta_end) for every accepted step:
-    the part [0, theta_end] of each step the run kept, found by following
-    the state each step hands to the next, and the field that took it."""
+    the part [0, theta_end] of each step the run kept, found from the event
+    each step recorded and checked on the state's bits each step hands to
+    the next, and the field that took it."""
     result, taken = recorded_steps(problem, x0, cfg)
     if result.termination is Termination.CHATTERING:
         taken.pop()  # the turned-back step is not kept
     events = iter(result.events)
     pending = next(events, None)
     kept = []
+
+    def bits(v):
+        return np.asarray(v, dtype=float).tobytes()
+
     for i, (_, active, step, _) in enumerate(taken):
         following = taken[i + 1][0] if i + 1 < len(taken) else None
-        if pending is not None and (following is None or pending.x_star is following):
+        if pending is not None and pending.step_index == i:
+            # the next step starts from the located state
+            assert following is None or bits(following) == bits(pending.x_star)
             kept.append((step, active, pending.theta_star))
             pending = next(events, None)
         else:
-            assert following is None or following is step.x1
+            assert following is None or bits(following) == bits(step.x1f)
             kept.append((step, active, 1.0))
     assert pending is None
     return result, kept
@@ -1176,17 +1214,17 @@ def test_driver_steps_are_the_public_steps_bit_for_bit(case, plain):
             if i == 0:
                 ref, count = ((alone, 1) if cfg.guard_mode is None
                               else (public_guarded, len(guarded_lu)))
-                assert x is not x0 and x.tobytes() == x0.tobytes()
+                assert np.array(x).tobytes() == x0.tobytes()
                 assert factorizations == count
             else:
                 ref = public(array_field(problem, active), x, step.tau,
                              step.J)
-            assert (step.tau, step.gamma, step.stages) == (ref.tau, ref.gamma, ref.stages)
-            for name in ("x1", "k1", "k2"):
+            assert (step.tau, step.stages) == (ref.tau, ref.stages)
+            for name in ("x0", "x1", "k1", "k2"):
                 assert same_bytes(getattr(step, name), getattr(ref, name))
             if plain:
                 stage = np.array([u + a for u, a in zip(step.x0f, step.k1f)])
-                states = [x, x, stage, stage][:2 * step.stages]
+                states = [np.array(x), np.array(x), stage, stage][:2 * step.stages]
                 assert [v.tobytes() for v in handed] == [v.tobytes() for v in states]
         if (cfg.guard_mode is None and not isinstance(result, ValueError)
                 and len(taken) == 2 and not result.events):
@@ -1392,13 +1430,13 @@ def test_an_affine_relay_keeps_its_finite_difference_jacobian_across_a_visit(nam
     assert stats.jacobian_evaluations <= len(result.events) + 1 + stats.steps / REUSE_STEPS
     assert stats.lu_factorizations <= stats.jacobian_evaluations
     # a region visit starts with a fresh J
-    entries = [i for i, (x, *_) in enumerate(taken) if i == 0 or x is not taken[i - 1][2].x1]
+    entries = [i for i in range(len(taken)) if entered(taken, i)]
     assert len(entries) == len(result.events) + 1
     assert all(taken[i][3] == 1 for i in entries)
     # each step holds the W it used: its dense output starts at x0 exactly
     # and a restep at the same size is the step again, bit for bit
     for x, active, step, _ in taken[:40]:
-        assert step.value(0.0) is x
+        assert step.value(0.0).tobytes() == np.array(x).tobytes()
         again = restep(array_field(bare, active), step, step.tau)
         assert again.x1.tobytes() == step.x1.tobytes()
     # the declared affine relay evaluates its A_i once per region visit
@@ -1431,7 +1469,7 @@ def test_a_one_stage_guard_certifies_the_matrix_its_step_factored():
         event = hits[index]
         assert same_bytes(step.value(event.theta_star), event.x_star)
         assert active == 1
-        fx0 = eval_field(bare, 1, x.tolist())
+        fx0 = eval_field(bare, 1, x)
         built = rosevent.onesided._one_stage_report(
             GuardMode.ROS1_GENERAL, bare.surface.n, step.jac, lambda: fx0, step.tau, GAMMA_ROS1)
         assert report_bits(report) == report_bits(built)
@@ -1510,13 +1548,13 @@ def test_najafis_one_stage_guard_reports_as_the_public_guard():
 
 def entered(taken, i):
     """Whether recorded step i enters a region: the first step, or one whose
-    field or start differs from the last step's (a hit recorded at the
-    step's end hands its x1 on to the other field)."""
+    field or start, by its bits, differs from the last step's (a hit
+    recorded at the step's end hands its x1 on to the other field)."""
     if i == 0:
         return True
     x, active, *_ = taken[i]
     _, last_active, last, _ = taken[i - 1]
-    return active != last_active or x is not last.x1
+    return active != last_active or np.array(x).tobytes() != last.x1.tobytes()
 
 
 @pytest.mark.parametrize("name", ["kowalczyk", "teixeira"])
@@ -1797,9 +1835,10 @@ def test_a_kept_w_moves_the_dense_output_by_the_stated_term():
             continue  # a fresh J: nothing to compare
         A = flat.affine.A1 if active == 1 else flat.affine.A2
         f = flat.f1 if active == 1 else flat.f2
+        x = np.array(x)
         fresh = ros2_step(f, x, step.tau, A)
         w_f = (step.J - A) @ f(x)
-        terms = [step.c * GAMMA_ROS2 * 2.0 * th * (1.0 - th) * step.tau**2 * w_f
+        terms = [C_ROS2 * GAMMA_ROS2 * 2.0 * th * (1.0 - th) * step.tau**2 * w_f
                  for th in thetas]
         size = max(float(np.abs(t).max()) for t in terms)
         if size <= 100.0 * np.spacing(float(np.abs(x).max())):
@@ -1953,8 +1992,8 @@ def array_value(step, theta):
         return step.x0
     if step.stages == 1:
         return np.array([x + theta * a for x, a in zip(step.x0f, step.k1f)])
-    w1 = step.c * (theta * (theta + (2.0 - 6.0 * step.gamma)))
-    w2 = step.c * (theta * (theta - 2.0 * step.gamma))
+    w1 = C_ROS2 * (theta * (theta + (2.0 - 6.0 * GAMMA_ROS2)))
+    w2 = C_ROS2 * (theta * (theta - 2.0 * GAMMA_ROS2))
     return np.array([x + w1 * a + w2 * b for x, a, b in zip(step.x0f, step.k1f, step.k2f)])
 
 

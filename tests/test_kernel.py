@@ -6,6 +6,7 @@ path."""
 import math
 import operator
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,18 +68,20 @@ def reference_dense_eval(step, theta):
         return step.x0
     if step.stages == 1:
         return step.x0 + theta * step.k1
-    c = 1.0 / (2.0 * (1.0 - 2.0 * step.gamma))
-    b1 = theta * (theta + (2.0 - 6.0 * step.gamma))
-    b2 = theta * (theta - 2.0 * step.gamma)
+    gamma = rosenbrock.GAMMA_ROS2
+    c = 1.0 / (2.0 * (1.0 - 2.0 * gamma))
+    b1 = theta * (theta + (2.0 - 6.0 * gamma))
+    b2 = theta * (theta - 2.0 * gamma)
     return step.x0 + (c * b1) * step.k1 + (c * b2) * step.k2
 
 
 def reference_dense_derivative(step, theta):
     if step.stages == 1:
         return step.k1.copy()
-    c = 1.0 / (2.0 * (1.0 - 2.0 * step.gamma))
-    db1 = 2.0 * theta + (2.0 - 6.0 * step.gamma)
-    db2 = 2.0 * theta - 2.0 * step.gamma
+    gamma = rosenbrock.GAMMA_ROS2
+    c = 1.0 / (2.0 * (1.0 - 2.0 * gamma))
+    db1 = 2.0 * theta + (2.0 - 6.0 * gamma)
+    db2 = 2.0 * theta - 2.0 * gamma
     return (c * db1) * step.k1 + (c * db2) * step.k2
 
 
@@ -131,6 +134,48 @@ def test_kernel_reproduces_the_numpy_formulas_bit_for_bit(case, theta):
         for th in (0.0, theta, 1.0):
             assert same_bits(dense_eval(step, th), reference_dense_eval(step, th))
             assert same_bits(dense_derivative(step, th), reference_dense_derivative(step, th))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=affine_cases(), normal=st.lists(entry, min_size=4, max_size=4))
+def test_a_steps_slopes_are_its_own_derivative_along_n(case, normal):
+    # (m1, m2) of kernel_slopes against n . dX1/dtheta from the step's own
+    # derivative, at theta = 0 (m1) and theta = 1 (m1 + m2). Both round the
+    # exact c*((2*theta + b1)*n.k1 + (2*theta - b2)*n.k2) with the dense
+    # output's float constants: each by a few unit roundoffs of the terms'
+    # magnitudes (fsum's two dot products, then at most four operations;
+    # the derivative's two weights, two products and a sum per entry), so
+    # 8*eps of scale below bounds their distance, plus the absolute step of
+    # subnormal numbers. A step whose gamma disagreed with the slopes'
+    # constants was off by a fraction of scale itself.
+    A, b, x0, tau, method, factors = case
+    n = len(b)
+    normal = normal[:n]
+    x0f = x0.tolist()
+    rows = A.tolist()
+
+    def field(x):
+        return (A @ np.array(x) + b).tolist()
+
+    try:
+        with np.errstate(all="ignore"):
+            step = kernel(method.stages, n)(field, x0f, field(x0f), tau, rows, factors)
+    except ValueError:
+        assume(False)
+    m1, m2 = step.slopes(normal)
+    k2 = step.k2f or [0.0] * n
+    a = sum(abs(v * k) for v, k in zip(normal, step.k1f))
+    d = sum(abs(v * k) for v, k in zip(normal, k2))
+    if method.stages == 1:
+        scale = a
+    else:
+        scale = rosenbrock.C_ROS2 * ((abs(rosenbrock._B1) + 2.0) * a
+                                     + (abs(rosenbrock._B2) + 2.0) * d)
+    bound = 8.0 * np.finfo(float).eps * scale + 64 * math.ulp(0.0)
+    for theta, m in ((0.0, m1), (1.0, m1 + m2)):
+        along = sum(Fraction(v) * Fraction(w)
+                    for v, w in zip(normal, step.derivative(theta).tolist()))
+        assert abs(Fraction(m) - along) <= bound, (theta, m, float(along), bound)
 
 
 @settings(max_examples=100, deadline=None)
@@ -233,7 +278,8 @@ def test_the_generated_kernel_is_the_element_loops_bit_for_bit(case):
         return
     assert floats_bytes(k1) == floats_bytes(want)
     two = field if method.stages == 2 else None
-    step = outcome(lambda: finish(two, x0, x0.tolist(), tau, A, factors, k1))
+    x0f = x0.tolist()
+    step = outcome(lambda: finish(two, x0f, tau, A, factors, k1))
     want = outcome(lambda: loop_finish(two, x0, tau, factors, k1))
     if isinstance(step, tuple):  # a ValueError, with the loops' type and message
         assert step == want
@@ -242,8 +288,9 @@ def test_the_generated_kernel_is_the_element_loops_bit_for_bit(case):
     assert floats_bytes(step.k1f) == floats_bytes(k1)
     assert floats_bytes(step.k2f) == floats_bytes(k2)
     assert floats_bytes(step.x1f) == floats_bytes(x1) == step.x1.tobytes()
-    assert step.x0 is x0 and step.J is A
-    assert (step.tau, step.gamma, step.stages) == (tau, method.gamma, method.stages)
+    # the step holds the floats it was handed and builds x0's array of them
+    assert step.x0f is x0f and step.x0.tobytes() == x0.tobytes() and step.J is A
+    assert (step.tau, step.stages) == (tau, method.stages)
 
 
 def step_bits(o):
@@ -288,11 +335,11 @@ def test_the_kernel_solves_are_lu_solve_bit_for_bit(case, spoilt):
     k1 = outcome(lambda: stage1(factors, fx0, tau))
     assert step_bits(k1) == step_bits(outcome(
         lambda: linalg.lu_solve(factors, [tau * f for f in fx0])))
-    step = outcome(lambda: step_fn(two, x0, x0f, fx0, tau, A, factors))
+    step = outcome(lambda: step_fn(two, x0f, fx0, tau, A, factors))
     if type(k1) is not list:
         assert step == k1
         return
-    want = outcome(lambda: finish(two, x0, x0f, tau, A, factors, k1))
+    want = outcome(lambda: finish(two, x0f, tau, A, factors, k1))
     assert step_bits(step) == step_bits(want)
     if two is not None:
         f_inner = two([x + a for x, a in zip(x0f, k1)])
@@ -355,10 +402,9 @@ def test_a_first_stage_whose_substitution_overflows_takes_the_scaled_solve():
     assert floats_bytes(k1) == floats_bytes(linalg.lu_solve(factors, [1.5e308, 2.0]))
     assert all(map(math.isfinite, k1)) and k1[0] < -1e307
     # the fused step solves its first stage the same way
-    x0 = np.array([1.0, 1.0])
-    step = kernel(1, 2)(None, x0, x0.tolist(), [1.5e308, 2.0], 1.0, np.eye(2), factors)
+    step = kernel(1, 2)(None, [1.0, 1.0], [1.5e308, 2.0], 1.0, np.eye(2), factors)
     assert floats_bytes(step.k1f) == floats_bytes(k1)
-    assert step_bits(step) == step_bits(kernel_pair(1, 2)[1](None, x0, x0.tolist(), 1.0,
+    assert step_bits(step) == step_bits(kernel_pair(1, 2)[1](None, [1.0, 1.0], 1.0,
                                                              np.eye(2), factors, k1))
 
 
@@ -370,13 +416,13 @@ def test_a_second_stage_whose_substitution_overflows_takes_the_scaled_solve():
     def field(x):  # tau*f - 2*k1 is (1.5e308, 2) at tau = 1
         return [1.5e308, 2.0]
 
-    step = kernel_pair(2, 2)[1](field, x0, x0.tolist(), 1.0, np.eye(2), factors, k1)
+    step = kernel_pair(2, 2)[1](field, x0.tolist(), 1.0, np.eye(2), factors, k1)
     k2, x1 = loop_finish(field, x0, 1.0, factors, k1)
     assert floats_bytes(step.k2f) == floats_bytes(k2)
     assert floats_bytes(k2) == floats_bytes(linalg.lu_solve(factors, [1.5e308, 2.0]))
     assert floats_bytes(step.x1f) == floats_bytes(x1)
     # the fused step from f(x0) = 0, whose first stage is k1 = 0
-    fused = kernel(2, 2)(field, x0, x0.tolist(), [0.0, 0.0], 1.0, np.eye(2), factors)
+    fused = kernel(2, 2)(field, x0.tolist(), [0.0, 0.0], 1.0, np.eye(2), factors)
     assert step_bits(fused) == step_bits(step)
 
 
@@ -390,7 +436,7 @@ def test_an_end_state_that_overflows_raises_nonfinite_state(method):
     k1 = stage1(factors, [4e307], 1.0)
     field = (lambda x: [1e308]) if method.stages == 2 else None
     with pytest.raises(NonFiniteState) as got:
-        finish(field, x0, x0.tolist(), 1.0, np.zeros((1, 1)), factors, k1)
+        finish(field, x0.tolist(), 1.0, np.zeros((1, 1)), factors, k1)
     with pytest.raises(NonFiniteState) as want:
         loop_finish(field, x0, 1.0, factors, k1)
     assert str(got.value) == str(want.value) == "the step's end state is not finite: x1 = [inf]"
@@ -404,14 +450,13 @@ def test_a_right_hand_side_that_is_not_finite_fails_the_solve():
         stage1(factors, [1e308], 10.0)
     assert type(exc.value) is ValueError
     # tau*f(x0 + k1) overflows
-    x0 = np.array([0.0])
     with pytest.raises(ValueError, match="^vector entries must be finite$") as exc:
-        finish(lambda x: [1e308], x0, [0.0], 10.0, np.zeros((1, 1)), factors, [0.0])
+        finish(lambda x: [1e308], [0.0], 10.0, np.zeros((1, 1)), factors, [0.0])
     assert type(exc.value) is ValueError
     # the fused step, at either stage
     for fx0, inner in (([1e308], [0.0]), ([0.0], [1e308])):
         with pytest.raises(ValueError, match="^vector entries must be finite$") as exc:
-            kernel(2, 1)(lambda x: inner, x0, [0.0], fx0, 10.0, np.zeros((1, 1)), factors)
+            kernel(2, 1)(lambda x: inner, [0.0], fx0, 10.0, np.zeros((1, 1)), factors)
         assert type(exc.value) is ValueError
 
 

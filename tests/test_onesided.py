@@ -30,6 +30,7 @@ from rosevent.problems import (
     spp_flatten,
 )
 from rosevent.rosenbrock import (
+    C_ROS2,
     GAMMA_ROS2,
     ROS1,
     ROS2,
@@ -685,7 +686,7 @@ def check_exact_dense_guard(A, b, n, x0, c, tau):
     # d in floats is off by the rounding of one derivative and one dot
     # product: relative rounding plus the absolute step of subnormal numbers
     size = float(np.abs(n) @ (np.abs(step.k1) + np.abs(step.k2)))
-    slack = 64 * (np.finfo(float).eps * step.c * 4.0 * size + math.ulp(0.0))
+    slack = 64 * (np.finfo(float).eps * C_ROS2 * 4.0 * size + math.ulp(0.0))
     if report.passed:
         assert report.certified_sigma == tau
         assert min(d(th) for th in np.linspace(0.0, 1.0, 10_000).tolist()) > -slack

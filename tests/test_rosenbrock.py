@@ -307,13 +307,13 @@ def test_given_factors_give_the_same_step_without_factoring(monkeypatch, step_fn
 
     monkeypatch.setattr(rosevent.linalg, "lu_factor", banned)
     step = kernel(fresh.stages, 2)
-    kept = step(lambda x: (J @ np.array(x)).tolist(), x0, x0.tolist(), (J @ x0).tolist(), 0.1,
+    kept = step(lambda x: (J @ np.array(x)).tolist(), x0.tolist(), (J @ x0).tolist(), 0.1,
                 J, factors)
     assert kept.x1.tobytes() == fresh.x1.tobytes()
     assert kept.k1.tobytes() == fresh.k1.tobytes()
     if fresh.k2 is not None:
         assert kept.k2.tobytes() == fresh.k2.tobytes()
-    assert (kept.tau, kept.gamma, kept.stages) == (fresh.tau, fresh.gamma, fresh.stages)
+    assert (kept.tau, kept.stages) == (fresh.tau, fresh.stages)
 
 
 def test_ros2_with_fd_jacobian_close_to_analytic():
