@@ -182,9 +182,9 @@ def _cmd_guard_check(args) -> int:
     x0 = _state(args, problem)
     mode = _GUARD_BY_NAME[args.mode]
     if mode is onesided.GuardMode.ROS1_GENERAL:
-        rep = onesided.guard_ros1_general(problem, x0, args.tau, rosenbrock.GAMMA_ROS1)
+        rep = onesided.guard_ros1_general(problem, x0, args.tau)
     elif mode is onesided.GuardMode.ROS1_ORTHOGONAL:
-        rep = onesided.guard_ros1_orthogonal(problem, x0, args.tau, rosenbrock.GAMMA_ROS1)
+        rep = onesided.guard_ros1_orthogonal(problem, x0, args.tau)
     elif mode is onesided.GuardMode.ROS2_DENSE:
         J = problems.field_jacobian(problem, 1, x0.tolist())
         step = onesided.guarded_ros2_step(problem, x0, args.tau, J)

@@ -333,15 +333,17 @@ def _validate_config(cfg: IntegratorConfig) -> None:
         raise ValueError(f"h_tol must be non-negative and finite, got {cfg.h_tol}")
     if cfg.max_events is not None and cfg.max_events < 1:
         raise ValueError(f"max_events must be at least 1, got {cfg.max_events}")
-    method = cfg.method
+    method, gm = cfg.method, cfg.guard_mode
+    if not isinstance(method, rosenbrock.RosMethod):
+        raise ValueError(f"method must be a RosMethod, got {method!r}")
     if method.stages not in (1, 2):
         raise ValueError(f"method {method.label!r} (stages={method.stages}) is neither ROS1 "
                          f"nor ROS2, the only methods the step kernel runs")
-    gm = cfg.guard_mode
-    if gm is onesided.GuardMode.ROS2_DENSE and cfg.method.stages != 2:
+    if not (gm is None or isinstance(gm, onesided.GuardMode)):
+        raise ValueError(f"guard_mode must be None or a GuardMode, got {gm!r}")
+    if gm is onesided.GuardMode.ROS2_DENSE and method.stages != 2:
         raise ValueError("the dense-output guard requires the two-stage method")
-    if gm in (onesided.GuardMode.ROS1_GENERAL, onesided.GuardMode.ROS1_ORTHOGONAL) \
-            and cfg.method.stages != 1:
+    if gm not in (None, onesided.GuardMode.ROS2_DENSE) and method.stages != 1:
         raise ValueError("series guards apply to the one-stage method only")
 
 
@@ -395,15 +397,17 @@ def integrate(problem: problems.PiecewiseProblem, x0, cfg: IntegratorConfig) -> 
     raised); an orthogonal guard whose step matrix is not orthogonal
     (NotOrthogonal) is a guard failure with no report. Any other
     NumericalError or ValueError a step raises propagates to the caller as
-    its own type with step context: DomainViolation from a field evaluated
-    outside its domain, ResidualTooLarge from a reduced model's field,
-    ValueError from a field value or Jacobian that is not finite or of the
-    wrong shape, and NonFiniteState, a ValueError, from a step whose end
-    state overflowed, so a non-finite state never reaches the mesh, h or
-    the next step. A NaN h at a step's end, which has no side, raises
-    ValueError with step context. A guarded run (cfg.guard_mode) needs a
-    declared surface (onesided); on any other it raises ValueError before h
-    or a field is evaluated.
+    itself, type and attributes kept, its message (where that is its first
+    argument) ending in the step context: DomainViolation from a field
+    evaluated outside its domain, ResidualTooLarge from a reduced model's
+    field, ValueError from a field value or Jacobian that is not finite or
+    of the wrong shape, and NonFiniteState, a ValueError, from a step whose
+    end state overflowed, so a non-finite state never reaches the mesh, h
+    or the next step. A NaN h at a step's end, which has no side, raises
+    ValueError with step context. A method that is not a RosMethod, a
+    guard_mode that is neither None nor a GuardMode, and a guarded run
+    (cfg.guard_mode) on a problem without a declared surface (onesided)
+    raise ValueError before h or a field is evaluated.
     """
     stats = IntegrationStats()
     token = linalg.current_run.set(stats)
@@ -524,10 +528,13 @@ def _integrate(problem, x0, cfg, stats):
                            else Termination.GUARD_FAILURE)
             break
         except (NumericalError, ValueError) as exc:
-            # any other failure of the step names the step
-            raise type(exc)(
-                f"{exc} (step {step_index}, t = {t:.12g}, field {active})"
-            ) from exc
+            # any other failure of the step goes on as itself, its type and
+            # attributes kept (rebuilding it would need its type's own
+            # constructor arguments); a message that is its one argument
+            # gains the step's context
+            if exc.args == (str(exc),):
+                exc.args = (f"{exc} (step {step_index}, t = {t:.12g}, field {active})",)
+            raise
 
         stats.steps += 1
         if observe is not None:
@@ -584,7 +591,7 @@ def _integrate(problem, x0, cfg, stats):
                 # drawn from: its own matrix, a kept W included, and f(x0)
                 try:
                     rep = onesided._one_stage_report(guard, problem.surface.n, step.jac,
-                                                     lambda: fx0, step.tau, gamma)
+                                                     lambda: fx0, step.tau)
                 except NotOrthogonal:
                     # a step matrix that is not orthogonal certifies nothing
                     termination = Termination.GUARD_FAILURE

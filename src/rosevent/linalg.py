@@ -3,7 +3,7 @@
 Everything here is sized for the systems this package integrates: a handful
 of states, not thousands. At that size a numpy call costs its dispatch, not
 its arithmetic, so the input checks, the partial-pivoting LU, the solves
-and the finite-difference Jacobian run on Python floats. lu_factor takes a
+and the finite-difference stencils run on Python floats. lu_factor takes a
 list of float rows, which is how the step kernel in rosenbrock passes its
 step matrices, and lu_solve a list of floats, returning a list of floats.
 Both factor and substitute with straight-line code generated once per
@@ -16,11 +16,14 @@ of rosenbrock, which writes the same substitution lines
 right-hand side whose solution is not finite, so a step's stages never
 become arrays and cost no solve call. Also here: the package's two root
 finders (the safe-side ITP search and the closed-form quadratic root),
-finite-difference stencils (the Jacobian one switches to one-sided
-differences at a domain edge) and a cheap spectral-radius bound. All
-operations are deterministic. The state is the one cache of generated
-code, one pure function per emitter and key, and current_run, the counts
-of the run in progress, to which lu_factor adds each factorization.
+the finite-difference Jacobian and gradient (the Jacobian switches to
+one-sided differences at a domain edge), which hand every callable each
+stencil point as a list of floats and give rows of floats back (problems
+decides which user callables get an array), and a cheap spectral-radius
+bound. All operations are deterministic. The state is the one cache of
+generated code, one pure function per emitter and key, and current_run,
+the counts of the run in progress, to which lu_factor adds each
+factorization.
 """
 
 from __future__ import annotations
@@ -453,8 +456,9 @@ def _times_two_to(y: float, k: int) -> float:
     return math.ldexp(y, k) if math.frexp(y)[1] + k <= 1024 else math.copysign(math.inf, y)
 
 
-def fd_jacobian(f: Callable, x, domain: Callable | None = None) -> np.ndarray:
-    """Finite-difference Jacobian of a vector field.
+def fd_jacobian(f: Callable, x, domain: Callable | None = None) -> list:
+    """Finite-difference Jacobian of a vector field, as rows of Python
+    floats, one row per output.
 
     Central differences with step sqrt(eps)*max(1, |x_j|) per coordinate.
     When `domain` is given and a perturbed point leaves it, the stencil
@@ -464,49 +468,49 @@ def fd_jacobian(f: Callable, x, domain: Callable | None = None) -> np.ndarray:
     x itself before a one-sided difference first needs f(x) (a DomainViolation
     when x is outside).
 
-    f and domain receive float arrays; the steps and differences run on
-    Python floats, the same operations as the array formula and so the same
-    bits. The result is a C-contiguous float array, one row per output.
+    x is read once as Python floats, so a caller's list or array is never
+    written, and must be finite ("vector entries must be finite"). f and
+    domain are handed each stencil point as a fresh list of floats, and f
+    gives the field's value as a sequence of floats; no numpy runs here.
+    The steps and differences are the same IEEE operations in the same
+    order as the array formula, so the same bits.
     """
-    x = as_vector(x)
+    xs = list(map(float, x))
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("vector entries must be finite")
     fx = None
     cols = []
-    for j, xj in enumerate(x.tolist()):
+    for j, xj in enumerate(xs):
         step = _SQRT_EPS * max(1.0, abs(xj))
-        xp = x.copy()
-        xm = x.copy()
+        xp, xm = xs[:], xs[:]
         xp[j] = hi = xj + step
         xm[j] = lo = xj - step
         ok_p = domain is None or bool(domain(xp))
         ok_m = domain is None or bool(domain(xm))
         if ok_p and ok_m:
-            up, down, width = _values(f(xp)), _values(f(xm)), hi - lo
+            up, down, width = f(xp), f(xm), hi - lo
         elif ok_p or ok_m:
             if fx is None:
-                if not domain(x):
+                if not domain(xs[:]):
                     raise DomainViolation("the stencil's center lies outside the domain")
-                fx = _values(f(x))
+                fx = f(xs[:])
             if ok_p:
-                up, down, width = _values(f(xp)), fx, hi - xj
+                up, down, width = f(xp), fx, hi - xj
             else:
-                up, down, width = fx, _values(f(xm)), xj - lo
+                up, down, width = fx, f(xm), xj - lo
         else:
             raise DomainViolation(
                 f"both perturbations of coordinate {j} leave the domain"
             )
         cols.append([(u - d) / width for u, d in zip(up, down, strict=True)])
-    return np.array(cols).T.copy()
+    return [list(row) for row in zip(*cols)]
 
 
-def _values(v) -> list:
-    """A field value as Python floats."""
-    return np.asarray(v, dtype=float).tolist()
-
-
-def fd_gradient(h: Callable, x) -> np.ndarray:
-    """Finite-difference gradient of a scalar function: fd_jacobian of h
-    as a one-output field, with the same central stencil."""
-    return fd_jacobian(lambda v: [h(v)], x)[0]
+def fd_gradient(h: Callable, x) -> list:
+    """Finite-difference gradient of a scalar function, as a list of Python
+    floats: fd_jacobian of h as a one-output field, with the same central
+    stencil, h handed each point as a fresh list of floats."""
+    return fd_jacobian(lambda v: [float(h(v))], x)[0]
 
 
 def spectral_radius_bound(m) -> float:

@@ -13,7 +13,8 @@ ValueError, as integrate does for a guarded run, since there it could
 certify nothing.
 
 For the one-stage method the step family is x1(sigma) = x0 +
-sigma*M(sigma)^(-1) f(x0), M(sigma) = I - gamma*sigma*J, so along it
+sigma*M(sigma)^(-1) f(x0), M(sigma) = I - gamma*sigma*J with the gamma the
+one-stage method fixes (rosenbrock.GAMMA_ROS1), so along it
 H(sigma) = h(x1(sigma)) has the derivative H'(sigma) = n.M(sigma)^(-2) f =
 sum_k (k+1)*(gamma*sigma)^k * n.J^k f, whose coefficients through sigma^2,
 a0 + a1*sigma + a2*sigma^2, the guards report. Both one-stage guards decide
@@ -104,7 +105,7 @@ def _surface_normal(problem: problems.PiecewiseProblem) -> np.ndarray:
     return problem.surface.n
 
 
-def _declared_certificate(n: list, J: list, f: list, gamma: float, tau: float) -> tuple:
+def _declared_certificate(n: list, J: list, f: list, tau: float) -> tuple:
     # (passed, certified sigma) of the one-stage step family on the surface
     # n.x + c from a lower bound of H'(sigma) = n.M(sigma)^-2 f, exact in
     # rationals, n and f lists of floats and J n rows of n floats:
@@ -136,7 +137,7 @@ def _declared_certificate(n: list, J: list, f: list, gamma: float, tau: float) -
         return False, 0.0
     Jf = [dot(row, fv) for row in rows]
     c1, c2 = dot(nv, Jf), dot(nv, [dot(row, Jf) for row in rows])
-    g = Fraction(gamma)
+    g = Fraction(rosenbrock.GAMMA_ROS1)
     r1, r2 = max(0, -2 * g * c1), max(0, -3 * g * g * c2)
     norm_J = max(sum(abs(v) for v in row) for row in rows)
     tail_scale = (sum(abs(dot(col, nv)) for col in zip(*rows)) * max(abs(v) for v in fv)
@@ -164,16 +165,15 @@ def _declared_certificate(n: list, J: list, f: list, gamma: float, tau: float) -
     return False, sigma
 
 
-def _one_stage_report(mode: GuardMode, n: np.ndarray, J: list, f, tau: float,
-                      gamma: float) -> GuardReport:
+def _one_stage_report(mode: GuardMode, n: np.ndarray, J: list, f, tau: float) -> GuardReport:
     # the report of the one-stage guard `mode` on the step family of the
-    # matrix I - gamma*tau*J from x0: n the declared surface's normal, J n
-    # rows of n floats and f a callable giving f1(x0) as floats, called only
-    # once the orthogonal mode has checked its step matrix, so a refusal
-    # (NotOrthogonal) evaluates no field. integrate hands it the matrix and
-    # f(x0) its hit step was drawn from, a kept W included, the public
-    # guards those they evaluate at x0.
-    Ja = np.array(J)
+    # matrix I - gamma*tau*J from x0, gamma = GAMMA_ROS1: n the declared
+    # surface's normal, J n rows of n floats and f a callable giving f1(x0)
+    # as floats, called only once the orthogonal mode has checked its step
+    # matrix, so a refusal (NotOrthogonal) evaluates no field. integrate
+    # hands it the matrix and f(x0) its hit step was drawn from, a kept W
+    # included, the public guards those they evaluate at x0.
+    Ja, gamma = np.array(J), rosenbrock.GAMMA_ROS1
     neumann_ok = defect = None
     if mode is GuardMode.ROS1_ORTHOGONAL:
         M = rosenbrock.step_matrix(Ja, tau, gamma)
@@ -192,12 +192,11 @@ def _one_stage_report(mode: GuardMode, n: np.ndarray, J: list, f, tau: float,
         coefficients = {"b0": float(n @ fa), "b1": 0.0 - 2.0 * gamma * float(n @ (Ja.T @ fa)),
                         "b2": 0.0, "gram_defect": defect}
     passed, certified = ((False, 0.0) if neumann_ok is False
-                         else _declared_certificate(n.tolist(), J, fx, gamma, tau))
+                         else _declared_certificate(n.tolist(), J, fx, tau))
     return GuardReport(mode, coefficients, passed, certified, neumann_ok)
 
 
-def guard_ros1_general(problem: problems.PiecewiseProblem, x0, tau: float,
-                       gamma: float) -> GuardReport:
+def guard_ros1_general(problem: problems.PiecewiseProblem, x0, tau: float) -> GuardReport:
     """Monotonicity certificate for the one-stage step.
 
     Coefficients of dH/dsigma = a0 + a1*sigma + a2*sigma^2 + ... are formed
@@ -218,11 +217,10 @@ def guard_ros1_general(problem: problems.PiecewiseProblem, x0, tau: float,
     x0f = np.asarray(x0, dtype=float).tolist()
     f = problems.eval_field(problem, 1, x0f)
     J = problems.field_jacobian(problem, 1, x0f)
-    return _one_stage_report(GuardMode.ROS1_GENERAL, n, J, lambda: f, tau, gamma)
+    return _one_stage_report(GuardMode.ROS1_GENERAL, n, J, lambda: f, tau)
 
 
-def guard_ros1_orthogonal(problem: problems.PiecewiseProblem, x0, tau: float,
-                          gamma: float) -> GuardReport:
+def guard_ros1_orthogonal(problem: problems.PiecewiseProblem, x0, tau: float) -> GuardReport:
     """Variant of the one-stage guard for an orthogonal step matrix.
 
     Forms its coefficients from the transpose identity, so no spectral
@@ -241,7 +239,7 @@ def guard_ros1_orthogonal(problem: problems.PiecewiseProblem, x0, tau: float,
     x0f = np.asarray(x0, dtype=float).tolist()
     J = problems.field_jacobian(problem, 1, x0f)
     return _one_stage_report(GuardMode.ROS1_ORTHOGONAL, n, J,
-                             functools.partial(problems.eval_field, problem, 1, x0f), tau, gamma)
+                             functools.partial(problems.eval_field, problem, 1, x0f), tau)
 
 
 def guarded_ros2_step(problem: problems.PiecewiseProblem, x0, tau: float, J,

@@ -20,7 +20,12 @@ they are. A problem may declare the float form of a field or of a
 Jacobian by giving it as a FloatField: eval_field and field_jacobian run
 it on the floats and run no numpy. Any other field, Jacobian or domain
 predicate gets the one float array built from the floats, with their
-bits. najafi's fields, Jacobians and domain run on `math` floats.
+bits. The finite-difference stencils (linalg.fd_jacobian, fd_gradient)
+hand what they call lists of floats: field_jacobian hands a stencil point
+to the field through eval_field and to its domain in eval_field's form,
+and h_gradient hands an undeclared h the point's array, so the form a user
+callable gets is decided here alone. najafi's fields, Jacobians and domain
+run on `math` floats.
 
 A piecewise-affine problem (x' = A_i x + b_i, h = n.x + c) is declared once
 as `Affine` data, and `affine_problem` derives every field, Jacobian and
@@ -244,10 +249,12 @@ def field_jacobian(problem: PiecewiseProblem, which: int, x: list) -> list:
     Jacobian may refuse a state by raising, as najafi's does at t >= 1.
 
     Without an analytic Jacobian, central differences that respect the
-    branch's domain (linalg.fd_jacobian, on the array of x): the stencil
-    checks each point it evaluates against the domain once and counts the
-    evaluation through eval_field, handed the point's floats, which takes
-    that verdict."""
+    branch's domain (linalg.fd_jacobian, on the floats of x), whose rows
+    come back as they are: the stencil checks each point it evaluates
+    against the domain once and counts the evaluation through eval_field,
+    handed the point's floats, which takes that verdict. The domain
+    predicate gets each point in the form eval_field gives it: the floats
+    for a float-form field, one float array for any other."""
     stats = linalg.current_run.get()
     if stats is not None:
         stats.jacobian_evaluations += 1
@@ -259,10 +266,10 @@ def field_jacobian(problem: PiecewiseProblem, which: int, x: list) -> list:
     elif jac is not None:
         J = jac(np.array(x, dtype=float))
     else:
-        dom = problem.domain_f1 if which == 1 else problem.domain_f2
+        f, dom = (problem.f1, problem.domain_f1) if which == 1 else (problem.f2, problem.domain_f2)
+        dom = dom if dom is None or isinstance(f, FloatField) else _on_array(dom)
         # checked passed by position, as a wrapper on eval_field may take *args
-        return linalg.fd_jacobian(lambda v: eval_field(problem, which, v.tolist(), True),
-                                  np.array(x, dtype=float), domain=dom).tolist()
+        return linalg.fd_jacobian(lambda v: eval_field(problem, which, v, True), x, dom)
     J = linalg.as_matrix(J)
     if J.shape[0] != n:
         raise ValueError(f"the Jacobian of field {which} is {J.shape[0]}x{J.shape[0]} "
@@ -270,11 +277,20 @@ def field_jacobian(problem: PiecewiseProblem, which: int, x: list) -> list:
     return J.tolist()
 
 
+def _on_array(g: Callable) -> Callable:
+    # g handed the float array of a list of floats, the form a callable
+    # that is not float-form gets
+    return lambda v: g(np.array(v))
+
+
 def h_gradient(problem: PiecewiseProblem, x) -> np.ndarray:
+    """The gradient of problem's h at x as a float array: grad_h's, given
+    the array of x, else central differences (linalg.fd_gradient) that hand
+    h each stencil point as the float array of its floats."""
     x = np.asarray(x, dtype=float)
     if problem.grad_h is not None:
         return np.asarray(problem.grad_h(x), dtype=float)
-    return linalg.fd_gradient(problem.h, x)
+    return np.array(linalg.fd_gradient(_on_array(problem.h), x))
 
 
 def _rows_source(shape: tuple) -> list:

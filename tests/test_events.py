@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import json
 import math
 import random
 import sys
@@ -54,7 +55,6 @@ from rosevent.problems import (
 )
 from rosevent.rosenbrock import (
     C_ROS2,
-    GAMMA_ROS1,
     GAMMA_ROS2,
     ROS1,
     ROS2,
@@ -476,6 +476,56 @@ def test_band_endpoint_past_the_surface_is_located(method, guard):
     ev = result.events[0]
     assert ev.direction is Direction.R1_TO_R2
     assert float(problem.h(ev.x_star)) <= 0.0
+
+
+@pytest.mark.parametrize("name, setting", [("najafi", {"guard_mode": "ros2-dense"}),
+                                           ("kowalczyk", {"guard_mode": "ros1"}),
+                                           ("kowalczyk", {"method": "ros2"})],
+                         ids=["ros2-dense-name", "ros1-name-on-ros2", "method-name"])
+def test_integrate_refuses_a_method_or_guard_mode_given_by_name(name, setting):
+    # the CLI's names are not the members: guard_mode "ros2-dense" ran
+    # najafi's region 1 unguarded and certified its two-stage hit with a
+    # one-stage report, "ros1" certified a ROS2 step with the one-stage
+    # bound, and method "ros2" failed on an attribute. Each is refused
+    # before h or a field is evaluated.
+    problem = builtin(name)
+    if name == "kowalczyk":
+        problem = spp_flatten(builtin(name, eps=1e-2))
+    x0 = problem.x0
+    problem.h = problem.f1 = problem.f2 = None  # refused before any is called
+    key = next(iter(setting))
+    expected = {"guard_mode": "guard_mode must be None or a GuardMode",
+                "method": "method must be a RosMethod"}[key]
+    with pytest.raises(ValueError, match=f"^{expected}, got {setting[key]!r}$"):
+        integrate(problem, x0, IntegratorConfig(tau=0.125, t_end=2.0, **setting))
+
+
+def test_a_step_error_keeps_its_type_and_attributes():
+    # a field's exception reaches the caller as itself: a JSONDecodeError,
+    # whose constructor takes three arguments, keeps its pos and gains the
+    # step context in its message; an exception whose message is not its
+    # first argument keeps its type and message as they were
+    tent = builtin("tent")
+
+    def decoding(u):
+        raise json.JSONDecodeError("Expecting value", "[1, ", 4)
+
+    problem = PiecewiseProblem(1, decoding, tent.f2, surface=tent.surface)
+    with pytest.raises(json.JSONDecodeError) as info:
+        integrate(problem, [0.0], default_cfg(tau=0.1))
+    exc = info.value
+    assert (exc.msg, exc.doc, exc.pos, exc.colno) == ("Expecting value", "[1, ", 4, 5)
+    assert str(exc) == "Expecting value: line 1 column 5 (char 4) (step 0, t = 0, field 1)"
+
+    def unicode(u):
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    problem.f1 = unicode
+    with pytest.raises(UnicodeDecodeError) as info:
+        integrate(problem, [0.0], default_cfg(tau=0.1))
+    assert (info.value.object, info.value.start, info.value.end) == (b"\xff", 0, 1)
+    assert str(info.value) == ("'utf-8' codec can't decode byte 0xff in position 0: "
+                               "invalid start byte")
 
 
 def test_domain_violation_carries_step_context():
@@ -1396,9 +1446,12 @@ def van_der_pol(jac=None, mu=10.0):
 
 def test_a_curved_field_takes_a_fresh_finite_difference_jacobian_every_step():
     # the secant of van der Pol's steps misses FD-error level every time, so
-    # the derivative-free run is bit for bit the run with a fresh J per step
+    # the derivative-free run is bit for bit the run with a fresh J per step:
+    # the stencil on the floats of u, handing the array field each point's
+    # array as eval_field does, and taking its value as floats
     bare = van_der_pol()
-    fresh = van_der_pol(jac=lambda u: rosevent.linalg.fd_jacobian(bare.f1, u))
+    fresh = van_der_pol(jac=lambda u: rosevent.linalg.fd_jacobian(
+        lambda v: bare.f1(np.array(v)).tolist(), u))
     cfg = IntegratorConfig(tau=0.1, t_end=30.0)
     got, want = integrate(bare, [2.0, 0.0], cfg), integrate(fresh, [2.0, 0.0], cfg)
     assert got.termination is want.termination is Termination.REACHED_T_END
@@ -1471,7 +1524,7 @@ def test_a_one_stage_guard_certifies_the_matrix_its_step_factored():
         assert active == 1
         fx0 = eval_field(bare, 1, x)
         built = rosevent.onesided._one_stage_report(
-            GuardMode.ROS1_GENERAL, bare.surface.n, step.jac, lambda: fx0, step.tau, GAMMA_ROS1)
+            GuardMode.ROS1_GENERAL, bare.surface.n, step.jac, lambda: fx0, step.tau)
         assert report_bits(report) == report_bits(built)
     # both regions keep a W, and the guard certified a kept one at a hit
     assert {active for _, active, _, jacobians in taken if not jacobians} == {1, 2}
@@ -1487,13 +1540,13 @@ def assert_reports_are_the_public_guards(result, taken, problem, guard):
     for index, report in result.guard_reports:
         x, active, step, _ = taken[index]
         assert active == 1
-        assert report_bits(report) == report_bits(public(problem, x, step.tau, GAMMA_ROS1))
+        assert report_bits(report) == report_bits(public(problem, x, step.tau))
     refused = (result.termination is Termination.GUARD_FAILURE
                and not (result.guard_reports and not result.guard_reports[-1][1].passed))
     if refused:
         x, _, step, _ = taken[-1]
         with pytest.raises(NotOrthogonal):
-            public(problem, x, step.tau, GAMMA_ROS1)
+            public(problem, x, step.tau)
 
 
 @settings(max_examples=150, deadline=None)

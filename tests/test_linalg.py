@@ -1,5 +1,6 @@
 """Dense LU, finite-difference derivative kernels, spectral-radius bound."""
 
+import collections
 import math
 import sys
 from fractions import Fraction
@@ -802,27 +803,38 @@ def test_lu_solve_subnormal_systems_numpy_gets_wrong():
 
 # --- finite differences ---------------------------------------------------
 
+def is_float_rows(rows, m, n):
+    # m lists of n Python floats, the form the stencils give
+    return (type(rows) is list and len(rows) == m
+            and all(type(r) is list and len(r) == n and all(type(v) is float for v in r)
+                    for r in rows))
+
+
 def test_fd_jacobian_polynomial_and_trig():
     # f = (x0^2, x0*x1, sin x1); J = [[2x0, 0], [x1, x0], [0, cos x1]]
     def f(x):
-        return np.array([x[0] ** 2, x[0] * x[1], math.sin(x[1])])
+        assert type(x) is list
+        return [x[0] ** 2, x[0] * x[1], math.sin(x[1])]
 
-    x = np.array([1.5, 0.7])
     expected = np.array([
         [3.0, 0.0],
         [0.7, 1.5],
         [0.0, math.cos(0.7)],
     ])
-    npt.assert_allclose(fd_jacobian(f, x), expected, rtol=0, atol=1e-7)
+    for x in ([1.5, 0.7], np.array([1.5, 0.7])):
+        J = fd_jacobian(f, x)
+        assert is_float_rows(J, 3, 2)
+        npt.assert_allclose(J, expected, rtol=0, atol=1e-7)
 
 
 def test_fd_jacobian_one_sided_at_domain_edge():
     # domain x <= 1 blocks the forward probe at x = 1; d(x^3)/dx = 3 there
     def f(x):
-        assert x[0] <= 1.0
-        return np.array([x[0] ** 3])
+        assert type(x) is list and x[0] <= 1.0
+        return [x[0] ** 3]
 
-    J = fd_jacobian(f, np.array([1.0]), domain=lambda x: x[0] <= 1.0)
+    J = fd_jacobian(f, [1.0], domain=lambda x: type(x) is list and x[0] <= 1.0)
+    assert is_float_rows(J, 1, 1)
     npt.assert_allclose(J, [[3.0]], rtol=0, atol=1e-6)
 
 
@@ -831,14 +843,35 @@ def test_fd_jacobian_raises_when_boxed_in():
         fd_jacobian(lambda x: x, np.array([0.0]), domain=lambda x: False)
 
 
+def test_fd_jacobian_reads_x_once_and_leaves_it_as_it_was():
+    # x is read once as floats: the caller's array or list is never written,
+    # not even by a field that writes the point it is handed
+    def f(v):
+        value = [v[0] * v[1], v[1]]
+        v[:] = [math.nan] * len(v)
+        return value
+
+    for x in (np.array([0.5, -2.0]), [0.5, -2.0]):
+        before = np.array(x).tobytes()
+        J = fd_jacobian(f, x)
+        assert np.array(x).tobytes() == before
+        npt.assert_allclose(J, [[-2.0, 0.5], [0.0, 1.0]], rtol=0, atol=1e-7)
+    for x in ([math.inf, 0.0], np.array([0.0, math.nan])):
+        with pytest.raises(ValueError, match="^vector entries must be finite$"):
+            fd_jacobian(f, x)
+        with pytest.raises(ValueError, match="^vector entries must be finite$"):
+            fd_gradient(lambda v: v[0], x)
+
+
 def test_fd_gradient_quadratic():
     # h = x0^2 + 3 x0 x1; grad = (2x0 + 3x1, 3x0)
     def h(x):
+        assert type(x) is list
         return x[0] ** 2 + 3.0 * x[0] * x[1]
 
-    npt.assert_allclose(
-        fd_gradient(h, np.array([2.0, -1.0])), [1.0, 6.0], rtol=0, atol=1e-6
-    )
+    grad = fd_gradient(h, np.array([2.0, -1.0]))
+    assert is_float_rows([grad], 1, 2)
+    npt.assert_allclose(grad, [1.0, 6.0], rtol=0, atol=1e-6)
 
 
 def reference_fd_gradient(h, x, domain=None):
@@ -883,6 +916,8 @@ def test_fd_gradient_matches_the_reference(n, data):
     q = data.draw(hnp.arrays(np.float64, (n, n), elements=_fd_floats))
 
     def h(v):
+        # a list from the stencils, an array from the reference: the same bits
+        v = np.asarray(v)
         return float(c @ v + v @ q @ v + math.sin(v[0]))
 
     # per coordinate: no wall, a wall at x_j above (forward probe leaves),
@@ -895,6 +930,7 @@ def test_fd_gradient_matches_the_reference(n, data):
                       for j, w in enumerate(walls)])
 
     def domain(v):
+        v = np.asarray(v)
         return bool(np.all(v >= lower) and np.all(v <= upper))
 
     # fd_gradient is fd_jacobian of h as a one-output field; under walls
@@ -912,8 +948,8 @@ def test_fd_gradient_matches_the_reference(n, data):
                 gradient(dom)
             continue
         got = gradient(dom)
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
+        assert is_float_rows([got], 1, n)
+        assert np.array(got).tobytes() == expected.tobytes()
 
 
 def reference_fd_jacobian(f, x, domain=None):
@@ -957,8 +993,10 @@ def test_fd_jacobian_matches_the_array_reference(n, m, data):
     seen = []
 
     def f(v):
+        # a list from the stencil, an array from the reference: the same bits
         seen.append(v)
-        return c + q @ v + np.sin(v[0] * v[-1])
+        v = np.asarray(v)
+        return (c + q @ v + np.sin(v[0] * v[-1])).tolist()
 
     # per coordinate: no wall, a wall at x_j above (forward probe leaves),
     # below (backward probe leaves), or on both sides (boxed in)
@@ -971,8 +1009,10 @@ def test_fd_jacobian_matches_the_array_reference(n, m, data):
 
     def domain(v):
         seen.append(v)
+        v = np.asarray(v)
         return bool(np.all(v >= lower) and np.all(v <= upper))
 
+    x_bits = x.tobytes()
     for dom in (None, domain):
         try:
             expected = reference_fd_jacobian(f, x, dom)
@@ -982,12 +1022,14 @@ def test_fd_jacobian_matches_the_array_reference(n, m, data):
             continue
         seen.clear()
         got = fd_jacobian(f, x, dom)
-        # f and domain see float arrays, and the result's dtype and layout
-        # are part of its contract
-        assert all(type(v) is np.ndarray and v.dtype == np.float64 for v in seen)
-        assert got.dtype == np.float64 and got.flags.c_contiguous
-        assert got.shape == expected.shape == (m, n)
-        assert got.tobytes() == expected.tobytes()
+        # f and domain see lists of Python floats, and the result is rows of
+        # Python floats: that form is part of the contract. A point is a
+        # fresh list, shared by at most its domain check and its evaluation
+        assert all(is_float_rows([v], 1, n) for v in seen)
+        assert max(collections.Counter(map(id, seen)).values(), default=0) <= 2
+        assert is_float_rows(got, m, n)
+        assert np.array(got).tobytes() == expected.tobytes()
+    assert x.tobytes() == x_bits
 
 
 # --- spectral radius bound -------------------------------------------------

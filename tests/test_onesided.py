@@ -80,7 +80,7 @@ def factored(monkeypatch):
 # --- one-stage series guard --------------------------------------------------
 
 def test_series_guard_passes_on_transversal_drift():
-    report = guard_ros1_general(builtin("tent"), [0.3], 0.25, 1.0)
+    report = guard_ros1_general(builtin("tent"), [0.3], 0.25)
     assert report.mode is GuardMode.ROS1_GENERAL
     assert report.passed
     assert report.neumann_ok
@@ -92,7 +92,7 @@ def test_series_guard_passes_on_transversal_drift():
 
 def test_series_guard_abstains_without_neumann_convergence():
     stiff = declared([[-100.0]], [0.0], [1.0], -2.0)
-    report = guard_ros1_general(stiff, [-1.0], 1.0, 1.0)
+    report = guard_ros1_general(stiff, [-1.0], 1.0)
     assert not report.neumann_ok
     assert not report.passed
     assert report.certified_sigma == 0.0
@@ -106,9 +106,9 @@ def test_guards_reject_a_step_that_is_not_positive_and_finite(tau, evaluated):
     x0 = np.array([0.3])
     J = field_jacobian(problem, 1, x0.tolist())
     with pytest.raises(ValueError, match="tau must be positive and finite"):
-        guard_ros1_general(problem, x0, tau, 1.0)
+        guard_ros1_general(problem, x0, tau)
     with pytest.raises(ValueError, match="tau must be positive and finite"):
-        guard_ros1_orthogonal(problem, x0, tau, 1.0)
+        guard_ros1_orthogonal(problem, x0, tau)
     with pytest.raises(ValueError, match="tau must be positive and finite"):
         guarded_ros2_step(problem, x0, tau, J)
     # rejected before any field evaluation
@@ -124,7 +124,7 @@ def test_orthogonal_guard_accepts_rotation_step_matrix():
     J = (np.eye(2) - Q) / (gamma * tau)
     b = np.array([1.0, 0.2])
     problem = declared(J, b, [1.0, 0.0], -1.0)
-    report = guard_ros1_orthogonal(problem, [0.0, 0.0], tau, gamma)
+    report = guard_ros1_orthogonal(problem, [0.0, 0.0], tau)
     assert report.mode is GuardMode.ROS1_ORTHOGONAL
     assert report.coefficients["gram_defect"] <= 1e-12
     assert report.coefficients["b0"] == pytest.approx(1.0)
@@ -141,8 +141,8 @@ DRIFT = declared(np.zeros((2, 2)), [1.0, 0.5], [2.0, -1.0], -3.0)
 
 
 def test_orthogonal_guard_matches_general_when_jacobian_vanishes():
-    ga = guard_ros1_general(DRIFT, [0.0, 0.0], 0.5, 1.0)
-    go = guard_ros1_orthogonal(DRIFT, [0.0, 0.0], 0.5, 1.0)
+    ga = guard_ros1_general(DRIFT, [0.0, 0.0], 0.5)
+    go = guard_ros1_orthogonal(DRIFT, [0.0, 0.0], 0.5)
     assert ga.coefficients == {"a0": 1.5, "a1": 0.0, "a2": 0.0}
     assert go.coefficients["b0"] == ga.coefficients["a0"]
     assert go.coefficients["b1"] == ga.coefficients["a1"]
@@ -153,7 +153,7 @@ def test_orthogonal_guard_matches_general_when_jacobian_vanishes():
 
 def test_orthogonal_guard_rejects_generic_step_matrix():
     with pytest.raises(NotOrthogonal, match="orthogonality"):
-        guard_ros1_orthogonal(builtin("linear_test"), [1.0], 0.5, 1.0)
+        guard_ros1_orthogonal(builtin("linear_test"), [1.0], 0.5)
 
 
 def test_an_orthogonal_guard_that_refuses_its_step_matrix_ends_the_run(evaluated, monkeypatch):
@@ -187,20 +187,20 @@ def test_one_stage_guards_read_najafis_float_form_jacobian_as_an_array(counting)
     problem = builtin("najafi")
     x0 = np.array([1.0, 0.9])
     with counting() as stats:
-        rep = guard_ros1_general(problem, x0, 0.125, 1.0)
+        rep = guard_ros1_general(problem, x0, 0.125)
         assert rep.passed and rep.neumann_ok is True and rep.certified_sigma == 0.125
         assert rep.coefficients == {"a0": 1.0, "a1": 0.0, "a2": 0.0}
         # I - tau*J is upper triangular with a non-zero corner: not orthogonal
         with pytest.raises(NotOrthogonal, match="orthogonality"):
-            guard_ros1_orthogonal(problem, x0, 0.125, 1.0)
+            guard_ros1_orthogonal(problem, x0, 0.125)
     assert stats.f_evals == {1: 1, 2: 0}
 
 
 def test_guards_without_a_contraction_condition_do_not_certify_one():
     # only the series guard checks the Neumann series' contraction bound;
     # the others report None (not checked), not a True they never tested
-    assert guard_ros1_general(builtin("tent"), [0.3], 0.25, 1.0).neumann_ok is True
-    orthogonal = guard_ros1_orthogonal(DRIFT, [0.0, 0.0], 0.5, 1.0)
+    assert guard_ros1_general(builtin("tent"), [0.3], 0.25).neumann_ok is True
+    orthogonal = guard_ros1_orthogonal(DRIFT, [0.0, 0.0], 0.5)
     assert orthogonal.passed and orthogonal.neumann_ok is None
     problem = declared([[0.0]], [1.0], [1.0], -2.0)
     step = ros2_step(problem.f1, np.array([0.0]), 0.8, np.zeros((1, 1)))
@@ -290,7 +290,7 @@ def test_a_one_stage_step_that_crosses_and_returns_fails_the_guard():
     assert -0.0004 < PINNED.h(ros1_step(PINNED.f1, x0, tau, A).x1) < 0.0
     sigmas = np.linspace(0.0, tau, 2001)[1:]
     assert h_prime(A, PINNED.f1(x0), PINNED.affine.n, 1.0, sigmas).min() < -0.5
-    report = guard_ros1_general(PINNED, x0, tau, 1.0)
+    report = guard_ros1_general(PINNED, x0, tau)
     # the truncated series' coefficients are reported as they were
     assert report.coefficients == {"a0": 0.4009686100744706, "a1": 0.1267278942172567,
                                    "a2": -0.1777772547357146}
@@ -316,7 +316,7 @@ def test_the_guards_refuse_an_undeclared_surface(evaluated):
     twin = undeclared_twin(PINNED)
     for guard in (guard_ros1_general, guard_ros1_orthogonal):
         with pytest.raises(ValueError, match="declares no surface"):
-            guard(twin, PINNED_X0, PINNED_TAU, 1.0)
+            guard(twin, PINNED_X0, PINNED_TAU)
     step = ros2_step(twin.f1, PINNED_X0, PINNED_TAU, PINNED.affine.A1)
     with pytest.raises(ValueError, match="declares no surface"):
         guard_ros2_dense(twin, step)
@@ -350,7 +350,7 @@ def test_the_one_stage_guard_on_a_declared_surface_is_an_oracle_certificate(data
     problem = declared(A, b, n, -float(n @ x0) - data.draw(st.floats(1e-3, 2.0)))
     assume(problem.h(x0) < 0.0)
     tau = 10.0 ** log_tau
-    check_one_stage_certificate(guard_ros1_general(problem, x0, tau, 1.0), problem, x0,
+    check_one_stage_certificate(guard_ros1_general(problem, x0, tau), problem, x0,
                                 tau, 1.0)
 
 
@@ -377,7 +377,7 @@ def test_the_orthogonal_guard_on_a_declared_surface_is_an_oracle_certificate(
     problem = declared(J, b, n, -float(n @ x0) - data.draw(st.floats(1e-3, 2.0)))
     assume(problem.h(x0) < 0.0)
     try:
-        report = guard_ros1_orthogonal(problem, x0, tau, 1.0)
+        report = guard_ros1_orthogonal(problem, x0, tau)
     except NotOrthogonal:
         assume(False)
     check_one_stage_certificate(report, problem, x0, tau, 1.0)

@@ -94,6 +94,20 @@ def test_a_finite_difference_jacobian_checks_each_point_once(x, rejected, counti
 def test_h_gradient_analytic_or_fd():
     p = builtin("tent")
     npt.assert_array_equal(h_gradient(p, np.array([0.3])), [1.0])
+    # an undeclared h gets each stencil point as its float array, and the
+    # gradient comes back as an array of the stencil's floats
+    seen = []
+
+    def h(u):
+        seen.append(type(u))
+        return u[0] * u[0] - 0.5
+
+    undeclared = PiecewiseProblem(1, p.f1, p.f2, h=h)
+    grad = h_gradient(undeclared, [0.25])
+    assert isinstance(grad, np.ndarray) and grad.dtype == float
+    assert grad.tobytes() == np.array(rosevent.linalg.fd_gradient(h, [0.25])).tobytes()
+    npt.assert_allclose(grad, [0.5], rtol=1e-7)
+    assert seen[:2] == [np.ndarray, np.ndarray] and set(seen[2:]) == {list}
 
 
 def test_spp_flatten_kowalczyk_fields():
@@ -884,6 +898,36 @@ def test_a_float_form_field_hands_its_domain_the_floats(counting):
     assert stats.domain_violations == {1: 1, 2: 0}
 
 
+def test_a_derivative_free_run_hands_each_domain_one_form():
+    # najafi without its Jacobians, under the dense guard: every point its
+    # domain predicate checks, the finite-difference stencil's as well as
+    # eval_field's, comes in the form eval_field hands the field, the
+    # floats for a float-form field and one array for any other. Both runs
+    # take the same steps with the same bits.
+    nj = builtin("najafi")
+    cfg = IntegratorConfig(tau=0.125, t_end=2.0, guard_mode=GuardMode.ROS2_DENSE)
+    runs = {}
+    for form, f1 in ((list, nj.f1), (np.ndarray, lambda u: nj.f1(u))):
+        seen = []
+
+        def domain(u):
+            seen.append(type(u))
+            return nj.domain_f1(u)
+
+        p = PiecewiseProblem(nj.dim, f1, nj.f2, surface=nj.surface, domain_f1=domain)
+        runs[form] = result = integrate(p, [1.0, 0.0], cfg)
+        assert seen == [form] * 49
+        stats = result.stats
+        assert (stats.steps, stats.lu_factorizations, stats.jacobian_evaluations) == (16, 9, 9)
+        assert stats.f_evals == {1: 49, 2: 21}
+        assert stats.domain_violations == {1: 0, 2: 0}
+        assert [ev.t_star for ev in result.events] == [1.0]
+        [(index, report)] = result.guard_reports
+        assert (index, report.passed, report.certified_sigma) == (7, True, 0.125)
+    assert ([(t, x.tobytes()) for t, x in runs[list].mesh]
+            == [(t, x.tobytes()) for t, x in runs[np.ndarray].mesh])
+
+
 def test_a_float_form_of_the_wrong_shape_fails_the_shared_checks():
     # a value or rows of the wrong shape fail linalg.as_floats's and
     # as_matrix's messages, in eval_field and field_jacobian and through
@@ -951,8 +995,8 @@ def test_a_field_value_of_another_length_fails_the_guards_and_the_classifier():
                                jac_f1=lambda u: np.zeros((2, 2)))
     message = "^matrix is 2x2 but b has length 3$"
     with pytest.raises(ValueError, match=message):
-        guard_ros1_general(problem, [-0.5, 0.0], 0.1, 1.0)
+        guard_ros1_general(problem, [-0.5, 0.0], 0.1)
     with pytest.raises(ValueError, match=message):
-        guard_ros1_orthogonal(problem, [-0.5, 0.0], 0.1, 1.0)
+        guard_ros1_orthogonal(problem, [-0.5, 0.0], 0.1)
     with pytest.raises(ValueError, match=message):
         classify_general(problem, [0.0, 0.0])

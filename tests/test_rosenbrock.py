@@ -317,12 +317,17 @@ def test_given_factors_give_the_same_step_without_factoring(monkeypatch, step_fn
 
 
 def test_ros2_with_fd_jacobian_close_to_analytic():
+    # the stencil hands f lists of floats and gives J as rows of floats,
+    # which the step takes as they are
     def f(x):
-        return np.array([math.sin(x[0]) - x[1], x[0] * x[1]])
+        return [math.sin(x[0]) - x[1], x[0] * x[1]]
 
     x0 = np.array([0.4, -0.3])
     J_exact = np.array([[math.cos(0.4), -1.0], [-0.3, 0.4]])
     J_fd = rosevent.linalg.fd_jacobian(f, x0)
+    assert type(J_fd) is list and [len(row) for row in J_fd] == [2, 2]
+    assert all(type(v) is float for row in J_fd for v in row)
+    npt.assert_allclose(J_fd, J_exact, rtol=0, atol=1e-7)
     exact = ros2_step(f, x0, 0.2, J_exact).x1
     approx = ros2_step(f, x0, 0.2, J_fd).x1
     npt.assert_allclose(approx, exact, rtol=1e-7, atol=1e-10)
